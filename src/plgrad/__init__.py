@@ -28,12 +28,11 @@ from .harness import (
 )
 from .noise import NoiseModel, envelope_norm, mean_norm, sample, second_moment
 from .problems import (
+    DemandResponse,
+    DriftingLogistic,
+    LtiTracking,
     OnlineProblem,
-    VariabilityRecord,
-    make_demand_response,
-    make_logistic,
-    make_lti_tracking,
-    make_timevarying_ls,
+    TimeVaryingLeastSquares,
     variability,
     verify_pl,
     verify_prox_pl,
@@ -57,7 +56,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport",
     "BoundSeries",
+    "DemandResponse",
+    "DriftingLogistic",
     "ExperimentConfig",
+    "LtiTracking",
     "NoiseModel",
     "OnlineProblem",
     "PRESETS",
@@ -65,7 +67,7 @@ __all__ = [
     "RegretTrajectory",
     "SolverState",
     "SubWeibullParams",
-    "VariabilityRecord",
+    "TimeVaryingLeastSquares",
     "add",
     "add_scalar",
     "asymptote",
@@ -77,10 +79,6 @@ __all__ = [
     "include",
     "longrun_asymptote_check",
     "make_config",
-    "make_demand_response",
-    "make_logistic",
-    "make_lti_tracking",
-    "make_timevarying_ls",
     "markov_highprob_bound",
     "mean_norm",
     "ogd_expectation_bound",

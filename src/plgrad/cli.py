@@ -10,8 +10,7 @@ Commands
               parameters, without running any simulation
 
 All numeric output uses 17 significant digits so repeated runs with the same
-config and seed are byte-identical (including under different PLGRAD_THREADS
-settings).
+config and seed are byte-identical.
 """
 
 from __future__ import annotations

@@ -16,66 +16,41 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import FAMILIES, NoiseModel
+from .noise import NoiseModel
 from .problems import (
+    DemandResponse,
+    DriftingLogistic,
+    LtiTracking,
     OnlineProblem,
+    TimeVaryingLeastSquares,
     load_demand_response_traces,
-    make_demand_response,
-    make_logistic,
-    make_lti_tracking,
-    make_timevarying_ls,
     synth_demand_response_traces,
 )
 from .prox import Regularizer
+from .solvers import SOLVERS
 
 
 class ConfigError(ValueError):
     """Raised for malformed, unknown, or inconsistent configuration."""
 
 
-_SCHEMA = {
-    "experiment": {
-        "preset",
-        "solver",
-        "horizon",
-        "trials",
-        "seed",
-        "deltas",
-        "out",
-        "bound_inputs",
-        "psi_bar",
-        "burn_in",
-        "x0",
-        "step_override",
-    },
-    "problem": {
-        "kind",
-        "n",
-        "d",
-        "m",
-        "n_der",
-        "mu",
-        "l",
-        "drift_std",
-        "obs_noise_std",
-        "spacing",
-        "bounds_lo",
-        "bounds_hi",
-        "regularizer",
-        "l1_weight",
-        "traces",
-    },
-    "noise": {
-        "family",
-        "scale",
-        "weibull_shape",
-        "bias",
-        "envelope_k_scale",
-        "per_time_scale",
-    },
+# per problem kind: its class, and the [problem] keys it accepts besides
+# kind, regularizer and l1_weight, with their defaults.  None marks a key
+# with no default here: the constructor's own, or "not given".
+_PROBLEMS = {
+    "timevarying_ls": (
+        TimeVaryingLeastSquares,
+        dict(n=10, d=20, mu=0.1, l=1.0, drift_std=0.0, obs_noise_std=0.0, spacing=None),
+    ),
+    "logistic": (DriftingLogistic, dict(n=10, d=40, drift_std=0.0)),
+    "lti_tracking": (LtiTracking, dict(n=8, m=12)),
+    "demand_response": (
+        DemandResponse,
+        dict(n_der=20, bounds_lo=None, bounds_hi=None, traces=None),
+    ),
 }
 
-PROBLEM_KINDS = ("timevarying_ls", "logistic", "lti_tracking", "demand_response")
+PROBLEM_KINDS = tuple(_PROBLEMS)
 
 
 @dataclass
@@ -90,7 +65,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     bound_inputs: str = "empirical"
     psi_bar: float | None = None
-    burn_in: int | None = None
     x0: str = "zero"
     step_override: float | None = None
     preset: str | None = None
@@ -98,8 +72,8 @@ class ExperimentConfig:
     noise: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        if self.solver not in ("ogd", "opgm"):
-            raise ConfigError(f"solver must be ogd or opgm, got {self.solver!r}")
+        if self.solver not in SOLVERS:
+            raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.horizon < 1:
@@ -115,14 +89,10 @@ class ExperimentConfig:
             )
         if self.psi_bar is not None and self.psi_bar < 0:
             raise ConfigError("psi_bar must be nonnegative")
-        if self.burn_in is not None and self.burn_in >= self.horizon:
-            raise ConfigError("burn_in must be smaller than the horizon")
         kind = self.problem.get("kind")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-        family = self.noise.get("family", "zero")
-        if family not in FAMILIES:
-            raise ConfigError(f"noise family must be one of {FAMILIES}, got {family!r}")
+        build_noise(self)  # checks the [noise] section
 
 
 PRESETS: dict[str, dict] = {
@@ -219,7 +189,6 @@ _EXPERIMENT_PARSERS = {
     "out": str,
     "bound_inputs": str,
     "psi_bar": float,
-    "burn_in": int,
     "x0": str,
     "step_override": float,
 }
@@ -273,14 +242,15 @@ def load_config_file(path) -> dict[str, dict]:
         raise ConfigError(f"{path}: {exc}") from exc
     out: dict[str, dict] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _PARSERS:
             raise ConfigError(f"{path}: unknown section [{section}]")
+        parsers = _PARSERS[section]
         out[section] = {}
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in parsers:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                out[section][key] = _PARSERS[section][key](raw)
+                out[section][key] = parsers[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
     return out
@@ -313,18 +283,12 @@ def make_config(
 
     exp = layered["experiment"]
     exp.pop("preset", None)
+    if "out" in exp:
+        exp["out_dir"] = exp.pop("out")
+    if "deltas" in exp:
+        exp["deltas"] = tuple(exp["deltas"])
     cfg = ExperimentConfig(
-        solver=exp.get("solver", "ogd"),
-        horizon=exp.get("horizon", 500),
-        trials=exp.get("trials", 100),
-        seed=exp.get("seed", 42),
-        deltas=tuple(exp.get("deltas", (0.1, 0.05))),
-        out_dir=exp.get("out"),
-        bound_inputs=exp.get("bound_inputs", "empirical"),
-        psi_bar=exp.get("psi_bar"),
-        burn_in=exp.get("burn_in"),
-        x0=exp.get("x0", "zero"),
-        step_override=exp.get("step_override"),
+        **exp,
         preset=preset_name,
         problem=dict(layered["problem"]),
         noise=dict(layered["noise"]),
@@ -335,26 +299,21 @@ def make_config(
 
 def build_noise(cfg: ExperimentConfig) -> NoiseModel:
     spec = dict(cfg.noise)
-    family = spec.pop("family", "zero")
-    per_time = spec.pop("per_time_scale", None)
-    model = NoiseModel(
-        family=family,
-        scale=spec.pop("scale", 0.0),
-        weibull_shape=spec.pop("weibull_shape", 1.0),
-        bias=spec.pop("bias", 0.0),
-        per_time_scale=tuple(per_time) if per_time is not None else None,
-        envelope_k_scale=spec.pop("envelope_k_scale", 1.0),
-    )
-    if spec:
-        raise ConfigError(f"unused noise settings: {sorted(spec)}")
+    unknown = sorted(spec.keys() - _NOISE_PARSERS.keys())
+    if unknown:
+        raise ConfigError(f"unused noise settings: {unknown}")
+    if "per_time_scale" in spec:
+        spec["per_time_scale"] = tuple(spec["per_time_scale"])
+    try:
+        model = NoiseModel(**spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if model.per_time_scale is not None and len(model.per_time_scale) < cfg.horizon:
         raise ConfigError("per_time_scale must cover the horizon")
     return model
 
 
-def _demand_response_bounds(n_der: int, spec: dict) -> tuple[np.ndarray, np.ndarray]:
-    lo_raw = spec.pop("bounds_lo", None)
-    hi_raw = spec.pop("bounds_hi", None)
+def _demand_response_bounds(n_der: int, lo_raw, hi_raw) -> tuple[np.ndarray, np.ndarray]:
     if lo_raw is None and hi_raw is None:
         # half storage in [-50, 50] kW, half solar in [0, 50] kW
         n_storage = (n_der + 1) // 2
@@ -367,7 +326,7 @@ def _demand_response_bounds(n_der: int, spec: dict) -> tuple[np.ndarray, np.ndar
     def expand(raw, name):
         arr = np.asarray(raw, dtype=float)
         if arr.size == 1:
-            return np.full(n_der, float(arr))
+            return np.full(n_der, arr.item())
         if arr.size != n_der:
             raise ConfigError(f"{name} must have 1 or {n_der} entries, got {arr.size}")
         return arr
@@ -379,54 +338,31 @@ def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
     spec = dict(cfg.problem)
     kind = spec.pop("kind")
     reg_override = spec.pop("regularizer", None)
+    if "l1_weight" in spec and reg_override != "l1":
+        raise ConfigError("l1_weight needs regularizer = l1")
     l1_weight = spec.pop("l1_weight", 0.0)
+    cls, defaults = _PROBLEMS[kind]
+    unknown = sorted(spec.keys() - defaults.keys())
+    if unknown:
+        raise ConfigError(f"settings not applicable to {kind}: {unknown}")
+    params = {**defaults, **spec}
 
-    if kind == "timevarying_ls":
-        problem = make_timevarying_ls(
-            n=spec.pop("n", 10),
-            d=spec.pop("d", 20),
-            mu=spec.pop("mu", 0.1),
-            l=spec.pop("l", 1.0),
-            drift_std=spec.pop("drift_std", 0.0),
-            obs_noise_std=spec.pop("obs_noise_std", 0.0),
-            seed=cfg.seed,
-            horizon=cfg.horizon,
-            spacing=spec.pop("spacing", "eigenvalues"),
+    if kind == "demand_response":
+        params["bounds_lo"], params["bounds_hi"] = _demand_response_bounds(
+            params["n_der"], params["bounds_lo"], params["bounds_hi"]
         )
-    elif kind == "logistic":
-        problem = make_logistic(
-            n=spec.pop("n", 10),
-            d=spec.pop("d", 40),
-            seed=cfg.seed,
-            horizon=cfg.horizon,
-            drift_std=spec.pop("drift_std", 0.0),
-        )
-    elif kind == "lti_tracking":
-        problem = make_lti_tracking(
-            n=spec.pop("n", 8),
-            m=spec.pop("m", 12),
-            seed=cfg.seed,
-            horizon=cfg.horizon,
-        )
-    else:
-        n_der = spec.pop("n_der", 20)
-        lo, hi = _demand_response_bounds(n_der, spec)
-        traces_path = spec.pop("traces", None)
+        traces_path = params.pop("traces")
         if traces_path is not None:
-            w_trace, p_ref = load_demand_response_traces(traces_path)
+            params["w_trace"], params["p_ref_trace"] = load_demand_response_traces(traces_path)
         else:
-            w_trace, p_ref = synth_demand_response_traces(cfg.horizon, cfg.seed)
-        problem = make_demand_response(
-            n_der=n_der,
-            seed=cfg.seed,
-            horizon=cfg.horizon,
-            p_ref_trace=p_ref,
-            w_trace=w_trace,
-            bounds_lo=lo,
-            bounds_hi=hi,
-        )
-    if spec:
-        raise ConfigError(f"settings not applicable to {kind}: {sorted(spec)}")
+            params["w_trace"], params["p_ref_trace"] = synth_demand_response_traces(
+                cfg.horizon, cfg.seed
+            )
+    problem = cls(
+        seed=cfg.seed,
+        horizon=cfg.horizon,
+        **{key: value for key, value in params.items() if value is not None},
+    )
 
     if reg_override is not None:
         if problem.regularizer is not None:

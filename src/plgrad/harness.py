@@ -6,16 +6,13 @@ executable content of the theory: pathwise recursions, expectation-bound
 dominance of the Monte Carlo mean, and per-delta coverage of the
 high-probability bounds.
 
-Trials draw from independent key-derived noise streams and aggregation runs
-in a fixed trial order, so reports are bit-identical regardless of how many
-worker threads execute the trials (capped by the PLGRAD_THREADS environment
-variable).
+Trials draw from independent key-derived noise streams keyed by
+(seed, trial, t) and run in trial order, so a trial's trajectory does not
+depend on how many other trials run with it.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,19 +22,10 @@ from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .config import ExperimentConfig, build_noise, build_problem, initial_point
 from .problems import OnlineProblem
-from .solvers import RegretTrajectory, run
+from .solvers import run
 from .subweibull import fit_from_samples
 
 RECURSION_TOL = 1e-9
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("PLGRAD_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"PLGRAD_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, threads)
 
 
 @dataclass
@@ -77,32 +65,6 @@ class AggregateReport:
     @property
     def zeta(self) -> float:
         return self.problem_info["zeta"]
-
-
-def _run_trials(
-    problem: OnlineProblem,
-    config: ExperimentConfig,
-    model: noise_mod.NoiseModel,
-    x0: np.ndarray,
-) -> list[RegretTrajectory]:
-    def one(trial: int) -> RegretTrajectory:
-        return run(
-            problem,
-            config.solver,
-            model,
-            horizon=config.horizon,
-            x0=x0,
-            seed=config.seed,
-            trial=trial,
-            step_override=config.step_override,
-        )
-
-    workers = _worker_count()
-    trials = range(config.trials)
-    if workers == 1:
-        return [one(i) for i in trials]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, trials))
 
 
 def _bound_set(
@@ -164,7 +126,19 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     x0 = initial_point(config, problem)
     horizon = config.horizon
 
-    trajectories = _run_trials(problem, config, model, x0)
+    trajectories = [
+        run(
+            problem,
+            config.solver,
+            model,
+            horizon=config.horizon,
+            x0=x0,
+            seed=config.seed,
+            trial=trial,
+            step_override=config.step_override,
+        )
+        for trial in range(config.trials)
+    ]
 
     regret = np.vstack([tr.regret for tr in trajectories])
     err = np.vstack([tr.error_norm for tr in trajectories])

@@ -31,7 +31,7 @@ _NOISE_STREAM = 2
 class NoiseModel:
     """Distribution family and parameters for the gradient error e_t.
 
-    family: one of FAMILIES.
+    family: one of FAMILIES; the default "zero" draws no error.
     scale: std (gaussian_iid), half-width (bounded_uniform) or Weibull scale
         (weibull_tail), in gradient units.
     weibull_shape: Weibull shape parameter; the norm envelope then has tail
@@ -45,7 +45,7 @@ class NoiseModel:
         exist only so validation runs can demonstrate a failing verdict.
     """
 
-    family: str
+    family: str = "zero"
     scale: float = 0.0
     weibull_shape: float = 1.0
     bias: float = 0.0
@@ -79,9 +79,6 @@ class NoiseModel:
         # Gaussian and bounded-support coordinates are sub-Gaussian; the
         # degenerate family is tagged sub-Gaussian too so envelopes compose.
         return 0.5
-
-    def is_zero(self) -> bool:
-        return self.family == "zero" or (self.scale == 0.0 and self.bias == 0.0)
 
 
 def sample(model: NoiseModel, n: int, seed: int, trial: int, t: int) -> np.ndarray:
@@ -134,11 +131,6 @@ def _gaussian_norm_k(sigma: float, n: int) -> float:
         )
 
     return _max_moment_ratio(log_norm, 0.5)
-
-
-def _half_gaussian_k(sigma: float) -> float:
-    """Exact sub-Gaussian moment scale of |N(0, sigma^2)| (n = 1 case)."""
-    return _gaussian_norm_k(sigma, 1)
 
 
 def _weibull_k(lam: float, shape: float) -> float:
@@ -198,7 +190,7 @@ def envelope_norm_generic(model: NoiseModel, n: int) -> SubWeibullParams:
     if model.family == "zero" or s == 0.0:
         coord = SubWeibullParams(theta, 0.0)
     elif model.family == "gaussian_iid":
-        coord = SubWeibullParams(theta, _half_gaussian_k(s))
+        coord = SubWeibullParams(theta, _gaussian_norm_k(s, 1))  # |N(0, s^2)|
     elif model.family == "bounded_uniform":
         coord = SubWeibullParams(theta, s)
     else:

@@ -39,26 +39,6 @@ _BUILD_STREAM = 1
 _VERIFY_STREAM = 3
 
 
-@dataclass(frozen=True)
-class VariabilityRecord:
-    """Per-step temporal variability: optimal-value drift, cost drift, sum."""
-
-    sigma: float
-    phi_tilde: float
-    psi_tilde: float
-    psi_bar: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.sigma < 0 or self.phi_tilde < 0:
-            raise ValueError("variability components must be nonnegative")
-        if not math.isclose(self.psi_tilde, self.sigma + self.phi_tilde, rel_tol=0, abs_tol=1e-12):
-            raise ValueError("psi_tilde must equal sigma + phi_tilde")
-
-    @staticmethod
-    def of(sigma: float, phi_tilde: float) -> "VariabilityRecord":
-        return VariabilityRecord(sigma, phi_tilde, sigma + phi_tilde)
-
-
 class OnlineProblem:
     """Time-indexed cost oracle F_t = f_t + g_t with constants and optima.
 
@@ -243,23 +223,6 @@ class TimeVaryingLeastSquares(_QuadraticComposite):
         self.fstar_exact = True
         self.mu_exact = True
         self.matrix = a
-        self.xstar_path = xstar_path
-
-
-def make_timevarying_ls(
-    n: int,
-    d: int,
-    mu: float,
-    l: float,
-    drift_std: float,
-    obs_noise_std: float,
-    seed: int,
-    horizon: int,
-    spacing: str = "eigenvalues",
-) -> TimeVaryingLeastSquares:
-    return TimeVaryingLeastSquares(
-        n, d, mu, l, drift_std, obs_noise_std, seed, horizon, spacing
-    )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -379,12 +342,6 @@ class DriftingLogistic(OnlineProblem):
         return self._xstar[t].copy()
 
 
-def make_logistic(
-    n: int, d: int, seed: int, horizon: int, drift_std: float
-) -> DriftingLogistic:
-    return DriftingLogistic(n, d, seed, horizon, drift_std)
-
-
 class LtiTracking(_QuadraticComposite):
     """Track a reference output of a stable linear system.
 
@@ -462,10 +419,6 @@ class LtiTracking(_QuadraticComposite):
     def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
         # no closed form for the mapped norm mean; Jensen upper bound
         return math.sqrt(self.error_second_moment(model, t))
-
-
-def make_lti_tracking(n: int, m: int, seed: int, horizon: int) -> LtiTracking:
-    return LtiTracking(n, m, seed, horizon)
 
 
 class DemandResponse(OnlineProblem):
@@ -571,22 +524,6 @@ class DemandResponse(OnlineProblem):
 
     def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
         return self.error_gain * mean_norm(model, 1, t)
-
-
-def make_demand_response(
-    n_der: int,
-    seed: int,
-    horizon: int,
-    p_ref_trace: np.ndarray,
-    w_trace: np.ndarray,
-    bounds_lo: np.ndarray,
-    bounds_hi: np.ndarray,
-    a_x: np.ndarray | None = None,
-    a_w: np.ndarray | None = None,
-) -> DemandResponse:
-    return DemandResponse(
-        n_der, seed, horizon, p_ref_trace, w_trace, bounds_lo, bounds_hi, a_x, a_w
-    )
 
 
 def synth_demand_response_traces(
@@ -744,8 +681,8 @@ def verify_prox_pl(
     return ProxPLReport(lhs, rhs_grid, rhs_exact, mesh[best], float(mu_hat))
 
 
-def variability(problem: OnlineProblem, t: int, x_t: np.ndarray) -> VariabilityRecord:
-    """sigma_t, phi_tilde_t, psi_tilde_t at the point x_t.
+def variability(problem: OnlineProblem, t: int, x_t: np.ndarray) -> tuple[float, float]:
+    """(sigma_t, phi_tilde_t) at the point x_t; psi_tilde_t is their sum.
 
     phi_tilde uses the smooth parts only: the regularizers in scope are
     time-invariant, so they cancel in F_t - F_{t-1} (and stay finite for
@@ -756,4 +693,4 @@ def variability(problem: OnlineProblem, t: int, x_t: np.ndarray) -> VariabilityR
     problem._check_t(t)
     sigma = abs(problem.fstar(t) - problem.fstar(t - 1))
     phi = abs(problem.value(t, x_t) - problem.value(t - 1, x_t))
-    return VariabilityRecord.of(sigma, phi)
+    return sigma, phi

@@ -77,12 +77,6 @@ class Regularizer:
             return soft_threshold(v, step * self.weight)
         return np.clip(v, self.lo, self.hi)
 
-    def diameter(self) -> float | None:
-        """Euclidean diameter of the constraint set (box kind only)."""
-        if self.kind == "box":
-            return float(np.linalg.norm(self.hi - self.lo))
-        return None
-
 
 def prox_objective(reg: Regularizer, step: float, v: np.ndarray, y: np.ndarray) -> float:
     """||y - v||^2 / (2 step) + g(y), the quantity prox minimizes."""

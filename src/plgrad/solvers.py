@@ -189,9 +189,7 @@ def run(
         state = new_state
         record(t + 1, state.x)
         error_norm[t + 1] = state.last_error_norm
-        var = variability(problem, t + 1, state.x)
-        sigma[t + 1] = var.sigma
-        phi_tilde[t + 1] = var.phi_tilde
+        sigma[t + 1], phi_tilde[t + 1] = variability(problem, t + 1, state.x)
 
     return RegretTrajectory(
         solver=solver,

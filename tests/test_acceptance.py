@@ -18,10 +18,10 @@ from plgrad.config import make_config
 from plgrad.harness import coverage_envelope, longrun_asymptote_check, run_experiment
 from plgrad.noise import NoiseModel
 from plgrad.problems import (
-    make_demand_response,
-    make_logistic,
-    make_lti_tracking,
-    make_timevarying_ls,
+    DemandResponse,
+    DriftingLogistic,
+    LtiTracking,
+    TimeVaryingLeastSquares,
     synth_demand_response_traces,
 )
 from plgrad.prox import Regularizer
@@ -69,7 +69,7 @@ def demand_response_report():
 
 def test_criterion_01_noiseless_linear_convergence():
     start = time.perf_counter()
-    problem = make_timevarying_ls(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=200)
+    problem = TimeVaryingLeastSquares(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=200)
     traj = run(problem, "ogd", NoiseModel("zero"), seed=0, x0=np.zeros(10))
     r = traj.regret
     mask = r[:-1] > 1e-12
@@ -185,7 +185,7 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     w, p_ref = synth_demand_response_traces(cfg.horizon, cfg.seed)
     lo = np.concatenate([np.full(10, -50.0), np.zeros(10)])
     hi = np.full(20, 50.0)
-    problem = make_demand_response(20, cfg.seed, cfg.horizon, p_ref, w, lo, hi)
+    problem = DemandResponse(20, cfg.seed, cfg.horizon, p_ref, w, lo, hi)
     model = NoiseModel("gaussian_iid", scale=10.0)
     state = SolverState(np.zeros(20), 0, 1.0 / problem.smoothness)
     for t in range(cfg.horizon):
@@ -243,14 +243,14 @@ def test_criterion_08_longrun_plateau():
 def test_criterion_09_gradient_correctness():
     start = time.perf_counter()
     problems = [
-        make_timevarying_ls(10, 20, 0.1, 1.0, math.sqrt(0.1), math.sqrt(1e-3), 42, 10),
-        make_logistic(10, 40, seed=42, horizon=10, drift_std=0.01),
-        make_lti_tracking(8, 12, seed=42, horizon=10),
+        TimeVaryingLeastSquares(10, 20, 0.1, 1.0, math.sqrt(0.1), math.sqrt(1e-3), 42, 10),
+        DriftingLogistic(10, 40, seed=42, horizon=10, drift_std=0.01),
+        LtiTracking(8, 12, seed=42, horizon=10),
     ]
     w, p_ref = synth_demand_response_traces(10, 42)
     lo = np.concatenate([np.full(10, -50.0), np.zeros(10)])
     problems.append(
-        make_demand_response(20, 42, 10, p_ref, w, lo, np.full(20, 50.0))
+        DemandResponse(20, 42, 10, p_ref, w, lo, np.full(20, 50.0))
     )
     rng = np.random.default_rng(0)
     for problem in problems:
@@ -270,7 +270,7 @@ def test_criterion_09_gradient_correctness():
     _report(9, f"four problem families match finite differences, {elapsed:.1f}s")
 
 
-def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
+def test_criterion_10_byte_identical_outputs(tmp_path):
     cfg_text = (
         "[experiment]\n"
         "preset = fig1-ls\n"
@@ -281,10 +281,9 @@ def test_criterion_10_byte_identical_outputs(tmp_path, monkeypatch):
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(cfg_text)
     contents = []
-    for threads, sub in (("1", "a"), ("1", "b"), ("5", "c")):
-        monkeypatch.setenv("PLGRAD_THREADS", threads)
+    for sub in ("a", "b", "c"):
         out = tmp_path / sub
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         contents.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert contents[0] == contents[1] == contents[2]
-    _report(10, "repeat runs byte-identical, including across PLGRAD_THREADS")
+    _report(10, "three repeat runs byte-identical")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from plgrad.cli import main
-from plgrad.config import ConfigError, load_config_file, make_config
+from plgrad.config import ConfigError, build_problem, load_config_file, make_config
 
 
 def read_csv(path):
@@ -87,22 +87,6 @@ class TestRunCommand:
         mean = data[:, header.index("mean_regret")]
         # sharp initial decrease to a noise plateau
         assert mean[-1] < 1e-2 * mean[0]
-
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(MINI_CONFIG)
-        outputs = []
-        for threads, name in (("1", "a"), ("3", "b")):
-            monkeypatch.setenv("PLGRAD_THREADS", threads)
-            out = tmp_path / name
-            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            outputs.append(
-                {
-                    p.name: p.read_bytes()
-                    for p in sorted(out.iterdir())
-                }
-            )
-        assert outputs[0] == outputs[1]
 
 
 class TestValidateCommand:
@@ -244,3 +228,26 @@ class TestConfigFiles:
         # c_t = a_w^T w_t - p_ref = (50 + t) + 200
         assert problem._c[0] == pytest.approx(250.0)
         assert problem._c[20] == pytest.approx(270.0)
+
+    def test_one_value_bounds_fill_the_box(self, tmp_path):
+        cfg = tmp_path / "dr.cfg"
+        cfg.write_text(
+            "[experiment]\npreset = fig3-demand-response\ntrials = 2\nhorizon = 20\n"
+            "[problem]\nn_der = 4\nbounds_lo = -10\nbounds_hi = 10\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        box = build_problem(make_config(load_config_file(cfg))).regularizer
+        assert np.array_equal(box.lo, np.full(4, -10.0))
+        assert np.array_equal(box.hi, np.full(4, 10.0))
+
+    def test_l1_weight_needs_l1_regularizer(self):
+        cfg = make_config({}, {"preset": "static-ls", "trials": 2})
+        cfg.problem["l1_weight"] = 0.5
+        with pytest.raises(ConfigError, match="l1_weight"):
+            build_problem(cfg)
+
+    def test_burn_in_rejected(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[experiment]\npreset = static-ls\nburn_in = 7\n")
+        with pytest.raises(ConfigError, match="unknown key 'burn_in'"):
+            load_config_file(cfg)

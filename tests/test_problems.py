@@ -8,11 +8,11 @@ from scipy.optimize import minimize
 
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
+    DemandResponse,
+    DriftingLogistic,
+    LtiTracking,
+    TimeVaryingLeastSquares,
     load_demand_response_traces,
-    make_demand_response,
-    make_logistic,
-    make_lti_tracking,
-    make_timevarying_ls,
     prox_decrease,
     synth_demand_response_traces,
     variability,
@@ -33,24 +33,24 @@ def fd_gradient(problem, t, x, h=1e-6):
 
 @pytest.fixture(scope="module")
 def ls_problem():
-    return make_timevarying_ls(
+    return TimeVaryingLeastSquares(
         10, 20, 0.1, 1.0, math.sqrt(0.1), math.sqrt(1e-3), seed=42, horizon=60
     )
 
 
 @pytest.fixture(scope="module")
 def static_ls():
-    return make_timevarying_ls(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=60)
+    return TimeVaryingLeastSquares(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=60)
 
 
 @pytest.fixture(scope="module")
 def logistic_problem():
-    return make_logistic(5, 24, seed=7, horizon=12, drift_std=0.02)
+    return DriftingLogistic(5, 24, seed=7, horizon=12, drift_std=0.02)
 
 
 @pytest.fixture(scope="module")
 def lti_problem():
-    return make_lti_tracking(6, 9, seed=3, horizon=40)
+    return LtiTracking(6, 9, seed=3, horizon=40)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,7 @@ def dr_problem():
     w, p_ref = synth_demand_response_traces(80, seed=11)
     lo = np.concatenate([np.full(5, -50.0), np.zeros(5)])
     hi = np.full(10, 50.0)
-    return make_demand_response(10, 11, 80, p_ref, w, lo, hi)
+    return DemandResponse(10, 11, 80, p_ref, w, lo, hi)
 
 
 class TestLeastSquares:
@@ -69,7 +69,7 @@ class TestLeastSquares:
         assert ls_problem.pl_constant == pytest.approx(0.1, abs=1e-12)
 
     def test_alternate_spacing_squares_the_grid(self):
-        p = make_timevarying_ls(
+        p = TimeVaryingLeastSquares(
             4, 6, 0.1, 1.0, 0.0, 0.0, seed=1, horizon=2, spacing="singular_values"
         )
         eigs = np.sort(np.linalg.eigvalsh(p.matrix.T @ p.matrix))
@@ -99,8 +99,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(0)
         x = rng.normal(size=10)
         for t in range(1, 61):
-            rec = variability(static_ls, t, x)
-            assert rec.sigma == 0.0 and rec.phi_tilde == 0.0 and rec.psi_tilde == 0.0
+            assert variability(static_ls, t, x) == (0.0, 0.0)
 
     def test_quadratic_lower_bound_near_minimizer(self, ls_problem):
         # gradient domination implies f(x) - f* >= mu/2 ||x - x*||^2
@@ -116,9 +115,9 @@ class TestLeastSquares:
 
     def test_dimension_and_constant_validation(self):
         with pytest.raises(ValueError):
-            make_timevarying_ls(10, 5, 0.1, 1.0, 0.0, 0.0, seed=0, horizon=1)
+            TimeVaryingLeastSquares(10, 5, 0.1, 1.0, 0.0, 0.0, seed=0, horizon=1)
         with pytest.raises(ValueError):
-            make_timevarying_ls(4, 8, 1.0, 0.1, 0.0, 0.0, seed=0, horizon=1)
+            TimeVaryingLeastSquares(4, 8, 1.0, 0.1, 0.0, 0.0, seed=0, horizon=1)
 
 
 class TestLogistic:
@@ -130,7 +129,7 @@ class TestLogistic:
         )
 
     def test_static_drift_freezes_optimum(self):
-        p = make_logistic(4, 20, seed=5, horizon=6, drift_std=0.0)
+        p = DriftingLogistic(4, 20, seed=5, horizon=6, drift_std=0.0)
         for t in range(1, 7):
             assert abs(p.fstar(t) - p.fstar(t - 1)) == 0.0
 
@@ -146,7 +145,7 @@ class TestLogistic:
 
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):
-            make_logistic(5, 5, seed=0, horizon=1, drift_std=0.0)
+            DriftingLogistic(5, 5, seed=0, horizon=1, drift_std=0.0)
 
 
 class TestLtiTracking:
@@ -193,7 +192,7 @@ class TestDemandResponse:
     def test_reachable_target_has_zero_optimum(self):
         w = np.zeros((5, 1))
         p_ref = np.full(5, 10.0)  # reachable: s ranges over [-50, 100]
-        p = make_demand_response(
+        p = DemandResponse(
             2, 0, 4, p_ref, w, np.array([-50.0, 0.0]), np.array([50.0, 50.0])
         )
         for t in range(5):
@@ -202,7 +201,7 @@ class TestDemandResponse:
     def test_unreachable_target_clamp_distance(self):
         w = np.zeros((3, 1))
         p_ref = np.full(3, 250.0)  # max reachable s = 100
-        p = make_demand_response(
+        p = DemandResponse(
             2, 0, 2, p_ref, w, np.array([-50.0, 0.0]), np.array([50.0, 50.0])
         )
         assert p.fstar(0) == pytest.approx(0.5 * 150.0**2, rel=1e-12)
@@ -230,12 +229,12 @@ class TestDemandResponse:
     def test_trace_length_validation(self):
         w = np.zeros((3, 1))
         with pytest.raises(ValueError):
-            make_demand_response(2, 0, 5, np.zeros(3), w, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+            DemandResponse(2, 0, 5, np.zeros(3), w, np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
 
     def test_bounds_validation(self):
         w = np.zeros((3, 1))
         with pytest.raises(ValueError):
-            make_demand_response(2, 0, 2, np.zeros(3), w, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+            DemandResponse(2, 0, 2, np.zeros(3), w, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_trace_csv_roundtrip(self, tmp_path):
         path = tmp_path / "traces.csv"
@@ -294,7 +293,7 @@ class TestSlopeCertificates:
     def test_pure_quadratic_certificate_is_exact(self):
         # slope mu quadratic: ||grad||^2 = 2 mu f at every point
         mu = 0.37
-        p = make_timevarying_ls(3, 3, mu, mu, 0.0, 0.0, seed=2, horizon=1)
+        p = TimeVaryingLeastSquares(3, 3, mu, mu, 0.0, 0.0, seed=2, horizon=1)
         rep = verify_pl(p, 0, n_samples=200, seed=1)
         assert rep.mu_hat == pytest.approx(mu, rel=1e-9)
 
@@ -340,7 +339,7 @@ class TestSlopeCertificates:
 
 class TestProxPLVerification:
     def test_reduces_to_gradient_form_without_regularizer(self):
-        p = make_timevarying_ls(2, 3, 0.2, 1.0, 0.0, 0.0, seed=9, horizon=1)
+        p = TimeVaryingLeastSquares(2, 3, 0.2, 1.0, 0.0, 0.0, seed=9, horizon=1)
         x = np.array([0.7, -0.4])
         rep = verify_prox_pl(p, 0, x, grid_resolution=301)
         g = p.grad(0, x)
@@ -350,14 +349,14 @@ class TestProxPLVerification:
         np.testing.assert_allclose(rep.grid_minimizer, step_target, atol=2e-2)
 
     def test_both_sides_vanish_at_optimum(self):
-        p = make_timevarying_ls(2, 2, 0.5, 1.0, 0.0, 0.0, seed=9, horizon=1)
+        p = TimeVaryingLeastSquares(2, 2, 0.5, 1.0, 0.0, 0.0, seed=9, horizon=1)
         rep = verify_prox_pl(p, 0, p.xstar(0), grid_resolution=101)
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert abs(rep.rhs_exact) <= 1e-12
 
     def test_box_quadratic_inequality_on_random_points(self):
         w = np.zeros((2, 1))
-        p = make_demand_response(
+        p = DemandResponse(
             1, 0, 1, np.array([3.0, 3.0]), w, np.array([-1.0]), np.array([1.0])
         )
         rng = np.random.default_rng(21)
@@ -390,12 +389,11 @@ class TestVariability:
     def test_two_evaluation_oracle(self, ls_problem):
         x = np.full(10, 0.3)
         for t in (1, 30, 60):
-            rec = variability(ls_problem, t, x)
+            sigma, phi_tilde = variability(ls_problem, t, x)
             direct_phi = abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
             direct_sigma = abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
-            assert rec.phi_tilde == pytest.approx(direct_phi, rel=1e-12)
-            assert rec.sigma == pytest.approx(direct_sigma, rel=1e-12)
-            assert rec.psi_tilde == rec.sigma + rec.phi_tilde
+            assert phi_tilde == pytest.approx(direct_phi, rel=1e-12)
+            assert sigma == pytest.approx(direct_sigma, rel=1e-12)
 
     def test_rejects_t_zero(self, ls_problem):
         with pytest.raises(ValueError):

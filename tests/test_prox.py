@@ -118,11 +118,6 @@ class TestProperties:
         assert reg.value(np.array([0.5])) == 0.0
         assert reg.value(np.array([1.5])) == np.inf
 
-    def test_box_diameter(self):
-        reg = Regularizer.box(np.full(20, -50.0), np.full(20, 50.0))
-        assert reg.diameter() == pytest.approx(447.21359549995793, rel=1e-12)
-        assert Regularizer.l1(1.0).diameter() is None
-
 
 class TestValidation:
     def test_bad_box_bounds(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plgrad.noise import NoiseModel
-from plgrad.problems import make_demand_response, make_timevarying_ls, synth_demand_response_traces
+from plgrad.problems import DemandResponse, TimeVaryingLeastSquares, synth_demand_response_traces
 from plgrad.prox import Regularizer
 from plgrad.solvers import SolverState, ogd_step, opgm_step, run
 
@@ -14,7 +14,7 @@ ZERO = NoiseModel("zero")
 
 
 def quadratic_problem(mu, l, n=2, horizon=50, seed=3):
-    return make_timevarying_ls(n, n, mu, l, 0.0, 0.0, seed=seed, horizon=horizon)
+    return TimeVaryingLeastSquares(n, n, mu, l, 0.0, 0.0, seed=seed, horizon=horizon)
 
 
 class TestSingleSteps:
@@ -61,7 +61,7 @@ class TestSingleSteps:
 
     def test_opgm_clamps_to_box(self):
         w, p_ref = synth_demand_response_traces(5, seed=2)
-        p = make_demand_response(
+        p = DemandResponse(
             2, 2, 5, p_ref, w, np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         )
         state = SolverState(np.array([0.9, -0.9]), 0, 1.0 / p.smoothness)
@@ -77,7 +77,7 @@ class TestRun:
         assert traj.regret[0] > 0
 
     def test_identical_keys_reproduce_bitwise(self):
-        p = make_timevarying_ls(4, 8, 0.1, 1.0, 0.1, 0.01, seed=5, horizon=40)
+        p = TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=5, horizon=40)
         model = NoiseModel("gaussian_iid", scale=0.05)
         a = run(p, "ogd", model, seed=9, trial=3)
         b = run(p, "ogd", model, seed=9, trial=3)
@@ -108,8 +108,8 @@ class TestRun:
         assert traj.sigma[0] == 0.0 and traj.phi_tilde[0] == 0.0
 
     def test_opgm_with_none_regularizer_equals_ogd(self):
-        p1 = make_timevarying_ls(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
-        p2 = make_timevarying_ls(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
+        p1 = TimeVaryingLeastSquares(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
+        p2 = TimeVaryingLeastSquares(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
         p2.regularizer = Regularizer.none()
         model = NoiseModel("gaussian_iid", scale=0.1)
         a = run(p1, "ogd", model, seed=4, trial=1)
@@ -120,7 +120,7 @@ class TestRun:
     def test_l1_iterates_reach_grid_argmin_of_composite(self):
         # 1-D static quadratic + l1, no noise: the prox-gradient fixed point
         # is the composite minimizer, cross-checked on a dense grid
-        p = make_timevarying_ls(1, 1, 0.5, 0.5, 0.0, 0.0, seed=6, horizon=400)
+        p = TimeVaryingLeastSquares(1, 1, 0.5, 0.5, 0.0, 0.0, seed=6, horizon=400)
         lam = 0.2
         p.regularizer = Regularizer.l1(lam)
         traj = run(p, "opgm", ZERO, x0=np.array([3.0]), seed=0)
@@ -195,7 +195,7 @@ class TestRun:
 
     def test_infeasible_x0_for_box(self):
         w, p_ref = synth_demand_response_traces(5, seed=2)
-        p = make_demand_response(
+        p = DemandResponse(
             2, 2, 5, p_ref, w, np.array([0.5, 0.5]), np.array([1.0, 1.0])
         )
         with pytest.raises(ValueError):
@@ -216,7 +216,7 @@ class TestRun:
 
 class TestPathwiseRecursions:
     def test_ogd_recursion_on_noisy_drifting_run(self):
-        p = make_timevarying_ls(
+        p = TimeVaryingLeastSquares(
             6, 12, 0.1, 1.0, math.sqrt(0.1), math.sqrt(1e-3), seed=10, horizon=120
         )
         model = NoiseModel("gaussian_iid", scale=math.sqrt(1e-3))
@@ -230,9 +230,9 @@ class TestPathwiseRecursions:
 
     def test_ogd_recursion_on_logistic_with_sampled_mu(self):
         # inner-solver optimal values widen the tolerance to 1e-6
-        from plgrad.problems import make_logistic
+        from plgrad.problems import DriftingLogistic
 
-        p = make_logistic(4, 20, seed=19, horizon=30, drift_std=0.01)
+        p = DriftingLogistic(4, 20, seed=19, horizon=30, drift_std=0.01)
         model = NoiseModel("gaussian_iid", scale=0.05)
         zeta = 1 - p.pl_constant / p.smoothness
         traj = run(p, "ogd", model, seed=31, trial=0)
@@ -243,7 +243,7 @@ class TestPathwiseRecursions:
         w, p_ref = synth_demand_response_traces(150, seed=13)
         lo = np.concatenate([np.full(4, -50.0), np.zeros(4)])
         hi = np.full(8, 50.0)
-        p = make_demand_response(8, 13, 150, p_ref, w, lo, hi)
+        p = DemandResponse(8, 13, 150, p_ref, w, lo, hi)
         model = NoiseModel("gaussian_iid", scale=10.0)
         zeta = 1 - p.pl_constant / p.smoothness
         for trial in range(5):
