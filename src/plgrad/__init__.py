@@ -38,7 +38,7 @@ from .problems import (
     verify_prox_pl,
 )
 from .prox import Regularizer, prox_objective_gap, soft_threshold
-from .solvers import RegretTrajectory, SolverState, ogd_step, opgm_step, run
+from .solvers import RegretTrajectory, ogd_step, opgm_step, run
 from .subweibull import (
     SubWeibullParams,
     add,
@@ -65,7 +65,6 @@ __all__ = [
     "PRESETS",
     "Regularizer",
     "RegretTrajectory",
-    "SolverState",
     "SubWeibullParams",
     "TimeVaryingLeastSquares",
     "add",

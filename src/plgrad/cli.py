@@ -120,6 +120,8 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         f"recursion_max_violation = {_fmt(report.recursion_max_violation)}",
         f"domain_excursions = {report.domain_excursions}",
         f"max_step_norm = {_fmt(report.max_step_norm)}",
+        f"outside_theory = {report.outside_theory}",
+        f"min_raw_regret = {_fmt(report.min_raw_regret)}",
         f"final_mean_regret = {_fmt(float(report.mean_regret[-1]))}",
     ]
     for delta in cfg.deltas:

@@ -6,9 +6,10 @@ executable content of the theory: pathwise recursions, expectation-bound
 dominance of the Monte Carlo mean, and per-delta coverage of the
 high-probability bounds.
 
-Trials draw from independent key-derived noise streams keyed by
-(seed, trial, t) and run in trial order, so a trial's trajectory does not
-depend on how many other trials run with it.
+Each trial draws its errors from its own noise stream keyed by
+(seed, trial), and all trials run as one batch through the solver kernel,
+whose oracles work row by row, so a trial's trajectory does not depend on
+how many other trials run with it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class AggregateReport:
     trials: int
     domain_excursions: int
     max_step_norm: float
+    outside_theory: bool         # step size other than 1/L: no certificate applies
+    min_raw_regret: float        # smallest regret before clipping at 0
 
     @property
     def zeta(self) -> float:
@@ -126,23 +129,19 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     x0 = initial_point(config, problem)
     horizon = config.horizon
 
-    trajectories = [
-        run(
-            problem,
-            config.solver,
-            model,
-            horizon=config.horizon,
-            x0=x0,
-            seed=config.seed,
-            trial=trial,
-            step_override=config.step_override,
-        )
-        for trial in range(config.trials)
-    ]
-
-    regret = np.vstack([tr.regret for tr in trajectories])
-    err = np.vstack([tr.error_norm for tr in trajectories])
-    psi_m = np.vstack([tr.psi_tilde for tr in trajectories])
+    traj = run(
+        problem,
+        config.solver,
+        model,
+        horizon=config.horizon,
+        x0=x0,
+        seed=config.seed,
+        trials=range(config.trials),
+        step_override=config.step_override,
+    )
+    regret = traj.regret
+    err = traj.error_norm
+    psi_m = traj.psi_tilde
 
     mean_regret = regret.mean(axis=0)
     std_regret = regret.std(axis=0, ddof=0)
@@ -268,8 +267,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         error_matrix=err,
         psi_matrix=psi_m,
         trials=config.trials,
-        domain_excursions=sum(tr.domain_excursions for tr in trajectories),
-        max_step_norm=max(tr.max_step_norm for tr in trajectories),
+        domain_excursions=int(traj.domain_excursions.sum()),
+        max_step_norm=float(traj.max_step_norm.max()),
+        outside_theory=traj.outside_theory,
+        min_raw_regret=float(traj.min_raw_regret.min()),
     )
 
 
@@ -414,15 +415,19 @@ def _check_gradient(problem: OnlineProblem, seed: int, n_points: int = 100) -> C
     ts = sorted({0, problem.horizon // 2, problem.horizon})
     worst = 0.0
     h = 1e-6
+    n = problem.n
+    axis = np.arange(n)
+    points = np.empty((2 * n, n))  # reused: rows i and n + i step along axis i
     for t in ts:
-        xs = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, n_points)
+        xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
         for x in xs:
             g = problem.grad(t, x)
-            fd = np.empty_like(g)
-            for i in range(problem.n):
-                dx = np.zeros(problem.n)
-                dx[i] = h * max(1.0, abs(x[i]))
-                fd[i] = (problem.value(t, x + dx) - problem.value(t, x - dx)) / (2.0 * dx[i])
+            dx = h * np.maximum(1.0, np.abs(x))
+            points[:] = x
+            points[axis, axis] += dx
+            points[n + axis, axis] -= dx
+            f = problem.value(t, points)
+            fd = (f[:n] - f[n:]) / (2.0 * dx)
             denom = max(np.linalg.norm(g), 1e-12)
             worst = max(worst, float(np.linalg.norm(fd - g) / denom))
     return CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
@@ -451,11 +456,11 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
             )
         else:
             xs = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, n_samples)
-        for x in xs:
-            gap = problem.total_value(t, x) - fstar
-            if gap <= 1e-9:
-                continue
-            mu_hat = min(mu_hat, prox_decrease(problem, t, x) / (2.0 * gap))
+        gap = problem.total_value(t, xs) - fstar
+        keep = gap > 1e-9
+        if np.any(keep):
+            ratios = prox_decrease(problem, t, xs)[keep] / (2.0 * gap[keep])
+            mu_hat = min(mu_hat, float(ratios.min()))
     ok = mu_hat >= mu - 1e-9
     return CheckResult("pl_certificate", ok, f"sampled proximal mu {mu_hat:.6g} vs declared {mu:.6g}")
 

@@ -7,9 +7,9 @@ admits them (Gaussian and radial-Weibull norms) or from an almost-sure bound
 (bounded support); a generic composition route built from the closure algebra
 is kept for cross-checking.
 
-Sampling is stateless: the stream is keyed by (seed, trial, t), so trials
-and time steps can be drawn in any order, concurrently, and reproduce
-bit-exactly.
+Sampling is stateless: each trial's whole horizon of errors is one block
+drawn from a stream keyed by (seed, trial), so trials can be drawn in any
+order or grouping and reproduce bit-exactly.
 """
 
 from __future__ import annotations
@@ -81,29 +81,42 @@ class NoiseModel:
         return 0.5
 
 
-def sample(model: NoiseModel, n: int, seed: int, trial: int, t: int) -> np.ndarray:
-    """Draw e_t in R^n, bit-reproducible for a fixed (seed, trial, t) key."""
+def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np.ndarray:
+    """Draw e_0..e_{horizon-1} as rows of a (horizon, n) block.
+
+    Bit-reproducible for a fixed (seed, trial) key; row t is scaled by
+    per_time_scale[t] when the model has one.
+    """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    s = model.scale_at(t)
-    if model.family == "zero" or s == 0.0:
-        e = np.zeros(n)
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    scales = np.full(horizon, model.scale)
+    if model.per_time_scale is not None:
+        if len(model.per_time_scale) < horizon:
+            raise ValueError(
+                f"per_time_scale covers {len(model.per_time_scale)} steps, need {horizon}"
+            )
+        scales *= model.per_time_scale[:horizon]
+    if model.family == "zero" or model.scale == 0.0:
+        e = np.zeros((horizon, n))
     else:
         rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(seed), _NOISE_STREAM, int(trial), int(t)))
+            np.random.SeedSequence(entropy=(int(seed), _NOISE_STREAM, int(trial)))
         )
         if model.family == "gaussian_iid":
-            e = rng.normal(0.0, s, size=n)
+            e = rng.standard_normal((horizon, n)) * scales[:, None]
         elif model.family == "bounded_uniform":
-            e = rng.uniform(-s, s, size=n)
+            e = rng.uniform(-1.0, 1.0, size=(horizon, n)) * scales[:, None]
         else:  # weibull_tail: Weibull radius in a uniform direction
-            radius = s * rng.weibull(model.weibull_shape)
-            direction = rng.normal(size=n)
-            norm = np.linalg.norm(direction)
-            while norm == 0.0:  # pragma: no cover - probability zero
-                direction = rng.normal(size=n)
-                norm = np.linalg.norm(direction)
-            e = radius * direction / norm
+            radius = scales * rng.weibull(model.weibull_shape, size=horizon)
+            direction = rng.standard_normal((horizon, n))
+            norm = np.linalg.norm(direction, axis=1)
+            while np.any(norm == 0.0):  # pragma: no cover - probability zero
+                zero = norm == 0.0
+                direction[zero] = rng.standard_normal((int(zero.sum()), n))
+                norm = np.linalg.norm(direction, axis=1)
+            e = (radius / norm)[:, None] * direction
     if model.bias != 0.0:
         e = e + model.bias
     return e

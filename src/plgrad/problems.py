@@ -14,6 +14,11 @@ Four instance families cover the smooth (gradient-only) and composite
 
 Every instance draws all of its randomness at construction time from the
 seed, so oracle evaluation is read-only and trajectories are reproducible.
+The oracles take one point x of shape (n,) or a batch of points as the rows
+of an (R, n) matrix and return one result per row.  Every reduction runs
+along the last axis of one row (np.vecdot, never a matrix product), so a
+row's result is bit-identical whatever batch it is evaluated in, and equal
+to the 1-D call on that row.
 Each instance reports its smoothness constant L, the quadratic-slope
 constant mu of the gradient-domination inequality
 2 mu (f(x) - f*) <= ||grad f(x)||^2 (or its proximal analogue for composite
@@ -43,8 +48,9 @@ class OnlineProblem:
     """Time-indexed cost oracle F_t = f_t + g_t with constants and optima.
 
     Subclasses populate the attributes below in __init__ and implement
-    value / grad / fstar.  Instances are immutable after construction by
-    convention; all oracles are safe to call concurrently.
+    value / grad / fstar.  value and grad accept x of shape (n,) or (R, n);
+    fstar takes the time index only.  Instances are immutable after
+    construction by convention; all oracles are safe to call concurrently.
     """
 
     name: str
@@ -58,7 +64,7 @@ class OnlineProblem:
     fstar_exact: bool      # optimal values closed-form vs inner solve
     mu_exact: bool         # mu from structure vs sampled certificate
 
-    def value(self, t: int, x: np.ndarray) -> float:
+    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
@@ -70,8 +76,8 @@ class OnlineProblem:
     def xstar(self, t: int) -> np.ndarray | None:
         return None
 
-    def total_value(self, t: int, x: np.ndarray) -> float:
-        """F_t(x) = f_t(x) + g_t(x)."""
+    def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
+        """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
         v = self.value(t, x)
         if self.regularizer is None:
             return v
@@ -94,6 +100,7 @@ class OnlineProblem:
         return self.n
 
     def map_error(self, raw: np.ndarray) -> np.ndarray:
+        """Gradient-space error for raw noise of shape (error_dim,) or (R, error_dim)."""
         return raw
 
     @property
@@ -119,6 +126,11 @@ def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return q * np.where(signs == 0.0, 1.0, signs)
 
 
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for each row of x, summed per row so batching cannot change bits."""
+    return np.vecdot(a, x[..., None, :])
+
+
 def _build_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), _BUILD_STREAM)))
 
@@ -133,19 +145,20 @@ class _QuadraticComposite(OnlineProblem):
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self._a = a
+        self._at = np.ascontiguousarray(a.T)
         self._basis = np.linalg.qr(a)[0]  # orthonormal basis of range(A)
         self._b = b
         resid = b - (b @ self._basis) @ self._basis.T
         self._fstar = 0.5 * np.sum(resid**2, axis=1)
 
-    def value(self, t: int, x: np.ndarray) -> float:
+    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         self._check_t(t)
-        r = self._a @ x - self._b[t]
-        return 0.5 * float(r @ r)
+        r = _matvec(self._a, x) - self._b[t]
+        return 0.5 * np.vecdot(r, r)
 
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
         self._check_t(t)
-        return self._a.T @ (self._a @ x - self._b[t])
+        return _matvec(self._at, _matvec(self._a, x) - self._b[t])
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -265,6 +278,7 @@ class DriftingLogistic(OnlineProblem):
         # coercive (the zero vector is a positive combination of the rows)
         signed = signed - signed.mean(axis=1, keepdims=True)
         self._c = signed
+        self._ct = np.ascontiguousarray(signed.transpose(0, 2, 1))
         self._labels = labels
 
         self.name = "logistic"
@@ -325,13 +339,13 @@ class DriftingLogistic(OnlineProblem):
             mu_hat = min(mu_hat, report.mu_hat)
         return float(mu_hat)
 
-    def value(self, t: int, x: np.ndarray) -> float:
+    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         self._check_t(t)
-        return float(np.sum(np.logaddexp(0.0, self._c[t] @ x)))
+        return np.sum(np.logaddexp(0.0, _matvec(self._c[t], x)), axis=-1)
 
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
         self._check_t(t)
-        return self._c[t].T @ _sigmoid(self._c[t] @ x)
+        return _matvec(self._ct[t], _sigmoid(_matvec(self._c[t], x)))
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -397,7 +411,7 @@ class LtiTracking(_QuadraticComposite):
         return self.m
 
     def map_error(self, raw: np.ndarray) -> np.ndarray:
-        return self.output_map.T @ raw
+        return _matvec(self._at, raw)  # G^T raw: the quadratic's A is the output map G
 
     @property
     def error_gain(self) -> float:
@@ -493,13 +507,14 @@ class DemandResponse(OnlineProblem):
         self._s_min = float(np.sum(np.minimum(ax * lo, ax * hi)))
         self._s_max = float(np.sum(np.maximum(ax * lo, ax * hi)))
 
-    def value(self, t: int, x: np.ndarray) -> float:
+    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         self._check_t(t)
-        return 0.5 * float(self._ax @ x + self._c[t]) ** 2
+        s = np.vecdot(self._ax, x) + self._c[t]
+        return 0.5 * (s * s)
 
     def grad(self, t: int, x: np.ndarray) -> np.ndarray:
         self._check_t(t)
-        return self._ax * float(self._ax @ x + self._c[t])
+        return (np.vecdot(self._ax, x) + self._c[t])[..., None] * self._ax
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -512,7 +527,7 @@ class DemandResponse(OnlineProblem):
         return 1
 
     def map_error(self, raw: np.ndarray) -> np.ndarray:
-        return self._ax * float(raw[0])
+        return raw[..., :1] * self._ax
 
     @property
     def error_gain(self) -> float:
@@ -627,17 +642,18 @@ class ProxPLReport:
     mu_hat: float       # rhs_grid / (2 (F(x) - F*)), inf at the optimum
 
 
-def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float:
+def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.ndarray:
     """Exact surrogate decrease -2L min_y {<grad, y-x> + L/2 ||y-x||^2 + g(y) - g(x)}.
 
     The minimizer is the prox-gradient point, so the quantity is exact for
-    every regularizer with a closed-form prox.
+    every regularizer with a closed-form prox.  One value per row of x.
     """
     l = problem.smoothness
     g = problem.grad(t, x)
     reg = problem.regularizer if problem.regularizer is not None else Regularizer.none()
     y = reg.prox(1.0 / l, x - g / l)
-    q = float(g @ (y - x)) + 0.5 * l * float(np.sum((y - x) ** 2)) + reg.value(y) - reg.value(x)
+    d = y - x
+    q = np.vecdot(g, d) + 0.5 * l * np.vecdot(d, d) + reg.value(y) - reg.value(x)
     return -2.0 * l * q
 
 
@@ -681,8 +697,12 @@ def verify_prox_pl(
     return ProxPLReport(lhs, rhs_grid, rhs_exact, mesh[best], float(mu_hat))
 
 
-def variability(problem: OnlineProblem, t: int, x_t: np.ndarray) -> tuple[float, float]:
+def variability(
+    problem: OnlineProblem, t: int, x_t: np.ndarray
+) -> tuple[float, float | np.ndarray]:
     """(sigma_t, phi_tilde_t) at the point x_t; psi_tilde_t is their sum.
+
+    sigma_t depends on t only; phi_tilde_t has one value per row of x_t.
 
     phi_tilde uses the smooth parts only: the regularizers in scope are
     time-invariant, so they cancel in F_t - F_{t-1} (and stay finite for

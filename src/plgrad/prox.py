@@ -3,7 +3,8 @@
 Three kinds cover the composite costs in scope: no regularizer (prox is the
 identity), an l1 penalty (soft thresholding), and a box indicator (clamp).
 prox(step, v) = argmin_y { ||y - v||^2 / (2 step) + g(y) } in closed form
-for each.
+for each.  value and prox accept one point of shape (n,) or a batch of
+points as the rows of an (R, n) matrix.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ class Regularizer:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         return Regularizer("box", lo=lo, hi=hi)
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray) -> float | np.ndarray:
+        """g(x), one value per row of x (a scalar for a 1-D x)."""
         if self.kind == "none":
-            return 0.0
+            return np.zeros(np.shape(x)[:-1])[()]
         if self.kind == "l1":
-            return float(self.weight * np.sum(np.abs(x)))
-        if np.all(x >= self.lo - 1e-12) and np.all(x <= self.hi + 1e-12):
-            return 0.0
-        return np.inf
+            return self.weight * np.sum(np.abs(x), axis=-1)
+        inside = (x >= self.lo - 1e-12) & (x <= self.hi + 1e-12)
+        return np.where(np.all(inside, axis=-1), 0.0, np.inf)[()]
 
     def prox(self, step: float, v: np.ndarray) -> np.ndarray:
         if step <= 0:
@@ -75,7 +76,9 @@ class Regularizer:
             return v.copy()
         if self.kind == "l1":
             return soft_threshold(v, step * self.weight)
-        return np.clip(v, self.lo, self.hi)
+        # np.clip's bits, without its Python-level overhead
+        y = np.maximum(v, self.lo)
+        return np.minimum(y, self.hi, out=y)
 
 
 def prox_objective(reg: Regularizer, step: float, v: np.ndarray, y: np.ndarray) -> float:

@@ -6,14 +6,19 @@ using the inexact gradient v_t = grad f_t(x_t) + e_t:
     gradient step:      x_{t+1} = x_t - (1/L) v_t
     prox-gradient step: x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t)
 
-`run` drives a full horizon and records the instantaneous regret
-r_t = F_t(x_t) - F_t*, the realized error norms, and the per-step
-variability terms needed by the certificate recursions.
+`run` drives a full horizon for a batch of trials at once: the iterates of
+R trials are the rows of an (R, n) matrix, each trial's errors come from
+its own noise block keyed by (seed, trial), and every oracle works row by
+row, so a trial's trajectory is bit-identical whatever batch it runs in.
+It records the instantaneous regret r_t = F_t(x_t) - F_t*, the realized
+error norms, and the per-step variability terms needed by the certificate
+recursions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -23,89 +28,76 @@ from .problems import OnlineProblem, variability
 SOLVERS = ("ogd", "opgm")
 
 
-@dataclass
-class SolverState:
-    """Iterate, time index, step size and the last realized error norm."""
-
-    x: np.ndarray
-    t: int
-    step: float
-    last_error_norm: float = 0.0
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(x, x))
 
 
-def _estimate_gradient(
-    problem: OnlineProblem,
-    model: noise_mod.NoiseModel,
-    x: np.ndarray,
-    t: int,
-    seed: int,
-    trial: int,
-) -> tuple[np.ndarray, float]:
-    raw = noise_mod.sample(model, problem.error_dim, seed, trial, t)
-    e = problem.map_error(raw)
-    return problem.grad(t, x) + e, float(np.linalg.norm(e))
+def _gradient_step(
+    problem: OnlineProblem, t: int, x: np.ndarray, step: float, error: np.ndarray
+) -> np.ndarray:
+    """x - step * (grad f_t(x) + e), with the expression's operations in its order.
+
+    Works in one fresh array where the expression allocates three; on
+    batch-sized arrays the allocations cost more than the arithmetic.
+    """
+    v = np.add(problem.grad(t, x), error)
+    v *= step
+    return np.subtract(x, v, out=v)
 
 
 def ogd_step(
-    state: SolverState,
-    problem: OnlineProblem,
-    model: noise_mod.NoiseModel,
-    seed: int,
-    trial: int = 0,
-) -> SolverState:
-    """One inexact gradient step; rejects regularized problems."""
+    problem: OnlineProblem, t: int, x: np.ndarray, step: float, error: np.ndarray
+) -> np.ndarray:
+    """One inexact gradient step on each row of x; rejects regularized problems.
+
+    error holds the mapped gradient errors e_t, one row per row of x.
+    """
     if not problem.smooth_only():
         raise ValueError("problem carries a regularizer; use opgm_step")
-    v, err_norm = _estimate_gradient(problem, model, state.x, state.t, seed, trial)
-    return SolverState(state.x - state.step * v, state.t + 1, state.step, err_norm)
+    return _gradient_step(problem, t, x, step, error)
 
 
 def opgm_step(
-    state: SolverState,
-    problem: OnlineProblem,
-    model: noise_mod.NoiseModel,
-    seed: int,
-    trial: int = 0,
-) -> SolverState:
-    """One inexact prox-gradient step; requires a prox handle."""
+    problem: OnlineProblem, t: int, x: np.ndarray, step: float, error: np.ndarray
+) -> np.ndarray:
+    """One inexact prox-gradient step on each row of x; requires a prox handle."""
     reg = problem.regularizer
     if reg is None:
         raise ValueError("problem exposes no prox handle; use ogd_step")
-    v, err_norm = _estimate_gradient(problem, model, state.x, state.t, seed, trial)
-    x_next = reg.prox(state.step, state.x - state.step * v)
-    return SolverState(x_next, state.t + 1, state.step, err_norm)
+    return reg.prox(step, _gradient_step(problem, t, x, step, error))
 
 
 @dataclass
 class RegretTrajectory:
-    """Per-step record of one run: length horizon + 1.
+    """Per-step record of a batch of trials: one row per trial, horizon + 1 columns.
 
-    Row t holds (r_t, ||e_{t-1}||, sigma_t, phi_tilde_t); row 0 has zero
-    error and variability.  Regret values in (-tol, 0) are clipped to 0,
-    where tol is 1e-9 for closed-form optimal values and 1e-6 for
-    inner-solver ones.
+    Column t holds r_t, ||e_{t-1}||, sigma_t and phi_tilde_t; column 0 has
+    zero error and variability.  Regret values in (-tol, 0) are clipped to
+    0, where tol is 1e-9 for closed-form optimal values and 1e-6 for
+    inner-solver ones.  domain_excursions, max_step_norm and min_raw_regret
+    hold one entry per trial.
     """
 
     solver: str
     seed: int
-    trial: int
+    trials: tuple[int, ...]
     regret: np.ndarray
     error_norm: np.ndarray
     sigma: np.ndarray
     phi_tilde: np.ndarray
     x_final: np.ndarray
     step: float
-    outside_theory: bool = False
-    domain_excursions: int = 0
-    max_step_norm: float = 0.0
-    min_raw_regret: float = field(default=0.0)
+    outside_theory: bool
+    domain_excursions: np.ndarray
+    max_step_norm: np.ndarray
+    min_raw_regret: np.ndarray
 
     @property
     def psi_tilde(self) -> np.ndarray:
         return self.sigma + self.phi_tilde
 
     def __len__(self) -> int:
-        return self.regret.shape[0]
+        return self.regret.shape[1]
 
 
 def run(
@@ -115,16 +107,19 @@ def run(
     horizon: int | None = None,
     x0: np.ndarray | None = None,
     seed: int = 0,
-    trial: int = 0,
+    trials: Iterable[int] = range(1),
     step_override: float | None = None,
 ) -> RegretTrajectory:
-    """Run one seeded trajectory and record regret and variability.
+    """Run the seeded trials together and record regret and variability.
 
-    Deterministic: the same (seed, trial) reproduce the trajectory
-    bit-exactly regardless of what else runs concurrently.
+    Deterministic: row k reproduces trial trials[k] bit-exactly, whichever
+    other trials run in the same call.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    trials = tuple(int(k) for k in trials)
+    if not trials:
+        raise ValueError("need at least one trial")
     if horizon is None:
         horizon = problem.horizon
     if not 0 <= horizon <= problem.horizon:
@@ -136,7 +131,7 @@ def run(
     if solver == "opgm" and problem.regularizer is None:
         raise ValueError("opgm requires a problem with a prox handle")
 
-    x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},), got {x.shape}")
     if np.linalg.norm(x) >= problem.domain_radius:
@@ -151,58 +146,67 @@ def run(
 
     reg_tol = 1e-9 if problem.fstar_exact else 1e-6
     step_fn = ogd_step if solver == "ogd" else opgm_step
-    state = SolverState(x, 0, step)
+    # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial
+    raw = np.stack(
+        [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials],
+        axis=1,
+    )
 
-    regret = np.empty(horizon + 1)
-    error_norm = np.zeros(horizon + 1)
-    sigma = np.zeros(horizon + 1)
-    phi_tilde = np.zeros(horizon + 1)
-    excursions = 0
-    max_step_norm = 0.0
-    min_raw = np.inf
+    shape = (len(trials), horizon + 1)
+    regret = np.empty(shape)
+    error_norm = np.zeros(shape)
+    sigma = np.zeros(shape)
+    phi_tilde = np.zeros(shape)
+    excursions = np.zeros(len(trials), dtype=int)
+    max_step_norm = np.zeros(len(trials))
+    min_raw = np.full(len(trials), np.inf)
 
     def record(t: int, xt: np.ndarray) -> None:
-        nonlocal excursions, min_raw
         r = problem.total_value(t, xt) - problem.fstar(t)
-        min_raw = min(min_raw, r)
-        if not np.isfinite(r):
+        np.minimum(min_raw, r, out=min_raw)
+        bad = ~np.isfinite(r)
+        if np.any(bad):
             raise RuntimeError(
-                f"non-finite regret at t={t} (seed={seed}, trial={trial})"
+                f"non-finite regret at t={t} (seed={seed}, trial={trials[np.argmax(bad)]})"
             )
-        if r < -reg_tol:
+        low = r < -reg_tol
+        if np.any(low):
+            k = int(np.argmax(low))
             raise RuntimeError(
-                f"regret {r:.3e} below -{reg_tol:g} at t={t}: inconsistent "
-                "optimal-value oracle"
+                f"regret {r[k]:.3e} below -{reg_tol:g} at t={t} (trial={trials[k]}): "
+                "inconsistent optimal-value oracle"
             )
-        regret[t] = max(r, 0.0)
-        if np.linalg.norm(xt) >= problem.domain_radius:
-            excursions += 1
+        regret[:, t] = np.maximum(r, 0.0)
+        excursions[_row_norm(xt) >= problem.domain_radius] += 1
 
-    record(0, state.x)
+    x = np.tile(x, (len(trials), 1))
+    record(0, x)
     for t in range(horizon):
-        new_state = step_fn(state, problem, model, seed, trial)
-        if not np.all(np.isfinite(new_state.x)):
+        e = problem.map_error(raw[t])
+        x_next = step_fn(problem, t, x, step, e)
+        bad = ~np.all(np.isfinite(x_next), axis=1)
+        if np.any(bad):
             raise RuntimeError(
-                f"non-finite iterate at t={t + 1} (seed={seed}, trial={trial})"
+                f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
             )
-        max_step_norm = max(max_step_norm, float(np.linalg.norm(new_state.x - state.x)))
-        state = new_state
-        record(t + 1, state.x)
-        error_norm[t + 1] = state.last_error_norm
-        sigma[t + 1], phi_tilde[t + 1] = variability(problem, t + 1, state.x)
+        np.maximum(max_step_norm, _row_norm(x_next - x), out=max_step_norm)
+        x = x_next
+        record(t + 1, x)
+        error_norm[:, t + 1] = _row_norm(e)
+        sigma[:, t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x)
 
     return RegretTrajectory(
         solver=solver,
         seed=seed,
-        trial=trial,
+        trials=trials,
         regret=regret,
         error_norm=error_norm,
         sigma=sigma,
         phi_tilde=phi_tilde,
-        x_final=state.x.copy(),
+        x_final=x,
         step=step,
         outside_theory=outside_theory,
         domain_excursions=excursions,
         max_step_norm=max_step_norm,
-        min_raw_regret=float(min_raw),
+        min_raw_regret=min_raw,
     )

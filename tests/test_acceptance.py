@@ -16,7 +16,7 @@ from grid_oracles import grid_argmin_prox
 from plgrad.cli import main as cli_main
 from plgrad.config import make_config
 from plgrad.harness import coverage_envelope, longrun_asymptote_check, run_experiment
-from plgrad.noise import NoiseModel
+from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
     DriftingLogistic,
@@ -25,7 +25,7 @@ from plgrad.problems import (
     synth_demand_response_traces,
 )
 from plgrad.prox import Regularizer
-from plgrad.solvers import SolverState, opgm_step, run
+from plgrad.solvers import opgm_step, run
 from plgrad.subweibull import SubWeibullParams, fit_from_samples, hp_bound
 
 ZETA = 0.9
@@ -71,7 +71,7 @@ def test_criterion_01_noiseless_linear_convergence():
     start = time.perf_counter()
     problem = TimeVaryingLeastSquares(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=200)
     traj = run(problem, "ogd", NoiseModel("zero"), seed=0, x0=np.zeros(10))
-    r = traj.regret
+    r = traj.regret[0]
     mask = r[:-1] > 1e-12
     ratios = r[1:][mask] / r[:-1][mask]
     elapsed = time.perf_counter() - start
@@ -187,10 +187,11 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     hi = np.full(20, 50.0)
     problem = DemandResponse(20, cfg.seed, cfg.horizon, p_ref, w, lo, hi)
     model = NoiseModel("gaussian_iid", scale=10.0)
-    state = SolverState(np.zeros(20), 0, 1.0 / problem.smoothness)
+    raw = sample(model, problem.error_dim, cfg.seed, 0, cfg.horizon)
+    x, step = np.zeros((1, 20)), 1.0 / problem.smoothness
     for t in range(cfg.horizon):
-        state = opgm_step(state, problem, model, seed=cfg.seed, trial=0)
-        assert np.all(state.x >= lo - 1e-12) and np.all(state.x <= hi + 1e-12)
+        x = opgm_step(problem, t, x, step, problem.map_error(raw[t : t + 1]))
+        assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
 
     assert report.elapsed < 60.0
     _report(

@@ -88,6 +88,22 @@ class TestRunCommand:
         # sharp initial decrease to a noise plateau
         assert mean[-1] < 1e-2 * mean[0]
 
+    def test_summary_states_outside_theory(self, tmp_path):
+        lines = {}
+        for name, extra in (("default", ""), ("override", "step_override = 1.5\n")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(
+                f"[experiment]\npreset = static-ls\ntrials = 4\nhorizon = 30\n{extra}"
+            )
+            out = tmp_path / name
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            text = (out / "summary.txt").read_text().splitlines()
+            lines[name] = dict(line.split(" = ", 1) for line in text)
+        assert lines["override"]["outside_theory"] == "True"
+        assert lines["default"]["outside_theory"] == "False"
+        for stated in lines.values():
+            assert float(stated["min_raw_regret"]) >= -1e-9
+
 
 class TestValidateCommand:
     def test_passes_on_honest_preset(self, tmp_path, capsys):

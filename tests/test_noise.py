@@ -19,35 +19,32 @@ N_MC = 10**5
 
 
 def _norm_samples(model, n, count, seed=0):
-    return np.array(
-        [np.linalg.norm(sample(model, n, seed, trial, 0)) for trial in range(count)]
-    )
+    return np.linalg.norm(sample(model, n, seed, 0, count), axis=1)
 
 
 class TestSampling:
     def test_zero_family(self):
         model = NoiseModel("zero")
-        assert np.all(sample(model, 7, 1, 2, 3) == 0.0)
+        block = sample(model, 7, 1, 2, 3)
+        assert block.shape == (3, 7)
+        assert np.all(block == 0.0)
 
     def test_keyed_reproducibility(self):
         model = NoiseModel("gaussian_iid", scale=0.3)
-        a = sample(model, 10, seed=5, trial=9, t=100)
-        b = sample(model, 10, seed=5, trial=9, t=100)
+        a = sample(model, 10, seed=5, trial=9, horizon=100)
+        b = sample(model, 10, seed=5, trial=9, horizon=100)
+        assert a.shape == (100, 10)
         assert np.array_equal(a, b)
-        assert not np.array_equal(a, sample(model, 10, seed=5, trial=9, t=101))
-        assert not np.array_equal(a, sample(model, 10, seed=5, trial=8, t=100))
-        assert not np.array_equal(a, sample(model, 10, seed=6, trial=9, t=100))
+        assert not np.array_equal(a, sample(model, 10, seed=5, trial=8, horizon=100))
+        assert not np.array_equal(a, sample(model, 10, seed=6, trial=9, horizon=100))
+        # rows within a block are distinct draws
+        assert not np.array_equal(a[0], a[1])
 
     def test_gaussian_second_moment_monte_carlo(self):
         # chi-square identity: E||e||^2 = n sigma^2
         model = NoiseModel("gaussian_iid", scale=0.5)
         n = 10
-        rng_samples = np.array(
-            [
-                np.sum(sample(model, n, 0, trial, 0) ** 2)
-                for trial in range(N_MC // 10)
-            ]
-        )
+        rng_samples = np.sum(sample(model, n, 0, 0, N_MC // 10) ** 2, axis=1)
         assert rng_samples.mean() == pytest.approx(n * 0.25, rel=0.02)
 
     def test_bounded_uniform_worst_case(self):
@@ -65,12 +62,18 @@ class TestSampling:
 
     def test_bias_offsets_every_coordinate(self):
         model = NoiseModel("zero", bias=0.7)
-        assert np.allclose(sample(model, 5, 0, 0, 0), 0.7)
+        assert np.allclose(sample(model, 5, 0, 0, 1), 0.7)
 
     def test_per_time_scale(self):
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 0.0, 2.0))
-        assert np.all(sample(model, 3, 0, 0, 1) == 0.0)
+        block = sample(model, 3, 0, 0, 3)
+        assert np.all(block[1] == 0.0)
+        # rows are the base draws scaled by c_t
+        base = sample(NoiseModel("gaussian_iid", scale=1.0), 3, 0, 0, 3)
+        assert np.array_equal(block[2], 2.0 * base[2])
         assert model.scale_at(2) == 2.0
+        with pytest.raises(ValueError):
+            sample(model, 3, 0, 0, 4)  # scales cover only three steps
 
 
 class TestMoments:
@@ -211,4 +214,4 @@ class TestValidation:
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
-            sample(NoiseModel("zero"), 0, 0, 0, 0)
+            sample(NoiseModel("zero"), 0, 0, 0, 1)

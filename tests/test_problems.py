@@ -19,6 +19,7 @@ from plgrad.problems import (
     verify_pl,
     verify_prox_pl,
 )
+from plgrad.prox import Regularizer
 from plgrad.subweibull import fit_from_samples
 
 
@@ -177,12 +178,7 @@ class TestLtiTracking:
         s = 0.3
         model = NoiseModel("gaussian_iid", scale=s)
         env = lti_problem.error_envelope(model)
-        norms = np.array(
-            [
-                np.linalg.norm(lti_problem.map_error(sample(model, 9, 0, i, 0)))
-                for i in range(20000)
-            ]
-        )
+        norms = np.linalg.norm(lti_problem.map_error(sample(model, 9, 0, 0, 20000)), axis=1)
         fitted = fit_from_samples(norms, theta=0.5)
         assert fitted.k <= env.k * 1.05
         assert env.k <= lti_problem.error_gain * s * math.sqrt(9) + 1e-12
@@ -398,3 +394,73 @@ class TestVariability:
     def test_rejects_t_zero(self, ls_problem):
         with pytest.raises(ValueError):
             variability(ls_problem, 0, np.zeros(10))
+
+
+@pytest.fixture(scope="module")
+def l1_ls_problem():
+    p = TimeVaryingLeastSquares(4, 7, 0.2, 1.0, 0.1, 0.01, seed=8, horizon=6)
+    p.regularizer = Regularizer.l1(0.3)
+    return p
+
+
+class TestRowInvariance:
+    """Batched oracles give each row exactly the bits of the 1-D call on it."""
+
+    FIXTURES = ["ls_problem", "l1_ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
+
+    @staticmethod
+    def _batch(problem, rows=13, seed=5):
+        rng = np.random.default_rng(seed)
+        if problem.regularizer is not None and problem.regularizer.kind == "box":
+            reg = problem.regularizer
+            return reg.lo + rng.uniform(size=(rows, problem.n)) * (reg.hi - reg.lo)
+        return rng.normal(size=(rows, problem.n))
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_oracles_match_the_1d_call(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        xs = self._batch(problem)
+        t = problem.horizon // 2
+        oracles = {
+            "value": lambda x: problem.value(t, x),
+            "grad": lambda x: problem.grad(t, x),
+            "total_value": lambda x: problem.total_value(t, x),
+            "prox_decrease": lambda x: prox_decrease(problem, t, x),
+            "phi_tilde": lambda x: variability(problem, t, x)[1],
+        }
+        for name, oracle in oracles.items():
+            batch = oracle(xs)
+            assert batch.shape[0] == xs.shape[0], name
+            for k, x in enumerate(xs):
+                assert np.array_equal(batch[k], oracle(x)), (name, k)
+            # a leading sub-batch keeps its bits too
+            assert np.array_equal(oracle(xs[:5]), batch[:5]), name
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_error_map_matches_the_1d_call(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        raw = np.random.default_rng(6).normal(size=(11, problem.error_dim))
+        batch = problem.map_error(raw)
+        assert batch.shape == (11, problem.n)
+        for k in range(11):
+            assert np.array_equal(batch[k], problem.map_error(raw[k]))
+
+    @pytest.mark.parametrize(
+        "reg",
+        [
+            Regularizer.none(),
+            Regularizer.l1(0.4),
+            Regularizer.box(np.full(6, -0.5), np.full(6, 0.8)),
+        ],
+        ids=["none", "l1", "box"],
+    )
+    def test_regularizer_matches_the_1d_call(self, reg):
+        xs = np.random.default_rng(7).normal(scale=0.6, size=(17, 6))
+        values = reg.value(xs)
+        proxes = reg.prox(0.3, xs)
+        assert values.shape == (17,)
+        for k, x in enumerate(xs):
+            assert np.array_equal(values[k], reg.value(x))
+            assert np.array_equal(proxes[k], reg.prox(0.3, x))
+        if reg.kind == "box":
+            assert np.isinf(values).any() and (values == 0.0).any()
