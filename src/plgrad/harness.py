@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from . import bounds as bounds_mod
 from . import noise as noise_mod
@@ -298,8 +297,31 @@ def coverage_envelope(trials: int, delta: float, confidence: float = 0.99) -> in
 
     One-sided binomial envelope: the smallest k with
     P(Binomial(trials, delta) <= k) >= confidence.
+
+    Computed exactly in integers, so ties resolve as they should.  With
+    delta = a/d and confidence = c/e, the terms T_j = C(n, j) a^j (d-a)^(n-j)
+    equal d^n P(X = j), and k is the first index with e sum_{j<=k} T_j >= c d^n.
     """
-    return int(binom.ppf(confidence, trials, delta))
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    if not 0.0 < confidence <= 1.0:
+        raise ValueError(f"confidence must lie in (0, 1], got {confidence}")
+    n = int(trials)
+    a, d = float(delta).as_integer_ratio()
+    c, e = float(confidence).as_integer_ratio()
+    target = -(-c * d**n // e)  # ceil(c d^n / e): the sums are integers
+    term = (d - a) ** n
+    total = term
+    k = 0
+    # terminates by k = n, where the sum is d^n and c <= e
+    while total < target:
+        # exact: the quotient is the integer T_{k+1}
+        term = term * ((n - k) * a) // ((k + 1) * (d - a))
+        k += 1
+        total += term
+    return k
 
 
 def validate_bounds(report: AggregateReport, deltas=None) -> ValidationSummary:
@@ -308,6 +330,14 @@ def validate_bounds(report: AggregateReport, deltas=None) -> ValidationSummary:
         raise ValueError("report carries no bound series")
     deltas = tuple(deltas) if deltas is not None else report.config.deltas
     summary = ValidationSummary()
+
+    # every certificate below assumes the step 1/L; a passing verdict on a
+    # run with another step would vouch for bounds that do not apply to it
+    if report.outside_theory:
+        scope = f"step_override = {report.config.step_override:g}: no certificate applies"
+    else:
+        scope = "step 1/L: the certificates apply"
+    summary.checks.append(CheckResult("theory_scope", not report.outside_theory, scope))
 
     # inner-solver optimal values widen the pathwise tolerance to 1e-6
     tol = RECURSION_TOL if report.problem_info["fstar_exact"] else 1e-6
@@ -501,7 +531,8 @@ def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationS
     """Run the named invariant checks against one configured experiment.
 
     checks: subset of BATTERY_CHECKS; None means all.  An empty selection is
-    an error.
+    an error.  A selection that runs the experiment also reports
+    theory_scope, which fails for a run outside the theory's step size.
     """
     selected = tuple(checks) if checks is not None else BATTERY_CHECKS
     if not selected:
@@ -530,7 +561,7 @@ def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationS
             "coverage": tuple(f"coverage_{d:g}" for d in config.deltas),
             "moments": ("envelope_moments",),
         }
-        wanted: set = set()
+        wanted = {"theory_scope"}  # reported whenever the experiment runs
         for sel in needs_run:
             wanted.update(keep[sel])
         summary.checks.extend(c for c in full.checks if c.name in wanted)

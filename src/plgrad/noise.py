@@ -14,10 +14,10 @@ order or grouping and reproduce bit-exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .subweibull import SubWeibullParams, add, add_scalar, power, scale
 
@@ -25,6 +25,9 @@ FAMILIES = ("gaussian_iid", "bounded_uniform", "weibull_tail", "zero")
 
 # stream tag separating noise draws from other consumers of the same seed
 _NOISE_STREAM = 2
+
+# log-gamma over an array, for the moment grids of the envelopes
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def _gaussian_norm_k(sigma: float, n: int) -> float:
         return (
             np.log(sigma)
             + 0.5 * np.log(2.0)
-            + (gammaln((n + p) / 2.0) - gammaln(n / 2.0)) / p
+            + (_lgamma((n + p) / 2.0) - math.lgamma(n / 2.0)) / p
         )
 
     return _max_moment_ratio(log_norm, 0.5)
@@ -153,7 +156,7 @@ def _weibull_k(lam: float, shape: float) -> float:
     """
 
     def log_norm(p):
-        return np.log(lam) + gammaln(1.0 + p / shape) / p
+        return np.log(lam) + _lgamma(1.0 + p / shape) / p
 
     return _max_moment_ratio(log_norm, 1.0 / shape)
 
@@ -230,7 +233,7 @@ def second_moment(model: NoiseModel, n: int, t: int = 0) -> float:
         raw = n * s**2 / 3.0
     else:
         # radius moment: E R^2 = lam^2 Gamma(1 + 2/shape)
-        raw = s**2 * np.exp(gammaln(1.0 + 2.0 / model.weibull_shape))
+        raw = s**2 * math.exp(math.lgamma(1.0 + 2.0 / model.weibull_shape))
     # all raw families are zero-mean, so the offset adds in quadrature
     return float(raw + n * model.bias**2)
 
@@ -248,11 +251,11 @@ def mean_norm(model: NoiseModel, n: int, t: int = 0) -> float:
     if model.family == "zero":
         raw = 0.0
     elif model.family == "gaussian_iid":
-        raw = s * np.sqrt(2.0) * np.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
+        raw = s * np.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
     elif model.family == "bounded_uniform":
         raw = s * np.sqrt(n / 3.0)
     else:
-        raw = s * np.exp(gammaln(1.0 + 1.0 / model.weibull_shape))
+        raw = s * math.exp(math.lgamma(1.0 + 1.0 / model.weibull_shape))
     if model.bias == 0.0:
         return float(raw)
     return float(raw + abs(model.bias) * np.sqrt(n))

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .noise import NoiseModel, envelope_norm_at, mean_norm, second_moment
 from .prox import Regularizer
@@ -49,8 +48,10 @@ class OnlineProblem:
 
     Subclasses populate the attributes below in __init__ and implement
     value / grad / fstar.  value and grad accept x of shape (n,) or (R, n);
-    fstar takes the time index only.  Instances are immutable after
-    construction by convention; all oracles are safe to call concurrently.
+    fstar takes the time index only.  grad and map_error write into `out`
+    when it is given (an array of the result's shape that does not overlap
+    the input) and return it.  Instances are immutable after construction
+    by convention; all oracles are safe to call concurrently.
     """
 
     name: str
@@ -67,7 +68,7 @@ class OnlineProblem:
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 
-    def grad(self, t: int, x: np.ndarray) -> np.ndarray:
+    def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def fstar(self, t: int) -> float:
@@ -99,9 +100,9 @@ class OnlineProblem:
     def error_dim(self) -> int:
         return self.n
 
-    def map_error(self, raw: np.ndarray) -> np.ndarray:
+    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Gradient-space error for raw noise of shape (error_dim,) or (R, error_dim)."""
-        return raw
+        return np.positive(raw, out=out)  # identity: a copy, into out when given
 
     @property
     def error_gain(self) -> float:
@@ -126,9 +127,9 @@ def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
     return q * np.where(signs == 0.0, 1.0, signs)
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matvec(a: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ x for each row of x, summed per row so batching cannot change bits."""
-    return np.vecdot(a, x[..., None, :])
+    return np.vecdot(a, x[..., None, :], out=out)
 
 
 def _build_rng(seed: int) -> np.random.Generator:
@@ -156,9 +157,9 @@ class _QuadraticComposite(OnlineProblem):
         r = _matvec(self._a, x) - self._b[t]
         return 0.5 * np.vecdot(r, r)
 
-    def grad(self, t: int, x: np.ndarray) -> np.ndarray:
+    def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._check_t(t)
-        return _matvec(self._at, _matvec(self._a, x) - self._b[t])
+        return _matvec(self._at, _matvec(self._a, x) - self._b[t], out=out)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -309,6 +310,9 @@ class DriftingLogistic(OnlineProblem):
         self.mu_exact = False
 
     def _solve_inner(self, t: int, x0: np.ndarray) -> np.ndarray:
+        # imported here: logistic is the only family that needs scipy
+        from scipy.optimize import minimize
+
         res = minimize(
             lambda x: (self.value(t, x), self.grad(t, x)),
             x0,
@@ -343,9 +347,9 @@ class DriftingLogistic(OnlineProblem):
         self._check_t(t)
         return np.sum(np.logaddexp(0.0, _matvec(self._c[t], x)), axis=-1)
 
-    def grad(self, t: int, x: np.ndarray) -> np.ndarray:
+    def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._check_t(t)
-        return _matvec(self._ct[t], _sigmoid(_matvec(self._c[t], x)))
+        return _matvec(self._ct[t], _sigmoid(_matvec(self._c[t], x)), out=out)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -410,8 +414,9 @@ class LtiTracking(_QuadraticComposite):
     def error_dim(self) -> int:
         return self.m
 
-    def map_error(self, raw: np.ndarray) -> np.ndarray:
-        return _matvec(self._at, raw)  # G^T raw: the quadratic's A is the output map G
+    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # G^T raw: the quadratic's A is the output map G
+        return _matvec(self._at, raw, out=out)
 
     @property
     def error_gain(self) -> float:
@@ -512,9 +517,9 @@ class DemandResponse(OnlineProblem):
         s = np.vecdot(self._ax, x) + self._c[t]
         return 0.5 * (s * s)
 
-    def grad(self, t: int, x: np.ndarray) -> np.ndarray:
+    def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._check_t(t)
-        return (np.vecdot(self._ax, x) + self._c[t])[..., None] * self._ax
+        return np.multiply((np.vecdot(self._ax, x) + self._c[t])[..., None], self._ax, out=out)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -526,8 +531,8 @@ class DemandResponse(OnlineProblem):
     def error_dim(self) -> int:
         return 1
 
-    def map_error(self, raw: np.ndarray) -> np.ndarray:
-        return raw[..., :1] * self._ax
+    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.multiply(raw[..., :1], self._ax, out=out)
 
     @property
     def error_gain(self) -> float:

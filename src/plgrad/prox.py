@@ -4,7 +4,9 @@ Three kinds cover the composite costs in scope: no regularizer (prox is the
 identity), an l1 penalty (soft thresholding), and a box indicator (clamp).
 prox(step, v) = argmin_y { ||y - v||^2 / (2 step) + g(y) } in closed form
 for each.  value and prox accept one point of shape (n,) or a batch of
-points as the rows of an (R, n) matrix.
+points as the rows of an (R, n) matrix; prox writes into `out` when it is
+given (v itself, or an array of v's shape that does not overlap it) and
+returns it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 KINDS = ("none", "l1", "box")
 
 
-def soft_threshold(v: np.ndarray, tau: float) -> np.ndarray:
+def soft_threshold(v: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise sign(v) * max(|v| - tau, 0); exact threshold maps to 0."""
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return np.multiply(np.sign(v), np.maximum(np.abs(v) - tau, 0.0), out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,16 +70,16 @@ class Regularizer:
         inside = (x >= self.lo - 1e-12) & (x <= self.hi + 1e-12)
         return np.where(np.all(inside, axis=-1), 0.0, np.inf)[()]
 
-    def prox(self, step: float, v: np.ndarray) -> np.ndarray:
+    def prox(self, step: float, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if step <= 0:
             raise ValueError(f"prox step must be positive, got {step}")
         v = np.asarray(v, dtype=float)
         if self.kind == "none":
-            return v.copy()
+            return np.positive(v, out=out)  # identity: a copy, into out when given
         if self.kind == "l1":
-            return soft_threshold(v, step * self.weight)
+            return soft_threshold(v, step * self.weight, out=out)
         # np.clip's bits, without its Python-level overhead
-        y = np.maximum(v, self.lo)
+        y = np.maximum(v, self.lo, out=out)
         return np.minimum(y, self.hi, out=y)
 
 

@@ -33,38 +33,61 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _gradient_step(
-    problem: OnlineProblem, t: int, x: np.ndarray, step: float, error: np.ndarray
+    problem: OnlineProblem,
+    t: int,
+    x: np.ndarray,
+    step: float,
+    error: np.ndarray,
+    out: np.ndarray | None,
 ) -> np.ndarray:
     """x - step * (grad f_t(x) + e), with the expression's operations in its order.
 
-    Works in one fresh array where the expression allocates three; on
-    batch-sized arrays the allocations cost more than the arithmetic.
+    Works in the one array the gradient is written to (out, or a fresh one)
+    where the expression allocates four; on batch-sized arrays the
+    allocations cost more than the arithmetic.
     """
-    v = np.add(problem.grad(t, x), error)
+    v = problem.grad(t, x, out=out)
+    np.add(v, error, out=v)
     v *= step
     return np.subtract(x, v, out=v)
 
 
 def ogd_step(
-    problem: OnlineProblem, t: int, x: np.ndarray, step: float, error: np.ndarray
+    problem: OnlineProblem,
+    t: int,
+    x: np.ndarray,
+    step: float,
+    error: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One inexact gradient step on each row of x; rejects regularized problems.
 
-    error holds the mapped gradient errors e_t, one row per row of x.
+    error holds the mapped gradient errors e_t, one row per row of x.  The
+    new iterate is written into out when it is given (an array of x's shape
+    overlapping neither x nor error) and returned.
     """
     if not problem.smooth_only():
         raise ValueError("problem carries a regularizer; use opgm_step")
-    return _gradient_step(problem, t, x, step, error)
+    return _gradient_step(problem, t, x, step, error, out)
 
 
 def opgm_step(
-    problem: OnlineProblem, t: int, x: np.ndarray, step: float, error: np.ndarray
+    problem: OnlineProblem,
+    t: int,
+    x: np.ndarray,
+    step: float,
+    error: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One inexact prox-gradient step on each row of x; requires a prox handle."""
+    """One inexact prox-gradient step on each row of x; requires a prox handle.
+
+    error and out as for ogd_step.
+    """
     reg = problem.regularizer
     if reg is None:
         raise ValueError("problem exposes no prox handle; use ogd_step")
-    return reg.prox(step, _gradient_step(problem, t, x, step, error))
+    v = _gradient_step(problem, t, x, step, error, out)
+    return reg.prox(step, v, out=v)
 
 
 @dataclass
@@ -180,17 +203,27 @@ def run(
         excursions[_row_norm(xt) >= problem.domain_radius] += 1
 
     x = np.tile(x, (len(trials), 1))
+    # Batch-sized work arrays, allocated once: the error, the step
+    # difference and the next iterate (swapped with x each step).  Fresh
+    # temporaries of this size can sit above the allocator's mmap
+    # threshold, and then every step maps and unmaps them, page faults
+    # included.
+    e = np.empty_like(x)
+    diff = np.empty_like(x)
+    x_next = np.empty_like(x)
     record(0, x)
     for t in range(horizon):
-        e = problem.map_error(raw[t])
-        x_next = step_fn(problem, t, x, step, e)
+        problem.map_error(raw[t], out=e)
+        step_fn(problem, t, x, step, e, out=x_next)
         bad = ~np.all(np.isfinite(x_next), axis=1)
         if np.any(bad):
             raise RuntimeError(
                 f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
             )
-        np.maximum(max_step_norm, _row_norm(x_next - x), out=max_step_norm)
-        x = x_next
+        np.maximum(
+            max_step_norm, _row_norm(np.subtract(x_next, x, out=diff)), out=max_step_norm
+        )
+        x, x_next = x_next, x
         record(t + 1, x)
         error_norm[:, t + 1] = _row_norm(e)
         sigma[:, t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x)

@@ -1,11 +1,17 @@
 """Command-line surface: exit codes, file outputs, config handling."""
 
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plgrad
 from plgrad.cli import main
 from plgrad.config import ConfigError, build_problem, load_config_file, make_config
 
@@ -134,6 +140,18 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "envelope_moments" in out and "FAIL" in out
+
+    def test_outside_theory_fails_validation(self, tmp_path, capsys):
+        # checks that pass on their own must not vouch for certificates
+        # that assume the step 1/L when the run used another step
+        cfg = tmp_path / "override.cfg"
+        cfg.write_text("[experiment]\npreset = static-ls\ntrials = 8\nstep_override = 1.5\n")
+        code = main(["validate", "--config", str(cfg), "--checks", "dominance,coverage"])
+        out = capsys.readouterr().out
+        assert code == 1
+        verdicts = {line.split()[0]: line.split()[1] for line in out.splitlines()[:-1]}
+        assert verdicts["theory_scope"] == "FAIL"
+        assert "failed checks: theory_scope" in out
 
     def test_empty_check_selection(self, capsys):
         assert main(["validate", "--preset", "static-ls", "--checks", " , "]) == 2
@@ -267,3 +285,43 @@ class TestConfigFiles:
         cfg.write_text("[experiment]\npreset = static-ls\nburn_in = 7\n")
         with pytest.raises(ConfigError, match="unknown key 'burn_in'"):
             load_config_file(cfg)
+
+
+IMPORT_GUARD = """\
+import json, sys
+import plgrad
+from plgrad import cli, config
+
+out_dir, cfg = sys.argv[1], sys.argv[2]
+codes = [
+    cli.main(["run", "--config", cfg, "--out", out_dir]),
+    cli.main(["validate", "--config", cfg, "--checks", "recursion,coverage"]),
+]
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+logistic = config.make_config({"experiment": {"horizon": 3}}, {"preset": "logistic"})
+config.build_problem(logistic)
+print(json.dumps({"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}))
+"""
+
+
+class TestImportFootprint:
+    def test_run_and_validate_load_no_scipy(self, tmp_path):
+        # scipy costs about a second to import; only the logistic family's
+        # inner solve needs it, so the other families never load it
+        cfg = tmp_path / "dr.cfg"
+        cfg.write_text(
+            "[experiment]\npreset = fig3-demand-response\ntrials = 4\nhorizon = 30\n"
+        )
+        src = str(Path(plgrad.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out"), str(cfg)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0]
+        assert result["before"] == []
+        assert result["after"]

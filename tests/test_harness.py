@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, aggregation, validation verdicts."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,34 @@ class TestCoverageEnvelope:
 
         for n, p in [(100, 0.1), (1000, 0.05), (1000, 0.1), (50, 0.5)]:
             assert coverage_envelope(n, p) == brute(n, p)
+
+    def test_matches_scipy_binomial_quantile(self):
+        from scipy.stats import binom  # independent oracle, test-only
+
+        deltas = [0.05, 0.1, *np.random.default_rng(11).uniform(0.001, 0.999, 8)]
+        for n in (1, 2, 3, 7, 20, 50, 100, 333, 1000, 2000):
+            for delta in deltas:
+                expected = int(binom.ppf(0.99, n, delta))
+                assert coverage_envelope(n, float(delta)) == expected, (n, delta)
+
+    def test_exact_tie(self):
+        # P(Bin(2, 0.1) <= 1) is 0.99 in decimal; with the binary values of
+        # 0.1 and 0.99 it exceeds the confidence by 7.8e-18, below a
+        # double's resolution there, so only exact arithmetic settles k = 1
+        assert coverage_envelope(2, 0.1) == 1
+
+    def test_ten_thousand_trials_are_fast(self):
+        start = time.perf_counter()
+        limit = coverage_envelope(10**4, 0.05)
+        assert time.perf_counter() - start < 1.0  # about 0.4 s on a 2-core host
+        assert 500 < limit < 560  # mean 500, standard deviation 21.8
+
+    def test_rejects_out_of_range_inputs(self):
+        for delta in (0.0, 1.0, -0.1):
+            with pytest.raises(ValueError, match="delta"):
+                coverage_envelope(10, delta)
+        with pytest.raises(ValueError, match="confidence"):
+            coverage_envelope(10, 0.1, confidence=0.0)
 
 
 class TestLongRun:

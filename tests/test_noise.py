@@ -1,11 +1,14 @@
 """Sampler reproducibility, exact moments, and envelope certification."""
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
 from plgrad.noise import (
     NoiseModel,
+    _max_moment_ratio,
     envelope_norm,
     envelope_norm_at,
     envelope_norm_generic,
@@ -201,6 +204,51 @@ class TestEnvelopes:
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 4.0))
         base = envelope_norm(model, 10)
         assert envelope_norm_at(model, 10, 1).k == pytest.approx(4.0 * base.k, rel=1e-12)
+
+
+class TestGammalnAgreement:
+    """The math.lgamma forms agree with the scipy.special.gammaln formulas."""
+
+    @staticmethod
+    def _rtol(n):
+        # the Gaussian forms subtract two log-gamma values of size about
+        # |lgamma(n/2)|, each good to a few ulp, so two implementations can
+        # agree no better than a few ulp of that size (2.3e-13 at n = 500)
+        return max(1e-14, 16 * np.finfo(float).eps * abs(math.lgamma(n / 2.0)))
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 500])
+    def test_gaussian(self, n):
+        sigma = 0.7
+        model = NoiseModel("gaussian_iid", scale=sigma)
+        mean = sigma * np.sqrt(2.0) * np.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
+        k = _max_moment_ratio(
+            lambda p: np.log(sigma)
+            + 0.5 * np.log(2.0)
+            + (gammaln((n + p) / 2.0) - gammaln(n / 2.0)) / p,
+            0.5,
+        )
+        assert mean_norm(model, n) == pytest.approx(mean, rel=self._rtol(n), abs=0.0)
+        assert envelope_norm(model, n).k == pytest.approx(k, rel=self._rtol(n), abs=0.0)
+
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.0])
+    def test_weibull(self, shape):
+        # the radial family's moments do not depend on the dimension
+        n = 10
+        lam = 1.3
+        model = NoiseModel("weibull_tail", scale=lam, weibull_shape=shape)
+        k = _max_moment_ratio(lambda p: np.log(lam) + gammaln(1.0 + p / shape) / p, 1.0 / shape)
+        expected = {
+            "mean": lam * np.exp(gammaln(1.0 + 1.0 / shape)),
+            "second": lam**2 * np.exp(gammaln(1.0 + 2.0 / shape)),
+            "k": k,
+        }
+        got = {
+            "mean": mean_norm(model, n),
+            "second": second_moment(model, n),
+            "k": envelope_norm(model, n).k,
+        }
+        for name, value in expected.items():
+            assert got[name] == pytest.approx(value, rel=1e-14, abs=0.0), name
 
 
 class TestValidation:

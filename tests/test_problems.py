@@ -407,6 +407,15 @@ class TestRowInvariance:
     """Batched oracles give each row exactly the bits of the 1-D call on it."""
 
     FIXTURES = ["ls_problem", "l1_ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
+    EACH_REGULARIZER = pytest.mark.parametrize(
+        "reg",
+        [
+            Regularizer.none(),
+            Regularizer.l1(0.4),
+            Regularizer.box(np.full(6, -0.5), np.full(6, 0.8)),
+        ],
+        ids=["none", "l1", "box"],
+    )
 
     @staticmethod
     def _batch(problem, rows=13, seed=5):
@@ -445,15 +454,37 @@ class TestRowInvariance:
         for k in range(11):
             assert np.array_equal(batch[k], problem.map_error(raw[k]))
 
-    @pytest.mark.parametrize(
-        "reg",
-        [
-            Regularizer.none(),
-            Regularizer.l1(0.4),
-            Regularizer.box(np.full(6, -0.5), np.full(6, 0.8)),
-        ],
-        ids=["none", "l1", "box"],
-    )
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_out_forms_match_the_allocating_call(self, fixture, request):
+        problem = request.getfixturevalue(fixture)
+        xs = self._batch(problem)
+        raw = np.random.default_rng(6).normal(size=(11, problem.error_dim))
+        t = problem.horizon // 2
+        calls = {
+            "grad": lambda x, out=None: problem.grad(t, x, out=out),
+            "map_error": lambda x, out=None: problem.map_error(x, out=out),
+        }
+        for name, arg in (("grad", xs), ("map_error", raw)):
+            for a in (arg, arg[0]):
+                expected = calls[name](a)
+                out = np.full(expected.shape, np.nan)
+                assert calls[name](a, out=out) is out, name
+                assert np.array_equal(out, expected), name
+
+    @EACH_REGULARIZER
+    def test_prox_out_forms_match_the_allocating_call(self, reg):
+        xs = np.random.default_rng(8).normal(scale=0.6, size=(17, 6))
+        for v in (xs, xs[0]):
+            expected = reg.prox(0.3, v)
+            out = np.full(v.shape, np.nan)
+            assert reg.prox(0.3, v, out=out) is out
+            assert np.array_equal(out, expected)
+            # in place, as the prox-gradient step applies it
+            inplace = v.copy()
+            assert reg.prox(0.3, inplace, out=inplace) is inplace
+            assert np.array_equal(inplace, expected)
+
+    @EACH_REGULARIZER
     def test_regularizer_matches_the_1d_call(self, reg):
         xs = np.random.default_rng(7).normal(scale=0.6, size=(17, 6))
         values = reg.value(xs)

@@ -33,6 +33,10 @@ class TestSingleSteps:
         batch = ogd_step(p, 2, x, 0.7, e)
         for k in range(5):
             assert np.array_equal(batch[k], ogd_step(p, 2, x[k], 0.7, e[k]))
+        # the buffer form run uses gives the same bits
+        buf = np.full_like(x, np.nan)
+        assert ogd_step(p, 2, x, 0.7, e, out=buf) is buf
+        assert np.array_equal(buf, batch)
 
     def test_scalar_mode_contracts_at_squared_rate(self):
         # start along the flattest eigenvector: per-step regret ratio is
@@ -71,8 +75,12 @@ class TestSingleSteps:
             2, 2, 5, p_ref, w, np.array([-1.0, -1.0]), np.array([1.0, 1.0])
         )
         x = np.array([[0.9, -0.9], [-0.9, 0.9]])
-        out = opgm_step(p, 0, x, 1.0 / p.smoothness, np.full((2, 2), 5.0))
+        e = np.full((2, 2), 5.0)
+        out = opgm_step(p, 0, x, 1.0 / p.smoothness, e)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
+        buf = np.full_like(x, np.nan)
+        assert opgm_step(p, 0, x, 1.0 / p.smoothness, e, out=buf) is buf
+        assert np.array_equal(buf, out)
 
 
 class TestRun:
@@ -178,8 +186,8 @@ class TestRun:
             def value(self, t, x):
                 return 0.5 * x[..., 0] ** 2
 
-            def grad(self, t, x):
-                return x.copy()
+            def grad(self, t, x, out=None):
+                return np.positive(x, out=out)
 
             def fstar(self, t):
                 return 1.0  # true optimum is 0
