@@ -22,7 +22,8 @@ from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .config import ExperimentConfig, build_noise, build_problem, initial_point
 from .problems import OnlineProblem
-from .solvers import run
+from .prox import Regularizer, prox_objective_gap
+from .solvers import run, theory_exceptions
 from .subweibull import fit_from_samples
 
 RECURSION_TOL = 1e-9
@@ -61,7 +62,7 @@ class AggregateReport:
     trials: int
     domain_excursions: int
     max_step_norm: float
-    outside_theory: bool         # step size other than 1/L: no certificate applies
+    outside_theory: bool         # no certificate applies (problem_info["theory_exceptions"])
     min_raw_regret: float        # smallest regret before clipping at 0
 
     @property
@@ -236,6 +237,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         "mu_exact": problem.mu_exact,
         "solver": config.solver,
         "theta": theta,
+        "theory_exceptions": theory_exceptions(problem, config.step_override),
     }
 
     return AggregateReport(
@@ -331,10 +333,12 @@ def validate_bounds(report: AggregateReport, deltas=None) -> ValidationSummary:
     deltas = tuple(deltas) if deltas is not None else report.config.deltas
     summary = ValidationSummary()
 
-    # every certificate below assumes the step 1/L; a passing verdict on a
-    # run with another step would vouch for bounds that do not apply to it
+    # every certificate below assumes the step 1/L and the regret against
+    # F*_t; a passing verdict on a run outside that would vouch for bounds
+    # that do not apply to it
     if report.outside_theory:
-        scope = f"step_override = {report.config.step_override:g}: no certificate applies"
+        reasons = "; ".join(report.problem_info["theory_exceptions"])
+        scope = f"{reasons}: no certificate applies"
     else:
         scope = "step 1/L: the certificates apply"
     summary.checks.append(CheckResult("theory_scope", not report.outside_theory, scope))
@@ -404,22 +408,16 @@ def validate_bounds(report: AggregateReport, deltas=None) -> ValidationSummary:
 
 
 def _grid_argmin_objective(
-    reg_kind: str,
-    weight: float,
-    lo: np.ndarray | None,
-    hi: np.ndarray | None,
-    step: float,
-    v: np.ndarray,
-    levels: int = 4,
-    points: int = 201,
+    reg: Regularizer, step: float, v: np.ndarray, levels: int = 4, points: int = 201
 ) -> np.ndarray:
     """Dense-grid argmin of the prox objective with recursive zooming."""
     n = v.shape[0]
-    if reg_kind == "box":
+    lo, hi = reg.lo, reg.hi
+    if reg.kind == "box":
         centers = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
     else:
-        reach = np.abs(v) + step * weight + 1.0
+        reach = np.abs(v) + step * reg.weight + 1.0
         centers = v.copy()
         half = reach
     best = centers.copy()
@@ -427,12 +425,12 @@ def _grid_argmin_objective(
         axes = [
             np.linspace(best[i] - half[i], best[i] + half[i], points) for i in range(n)
         ]
-        if reg_kind == "box":
+        if reg.kind == "box":
             axes = [np.clip(ax, lo[i], hi[i]) for i, ax in enumerate(axes)]
         mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         obj = np.sum((mesh - v) ** 2, axis=1) / (2.0 * step)
-        if reg_kind == "l1":
-            obj += weight * np.sum(np.abs(mesh), axis=1)
+        if reg.kind == "l1":
+            obj += reg.weight * np.sum(np.abs(mesh), axis=1)
         best = mesh[int(np.argmin(obj))]
         half = half * (2.0 / (points - 1)) * 2.0  # keep the next window safely wide
     return best
@@ -496,8 +494,6 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
 
 
 def _check_prox(seed: int, n_instances: int = 25) -> CheckResult:
-    from .prox import Regularizer, prox_objective_gap
-
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 6)))
     worst = 0.0
     for _ in range(n_instances):
@@ -513,9 +509,7 @@ def _check_prox(seed: int, n_instances: int = 25) -> CheckResult:
             ]
             for reg in cases:
                 closed = reg.prox(step, v)
-                grid = _grid_argmin_objective(
-                    reg.kind, reg.weight, reg.lo, reg.hi, step, v
-                )
+                grid = _grid_argmin_objective(reg, step, v)
                 worst = max(worst, float(np.max(np.abs(closed - grid))))
                 if prox_objective_gap(reg, step, v, grid) < -1e-12:
                     return CheckResult(

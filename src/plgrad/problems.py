@@ -1,16 +1,17 @@
 """Time-varying problem suite with exact constants and optimal values.
 
 Four instance families cover the smooth (gradient-only) and composite
-(prox) settings:
+(prox) settings.  Three of them build data for one quadratic core,
+QuadraticTracking, the cost 0.5 ||A x - b_t||^2:
 
-* drifting least squares         — quadratic slope certificate from the
-                                   spectrum of A^T A, closed-form optimum
+* drifting least squares         — slope certificate from the spectrum of
+                                   A^T A, closed-form optimum
+* linear system output tracking  — measurement-based gradient (errors enter
+                                   through the output map A^T)
+* power setpoint tracking        — one-row A plus box constraints,
+                                   scalar-measurement gradient
 * drifting logistic regression   — slope certificate sampled, optimum from
                                    an inner high-accuracy solve
-* linear system output tracking  — quadratic, measurement-based gradient
-                                   (errors enter through the output map)
-* power setpoint tracking        — rank-1 quadratic plus box constraints,
-                                   scalar-measurement gradient
 
 Every instance draws all of its randomness at construction time from the
 seed, so oracle evaluation is read-only and trajectories are reproducible.
@@ -47,11 +48,12 @@ class OnlineProblem:
     """Time-indexed cost oracle F_t = f_t + g_t with constants and optima.
 
     Subclasses populate the attributes below in __init__ and implement
-    value / grad / fstar.  value and grad accept x of shape (n,) or (R, n);
-    fstar takes the time index only.  grad and map_error write into `out`
-    when it is given (an array of the result's shape that does not overlap
-    the input) and return it.  Instances are immutable after construction
-    by convention; all oracles are safe to call concurrently.
+    value / grad / fstar / xstar (None where no minimizer is computed).
+    value and grad accept x of shape (n,) or (R, n); fstar and xstar take
+    the time index only.  grad and map_error write into `out` when it is
+    given (an array of the result's shape that does not overlap the input)
+    and return it.  Instances are immutable after construction by
+    convention; all oracles are safe to call concurrently.
     """
 
     name: str
@@ -73,9 +75,6 @@ class OnlineProblem:
 
     def fstar(self, t: int) -> float:
         raise NotImplementedError
-
-    def xstar(self, t: int) -> np.ndarray | None:
-        return None
 
     def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
@@ -136,42 +135,122 @@ def _build_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), _BUILD_STREAM)))
 
 
-class _QuadraticComposite(OnlineProblem):
-    """Shared machinery for costs of the form 0.5 ||A x - b_t||^2.
+class QuadraticTracking(OnlineProblem):
+    """0.5 ||A x - b_t||^2, over R^n or over a box.
 
-    Optimal values use the residual against the orthonormal range basis of
-    A, which stays nonnegative under cancellation (no squared-norm
-    differences).
+    The one quadratic core behind drifting least squares, output tracking
+    and demand response; the families differ only in the data they build.
+    Without a box the optimal value is the residual of b_t against an
+    orthonormal basis of range(A), which stays nonnegative under
+    cancellation (no squared-norm differences).  A box needs a one-row A,
+    a^T x: the cost then sees x only through the scalar a^T x, so the
+    optimal value is the clamp distance of b_t onto the reachable interval.
+
+    error_gain is None when the gradient errors land on the gradient
+    directly.  Otherwise the errors are measurement noise on A x, mapped
+    through A^T, and error_gain is the operator norm of that map.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self._a = a
+    fstar_exact = True
+    mu_exact = True
+
+    def __init__(
+        self, name: str, a: np.ndarray, b: np.ndarray, horizon: int, *,
+        smoothness: float, pl_constant: float, domain_radius: float,
+        error_gain: float | None = None, box: tuple[np.ndarray, np.ndarray] | None = None,
+    ):
+        self.name = name
+        self.n = a.shape[1]
+        self.horizon = horizon
+        self.smoothness = smoothness
+        self.pl_constant = pl_constant
+        self.domain_radius = domain_radius
+        self.matrix = a
         self._at = np.ascontiguousarray(a.T)
-        self._basis = np.linalg.qr(a)[0]  # orthonormal basis of range(A)
         self._b = b
-        resid = b - (b @ self._basis) @ self._basis.T
-        self._fstar = 0.5 * np.sum(resid**2, axis=1)
+        self._gain = error_gain
+        if box is None:
+            self.regularizer = None
+            self.diameter = 2.0 * domain_radius
+            basis = np.linalg.qr(a)[0]
+            resid = b - (b @ basis) @ basis.T
+            self._fstar = 0.5 * np.sum(resid**2, axis=1)
+            return
+        if a.shape[0] != 1:
+            raise ValueError(f"a box needs a one-row A, got {a.shape[0]} rows")
+        lo, hi = box
+        self.regularizer = Regularizer.box(lo, hi)
+        self.diameter = float(np.linalg.norm(hi - lo))
+        row = a[0]
+        s_min = np.sum(np.minimum(row * lo, row * hi))
+        s_max = np.sum(np.maximum(row * lo, row * hi))
+        target = b[:, 0]
+        # float_power keeps the C pow of the scalar formula; ** on an array
+        # squares by multiplication, which differs in the last bit for about
+        # one value in a thousand
+        self._fstar = 0.5 * np.float_power(np.clip(target, s_min, s_max) - target, 2)
+
+    def _adjoint(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^T r for each row of r; a one-row A scales its row (the generic
+        path runs one length-1 reduction per entry, about 3x slower)."""
+        if self.matrix.shape[0] == 1:
+            return np.multiply(r, self.matrix[0], out=out)
+        return _matvec(self._at, r, out=out)
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         self._check_t(t)
-        r = _matvec(self._a, x) - self._b[t]
+        r = _matvec(self.matrix, x) - self._b[t]
         return 0.5 * np.vecdot(r, r)
 
     def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         self._check_t(t)
-        return _matvec(self._at, _matvec(self._a, x) - self._b[t], out=out)
+        return self._adjoint(_matvec(self.matrix, x) - self._b[t], out=out)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
         return float(self._fstar[t])
 
-    def xstar(self, t: int) -> np.ndarray:
+    def xstar(self, t: int) -> np.ndarray | None:
         self._check_t(t)
-        # minimum-norm solution through the pseudo-inverse
-        return np.linalg.pinv(self._a) @ self._b[t]
+        if self.regularizer is not None and self.regularizer.kind == "box":
+            return None  # the minimum-norm point below ignores the box
+        return np.linalg.pinv(self.matrix) @ self._b[t]
+
+    @property
+    def error_dim(self) -> int:
+        return self.n if self._gain is None else self.matrix.shape[0]
+
+    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if self._gain is None:
+            return super().map_error(raw, out=out)
+        return self._adjoint(raw, out=out)
+
+    @property
+    def error_gain(self) -> float:
+        return 1.0 if self._gain is None else self._gain
+
+    def error_second_moment(self, model: NoiseModel, t: int = 0) -> float:
+        if self._gain is None:
+            return super().error_second_moment(model, t)
+        if self.matrix.shape[0] == 1:
+            # rank-1 map: E||a eta||^2 = ||a||^2 E eta^2 exactly
+            return self._gain**2 * second_moment(model, 1, t)
+        # E||A^T raw||^2 = (E||raw||^2 / m) ||A^T||_F^2 for isotropic raw noise
+        if model.bias != 0.0:
+            raise NotImplementedError("analytic moments with bias are not supported")
+        m = self.matrix.shape[0]
+        return second_moment(model, m, t) / m * float(np.sum(self.matrix**2))
+
+    def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
+        if self._gain is None:
+            return super().error_mean_norm(model, t)
+        if self.matrix.shape[0] == 1:
+            return self._gain * mean_norm(model, 1, t)  # E||a eta|| = ||a|| E|eta|
+        # no closed form for the mapped norm mean; Jensen upper bound
+        return math.sqrt(self.error_second_moment(model, t))
 
 
-class TimeVaryingLeastSquares(_QuadraticComposite):
+class TimeVaryingLeastSquares(QuadraticTracking):
     """0.5 ||A x - b_t||^2 with a drifting generating parameter.
 
     A is built from Haar orthogonal factors with the spectrum of A^T A
@@ -222,21 +301,11 @@ class TimeVaryingLeastSquares(_QuadraticComposite):
             if obs_noise_std > 0
             else np.zeros((horizon + 1, d))
         )
-        b = xstar_path @ a.T + obs
-        super().__init__(a, b)
-
-        self.name = "timevarying_ls"
-        self.n = n
-        self.d = d
-        self.horizon = horizon
-        self.smoothness = float(eigs[-1])
-        self.pl_constant = float(eigs[0])
-        self.domain_radius = 10.0 * float(np.linalg.norm(x0_star))
-        self.diameter = 2.0 * self.domain_radius
-        self.regularizer = None
-        self.fstar_exact = True
-        self.mu_exact = True
-        self.matrix = a
+        super().__init__(
+            "timevarying_ls", a, xstar_path @ a.T + obs, horizon,
+            smoothness=float(eigs[-1]), pl_constant=float(eigs[0]),
+            domain_radius=10.0 * float(np.linalg.norm(x0_star)),
+        )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -360,7 +429,7 @@ class DriftingLogistic(OnlineProblem):
         return self._xstar[t].copy()
 
 
-class LtiTracking(_QuadraticComposite):
+class LtiTracking(QuadraticTracking):
     """Track a reference output of a stable linear system.
 
     f_t(x) = 0.5 ||G x + H w_t - ybar_t||^2 where w_t is an unmeasured
@@ -391,61 +460,30 @@ class LtiTracking(_QuadraticComposite):
             2.0 * np.pi * t_axis / rng.uniform(60.0, 200.0, size=m)
             + rng.uniform(0.0, 2.0 * np.pi, size=m)
         )
-        super().__init__(g, ybar - w @ h.T)
-
-        self.name = "lti_tracking"
-        self.n = n
-        self.m = m
-        self.horizon = horizon
-        self.smoothness = float(svals[-1] ** 2)
-        self.pl_constant = float(svals[0] ** 2)
-        self.domain_radius = 10.0 * max(float(np.linalg.norm(self.xstar(0))), 1.0)
-        self.diameter = 2.0 * self.domain_radius
-        self.regularizer = None
-        self.fstar_exact = True
-        self.mu_exact = True
-        self.output_map = g
+        b = ybar - w @ h.T
+        x0_star = np.linalg.pinv(g) @ b[0]
+        super().__init__(
+            "lti_tracking", g, b, horizon,
+            smoothness=float(svals[-1] ** 2), pl_constant=float(svals[0] ** 2),
+            domain_radius=10.0 * max(float(np.linalg.norm(x0_star)), 1.0),
+            error_gain=float(svals[-1]),
+        )
         self.disturbance_map = h
         self.disturbance = w
         self.reference = ybar
-        self._gain = float(svals[-1])
-
-    @property
-    def error_dim(self) -> int:
-        return self.m
-
-    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # G^T raw: the quadratic's A is the output map G
-        return _matvec(self._at, raw, out=out)
-
-    @property
-    def error_gain(self) -> float:
-        return self._gain
 
     def measured_grad(self, t: int, x: np.ndarray, meas_noise: np.ndarray) -> np.ndarray:
         """v_t = G^T (yhat_t - ybar_t) with yhat_t = G x + H w_t + noise."""
         self._check_t(t)
-        yhat = self.output_map @ x + self.disturbance_map @ self.disturbance[t] + meas_noise
-        return self.output_map.T @ (yhat - self.reference[t])
-
-    def error_second_moment(self, model: NoiseModel, t: int = 0) -> float:
-        # E||G^T raw||^2 = (E||raw||^2 / m) ||G^T||_F^2 for isotropic raw noise
-        if model.bias != 0.0:
-            raise NotImplementedError("analytic moments with bias are not supported")
-        frob2 = float(np.sum(self.output_map**2))
-        return second_moment(model, self.m, t) / self.m * frob2
-
-    def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
-        # no closed form for the mapped norm mean; Jensen upper bound
-        return math.sqrt(self.error_second_moment(model, t))
+        yhat = self.matrix @ x + self.disturbance_map @ self.disturbance[t] + meas_noise
+        return self.matrix.T @ (yhat - self.reference[t])
 
 
-class DemandResponse(OnlineProblem):
+class DemandResponse(QuadraticTracking):
     """Track a power reference with box-constrained device setpoints.
 
-    F_t(x) = 0.5 (a_x^T x + a_w^T w_t - p_ref_t)^2 + box indicator.  The
-    cost depends on x only through the scalar s = a_x^T x, so the optimal
-    value is the clamp distance of the target onto the reachable interval.
+    F_t(x) = 0.5 (a_x^T x + a_w^T w_t - p_ref_t)^2 + box indicator: the
+    quadratic core with the one-row A = a_x^T and b_t = p_ref_t - a_w^T w_t.
     The gradient estimate uses a scalar power measurement, so raw noise is
     one-dimensional and enters as a_x * noise.
 
@@ -493,57 +531,14 @@ class DemandResponse(OnlineProblem):
         if not np.any(ax != 0.0):
             raise ValueError("a_x must have at least one nonzero entry")
 
-        self.name = "demand_response"
-        self.n = n_der
-        self.horizon = horizon
-        self._ax = ax
-        self._aw = aw
-        self._w = w[: horizon + 1]
-        self._p_ref = p_ref[: horizon + 1]
-        # c_t collects everything the setpoints cannot influence
-        self._c = self._w @ aw - self._p_ref
-        self.smoothness = float(ax @ ax)
-        self.pl_constant = float(np.min(ax[ax != 0.0] ** 2))
-        self.regularizer = Regularizer.box(lo, hi)
-        self.diameter = float(np.linalg.norm(hi - lo))
-        self.domain_radius = 1.05 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-        self.fstar_exact = True
-        self.mu_exact = True
-        self._s_min = float(np.sum(np.minimum(ax * lo, ax * hi)))
-        self._s_max = float(np.sum(np.maximum(ax * lo, ax * hi)))
-
-    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
-        self._check_t(t)
-        s = np.vecdot(self._ax, x) + self._c[t]
-        return 0.5 * (s * s)
-
-    def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        self._check_t(t)
-        return np.multiply((np.vecdot(self._ax, x) + self._c[t])[..., None], self._ax, out=out)
-
-    def fstar(self, t: int) -> float:
-        self._check_t(t)
-        target = -self._c[t]
-        reachable = min(max(target, self._s_min), self._s_max)
-        return 0.5 * (reachable - target) ** 2
-
-    @property
-    def error_dim(self) -> int:
-        return 1
-
-    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.multiply(raw[..., :1], self._ax, out=out)
-
-    @property
-    def error_gain(self) -> float:
-        return float(np.linalg.norm(self._ax))
-
-    def error_second_moment(self, model: NoiseModel, t: int = 0) -> float:
-        # rank-1 map: E||a eta||^2 = ||a||^2 E eta^2 exactly
-        return self.error_gain**2 * second_moment(model, 1, t)
-
-    def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
-        return self.error_gain * mean_norm(model, 1, t)
+        # b_t collects everything the setpoints cannot influence
+        b = p_ref[: horizon + 1] - w[: horizon + 1] @ aw
+        super().__init__(
+            "demand_response", ax[None, :], b[:, None], horizon,
+            smoothness=float(ax @ ax), pl_constant=float(np.min(ax[ax != 0.0] ** 2)),
+            domain_radius=1.05 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))),
+            error_gain=float(np.linalg.norm(ax)), box=(lo, hi),
+        )
 
 
 def synth_demand_response_traces(

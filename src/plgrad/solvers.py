@@ -123,6 +123,22 @@ class RegretTrajectory:
         return self.regret.shape[1]
 
 
+def theory_exceptions(problem: OnlineProblem, step_override: float | None) -> list[str]:
+    """The conditions of a run that no certificate covers; empty inside the theory.
+
+    Every certificate assumes the step 1/L and the regret against the
+    composite optimum F*_t, but each family's fstar is the optimum of its
+    own cost, which an l1 term added to it does not enter.
+    """
+    reasons = []
+    if step_override is not None:
+        reasons.append(f"step_override = {step_override:g}")
+    reg = problem.regularizer
+    if reg is not None and reg.kind == "l1" and reg.weight > 0:
+        reasons.append(f"l1 weight {reg.weight:g} (the regret is F_t - f*_t, not F_t - F*_t)")
+    return reasons
+
+
 def run(
     problem: OnlineProblem,
     solver: str,
@@ -162,7 +178,7 @@ def run(
     if problem.regularizer is not None and not np.isfinite(problem.regularizer.value(x)):
         raise ValueError("x0 is infeasible for the problem's regularizer")
 
-    outside_theory = step_override is not None
+    outside_theory = bool(theory_exceptions(problem, step_override))
     step = (1.0 / problem.smoothness) if step_override is None else float(step_override)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")

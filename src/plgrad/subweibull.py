@@ -40,12 +40,6 @@ class SubWeibullParams:
         if self.k < 0:
             raise ValueError(f"moment scale must be nonnegative, got {self.k}")
 
-    def moment_envelope(self, p: float) -> float:
-        """Upper bound K * p**theta on the p-th moment norm, p >= 1."""
-        if p < 1:
-            raise ValueError(f"moment order must be >= 1, got {p}")
-        return self.k * p**self.theta
-
 
 def scale(x: SubWeibullParams, a: float) -> SubWeibullParams:
     """Envelope of a*X: (theta, |a| K)."""

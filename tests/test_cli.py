@@ -153,6 +153,23 @@ class TestValidateCommand:
         assert verdicts["theory_scope"] == "FAIL"
         assert "failed checks: theory_scope" in out
 
+    def test_l1_run_fails_validation(self, tmp_path, capsys):
+        # fstar is the smooth optimum, so an l1 run measures F_t - f*_t and
+        # no certificate covers it, however the other checks come out
+        cfg = tmp_path / "l1.cfg"
+        cfg.write_text(
+            "[experiment]\npreset = static-ls\nsolver = opgm\ntrials = 40\n"
+            "[problem]\nregularizer = l1\nl1_weight = 0.5\n"
+        )
+        checks = "recursion,dominance,coverage,moments,pl"
+        code = main(["validate", "--config", str(cfg), "--checks", checks])
+        out = capsys.readouterr().out
+        assert code == 1
+        lines = {line.split()[0]: line for line in out.splitlines()[:-1]}
+        assert lines["theory_scope"].split()[1] == "FAIL"
+        assert "l1 weight 0.5" in lines["theory_scope"]
+        assert "step_override" not in lines["theory_scope"]
+
     def test_empty_check_selection(self, capsys):
         assert main(["validate", "--preset", "static-ls", "--checks", " , "]) == 2
         assert "no checks selected" in capsys.readouterr().err
@@ -259,9 +276,11 @@ class TestConfigFiles:
         from plgrad.config import build_problem
 
         problem = build_problem(cfg)
-        # c_t = a_w^T w_t - p_ref = (50 + t) + 200
-        assert problem._c[0] == pytest.approx(250.0)
-        assert problem._c[20] == pytest.approx(270.0)
+        # the target -(a_w^T w_t - p_ref) = -(250 + t) lies below the
+        # reachable [-100, 200] of the default 4-device box
+        assert problem.value(0, np.zeros(4)) == pytest.approx(0.5 * 250.0**2)
+        assert problem.fstar(0) == pytest.approx(0.5 * 150.0**2)
+        assert problem.fstar(20) == pytest.approx(0.5 * 170.0**2)
 
     def test_one_value_bounds_fill_the_box(self, tmp_path):
         cfg = tmp_path / "dr.cfg"

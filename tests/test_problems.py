@@ -151,7 +151,7 @@ class TestLogistic:
 
 class TestLtiTracking:
     def test_constants_are_extreme_eigenvalues(self, lti_problem):
-        eigs = np.linalg.eigvalsh(lti_problem.output_map.T @ lti_problem.output_map)
+        eigs = np.linalg.eigvalsh(lti_problem.matrix.T @ lti_problem.matrix)
         assert lti_problem.pl_constant == pytest.approx(eigs[0], rel=1e-12)
         assert lti_problem.smoothness == pytest.approx(eigs[-1], rel=1e-12)
         assert lti_problem.pl_constant > 0
@@ -169,7 +169,7 @@ class TestLtiTracking:
         eta = rng.normal(size=9)
         v = lti_problem.measured_grad(5, x, eta)
         np.testing.assert_allclose(
-            v - lti_problem.grad(5, x), lti_problem.output_map.T @ eta, atol=1e-12
+            v - lti_problem.grad(5, x), lti_problem.matrix.T @ eta, atol=1e-12
         )
 
     def test_error_envelope_dominates_fit(self, lti_problem):
@@ -203,11 +203,59 @@ class TestDemandResponse:
         assert p.fstar(0) == pytest.approx(0.5 * 150.0**2, rel=1e-12)
 
     def test_fstar_against_scalar_grid_search(self, dr_problem):
-        # dense sweep of the only degree of freedom the cost sees
-        s_grid = np.linspace(dr_problem._s_min, dr_problem._s_max, 200001)
+        # dense sweep of the only degree of freedom the cost sees: a segment
+        # between the box corners where a^T x is smallest and largest
+        a = dr_problem.matrix[0]
+        reg = dr_problem.regularizer
+        x_min = np.where(a > 0, reg.lo, reg.hi)
+        x_max = np.where(a > 0, reg.hi, reg.lo)
+        lam = np.linspace(0.0, 1.0, 200001)[:, None]
+        xs = x_min + lam * (x_max - x_min)
         for t in (0, 40, 80):
-            vals = 0.5 * (s_grid + dr_problem._c[t]) ** 2
+            vals = dr_problem.value(t, xs)
             assert dr_problem.fstar(t) == pytest.approx(vals.min(), abs=1e-4)
+
+    def test_one_row_oracles_keep_the_scalar_forms(self):
+        # the one-row path must give the bits of the scalar cost
+        # 0.5 s^2 with s = a^T x + c_t, c_t = a_w^T w_t - p_ref_t
+        rng = np.random.default_rng(12)
+        # a long horizon: squaring by multiplication instead of pow changes
+        # the last bit of about one clamp distance in a thousand
+        n, horizon = 7, 8000
+        a_x = rng.uniform(-2.0, 2.0, size=n)
+        a_w = rng.uniform(0.5, 1.5, size=3)
+        w = rng.normal(scale=40.0, size=(horizon + 1, 3))
+        # targets far outside the box exercise the clamp in fstar
+        p_ref = rng.normal(scale=100.0, size=horizon + 1) + np.where(
+            np.arange(horizon + 1) % 2 == 0, 400.0, -400.0
+        )
+        lo, hi = np.full(n, -3.0), np.full(n, 4.0)
+        p = DemandResponse(n, 0, horizon, p_ref, w, lo, hi, a_x=a_x, a_w=a_w)
+        c = w @ a_w - p_ref
+        s_min = float(np.sum(np.minimum(a_x * lo, a_x * hi)))
+        s_max = float(np.sum(np.maximum(a_x * lo, a_x * hi)))
+        xs = lo + rng.uniform(size=(9, n)) * (hi - lo)
+        raw = rng.normal(size=(9, 1))
+        for t in (0, 1, horizon // 2, horizon):
+            for x, r in ((xs, raw), (xs[0], raw[0])):
+                s = np.vecdot(a_x, x) + c[t]
+                assert np.array_equal(p.value(t, x), 0.5 * (s * s))
+                expected = s[..., None] * a_x
+                assert np.array_equal(p.grad(t, x), expected)
+                out = np.full(expected.shape, np.nan)
+                assert p.grad(t, x, out=out) is out
+                assert np.array_equal(out, expected)
+                expected = r[..., :1] * a_x
+                assert np.array_equal(p.map_error(r), expected)
+                out = np.full(expected.shape, np.nan)
+                assert p.map_error(r, out=out) is out
+                assert np.array_equal(out, expected)
+            assert p.xstar(t) is None
+        for t in range(horizon + 1):
+            target = -c[t]
+            reachable = min(max(target, s_min), s_max)
+            assert p.fstar(t) == 0.5 * (reachable - target) ** 2
+        assert p.fstar(0) > 0.0
 
     def test_constants(self, dr_problem):
         assert dr_problem.smoothness == pytest.approx(10.0)  # ||ones(10)||^2

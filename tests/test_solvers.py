@@ -140,9 +140,7 @@ class TestRun:
         p.regularizer = Regularizer.l1(lam)
         traj = run(p, "opgm", ZERO, x0=np.array([3.0]), seed=0)
         grid = np.linspace(-5.0, 5.0, 2000001)
-        composite = np.array(
-            [0.5 * (math.sqrt(0.5) * g - p._b[0][0]) ** 2 for g in grid]
-        ) + lam * np.abs(grid)
+        composite = p.value(0, grid[:, None]) + lam * np.abs(grid)
         x_grid = grid[np.argmin(composite)]
         assert traj.x_final[0, 0] == pytest.approx(x_grid, abs=1e-5)
 
@@ -165,6 +163,14 @@ class TestRun:
         assert traj.outside_theory and traj.step == 0.5
         default = run(p, "ogd", ZERO, seed=0, x0=np.ones(2))
         assert not default.outside_theory and default.step == 1.0 / p.smoothness
+
+    def test_l1_term_flags_outside_theory(self):
+        # fstar ignores the l1 term, so a positive weight leaves the theory
+        for weight, flagged in ((0.3, True), (0.0, False)):
+            p = quadratic_problem(0.5, 1.0, horizon=3)
+            p.regularizer = Regularizer.l1(weight)
+            traj = run(p, "opgm", ZERO, seed=0, x0=np.ones(2))
+            assert traj.outside_theory is flagged
 
     def test_inconsistent_fstar_oracle_rejected(self):
         # an optimal-value oracle above the true optimum drives the regret
