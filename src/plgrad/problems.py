@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseModel, envelope_norm_at, mean_norm, second_moment
-from .prox import Regularizer
+from .prox import Regularizer, grid_argmin_prox
 from .subweibull import SubWeibullParams, scale as sw_scale
 
 # rng stream tags (disjoint from the noise module's sampler streams)
@@ -636,7 +636,7 @@ class ProxPLReport:
     """Both sides of the proximal gradient-domination inequality at x."""
 
     lhs: float          # 2 mu (F(x) - F*)
-    rhs_grid: float     # surrogate decrease from dense grid minimization
+    rhs_grid: float     # surrogate decrease at the grid oracle's minimizer
     rhs_exact: float    # same quantity from the closed-form prox
     grid_minimizer: np.ndarray
     mu_hat: float       # rhs_grid / (2 (F(x) - F*)), inf at the optimum
@@ -662,39 +662,24 @@ def verify_prox_pl(
 ) -> ProxPLReport:
     """Brute-force check of the proximal inequality at a single point.
 
-    Minimizes the prox surrogate over a dense grid (feasible box for
-    box-constrained costs, a ball-covering box otherwise), so it is
-    independent of the closed-form prox path.  Dimension is capped at 3.
+    <g, y - x> + L/2 ||y - x||^2 = L/2 ||y - (x - g/L)||^2 - ||g||^2 / (2L),
+    so the surrogate's minimizer is the prox point of x - g/L at the step
+    1/L.  grid_argmin_prox finds it, in any dimension and independently of
+    the closed-form prox path, with grid_resolution points per axis; fewer
+    than 6 cannot zoom and raise ValueError.
     """
-    if problem.n > 3:
-        raise ValueError(f"grid check limited to n <= 3, got n={problem.n}")
-    if grid_resolution < 2:
-        raise ValueError("grid resolution must be >= 2")
     x = np.asarray(x, dtype=float)
     l = problem.smoothness
     g = problem.grad(t, x)
     reg = problem.regularizer if problem.regularizer is not None else Regularizer.none()
-    if reg.kind == "box":
-        lo, hi = reg.lo, reg.hi
-    else:
-        center = x - g / l
-        margin = np.linalg.norm(g) / l + 1.0
-        if reg.kind == "l1":
-            margin += reg.weight / l
-        lo, hi = center - margin, center + margin
-    axes = [np.linspace(lo[i], hi[i], grid_resolution) for i in range(problem.n)]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-    diff = mesh - x
-    q = diff @ g + 0.5 * l * np.sum(diff**2, axis=1)
-    if reg.kind == "l1":
-        q += reg.weight * (np.sum(np.abs(mesh), axis=1) - np.sum(np.abs(x)))
-    best = int(np.argmin(q))
-    rhs_grid = -2.0 * l * float(q[best])
+    y = grid_argmin_prox(reg, 1.0 / l, x - g / l, points=grid_resolution)
+    d = y - x
+    rhs_grid = -2.0 * l * float(g @ d + 0.5 * l * (d @ d) + reg.value(y) - reg.value(x))
     rhs_exact = prox_decrease(problem, t, x)
     gap = problem.total_value(t, x) - problem.fstar(t)
     lhs = 2.0 * problem.pl_constant * gap
     mu_hat = rhs_grid / (2.0 * gap) if gap > 1e-12 else np.inf
-    return ProxPLReport(lhs, rhs_grid, rhs_exact, mesh[best], float(mu_hat))
+    return ProxPLReport(lhs, rhs_grid, rhs_exact, y, float(mu_hat))
 
 
 def variability(

@@ -94,11 +94,12 @@ def opgm_step(
 class RegretTrajectory:
     """Per-step record of a batch of trials: one row per trial, horizon + 1 columns.
 
-    Column t holds r_t, ||e_{t-1}||, sigma_t and phi_tilde_t; column 0 has
-    zero error and variability.  Regret values in (-tol, 0) are clipped to
-    0, where tol is 1e-9 for closed-form optimal values and 1e-6 for
-    inner-solver ones.  domain_excursions, max_step_norm and min_raw_regret
-    hold one entry per trial.
+    Column t holds r_t, ||e_{t-1}|| and phi_tilde_t (sigma_t, which depends
+    on t only, is one row); column 0 has zero error and variability.
+    Regret values in (-tol, 0) are clipped to 0, where tol is 1e-9 for
+    closed-form optimal values and 1e-6 for inner-solver ones.
+    domain_excursions, max_step_norm and min_raw_regret hold one entry per
+    trial; theory_exceptions lists what no certificate covers.
     """
 
     solver: str
@@ -110,7 +111,7 @@ class RegretTrajectory:
     phi_tilde: np.ndarray
     x_final: np.ndarray
     step: float
-    outside_theory: bool
+    theory_exceptions: list[str]
     domain_excursions: np.ndarray
     max_step_norm: np.ndarray
     min_raw_regret: np.ndarray
@@ -119,16 +120,21 @@ class RegretTrajectory:
     def psi_tilde(self) -> np.ndarray:
         return self.sigma + self.phi_tilde
 
+    @property
+    def outside_theory(self) -> bool:
+        return bool(self.theory_exceptions)
+
     def __len__(self) -> int:
         return self.regret.shape[1]
 
 
 def theory_exceptions(problem: OnlineProblem, step_override: float | None) -> list[str]:
-    """The conditions of a run that no certificate covers; empty inside the theory.
+    """The conditions known before a run that no certificate covers.
 
     Every certificate assumes the step 1/L and the regret against the
     composite optimum F*_t, but each family's fstar is the optimum of its
-    own cost, which an l1 term added to it does not enter.
+    own cost, which an l1 term added to it does not enter.  run adds
+    iterates that leave the domain ball, where the constants are certified.
     """
     reasons = []
     if step_override is not None:
@@ -178,7 +184,6 @@ def run(
     if problem.regularizer is not None and not np.isfinite(problem.regularizer.value(x)):
         raise ValueError("x0 is infeasible for the problem's regularizer")
 
-    outside_theory = bool(theory_exceptions(problem, step_override))
     step = (1.0 / problem.smoothness) if step_override is None else float(step_override)
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -194,7 +199,7 @@ def run(
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
     error_norm = np.zeros(shape)
-    sigma = np.zeros(shape)
+    sigma = np.zeros(horizon + 1)
     phi_tilde = np.zeros(shape)
     excursions = np.zeros(len(trials), dtype=int)
     max_step_norm = np.zeros(len(trials))
@@ -242,8 +247,11 @@ def run(
         x, x_next = x_next, x
         record(t + 1, x)
         error_norm[:, t + 1] = _row_norm(e)
-        sigma[:, t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x)
+        sigma[t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x)
 
+    exceptions = theory_exceptions(problem, step_override)
+    if excursions.any():
+        exceptions.append(f"iterates left the domain ball in {excursions.sum()} trial-steps")
     return RegretTrajectory(
         solver=solver,
         seed=seed,
@@ -254,7 +262,7 @@ def run(
         phi_tilde=phi_tilde,
         x_final=x,
         step=step,
-        outside_theory=outside_theory,
+        theory_exceptions=exceptions,
         domain_excursions=excursions,
         max_step_norm=max_step_norm,
         min_raw_regret=min_raw,

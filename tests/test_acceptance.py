@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from grid_oracles import grid_argmin_prox
 
 from plgrad.cli import main as cli_main
 from plgrad.config import make_config
@@ -24,7 +23,7 @@ from plgrad.problems import (
     TimeVaryingLeastSquares,
     synth_demand_response_traces,
 )
-from plgrad.prox import Regularizer
+from plgrad.prox import Regularizer, grid_argmin_prox
 from plgrad.solvers import opgm_step, run
 from plgrad.subweibull import SubWeibullParams, fit_from_samples, hp_bound
 

@@ -5,14 +5,16 @@ import time
 import numpy as np
 import pytest
 
-from plgrad.config import make_config
+from plgrad.config import build_problem, make_config
 from plgrad.harness import (
+    _check_prox,
     coverage_envelope,
     longrun_asymptote_check,
     run_experiment,
     run_validation_battery,
     validate_bounds,
 )
+from plgrad.prox import Regularizer
 
 
 def small_config(preset="static-ls", trials=25, horizon=80, **extra):
@@ -241,6 +243,26 @@ class TestBattery:
     def test_unknown_selection_rejected(self):
         with pytest.raises(ValueError, match="unknown checks"):
             run_validation_battery(small_config(trials=2, horizon=10), checks=("spectral",))
+
+    def test_prox_check_fails_on_a_wrong_box_prox(self):
+        # negative control: a prox that clamps to a shifted box must fail
+        # the check of the configured regularizer
+        class ShiftedBox(Regularizer):
+            def prox(self, step, v, out=None):
+                return np.clip(v, self.lo + 0.5, self.hi + 0.5)
+
+        problem = build_problem(small_config(preset="fig3-demand-response"))
+        assert _check_prox(problem, 42).passed
+        reg = problem.regularizer
+        problem.regularizer = ShiftedBox("box", lo=reg.lo, hi=reg.hi)
+        assert not _check_prox(problem, 42).passed
+
+    def test_iterates_leaving_the_ball_fail_theory_scope(self):
+        cfg = small_config(trials=2, horizon=5)
+        cfg.noise = {"family": "zero", "bias": 1e4}  # drives the iterates far out
+        summary = run_validation_battery(cfg, checks=("recursion",))
+        scope = next(c for c in summary.checks if c.name == "theory_scope")
+        assert not scope.passed and "left the domain ball" in scope.detail
 
     def test_battery_on_prox_problem(self):
         summary = run_validation_battery(

@@ -424,9 +424,20 @@ class TestProxPLVerification:
                 worst = min(worst, prox_decrease(dr_problem, t, x) / (2 * gap))
         assert worst >= dr_problem.pl_constant - 1e-9
 
-    def test_dimension_cap(self, dr_problem):
-        with pytest.raises(ValueError):
-            verify_prox_pl(dr_problem, 0, np.zeros(10), grid_resolution=11)
+    def test_ten_devices_match_the_exact_decrease(self, dr_problem):
+        # the per-coordinate grid has no dimension cap
+        rng = np.random.default_rng(8)
+        reg = dr_problem.regularizer
+        for t in (0, 40, 80):
+            x = reg.lo + rng.uniform(0, 1, size=10) * (reg.hi - reg.lo)
+            rep = verify_prox_pl(dr_problem, t, x, grid_resolution=201)
+            assert rep.rhs_grid == pytest.approx(rep.rhs_exact, rel=1e-9)
+            assert rep.rhs_grid >= rep.lhs
+
+    def test_resolution_too_small_to_zoom(self, dr_problem):
+        # 5 points shrink the window by 4 / (5 - 1) = 1: the zoom never ends
+        with pytest.raises(ValueError, match="zoom"):
+            verify_prox_pl(dr_problem, 0, np.zeros(10), grid_resolution=5)
 
 
 class TestVariability:

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from grid_oracles import grid_argmin_prox
 
-from plgrad.prox import Regularizer, prox_objective_gap
+from plgrad import prox as prox_module
+from plgrad.config import build_problem, make_config
+from plgrad.prox import Regularizer, grid_argmin_prox, prox_objective_gap
 
 
 class TestClosedForms:
@@ -29,8 +30,8 @@ class TestClosedForms:
         reg = Regularizer.box([-50.0], [50.0])
         out = reg.prox(1.0, np.array([v]))
         assert out[0] == expected
-        oracle = grid_argmin_prox(reg, 1.0, np.array([v]))
-        assert out[0] == pytest.approx(oracle[0], abs=1e-6)
+        oracle = grid_argmin_prox(reg, 1.0, np.array([v, 0.0]))  # one bound for both
+        assert out[0] == pytest.approx(oracle[0], abs=1e-6) and abs(oracle[1]) <= 1e-6
 
     @pytest.mark.parametrize("kind", ["none", "l1", "box"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -50,6 +51,30 @@ class TestClosedForms:
             oracle = grid_argmin_prox(reg, step, v)
             assert np.max(np.abs(closed - oracle)) <= 1e-6
 
+    def test_oracle_resolves_the_full_size_box(self):
+        # the 500-device box is 100 wide: four fixed zoom levels resolve it
+        # only to 2e-6, above the 1e-6 tolerance
+        cfg = make_config({"problem": {"n_der": 500}}, {"preset": "fig3-demand-response"})
+        p = build_problem(cfg)
+        reg, step = p.regularizer, 1.0 / p.smoothness
+        rng = np.random.default_rng(601)
+        for t in (0, p.horizon // 2, p.horizon):
+            x = reg.lo + rng.uniform(0.0, 1.0, size=p.n) * (reg.hi - reg.lo)
+            v = x - step * p.grad(t, x)
+            assert np.max(np.abs(grid_argmin_prox(reg, step, v) - reg.prox(step, v))) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "reg",
+        [Regularizer.none(), Regularizer.l1(0.8), Regularizer.box([-1.0, 0.0], [1.0, 0.5])],
+        ids=["none", "l1", "box"],
+    )
+    def test_oracle_never_calls_the_closed_form(self, reg, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the grid oracle called the closed-form path")
+
+        monkeypatch.setattr(Regularizer, "prox", refuse)
+        monkeypatch.setattr(prox_module, "soft_threshold", refuse)
+        grid_argmin_prox(reg, 0.7, np.array([1.3, -0.4]))
 
 class TestProperties:
     @pytest.mark.parametrize(

@@ -120,7 +120,8 @@ class TestRun:
         assert len(traj) == 21
         assert traj.regret.shape == (1, 21)
         assert traj.error_norm[0, 0] == 0.0
-        assert traj.sigma[0, 0] == 0.0 and traj.phi_tilde[0, 0] == 0.0
+        assert traj.sigma.shape == (21,) and traj.psi_tilde.shape == (1, 21)
+        assert traj.sigma[0] == 0.0 and traj.phi_tilde[0, 0] == 0.0
 
     def test_opgm_with_none_regularizer_equals_ogd(self):
         p1 = TimeVaryingLeastSquares(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
@@ -151,6 +152,9 @@ class TestRun:
         model = NoiseModel("zero", bias=1e4)
         traj = run(p, "ogd", model, seed=0, x0=x0)
         assert traj.domain_excursions[0] > 0
+        # the constants hold on the domain ball only
+        assert traj.outside_theory
+        assert f"in {traj.domain_excursions[0]} trial-steps" in traj.theory_exceptions[-1]
 
     def test_max_step_norm_recorded(self):
         p = quadratic_problem(0.5, 1.0, horizon=10)
