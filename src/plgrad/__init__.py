@@ -8,7 +8,6 @@ empirical regret against those certificates.
 """
 
 from .bounds import (
-    BoundSeries,
     asymptote,
     markov_highprob_bound,
     ogd_expectation_bound,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport",
-    "BoundSeries",
     "DemandResponse",
     "DriftingLogistic",
     "ExperimentConfig",

@@ -22,43 +22,14 @@ tail exponent 2*theta (the square of the error norm drives the gradient
 method) or theta (the norm itself drives the prox method).  A Markov-
 inequality alternative (expectation series divided by delta) is provided
 for comparison, and the long-run asymptote e_bar/(2 mu) + (L/mu) psi_bar
-caps the plateau.
+caps the plateau.  Every series is a plain array B_0..B_T.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .subweibull import SubWeibullParams, hp_bound
-
-EXPECTATION_KINDS = ("ogd_expectation", "ogd_expectation_tight", "opgm_expectation")
-HIGHPROB_KINDS = ("ogd_highprob", "opgm_highprob", "markov_highprob")
-KINDS = EXPECTATION_KINDS + HIGHPROB_KINDS + ("asymptote",)
-
-
-@dataclass(frozen=True)
-class BoundSeries:
-    """A certificate series indexed by t, with its input snapshot."""
-
-    kind: str
-    values: np.ndarray
-    delta: float | None = None
-    inputs: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if self.kind in HIGHPROB_KINDS and self.delta is None:
-            raise ValueError(f"{self.kind} requires delta")
-        if self.kind in EXPECTATION_KINDS and self.delta is not None:
-            raise ValueError(f"{self.kind} forbids delta")
-        if np.any(self.values < 0):
-            raise ValueError("certificate values must be nonnegative")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 def _check_zeta(zeta: float) -> None:
@@ -85,19 +56,25 @@ def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray
     return out
 
 
-def _as_cost_series(values, horizon: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(horizon, float(arr))
-    if arr.shape != (horizon,):
-        raise ValueError(f"{name} must have length {horizon}, got {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} entries must be nonnegative")
-    return arr
+def _cost_inputs(
+    constant: float, constant_name: str, stat, stat_name: str, psi
+) -> tuple[np.ndarray, np.ndarray]:
+    """Checked inputs of one cost formula: the per-step statistic and psi.
 
-
-def ogd_expectation_factor(smoothness: float) -> float:
-    return 1.0 / (2.0 * smoothness)
+    The constant (smoothness or diameter) must be positive; stat and psi
+    must be nonnegative series of one length, the horizon T.
+    """
+    if constant <= 0:
+        raise ValueError(f"{constant_name} must be positive, got {constant}")
+    stat = np.asarray(stat, dtype=float)
+    psi = np.asarray(psi, dtype=float)
+    if stat.ndim != 1 or psi.shape != stat.shape:
+        raise ValueError(
+            f"{stat_name} and psi must be series of one length, got {stat.shape} and {psi.shape}"
+        )
+    if np.any(stat < 0) or np.any(psi < 0):
+        raise ValueError(f"{stat_name} and psi entries must be nonnegative")
+    return stat, psi
 
 
 def ogd_highprob_factor(theta: float, delta: float) -> float:
@@ -117,32 +94,15 @@ def opgm_highprob_factor(theta: float, delta: float) -> float:
 
 
 def ogd_expectation_bound(
-    r0: float,
-    zeta: float,
-    second_moments,
-    psi,
-    smoothness: float,
-    tight: bool = False,
-) -> BoundSeries:
-    """Expected-regret certificate for the gradient method.
+    r0: float, zeta: float, second_moments, psi, smoothness: float
+) -> np.ndarray:
+    """Expected-regret certificate for the gradient method, t = 0..T.
 
     second_moments[i] = E||e_i||^2 for i = 0..T-1; psi[i] is the
-    variability entering between times i and i+1.  Feeding trajectory
-    variability means (rather than domain suprema) yields the tighter
-    variant, flagged by `tight`.
+    variability entering between times i and i+1.
     """
-    if smoothness <= 0:
-        raise ValueError(f"smoothness must be positive, got {smoothness}")
-    horizon = len(np.atleast_1d(np.asarray(second_moments, dtype=float)))
-    moments = _as_cost_series(second_moments, horizon, "second_moments")
-    psi_arr = _as_cost_series(psi, horizon, "psi")
-    costs = ogd_expectation_factor(smoothness) * moments + psi_arr
-    values = geometric_recursion(r0, zeta, costs)
-    return BoundSeries(
-        kind="ogd_expectation_tight" if tight else "ogd_expectation",
-        values=values,
-        inputs={"r0": r0, "zeta": zeta, "smoothness": smoothness},
-    )
+    moments, psi = _cost_inputs(smoothness, "smoothness", second_moments, "second_moments", psi)
+    return geometric_recursion(r0, zeta, (1.0 / (2.0 * smoothness)) * moments + psi)
 
 
 def ogd_highprob_bound(
@@ -153,50 +113,29 @@ def ogd_highprob_bound(
     theta: float,
     delta: float,
     smoothness: float,
-) -> BoundSeries:
-    """High-probability certificate for the gradient method.
+) -> np.ndarray:
+    """High-probability certificate for the gradient method, t = 0..T.
 
     envelope_ks[i] is the sub-Weibull moment scale of ||e_i||; the squared
     norms aggregate into a tail-exponent-2*theta variable with scale
     4^theta K_i^2 / (2L), whence the series and the factor h(theta, delta).
     Holds with probability at least 1 - delta at each fixed t.
     """
-    if smoothness <= 0:
-        raise ValueError(f"smoothness must be positive, got {smoothness}")
-    horizon = len(np.atleast_1d(np.asarray(envelope_ks, dtype=float)))
-    ks = _as_cost_series(envelope_ks, horizon, "envelope_ks")
-    psi_arr = _as_cost_series(psi, horizon, "psi")
-    costs = (4.0**theta / (2.0 * smoothness)) * ks**2 + psi_arr
-    h = ogd_highprob_factor(theta, delta)
-    values = h * geometric_recursion(r0, zeta, costs)
-    return BoundSeries(
-        kind="ogd_highprob",
-        values=values,
-        delta=delta,
-        inputs={"r0": r0, "zeta": zeta, "theta": theta, "smoothness": smoothness, "h": h},
-    )
+    ks, psi = _cost_inputs(smoothness, "smoothness", envelope_ks, "envelope_ks", psi)
+    costs = (4.0**theta / (2.0 * smoothness)) * ks**2 + psi
+    return ogd_highprob_factor(theta, delta) * geometric_recursion(r0, zeta, costs)
 
 
 def opgm_expectation_bound(
     r0: float, zeta: float, first_moments, psi, diameter: float
-) -> BoundSeries:
-    """Expected-regret certificate for the prox method.
+) -> np.ndarray:
+    """Expected-regret certificate for the prox method, t = 0..T.
 
     first_moments[i] = E||e_i||; the error enters linearly with weight 2D,
     D being the domain (or constraint-box) diameter.
     """
-    if diameter <= 0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
-    horizon = len(np.atleast_1d(np.asarray(first_moments, dtype=float)))
-    moments = _as_cost_series(first_moments, horizon, "first_moments")
-    psi_arr = _as_cost_series(psi, horizon, "psi")
-    costs = 2.0 * diameter * moments + psi_arr
-    values = geometric_recursion(r0, zeta, costs)
-    return BoundSeries(
-        kind="opgm_expectation",
-        values=values,
-        inputs={"r0": r0, "zeta": zeta, "diameter": diameter},
-    )
+    moments, psi = _cost_inputs(diameter, "diameter", first_moments, "first_moments", psi)
+    return geometric_recursion(r0, zeta, 2.0 * diameter * moments + psi)
 
 
 def opgm_highprob_bound(
@@ -207,27 +146,16 @@ def opgm_highprob_bound(
     diameter: float,
     theta: float,
     delta: float,
-) -> BoundSeries:
-    """High-probability certificate for the prox method.
+) -> np.ndarray:
+    """High-probability certificate for the prox method, t = 0..T.
 
     The error norms aggregate at their own tail exponent theta with scale
     2 D K_i, scaled by h_p(theta, delta).  Holds with probability at least
     1 - delta at each fixed t.
     """
-    if diameter <= 0:
-        raise ValueError(f"diameter must be positive, got {diameter}")
-    horizon = len(np.atleast_1d(np.asarray(envelope_ks, dtype=float)))
-    ks = _as_cost_series(envelope_ks, horizon, "envelope_ks")
-    psi_arr = _as_cost_series(psi, horizon, "psi")
-    costs = 2.0 * diameter * ks + psi_arr
-    h = opgm_highprob_factor(theta, delta)
-    values = h * geometric_recursion(r0, zeta, costs)
-    return BoundSeries(
-        kind="opgm_highprob",
-        values=values,
-        delta=delta,
-        inputs={"r0": r0, "zeta": zeta, "theta": theta, "diameter": diameter, "h": h},
-    )
+    ks, psi = _cost_inputs(diameter, "diameter", envelope_ks, "envelope_ks", psi)
+    costs = 2.0 * diameter * ks + psi
+    return opgm_highprob_factor(theta, delta) * geometric_recursion(r0, zeta, costs)
 
 
 def asymptote(mu: float, smoothness: float, e_bar_second_moment: float, psi_bar: float) -> float:
@@ -239,18 +167,11 @@ def asymptote(mu: float, smoothness: float, e_bar_second_moment: float, psi_bar:
     return e_bar_second_moment / (2.0 * mu) + (smoothness / mu) * psi_bar
 
 
-def markov_highprob_bound(expectation_bound: BoundSeries, delta: float) -> BoundSeries:
-    """Markov-inequality alternative: expectation series divided by delta.
+def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
+    """Markov-inequality alternative: an expectation series divided by delta.
 
     Scales as 1/delta where the sub-Weibull certificates scale as
     log(1/delta); kept for empirical comparison.
     """
     _check_delta(delta)
-    if expectation_bound.kind not in EXPECTATION_KINDS:
-        raise ValueError("markov bound needs an expectation series")
-    return BoundSeries(
-        kind="markov_highprob",
-        values=expectation_bound.values / delta,
-        delta=delta,
-        inputs=dict(expectation_bound.inputs, base_kind=expectation_bound.kind),
-    )
+    return np.asarray(expectation, dtype=float) / delta

@@ -71,11 +71,11 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         report.band_hi,
         np.maximum(report.band_lo_sem, 0.0),
         report.band_hi_sem,
-        report.bounds["expectation"].values,
+        report.bounds["expectation"],
     ]
     for delta in cfg.deltas:
         header.append(f"bound_highprob_{_delta_tag(delta)}")
-        cols.append(report.bounds[f"highprob_{_delta_tag(delta)}"].values)
+        cols.append(report.bounds[f"highprob_{_delta_tag(delta)}"])
     regret_path = out_dir / "regret.csv"
     _write_csv(regret_path, header, cols)
     written.append(regret_path)
@@ -89,7 +89,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
             continue
         for key in sorted(series_map):
             header.append(f"bound_{key}_{mode}")
-            cols.append(series_map[key].values)
+            cols.append(series_map[key])
     bounds_path = out_dir / "bounds.csv"
     _write_csv(bounds_path, header, cols)
     written.append(bounds_path)
@@ -234,7 +234,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print("t," + ",".join(name for name, _ in series))
         for t in range(args.horizon + 1):
             print(
-                f"{t}," + ",".join(_fmt(float(s.values[t])) for _, s in series)
+                f"{t}," + ",".join(_fmt(float(s[t])) for _, s in series)
             )
     return 0
 

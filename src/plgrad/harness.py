@@ -74,50 +74,60 @@ def _bound_set(
     config: ExperimentConfig,
     r0: float,
     zeta: float,
+    psi: np.ndarray,
+    theta: float,
     second_moments: np.ndarray,
     first_moments: np.ndarray,
-    psi: np.ndarray,
     envelope_ks: np.ndarray,
-    theta: float,
-    tight: bool,
 ) -> dict:
-    out: dict = {}
+    """Every certificate series of one input mode, keyed by its column name."""
     if config.solver == "ogd":
-        expectation = bounds_mod.ogd_expectation_bound(
-            r0, zeta, second_moments, psi, problem.smoothness, tight=tight
-        )
-        out["expectation"] = expectation
+        l = problem.smoothness
+        out = {"expectation": bounds_mod.ogd_expectation_bound(r0, zeta, second_moments, psi, l)}
         for delta in config.deltas:
             out[f"highprob_{delta:g}"] = bounds_mod.ogd_highprob_bound(
-                r0, zeta, envelope_ks, psi, theta, delta, problem.smoothness
+                r0, zeta, envelope_ks, psi, theta, delta, l
             )
     else:
-        expectation = bounds_mod.opgm_expectation_bound(
-            r0, zeta, first_moments, psi, problem.diameter
-        )
-        out["expectation"] = expectation
+        d = problem.diameter
+        out = {"expectation": bounds_mod.opgm_expectation_bound(r0, zeta, first_moments, psi, d)}
         for delta in config.deltas:
             out[f"highprob_{delta:g}"] = bounds_mod.opgm_highprob_bound(
-                r0, zeta, envelope_ks, psi, problem.diameter, theta, delta
+                r0, zeta, envelope_ks, psi, d, theta, delta
             )
     for delta in config.deltas:
-        out[f"markov_{delta:g}"] = bounds_mod.markov_highprob_bound(expectation, delta)
+        out[f"markov_{delta:g}"] = bounds_mod.markov_highprob_bound(out["expectation"], delta)
     return out
 
 
 def _fitted_envelope_ks(
     error_matrix: np.ndarray, model: noise_mod.NoiseModel, horizon: int
 ) -> np.ndarray:
-    """Per-step envelope scales fitted from the measured error norms."""
-    samples = error_matrix[:, 1:]  # column t+1 holds ||e_t||
-    if model.per_time_scale is None:
-        k = fit_from_samples(samples.ravel(), model.theta).k
-        return np.full(horizon, k)
-    scales = np.asarray(model.per_time_scale[:horizon])
-    active = scales > 0
-    normalized = samples[:, active] / scales[active]
+    """Per-step envelope scales c_t K, K fitted from the norms divided by c_t."""
+    c = noise_mod.time_scales(model, horizon)
+    active = c > 0
+    # column t+1 holds ||e_t||; compress gives a C-ordered copy, so ravel
+    # below copies nothing (a boolean index would give another order)
+    normalized = error_matrix[:, 1:].compress(active, axis=1)
+    normalized /= c[active]
     k = fit_from_samples(normalized.ravel(), model.theta).k if np.any(active) else 0.0
-    return k * scales
+    return k * c
+
+
+def _analytic_inputs(
+    problem: OnlineProblem, model: noise_mod.NoiseModel, horizon: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form per-step (second_moments, first_moments, envelope_ks).
+
+    The base-scale statistics times c_t^2, c_t and c_t.  Raises
+    NotImplementedError where the problem has no closed form.
+    """
+    c = noise_mod.time_scales(model, horizon)
+    return (
+        c**2 * problem.error_second_moment(model),
+        c * problem.error_mean_norm(model),
+        c * problem.error_envelope(model).k,
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
@@ -154,50 +164,25 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     theta = model.theta
     fitted_ks = _fitted_envelope_ks(err, model, horizon)
 
-    empirical = dict(
-        second_moments=mean_err_sq,
-        first_moments=mean_err_norm,
-        psi=mean_psi,
-        envelope_ks=fitted_ks,
-        tight=True,
-    )
-    bounds_primary: dict = {}
-    bounds_alt: dict = {}
-    analytic = None
+    # per-step (second_moments, first_moments, envelope_ks) of each input mode
+    inputs = {"empirical": (mean_err_sq, mean_err_norm, fitted_ks)}
     try:
-        # the formulas are t-independent unless the model scales over time
-        steps = range(horizon) if model.per_time_scale is not None else (0,)
-        sm = np.array([problem.error_second_moment(model, t) for t in steps])
-        fm = np.array([problem.error_mean_norm(model, t) for t in steps])
-        ek = np.array([problem.error_envelope(model, t).k for t in steps])
-        if model.per_time_scale is None:
-            sm, fm, ek = (np.full(horizon, arr[0]) for arr in (sm, fm, ek))
-        analytic = dict(
-            second_moments=sm,
-            first_moments=fm,
-            psi=mean_psi,  # variability is problem data; no a-priori form
-            envelope_ks=ek,
-            tight=True,
-        )
+        inputs["analytic"] = _analytic_inputs(problem, model, horizon)
     except NotImplementedError:
-        analytic = None
-
-    primary_inputs = empirical if config.bound_inputs == "empirical" else analytic
-    if primary_inputs is None:
-        raise ValueError(
-            "analytic bound inputs are unavailable for this noise model"
-        )
-    bounds_primary = _bound_set(
-        problem, config, r0, zeta, theta=theta, **primary_inputs
-    )
-    alt_inputs = analytic if config.bound_inputs == "empirical" else empirical
-    if alt_inputs is not None:
-        bounds_alt = _bound_set(problem, config, r0, zeta, theta=theta, **alt_inputs)
-
-    envelope_k_used = primary_inputs["envelope_ks"]
+        pass
+    if config.bound_inputs not in inputs:
+        raise ValueError("analytic bound inputs are unavailable for this noise model")
+    # variability is problem data with no a-priori form: both modes use its mean
+    bound_sets = {
+        mode: _bound_set(problem, config, r0, zeta, mean_psi, theta, *stats)
+        for mode, stats in inputs.items()
+    }
+    bounds_primary = bound_sets.pop(config.bound_inputs)
+    bounds_alt = bound_sets.popitem()[1] if bound_sets else {}
+    second_moments_used, _, envelope_k_used = inputs[config.bound_inputs]
 
     # long-run cap from the supremum statistics over the horizon
-    e_bar = float(np.max(primary_inputs["second_moments"])) if horizon else 0.0
+    e_bar = float(np.max(second_moments_used)) if horizon else 0.0
     if config.psi_bar is not None:
         psi_bar, psi_src = config.psi_bar, "configured"
     else:
@@ -217,7 +202,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
     violations: dict = {}
     for delta in config.deltas:
-        series = bounds_primary[f"highprob_{delta:g}"].values
+        series = bounds_primary[f"highprob_{delta:g}"]
         violations[delta] = {
             cp: int(np.sum(regret[:, cp] > series[cp])) for cp in checkpoints
         }
@@ -255,7 +240,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         mean_err_norm=mean_err_norm,
         mean_psi=mean_psi,
         envelope_theta=theta,
-        envelope_k=np.asarray(envelope_k_used),
+        envelope_k=envelope_k_used,
         asymptote_value=asymptote_value,
         e_bar_used=e_bar,
         psi_bar_used=psi_bar,
@@ -352,7 +337,7 @@ def validate_bounds(report: AggregateReport, deltas=None) -> ValidationSummary:
         )
     )
 
-    expectation = report.bounds["expectation"].values
+    expectation = report.bounds["expectation"]
     slack = 1e-12 * (1.0 + np.abs(expectation))
     gap = report.mean_regret - expectation
     worst = float(gap.max())

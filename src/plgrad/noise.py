@@ -41,8 +41,9 @@ class NoiseModel:
         exponent theta = 1/shape.  Ignored by the other families.
     bias: constant offset added to every coordinate (the theory does not
         require zero-mean errors; no preset exercises this).
-    per_time_scale: optional sequence of multipliers c_t applied to `scale`
-        at time t, giving a time-varying envelope K_t = c_t * K.
+    per_time_scale: optional sequence of multipliers c_t on the whole error
+        at time t, bias included, so that K_t = c_t K, E||e_t|| = c_t E||e||
+        and E||e_t||^2 = c_t^2 E||e||^2 (see `time_scales`).
     envelope_k_scale: diagnostic multiplier on the certified K (1.0 = honest
         envelope).  Values below 1 deliberately mis-specify the envelope and
         exist only so validation runs can demonstrate a failing verdict.
@@ -69,11 +70,6 @@ class NoiseModel:
         if self.envelope_k_scale <= 0:
             raise ValueError("envelope_k_scale must be positive")
 
-    def scale_at(self, t: int) -> float:
-        if self.per_time_scale is None:
-            return self.scale
-        return self.scale * self.per_time_scale[t]
-
     @property
     def theta(self) -> float:
         """Tail exponent of the norm envelope."""
@@ -84,23 +80,29 @@ class NoiseModel:
         return 0.5
 
 
+def time_scales(model: NoiseModel, horizon: int) -> np.ndarray:
+    """The multipliers c_0..c_{horizon-1} on the errors; ones without a schedule."""
+    if model.per_time_scale is None:
+        return np.ones(horizon)
+    if len(model.per_time_scale) < horizon:
+        raise ValueError(
+            f"per_time_scale covers {len(model.per_time_scale)} steps, need {horizon}"
+        )
+    return np.asarray(model.per_time_scale[:horizon], dtype=float)
+
+
 def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np.ndarray:
     """Draw e_0..e_{horizon-1} as rows of a (horizon, n) block.
 
-    Bit-reproducible for a fixed (seed, trial) key; row t is scaled by
-    per_time_scale[t] when the model has one.
+    Bit-reproducible for a fixed (seed, trial) key; row t, bias included, is
+    scaled by c_t = per_time_scale[t] when the model has one.
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    scales = np.full(horizon, model.scale)
-    if model.per_time_scale is not None:
-        if len(model.per_time_scale) < horizon:
-            raise ValueError(
-                f"per_time_scale covers {len(model.per_time_scale)} steps, need {horizon}"
-            )
-        scales *= model.per_time_scale[:horizon]
+    c = time_scales(model, horizon)
+    scales = model.scale * c
     if model.family == "zero" or model.scale == 0.0:
         e = np.zeros((horizon, n))
     else:
@@ -121,7 +123,7 @@ def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np
                 norm = np.linalg.norm(direction, axis=1)
             e = (radius / norm)[:, None] * direction
     if model.bias != 0.0:
-        e = e + model.bias
+        e = e + model.bias * c[:, None]
     return e
 
 
@@ -165,7 +167,7 @@ def envelope_norm(model: NoiseModel, n: int) -> SubWeibullParams:
     """Certified sub-Weibull envelope for ||e_t|| at the base scale.
 
     For a time-varying model the envelope at time t is the base envelope
-    with K multiplied by per_time_scale[t] (see `envelope_norm_at`).
+    with K multiplied by c_t (see `time_scales`).
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
@@ -184,14 +186,6 @@ def envelope_norm(model: NoiseModel, n: int) -> SubWeibullParams:
     if model.bias != 0.0:
         base = add_scalar(base, abs(model.bias) * np.sqrt(n))
     return scale(base, model.envelope_k_scale)
-
-
-def envelope_norm_at(model: NoiseModel, n: int, t: int) -> SubWeibullParams:
-    """Envelope for ||e_t|| at time t, honoring per_time_scale."""
-    base = envelope_norm(model, n)
-    if model.per_time_scale is None:
-        return base
-    return scale(base, model.per_time_scale[t])
 
 
 def envelope_norm_generic(model: NoiseModel, n: int) -> SubWeibullParams:
@@ -220,11 +214,14 @@ def envelope_norm_generic(model: NoiseModel, n: int) -> SubWeibullParams:
     return scale(out, model.envelope_k_scale)
 
 
-def second_moment(model: NoiseModel, n: int, t: int = 0) -> float:
-    """Exact E ||e_t||^2 for the supported families."""
+def second_moment(model: NoiseModel, n: int) -> float:
+    """Exact E ||e||^2 at the base scale for the supported families.
+
+    A schedule multiplies it by c_t^2 at time t.
+    """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    s = model.scale_at(t)
+    s = model.scale
     if model.family == "zero":
         raw = 0.0
     elif model.family == "gaussian_iid":
@@ -238,8 +235,9 @@ def second_moment(model: NoiseModel, n: int, t: int = 0) -> float:
     return float(raw + n * model.bias**2)
 
 
-def mean_norm(model: NoiseModel, n: int, t: int = 0) -> float:
-    """E ||e_t||: exact where a closed form exists, else a valid upper bound.
+def mean_norm(model: NoiseModel, n: int) -> float:
+    """E ||e|| at the base scale: exact where a closed form exists, else a
+    valid upper bound.  A schedule multiplies it by c_t at time t.
 
     bounded_uniform has no closed-form norm mean; sqrt(E||e||^2) is returned
     instead (an upper bound by Jensen, safe for certificates).  A nonzero
@@ -247,7 +245,7 @@ def mean_norm(model: NoiseModel, n: int, t: int = 0) -> float:
     """
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    s = model.scale_at(t)
+    s = model.scale
     if model.family == "zero":
         raw = 0.0
     elif model.family == "gaussian_iid":

@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import NoiseModel, envelope_norm_at, mean_norm, second_moment
+from . import noise as noise_mod
+from .noise import NoiseModel
 from .prox import Regularizer, grid_argmin_prox
 from .subweibull import SubWeibullParams, scale as sw_scale
 
@@ -108,15 +109,19 @@ class OnlineProblem:
         """Operator norm of the raw-noise-to-gradient map."""
         return 1.0
 
-    def error_envelope(self, model: NoiseModel, t: int = 0) -> SubWeibullParams:
+    # The three statistics below are at the noise model's base scale; a
+    # schedule multiplies them by c_t (the envelope and the mean norm) or
+    # c_t^2 (the second moment) at time t.
+
+    def error_envelope(self, model: NoiseModel) -> SubWeibullParams:
         """Sub-Weibull envelope of the mapped gradient-error norm."""
-        return sw_scale(envelope_norm_at(model, self.error_dim, t), self.error_gain)
+        return sw_scale(noise_mod.envelope_norm(model, self.error_dim), self.error_gain)
 
-    def error_second_moment(self, model: NoiseModel, t: int = 0) -> float:
-        return second_moment(model, self.error_dim, t)
+    def error_second_moment(self, model: NoiseModel) -> float:
+        return noise_mod.second_moment(model, self.error_dim)
 
-    def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
-        return mean_norm(model, self.error_dim, t)
+    def error_mean_norm(self, model: NoiseModel) -> float:
+        return noise_mod.mean_norm(model, self.error_dim)
 
 
 def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -229,25 +234,25 @@ class QuadraticTracking(OnlineProblem):
     def error_gain(self) -> float:
         return 1.0 if self._gain is None else self._gain
 
-    def error_second_moment(self, model: NoiseModel, t: int = 0) -> float:
+    def error_second_moment(self, model: NoiseModel) -> float:
         if self._gain is None:
-            return super().error_second_moment(model, t)
+            return super().error_second_moment(model)
         if self.matrix.shape[0] == 1:
             # rank-1 map: E||a eta||^2 = ||a||^2 E eta^2 exactly
-            return self._gain**2 * second_moment(model, 1, t)
+            return self._gain**2 * noise_mod.second_moment(model, 1)
         # E||A^T raw||^2 = (E||raw||^2 / m) ||A^T||_F^2 for isotropic raw noise
         if model.bias != 0.0:
             raise NotImplementedError("analytic moments with bias are not supported")
         m = self.matrix.shape[0]
-        return second_moment(model, m, t) / m * float(np.sum(self.matrix**2))
+        return noise_mod.second_moment(model, m) / m * float(np.sum(self.matrix**2))
 
-    def error_mean_norm(self, model: NoiseModel, t: int = 0) -> float:
+    def error_mean_norm(self, model: NoiseModel) -> float:
         if self._gain is None:
-            return super().error_mean_norm(model, t)
+            return super().error_mean_norm(model)
         if self.matrix.shape[0] == 1:
-            return self._gain * mean_norm(model, 1, t)  # E||a eta|| = ||a|| E|eta|
+            return self._gain * noise_mod.mean_norm(model, 1)  # E||a eta|| = ||a|| E|eta|
         # no closed form for the mapped norm mean; Jensen upper bound
-        return math.sqrt(self.error_second_moment(model, t))
+        return math.sqrt(self.error_second_moment(model))
 
 
 class TimeVaryingLeastSquares(QuadraticTracking):
@@ -615,20 +620,16 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> PLRe
     xs = _sample_ball(rng, problem.n, problem.domain_radius, n_samples)
     fstar = problem.fstar(t)
     mu = problem.pl_constant
-    mu_hat = np.inf
-    max_violation = 0.0
-    used = 0
-    for x in xs:
-        gap = problem.value(t, x) - fstar
-        gsq = float(np.sum(problem.grad(t, x) ** 2))
-        if gap <= 1e-12 * max(1.0, abs(fstar)):
-            continue  # at (numerical) optimum both sides vanish
-        used += 1
-        mu_hat = min(mu_hat, gsq / (2.0 * gap))
-        max_violation = max(max_violation, 2.0 * mu * gap - gsq)
-    if used == 0:
-        mu_hat = mu  # degenerate: every sample sat at the optimum
-    return PLReport(mu, float(mu_hat), max_violation, used, n_samples - used)
+    gap = problem.value(t, xs) - fstar
+    gsq = np.sum(problem.grad(t, xs) ** 2, axis=-1)
+    # at a (numerical) optimum both sides vanish: skip those samples
+    keep = gap > 1e-12 * max(1.0, abs(fstar))
+    gap, gsq = gap[keep], gsq[keep]
+    used = int(keep.sum())
+    # degenerate when every sample sat at the optimum
+    mu_hat = float(np.min(gsq / (2.0 * gap))) if used else mu
+    max_violation = float(np.max(2.0 * mu * gap - gsq, initial=0.0))
+    return PLReport(mu, mu_hat, max_violation, used, n_samples - used)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from plgrad.bounds import ogd_expectation_bound, opgm_expectation_bound
 from plgrad.cli import main as cli_main
 from plgrad.config import make_config
 from plgrad.harness import coverage_envelope, longrun_asymptote_check, run_experiment
@@ -81,8 +82,12 @@ def test_criterion_01_noiseless_linear_convergence():
 
 def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
     report = fig1_report
-    bound = report.bounds["expectation"].values
-    assert report.bounds["expectation"].kind == "ogd_expectation_tight"
+    bound = report.bounds["expectation"]
+    info = report.problem_info
+    direct = ogd_expectation_bound(
+        info["r0"], report.zeta, report.mean_err_sq, report.mean_psi, info["smoothness"]
+    )
+    assert np.array_equal(bound, direct)
     slack = 1e-12 * (1.0 + bound)
     assert np.all(report.mean_regret <= bound + slack)
     tail = report.mean_regret[-100:]
@@ -99,7 +104,7 @@ def test_criterion_03_highprob_coverage(coverage_report):
     report = coverage_report
     trials = report.trials
     for delta in (0.1, 0.05):
-        series = report.bounds[f"highprob_{delta:g}"].values
+        series = report.bounds[f"highprob_{delta:g}"]
         limit = coverage_envelope(trials, delta)
         for t in (50, 100):
             count = int(np.sum(report.regret_matrix[:, t] > series[t]))
@@ -170,8 +175,12 @@ def test_criterion_05_subweibull_property_suite():
 
 def test_criterion_06_demand_response_dominance(demand_response_report):
     report = demand_response_report
-    assert report.bounds["expectation"].kind == "opgm_expectation"
-    bound = report.bounds["expectation"].values
+    bound = report.bounds["expectation"]
+    info = report.problem_info
+    direct = opgm_expectation_bound(
+        info["r0"], report.zeta, report.mean_err_norm, report.mean_psi, info["diameter"]
+    )
+    assert np.array_equal(bound, direct)
     assert np.all(report.mean_regret <= bound + 1e-12 * (1.0 + bound))
 
     # two-orders-of-magnitude decrease from r0 to the plateau

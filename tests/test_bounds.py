@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from plgrad.bounds import (
-    BoundSeries,
     asymptote,
     geometric_recursion,
     markov_highprob_bound,
@@ -51,7 +50,7 @@ class TestGeometricBackbone:
         series = ogd_expectation_bound(
             1.0, 0.9, np.full(2000, 0.01), np.zeros(2000), smoothness=1.0
         )
-        assert series.values[-1] == pytest.approx(0.05, rel=1e-9)
+        assert series[-1] == pytest.approx(0.05, rel=1e-9)
 
     def test_zeta_validation(self):
         with pytest.raises(ValueError):
@@ -86,7 +85,7 @@ class TestGradientMethodBounds:
             1.0, 0.9, np.zeros(50), np.zeros(50), theta=0.5, delta=0.1, smoothness=1.0
         )
         h = ogd_highprob_factor(0.5, 0.1)
-        np.testing.assert_allclose(series.values, h * 0.9 ** np.arange(51), rtol=1e-12)
+        np.testing.assert_allclose(series, h * 0.9 ** np.arange(51), rtol=1e-12)
 
     def test_highprob_matches_direct_sum_with_squared_scales(self):
         rng = np.random.default_rng(8)
@@ -96,7 +95,7 @@ class TestGradientMethodBounds:
         series = ogd_highprob_bound(0.3, 0.8, ks, psi, theta, delta, l)
         costs = (4.0**theta / (2 * l)) * ks**2 + psi
         oracle = ogd_highprob_factor(theta, delta) * direct_sum(0.3, 0.8, costs)
-        np.testing.assert_allclose(series.values, oracle, rtol=1e-12)
+        np.testing.assert_allclose(series, oracle, rtol=1e-12)
 
     def test_monotone_in_delta(self):
         ks = np.full(20, 0.5)
@@ -105,27 +104,21 @@ class TestGradientMethodBounds:
         for delta in (0.01, 0.05, 0.1, 0.5, 0.9):
             series = ogd_highprob_bound(1.0, 0.9, ks, psi, 0.5, delta, 1.0)
             if prev is not None:
-                assert np.all(prev.values >= series.values)
+                assert np.all(prev >= series)
             prev = series
-
-    def test_expectation_kind_tagging(self):
-        plain = ogd_expectation_bound(1.0, 0.9, np.zeros(5), np.zeros(5), 1.0)
-        tight = ogd_expectation_bound(1.0, 0.9, np.zeros(5), np.zeros(5), 1.0, tight=True)
-        assert plain.kind == "ogd_expectation"
-        assert tight.kind == "ogd_expectation_tight"
 
 
 class TestProxMethodBounds:
     def test_noiseless_is_geometric(self):
         series = opgm_expectation_bound(2.0, 0.95, np.zeros(40), np.zeros(40), diameter=5.0)
-        np.testing.assert_allclose(series.values, 2.0 * 0.95 ** np.arange(41), rtol=1e-12)
+        np.testing.assert_allclose(series, 2.0 * 0.95 ** np.arange(41), rtol=1e-12)
 
     def test_constant_error_limit(self):
         # 2 D m_bar / (1 - zeta)
         series = opgm_expectation_bound(
             0.0, 0.9, np.full(3000, 0.2), np.zeros(3000), diameter=3.0
         )
-        assert series.values[-1] == pytest.approx(2 * 3.0 * 0.2 / 0.1, rel=1e-9)
+        assert series[-1] == pytest.approx(2 * 3.0 * 0.2 / 0.1, rel=1e-9)
 
     def test_highprob_matches_direct_sum(self):
         rng = np.random.default_rng(11)
@@ -134,7 +127,7 @@ class TestProxMethodBounds:
         series = opgm_highprob_bound(1.0, 0.85, ks, psi, 4.0, 1.0, 0.1)
         costs = 2 * 4.0 * ks + psi
         oracle = opgm_highprob_factor(1.0, 0.1) * direct_sum(1.0, 0.85, costs)
-        np.testing.assert_allclose(series.values, oracle, rtol=1e-12)
+        np.testing.assert_allclose(series, oracle, rtol=1e-12)
 
     def test_diameter_validation(self):
         with pytest.raises(ValueError):
@@ -166,12 +159,12 @@ class TestMarkovComparison:
     def test_half_delta_doubles(self):
         exp = ogd_expectation_bound(1.0, 0.9, np.full(10, 0.1), np.zeros(10), 1.0)
         markov = markov_highprob_bound(exp, 0.5)
-        np.testing.assert_allclose(markov.values, 2 * exp.values, rtol=1e-15)
+        np.testing.assert_allclose(markov, 2 * exp, rtol=1e-15)
 
     def test_delta_near_one_changes_nothing(self):
         exp = ogd_expectation_bound(1.0, 0.9, np.full(10, 0.1), np.zeros(10), 1.0)
         markov = markov_highprob_bound(exp, 1.0 - 1e-12)
-        np.testing.assert_allclose(markov.values, exp.values, rtol=1e-9)
+        np.testing.assert_allclose(markov, exp, rtol=1e-9)
 
     def test_subweibull_factor_beats_markov_at_small_delta(self):
         # log-scaling vs 1/delta at delta = 0.01, theta = 0.5
@@ -179,28 +172,44 @@ class TestMarkovComparison:
         assert h == pytest.approx(math.log(200.0) * 2 * math.e, rel=1e-12)
         assert h < 1.0 / 0.01
 
-    def test_requires_expectation_series(self):
-        exp = ogd_expectation_bound(1.0, 0.9, np.zeros(5), np.zeros(5), 1.0)
-        hp = markov_highprob_bound(exp, 0.1)
-        with pytest.raises(ValueError):
-            markov_highprob_bound(hp, 0.1)
 
-
-class TestBoundSeriesValidation:
-    def test_highprob_requires_delta(self):
-        with pytest.raises(ValueError):
-            BoundSeries(kind="ogd_highprob", values=np.zeros(3))
-
-    def test_expectation_forbids_delta(self):
-        with pytest.raises(ValueError):
-            BoundSeries(kind="ogd_expectation", values=np.zeros(3), delta=0.1)
-
-    def test_values_nonnegative(self):
-        with pytest.raises(ValueError):
-            BoundSeries(kind="ogd_expectation", values=np.array([-1.0]))
-
+class TestInputValidation:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             ogd_expectation_bound(1.0, 0.9, np.array([-0.1]), np.zeros(1), 1.0)
         with pytest.raises(ValueError):
             ogd_highprob_bound(1.0, 0.9, np.zeros(5), np.zeros(5), 0.5, 1.5, 1.0)
+
+    def test_series_are_plain_arrays_of_length_t_plus_one(self):
+        ks, psi = np.full(7, 0.2), np.zeros(7)
+        for series in (
+            ogd_expectation_bound(1.0, 0.9, ks, psi, 1.0),
+            ogd_highprob_bound(1.0, 0.9, ks, psi, 0.5, 0.1, 1.0),
+            opgm_expectation_bound(1.0, 0.9, ks, psi, 2.0),
+            opgm_highprob_bound(1.0, 0.9, ks, psi, 2.0, 0.5, 0.1),
+            markov_highprob_bound(np.ones(8), 0.1),
+        ):
+            assert type(series) is np.ndarray and series.shape == (8,)
+
+    def test_each_series_keeps_its_checks(self):
+        ks = np.zeros(4)
+        bad_calls = [
+            # non-positive smoothness or diameter
+            lambda: ogd_expectation_bound(1.0, 0.9, ks, ks, 0.0),
+            lambda: ogd_highprob_bound(1.0, 0.9, ks, ks, 0.5, 0.1, -1.0),
+            lambda: opgm_highprob_bound(1.0, 0.9, ks, ks, 0.0, 0.5, 0.1),
+            # zeta outside (0, 1), negative r0
+            lambda: opgm_expectation_bound(1.0, 1.0, ks, ks, 2.0),
+            lambda: ogd_highprob_bound(-1.0, 0.9, ks, ks, 0.5, 0.1, 1.0),
+            # delta outside (0, 1)
+            lambda: opgm_highprob_bound(1.0, 0.9, ks, ks, 2.0, 0.5, 0.0),
+            lambda: markov_highprob_bound(np.ones(5), 1.0),
+            # negative costs, psi of another length, a scalar statistic
+            lambda: opgm_highprob_bound(1.0, 0.9, -np.ones(4), ks, 2.0, 0.5, 0.1),
+            lambda: ogd_expectation_bound(1.0, 0.9, ks, -np.ones(4), 1.0),
+            lambda: opgm_expectation_bound(1.0, 0.9, ks, np.zeros(5), 2.0),
+            lambda: ogd_expectation_bound(1.0, 0.9, 0.1, 0.0, 1.0),
+        ]
+        for call in bad_calls:
+            with pytest.raises(ValueError):
+                call()

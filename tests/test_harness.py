@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from plgrad.bounds import opgm_expectation_bound
 from plgrad.config import build_problem, make_config
 from plgrad.harness import (
     _check_prox,
@@ -79,7 +80,7 @@ class TestAggregation:
 class TestDominanceAndCoverage:
     def test_mean_below_expectation_bound(self, static_report, drifting_report):
         for report in (static_report, drifting_report):
-            bound = report.bounds["expectation"].values
+            bound = report.bounds["expectation"]
             assert np.all(report.mean_regret <= bound + 1e-12 * (1 + bound))
 
     def test_validation_passes_on_honest_runs(self, static_report, drifting_report):
@@ -89,7 +90,7 @@ class TestDominanceAndCoverage:
 
     def test_coverage_counts_match_matrix(self, static_report):
         delta = 0.1
-        series = static_report.bounds["highprob_0.1"].values
+        series = static_report.bounds["highprob_0.1"]
         for cp, count in static_report.violations[delta].items():
             manual = int(np.sum(static_report.regret_matrix[:, cp] > series[cp]))
             assert count == manual
@@ -100,7 +101,11 @@ class TestDominanceAndCoverage:
         )
         summary = validate_bounds(report)
         assert summary.passed, summary.failed_names()
-        assert report.bounds["expectation"].kind == "opgm_expectation"
+        info = report.problem_info
+        direct = opgm_expectation_bound(
+            info["r0"], report.zeta, report.mean_err_norm, report.mean_psi, info["diameter"]
+        )
+        assert np.array_equal(report.bounds["expectation"], direct)
 
     @pytest.mark.parametrize("preset", ["lti", "logistic"])
     def test_other_presets_validate(self, preset):

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammaln
 
+from plgrad.harness import _analytic_inputs
 from plgrad.noise import (
     NoiseModel,
     _max_moment_ratio,
     envelope_norm,
-    envelope_norm_at,
     envelope_norm_generic,
     mean_norm,
     sample,
     second_moment,
+    time_scales,
 )
+from plgrad.problems import TimeVaryingLeastSquares
 from plgrad.subweibull import hp_bound
 
 N_MC = 10**5
@@ -23,6 +25,13 @@ N_MC = 10**5
 
 def _norm_samples(model, n, count, seed=0):
     return np.linalg.norm(sample(model, n, seed, 0, count), axis=1)
+
+
+def _identity_map_problem(n, horizon):
+    """A problem whose gradient errors are the raw noise (error_dim n, gain 1)."""
+    return TimeVaryingLeastSquares(
+        n=n, d=n, mu=0.1, l=1.0, drift_std=0.0, obs_noise_std=0.0, seed=0, horizon=horizon
+    )
 
 
 class TestSampling:
@@ -74,7 +83,7 @@ class TestSampling:
         # rows are the base draws scaled by c_t
         base = sample(NoiseModel("gaussian_iid", scale=1.0), 3, 0, 0, 3)
         assert np.array_equal(block[2], 2.0 * base[2])
-        assert model.scale_at(2) == 2.0
+        assert np.array_equal(time_scales(model, 3), [1.0, 0.0, 2.0])
         with pytest.raises(ValueError):
             sample(model, 3, 0, 0, 4)  # scales cover only three steps
 
@@ -115,8 +124,10 @@ class TestMoments:
         assert mc <= mean_norm(model, 5)
 
     def test_second_moment_time_varying(self):
+        # the harness's analytic inputs scale E||e||^2 by c_t^2
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 3.0))
-        assert second_moment(model, 2, t=1) == pytest.approx(18.0, rel=1e-12)
+        moments, _, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2)
+        np.testing.assert_allclose(moments, [2.0, 18.0], rtol=1e-12)
 
 
 class TestEnvelopes:
@@ -172,16 +183,27 @@ class TestEnvelopes:
         assert scaled.k == pytest.approx(2.5 * base.k, rel=1e-12)
         assert scaled.theta == base.theta
 
+    def test_schedule_scales_the_bias_too(self):
+        # c_t multiplies the whole error: a step with c_t = 0 draws nothing,
+        # bias included, and the others are c_t times the unscheduled draw
+        c = np.array((1.0, 0.0) * 3 + (2.5,))
+        model = NoiseModel("gaussian_iid", scale=0.5, bias=0.05, per_time_scale=tuple(c))
+        block = sample(model, 4, 7, 3, len(c))
+        base = sample(NoiseModel("gaussian_iid", scale=0.5, bias=0.05), 4, 7, 3, len(c))
+        assert np.all(block[c == 0.0] == 0.0)
+        np.testing.assert_allclose(block[c > 0], c[c > 0, None] * base[c > 0], rtol=1e-12)
+        assert np.array_equal(time_scales(NoiseModel("zero"), 3), np.ones(3))
+
     def test_generic_composition_dominates(self):
         for model in (
             NoiseModel("gaussian_iid", scale=1.0),
             NoiseModel("bounded_uniform", scale=1.0),
             NoiseModel("weibull_tail", scale=1.0, weibull_shape=0.5),
         ):
-            tight = envelope_norm(model, 10)
+            family = envelope_norm(model, 10)
             loose = envelope_norm_generic(model, 10)
-            assert loose.theta == tight.theta
-            assert loose.k >= tight.k
+            assert loose.theta == family.theta
+            assert loose.k >= family.k
 
     def test_gaussian_k_close_to_fit(self):
         # family formula within a factor 2 of the empirical moment fit
@@ -201,9 +223,11 @@ class TestEnvelopes:
         assert halved.k == pytest.approx(0.5 * honest.k, rel=1e-12)
 
     def test_envelope_at_time(self):
+        # the harness's analytic inputs scale K by c_t
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 4.0))
         base = envelope_norm(model, 10)
-        assert envelope_norm_at(model, 10, 1).k == pytest.approx(4.0 * base.k, rel=1e-12)
+        _, _, ks = _analytic_inputs(_identity_map_problem(10, 2), model, 2)
+        np.testing.assert_allclose(ks, [base.k, 4.0 * base.k], rtol=1e-12)
 
 
 class TestGammalnAgreement:

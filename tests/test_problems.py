@@ -363,10 +363,10 @@ class TestSlopeCertificates:
             mu_exact = True
 
             def value(self, t, x):
-                return 3.0
+                return np.full(np.shape(x)[:-1], 3.0)  # one value per row
 
-            def grad(self, t, x):
-                return np.zeros(2)
+            def grad(self, t, x, out=None):
+                return np.zeros_like(x)
 
             def fstar(self, t):
                 return 3.0
