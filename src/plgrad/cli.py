@@ -26,6 +26,7 @@ from .config import ConfigError, ExperimentConfig, load_config_file, make_config
 from .harness import (
     AggregateReport,
     BATTERY_CHECKS,
+    ValidationSummary,
     run_validation_battery,
 )
 from .subweibull import SubWeibullParams, hp_bound
@@ -162,6 +163,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def verdict_table(summary: ValidationSummary) -> str:
+    """One `name  PASS/FAIL  detail` line per check, names padded to one width."""
+    width = max(len(c.name) for c in summary.checks)
+    return "\n".join(
+        f"{c.name:<{width}}  {'PASS' if c.passed else 'FAIL'}  {c.detail}" for c in summary.checks
+    )
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.checks is None:
@@ -171,10 +180,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if not checks:
             raise ConfigError("no checks selected")
     summary = run_validation_battery(config, checks)
-    width = max(len(c.name) for c in summary.checks)
-    for check in summary.checks:
-        verdict = "PASS" if check.passed else "FAIL"
-        print(f"{check.name:<{width}}  {verdict}  {check.detail}")
+    print(verdict_table(summary))
     if not summary.passed:
         print(f"failed checks: {', '.join(summary.failed_names())}")
         return 1

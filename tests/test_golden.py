@@ -3,7 +3,9 @@
 A refactor that claims byte-identical outputs is checked here: the five
 presets and the full-size demand-response run (n_der = 500) are run at their
 configured seeds, and regret.csv, bounds.csv and summary.txt must hash to
-the recorded values.  The hashes were recorded with numpy 2.4.6, scipy
+the recorded values.  So must two `validate` verdict tables, as the command
+prints them: validate_bounds on the run's report, and the gradient, pl and
+prox checks of the battery, which sample their own points.  The hashes were recorded with numpy 2.4.6, scipy
 1.17.1 and Python 3.11.7; another numpy may round differently in the last
 bit, so the test is skipped there.
 """
@@ -13,9 +15,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from plgrad.cli import write_report
+from plgrad.cli import verdict_table, write_report
 from plgrad.config import make_config
-from plgrad.harness import run_experiment
+from plgrad.harness import run_experiment, run_validation_battery, validate_bounds
 
 RECORDED_NUMPY = "2.4.6"
 
@@ -52,8 +54,41 @@ GOLDEN = {
         "60d7f8997772f54ee9f560f8890c26897d607e979b512a0bcd45af2cbecbe004",
     ),
 }
+# (preset, config sections) -> sha256 of the validate_bounds table and of the
+# gradient, pl, prox battery table
+VERDICTS = {
+    ("fig1-ls", None): (
+        "7babab289c37dc224943d293214c0b864c7b46798ddac1d86a1dd320a3bdb73f",
+        "7b8c0288ac42bfd1d0cc8a66d6b35af62cee8a9777cf589df222aec71f865272",
+    ),
+    ("static-ls", None): (
+        "453a884c7167d637b4412ecfc8e700be6127a2bb65157670bd375dd2c35cf1b0",
+        "e09b999abff23ae6f3cb9123486798800b4c2b266fbb4e04086b072dec63a9d4",
+    ),
+    ("fig3-demand-response", None): (
+        "65657d01cd2ddbc43da5531d07262075c567174491402d239c8d2f9c9b2dfbda",
+        "9c7143fbf71248c2cd894ed4cf460411e6fd7be498a6defc803297b1216f8f75",
+    ),
+    ("logistic", None): (
+        "2a4fb83e763906f7bf7660b195bb76525ee2fa06000e79ac129a2751a06007cf",
+        "1d521b42f15c72cae0a8b02652240bd19c1cf15c549394a8c7643e2938d05281",
+    ),
+    ("lti", None): (
+        "cac943cf4e25789ad0af667926d5e51201491cda3c65250c691e98b0fb5b07cd",
+        "24e6f722cca8c56cb7d79386a4cec03b31710f653a03ea3a2cc199248fbdab98",
+    ),
+    ("fig3-demand-response", "n_der=500"): (
+        "4213086235eb9e06bef2299c30454130822a0ec3c5cbb9c0065d212aa60e56a1",
+        "b6cbb3df9bf1524f902eece9f8227d156859f1cbb573510ec456319b5be8ff1e",
+    ),
+}
 SECTIONS = {None: {}, "n_der=500": {"problem": {"n_der": 500}}}
 OUTPUTS = ("regret.csv", "bounds.csv", "summary.txt")
+TABLES = ("validate_bounds", "battery")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.skipif(
@@ -65,6 +100,13 @@ OUTPUTS = ("regret.csv", "bounds.csv", "summary.txt")
 )
 def test_outputs_match_recorded_hashes(preset, variant, tmp_path):
     cfg = make_config(SECTIONS[variant], {"preset": preset, "out": str(tmp_path)})
-    write_report(run_experiment(cfg), tmp_path)
-    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in OUTPUTS)
+    report = run_experiment(cfg)
+    write_report(report, tmp_path)
+    digests = tuple(_sha256((tmp_path / name).read_bytes()) for name in OUTPUTS)
     assert dict(zip(OUTPUTS, digests)) == dict(zip(OUTPUTS, GOLDEN[preset, variant]))
+    tables = (
+        verdict_table(validate_bounds(report)),
+        verdict_table(run_validation_battery(cfg, ("gradient", "pl", "prox"))),
+    )
+    digests = tuple(_sha256(table.encode()) for table in tables)
+    assert dict(zip(TABLES, digests)) == dict(zip(TABLES, VERDICTS[preset, variant]))
