@@ -37,7 +37,7 @@ from .problems import (
     verify_prox_pl,
 )
 from .prox import Regularizer, prox_objective_gap, soft_threshold
-from .solvers import RegretTrajectory, ogd_step, opgm_step, run
+from .solvers import RegretTrajectory, prox_gradient_step, run
 from .subweibull import (
     SubWeibullParams,
     add,
@@ -81,12 +81,11 @@ __all__ = [
     "ogd_expectation_bound",
     "ogd_highprob_bound",
     "ogd_highprob_factor",
-    "ogd_step",
     "opgm_expectation_bound",
     "opgm_highprob_bound",
     "opgm_highprob_factor",
-    "opgm_step",
     "power",
+    "prox_gradient_step",
     "prox_objective_gap",
     "run",
     "run_experiment",

@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 _PROBLEMS = {
     "timevarying_ls": (
         TimeVaryingLeastSquares,
-        dict(n=10, d=20, mu=0.1, l=1.0, drift_std=0.0, obs_noise_std=0.0, spacing=None),
+        dict(n=10, d=20, mu=0.1, l=1.0, drift_std=0.0, obs_noise_std=0.0),
     ),
     "logistic": (DriftingLogistic, dict(n=10, d=40, drift_std=0.0)),
     "lti_tracking": (LtiTracking, dict(n=8, m=12)),
@@ -65,7 +65,6 @@ class ExperimentConfig:
     out_dir: str | None = None
     bound_inputs: str = "empirical"
     psi_bar: float | None = None
-    x0: str = "zero"
     step_override: float | None = None
     preset: str | None = None
     problem: dict = field(default_factory=dict)
@@ -189,7 +188,6 @@ _EXPERIMENT_PARSERS = {
     "out": str,
     "bound_inputs": str,
     "psi_bar": float,
-    "x0": str,
     "step_override": float,
 }
 
@@ -203,7 +201,6 @@ _PROBLEM_PARSERS = {
     "l": float,
     "drift_std": float,
     "obs_noise_std": float,
-    "spacing": str,
     "bounds_lo": _parse_float_list,
     "bounds_hi": _parse_float_list,
     "regularizer": str,
@@ -364,32 +361,20 @@ def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
         **{key: value for key, value in params.items() if value is not None},
     )
 
+    # "none" on a smooth family restates its default g = 0
     if reg_override is not None:
-        if problem.regularizer is not None:
+        if not problem.smooth_only():
             raise ConfigError(f"{kind} already defines its regularizer")
-        if reg_override == "none":
-            problem.regularizer = Regularizer.none()
-        elif reg_override == "l1":
+        if reg_override == "l1":
             problem.regularizer = Regularizer.l1(l1_weight)
-        else:
+        elif reg_override != "none":
             raise ConfigError(f"regularizer override must be none or l1, got {reg_override!r}")
 
     if cfg.solver == "ogd" and not problem.smooth_only():
         raise ConfigError("ogd forbids a regularizer; use solver = opgm")
-    if cfg.solver == "opgm" and problem.regularizer is None:
-        raise ConfigError(
-            "opgm requires a prox handle; set problem regularizer = none explicitly "
-            "to run it on a smooth cost"
-        )
     return problem
 
 
 def initial_point(cfg: ExperimentConfig, problem: OnlineProblem) -> np.ndarray:
-    if cfg.x0 == "zero":
-        return np.zeros(problem.n)
-    if cfg.x0 == "ones":
-        return np.ones(problem.n)
-    values = _parse_float_list(cfg.x0)
-    if len(values) != problem.n:
-        raise ConfigError(f"x0 must be 'zero', 'ones', or {problem.n} comma-separated values")
-    return np.asarray(values)
+    """Every run starts at the origin."""
+    return np.zeros(problem.n)

@@ -50,6 +50,7 @@ class OnlineProblem:
 
     Subclasses populate the attributes below in __init__ and implement
     value / grad / fstar / xstar (None where no minimizer is computed).
+    The regularizer g_t defaults to g = 0, whose prox is the identity.
     value and grad accept x of shape (n,) or (R, n); fstar and xstar take
     the time index only.  grad and map_error write into `out` when it is
     given (an array of the result's shape that does not overlap the input)
@@ -64,7 +65,7 @@ class OnlineProblem:
     pl_constant: float     # mu, slope of the gradient-domination inequality
     domain_radius: float   # radius of the open ball the theory works on
     diameter: float        # 2r, or the constraint-box diameter
-    regularizer: Regularizer | None
+    regularizer: Regularizer = Regularizer.none()
     fstar_exact: bool      # optimal values closed-form vs inner solve
     mu_exact: bool         # mu from structure vs sampled certificate
 
@@ -79,13 +80,10 @@ class OnlineProblem:
 
     def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
-        v = self.value(t, x)
-        if self.regularizer is None:
-            return v
-        return v + self.regularizer.value(x)
+        return self.value(t, x) + self.regularizer.value(x)
 
     def smooth_only(self) -> bool:
-        return self.regularizer is None or self.regularizer.kind == "none"
+        return self.regularizer.kind == "none"
 
     def _check_t(self, t: int) -> None:
         if not 0 <= t <= self.horizon:
@@ -175,7 +173,6 @@ class QuadraticTracking(OnlineProblem):
         self._b = b
         self._gain = error_gain
         if box is None:
-            self.regularizer = None
             self.diameter = 2.0 * domain_radius
             basis = np.linalg.qr(a)[0]
             resid = b - (b @ basis) @ basis.T
@@ -217,7 +214,7 @@ class QuadraticTracking(OnlineProblem):
 
     def xstar(self, t: int) -> np.ndarray | None:
         self._check_t(t)
-        if self.regularizer is not None and self.regularizer.kind == "box":
+        if self.regularizer.kind == "box":
             return None  # the minimum-norm point below ignores the box
         return np.linalg.pinv(self.matrix) @ self._b[t]
 
@@ -274,7 +271,6 @@ class TimeVaryingLeastSquares(QuadraticTracking):
         obs_noise_std: float,
         seed: int,
         horizon: int,
-        spacing: str = "eigenvalues",
     ):
         if not (d >= n >= 1):
             raise ValueError(f"need d >= n >= 1, got n={n}, d={d}")
@@ -284,14 +280,7 @@ class TimeVaryingLeastSquares(QuadraticTracking):
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
         if drift_std < 0 or obs_noise_std < 0:
             raise ValueError("noise scales must be nonnegative")
-        if spacing == "eigenvalues":
-            eigs = np.linspace(mu, l, n)
-        elif spacing == "singular_values":
-            # alternate reading: the singular values themselves are spaced
-            # on [mu, l], so the effective constants are their squares
-            eigs = np.linspace(mu, l, n) ** 2
-        else:
-            raise ValueError(f"unknown spacing {spacing!r}")
+        eigs = np.linspace(mu, l, n)
 
         rng = _build_rng(seed)
         u = _haar_orthonormal(rng, d, n)
@@ -360,7 +349,6 @@ class DriftingLogistic(OnlineProblem):
         self.n = n
         self.d = d
         self.horizon = horizon
-        self.regularizer = None
         self.fstar_exact = False
 
         lmax = max(
@@ -410,9 +398,8 @@ class DriftingLogistic(OnlineProblem):
         )
 
     def _sampled_mu(self, rng: np.random.Generator) -> float:
-        ts = sorted({0, self.horizon // 2, self.horizon})
         mu_hat = np.inf
-        for t in ts:
+        for t in sampled_times(self.horizon):
             report = verify_pl(self, t, n_samples=400, seed=int(rng.integers(2**31)))
             mu_hat = min(mu_hat, report.mu_hat)
         return float(mu_hat)
@@ -601,6 +588,11 @@ class PLReport:
     n_skipped: int
 
 
+def sampled_times(horizon: int) -> list[int]:
+    """The time indices the sampled certificates visit: 0, T // 2 and T."""
+    return sorted({0, horizon // 2, horizon})
+
+
 def _sample_ball(rng: np.random.Generator, n: int, radius: float, size: int) -> np.ndarray:
     direction = rng.normal(size=(size, n))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
@@ -651,7 +643,7 @@ def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.n
     """
     l = problem.smoothness
     g = problem.grad(t, x)
-    reg = problem.regularizer if problem.regularizer is not None else Regularizer.none()
+    reg = problem.regularizer
     y = reg.prox(1.0 / l, x - g / l)
     d = y - x
     q = np.vecdot(g, d) + 0.5 * l * np.vecdot(d, d) + reg.value(y) - reg.value(x)
@@ -672,7 +664,7 @@ def verify_prox_pl(
     x = np.asarray(x, dtype=float)
     l = problem.smoothness
     g = problem.grad(t, x)
-    reg = problem.regularizer if problem.regularizer is not None else Regularizer.none()
+    reg = problem.regularizer
     y = grid_argmin_prox(reg, 1.0 / l, x - g / l, points=grid_resolution)
     d = y - x
     rhs_grid = -2.0 * l * float(g @ d + 0.5 * l * (d @ d) + reg.value(y) - reg.value(x))

@@ -1,10 +1,13 @@
 """Online gradient descent and online proximal-gradient steps.
 
-Both methods take a single step per time index with the fixed step size 1/L
-using the inexact gradient v_t = grad f_t(x_t) + e_t:
+Both methods take one prox-gradient step per time index with the fixed
+step size 1/L using the inexact gradient v_t = grad f_t(x_t) + e_t:
 
-    gradient step:      x_{t+1} = x_t - (1/L) v_t
-    prox-gradient step: x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t)
+    x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t)
+
+The gradient method is the case g_t = 0, where the prox is the identity, so
+the solver name only picks the certificate and the recursion coefficient
+(ogd refuses a regularized problem).
 
 `run` drives a full horizon for a batch of trials at once: the iterates of
 R trials are the rows of an (R, n) matrix, each trial's errors come from
@@ -32,62 +35,28 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _gradient_step(
+def prox_gradient_step(
     problem: OnlineProblem,
     t: int,
     x: np.ndarray,
     step: float,
     error: np.ndarray,
-    out: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """x - step * (grad f_t(x) + e), with the expression's operations in its order.
+    """prox_{step g_t}(x - step * (grad f_t(x) + e)) on each row of x.
 
-    Works in the one array the gradient is written to (out, or a fresh one)
+    error holds the mapped gradient errors e_t, one row per row of x.  The
+    new iterate is written into out when it is given (an array of x's shape
+    overlapping neither x nor error) and returned.  The expression's
+    operations run in its order in the one array the gradient is written to,
     where the expression allocates four; on batch-sized arrays the
     allocations cost more than the arithmetic.
     """
     v = problem.grad(t, x, out=out)
     np.add(v, error, out=v)
     v *= step
-    return np.subtract(x, v, out=v)
-
-
-def ogd_step(
-    problem: OnlineProblem,
-    t: int,
-    x: np.ndarray,
-    step: float,
-    error: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """One inexact gradient step on each row of x; rejects regularized problems.
-
-    error holds the mapped gradient errors e_t, one row per row of x.  The
-    new iterate is written into out when it is given (an array of x's shape
-    overlapping neither x nor error) and returned.
-    """
-    if not problem.smooth_only():
-        raise ValueError("problem carries a regularizer; use opgm_step")
-    return _gradient_step(problem, t, x, step, error, out)
-
-
-def opgm_step(
-    problem: OnlineProblem,
-    t: int,
-    x: np.ndarray,
-    step: float,
-    error: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """One inexact prox-gradient step on each row of x; requires a prox handle.
-
-    error and out as for ogd_step.
-    """
-    reg = problem.regularizer
-    if reg is None:
-        raise ValueError("problem exposes no prox handle; use ogd_step")
-    v = _gradient_step(problem, t, x, step, error, out)
-    return reg.prox(step, v, out=v)
+    np.subtract(x, v, out=v)
+    return problem.regularizer.prox(step, v, out=v)
 
 
 @dataclass
@@ -140,7 +109,7 @@ def theory_exceptions(problem: OnlineProblem, step_override: float | None) -> li
     if step_override is not None:
         reasons.append(f"step_override = {step_override:g}")
     reg = problem.regularizer
-    if reg is not None and reg.kind == "l1" and reg.weight > 0:
+    if reg.kind == "l1" and reg.weight > 0:
         reasons.append(f"l1 weight {reg.weight:g} (the regret is F_t - f*_t, not F_t - F*_t)")
     return reasons
 
@@ -173,15 +142,13 @@ def run(
         )
     if solver == "ogd" and not problem.smooth_only():
         raise ValueError("ogd requires an unregularized problem")
-    if solver == "opgm" and problem.regularizer is None:
-        raise ValueError("opgm requires a problem with a prox handle")
 
     x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},), got {x.shape}")
     if np.linalg.norm(x) >= problem.domain_radius:
         raise ValueError("x0 lies outside the domain ball")
-    if problem.regularizer is not None and not np.isfinite(problem.regularizer.value(x)):
+    if not np.isfinite(problem.regularizer.value(x)):
         raise ValueError("x0 is infeasible for the problem's regularizer")
 
     step = (1.0 / problem.smoothness) if step_override is None else float(step_override)
@@ -189,7 +156,6 @@ def run(
         raise ValueError(f"step must be positive, got {step}")
 
     reg_tol = 1e-9 if problem.fstar_exact else 1e-6
-    step_fn = ogd_step if solver == "ogd" else opgm_step
     # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial
     raw = np.stack(
         [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials],
@@ -235,7 +201,7 @@ def run(
     record(0, x)
     for t in range(horizon):
         problem.map_error(raw[t], out=e)
-        step_fn(problem, t, x, step, e, out=x_next)
+        prox_gradient_step(problem, t, x, step, e, out=x_next)
         bad = ~np.all(np.isfinite(x_next), axis=1)
         if np.any(bad):
             raise RuntimeError(

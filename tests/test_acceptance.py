@@ -25,7 +25,7 @@ from plgrad.problems import (
     synth_demand_response_traces,
 )
 from plgrad.prox import Regularizer, grid_argmin_prox
-from plgrad.solvers import opgm_step, run
+from plgrad.solvers import prox_gradient_step, run
 from plgrad.subweibull import SubWeibullParams, fit_from_samples, hp_bound
 
 ZETA = 0.9
@@ -198,7 +198,7 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     raw = sample(model, problem.error_dim, cfg.seed, 0, cfg.horizon)
     x, step = np.zeros((1, 20)), 1.0 / problem.smoothness
     for t in range(cfg.horizon):
-        x = opgm_step(problem, t, x, step, problem.map_error(raw[t : t + 1]))
+        x = prox_gradient_step(problem, t, x, step, problem.map_error(raw[t : t + 1]))
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
 
     assert report.elapsed < 60.0

@@ -254,16 +254,20 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="forbids a regularizer"):
             build_problem(cfg)
 
-    def test_opgm_needs_explicit_none(self):
-        cfg = make_config({}, {"preset": "static-ls", "trials": 2})
-        cfg.solver = "opgm"
-        from plgrad.config import build_problem
+    def test_opgm_needs_no_explicit_none(self):
+        # a smooth family carries g = 0, so "regularizer = none" is a no-op
+        from plgrad.harness import run_experiment
 
-        with pytest.raises(ConfigError, match="requires a prox handle"):
-            build_problem(cfg)
+        cfg = make_config({}, {"preset": "static-ls", "trials": 3})
+        cfg.solver, cfg.horizon = "opgm", 20
+        assert build_problem(cfg).regularizer.kind == "none"
+        implicit = run_experiment(cfg)
         cfg.problem["regularizer"] = "none"
-        problem = build_problem(cfg)
-        assert problem.regularizer.kind == "none"
+        explicit = run_experiment(cfg)
+        assert np.array_equal(implicit.regret_matrix, explicit.regret_matrix)
+        assert np.array_equal(implicit.error_matrix, explicit.error_matrix)
+        for key, series in implicit.bounds.items():
+            assert np.array_equal(series, explicit.bounds[key])
 
     def test_demand_response_traces_from_csv(self, tmp_path):
         trace = tmp_path / "traces.csv"

@@ -158,6 +158,16 @@ class TestNegativeControls:
         assert summary.passed, summary.failed_names()
         assert not np.all(report.envelope_k == report.envelope_k[0])
 
+    def test_error_at_a_zero_scale_step_fails_moment_check(self):
+        cfg = small_config(trials=40, horizon=30)
+        cfg.noise["per_time_scale"] = (1.0, 0.0) * 16
+        report = run_experiment(cfg)
+        assert validate_bounds(report).passed
+        assert report.envelope_k[1] == 0.0
+        report.error_matrix = report.error_matrix.copy()
+        report.error_matrix[3, 2] = 0.1  # column t + 1 holds ||e_t||; c_1 = 0
+        assert "envelope_moments" in validate_bounds(report).failed_names()
+
 
 class TestCoverageEnvelope:
     def test_against_brute_force_binomial_quantile(self):

@@ -69,13 +69,6 @@ class TestLeastSquares:
         assert ls_problem.smoothness == pytest.approx(1.0, abs=1e-12)
         assert ls_problem.pl_constant == pytest.approx(0.1, abs=1e-12)
 
-    def test_alternate_spacing_squares_the_grid(self):
-        p = TimeVaryingLeastSquares(
-            4, 6, 0.1, 1.0, 0.0, 0.0, seed=1, horizon=2, spacing="singular_values"
-        )
-        eigs = np.sort(np.linalg.eigvalsh(p.matrix.T @ p.matrix))
-        np.testing.assert_allclose(eigs, np.linspace(0.1, 1.0, 4) ** 2, atol=1e-12)
-
     def test_fstar_matches_inner_solver(self, ls_problem):
         for t in (0, 30, 60):
             res = minimize(
@@ -358,7 +351,6 @@ class TestSlopeCertificates:
             pl_constant = 0.5
             domain_radius = 1.0
             diameter = 2.0
-            regularizer = None
             fstar_exact = True
             mu_exact = True
 
@@ -479,7 +471,7 @@ class TestRowInvariance:
     @staticmethod
     def _batch(problem, rows=13, seed=5):
         rng = np.random.default_rng(seed)
-        if problem.regularizer is not None and problem.regularizer.kind == "box":
+        if problem.regularizer.kind == "box":
             reg = problem.regularizer
             return reg.lo + rng.uniform(size=(rows, problem.n)) * (reg.hi - reg.lo)
         return rng.normal(size=(rows, problem.n))

@@ -8,7 +8,7 @@ import pytest
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import DemandResponse, TimeVaryingLeastSquares, synth_demand_response_traces
 from plgrad.prox import Regularizer
-from plgrad.solvers import ogd_step, opgm_step, run
+from plgrad.solvers import prox_gradient_step, run
 
 ZERO = NoiseModel("zero")
 
@@ -22,7 +22,7 @@ class TestSingleSteps:
         # curvature equals the step's L, so one exact step minimizes
         p = quadratic_problem(0.8, 0.8, n=3)
         x = np.array([2.0, -1.0, 0.5])
-        out = ogd_step(p, 0, x, 1.0 / p.smoothness, np.zeros(3))
+        out = prox_gradient_step(p, 0, x, 1.0 / p.smoothness, np.zeros(3))
         np.testing.assert_allclose(out, p.xstar(0), atol=1e-12)
 
     def test_steps_act_on_each_row(self):
@@ -30,12 +30,12 @@ class TestSingleSteps:
         p = quadratic_problem(0.3, 1.0, n=3)
         rng = np.random.default_rng(4)
         x, e = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        batch = ogd_step(p, 2, x, 0.7, e)
+        batch = prox_gradient_step(p, 2, x, 0.7, e)
         for k in range(5):
-            assert np.array_equal(batch[k], ogd_step(p, 2, x[k], 0.7, e[k]))
+            assert np.array_equal(batch[k], prox_gradient_step(p, 2, x[k], 0.7, e[k]))
         # the buffer form run uses gives the same bits
         buf = np.full_like(x, np.nan)
-        assert ogd_step(p, 2, x, 0.7, e, out=buf) is buf
+        assert prox_gradient_step(p, 2, x, 0.7, e, out=buf) is buf
         assert np.array_equal(buf, batch)
 
     def test_scalar_mode_contracts_at_squared_rate(self):
@@ -58,17 +58,6 @@ class TestSingleSteps:
         expected = p.xstar(0) - np.linalg.solve(m, np.full(2, bias))
         np.testing.assert_allclose(traj.x_final[0], expected, atol=1e-10)
 
-    def test_ogd_rejects_regularized_problem(self):
-        p = quadratic_problem(0.5, 1.0)
-        p.regularizer = Regularizer.l1(0.1)
-        with pytest.raises(ValueError):
-            ogd_step(p, 0, np.zeros(2), 1.0, np.zeros(2))
-
-    def test_opgm_requires_prox_handle(self):
-        p = quadratic_problem(0.5, 1.0)
-        with pytest.raises(ValueError):
-            opgm_step(p, 0, np.zeros(2), 1.0, np.zeros(2))
-
     def test_opgm_clamps_to_box(self):
         w, p_ref = synth_demand_response_traces(5, seed=2)
         p = DemandResponse(
@@ -76,10 +65,10 @@ class TestSingleSteps:
         )
         x = np.array([[0.9, -0.9], [-0.9, 0.9]])
         e = np.full((2, 2), 5.0)
-        out = opgm_step(p, 0, x, 1.0 / p.smoothness, e)
+        out = prox_gradient_step(p, 0, x, 1.0 / p.smoothness, e)
         assert np.all(out >= -1.0) and np.all(out <= 1.0)
         buf = np.full_like(x, np.nan)
-        assert opgm_step(p, 0, x, 1.0 / p.smoothness, e, out=buf) is buf
+        assert prox_gradient_step(p, 0, x, 1.0 / p.smoothness, e, out=buf) is buf
         assert np.array_equal(buf, out)
 
 
@@ -189,7 +178,6 @@ class TestRun:
             pl_constant = 1.0
             domain_radius = 10.0
             diameter = 20.0
-            regularizer = None
             fstar_exact = True
             mu_exact = True
 
@@ -235,8 +223,9 @@ class TestRun:
         p = quadratic_problem(0.5, 1.0, horizon=5)
         with pytest.raises(ValueError):
             run(p, "sgd", ZERO, seed=0)
+        p.regularizer = Regularizer.l1(0.1)
         with pytest.raises(ValueError):
-            run(p, "opgm", ZERO, seed=0)  # no prox handle
+            run(p, "ogd", ZERO, seed=0)  # regularized
 
 
 class TestPathwiseRecursions:
