@@ -389,20 +389,22 @@ def _check_gradient(problem: OnlineProblem, seed: int, n_points: int = 100) -> C
     worst = 0.0
     h = 1e-6
     n = problem.n
-    axis = np.arange(n)
-    points = np.empty((2 * n, n))  # reused: rows i and n + i step along axis i
+    fd = np.empty((n_points, n))
     for t in sampled_times(problem.horizon):
         xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
-        for x in xs:
-            g = problem.grad(t, x)
-            dx = h * np.maximum(1.0, np.abs(x))
-            points[:] = x
-            points[axis, axis] += dx
-            points[n + axis, axis] -= dx
-            f = problem.value(t, points)
-            fd = (f[:n] - f[n:]) / (2.0 * dx)
+        dx = h * np.maximum(1.0, np.abs(xs))
+        # all points step along one axis at a time: row k of `points` holds
+        # the floats of xs[k] +- dx[k, i] e_i, and the oracles work row by row
+        points = xs.copy()
+        for i in range(n):
+            points[:, i] = xs[:, i] + dx[:, i]
+            f_plus = problem.value(t, points)
+            points[:, i] = xs[:, i] - dx[:, i]
+            fd[:, i] = (f_plus - problem.value(t, points)) / (2.0 * dx[:, i])
+            points[:, i] = xs[:, i]
+        for fd_row, g in zip(fd, problem.grad(t, xs)):
             denom = max(np.linalg.norm(g), 1e-12)
-            worst = max(worst, float(np.linalg.norm(fd - g) / denom))
+            worst = max(worst, float(np.linalg.norm(fd_row - g) / denom))
     return CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
 
 
@@ -430,11 +432,15 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
             )
         else:
             xs = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, n_samples)
-        gap = problem.total_value(t, xs) - fstar
-        keep = gap > 1e-9
-        if np.any(keep):
-            ratios = prox_decrease(problem, t, xs)[keep] / (2.0 * gap[keep])
-            mu_hat = min(mu_hat, float(ratios.min()))
+        # blocks of 100 rows keep the temporaries small; the oracles work row
+        # by row and the min is exact, so the blocks change no bit
+        for start in range(0, n_samples, 100):
+            block = xs[start : start + 100]
+            gap = problem.total_value(t, block) - fstar
+            keep = gap > 1e-9
+            if np.any(keep):
+                ratios = prox_decrease(problem, t, block)[keep] / (2.0 * gap[keep])
+                mu_hat = min(mu_hat, float(ratios.min()))
     ok = mu_hat >= mu - 1e-9
     return CheckResult("pl_certificate", ok, f"sampled proximal mu {mu_hat:.6g} vs declared {mu:.6g}")
 

@@ -1,0 +1,200 @@
+"""The sampled validation checks: gradient_fd, pl_certificate and prox_grid.
+
+The gradient and PL checks evaluate their oracles in row blocks.  The
+reference loops below are the per-point and unblocked forms those checks
+replaced; since every oracle works row by row, the checks must return the
+same results and see the same oracle outputs, bit for bit.  Negative
+controls show that both checks fail on a wrong gradient or an overstated
+slope, and a spy pins the time indices every check visits.
+"""
+
+import copy
+from functools import cache
+
+import numpy as np
+import pytest
+
+from plgrad.config import build_problem, make_config
+from plgrad.harness import CheckResult, _check_gradient, _check_pl, _check_prox
+from plgrad.problems import (
+    OnlineProblem,
+    _sample_ball,
+    prox_decrease,
+    sampled_times,
+    verify_pl,
+)
+
+CONFIGS = {
+    "fig1-ls": ("fig1-ls", {}),
+    "static-ls": ("static-ls", {}),
+    "logistic": ("logistic", {}),
+    "lti": ("lti", {}),
+    "dr20": ("fig3-demand-response", {}),
+    "dr500": ("fig3-demand-response", {"problem": {"n_der": 500}}),
+}
+
+
+@cache  # the logistic build runs an inner solve per time index
+def _configured(name):
+    preset, sections = CONFIGS[name]
+    cfg = make_config(sections, {"preset": preset})
+    return build_problem(cfg), cfg.seed
+
+
+def reference_gradient_fd(problem, seed, n_points=100):
+    """Largest relative finite-difference error: one (2n, n) matrix per point."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 4)))
+    worst = 0.0
+    h = 1e-6
+    n = problem.n
+    axis = np.arange(n)
+    points = np.empty((2 * n, n))  # rows i and n + i step along axis i
+    for t in sampled_times(problem.horizon):
+        xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
+        for x in xs:
+            g = problem.grad(t, x)
+            dx = h * np.maximum(1.0, np.abs(x))
+            points[:] = x
+            points[axis, axis] += dx
+            points[n + axis, axis] -= dx
+            f = problem.value(t, points)
+            fd = (f[:n] - f[n:]) / (2.0 * dx)
+            denom = max(np.linalg.norm(g), 1e-12)
+            worst = max(worst, float(np.linalg.norm(fd - g) / denom))
+    return worst
+
+
+def reference_pl_mu(problem, seed, n_samples=1000):
+    """Sampled (proximal) PL slope, every sample matrix evaluated at once."""
+    ts = sampled_times(problem.horizon)
+    if problem.smooth_only():
+        return min(verify_pl(problem, t, n_samples, seed).mu_hat for t in ts)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))
+    reg = problem.regularizer
+    mu_hat = np.inf
+    for t in ts:
+        fstar = problem.fstar(t)
+        if reg.kind == "box":
+            xs = reg.lo + rng.uniform(0.0, 1.0, size=(n_samples, problem.n)) * (
+                reg.hi - reg.lo
+            )
+        else:
+            xs = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, n_samples)
+        gap = problem.total_value(t, xs) - fstar
+        keep = gap > 1e-9
+        if np.any(keep):
+            ratios = prox_decrease(problem, t, xs)[keep] / (2.0 * gap[keep])
+            mu_hat = min(mu_hat, float(ratios.min()))
+    return mu_hat
+
+
+class OracleSpy:
+    """Forwards to a problem and records every oracle result by (oracle, t)."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.results = {}  # (oracle, t) -> list of (rows, width) arrays
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def _record(self, oracle, t, result, width=1):
+        rows = np.array(result, dtype=float).reshape(-1, width)
+        self.results.setdefault((oracle, t), []).append(rows)
+        return result
+
+    def value(self, t, x):
+        return self._record("value", t, self.problem.value(t, x))
+
+    def grad(self, t, x, out=None):
+        return self._record("grad", t, self.problem.grad(t, x, out=out), self.problem.n)
+
+    def fstar(self, t):
+        return self._record("fstar", t, self.problem.fstar(t))
+
+    total_value = OnlineProblem.total_value  # through the recorded value
+
+    def visited(self):
+        return {t for _, t in self.results}
+
+    def sorted_results(self):
+        """Every recorded row, sorted, so call order and batching drop out."""
+        out = {}
+        for key, blocks in self.results.items():
+            rows = np.concatenate(blocks)
+            out[key] = rows[np.lexsort(rows.T[::-1])]
+        return out
+
+
+def assert_same_oracle_outputs(a, b):
+    ra, rb = a.sorted_results(), b.sorted_results()
+    assert ra.keys() == rb.keys()
+    for key in ra:
+        assert np.array_equal(ra[key], rb[key]), key
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_gradient_check_matches_the_per_point_loop(name):
+    problem, seed = _configured(name)
+    ref_spy, new_spy = OracleSpy(problem), OracleSpy(problem)
+    worst = reference_gradient_fd(ref_spy, seed)
+    expected = CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
+    assert _check_gradient(new_spy, seed) == expected
+    assert expected.passed
+    assert_same_oracle_outputs(ref_spy, new_spy)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_pl_check_matches_the_unblocked_loop(name):
+    problem, seed = _configured(name)
+    ref_spy, new_spy = OracleSpy(problem), OracleSpy(problem)
+    mu_hat = reference_pl_mu(ref_spy, seed)
+    mu = problem.pl_constant
+    label = "sampled mu" if problem.smooth_only() else "sampled proximal mu"
+    expected = CheckResult(
+        "pl_certificate", mu_hat >= mu - 1e-9, f"{label} {mu_hat:.6g} vs declared {mu:.6g}"
+    )
+    assert _check_pl(new_spy, seed) == expected
+    assert expected.passed
+    assert_same_oracle_outputs(ref_spy, new_spy)
+
+
+class TestNegativeControls:
+    @pytest.mark.parametrize("name", ["fig1-ls", "static-ls", "logistic", "lti", "dr20"])
+    def test_gradient_off_by_one_percent_in_one_coordinate_fails(self, name):
+        class SkewedGrad(OracleSpy):
+            def grad(self, t, x, out=None):
+                g = np.array(self.problem.grad(t, x))
+                g[..., 0] *= 1.01
+                return g
+
+        problem, seed = _configured(name)
+        assert _check_gradient(problem, seed).passed
+        assert not _check_gradient(SkewedGrad(problem), seed).passed
+
+    def test_slope_above_smoothness_fails_smooth_branch(self):
+        problem, seed = _configured("static-ls")
+        assert _check_pl(problem, seed).passed
+        problem = copy.copy(problem)  # the cached one stays as built
+        problem.pl_constant = 1.01 * problem.smoothness
+        result = _check_pl(problem, seed)
+        assert not result.passed and result.detail.startswith("sampled mu")
+
+    def test_slope_above_sampled_fails_box_branch(self):
+        problem, seed = _configured("dr20")
+        assert problem.regularizer.kind == "box"
+        assert _check_pl(problem, seed).passed
+        problem = copy.copy(problem)
+        problem.pl_constant = 10.0 * reference_pl_mu(problem, seed)
+        result = _check_pl(problem, seed)
+        assert not result.passed and result.detail.startswith("sampled proximal mu")
+
+
+@pytest.mark.parametrize("check", [_check_gradient, _check_pl, _check_prox])
+@pytest.mark.parametrize("preset", ["static-ls", "fig3-demand-response"])
+def test_checks_visit_the_sampled_grid(check, preset):
+    cfg = make_config({}, {"preset": preset})
+    cfg.horizon = 30
+    spy = OracleSpy(build_problem(cfg))
+    check(spy, cfg.seed)
+    assert spy.visited() == {0, 15, 30} == set(sampled_times(30))
