@@ -32,16 +32,20 @@ from .harness import (
 from .subweibull import SubWeibullParams, hp_bound
 
 
+_FLOAT = "%.17g"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    return _FLOAT % x
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    rows = len(columns[0])
+    template = ",".join([_FLOAT] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(float(col[i])) for col in columns) + "\n")
+        # one row of Python floats at a time: whole-column lists would
+        # hold every cell as an object at once
+        fh.writelines(template % tuple(row.tolist()) for row in np.column_stack(columns))
 
 
 def _delta_tag(delta: float) -> str:

@@ -128,10 +128,20 @@ def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np
 
 
 def _max_moment_ratio(log_moment_norm, theta: float) -> float:
-    """sup over p >= 1 of exp(log_moment_norm(p)) / p**theta on a dense grid."""
+    """sup over p >= 1 of exp(log_moment_norm(p)) / p**theta on a dense grid.
+
+    The grid ends at p = 400; a ratio that is largest there may still grow
+    beyond it, and then the grid sup understates K, so that case raises.
+    """
     p = np.concatenate([np.linspace(1.0, 20.0, 4000), np.linspace(20.0, 400.0, 2000)])
     ratios = np.exp(log_moment_norm(p) - theta * np.log(p))
-    return float(np.max(ratios))
+    sup = float(np.max(ratios))
+    if ratios[-1] == sup and ratios[:-1].max() < sup:  # the argmax is the last point
+        raise ValueError(
+            f"moment ratio is largest at the grid edge p = {p[-1]:g}; "
+            f"the sup over p >= 1 may exceed {sup:.6g} (theta = {theta:g})"
+        )
+    return sup
 
 
 def _gaussian_norm_k(sigma: float, n: int) -> float:

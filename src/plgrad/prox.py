@@ -68,7 +68,7 @@ class Regularizer:
         if self.kind == "l1":
             return self.weight * np.sum(np.abs(x), axis=-1)
         inside = (x >= self.lo - 1e-12) & (x <= self.hi + 1e-12)
-        return np.where(np.all(inside, axis=-1), 0.0, np.inf)[()]
+        return np.where(inside.all(axis=-1), 0.0, np.inf)[()]
 
     def prox(self, step: float, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if step <= 0:

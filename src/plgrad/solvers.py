@@ -171,23 +171,24 @@ def run(
     max_step_norm = np.zeros(len(trials))
     min_raw = np.full(len(trials), np.inf)
 
-    def record(t: int, xt: np.ndarray) -> None:
-        r = problem.total_value(t, xt) - problem.fstar(t)
+    def record(t: int, xt: np.ndarray, f: np.ndarray) -> None:
+        # f = f_t(x_t); F_t(x_t) - F_t* in the operations of total_value
+        r = f + problem.regularizer.value(xt) - problem.fstar(t)
         np.minimum(min_raw, r, out=min_raw)
         bad = ~np.isfinite(r)
-        if np.any(bad):
+        if bad.any():
             raise RuntimeError(
                 f"non-finite regret at t={t} (seed={seed}, trial={trials[np.argmax(bad)]})"
             )
         low = r < -reg_tol
-        if np.any(low):
+        if low.any():
             k = int(np.argmax(low))
             raise RuntimeError(
                 f"regret {r[k]:.3e} below -{reg_tol:g} at t={t} (trial={trials[k]}): "
                 "inconsistent optimal-value oracle"
             )
         regret[:, t] = np.maximum(r, 0.0)
-        excursions[_row_norm(xt) >= problem.domain_radius] += 1
+        np.add(excursions, _row_norm(xt) >= problem.domain_radius, out=excursions)
 
     x = np.tile(x, (len(trials), 1))
     # Batch-sized work arrays, allocated once: the error, the step
@@ -198,12 +199,12 @@ def run(
     e = np.empty_like(x)
     diff = np.empty_like(x)
     x_next = np.empty_like(x)
-    record(0, x)
+    record(0, x, problem.value(0, x))
     for t in range(horizon):
         problem.map_error(raw[t], out=e)
         prox_gradient_step(problem, t, x, step, e, out=x_next)
-        bad = ~np.all(np.isfinite(x_next), axis=1)
-        if np.any(bad):
+        bad = ~np.isfinite(x_next).all(axis=1)
+        if bad.any():
             raise RuntimeError(
                 f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
             )
@@ -211,9 +212,10 @@ def run(
             max_step_norm, _row_norm(np.subtract(x_next, x, out=diff)), out=max_step_norm
         )
         x, x_next = x_next, x
-        record(t + 1, x)
+        f = problem.value(t + 1, x)
+        record(t + 1, x, f)
         error_norm[:, t + 1] = _row_norm(e)
-        sigma[t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x)
+        sigma[t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x, f)
 
     exceptions = theory_exceptions(problem, step_override)
     if excursions.any():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import plgrad
-from plgrad.cli import main
+from plgrad.cli import _fmt, _write_csv, main
 from plgrad.config import ConfigError, build_problem, load_config_file, make_config
 
 
@@ -109,6 +109,23 @@ class TestRunCommand:
         assert lines["default"]["outside_theory"] == "False"
         for stated in lines.values():
             assert float(stated["min_raw_regret"]) >= -1e-9
+
+    def test_csv_rows_match_the_per_cell_writer(self, tmp_path):
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16 + 2, 0.1]
+        columns = [
+            np.arange(len(special)),  # an integer-valued t column
+            np.array(special),
+            np.array(special[::-1]) * -3.0,
+        ]
+        header = ["t", "a", "b"]
+        path = tmp_path / "table.csv"
+        _write_csv(path, header, columns)
+        expected = "t,a,b\n" + "".join(
+            ",".join(f"{float(col[i]):.17g}" for col in columns) + "\n"
+            for i in range(len(special))
+        )
+        assert path.read_bytes() == expected.encode()
+        assert all(_fmt(x) == f"{x:.17g}" for x in special + [3, np.float64(0.1)])
 
 
 class TestValidateCommand:

@@ -222,6 +222,26 @@ class TestEnvelopes:
         )
         assert halved.k == pytest.approx(0.5 * honest.k, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "model,n",
+        [
+            (NoiseModel("weibull_tail", scale=0.8, weibull_shape=k), 10)
+            for k in (0.3, 0.5, 1.0, 2.0, 5.0)
+        ]
+        + [(NoiseModel("gaussian_iid", scale=0.8), n) for n in (1, 10, 500)],
+    )
+    def test_family_ratios_peak_inside_the_grid(self, model, n):
+        # the edge guard in _max_moment_ratio does not fire on the families
+        assert envelope_norm(model, n).k > 0.0
+
+    def test_ratio_largest_at_grid_edge_raises(self):
+        # negative control: log-moment 0.6 log p grows faster than 0.5 log p,
+        # so the ratio p**0.1 is unbounded and its grid sup understates K
+        with pytest.raises(ValueError, match="grid edge"):
+            _max_moment_ratio(lambda p: 0.6 * np.log(p), 0.5)
+        # at exactly theta log p the ratio is flat; the sup is attained at p = 1
+        assert _max_moment_ratio(lambda p: 0.5 * np.log(p), 0.5) == pytest.approx(1.0)
+
     def test_envelope_at_time(self):
         # the harness's analytic inputs scale K by c_t
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 4.0))

@@ -93,7 +93,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(0)
         x = rng.normal(size=10)
         for t in range(1, 61):
-            assert variability(static_ls, t, x) == (0.0, 0.0)
+            assert variability(static_ls, t, x, static_ls.value(t, x)) == (0.0, 0.0)
 
     def test_quadratic_lower_bound_near_minimizer(self, ls_problem):
         # gradient domination implies f(x) - f* >= mu/2 ||x - x*||^2
@@ -436,7 +436,7 @@ class TestVariability:
     def test_two_evaluation_oracle(self, ls_problem):
         x = np.full(10, 0.3)
         for t in (1, 30, 60):
-            sigma, phi_tilde = variability(ls_problem, t, x)
+            sigma, phi_tilde = variability(ls_problem, t, x, ls_problem.value(t, x))
             direct_phi = abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
             direct_sigma = abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
             assert phi_tilde == pytest.approx(direct_phi, rel=1e-12)
@@ -444,7 +444,7 @@ class TestVariability:
 
     def test_rejects_t_zero(self, ls_problem):
         with pytest.raises(ValueError):
-            variability(ls_problem, 0, np.zeros(10))
+            variability(ls_problem, 0, np.zeros(10), 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -486,7 +486,7 @@ class TestRowInvariance:
             "grad": lambda x: problem.grad(t, x),
             "total_value": lambda x: problem.total_value(t, x),
             "prox_decrease": lambda x: prox_decrease(problem, t, x),
-            "phi_tilde": lambda x: variability(problem, t, x)[1],
+            "phi_tilde": lambda x: variability(problem, t, x, problem.value(t, x))[1],
         }
         for name, oracle in oracles.items():
             batch = oracle(xs)

@@ -8,7 +8,8 @@ import pytest
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import DemandResponse, TimeVaryingLeastSquares, synth_demand_response_traces
 from plgrad.prox import Regularizer
-from plgrad.solvers import prox_gradient_step, run
+from plgrad.solvers import _row_norm, prox_gradient_step, run
+from test_checks import OracleSpy
 
 ZERO = NoiseModel("zero")
 
@@ -346,3 +347,81 @@ class TestBatchedKernel:
             np.testing.assert_allclose(batch.psi_tilde[row], psi, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(batch.error_norm[row], err, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(batch.x_final[row], x, rtol=1e-12, atol=0.0)
+
+
+def reference_run(problem, model, seed, trials):
+    """The kernel loop before it shared f_{t+1}(x_{t+1}): total_value for the
+    regret and a variability that evaluates both f_{t+1} and f_t, per step."""
+    trials = tuple(trials)
+    horizon = problem.horizon
+    step = 1.0 / problem.smoothness
+    raw = np.stack([sample(model, problem.error_dim, seed, k, horizon) for k in trials], axis=1)
+    shape = (len(trials), horizon + 1)
+    regret = np.empty(shape)
+    error_norm = np.zeros(shape)
+    sigma = np.zeros(horizon + 1)
+    phi_tilde = np.zeros(shape)
+    excursions = np.zeros(len(trials), dtype=int)
+    max_step_norm = np.zeros(len(trials))
+    min_raw = np.full(len(trials), np.inf)
+
+    def record(t, xt):
+        r = problem.total_value(t, xt) - problem.fstar(t)
+        np.minimum(min_raw, r, out=min_raw)
+        regret[:, t] = np.maximum(r, 0.0)
+        excursions[_row_norm(xt) >= problem.domain_radius] += 1
+
+    def variability(t, xt):
+        sigma = abs(problem.fstar(t) - problem.fstar(t - 1))
+        return sigma, abs(problem.value(t, xt) - problem.value(t - 1, xt))
+
+    x = np.zeros((len(trials), problem.n))
+    record(0, x)
+    for t in range(horizon):
+        e = problem.map_error(raw[t])
+        x_next = prox_gradient_step(problem, t, x, step, e)
+        max_step_norm = np.maximum(max_step_norm, _row_norm(x_next - x))
+        x = x_next
+        record(t + 1, x)
+        error_norm[:, t + 1] = _row_norm(e)
+        sigma[t + 1], phi_tilde[:, t + 1] = variability(t + 1, x)
+    return {
+        "regret": regret,
+        "error_norm": error_norm,
+        "sigma": sigma,
+        "phi_tilde": phi_tilde,
+        "x_final": x,
+        "domain_excursions": excursions,
+        "max_step_norm": max_step_norm,
+        "min_raw_regret": min_raw,
+    }
+
+
+class TestOneValuePerStep:
+    """run evaluates f_{t+1}(x_{t+1}) once per step for regret and variability."""
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        families = _families()
+        # F != f here, so the regret and phi_tilde see different values
+        l1 = TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=7, horizon=40)
+        l1.regularizer = Regularizer.l1(0.3)
+        families["l1"] = (l1, "opgm", NoiseModel("gaussian_iid", scale=0.05))
+        return families
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES + ("l1",))
+    def test_matches_the_two_evaluation_loop(self, families, family):
+        problem, solver, model = families[family]
+        spy, ref_spy = OracleSpy(problem), OracleSpy(problem)
+        traj = run(spy, solver, model, seed=8, trials=range(5))
+        ref = reference_run(ref_spy, model, seed=8, trials=range(5))
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(traj, name), expected), name
+
+        def calls(s, oracle):
+            return sum(len(blocks) for (o, _), blocks in s.results.items() if o == oracle)
+
+        horizon = problem.horizon
+        assert calls(spy, "value") == 2 * horizon + 1
+        assert calls(ref_spy, "value") == 3 * horizon + 1
+        assert calls(spy, "grad") == calls(ref_spy, "grad") == horizon
