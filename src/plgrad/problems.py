@@ -676,13 +676,18 @@ def verify_prox_pl(
 
 
 def variability(
-    problem: OnlineProblem, t: int, x_t: np.ndarray, f_t: float | np.ndarray
+    problem: OnlineProblem,
+    t: int,
+    x_t: np.ndarray,
+    f_t: float | np.ndarray,
+    fstar: np.ndarray,
 ) -> tuple[float, float | np.ndarray]:
     """(sigma_t, phi_tilde_t) at the point x_t; psi_tilde_t is their sum.
 
-    f_t is problem.value(t, x_t), which the caller has already evaluated;
-    only f_{t-1}(x_t) is computed here.  sigma_t depends on t only;
-    phi_tilde_t has one value per row of x_t.
+    The caller passes what it has already read: f_t is problem.value(t, x_t)
+    and fstar[s] is problem.fstar(s) for s = 0..t (run reads the optimal
+    values once per horizon); only f_{t-1}(x_t) is computed here.  sigma_t
+    depends on t only; phi_tilde_t has one value per row of x_t.
 
     phi_tilde uses the smooth parts only: the regularizers in scope are
     time-invariant, so they cancel in F_t - F_{t-1} (and stay finite for
@@ -691,6 +696,6 @@ def variability(
     if t < 1:
         raise ValueError(f"variability needs t >= 1, got {t}")
     problem._check_t(t)
-    sigma = abs(problem.fstar(t) - problem.fstar(t - 1))
+    sigma = abs(fstar[t] - fstar[t - 1])
     phi = abs(f_t - problem.value(t - 1, x_t))
     return sigma, phi

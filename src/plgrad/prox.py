@@ -39,11 +39,14 @@ class Regularizer:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        if self.kind == "l1" and self.weight < 0:
-            raise ValueError(f"l1 weight must be nonnegative, got {self.weight}")
+        # a non-finite parameter gives an infinite diameter or nan prox outputs
+        if self.kind == "l1" and not 0 <= self.weight < np.inf:
+            raise ValueError(f"l1 weight must be finite and nonnegative, got {self.weight}")
         if self.kind == "box":
             if self.lo is None or self.hi is None:
                 raise ValueError("box regularizer requires lo and hi bounds")
+            if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+                raise ValueError("box bounds must be finite")
             if np.any(self.lo > self.hi):
                 raise ValueError("box bounds must satisfy lo <= hi elementwise")
 

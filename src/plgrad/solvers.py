@@ -128,6 +128,13 @@ def run(
 
     Deterministic: row k reproduces trial trials[k] bit-exactly, whichever
     other trials run in the same call.
+
+    Each step makes one grad call and two value calls on the (trials, n)
+    matrix.  The optimal values f*_0..f*_T depend on t only and are read
+    once, before the loop, for the regret and sigma.  g_t(x_t) is evaluated
+    only for an l1 term: g = 0 on the feasible x0, and a box indicator is 0
+    on its own prox outputs, so the regret adds 0.0 in the place of g there
+    (a nan iterate is caught by the finiteness check before it is recorded).
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -146,6 +153,8 @@ def run(
     x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     if np.linalg.norm(x) >= problem.domain_radius:
         raise ValueError("x0 lies outside the domain ball")
     if not np.isfinite(problem.regularizer.value(x)):
@@ -156,6 +165,8 @@ def run(
         raise ValueError(f"step must be positive, got {step}")
 
     reg_tol = 1e-9 if problem.fstar_exact else 1e-6
+    fstar = np.array([problem.fstar(t) for t in range(horizon + 1)])
+    g_varies = problem.regularizer.kind == "l1"
     # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial
     raw = np.stack(
         [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials],
@@ -173,7 +184,8 @@ def run(
 
     def record(t: int, xt: np.ndarray, f: np.ndarray) -> None:
         # f = f_t(x_t); F_t(x_t) - F_t* in the operations of total_value
-        r = f + problem.regularizer.value(xt) - problem.fstar(t)
+        g = problem.regularizer.value(xt) if g_varies else 0.0
+        r = f + g - fstar[t]
         np.minimum(min_raw, r, out=min_raw)
         bad = ~np.isfinite(r)
         if bad.any():
@@ -203,19 +215,21 @@ def run(
     for t in range(horizon):
         problem.map_error(raw[t], out=e)
         prox_gradient_step(problem, t, x, step, e, out=x_next)
-        bad = ~np.isfinite(x_next).all(axis=1)
-        if bad.any():
-            raise RuntimeError(
-                f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
-            )
-        np.maximum(
-            max_step_norm, _row_norm(np.subtract(x_next, x, out=diff)), out=max_step_norm
-        )
+        # x is finite, so a row of x_next with a nan or inf entry has a
+        # non-finite step norm; the full scan runs only when one does
+        step_norm = _row_norm(np.subtract(x_next, x, out=diff))
+        if not np.isfinite(step_norm).all():
+            bad = ~np.isfinite(x_next).all(axis=1)
+            if bad.any():
+                raise RuntimeError(
+                    f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
+                )
+        np.maximum(max_step_norm, step_norm, out=max_step_norm)
         x, x_next = x_next, x
         f = problem.value(t + 1, x)
         record(t + 1, x, f)
         error_norm[:, t + 1] = _row_norm(e)
-        sigma[t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x, f)
+        sigma[t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x, f, fstar)
 
     exceptions = theory_exceptions(problem, step_override)
     if excursions.any():

@@ -314,6 +314,17 @@ class TestConfigFiles:
         assert np.array_equal(box.lo, np.full(4, -10.0))
         assert np.array_equal(box.hi, np.full(4, 10.0))
 
+    @pytest.mark.parametrize("lo", ["-inf", "nan"])
+    def test_non_finite_bounds_rejected_at_build(self, tmp_path, lo):
+        # an infinite box would certify an infinite diameter and domain radius
+        cfg = tmp_path / "dr.cfg"
+        cfg.write_text(
+            "[experiment]\npreset = fig3-demand-response\ntrials = 2\nhorizon = 20\n"
+            f"[problem]\nn_der = 4\nbounds_lo = {lo}\nbounds_hi = 10\n"
+        )
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            build_problem(make_config(load_config_file(cfg)))
+
     def test_l1_weight_needs_l1_regularizer(self):
         cfg = make_config({}, {"preset": "static-ls", "trials": 2})
         cfg.problem["l1_weight"] = 0.5

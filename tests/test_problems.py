@@ -32,6 +32,11 @@ def fd_gradient(problem, t, x, h=1e-6):
     return g
 
 
+def optimal_values(problem):
+    """f*_0..f*_T, read once, as run passes them to variability."""
+    return np.array([problem.fstar(t) for t in range(problem.horizon + 1)])
+
+
 @pytest.fixture(scope="module")
 def ls_problem():
     return TimeVaryingLeastSquares(
@@ -92,8 +97,9 @@ class TestLeastSquares:
     def test_static_variability_identically_zero(self, static_ls):
         rng = np.random.default_rng(0)
         x = rng.normal(size=10)
+        fstar = optimal_values(static_ls)
         for t in range(1, 61):
-            assert variability(static_ls, t, x, static_ls.value(t, x)) == (0.0, 0.0)
+            assert variability(static_ls, t, x, static_ls.value(t, x), fstar) == (0.0, 0.0)
 
     def test_quadratic_lower_bound_near_minimizer(self, ls_problem):
         # gradient domination implies f(x) - f* >= mu/2 ||x - x*||^2
@@ -435,8 +441,9 @@ class TestProxPLVerification:
 class TestVariability:
     def test_two_evaluation_oracle(self, ls_problem):
         x = np.full(10, 0.3)
+        fstar = optimal_values(ls_problem)
         for t in (1, 30, 60):
-            sigma, phi_tilde = variability(ls_problem, t, x, ls_problem.value(t, x))
+            sigma, phi_tilde = variability(ls_problem, t, x, ls_problem.value(t, x), fstar)
             direct_phi = abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
             direct_sigma = abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
             assert phi_tilde == pytest.approx(direct_phi, rel=1e-12)
@@ -444,7 +451,7 @@ class TestVariability:
 
     def test_rejects_t_zero(self, ls_problem):
         with pytest.raises(ValueError):
-            variability(ls_problem, 0, np.zeros(10), 0.0)
+            variability(ls_problem, 0, np.zeros(10), 0.0, optimal_values(ls_problem))
 
 
 @pytest.fixture(scope="module")
@@ -481,12 +488,13 @@ class TestRowInvariance:
         problem = request.getfixturevalue(fixture)
         xs = self._batch(problem)
         t = problem.horizon // 2
+        fstar = optimal_values(problem)
         oracles = {
             "value": lambda x: problem.value(t, x),
             "grad": lambda x: problem.grad(t, x),
             "total_value": lambda x: problem.total_value(t, x),
             "prox_decrease": lambda x: prox_decrease(problem, t, x),
-            "phi_tilde": lambda x: variability(problem, t, x, problem.value(t, x))[1],
+            "phi_tilde": lambda x: variability(problem, t, x, problem.value(t, x), fstar)[1],
         }
         for name, oracle in oracles.items():
             batch = oracle(xs)

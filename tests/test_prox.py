@@ -153,6 +153,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             Regularizer.l1(-0.5)
 
+    @pytest.mark.parametrize(
+        "lo, hi", [([np.nan], [1.0]), ([-np.inf], [1.0]), ([0.0], [np.inf]), ([0.0], [np.nan])]
+    )
+    def test_non_finite_box_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            Regularizer.box(lo, hi)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_l1_weight(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            Regularizer.l1(weight)
+
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             Regularizer.none().prox(0.0, np.array([1.0]))

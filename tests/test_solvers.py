@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from plgrad.noise import NoiseModel, sample
-from plgrad.problems import DemandResponse, TimeVaryingLeastSquares, synth_demand_response_traces
+from plgrad.problems import (
+    DemandResponse,
+    OnlineProblem,
+    TimeVaryingLeastSquares,
+    synth_demand_response_traces,
+)
 from plgrad.prox import Regularizer
 from plgrad.solvers import _row_norm, prox_gradient_step, run
 from test_checks import OracleSpy
@@ -71,6 +76,36 @@ class TestSingleSteps:
         buf = np.full_like(x, np.nan)
         assert prox_gradient_step(p, 0, x, 1.0 / p.smoothness, e, out=buf) is buf
         assert np.array_equal(buf, out)
+
+
+class SpikedGradient(OnlineProblem):
+    """A flat cost whose gradient is `spike` on one row at step t and 0
+    elsewhere: every value and optimal value is 0 whatever the iterates."""
+
+    name = "spiked"
+    n = 2
+    horizon = 5
+    smoothness = 1.0
+    pl_constant = 1.0
+    domain_radius = 10.0
+    diameter = 20.0
+    fstar_exact = True
+    mu_exact = True
+
+    def __init__(self, spike, t, row):
+        self.spike, self.t, self.row = spike, t, row
+
+    def value(self, t, x):
+        return np.zeros(np.shape(x)[:-1])[()]
+
+    def grad(self, t, x, out=None):
+        g = np.multiply(x, 0.0, out=out)
+        if t == self.t:
+            g[self.row] = self.spike
+        return g
+
+    def fstar(self, t):
+        return 0.0
 
 
 class TestRun:
@@ -169,8 +204,6 @@ class TestRun:
     def test_inconsistent_fstar_oracle_rejected(self):
         # an optimal-value oracle above the true optimum drives the regret
         # below -1e-6 and must abort
-        from plgrad.problems import OnlineProblem
-
         class BadOracle(OnlineProblem):
             name = "bad"
             n = 1
@@ -200,12 +233,26 @@ class TestRun:
         with np.errstate(over="ignore"), pytest.raises(RuntimeError):
             run(p, "ogd", model, seed=0, x0=np.zeros(2))
 
+    @pytest.mark.parametrize("spike", [np.inf, np.nan])
+    def test_non_finite_row_names_its_trial_and_step(self, spike):
+        # the values stay finite, so only the iterate check can see the row
+        with pytest.raises(RuntimeError, match=r"non-finite iterate at t=3 \(seed=4, trial=5\)"):
+            run(SpikedGradient(spike, t=2, row=1), "ogd", ZERO, seed=4, trials=(3, 5, 7))
+
+    def test_overflowing_step_norm_on_a_finite_row_passes(self):
+        with np.errstate(over="ignore"):
+            traj = run(SpikedGradient(1e200, t=0, row=1), "ogd", ZERO, seed=0, trials=range(3))
+        assert np.array_equal(traj.max_step_norm, [0.0, np.inf, 0.0])
+        assert np.isfinite(traj.x_final).all()
+
     def test_x0_validation(self):
         p = quadratic_problem(0.5, 1.0, horizon=5)
         with pytest.raises(ValueError):
             run(p, "ogd", ZERO, x0=np.full(2, 1e6), seed=0)  # outside the ball
         with pytest.raises(ValueError):
             run(p, "ogd", ZERO, x0=np.zeros(3), seed=0)  # wrong shape
+        with pytest.raises(ValueError, match="finite"):
+            run(p, "ogd", ZERO, x0=np.array([np.nan, 0.0]), seed=0)
 
     def test_infeasible_x0_for_box(self):
         w, p_ref = synth_demand_response_traces(5, seed=2)
@@ -350,8 +397,10 @@ class TestBatchedKernel:
 
 
 def reference_run(problem, model, seed, trials):
-    """The kernel loop before it shared f_{t+1}(x_{t+1}): total_value for the
-    regret and a variability that evaluates both f_{t+1} and f_t, per step."""
+    """The kernel loop before it shared f_{t+1}(x_{t+1}), read f* once and
+    skipped g on prox outputs: per step, total_value (g included) and f*_t
+    for the regret, and a variability that evaluates both f_{t+1} and f_t
+    and reads f*_{t+1} and f*_t."""
     trials = tuple(trials)
     horizon = problem.horizon
     step = 1.0 / problem.smoothness
@@ -398,7 +447,8 @@ def reference_run(problem, model, seed, trials):
 
 
 class TestOneValuePerStep:
-    """run evaluates f_{t+1}(x_{t+1}) once per step for regret and variability."""
+    """run evaluates f_{t+1}(x_{t+1}) once per step for regret and variability,
+    reads each f*_t once, and evaluates g only where it can be nonzero."""
 
     @pytest.fixture(scope="class")
     def families(self):
@@ -410,10 +460,19 @@ class TestOneValuePerStep:
         return families
 
     @pytest.mark.parametrize("family", FAMILY_NAMES + ("l1",))
-    def test_matches_the_two_evaluation_loop(self, families, family):
+    def test_matches_the_two_evaluation_loop(self, families, family, monkeypatch):
         problem, solver, model = families[family]
         spy, ref_spy = OracleSpy(problem), OracleSpy(problem)
+        g_calls = []
+        g_value = Regularizer.value
+
+        def counted_g_value(reg, x):
+            g_calls.append(x.shape)
+            return g_value(reg, x)
+
+        monkeypatch.setattr(Regularizer, "value", counted_g_value)
         traj = run(spy, solver, model, seed=8, trials=range(5))
+        run_g_calls = len(g_calls)
         ref = reference_run(ref_spy, model, seed=8, trials=range(5))
         for name, expected in ref.items():
             assert np.array_equal(getattr(traj, name), expected), name
@@ -425,3 +484,11 @@ class TestOneValuePerStep:
         assert calls(spy, "value") == 2 * horizon + 1
         assert calls(ref_spy, "value") == 3 * horizon + 1
         assert calls(spy, "grad") == calls(ref_spy, "grad") == horizon
+        assert calls(spy, "fstar") == horizon + 1
+        assert calls(ref_spy, "fstar") == 3 * horizon + 1
+        if problem.regularizer.kind == "l1":
+            # the x0 feasibility check and every recorded iterate
+            assert run_g_calls == horizon + 2
+        else:
+            # g = 0 on x0 and on the box prox outputs
+            assert run_g_calls <= 2
