@@ -8,14 +8,13 @@ empirical regret against those certificates.
 """
 
 from .bounds import (
+    ErrorCost,
     asymptote,
+    error_cost,
+    expectation_bound,
+    highprob_bound,
+    highprob_factor,
     markov_highprob_bound,
-    ogd_expectation_bound,
-    ogd_highprob_bound,
-    ogd_highprob_factor,
-    opgm_expectation_bound,
-    opgm_highprob_bound,
-    opgm_highprob_factor,
 )
 from .config import ExperimentConfig, PRESETS, build_noise, build_problem, make_config
 from .harness import (
@@ -56,6 +55,7 @@ __all__ = [
     "AggregateReport",
     "DemandResponse",
     "DriftingLogistic",
+    "ErrorCost",
     "ExperimentConfig",
     "LtiTracking",
     "NoiseModel",
@@ -71,19 +71,17 @@ __all__ = [
     "build_noise",
     "build_problem",
     "envelope_norm",
+    "error_cost",
+    "expectation_bound",
     "fit_from_samples",
+    "highprob_bound",
+    "highprob_factor",
     "hp_bound",
     "include",
     "longrun_asymptote_check",
     "make_config",
     "markov_highprob_bound",
     "mean_norm",
-    "ogd_expectation_bound",
-    "ogd_highprob_bound",
-    "ogd_highprob_factor",
-    "opgm_expectation_bound",
-    "opgm_highprob_bound",
-    "opgm_highprob_factor",
     "power",
     "prox_gradient_step",
     "prox_objective_gap",

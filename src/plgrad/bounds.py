@@ -1,45 +1,74 @@
 """Computable regret certificates for the two online methods.
 
-All series share one backbone: a geometric recursion with contraction
-zeta = 1 - mu/L and a per-step additive cost,
+Both methods obey one linear recursion in the regret,
+
+    r_{t+1} <= zeta r_t + weight ||e_t||^power + psi_{t+1},
+
+with contraction zeta = 1 - mu/L.  They differ only in how the gradient
+error enters, and an ErrorCost record states that once per method:
+power 2, weight 1/(2L) for the gradient method (under PL) and power 1,
+weight 2D for the prox method (under proximal PL), D being the domain (or
+constraint-box) diameter.  error_cost maps a solver name to its record.
+
+Every certificate is the geometric recursion
 
     B_0 = r_0,    B_{t+1} = zeta B_t + c_{t+1},
 
 equal to the closed-form sum zeta^t r_0 + sum_tau zeta^(t-tau) c_tau but
-numerically stable for long horizons.  The per-step cost distinguishes the
-certificates:
+numerically stable for long horizons, with one per-step cost
 
-    gradient method, expectation:   c_tau = E||e_{tau-1}||^2 / (2L) + psi_tau
-    gradient method, high prob.:    c_tau = 4^theta K_{tau-1}^2 / (2L) + psi_tau,
-                                    whole series scaled by h(theta, delta)
-    prox method, expectation:       c_tau = 2 D E||e_{tau-1}|| + psi_tau
-    prox method, high prob.:        c_tau = 2 D K_{tau-1} + psi_tau,
-                                    scaled by h_p(theta, delta)
+    c_tau = weight * m_{tau-1} + psi_tau.
 
-The high-probability scale factors are not hard-coded: they are the
-quantile bound of the sub-Weibull class at unit moment scale, evaluated at
-tail exponent 2*theta (the square of the error norm drives the gradient
-method) or theta (the norm itself drives the prox method).  A Markov-
-inequality alternative (expectation series divided by delta) is provided
-for comparison, and the long-run asymptote e_bar/(2 mu) + (L/mu) psi_bar
-caps the plateau.  Every series is a plain array B_0..B_T.
+In expectation m_i = E||e_i||^power.  With high probability m_i is the
+moment scale of ||e_i||^power, which the sub-Weibull power rule gives as
+k(power, theta) K_i^power (4^theta K_i^2 for power 2, K_i for power 1), and
+the whole series is scaled by the unit-scale quantile bound at tail exponent
+power * theta.  A Markov-inequality alternative (expectation series divided
+by delta) is provided for comparison, and the long-run asymptote, the fixed
+point (L/mu)(weight e_bar + psi_bar) of the expectation recursion at
+constant inputs, caps the plateau.  Every series is a plain array B_0..B_T.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .subweibull import SubWeibullParams, hp_bound
+from . import subweibull
+
+
+@dataclass(frozen=True)
+class ErrorCost:
+    """Per-step random cost weight * ||e||^power of one method's recursion."""
+
+    power: int
+    weight: float
+
+    def __post_init__(self) -> None:
+        if not (self.power > 0 and self.weight > 0):
+            raise ValueError(f"power and weight must be positive, got {self}")
+
+
+def error_cost(solver: str, smoothness: float, diameter: float) -> ErrorCost:
+    """The error cost of a solver: ogd -> (2, 1/(2L)), opgm -> (1, 2D).
+
+    Only the constant the solver uses is read, and it must be positive.
+    """
+    if solver == "ogd":
+        if smoothness <= 0:
+            raise ValueError(f"smoothness must be positive, got {smoothness}")
+        return ErrorCost(2, 1.0 / (2.0 * smoothness))
+    if solver == "opgm":
+        if diameter <= 0:
+            raise ValueError(f"diameter must be positive, got {diameter}")
+        return ErrorCost(1, 2.0 * diameter)
+    raise ValueError(f"unknown solver {solver!r}")
 
 
 def _check_zeta(zeta: float) -> None:
     if not 0.0 < zeta < 1.0:
         raise ValueError(f"contraction factor must lie in (0, 1), got {zeta}")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
 
 
 def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray:
@@ -56,16 +85,11 @@ def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray
     return out
 
 
-def _cost_inputs(
-    constant: float, constant_name: str, stat, stat_name: str, psi
-) -> tuple[np.ndarray, np.ndarray]:
-    """Checked inputs of one cost formula: the per-step statistic and psi.
+def _cost_inputs(stat, stat_name: str, psi) -> tuple[np.ndarray, np.ndarray]:
+    """Checked inputs of the cost formula: the per-step statistic and psi.
 
-    The constant (smoothness or diameter) must be positive; stat and psi
-    must be nonnegative series of one length, the horizon T.
+    Both must be nonnegative series of one length, the horizon T.
     """
-    if constant <= 0:
-        raise ValueError(f"{constant_name} must be positive, got {constant}")
     stat = np.asarray(stat, dtype=float)
     psi = np.asarray(psi, dtype=float)
     if stat.ndim != 1 or psi.shape != stat.shape:
@@ -77,94 +101,63 @@ def _cost_inputs(
     return stat, psi
 
 
-def ogd_highprob_factor(theta: float, delta: float) -> float:
-    """Scale h(theta, delta) applied to the gradient-method series.
+def highprob_factor(power: int, theta: float, delta: float) -> float:
+    """Scale of a high-probability series: the quantile bound of (power * theta, 1).
 
-    Derived as the unit-scale quantile bound at tail exponent 2*theta; this
-    equals log(2/delta)**(2 theta) * (e/theta)**(2 theta).
+    For power 2 (the gradient method, h) this equals
+    log(2/delta)**(2 theta) * (e/theta)**(2 theta); for power 1 (the prox
+    method, h_p) log(2/delta)**theta * (2e/theta)**theta.
     """
-    _check_delta(delta)
-    return hp_bound(SubWeibullParams(2.0 * theta, 1.0), delta)
+    return subweibull.hp_bound(subweibull.SubWeibullParams(power * theta, 1.0), delta)
 
 
-def opgm_highprob_factor(theta: float, delta: float) -> float:
-    """Scale h_p(theta, delta) = log(2/delta)**theta * (2e/theta)**theta."""
-    _check_delta(delta)
-    return hp_bound(SubWeibullParams(theta, 1.0), delta)
+def expectation_bound(r0: float, zeta: float, cost: ErrorCost, moments, psi) -> np.ndarray:
+    """Expected-regret certificate, t = 0..T.
 
-
-def ogd_expectation_bound(
-    r0: float, zeta: float, second_moments, psi, smoothness: float
-) -> np.ndarray:
-    """Expected-regret certificate for the gradient method, t = 0..T.
-
-    second_moments[i] = E||e_i||^2 for i = 0..T-1; psi[i] is the
-    variability entering between times i and i+1.
+    moments[i] = E||e_i||^power for i = 0..T-1; psi[i] is the variability
+    entering between times i and i+1.
     """
-    moments, psi = _cost_inputs(smoothness, "smoothness", second_moments, "second_moments", psi)
-    return geometric_recursion(r0, zeta, (1.0 / (2.0 * smoothness)) * moments + psi)
+    moments, psi = _cost_inputs(moments, "moments", psi)
+    return geometric_recursion(r0, zeta, cost.weight * moments + psi)
 
 
-def ogd_highprob_bound(
+def highprob_bound(
     r0: float,
     zeta: float,
+    cost: ErrorCost,
     envelope_ks,
     psi,
     theta: float,
     delta: float,
-    smoothness: float,
 ) -> np.ndarray:
-    """High-probability certificate for the gradient method, t = 0..T.
+    """High-probability certificate, t = 0..T.
 
-    envelope_ks[i] is the sub-Weibull moment scale of ||e_i||; the squared
-    norms aggregate into a tail-exponent-2*theta variable with scale
-    4^theta K_i^2 / (2L), whence the series and the factor h(theta, delta).
-    Holds with probability at least 1 - delta at each fixed t.
-    """
-    ks, psi = _cost_inputs(smoothness, "smoothness", envelope_ks, "envelope_ks", psi)
-    costs = (4.0**theta / (2.0 * smoothness)) * ks**2 + psi
-    return ogd_highprob_factor(theta, delta) * geometric_recursion(r0, zeta, costs)
-
-
-def opgm_expectation_bound(
-    r0: float, zeta: float, first_moments, psi, diameter: float
-) -> np.ndarray:
-    """Expected-regret certificate for the prox method, t = 0..T.
-
-    first_moments[i] = E||e_i||; the error enters linearly with weight 2D,
-    D being the domain (or constraint-box) diameter.
-    """
-    moments, psi = _cost_inputs(diameter, "diameter", first_moments, "first_moments", psi)
-    return geometric_recursion(r0, zeta, 2.0 * diameter * moments + psi)
-
-
-def opgm_highprob_bound(
-    r0: float,
-    zeta: float,
-    envelope_ks,
-    psi,
-    diameter: float,
-    theta: float,
-    delta: float,
-) -> np.ndarray:
-    """High-probability certificate for the prox method, t = 0..T.
-
-    The error norms aggregate at their own tail exponent theta with scale
-    2 D K_i, scaled by h_p(theta, delta).  Holds with probability at least
+    envelope_ks[i] is the sub-Weibull moment scale of ||e_i||; the costs
+    aggregate at tail exponent power * theta with scale
+    weight * k(power, theta) * K_i^power, whence the factor
+    highprob_factor(power, theta, delta).  Holds with probability at least
     1 - delta at each fixed t.
     """
-    ks, psi = _cost_inputs(diameter, "diameter", envelope_ks, "envelope_ks", psi)
-    costs = 2.0 * diameter * ks + psi
-    return opgm_highprob_factor(theta, delta) * geometric_recursion(r0, zeta, costs)
+    ks, psi = _cost_inputs(envelope_ks, "envelope_ks", psi)
+    unit = subweibull.SubWeibullParams(theta, 1.0)
+    scale = cost.weight * subweibull.power(unit, cost.power).k
+    costs = scale * ks**cost.power + psi
+    return highprob_factor(cost.power, theta, delta) * geometric_recursion(r0, zeta, costs)
 
 
-def asymptote(mu: float, smoothness: float, e_bar_second_moment: float, psi_bar: float) -> float:
-    """Almost-sure limsup cap: e_bar/(2 mu) + (L/mu) psi_bar."""
+def asymptote(
+    mu: float, smoothness: float, cost: ErrorCost, e_bar: float, psi_bar: float
+) -> float:
+    """Long-run cap (L/mu)(weight e_bar + psi_bar), e_bar = sup E||e||^power.
+
+    The fixed point of expectation_bound when every step has the inputs
+    (e_bar, psi_bar): zeta = 1 - mu/L, so B = c / (1 - zeta) = (L/mu) c.
+    """
     if mu <= 0 or smoothness <= 0:
         raise ValueError("mu and smoothness must be positive")
-    if e_bar_second_moment < 0 or psi_bar < 0:
+    if e_bar < 0 or psi_bar < 0:
         raise ValueError("e_bar and psi_bar must be nonnegative")
-    return e_bar_second_moment / (2.0 * mu) + (smoothness / mu) * psi_bar
+    return (smoothness / mu) * (cost.weight * e_bar + psi_bar)
 
 
 def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
@@ -173,5 +166,6 @@ def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
     Scales as 1/delta where the sub-Weibull certificates scale as
     log(1/delta); kept for empirical comparison.
     """
-    _check_delta(delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return np.asarray(expectation, dtype=float) / delta

@@ -201,8 +201,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     env = SubWeibullParams(args.theta, args.k)
     print(f"hp_bound = {_fmt(hp_bound(env, args.delta))}")
-    print(f"h = {_fmt(bounds_mod.ogd_highprob_factor(args.theta, args.delta))}")
-    print(f"h_p = {_fmt(bounds_mod.opgm_highprob_factor(args.theta, args.delta))}")
+    # the factor reads only the record's power, which no constant changes
+    for name, solver in (("h", "ogd"), ("h_p", "opgm")):
+        power = bounds_mod.error_cost(solver, 1.0, 1.0).power
+        print(f"{name} = {_fmt(bounds_mod.highprob_factor(power, args.theta, args.delta))}")
 
     zeta = None
     if args.mu is not None and args.l is not None:
@@ -212,10 +214,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         print(f"zeta = {_fmt(zeta)}")
         if args.e_bar is not None:
             psi_bar = args.psi_bar if args.psi_bar is not None else 0.0
-            print(
-                "asymptote = "
-                f"{_fmt(bounds_mod.asymptote(args.mu, args.l, args.e_bar, psi_bar))}"
-            )
+            # the gradient method's cap; --e-bar is sup E||e||^2
+            ogd = bounds_mod.error_cost("ogd", args.l, args.diameter)
+            value = bounds_mod.asymptote(args.mu, args.l, ogd, args.e_bar, psi_bar)
+            print(f"asymptote = {_fmt(value)}")
 
     if args.horizon is not None:
         if zeta is None:
@@ -224,23 +226,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             raise ConfigError("a bound series needs --r0")
         ks = np.full(args.horizon, args.k)
         psi = np.zeros(args.horizon)
-        series = [
-            (
-                "ogd_highprob",
-                bounds_mod.ogd_highprob_bound(
-                    args.r0, zeta, ks, psi, args.theta, args.delta, args.l
-                ),
-            )
-        ]
-        if args.diameter is not None:
-            series.append(
-                (
-                    "opgm_highprob",
-                    bounds_mod.opgm_highprob_bound(
-                        args.r0, zeta, ks, psi, args.diameter, args.theta, args.delta
-                    ),
-                )
-            )
+        solvers = ("ogd", "opgm") if args.diameter is not None else ("ogd",)
+        series = []
+        for solver in solvers:
+            cost = bounds_mod.error_cost(solver, args.l, args.diameter)
+            bound = bounds_mod.highprob_bound(args.r0, zeta, cost, ks, psi, args.theta, args.delta)
+            series.append((f"{solver}_highprob", bound))
         print("t," + ",".join(name for name, _ in series))
         for t in range(args.horizon + 1):
             print(

@@ -70,32 +70,21 @@ class AggregateReport:
 
 
 def _bound_set(
-    problem: OnlineProblem,
-    config: ExperimentConfig,
+    cost: bounds_mod.ErrorCost,
+    deltas: tuple,
     r0: float,
     zeta: float,
     psi: np.ndarray,
     theta: float,
-    second_moments: np.ndarray,
-    first_moments: np.ndarray,
+    moments: np.ndarray,
     envelope_ks: np.ndarray,
 ) -> dict:
     """Every certificate series of one input mode, keyed by its column name."""
-    if config.solver == "ogd":
-        l = problem.smoothness
-        out = {"expectation": bounds_mod.ogd_expectation_bound(r0, zeta, second_moments, psi, l)}
-        for delta in config.deltas:
-            out[f"highprob_{delta:g}"] = bounds_mod.ogd_highprob_bound(
-                r0, zeta, envelope_ks, psi, theta, delta, l
-            )
-    else:
-        d = problem.diameter
-        out = {"expectation": bounds_mod.opgm_expectation_bound(r0, zeta, first_moments, psi, d)}
-        for delta in config.deltas:
-            out[f"highprob_{delta:g}"] = bounds_mod.opgm_highprob_bound(
-                r0, zeta, envelope_ks, psi, d, theta, delta
-            )
-    for delta in config.deltas:
+    out = {"expectation": bounds_mod.expectation_bound(r0, zeta, cost, moments, psi)}
+    for delta in deltas:
+        out[f"highprob_{delta:g}"] = bounds_mod.highprob_bound(
+            r0, zeta, cost, envelope_ks, psi, theta, delta
+        )
         out[f"markov_{delta:g}"] = bounds_mod.markov_highprob_bound(out["expectation"], delta)
     return out
 
@@ -165,37 +154,40 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     fitted_ks = _fitted_envelope_ks(err, model, horizon)
 
     # per-step (second_moments, first_moments, envelope_ks) of each input mode
-    inputs = {"empirical": (mean_err_sq, mean_err_norm, fitted_ks)}
+    stats = {"empirical": (mean_err_sq, mean_err_norm, fitted_ks)}
     try:
-        inputs["analytic"] = _analytic_inputs(problem, model, horizon)
+        stats["analytic"] = _analytic_inputs(problem, model, horizon)
     except NotImplementedError:
         pass
-    if config.bound_inputs not in inputs:
+    if config.bound_inputs not in stats:
         raise ValueError("analytic bound inputs are unavailable for this noise model")
+    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
+    # the cost's power picks the moment it takes: E||e||^2 or E||e||
+    inputs = {
+        mode: ({2: second, 1: first}[cost.power], ks)
+        for mode, (second, first, ks) in stats.items()
+    }
     # variability is problem data with no a-priori form: both modes use its mean
     bound_sets = {
-        mode: _bound_set(problem, config, r0, zeta, mean_psi, theta, *stats)
-        for mode, stats in inputs.items()
+        mode: _bound_set(cost, config.deltas, r0, zeta, mean_psi, theta, *mode_inputs)
+        for mode, mode_inputs in inputs.items()
     }
     bounds_primary = bound_sets.pop(config.bound_inputs)
     bounds_alt = bound_sets.popitem()[1] if bound_sets else {}
-    second_moments_used, _, envelope_k_used = inputs[config.bound_inputs]
+    moments_used, envelope_k_used = inputs[config.bound_inputs]
 
     # long-run cap from the supremum statistics over the horizon
-    e_bar = float(np.max(second_moments_used)) if horizon else 0.0
+    e_bar = float(np.max(moments_used)) if horizon else 0.0
     if config.psi_bar is not None:
         psi_bar, psi_src = config.psi_bar, "configured"
     else:
         psi_bar, psi_src = (float(np.max(mean_psi)) if horizon else 0.0), "empirical sup"
     asymptote_value = bounds_mod.asymptote(
-        problem.pl_constant, problem.smoothness, e_bar, psi_bar
+        problem.pl_constant, problem.smoothness, cost, e_bar, psi_bar
     )
 
     # pathwise recursion residuals (positive = violation)
-    if config.solver == "ogd":
-        coef = err[:, 1:] ** 2 / (2.0 * problem.smoothness)
-    else:
-        coef = 2.0 * problem.diameter * err[:, 1:]
+    coef = cost.weight * err[:, 1:] ** cost.power
     resid = regret[:, 1:] - zeta * regret[:, :-1] - coef - psi_m[:, 1:]
     recursion_max = float(resid.max()) if resid.size else 0.0
 
@@ -348,6 +340,10 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
         )
     )
 
+    # at most 3 checkpoints x |deltas| tests at 99% each: by the union bound an
+    # honest run fails the gate with probability at most 3 |deltas| 1%, 6%
+    # for two deltas (the tests share trials, so 1 - 0.99^(3 |deltas|) does
+    # not apply)
     for delta in report.config.deltas:
         limit = coverage_envelope(report.trials, delta)
         counts = report.violations[delta]

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from plgrad.bounds import ogd_expectation_bound, opgm_expectation_bound
+from plgrad.bounds import error_cost, expectation_bound
 from plgrad.cli import main as cli_main
 from plgrad.config import make_config
 from plgrad.harness import coverage_envelope, longrun_asymptote_check, run_experiment
@@ -84,9 +84,8 @@ def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
     report = fig1_report
     bound = report.bounds["expectation"]
     info = report.problem_info
-    direct = ogd_expectation_bound(
-        info["r0"], report.zeta, report.mean_err_sq, report.mean_psi, info["smoothness"]
-    )
+    cost = error_cost("ogd", info["smoothness"], info["diameter"])
+    direct = expectation_bound(info["r0"], report.zeta, cost, report.mean_err_sq, report.mean_psi)
     assert np.array_equal(bound, direct)
     slack = 1e-12 * (1.0 + bound)
     assert np.all(report.mean_regret <= bound + slack)
@@ -177,9 +176,8 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     report = demand_response_report
     bound = report.bounds["expectation"]
     info = report.problem_info
-    direct = opgm_expectation_bound(
-        info["r0"], report.zeta, report.mean_err_norm, report.mean_psi, info["diameter"]
-    )
+    cost = error_cost("opgm", info["smoothness"], info["diameter"])
+    direct = expectation_bound(info["r0"], report.zeta, cost, report.mean_err_norm, report.mean_psi)
     assert np.array_equal(bound, direct)
     assert np.all(report.mean_regret <= bound + 1e-12 * (1.0 + bound))
 

@@ -31,12 +31,12 @@ GOLDEN = {
     ("static-ls", None): (
         "bf1a413bf29fa763e396c7f74beacc13af71b302a379f562253e2ce09cf38e16",
         "50ca523fd63db1f8676b7424e1244f25d5021498397b56a169bef9266f8b1496",
-        "f9bfd9bd6d66e4c9a92970b664a8b78b7b3a8f7506f0a17f48761deaf372ab32",
+        "82cf02e8ea5fdfa877be5e06e9b2ec2c133fc4932e39a33b8da193913e2f2efd",
     ),
     ("fig3-demand-response", None): (
         "4b36a81fcbe01232a1eccfe0ae87de746bbd4fdedff860c847572e5d5dfca41e",
         "37565d7ef521cd72087ccfba1dff3b5db39a19fe26381ad4a8250fcf581b461b",
-        "c756eb22a8318286d63f182d4d655ada971c10333b145257597e4fa6c1609409",
+        "8464ed51587a35689f34ffd6803cc64f4260644e4a9692212c46f30345b11f29",
     ),
     ("logistic", None): (
         "a98eddf43eadba0517eabe1f5080fe42120993f561c9f9eca405a609ddeecf12",
@@ -51,7 +51,7 @@ GOLDEN = {
     ("fig3-demand-response", "n_der=500"): (
         "ae2b837a0cd99cfa902a0a1f7a7715e0acdaa0697fa69cdb013e6b9dbba25f1d",
         "4769aaf7c32a38b7424d59a67da0ce2ed78fb7b1c0e62bdea036dcdff71207e0",
-        "60d7f8997772f54ee9f560f8890c26897d607e979b512a0bcd45af2cbecbe004",
+        "b9a54bae0f59781112e465f3c8cd5ff3a096adff633c3a98264a44c8e17fb98e",
     ),
 }
 # (preset, config sections) -> sha256 of the validate_bounds table and of the

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from plgrad.bounds import opgm_expectation_bound
+from plgrad.bounds import error_cost, expectation_bound
 from plgrad.config import build_problem, make_config
 from plgrad.harness import (
     _check_prox,
@@ -102,8 +102,9 @@ class TestDominanceAndCoverage:
         summary = validate_bounds(report)
         assert summary.passed, summary.failed_names()
         info = report.problem_info
-        direct = opgm_expectation_bound(
-            info["r0"], report.zeta, report.mean_err_norm, report.mean_psi, info["diameter"]
+        cost = error_cost("opgm", info["smoothness"], info["diameter"])
+        direct = expectation_bound(
+            info["r0"], report.zeta, cost, report.mean_err_norm, report.mean_psi
         )
         assert np.array_equal(report.bounds["expectation"], direct)
 
@@ -236,6 +237,24 @@ class TestLongRun:
         cfg.psi_bar = 5.0
         out = longrun_asymptote_check(cfg, burn_in=10)
         assert out.asymptote > 0
+
+    @pytest.mark.parametrize("solver", ["ogd", "opgm"])
+    def test_asymptote_is_the_method_recursion_fixed_point(self, solver):
+        # (L/mu)(weight sup E||e||^power + psi_bar): the gradient method's error
+        # enters as ||e||^2 / (2L), the prox method's as 2D ||e||
+        cfg = small_config(preset="fig1-ls", trials=6, horizon=40, solver=solver)
+        report = run_experiment(cfg)
+        info = report.problem_info
+        if solver == "ogd":
+            weight, moments = 1.0 / (2.0 * info["smoothness"]), report.mean_err_sq
+        else:
+            weight, moments = 2.0 * info["diameter"], report.mean_err_norm
+        assert report.psi_bar_used > 0
+        expected = (info["smoothness"] / info["pl_constant"]) * (
+            weight * float(moments.max()) + report.psi_bar_used
+        )
+        assert report.e_bar_used == float(moments.max())
+        assert report.asymptote_value == pytest.approx(expected, rel=1e-12)
 
 
 class TestBattery:
