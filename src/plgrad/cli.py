@@ -48,16 +48,18 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
         fh.writelines(template % tuple(row.tolist()) for row in np.column_stack(columns))
 
 
-def _delta_tag(delta: float) -> str:
-    return f"{delta:g}"
-
-
 def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = report.config
+    problem = report.problem
+    traj = report.trajectory
+    mean = report.mean_regret
+    t = np.arange(cfg.horizon + 1, dtype=float)
     written = []
 
     # both band flavors: trajectory spread and mean-estimator spread
+    spread = 3.0 * report.std_regret
+    sem = spread / np.sqrt(cfg.trials)
     header = [
         "t",
         "mean_regret",
@@ -69,18 +71,18 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         "bound_expectation",
     ]
     cols = [
-        report.t.astype(float),
-        report.mean_regret,
+        t,
+        mean,
         report.std_regret,
-        np.maximum(report.band_lo, 0.0),
-        report.band_hi,
-        np.maximum(report.band_lo_sem, 0.0),
-        report.band_hi_sem,
+        np.maximum(mean - spread, 0.0),
+        mean + spread,
+        np.maximum(mean - sem, 0.0),
+        mean + sem,
         report.bounds["expectation"],
     ]
     for delta in cfg.deltas:
-        header.append(f"bound_highprob_{_delta_tag(delta)}")
-        cols.append(report.bounds[f"highprob_{_delta_tag(delta)}"])
+        header.append(f"bound_highprob_{delta:g}")
+        cols.append(report.bounds[f"highprob_{delta:g}"])
     regret_path = out_dir / "regret.csv"
     _write_csv(regret_path, header, cols)
     written.append(regret_path)
@@ -88,7 +90,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     primary = cfg.bound_inputs
     alt = "analytic" if primary == "empirical" else "empirical"
     header = ["t"]
-    cols = [report.t.astype(float)]
+    cols = [t]
     for mode, series_map in ((primary, report.bounds), (alt, report.bounds_alt)):
         if not series_map:
             continue
@@ -99,23 +101,22 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     _write_csv(bounds_path, header, cols)
     written.append(bounds_path)
 
-    info = report.problem_info
     lines = [
         f"preset = {cfg.preset or 'custom'}",
-        f"problem = {info['name']}",
+        f"problem = {problem.name}",
         f"solver = {cfg.solver}",
-        f"n = {info['n']}",
-        f"horizon = {info['horizon']}",
-        f"trials = {report.trials}",
+        f"n = {problem.n}",
+        f"horizon = {cfg.horizon}",
+        f"trials = {cfg.trials}",
         f"seed = {cfg.seed}",
         f"bound_inputs = {cfg.bound_inputs}",
-        f"smoothness = {_fmt(info['smoothness'])}",
-        f"pl_constant = {_fmt(info['pl_constant'])}",
-        f"zeta = {_fmt(info['zeta'])}",
-        f"diameter = {_fmt(info['diameter'])}",
-        f"r0 = {_fmt(info['r0'])}",
-        f"fstar_exact = {info['fstar_exact']}",
-        f"mu_exact = {info['mu_exact']}",
+        f"smoothness = {_fmt(problem.smoothness)}",
+        f"pl_constant = {_fmt(problem.pl_constant)}",
+        f"zeta = {_fmt(report.zeta)}",
+        f"diameter = {_fmt(problem.diameter)}",
+        f"r0 = {_fmt(report.r0)}",
+        f"fstar_exact = {problem.fstar_exact}",
+        f"mu_exact = {problem.mu_exact}",
         f"envelope_theta = {_fmt(report.envelope_theta)}",
         f"envelope_k_max = {_fmt(float(np.max(report.envelope_k, initial=0.0)))}",
         f"e_bar = {_fmt(report.e_bar_used)}",
@@ -123,16 +124,16 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         f"psi_bar_source = {report.psi_bar_source}",
         f"asymptote = {_fmt(report.asymptote_value)}",
         f"recursion_max_violation = {_fmt(report.recursion_max_violation)}",
-        f"domain_excursions = {report.domain_excursions}",
-        f"max_step_norm = {_fmt(report.max_step_norm)}",
-        f"outside_theory = {report.outside_theory}",
-        f"min_raw_regret = {_fmt(report.min_raw_regret)}",
+        f"domain_excursions = {int(traj.domain_excursions.sum())}",
+        f"max_step_norm = {_fmt(float(traj.max_step_norm.max()))}",
+        f"outside_theory = {traj.outside_theory}",
+        f"min_raw_regret = {_fmt(float(traj.min_raw_regret.min()))}",
         f"final_mean_regret = {_fmt(float(report.mean_regret[-1]))}",
     ]
     for delta in cfg.deltas:
         counts = report.violations[delta]
         joined = ", ".join(f"t={cp}: {counts[cp]}" for cp in report.checkpoints)
-        lines.append(f"violations_delta_{_delta_tag(delta)} = {joined}")
+        lines.append(f"violations_delta_{delta:g} = {joined}")
     summary_path = out_dir / "summary.txt"
     with open(summary_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,9 +2,11 @@
 
 Config files are flat key = value text with bracketed section headers
 ([experiment], [problem], [noise]); only documented keys are accepted, and
-unknown keys are hard errors so that runs stay reproducible.  Named presets
-provide complete defaults which a config file and command-line flags may
-override, in that order.
+unknown keys are hard errors so that runs stay reproducible.  Defaults live
+in two places: ExperimentConfig's fields and each problem kind's keyword
+defaults in _PROBLEMS.  A named preset states only where it differs from
+them; a config file and command-line flags override the preset, in that
+order.
 """
 
 from __future__ import annotations
@@ -97,19 +99,8 @@ class ExperimentConfig:
 PRESETS: dict[str, dict] = {
     # drifting least squares with Gaussian gradient noise of variance 1e-3
     "fig1-ls": {
-        "experiment": {
-            "solver": "ogd",
-            "horizon": 500,
-            "trials": 100,
-            "seed": 42,
-            "deltas": (0.1, 0.05),
-        },
         "problem": {
             "kind": "timevarying_ls",
-            "n": 10,
-            "d": 20,
-            "mu": 0.1,
-            "l": 1.0,
             "drift_std": math.sqrt(0.1),
             "obs_noise_std": math.sqrt(1e-3),
         },
@@ -117,57 +108,24 @@ PRESETS: dict[str, dict] = {
     },
     # same geometry, frozen in time (sigma_t = phi_t = 0)
     "static-ls": {
-        "experiment": {
-            "solver": "ogd",
-            "horizon": 500,
-            "trials": 100,
-            "seed": 42,
-            "deltas": (0.1, 0.05),
-        },
-        "problem": {
-            "kind": "timevarying_ls",
-            "n": 10,
-            "d": 20,
-            "mu": 0.1,
-            "l": 1.0,
-            "drift_std": 0.0,
-            "obs_noise_std": 0.0,
-        },
+        "problem": {"kind": "timevarying_ls"},
         "noise": {"family": "gaussian_iid", "scale": math.sqrt(1e-3)},
     },
     # box-constrained power tracking from noisy scalar measurements,
     # desk-scale device count (pass n_der = 500 for the full-size run)
     "fig3-demand-response": {
-        "experiment": {
-            "solver": "opgm",
-            "horizon": 600,
-            "trials": 50,
-            "seed": 42,
-            "deltas": (0.1, 0.05),
-        },
-        "problem": {"kind": "demand_response", "n_der": 20},
+        "experiment": {"solver": "opgm", "horizon": 600, "trials": 50},
+        "problem": {"kind": "demand_response"},
         "noise": {"family": "gaussian_iid", "scale": 10.0},
     },
     "logistic": {
-        "experiment": {
-            "solver": "ogd",
-            "horizon": 50,
-            "trials": 20,
-            "seed": 42,
-            "deltas": (0.1,),
-        },
-        "problem": {"kind": "logistic", "n": 10, "d": 40, "drift_std": 0.01},
+        "experiment": {"horizon": 50, "trials": 20, "deltas": (0.1,)},
+        "problem": {"kind": "logistic", "drift_std": 0.01},
         "noise": {"family": "gaussian_iid", "scale": 0.05},
     },
     "lti": {
-        "experiment": {
-            "solver": "ogd",
-            "horizon": 300,
-            "trials": 50,
-            "seed": 42,
-            "deltas": (0.1, 0.05),
-        },
-        "problem": {"kind": "lti_tracking", "n": 8, "m": 12},
+        "experiment": {"horizon": 300, "trials": 50},
+        "problem": {"kind": "lti_tracking"},
         "noise": {"family": "gaussian_iid", "scale": 0.05},
     },
 }

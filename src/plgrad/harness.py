@@ -23,25 +23,28 @@ from . import noise as noise_mod
 from .config import ExperimentConfig, build_noise, build_problem, initial_point
 from .problems import OnlineProblem, _sample_ball, sampled_times, verify_pl
 from .prox import Regularizer, grid_argmin_prox, prox_objective
-from .solvers import run
+from .solvers import RegretTrajectory, run
 from .subweibull import fit_from_samples
-
-RECURSION_TOL = 1e-9
 
 
 @dataclass
 class AggregateReport:
-    """Aggregated trajectories, certificate series, and validation inputs."""
+    """Aggregated statistics, certificate series and validation inputs of one run.
+
+    The report holds the problem and the trajectory it was computed from
+    rather than copying them: the constants (L, mu, D, whether f*_t is
+    exact) are read from `problem`, and the per-trial regret and error
+    norms, the domain diagnostics and the theory exceptions from
+    `trajectory`.
+    """
 
     config: ExperimentConfig
-    problem_info: dict
-    t: np.ndarray
+    problem: OnlineProblem
+    trajectory: RegretTrajectory
+    r0: float                    # mean regret at t = 0
+    zeta: float                  # contraction 1 - mu / L
     mean_regret: np.ndarray
     std_regret: np.ndarray
-    band_lo: np.ndarray          # mean - 3 std (trajectory spread), unfloored
-    band_hi: np.ndarray
-    band_lo_sem: np.ndarray      # mean +/- 3 std/sqrt(R) (mean-estimator spread)
-    band_hi_sem: np.ndarray
     bounds: dict                 # configured-input certificate series
     bounds_alt: dict             # other input mode, where computable
     mean_err_sq: np.ndarray      # E||e_t||^2 estimates, t = 0..T-1
@@ -56,17 +59,6 @@ class AggregateReport:
     recursion_max_violation: float
     violations: dict             # delta -> {checkpoint t -> count}
     checkpoints: tuple
-    regret_matrix: np.ndarray    # trials x (T+1)
-    error_matrix: np.ndarray
-    trials: int
-    domain_excursions: int
-    max_step_norm: float
-    outside_theory: bool         # no certificate applies (problem_info["theory_exceptions"])
-    min_raw_regret: float        # smallest regret before clipping at 0
-
-    @property
-    def zeta(self) -> float:
-        return self.problem_info["zeta"]
 
 
 def _bound_set(
@@ -199,33 +191,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             cp: int(np.sum(regret[:, cp] > series[cp])) for cp in checkpoints
         }
 
-    problem_info = {
-        "name": problem.name,
-        "n": problem.n,
-        "horizon": horizon,
-        "smoothness": problem.smoothness,
-        "pl_constant": problem.pl_constant,
-        "zeta": zeta,
-        "diameter": problem.diameter,
-        "domain_radius": problem.domain_radius,
-        "r0": r0,
-        "fstar_exact": problem.fstar_exact,
-        "mu_exact": problem.mu_exact,
-        "solver": config.solver,
-        "theta": theta,
-        "theory_exceptions": traj.theory_exceptions,
-    }
-
     return AggregateReport(
         config=config,
-        problem_info=problem_info,
-        t=np.arange(horizon + 1),
+        problem=problem,
+        trajectory=traj,
+        r0=r0,
+        zeta=zeta,
         mean_regret=mean_regret,
         std_regret=std_regret,
-        band_lo=mean_regret - 3.0 * std_regret,
-        band_hi=mean_regret + 3.0 * std_regret,
-        band_lo_sem=mean_regret - 3.0 * std_regret / np.sqrt(config.trials),
-        band_hi_sem=mean_regret + 3.0 * std_regret / np.sqrt(config.trials),
         bounds=bounds_primary,
         bounds_alt=bounds_alt,
         mean_err_sq=mean_err_sq,
@@ -240,13 +213,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         recursion_max_violation=recursion_max,
         violations=violations,
         checkpoints=checkpoints,
-        regret_matrix=regret,
-        error_matrix=err,
-        trials=config.trials,
-        domain_excursions=int(traj.domain_excursions.sum()),
-        max_step_norm=float(traj.max_step_norm.max()),
-        outside_theory=traj.outside_theory,
-        min_raw_regret=float(traj.min_raw_regret.min()),
     )
 
 
@@ -310,15 +276,15 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
     # every certificate below assumes the step 1/L and the regret against
     # F*_t; a passing verdict on a run outside that would vouch for bounds
     # that do not apply to it
-    if report.outside_theory:
-        reasons = "; ".join(report.problem_info["theory_exceptions"])
-        scope = f"{reasons}: no certificate applies"
+    traj = report.trajectory
+    if traj.outside_theory:
+        scope = f"{'; '.join(traj.theory_exceptions)}: no certificate applies"
     else:
         scope = "step 1/L: the certificates apply"
-    summary.checks.append(CheckResult("theory_scope", not report.outside_theory, scope))
+    summary.checks.append(CheckResult("theory_scope", not traj.outside_theory, scope))
 
-    # inner-solver optimal values widen the pathwise tolerance to 1e-6
-    tol = RECURSION_TOL if report.problem_info["fstar_exact"] else 1e-6
+    # inner-solver optimal values widen the pathwise tolerance
+    tol = report.problem.fstar_tol
     viol = report.recursion_max_violation
     summary.checks.append(
         CheckResult(
@@ -344,15 +310,16 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
     # honest run fails the gate with probability at most 3 |deltas| 1%, 6%
     # for two deltas (the tests share trials, so 1 - 0.99^(3 |deltas|) does
     # not apply)
+    trials = report.config.trials
     for delta in report.config.deltas:
-        limit = coverage_envelope(report.trials, delta)
+        limit = coverage_envelope(trials, delta)
         counts = report.violations[delta]
         bad = {cp: c for cp, c in counts.items() if c > limit}
         summary.checks.append(
             CheckResult(
                 f"coverage_{delta:g}",
                 not bad,
-                f"violations {counts} vs envelope {limit} of {report.trials}",
+                f"violations {counts} vs envelope {limit} of {trials}",
             )
         )
 
@@ -363,16 +330,14 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
     theta = report.envelope_theta
     ks = report.envelope_k
     active = ks > 0
-    samples = report.error_matrix[:, 1:]
+    samples = traj.error_norm[:, 1:]
     if np.any(samples[:, ~active]):
         moments_ok, detail = False, "nonzero errors under zero envelope"
     elif not np.any(active):
         moments_ok, detail = True, "degenerate envelope; all samples zero"
     else:
-        normalized = (samples[:, active] / ks[active]).ravel()
-        orders = np.arange(1, 11)
-        norms = np.array([np.mean(normalized**k) ** (1.0 / k) for k in orders])
-        ratio = float(np.max(norms / orders**theta))
+        # the fitted scale of the normalized norms is max_k ||e||_k / (K k^theta)
+        ratio = fit_from_samples(samples[:, active] / ks[active], theta).k
         moments_ok = ratio <= 1.1
         detail = f"max ||e||_k / (K k^theta) = {ratio:.3f} (limit 1.1)"
     summary.checks.append(CheckResult("envelope_moments", moments_ok, detail))
@@ -549,7 +514,7 @@ def longrun_asymptote_check(config: ExperimentConfig, burn_in: int) -> Asymptote
         raise ValueError(
             "problem is not static; supply psi_bar to check the long-run cap"
         )
-    tail = report.regret_matrix[:, burn_in + 1 :]
+    tail = report.trajectory.regret[:, burn_in + 1 :]
     tail_max = tail.max(axis=1)
     return AsymptoteReport(
         asymptote=report.asymptote_value,

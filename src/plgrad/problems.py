@@ -69,6 +69,11 @@ class OnlineProblem:
     fstar_exact: bool      # optimal values closed-form vs inner solve
     mu_exact: bool         # mu from structure vs sampled certificate
 
+    @property
+    def fstar_tol(self) -> float:
+        """Accuracy of fstar: 1e-9 in closed form, 1e-6 from an inner solve."""
+        return 1e-9 if self.fstar_exact else 1e-6
+
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
 

@@ -65,8 +65,8 @@ class RegretTrajectory:
 
     Column t holds r_t, ||e_{t-1}|| and phi_tilde_t (sigma_t, which depends
     on t only, is one row); column 0 has zero error and variability.
-    Regret values in (-tol, 0) are clipped to 0, where tol is 1e-9 for
-    closed-form optimal values and 1e-6 for inner-solver ones.
+    Regret values in (-tol, 0) are clipped to 0, where tol is the
+    problem's fstar_tol.
     domain_excursions, max_step_norm and min_raw_regret hold one entry per
     trial; theory_exceptions lists what no certificate covers.
     """
@@ -164,7 +164,7 @@ def run(
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
 
-    reg_tol = 1e-9 if problem.fstar_exact else 1e-6
+    reg_tol = problem.fstar_tol
     fstar = np.array([problem.fstar(t) for t in range(horizon + 1)])
     g_varies = problem.regularizer.kind == "l1"
     # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial

@@ -83,9 +83,9 @@ def test_criterion_01_noiseless_linear_convergence():
 def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
     report = fig1_report
     bound = report.bounds["expectation"]
-    info = report.problem_info
-    cost = error_cost("ogd", info["smoothness"], info["diameter"])
-    direct = expectation_bound(info["r0"], report.zeta, cost, report.mean_err_sq, report.mean_psi)
+    problem = report.problem
+    cost = error_cost("ogd", problem.smoothness, problem.diameter)
+    direct = expectation_bound(report.r0, report.zeta, cost, report.mean_err_sq, report.mean_psi)
     assert np.array_equal(bound, direct)
     slack = 1e-12 * (1.0 + bound)
     assert np.all(report.mean_regret <= bound + slack)
@@ -101,12 +101,12 @@ def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
 
 def test_criterion_03_highprob_coverage(coverage_report):
     report = coverage_report
-    trials = report.trials
+    trials = report.config.trials
     for delta in (0.1, 0.05):
         series = report.bounds[f"highprob_{delta:g}"]
         limit = coverage_envelope(trials, delta)
         for t in (50, 100):
-            count = int(np.sum(report.regret_matrix[:, t] > series[t]))
+            count = int(np.sum(report.trajectory.regret[:, t] > series[t]))
             assert count <= limit, (delta, t, count, limit)
     assert report.elapsed < 60.0
     _report(3, f"violations within binomial envelopes at t=50,100; {report.elapsed:.1f}s")
@@ -117,7 +117,7 @@ def test_criterion_04_pathwise_recursions(
 ):
     for report in (fig1_report, coverage_report, demand_response_report):
         assert report.recursion_max_violation <= 1e-9, (
-            report.problem_info["name"],
+            report.problem.name,
             report.recursion_max_violation,
         )
     _report(4, "recursions hold at 100% of steps on criteria 2, 3, and 6 runs")
@@ -175,9 +175,9 @@ def test_criterion_05_subweibull_property_suite():
 def test_criterion_06_demand_response_dominance(demand_response_report):
     report = demand_response_report
     bound = report.bounds["expectation"]
-    info = report.problem_info
-    cost = error_cost("opgm", info["smoothness"], info["diameter"])
-    direct = expectation_bound(info["r0"], report.zeta, cost, report.mean_err_norm, report.mean_psi)
+    problem = report.problem
+    cost = error_cost("opgm", problem.smoothness, problem.diameter)
+    direct = expectation_bound(report.r0, report.zeta, cost, report.mean_err_norm, report.mean_psi)
     assert np.array_equal(bound, direct)
     assert np.all(report.mean_regret <= bound + 1e-12 * (1.0 + bound))
 

@@ -110,6 +110,25 @@ class TestRunCommand:
         for stated in lines.values():
             assert float(stated["min_raw_regret"]) >= -1e-9
 
+    def test_summary_diagnostics_reduce_the_trajectory(self, tmp_path):
+        # a step of 2.1/L diverges in the ball's units but stays finite over
+        # 200 steps, so the excursion count and step norms are nonzero
+        from plgrad.cli import write_report
+        from plgrad.harness import run_experiment
+
+        cfg = make_config({}, {"preset": "static-ls", "trials": 5})
+        cfg.horizon, cfg.step_override = 200, 2.1
+        report = run_experiment(cfg)
+        write_report(report, tmp_path)
+        text = (tmp_path / "summary.txt").read_text().splitlines()
+        stated = dict(line.split(" = ", 1) for line in text)
+        traj = report.trajectory
+        assert stated["domain_excursions"] == str(int(traj.domain_excursions.sum()))
+        assert stated["max_step_norm"] == "%.17g" % traj.max_step_norm.max()
+        assert stated["min_raw_regret"] == "%.17g" % traj.min_raw_regret.min()
+        assert stated["outside_theory"] == "True"
+        assert int(stated["domain_excursions"]) > 0
+
     def test_csv_rows_match_the_per_cell_writer(self, tmp_path):
         special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16 + 2, 0.1]
         columns = [
@@ -281,8 +300,8 @@ class TestConfigFiles:
         implicit = run_experiment(cfg)
         cfg.problem["regularizer"] = "none"
         explicit = run_experiment(cfg)
-        assert np.array_equal(implicit.regret_matrix, explicit.regret_matrix)
-        assert np.array_equal(implicit.error_matrix, explicit.error_matrix)
+        assert np.array_equal(implicit.trajectory.regret, explicit.trajectory.regret)
+        assert np.array_equal(implicit.trajectory.error_norm, explicit.trajectory.error_norm)
         for key, series in implicit.bounds.items():
             assert np.array_equal(series, explicit.bounds[key])
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from plgrad.bounds import error_cost, expectation_bound
+from plgrad.cli import write_report
 from plgrad.config import build_problem, make_config
 from plgrad.harness import (
     _check_prox,
@@ -40,8 +41,10 @@ class TestDeterminism:
     def test_trials_are_independent(self, static_report):
         # a trial's trajectory must not depend on how many trials run with it
         fewer = run_experiment(small_config(trials=10))
-        assert np.array_equal(fewer.regret_matrix, static_report.regret_matrix[:10])
-        assert np.array_equal(fewer.error_matrix, static_report.error_matrix[:10])
+        assert np.array_equal(fewer.trajectory.regret, static_report.trajectory.regret[:10])
+        assert np.array_equal(
+            fewer.trajectory.error_norm, static_report.trajectory.error_norm[:10]
+        )
 
     def test_repeat_runs_identical(self, static_report):
         again = run_experiment(small_config())
@@ -52,20 +55,22 @@ class TestDeterminism:
 class TestAggregation:
     def test_single_trial_mean_is_the_trajectory(self):
         report = run_experiment(small_config(trials=1, horizon=40))
-        assert np.array_equal(report.mean_regret, report.regret_matrix[0])
+        assert np.array_equal(report.mean_regret, report.trajectory.regret[0])
         assert np.all(report.std_regret == 0.0)
 
     def test_shapes(self, static_report):
         T = static_report.config.horizon
-        R = static_report.trials
-        assert static_report.regret_matrix.shape == (R, T + 1)
+        R = static_report.config.trials
+        assert static_report.trajectory.regret.shape == (R, T + 1)
         assert static_report.mean_err_sq.shape == (T,)
         assert static_report.mean_psi.shape == (T,)
         assert len(static_report.bounds["expectation"]) == T + 1
 
-    def test_band_is_three_sigma(self, drifting_report):
+    def test_band_is_three_sigma(self, drifting_report, tmp_path):
+        write_report(drifting_report, tmp_path)
+        columns = np.loadtxt(tmp_path / "regret.csv", delimiter=",", skiprows=1)
         np.testing.assert_allclose(
-            drifting_report.band_hi,
+            columns[:, 4],  # band_hi
             drifting_report.mean_regret + 3 * drifting_report.std_regret,
             rtol=1e-12,
         )
@@ -92,7 +97,7 @@ class TestDominanceAndCoverage:
         delta = 0.1
         series = static_report.bounds["highprob_0.1"]
         for cp, count in static_report.violations[delta].items():
-            manual = int(np.sum(static_report.regret_matrix[:, cp] > series[cp]))
+            manual = int(np.sum(static_report.trajectory.regret[:, cp] > series[cp]))
             assert count == manual
 
     def test_opgm_experiment(self):
@@ -101,10 +106,10 @@ class TestDominanceAndCoverage:
         )
         summary = validate_bounds(report)
         assert summary.passed, summary.failed_names()
-        info = report.problem_info
-        cost = error_cost("opgm", info["smoothness"], info["diameter"])
+        problem = report.problem
+        cost = error_cost("opgm", problem.smoothness, problem.diameter)
         direct = expectation_bound(
-            info["r0"], report.zeta, cost, report.mean_err_norm, report.mean_psi
+            report.r0, report.zeta, cost, report.mean_err_norm, report.mean_psi
         )
         assert np.array_equal(report.bounds["expectation"], direct)
 
@@ -165,8 +170,9 @@ class TestNegativeControls:
         report = run_experiment(cfg)
         assert validate_bounds(report).passed
         assert report.envelope_k[1] == 0.0
-        report.error_matrix = report.error_matrix.copy()
-        report.error_matrix[3, 2] = 0.1  # column t + 1 holds ||e_t||; c_1 = 0
+        traj = report.trajectory
+        traj.error_norm = traj.error_norm.copy()
+        traj.error_norm[3, 2] = 0.1  # column t + 1 holds ||e_t||; c_1 = 0
         assert "envelope_moments" in validate_bounds(report).failed_names()
 
 
@@ -244,13 +250,13 @@ class TestLongRun:
         # enters as ||e||^2 / (2L), the prox method's as 2D ||e||
         cfg = small_config(preset="fig1-ls", trials=6, horizon=40, solver=solver)
         report = run_experiment(cfg)
-        info = report.problem_info
+        problem = report.problem
         if solver == "ogd":
-            weight, moments = 1.0 / (2.0 * info["smoothness"]), report.mean_err_sq
+            weight, moments = 1.0 / (2.0 * problem.smoothness), report.mean_err_sq
         else:
-            weight, moments = 2.0 * info["diameter"], report.mean_err_norm
+            weight, moments = 2.0 * problem.diameter, report.mean_err_norm
         assert report.psi_bar_used > 0
-        expected = (info["smoothness"] / info["pl_constant"]) * (
+        expected = (problem.smoothness / problem.pl_constant) * (
             weight * float(moments.max()) + report.psi_bar_used
         )
         assert report.e_bar_used == float(moments.max())
