@@ -31,7 +31,6 @@ from .problems import (
     LtiTracking,
     OnlineProblem,
     TimeVaryingLeastSquares,
-    variability,
     verify_pl,
     verify_prox_pl,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "soft_threshold",
     "tail_constant",
     "validate_bounds",
-    "variability",
     "verify_pl",
     "verify_prox_pl",
 ]

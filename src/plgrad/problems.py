@@ -49,7 +49,8 @@ class OnlineProblem:
     """Time-indexed cost oracle F_t = f_t + g_t with constants and optima.
 
     Subclasses populate the attributes below in __init__ and implement
-    value / grad / fstar / xstar (None where no minimizer is computed).
+    value / grad / fstar / xstar (None where no minimizer is computed);
+    evaluate, the per-iterate oracle of run, defaults to value and grad.
     The regularizer g_t defaults to g = 0, whose prox is the identity.
     value and grad accept x of shape (n,) or (R, n); fstar and xstar take
     the time index only.  grad and map_error write into `out` when it is
@@ -82,6 +83,25 @@ class OnlineProblem:
 
     def fstar(self, t: int) -> float:
         raise NotImplementedError
+
+    def evaluate(
+        self, t: int, x: np.ndarray, grad_out: np.ndarray | None = None
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+        """(f_t(x), f_{t-1}(x)) and, into grad_out when it is given, grad f_t(x).
+
+        Everything run needs at its iterate x_t: the value for the regret,
+        the previous cost's value for phi_tilde_t (None at t = 0) and the
+        gradient for the next step.  phi_tilde needs the smooth parts only:
+        the regularizers in scope are time-invariant, so they cancel in
+        F_t - F_{t-1}.  This default makes the separate value and grad calls;
+        a family that can share work between them overrides it with the
+        same bits.
+        """
+        f = self.value(t, x)
+        f_prev = self.value(t - 1, x) if t else None
+        if grad_out is not None:
+            self.grad(t, x, out=grad_out)
+        return f, f_prev
 
     def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
@@ -137,6 +157,11 @@ def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 def _matvec(a: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ x for each row of x, summed per row so batching cannot change bits."""
     return np.vecdot(a, x[..., None, :], out=out)
+
+
+def _half_square(r: np.ndarray) -> float | np.ndarray:
+    """0.5 ||r||^2 on each row of r."""
+    return 0.5 * np.vecdot(r, r)
 
 
 def _build_rng(seed: int) -> np.random.Generator:
@@ -204,14 +229,28 @@ class QuadraticTracking(OnlineProblem):
             return np.multiply(r, self.matrix[0], out=out)
         return _matvec(self._at, r, out=out)
 
-    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
+    def _residual(self, t: int, ax: np.ndarray) -> np.ndarray:
+        """A x - b_t from the product ax = A x."""
         self._check_t(t)
-        r = _matvec(self.matrix, x) - self._b[t]
-        return 0.5 * np.vecdot(r, r)
+        return ax - self._b[t]
+
+    def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
+        return _half_square(self._residual(t, _matvec(self.matrix, x)))
 
     def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        self._check_t(t)
-        return self._adjoint(_matvec(self.matrix, x) - self._b[t], out=out)
+        return self._adjoint(self._residual(t, _matvec(self.matrix, x)), out=out)
+
+    def evaluate(
+        self, t: int, x: np.ndarray, grad_out: np.ndarray | None = None
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+        """The base class's evaluate from one product A x shared by its three results."""
+        ax = _matvec(self.matrix, x)
+        r = self._residual(t, ax)
+        f = _half_square(r)
+        f_prev = _half_square(self._residual(t - 1, ax)) if t else None
+        if grad_out is not None:
+            self._adjoint(r, out=grad_out)
+        return f, f_prev
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -678,29 +717,3 @@ def verify_prox_pl(
     lhs = 2.0 * problem.pl_constant * gap
     mu_hat = rhs_grid / (2.0 * gap) if gap > 1e-12 else np.inf
     return ProxPLReport(lhs, rhs_grid, rhs_exact, y, float(mu_hat))
-
-
-def variability(
-    problem: OnlineProblem,
-    t: int,
-    x_t: np.ndarray,
-    f_t: float | np.ndarray,
-    fstar: np.ndarray,
-) -> tuple[float, float | np.ndarray]:
-    """(sigma_t, phi_tilde_t) at the point x_t; psi_tilde_t is their sum.
-
-    The caller passes what it has already read: f_t is problem.value(t, x_t)
-    and fstar[s] is problem.fstar(s) for s = 0..t (run reads the optimal
-    values once per horizon); only f_{t-1}(x_t) is computed here.  sigma_t
-    depends on t only; phi_tilde_t has one value per row of x_t.
-
-    phi_tilde uses the smooth parts only: the regularizers in scope are
-    time-invariant, so they cancel in F_t - F_{t-1} (and stay finite for
-    infeasible probes).
-    """
-    if t < 1:
-        raise ValueError(f"variability needs t >= 1, got {t}")
-    problem._check_t(t)
-    sigma = abs(fstar[t] - fstar[t - 1])
-    phi = abs(f_t - problem.value(t - 1, x_t))
-    return sigma, phi

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import noise as noise_mod
-from .problems import OnlineProblem, variability
+from .problems import OnlineProblem
 
 SOLVERS = ("ogd", "opgm")
 
@@ -47,16 +47,50 @@ def prox_gradient_step(
 
     error holds the mapped gradient errors e_t, one row per row of x.  The
     new iterate is written into out when it is given (an array of x's shape
-    overlapping neither x nor error) and returned.  The expression's
-    operations run in its order in the one array the gradient is written to,
-    where the expression allocates four; on batch-sized arrays the
-    allocations cost more than the arithmetic.
+    overlapping neither x nor error) and returned.  This makes one grad
+    call; run takes the same step from the gradient that problem.evaluate
+    formed together with the values at x, so a step there calls no oracle.
     """
-    v = problem.grad(t, x, out=out)
+    return _descend(problem, x, problem.grad(t, x, out=out), step, error)
+
+
+def _descend(
+    problem: OnlineProblem, x: np.ndarray, v: np.ndarray, step: float, error: np.ndarray
+) -> np.ndarray:
+    """prox_{step g}(x - step * (v + error)) for v = grad f_t(x), written into v.
+
+    The expression's operations run in its order in v's memory, where the
+    expression allocates four; on batch-sized arrays the allocations cost
+    more than the arithmetic.
+    """
     np.add(v, error, out=v)
     v *= step
     np.subtract(x, v, out=v)
     return problem.regularizer.prox(step, v, out=v)
+
+
+def _check_regret(r: np.ndarray, tol: float, seed: int, trials: tuple[int, ...]) -> None:
+    """Raise for the earliest column t of r = F_t(x_t) - f*_t, one row per
+    trial, that holds a non-finite entry or one below -tol.
+
+    The message names the first such trial; at one t a non-finite regret
+    is reported before a low one.
+    """
+    # a nan entry makes the minimum nan; the masks are built only on failure
+    if r.min() >= -tol and r.max() < np.inf:
+        return
+    bad = ~np.isfinite(r)
+    low = r < -tol
+    t = int(np.argmax(np.any(bad | low, axis=0)))
+    if bad[:, t].any():
+        raise RuntimeError(
+            f"non-finite regret at t={t} (seed={seed}, trial={trials[np.argmax(bad[:, t])]})"
+        )
+    k = int(np.argmax(low[:, t]))
+    raise RuntimeError(
+        f"regret {r[k, t]:.3e} below -{tol:g} at t={t} (trial={trials[k]}): "
+        "inconsistent optimal-value oracle"
+    )
 
 
 @dataclass
@@ -129,12 +163,16 @@ def run(
     Deterministic: row k reproduces trial trials[k] bit-exactly, whichever
     other trials run in the same call.
 
-    Each step makes one grad call and two value calls on the (trials, n)
-    matrix.  The optimal values f*_0..f*_T depend on t only and are read
-    once, before the loop, for the regret and sigma.  g_t(x_t) is evaluated
-    only for an l1 term: g = 0 on the feasible x0, and a box indicator is 0
-    on its own prox outputs, so the regret adds 0.0 in the place of g there
-    (a nan iterate is caught by the finiteness check before it is recorded).
+    Each iterate x_t gets one problem.evaluate call on the (trials, n)
+    matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
+    except at the last iterate, grad f_t(x_t) for the next step; the
+    quadratic core forms A x_t once for all three.  The optimal values
+    f*_0..f*_T depend on t only and are read once, before the loop.
+    g_t(x_t) is evaluated only for an l1 term: g = 0 on the feasible x0,
+    and a box indicator is 0 on its own prox outputs, so the regret adds
+    0.0 in the place of g there (a nan iterate is caught by the finiteness
+    check before it is recorded).  An abort names the earliest t that
+    failed; at one t a non-finite iterate comes before a regret failure.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -173,63 +211,69 @@ def run(
         axis=1,
     )
 
+    # The loop writes F_t(x_t), f_t(x_t) - f_{t-1}(x_t) and ||e_{t-1}||^2
+    # into column t; the regret checks, minimum and clip, sigma, the
+    # absolute values and the square roots then run once on whole matrices.
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
     error_norm = np.zeros(shape)
-    sigma = np.zeros(horizon + 1)
     phi_tilde = np.zeros(shape)
     excursions = np.zeros(len(trials), dtype=int)
     max_step_norm = np.zeros(len(trials))
-    min_raw = np.full(len(trials), np.inf)
+
+    def check_regret(t: int) -> None:
+        _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
 
     def record(t: int, xt: np.ndarray, f: np.ndarray) -> None:
-        # f = f_t(x_t); F_t(x_t) - F_t* in the operations of total_value
+        # f = f_t(x_t); F_t(x_t) in the operations of total_value
         g = problem.regularizer.value(xt) if g_varies else 0.0
-        r = f + g - fstar[t]
-        np.minimum(min_raw, r, out=min_raw)
-        bad = ~np.isfinite(r)
-        if bad.any():
-            raise RuntimeError(
-                f"non-finite regret at t={t} (seed={seed}, trial={trials[np.argmax(bad)]})"
-            )
-        low = r < -reg_tol
-        if low.any():
-            k = int(np.argmax(low))
-            raise RuntimeError(
-                f"regret {r[k]:.3e} below -{reg_tol:g} at t={t} (trial={trials[k]}): "
-                "inconsistent optimal-value oracle"
-            )
-        regret[:, t] = np.maximum(r, 0.0)
+        col = np.add(f, g, out=regret[:, t])
+        # a non-finite value means the iterate overflowed the cost, and the
+        # steps after it would compute inf - inf: end the run here
+        if not np.isfinite(col).all():
+            check_regret(t)
         np.add(excursions, _row_norm(xt) >= problem.domain_radius, out=excursions)
 
     x = np.tile(x, (len(trials), 1))
     # Batch-sized work arrays, allocated once: the error, the step
-    # difference and the next iterate (swapped with x each step).  Fresh
-    # temporaries of this size can sit above the allocator's mmap
+    # difference and the gradient at x, which the step overwrites with the
+    # next iterate; the old iterate's array then takes the next gradient.
+    # Fresh temporaries of this size can sit above the allocator's mmap
     # threshold, and then every step maps and unmaps them, page faults
     # included.
     e = np.empty_like(x)
     diff = np.empty_like(x)
-    x_next = np.empty_like(x)
-    record(0, x, problem.value(0, x))
+    v = np.empty_like(x)
+    f, _ = problem.evaluate(0, x, grad_out=v if horizon else None)
+    record(0, x, f)
     for t in range(horizon):
         problem.map_error(raw[t], out=e)
-        prox_gradient_step(problem, t, x, step, e, out=x_next)
+        x_next = _descend(problem, x, v, step, e)
         # x is finite, so a row of x_next with a nan or inf entry has a
         # non-finite step norm; the full scan runs only when one does
         step_norm = _row_norm(np.subtract(x_next, x, out=diff))
         if not np.isfinite(step_norm).all():
             bad = ~np.isfinite(x_next).all(axis=1)
             if bad.any():
+                check_regret(t)
                 raise RuntimeError(
                     f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
                 )
         np.maximum(max_step_norm, step_norm, out=max_step_norm)
-        x, x_next = x_next, x
-        f = problem.value(t + 1, x)
+        x, v = x_next, x
+        f, f_prev = problem.evaluate(t + 1, x, grad_out=v if t + 1 < horizon else None)
         record(t + 1, x, f)
-        error_norm[:, t + 1] = _row_norm(e)
-        sigma[t + 1], phi_tilde[:, t + 1] = variability(problem, t + 1, x, f, fstar)
+        np.subtract(f, f_prev, out=phi_tilde[:, t + 1])
+        np.vecdot(e, e, out=error_norm[:, t + 1])
+
+    np.subtract(regret, fstar, out=regret)
+    _check_regret(regret, reg_tol, seed, trials)
+    min_raw = regret.min(axis=1)
+    np.maximum(regret, 0.0, out=regret)
+    sigma = np.zeros(horizon + 1)
+    np.abs(np.diff(fstar), out=sigma[1:])
+    np.abs(phi_tilde, out=phi_tilde)
+    np.sqrt(error_norm, out=error_norm)
 
     exceptions = theory_exceptions(problem, step_override)
     if excursions.any():

@@ -15,11 +15,11 @@ from plgrad.problems import (
     load_demand_response_traces,
     prox_decrease,
     synth_demand_response_traces,
-    variability,
     verify_pl,
     verify_prox_pl,
 )
 from plgrad.prox import Regularizer
+from plgrad.solvers import run
 from plgrad.subweibull import fit_from_samples
 
 
@@ -32,9 +32,11 @@ def fd_gradient(problem, t, x, h=1e-6):
     return g
 
 
-def optimal_values(problem):
-    """f*_0..f*_T, read once, as run passes them to variability."""
-    return np.array([problem.fstar(t) for t in range(problem.horizon + 1)])
+def evaluated(problem, t, x):
+    """problem.evaluate's results at x as one row: f_t, f_{t-1}, grad f_t."""
+    g = np.empty_like(x)
+    f, f_prev = problem.evaluate(t, x, grad_out=g)
+    return np.concatenate([np.stack([f, f_prev], axis=-1), g], axis=-1)
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +97,10 @@ class TestLeastSquares:
             assert static_ls.fstar(t) == pytest.approx(0.0, abs=1e-18)
 
     def test_static_variability_identically_zero(self, static_ls):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=10)
-        fstar = optimal_values(static_ls)
-        for t in range(1, 61):
-            assert variability(static_ls, t, x, static_ls.value(t, x), fstar) == (0.0, 0.0)
+        model = NoiseModel("gaussian_iid", scale=0.5)
+        traj = run(static_ls, "ogd", model, seed=0, trials=range(4))
+        assert np.array_equal(traj.sigma, np.zeros(61))
+        assert np.array_equal(traj.phi_tilde, np.zeros((4, 61)))
 
     def test_quadratic_lower_bound_near_minimizer(self, ls_problem):
         # gradient domination implies f(x) - f* >= mu/2 ||x - x*||^2
@@ -439,19 +440,40 @@ class TestProxPLVerification:
 
 
 class TestVariability:
-    def test_two_evaluation_oracle(self, ls_problem):
-        x = np.full(10, 0.3)
-        fstar = optimal_values(ls_problem)
-        for t in (1, 30, 60):
-            sigma, phi_tilde = variability(ls_problem, t, x, ls_problem.value(t, x), fstar)
-            direct_phi = abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
-            direct_sigma = abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
-            assert phi_tilde == pytest.approx(direct_phi, rel=1e-12)
-            assert sigma == pytest.approx(direct_sigma, rel=1e-12)
+    """run's sigma_t and phi_tilde_t against the two-evaluation formulas,
+    and the evaluate oracle it reads f_{t-1}(x_t) from."""
 
-    def test_rejects_t_zero(self, ls_problem):
-        with pytest.raises(ValueError):
-            variability(ls_problem, 0, np.zeros(10), 0.0, optimal_values(ls_problem))
+    def test_two_evaluation_oracle(self, ls_problem):
+        model = NoiseModel("gaussian_iid", scale=0.1)
+        for t in (1, 30, 60):
+            # x_final of a run to t is x_t, the point of phi_tilde_t
+            traj = run(ls_problem, "ogd", model, seed=3, trials=range(3), horizon=t)
+            x = traj.x_final
+            direct_phi = np.abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
+            assert np.array_equal(traj.phi_tilde[:, t], direct_phi)
+            assert traj.sigma[t] == abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
+
+    def test_no_previous_value_at_t_zero(self, ls_problem):
+        # there is no f_{-1}; run records zero variability in column 0
+        x = np.full(10, 0.3)
+        f, f_prev = ls_problem.evaluate(0, x)
+        assert f == ls_problem.value(0, x) and f_prev is None
+
+    @pytest.mark.parametrize(
+        "fixture", ["ls_problem", "l1_ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
+    )
+    def test_evaluate_matches_value_and_grad(self, fixture, request):
+        # the shared evaluation gives the separate oracles' bits
+        problem = request.getfixturevalue(fixture)
+        xs = np.random.default_rng(8).normal(size=(7, problem.n))
+        for t in (1, problem.horizon):
+            g = np.full_like(xs, np.nan)
+            f, f_prev = problem.evaluate(t, xs, grad_out=g)
+            assert np.array_equal(f, problem.value(t, xs))
+            assert np.array_equal(f_prev, problem.value(t - 1, xs))
+            assert np.array_equal(g, problem.grad(t, xs))
+        with pytest.raises(IndexError):
+            problem.evaluate(problem.horizon + 1, xs)
 
 
 @pytest.fixture(scope="module")
@@ -488,13 +510,12 @@ class TestRowInvariance:
         problem = request.getfixturevalue(fixture)
         xs = self._batch(problem)
         t = problem.horizon // 2
-        fstar = optimal_values(problem)
         oracles = {
             "value": lambda x: problem.value(t, x),
             "grad": lambda x: problem.grad(t, x),
             "total_value": lambda x: problem.total_value(t, x),
             "prox_decrease": lambda x: prox_decrease(problem, t, x),
-            "phi_tilde": lambda x: variability(problem, t, x, problem.value(t, x), fstar)[1],
+            "evaluate": lambda x: evaluated(problem, t, x),
         }
         for name, oracle in oracles.items():
             batch = oracle(xs)

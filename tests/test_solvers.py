@@ -1,14 +1,19 @@
 """Step semantics, determinism, and the pathwise regret recursions."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from plgrad import problems as problems_mod
+from plgrad.config import build_noise, build_problem, initial_point, make_config
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
     OnlineProblem,
+    QuadraticTracking,
     TimeVaryingLeastSquares,
     synth_demand_response_traces,
 )
@@ -106,6 +111,22 @@ class SpikedGradient(OnlineProblem):
 
     def fstar(self, t):
         return 0.0
+
+
+class ScriptedValues(SpikedGradient):
+    """SpikedGradient whose value is scale * values[(t, row)] on the scripted
+    rows and 0 elsewhere; the iterates stay at 0 except on the spiked row."""
+
+    def __init__(self, values, spike=np.nan, t=-1, row=0, scale=1.0):
+        super().__init__(spike, t, row)
+        self.values, self.scale = values, scale
+
+    def value(self, t, x):
+        f = np.zeros(np.shape(x)[:-1])
+        for (vt, row), v in self.values.items():
+            if vt == t:
+                f[row] = v
+        return f * self.scale
 
 
 class TestRun:
@@ -239,6 +260,45 @@ class TestRun:
         with pytest.raises(RuntimeError, match=r"non-finite iterate at t=3 \(seed=4, trial=5\)"):
             run(SpikedGradient(spike, t=2, row=1), "ogd", ZERO, seed=4, trials=(3, 5, 7))
 
+    def test_overflowing_value_names_its_trial_and_step(self):
+        # 1e200 * 1e200 overflows on row 1 at t=3; every iterate stays finite
+        problem = ScriptedValues({(3, 1): 1e200}, scale=1e200)
+        with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match=r"^non-finite regret at t=3 \(seed=4, trial=5\)$"
+        ):
+            run(problem, "ogd", ZERO, seed=4, trials=(3, 5, 7))
+
+    def test_inconsistent_fstar_names_its_value_trial_and_step(self):
+        problem = ScriptedValues({(2, 2): -1.0})
+        message = (
+            "regret -1.000e+00 below -1e-09 at t=2 (trial=7): inconsistent optimal-value oracle"
+        )
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run(problem, "ogd", ZERO, seed=4, trials=(3, 5, 7))
+
+    @pytest.mark.parametrize(
+        "values, spike_t, message",
+        [
+            # a regret failure two steps before a non-finite iterate
+            ({(2, 0): np.inf}, 3, "non-finite regret at t=2 (seed=4, trial=3)"),
+            ({(1, 2): -1.0}, 2, "regret -1.000e+00 below -1e-09 at t=1 (trial=7)"),
+            # a non-finite iterate two steps before a regret failure
+            ({(4, 0): np.inf}, 1, "non-finite iterate at t=2 (seed=4, trial=5)"),
+            # at the same t the iterate check comes first
+            ({(3, 0): np.inf}, 2, "non-finite iterate at t=3 (seed=4, trial=5)"),
+            ({(3, 0): -1.0}, 2, "non-finite iterate at t=3 (seed=4, trial=5)"),
+            # at the same t a non-finite regret comes before a low one
+            ({(2, 2): -1.0, (2, 1): np.nan}, -1, "non-finite regret at t=2 (seed=4, trial=5)"),
+        ],
+        ids=["regret", "low-regret", "iterate", "iterate-then-regret", "iterate-then-low",
+             "non-finite-then-low"],
+    )
+    def test_earliest_failure_is_reported(self, values, spike_t, message):
+        # the gradient spike on row 1 at spike_t makes x_{spike_t + 1} nan there
+        problem = ScriptedValues(values, spike=np.nan, t=spike_t, row=1)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}"):
+            run(problem, "ogd", ZERO, seed=4, trials=(3, 5, 7))
+
     def test_overflowing_step_norm_on_a_finite_row_passes(self):
         with np.errstate(over="ignore"):
             traj = run(SpikedGradient(1e200, t=0, row=1), "ogd", ZERO, seed=0, trials=range(3))
@@ -274,6 +334,32 @@ class TestRun:
         p.regularizer = Regularizer.l1(0.1)
         with pytest.raises(ValueError):
             run(p, "ogd", ZERO, seed=0)  # regularized
+
+
+class TestMemory:
+    def test_peak_on_500_devices_stays_within_budget(self):
+        # The full-size demand-response run needs its (trials, T+1) outputs,
+        # the noise block and four batch-sized work arrays.  The slack holds
+        # numpy's two 8192-element ufunc iteration buffers (128 KiB, used by
+        # the broadcast A^T r) and 32 KiB of small objects, so one extra
+        # (trials, T+1) or (trials, n) float array takes the peak over.
+        cfg = make_config({"problem": {"n_der": 500}}, {"preset": "fig3-demand-response"})
+        problem, model = build_problem(cfg), build_noise(cfg)
+        x0 = initial_point(cfg, problem)
+        trials, horizon, n = cfg.trials, cfg.horizon, problem.n
+        budget = (
+            3 * trials * (horizon + 1) * 8  # regret, error_norm, phi_tilde
+            + horizon * trials * problem.error_dim * 8  # the noise block
+            + 4 * trials * n * 8  # the iterate, error, step difference, gradient
+            + 160 * 1024
+        )
+        tracemalloc.start()
+        try:
+            run(problem, cfg.solver, model, x0=x0, seed=cfg.seed, trials=range(trials))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (peak, budget)
 
 
 class TestPathwiseRecursions:
@@ -446,9 +532,25 @@ def reference_run(problem, model, seed, trials):
     }
 
 
+class EvaluationSpy(OracleSpy):
+    """OracleSpy that also records each evaluate call: its t and whether it
+    asked for the gradient.  It forwards to the problem's own evaluate, so
+    the value and grad calls a default evaluate makes are not recorded."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.evaluations = []
+
+    def evaluate(self, t, x, grad_out=None):
+        self.evaluations.append((t, grad_out is not None))
+        return self.problem.evaluate(t, x, grad_out=grad_out)
+
+
 class TestOneValuePerStep:
-    """run evaluates f_{t+1}(x_{t+1}) once per step for regret and variability,
-    reads each f*_t once, and evaluates g only where it can be nonzero."""
+    """run evaluates each iterate once: one evaluate call, one A x on the
+    quadratic core, gives f_t(x_t) for the regret, f_{t-1}(x_t) for
+    phi_tilde and the gradient of the next step.  It reads each f*_t once
+    and evaluates g only where it can be nonzero."""
 
     @pytest.fixture(scope="class")
     def families(self):
@@ -462,7 +564,7 @@ class TestOneValuePerStep:
     @pytest.mark.parametrize("family", FAMILY_NAMES + ("l1",))
     def test_matches_the_two_evaluation_loop(self, families, family, monkeypatch):
         problem, solver, model = families[family]
-        spy, ref_spy = OracleSpy(problem), OracleSpy(problem)
+        spy, ref_spy = EvaluationSpy(problem), OracleSpy(problem)
         g_calls = []
         g_value = Regularizer.value
 
@@ -470,9 +572,18 @@ class TestOneValuePerStep:
             g_calls.append(x.shape)
             return g_value(reg, x)
 
+        products = []  # the matrix of every row-wise product the problems form
+        matvec = problems_mod._matvec
+
+        def counted_matvec(a, x, out=None):
+            products.append(a)
+            return matvec(a, x, out=out)
+
         monkeypatch.setattr(Regularizer, "value", counted_g_value)
+        monkeypatch.setattr(problems_mod, "_matvec", counted_matvec)
         traj = run(spy, solver, model, seed=8, trials=range(5))
         run_g_calls = len(g_calls)
+        run_products = list(products)
         ref = reference_run(ref_spy, model, seed=8, trials=range(5))
         for name, expected in ref.items():
             assert np.array_equal(getattr(traj, name), expected), name
@@ -481,9 +592,13 @@ class TestOneValuePerStep:
             return sum(len(blocks) for (o, _), blocks in s.results.items() if o == oracle)
 
         horizon = problem.horizon
-        assert calls(spy, "value") == 2 * horizon + 1
+        # one evaluation per iterate, the gradient at all but the last
+        assert spy.evaluations == [(t, t < horizon) for t in range(horizon + 1)]
+        assert calls(spy, "value") == calls(spy, "grad") == 0
+        if isinstance(problem, QuadraticTracking):
+            assert sum(a is problem.matrix for a in run_products) == horizon + 1
         assert calls(ref_spy, "value") == 3 * horizon + 1
-        assert calls(spy, "grad") == calls(ref_spy, "grad") == horizon
+        assert calls(ref_spy, "grad") == horizon
         assert calls(spy, "fstar") == horizon + 1
         assert calls(ref_spy, "fstar") == 3 * horizon + 1
         if problem.regularizer.kind == "l1":
