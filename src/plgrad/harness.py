@@ -131,7 +131,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     )
     regret = traj.regret
     err = traj.error_norm
-    psi_m = traj.psi_tilde
 
     mean_regret = regret.mean(axis=0)
     std_regret = regret.std(axis=0, ddof=0)
@@ -141,9 +140,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # measured per-step inputs (trajectory-variability variant)
     mean_err_sq = (err[:, 1:] ** 2).mean(axis=0)
     mean_err_norm = err[:, 1:].mean(axis=0)
-    mean_psi = psi_m[:, 1:].mean(axis=0)
     theta = model.theta
     fitted_ks = _fitted_envelope_ks(err, model, horizon)
+    psi_m = traj.psi_tilde  # a fresh array: formed after the fit's copies
+    mean_psi = psi_m[:, 1:].mean(axis=0)
 
     # per-step (second_moments, first_moments, envelope_ks) of each input mode
     stats = {"empirical": (mean_err_sq, mean_err_norm, fitted_ks)}
@@ -178,9 +178,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         problem.pl_constant, problem.smoothness, cost, e_bar, psi_bar
     )
 
-    # pathwise recursion residuals (positive = violation)
-    coef = cost.weight * err[:, 1:] ** cost.power
-    resid = regret[:, 1:] - zeta * regret[:, :-1] - coef - psi_m[:, 1:]
+    # pathwise recursion residuals (positive = violation), two arrays at a time
+    resid = regret[:, 1:] - zeta * regret[:, :-1]
+    coef = err[:, 1:] ** cost.power
+    resid -= np.multiply(coef, cost.weight, out=coef)
+    resid -= psi_m[:, 1:]
     recursion_max = float(resid.max()) if resid.size else 0.0
 
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
@@ -387,16 +389,18 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
     mu_hat = np.inf
     for t in ts:
         fstar = problem.fstar(t)
-        if reg.kind == "box":
-            xs = reg.lo + rng.uniform(0.0, 1.0, size=(n_samples, problem.n)) * (
-                reg.hi - reg.lo
-            )
-        else:
+        if reg.kind != "box":
             xs = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, n_samples)
         # blocks of 100 rows keep the temporaries small; the oracles work row
-        # by row and the min is exact, so the blocks change no bit
+        # by row and the min is exact, so the blocks change no bit.  uniform
+        # fills in C order, so box blocks hold the floats of one whole draw
+        # (_sample_ball draws all normals before its radii, so not its points)
         for start in range(0, n_samples, 100):
-            block = xs[start : start + 100]
+            if reg.kind == "box":
+                u = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
+                block = reg.lo + u * (reg.hi - reg.lo)
+            else:
+                block = xs[start : start + 100]
             gap = problem.total_value(t, block) - fstar
             keep = gap > 1e-9
             if np.any(keep):

@@ -223,10 +223,17 @@ class QuadraticTracking(OnlineProblem):
         self._fstar = 0.5 * np.float_power(np.clip(target, s_min, s_max) - target, 2)
 
     def _adjoint(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A^T r for each row of r; a one-row A scales its row (the generic
-        path runs one length-1 reduction per entry, about 3x slower)."""
+        """A^T r for each row of r.  A one-row A scales its row by an einsum
+        outer product; a broadcast np.multiply is about 3x slower and takes
+        128 KiB of ufunc buffers, and the generic path is slower still.
+
+        einsum sums into a zeroed output, so a zero product is +0.0 where
+        multiply can give -0.0; every other bit is the same.  No output sees
+        it: ||e||^2 squares the sign away, and x - s * (+-0) = x unless x is
+        -0.0, which demand response (the one one-row family, always boxed)
+        reaches only from a -0.0 in x0 or in the box bounds."""
         if self.matrix.shape[0] == 1:
-            return np.multiply(r, self.matrix[0], out=out)
+            return np.einsum("...,j->...j", r[..., 0], self.matrix[0], out=out)
         return _matvec(self._at, r, out=out)
 
     def _residual(self, t: int, ax: np.ndarray) -> np.ndarray:

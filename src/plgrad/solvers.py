@@ -235,23 +235,23 @@ def run(
         np.add(excursions, _row_norm(xt) >= problem.domain_radius, out=excursions)
 
     x = np.tile(x, (len(trials), 1))
-    # Batch-sized work arrays, allocated once: the error, the step
-    # difference and the gradient at x, which the step overwrites with the
-    # next iterate; the old iterate's array then takes the next gradient.
-    # Fresh temporaries of this size can sit above the allocator's mmap
-    # threshold, and then every step maps and unmaps them, page faults
-    # included.
+    # Batch-sized work arrays, allocated once: the error, whose memory
+    # then takes the step difference once ||e||^2 is recorded, and the
+    # gradient at x, which the step overwrites with the next iterate; the
+    # old iterate's array then takes the next gradient.  Fresh temporaries
+    # of this size can sit above the allocator's mmap threshold, and then
+    # every step maps and unmaps them, page faults included.
     e = np.empty_like(x)
-    diff = np.empty_like(x)
     v = np.empty_like(x)
     f, _ = problem.evaluate(0, x, grad_out=v if horizon else None)
     record(0, x, f)
     for t in range(horizon):
         problem.map_error(raw[t], out=e)
+        np.vecdot(e, e, out=error_norm[:, t + 1])
         x_next = _descend(problem, x, v, step, e)
         # x is finite, so a row of x_next with a nan or inf entry has a
         # non-finite step norm; the full scan runs only when one does
-        step_norm = _row_norm(np.subtract(x_next, x, out=diff))
+        step_norm = _row_norm(np.subtract(x_next, x, out=e))
         if not np.isfinite(step_norm).all():
             bad = ~np.isfinite(x_next).all(axis=1)
             if bad.any():
@@ -264,7 +264,6 @@ def run(
         f, f_prev = problem.evaluate(t + 1, x, grad_out=v if t + 1 < horizon else None)
         record(t + 1, x, f)
         np.subtract(f, f_prev, out=phi_tilde[:, t + 1])
-        np.vecdot(e, e, out=error_norm[:, t + 1])
 
     np.subtract(regret, fstar, out=regret)
     _check_regret(regret, reg_tol, seed, trials)

@@ -9,6 +9,7 @@ slope, and a spy pins the time indices every check visits.
 """
 
 import copy
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -157,6 +158,20 @@ def test_pl_check_matches_the_unblocked_loop(name):
     assert _check_pl(new_spy, seed) == expected
     assert expected.passed
     assert_same_oracle_outputs(ref_spy, new_spy)
+
+
+def test_pl_check_peak_stays_below_one_sample_matrix():
+    # the box points are drawn one 100-row block at a time, so the check
+    # never holds all n_samples points of the n = 500 problem at once
+    problem, seed = _configured("dr500")
+    n_samples = 1000
+    tracemalloc.start()
+    try:
+        assert _check_pl(problem, seed, n_samples).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_samples * problem.n * 8, peak
 
 
 class TestNegativeControls:

@@ -1,6 +1,7 @@
 """Problem-suite tests: constants, oracles, certificates, variability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,52 @@ class TestDemandResponse:
             reachable = min(max(target, s_min), s_max)
             assert p.fstar(t) == 0.5 * (reachable - target) ** 2
         assert p.fstar(0) > 0.0
+
+    def test_one_row_adjoint_is_the_broadcast_product(self):
+        # A^T r on a one-row A gives the bits of np.multiply(r, a), except
+        # that a zero product is +0.0 where multiply can give -0.0
+        a_x = np.array([1.5, -2.0, 0.0, 5e-324, -1e150, 1e-310, 7.0])
+        n = a_x.size
+        p = DemandResponse(
+            n, 0, 1, np.zeros(2), np.zeros((2, 1)), np.full(n, -1.0), np.ones(n), a_x=a_x
+        )
+        vals = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -4.5, 1e300]
+        )
+        with np.errstate(all="ignore"):
+            for r in [vals[:, None], *(vals[i : i + 1] for i in range(vals.size))]:
+                expected = np.multiply(r, a_x)
+                got = p._adjoint(r)
+                out = np.full(expected.shape, np.nan)
+                assert p._adjoint(r, out=out) is out
+                zero = expected == 0.0
+                for result in (got, out):
+                    assert result.shape == expected.shape
+                    bits, want = result.view(np.int64), expected.view(np.int64)
+                    assert np.array_equal(bits[~zero], want[~zero])
+                    assert np.all(result[zero] == 0.0)
+            products = np.multiply(vals[:, None], a_x)
+        assert np.signbit(products[products == 0.0]).any()  # both zero signs occur
+
+    def test_one_row_adjoint_allocates_no_iteration_buffers(self):
+        # a broadcast np.multiply of (50, 1) by (500,) allocates numpy's two
+        # 8192-element ufunc buffers, 129,104 B in all
+        rng = np.random.default_rng(5)
+        n = 500
+        w, p_ref = synth_demand_response_traces(1, seed=5)
+        p = DemandResponse(
+            n, 5, 1, p_ref, w, np.zeros(n), np.ones(n), a_x=rng.uniform(0.5, 1.5, size=n)
+        )
+        r = rng.normal(size=(50, 1))
+        out = np.empty((50, n))
+        p._adjoint(r, out=out)  # a first call may load code
+        tracemalloc.start()
+        try:
+            p._adjoint(r, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024, peak
 
     def test_constants(self, dr_problem):
         assert dr_problem.smoothness == pytest.approx(10.0)  # ||ones(10)||^2

@@ -339,9 +339,9 @@ class TestRun:
 class TestMemory:
     def test_peak_on_500_devices_stays_within_budget(self):
         # The full-size demand-response run needs its (trials, T+1) outputs,
-        # the noise block and four batch-sized work arrays.  The slack holds
-        # numpy's two 8192-element ufunc iteration buffers (128 KiB, used by
-        # the broadcast A^T r) and 32 KiB of small objects, so one extra
+        # the noise block and three batch-sized work arrays.  The slack holds
+        # the 64 KiB iteration buffer of the box clamp's broadcast against
+        # its (n,) bounds and 32 KiB of small objects, so one extra
         # (trials, T+1) or (trials, n) float array takes the peak over.
         cfg = make_config({"problem": {"n_der": 500}}, {"preset": "fig3-demand-response"})
         problem, model = build_problem(cfg), build_noise(cfg)
@@ -350,8 +350,8 @@ class TestMemory:
         budget = (
             3 * trials * (horizon + 1) * 8  # regret, error_norm, phi_tilde
             + horizon * trials * problem.error_dim * 8  # the noise block
-            + 4 * trials * n * 8  # the iterate, error, step difference, gradient
-            + 160 * 1024
+            + 3 * trials * n * 8  # the iterate, gradient / next iterate, error / step
+            + 96 * 1024
         )
         tracemalloc.start()
         try:
@@ -360,6 +360,36 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= budget, (peak, budget)
+
+
+class TestZeroSign:
+    def test_multiply_adjoint_gives_the_same_outputs(self, monkeypatch):
+        # Zero entries of a_x make zero products, which np.multiply signs
+        # with the noise and the one-row adjoint's einsum makes +0.0, and
+        # lo = 0 on half the devices makes clamps at 0; no output sees it.
+        n, horizon = 12, 200
+        w, p_ref = synth_demand_response_traces(horizon, seed=29)
+        devices = np.arange(n)
+        a_x = np.where(devices % 3 == 0, 0.0, np.linspace(-2.0, 2.0, n))
+        lo = np.where(devices % 2 == 0, 0.0, -40.0)
+        p = DemandResponse(n, 29, horizon, p_ref, w, lo, np.full(n, 40.0), a_x=a_x)
+        model = NoiseModel("gaussian_iid", scale=10.0)
+        new = run(p, "opgm", model, seed=31, trials=range(6))
+
+        negative_zeros = []
+
+        def multiply_adjoint(self, r, out=None):
+            out = np.multiply(r, self.matrix[0], out=out)
+            negative_zeros.append(np.count_nonzero((out == 0.0) & np.signbit(out)))
+            return out
+
+        monkeypatch.setattr(QuadraticTracking, "_adjoint", multiply_adjoint)
+        old = run(p, "opgm", model, seed=31, trials=range(6))
+        assert sum(negative_zeros) > 0
+        assert np.any(old.x_final[:, lo == 0.0] == 0.0)
+        for field in ("regret", "error_norm", "phi_tilde", "x_final", "max_step_norm"):
+            a, b = getattr(new, field), getattr(old, field)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), field
 
 
 class TestPathwiseRecursions:
