@@ -32,9 +32,8 @@ from .problems import (
     OnlineProblem,
     TimeVaryingLeastSquares,
     verify_pl,
-    verify_prox_pl,
 )
-from .prox import Regularizer, prox_objective_gap, soft_threshold
+from .prox import Regularizer, soft_threshold
 from .solvers import RegretTrajectory, prox_gradient_step, run
 from .subweibull import (
     SubWeibullParams,
@@ -42,10 +41,8 @@ from .subweibull import (
     add_scalar,
     fit_from_samples,
     hp_bound,
-    include,
     power,
     scale,
-    tail_constant,
 )
 
 __version__ = "0.1.0"
@@ -76,14 +73,12 @@ __all__ = [
     "highprob_bound",
     "highprob_factor",
     "hp_bound",
-    "include",
     "longrun_asymptote_check",
     "make_config",
     "markov_highprob_bound",
     "mean_norm",
     "power",
     "prox_gradient_step",
-    "prox_objective_gap",
     "run",
     "run_experiment",
     "run_validation_battery",
@@ -91,8 +86,6 @@ __all__ = [
     "scale",
     "second_moment",
     "soft_threshold",
-    "tail_constant",
     "validate_bounds",
     "verify_pl",
-    "verify_prox_pl",
 ]

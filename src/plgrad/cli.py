@@ -218,7 +218,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             # the gradient method's cap; --e-bar is sup E||e||^2
             ogd = bounds_mod.error_cost("ogd", args.l, args.diameter)
             value = bounds_mod.asymptote(args.mu, args.l, ogd, args.e_bar, psi_bar)
-            print(f"asymptote = {_fmt(value)}")
+            print(f"asymptote_ogd = {_fmt(value)}")
 
     if args.horizon is not None:
         if zeta is None:

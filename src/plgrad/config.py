@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .noise import NoiseModel
+from .noise import NoiseModel, time_scales
 from .problems import (
     DemandResponse,
     DriftingLogistic,
@@ -261,10 +261,9 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
         spec["per_time_scale"] = tuple(spec["per_time_scale"])
     try:
         model = NoiseModel(**spec)
+        time_scales(model, cfg.horizon)  # a schedule must cover the horizon
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if model.per_time_scale is not None and len(model.per_time_scale) < cfg.horizon:
-        raise ConfigError("per_time_scale must cover the horizon")
     return model
 
 

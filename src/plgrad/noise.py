@@ -4,8 +4,7 @@ Each noise family draws error vectors e_t and carries a sub-Weibull envelope
 for ||e_t||, i.e. a pair (theta, K) with |||e_t|||_p <= K p**theta for all
 p >= 1.  Envelopes are computed from exact moment formulas where the family
 admits them (Gaussian and radial-Weibull norms) or from an almost-sure bound
-(bounded support); a generic composition route built from the closure algebra
-is kept for cross-checking.
+(bounded support).
 
 Sampling is stateless: each trial's whole horizon of errors is one block
 drawn from a stream keyed by (seed, trial), so trials can be drawn in any
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subweibull import SubWeibullParams, add, add_scalar, power, scale
+from .subweibull import SubWeibullParams, add_scalar, scale
 
 FAMILIES = ("gaussian_iid", "bounded_uniform", "weibull_tail", "zero")
 
@@ -196,32 +195,6 @@ def envelope_norm(model: NoiseModel, n: int) -> SubWeibullParams:
     if model.bias != 0.0:
         base = add_scalar(base, abs(model.bias) * np.sqrt(n))
     return scale(base, model.envelope_k_scale)
-
-
-def envelope_norm_generic(model: NoiseModel, n: int) -> SubWeibullParams:
-    """Looser envelope composed from per-coordinate rules, for cross-checks.
-
-    Route: per-coordinate envelope -> square -> sum over n possibly dependent
-    coordinates -> square root.  Dominated by the family-specific envelope
-    but derived without distributional structure.
-    """
-    theta = model.theta
-    s = model.scale
-    if model.family == "zero" or s == 0.0:
-        coord = SubWeibullParams(theta, 0.0)
-    elif model.family == "gaussian_iid":
-        coord = SubWeibullParams(theta, _gaussian_norm_k(s, 1))  # |N(0, s^2)|
-    elif model.family == "bounded_uniform":
-        coord = SubWeibullParams(theta, s)
-    else:
-        # radial family: |e_i| <= R pointwise, so the radius envelope works
-        # per coordinate
-        coord = SubWeibullParams(theta, _weibull_k(s, model.weibull_shape))
-    sq_sum = scale(power(coord, 2.0), float(n))
-    out = power(sq_sum, 0.5)
-    if model.bias != 0.0:
-        out = add_scalar(out, abs(model.bias) * np.sqrt(n))
-    return scale(out, model.envelope_k_scale)
 
 
 def second_moment(model: NoiseModel, n: int) -> float:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .noise import NoiseModel
-from .prox import Regularizer, grid_argmin_prox
+from .prox import Regularizer
 from .subweibull import SubWeibullParams, scale as sw_scale
 
 # rng stream tags (disjoint from the noise module's sampler streams)
@@ -515,12 +515,6 @@ class LtiTracking(QuadraticTracking):
         self.disturbance = w
         self.reference = ybar
 
-    def measured_grad(self, t: int, x: np.ndarray, meas_noise: np.ndarray) -> np.ndarray:
-        """v_t = G^T (yhat_t - ybar_t) with yhat_t = G x + H w_t + noise."""
-        self._check_t(t)
-        yhat = self.matrix @ x + self.disturbance_map @ self.disturbance[t] + meas_noise
-        return self.matrix.T @ (yhat - self.reference[t])
-
 
 class DemandResponse(QuadraticTracking):
     """Track a power reference with box-constrained device setpoints.
@@ -533,7 +527,7 @@ class DemandResponse(QuadraticTracking):
     The proximal slope constant for this rank-1-plus-box structure is
     min over nonzero entries of a_x of a_i^2 (the worst case is a point
     where a single coordinate carries all remaining feasible movement);
-    verify_prox_pl certifies it numerically.
+    `plgrad validate --checks pl` samples it.
     """
 
     def __init__(
@@ -584,22 +578,16 @@ class DemandResponse(QuadraticTracking):
         )
 
 
-def synth_demand_response_traces(
-    horizon: int,
-    seed: int,
-    n_uncontrollable: int = 4,
-    w_amplitude: float = 50.0,
-    p_ref_base: float = -300.0,
-    p_ref_amplitude: float = 150.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sinusoidal disturbance and reference traces for desk-scale runs."""
+def synth_demand_response_traces(horizon: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sinusoidal traces for desk-scale runs: four uncontrollable loads of
+    amplitude up to 50 kW, and a reference of -300 +/- 150 kW."""
     rng = _build_rng(seed)
     t = np.arange(horizon + 1)[:, None]
-    periods = rng.uniform(80.0, 400.0, size=n_uncontrollable)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=n_uncontrollable)
-    amps = w_amplitude * rng.uniform(0.4, 1.0, size=n_uncontrollable)
+    periods = rng.uniform(80.0, 400.0, size=4)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
+    amps = 50.0 * rng.uniform(0.4, 1.0, size=4)
     w = amps * np.sin(2.0 * np.pi * t / periods + phases)
-    p_ref = p_ref_base + p_ref_amplitude * np.sin(
+    p_ref = -300.0 + 150.0 * np.sin(
         2.0 * np.pi * t[:, 0] / rng.uniform(200.0, 500.0)
     )
     return w, p_ref
@@ -675,17 +663,6 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> PLRe
     return PLReport(mu, mu_hat, max_violation, used, n_samples - used)
 
 
-@dataclass(frozen=True)
-class ProxPLReport:
-    """Both sides of the proximal gradient-domination inequality at x."""
-
-    lhs: float          # 2 mu (F(x) - F*)
-    rhs_grid: float     # surrogate decrease at the grid oracle's minimizer
-    rhs_exact: float    # same quantity from the closed-form prox
-    grid_minimizer: np.ndarray
-    mu_hat: float       # rhs_grid / (2 (F(x) - F*)), inf at the optimum
-
-
 def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.ndarray:
     """Exact surrogate decrease -2L min_y {<grad, y-x> + L/2 ||y-x||^2 + g(y) - g(x)}.
 
@@ -700,27 +677,3 @@ def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.n
     q = np.vecdot(g, d) + 0.5 * l * np.vecdot(d, d) + reg.value(y) - reg.value(x)
     return -2.0 * l * q
 
-
-def verify_prox_pl(
-    problem: OnlineProblem, t: int, x: np.ndarray, grid_resolution: int
-) -> ProxPLReport:
-    """Brute-force check of the proximal inequality at a single point.
-
-    <g, y - x> + L/2 ||y - x||^2 = L/2 ||y - (x - g/L)||^2 - ||g||^2 / (2L),
-    so the surrogate's minimizer is the prox point of x - g/L at the step
-    1/L.  grid_argmin_prox finds it, in any dimension and independently of
-    the closed-form prox path, with grid_resolution points per axis; fewer
-    than 6 cannot zoom and raise ValueError.
-    """
-    x = np.asarray(x, dtype=float)
-    l = problem.smoothness
-    g = problem.grad(t, x)
-    reg = problem.regularizer
-    y = grid_argmin_prox(reg, 1.0 / l, x - g / l, points=grid_resolution)
-    d = y - x
-    rhs_grid = -2.0 * l * float(g @ d + 0.5 * l * (d @ d) + reg.value(y) - reg.value(x))
-    rhs_exact = prox_decrease(problem, t, x)
-    gap = problem.total_value(t, x) - problem.fstar(t)
-    lhs = 2.0 * problem.pl_constant * gap
-    mu_hat = rhs_grid / (2.0 * gap) if gap > 1e-12 else np.inf
-    return ProxPLReport(lhs, rhs_grid, rhs_exact, y, float(mu_hat))

@@ -91,17 +91,6 @@ def prox_objective(reg: Regularizer, step: float, v: np.ndarray, y: np.ndarray) 
     return float(np.sum((y - v) ** 2) / (2.0 * step) + reg.value(y))
 
 
-def prox_objective_gap(
-    reg: Regularizer, step: float, v: np.ndarray, y: np.ndarray
-) -> float:
-    """Prox objective at y minus at the closed-form prox point (>= 0)."""
-    if step <= 0:
-        raise ValueError(f"prox step must be positive, got {step}")
-    return prox_objective(reg, step, v, y) - prox_objective(
-        reg, step, v, reg.prox(step, v)
-    )
-
-
 # the grid oracle's final spacing: a hundredth of the 1e-6 its callers check
 GRID_SPACING = 1e-8
 

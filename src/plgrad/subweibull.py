@@ -7,11 +7,10 @@ and moment scale K >= 0 if its moment norms grow at most polynomially,
 
 theta = 1/2 recovers the sub-Gaussian class, theta = 1 the sub-exponential
 class; larger theta means heavier tails.  This module implements the closure
-rules of that class (scaling, shifts, sums, powers, inclusion into a coarser
-class), the equivalent tail-form constant, the high-probability quantile
-bound, and an empirical moment fit.  All operations are pure functions on
-immutable parameter pairs; K = 0 encodes an almost-surely-zero variable and
-is handled by every rule.
+rules of that class (scaling, shifts, sums, powers), the high-probability
+quantile bound, and an empirical moment fit.  All operations are pure
+functions on immutable parameter pairs; K = 0 encodes an almost-surely-zero
+variable and is handled by every rule.
 """
 
 from __future__ import annotations
@@ -65,26 +64,6 @@ def power(x: SubWeibullParams, a: float) -> SubWeibullParams:
     if a <= 0:
         raise ValueError(f"power must be positive, got {a}")
     return SubWeibullParams(a * x.theta, x.k**a * max(1.0, a ** (a * x.theta)))
-
-
-def include(x: SubWeibullParams, theta: float, k: float) -> SubWeibullParams:
-    """Relax X into the coarser class (theta', K') with theta' >= theta, K' >= K."""
-    if theta < x.theta:
-        raise ValueError(
-            f"cannot include into a lighter tail class: {theta} < {x.theta}"
-        )
-    if k < x.k:
-        raise ValueError(f"cannot include into a smaller moment scale: {k} < {x.k}")
-    return SubWeibullParams(theta, k)
-
-
-def tail_constant(x: SubWeibullParams) -> float:
-    """Constant of the equivalent exponential tail form.
-
-    If ||X||_p <= K p**theta for all p >= 1, then
-    P(|X| >= eps) <= 2 exp(-(eps / K1)**(1/theta)) with K1 = (2e/theta)**theta K.
-    """
-    return (2.0 * math.e / x.theta) ** x.theta * x.k
 
 
 def hp_bound(x: SubWeibullParams, delta: float) -> float:

@@ -5,7 +5,9 @@ reference loops below are the per-point and unblocked forms those checks
 replaced; since every oracle works row by row, the checks must return the
 same results and see the same oracle outputs, bit for bit.  Negative
 controls show that both checks fail on a wrong gradient or an overstated
-slope, and a spy pins the time indices every check visits.
+slope, and a spy pins the time indices every check visits.  The proximal PL
+check's exact decrease is held against a grid-oracle reference that never
+calls the closed-form prox.
 """
 
 import copy
@@ -18,12 +20,16 @@ import pytest
 from plgrad.config import build_problem, make_config
 from plgrad.harness import CheckResult, _check_gradient, _check_pl, _check_prox
 from plgrad.problems import (
+    DemandResponse,
     OnlineProblem,
+    TimeVaryingLeastSquares,
     _sample_ball,
     prox_decrease,
     sampled_times,
+    synth_demand_response_traces,
     verify_pl,
 )
+from plgrad.prox import grid_argmin_prox
 
 CONFIGS = {
     "fig1-ls": ("fig1-ls", {}),
@@ -87,6 +93,26 @@ def reference_pl_mu(problem, seed, n_samples=1000):
             ratios = prox_decrease(problem, t, xs)[keep] / (2.0 * gap[keep])
             mu_hat = min(mu_hat, float(ratios.min()))
     return mu_hat
+
+
+def grid_prox_decrease(problem, t, x, points):
+    """prox_decrease at one point, and its minimizer, from the grid oracle.
+
+    <g, y - x> + L/2 ||y - x||^2 = L/2 ||y - (x - g/L)||^2 - ||g||^2 / (2L),
+    so the surrogate's minimizer is the prox point of x - g/L at the step
+    1/L; grid_argmin_prox finds it in any dimension without the closed form.
+    """
+    l = problem.smoothness
+    g = problem.grad(t, x)
+    reg = problem.regularizer
+    y = grid_argmin_prox(reg, 1.0 / l, x - g / l, points)
+    d = y - x
+    return -2.0 * l * float(g @ d + 0.5 * l * (d @ d) + reg.value(y) - reg.value(x)), y
+
+
+def pl_lhs(problem, t, x):
+    """2 mu (F(x) - F*), the side the decrease must dominate."""
+    return 2.0 * problem.pl_constant * (problem.total_value(t, x) - problem.fstar(t))
 
 
 class OracleSpy:
@@ -172,6 +198,48 @@ def test_pl_check_peak_stays_below_one_sample_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n_samples * problem.n * 8, peak
+
+
+class TestProxPLVerification:
+    def test_reduces_to_gradient_form_without_regularizer(self):
+        p = TimeVaryingLeastSquares(2, 3, 0.2, 1.0, 0.0, 0.0, seed=9, horizon=1)
+        x = np.array([0.7, -0.4])
+        g = p.grad(0, x)
+        rhs_grid, y = grid_prox_decrease(p, 0, x, points=301)
+        assert prox_decrease(p, 0, x) == pytest.approx(float(g @ g), rel=1e-12)
+        assert rhs_grid == pytest.approx(float(g @ g), rel=1e-3)
+        np.testing.assert_allclose(y, x - g / p.smoothness, atol=2e-2)
+
+    def test_both_sides_vanish_at_optimum(self):
+        p = TimeVaryingLeastSquares(2, 2, 0.5, 1.0, 0.0, 0.0, seed=9, horizon=1)
+        x = p.xstar(0)
+        assert pl_lhs(p, 0, x) == pytest.approx(0.0, abs=1e-12)
+        assert abs(prox_decrease(p, 0, x)) <= 1e-12
+        assert abs(grid_prox_decrease(p, 0, x, points=101)[0]) <= 1e-12
+
+    def test_box_quadratic_inequality_on_random_points(self):
+        w = np.zeros((2, 1))
+        p = DemandResponse(
+            1, 0, 1, np.array([3.0, 3.0]), w, np.array([-1.0]), np.array([1.0])
+        )
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            x = rng.uniform(-1.0, 1.0, size=1)
+            rhs_grid, _ = grid_prox_decrease(p, 0, x, points=4001)
+            assert rhs_grid >= pl_lhs(p, 0, x) - 1e-6
+            assert prox_decrease(p, 0, x) == pytest.approx(rhs_grid, abs=1e-5)
+
+    def test_ten_devices_match_the_exact_decrease(self):
+        # the per-coordinate grid has no dimension cap
+        w, p_ref = synth_demand_response_traces(80, seed=11)
+        lo = np.concatenate([np.full(5, -50.0), np.zeros(5)])
+        p = DemandResponse(10, 11, 80, p_ref, w, lo, np.full(10, 50.0))
+        rng = np.random.default_rng(8)
+        for t in (0, 40, 80):
+            x = lo + rng.uniform(0, 1, size=10) * (50.0 - lo)
+            rhs_grid, _ = grid_prox_decrease(p, t, x, points=201)
+            assert rhs_grid == pytest.approx(prox_decrease(p, t, x), rel=1e-9)
+            assert rhs_grid >= pl_lhs(p, t, x)
 
 
 class TestNegativeControls:

@@ -250,7 +250,7 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert code == 0
         lines = dict(line.split(" = ") for line in out.strip().splitlines())
-        assert float(lines["asymptote"]) == pytest.approx(0.05, rel=1e-12)
+        assert float(lines["asymptote_ogd"]) == pytest.approx(0.05, rel=1e-12)
 
 
 class TestConfigFiles:
@@ -281,6 +281,11 @@ class TestConfigFiles:
     def test_delta_validation(self):
         with pytest.raises(ConfigError):
             make_config({}, {"preset": "static-ls", "deltas": (1.5,)})
+
+    def test_short_noise_schedule_rejected(self):
+        sections = {"experiment": {"horizon": 5}, "noise": {"per_time_scale": (1.0, 0.5, 1.0)}}
+        with pytest.raises(ConfigError, match="covers 3 steps, need 5"):
+            make_config(sections, {"preset": "static-ls"})
 
     def test_solver_regularizer_consistency(self):
         cfg = make_config({}, {"preset": "fig3-demand-response", "trials": 2})

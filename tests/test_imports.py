@@ -1,0 +1,34 @@
+"""Every name a plgrad module imports is used in that module.
+
+`__init__` imports to re-export, so there a name may instead be listed in
+`plgrad.__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import plgrad
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "plgrad"
+
+
+def imported_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported_names(tree) - used
+    if path.name == "__init__.py":
+        unused -= set(plgrad.__all__)
+    assert not unused, f"{path.name} imports unused {sorted(unused)}"

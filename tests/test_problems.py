@@ -17,7 +17,6 @@ from plgrad.problems import (
     prox_decrease,
     synth_demand_response_traces,
     verify_pl,
-    verify_prox_pl,
 )
 from plgrad.prox import Regularizer
 from plgrad.solvers import run
@@ -157,21 +156,29 @@ class TestLtiTracking:
         assert lti_problem.smoothness == pytest.approx(eigs[-1], rel=1e-12)
         assert lti_problem.pl_constant > 0
 
+    @staticmethod
+    def measured_grad(p, t, x, eta):
+        """The physical model: G^T (yhat_t - ybar_t), yhat_t = G x + H w_t + eta."""
+        yhat = p.matrix @ x + p.disturbance_map @ p.disturbance[t] + eta
+        return p.matrix.T @ (yhat - p.reference[t])
+
     def test_measured_grad_with_zero_noise_is_exact(self, lti_problem):
         rng = np.random.default_rng(8)
         for t in (0, 20, 40):
             x = rng.normal(size=6)
-            v = lti_problem.measured_grad(t, x, np.zeros(9))
+            v = self.measured_grad(lti_problem, t, x, np.zeros(9))
             np.testing.assert_allclose(v, lti_problem.grad(t, x), atol=1e-12)
 
     def test_measurement_noise_maps_through_output_matrix(self, lti_problem):
+        # the run path's error model: measured = grad + map_error(eta)
         rng = np.random.default_rng(9)
-        x = rng.normal(size=6)
-        eta = rng.normal(size=9)
-        v = lti_problem.measured_grad(5, x, eta)
-        np.testing.assert_allclose(
-            v - lti_problem.grad(5, x), lti_problem.matrix.T @ eta, atol=1e-12
-        )
+        for t in (0, 5, 40):
+            x = rng.normal(size=6)
+            eta = rng.normal(size=9)
+            v = self.measured_grad(lti_problem, t, x, eta)
+            np.testing.assert_allclose(
+                v, lti_problem.grad(t, x) + lti_problem.map_error(eta), atol=1e-12
+            )
 
     def test_error_envelope_dominates_fit(self, lti_problem):
         # ||G^T eta|| <= smax(G) ||eta||: the scaled envelope must cover a
@@ -428,34 +435,6 @@ class TestSlopeCertificates:
 
 
 class TestProxPLVerification:
-    def test_reduces_to_gradient_form_without_regularizer(self):
-        p = TimeVaryingLeastSquares(2, 3, 0.2, 1.0, 0.0, 0.0, seed=9, horizon=1)
-        x = np.array([0.7, -0.4])
-        rep = verify_prox_pl(p, 0, x, grid_resolution=301)
-        g = p.grad(0, x)
-        assert rep.rhs_exact == pytest.approx(float(g @ g), rel=1e-12)
-        assert rep.rhs_grid == pytest.approx(float(g @ g), rel=1e-3)
-        step_target = x - g / p.smoothness
-        np.testing.assert_allclose(rep.grid_minimizer, step_target, atol=2e-2)
-
-    def test_both_sides_vanish_at_optimum(self):
-        p = TimeVaryingLeastSquares(2, 2, 0.5, 1.0, 0.0, 0.0, seed=9, horizon=1)
-        rep = verify_prox_pl(p, 0, p.xstar(0), grid_resolution=101)
-        assert rep.lhs == pytest.approx(0.0, abs=1e-12)
-        assert abs(rep.rhs_exact) <= 1e-12
-
-    def test_box_quadratic_inequality_on_random_points(self):
-        w = np.zeros((2, 1))
-        p = DemandResponse(
-            1, 0, 1, np.array([3.0, 3.0]), w, np.array([-1.0]), np.array([1.0])
-        )
-        rng = np.random.default_rng(21)
-        for _ in range(100):
-            x = rng.uniform(-1.0, 1.0, size=1)
-            rep = verify_prox_pl(p, 0, x, grid_resolution=4001)
-            assert rep.rhs_grid >= rep.lhs - 1e-6
-            assert rep.rhs_exact == pytest.approx(rep.rhs_grid, abs=1e-5)
-
     def test_exact_decrease_certifies_declared_mu(self, dr_problem):
         rng = np.random.default_rng(33)
         reg = dr_problem.regularizer
@@ -469,21 +448,6 @@ class TestProxPLVerification:
                     continue
                 worst = min(worst, prox_decrease(dr_problem, t, x) / (2 * gap))
         assert worst >= dr_problem.pl_constant - 1e-9
-
-    def test_ten_devices_match_the_exact_decrease(self, dr_problem):
-        # the per-coordinate grid has no dimension cap
-        rng = np.random.default_rng(8)
-        reg = dr_problem.regularizer
-        for t in (0, 40, 80):
-            x = reg.lo + rng.uniform(0, 1, size=10) * (reg.hi - reg.lo)
-            rep = verify_prox_pl(dr_problem, t, x, grid_resolution=201)
-            assert rep.rhs_grid == pytest.approx(rep.rhs_exact, rel=1e-9)
-            assert rep.rhs_grid >= rep.lhs
-
-    def test_resolution_too_small_to_zoom(self, dr_problem):
-        # 5 points shrink the window by 4 / (5 - 1) = 1: the zoom never ends
-        with pytest.raises(ValueError, match="zoom"):
-            verify_prox_pl(dr_problem, 0, np.zeros(10), grid_resolution=5)
 
 
 class TestVariability:

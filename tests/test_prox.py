@@ -5,7 +5,12 @@ import pytest
 
 from plgrad import prox as prox_module
 from plgrad.config import build_problem, make_config
-from plgrad.prox import Regularizer, grid_argmin_prox, prox_objective_gap
+from plgrad.prox import Regularizer, grid_argmin_prox, prox_objective
+
+
+def objective_gap(reg, step, v, y):
+    """Prox objective at y minus at the closed-form prox point (>= 0)."""
+    return prox_objective(reg, step, v, y) - prox_objective(reg, step, v, reg.prox(step, v))
 
 
 class TestClosedForms:
@@ -108,7 +113,7 @@ class TestProperties:
         reg = Regularizer.l1(1.2)
         v = np.array([0.4, -3.0, 1.7])
         y = reg.prox(0.5, v)
-        assert prox_objective_gap(reg, 0.5, v, y) == pytest.approx(0.0, abs=1e-14)
+        assert objective_gap(reg, 0.5, v, y) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize(
         "reg",
@@ -124,7 +129,7 @@ class TestProperties:
         for _ in range(300):
             v = rng.uniform(-4.0, 4.0, size=2)
             y = rng.uniform(-1.0, 1.0, size=2)  # feasible for the box case
-            assert prox_objective_gap(reg, 0.7, v, y) >= -1e-12
+            assert objective_gap(reg, 0.7, v, y) >= -1e-12
 
     def test_objective_gap_quadratic_for_none(self):
         reg = Regularizer.none()
@@ -132,7 +137,7 @@ class TestProperties:
         d = np.array([0.3, -0.4])
         step = 0.25
         expected = float(d @ d) / (2.0 * step)
-        assert prox_objective_gap(reg, step, v, v + d) == pytest.approx(expected, rel=1e-12)
+        assert objective_gap(reg, step, v, v + d) == pytest.approx(expected, rel=1e-12)
 
     def test_l1_value(self):
         reg = Regularizer.l1(2.0)
@@ -168,3 +173,9 @@ class TestValidation:
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
             Regularizer.none().prox(0.0, np.array([1.0]))
+
+    def test_grid_too_coarse_to_zoom(self):
+        # 5 points shrink the window by 4 / (5 - 1) = 1: the zoom never ends
+        reg = Regularizer.box(np.full(10, -1.0), np.full(10, 1.0))
+        with pytest.raises(ValueError, match="zoom"):
+            grid_argmin_prox(reg, 1.0, np.zeros(10), points=5)

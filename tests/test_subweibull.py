@@ -17,10 +17,8 @@ from plgrad.subweibull import (
     add_scalar,
     fit_from_samples,
     hp_bound,
-    include,
     power,
     scale,
-    tail_constant,
 )
 
 
@@ -108,18 +106,6 @@ class TestClosureRules:
             assert left.k == pytest.approx(right.k, rel=1e-15)
             assert left.k == pytest.approx(sum(x.k for x in xs), rel=1e-14)
 
-    def test_include_relaxes(self):
-        out = include(SubWeibullParams(0.5, 1.0), 1.0, 1.0)
-        assert (out.theta, out.k) == (1.0, 1.0)
-        same = include(SubWeibullParams(1.0, 2.0), 1.0, 2.0)
-        assert (same.theta, same.k) == (1.0, 2.0)
-
-    def test_include_rejects_tightening(self):
-        with pytest.raises(ValueError):
-            include(SubWeibullParams(1.0, 2.0), 0.5, 3.0)
-        with pytest.raises(ValueError):
-            include(SubWeibullParams(1.0, 2.0), 1.0, 1.9)
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             SubWeibullParams(0.0, 1.0)
@@ -128,15 +114,6 @@ class TestClosureRules:
 
 
 class TestTailAndQuantile:
-    def test_tail_constant_values(self):
-        assert tail_constant(SubWeibullParams(1.0, 1.0)) == pytest.approx(
-            2.0 * math.e, rel=1e-15
-        )
-        assert tail_constant(SubWeibullParams(2.0, 0.0)) == 0.0
-        assert tail_constant(SubWeibullParams(0.5, 4.0)) == pytest.approx(
-            13.189770165601026, rel=1e-12
-        )
-
     def test_hp_bound_values(self):
         # log(2/delta) = 1 at delta = 2/e, leaving K (2e/theta)^theta
         assert hp_bound(SubWeibullParams(1.0, 1.0), 2.0 / math.e) == pytest.approx(
