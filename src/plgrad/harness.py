@@ -378,10 +378,7 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
     ts = sampled_times(problem.horizon)
     mu = problem.pl_constant
     if problem.smooth_only():
-        mu_hat = np.inf
-        for t in ts:
-            rep = verify_pl(problem, t, n_samples, seed)
-            mu_hat = min(mu_hat, rep.mu_hat)
+        mu_hat = min(verify_pl(problem, t, n_samples, seed) for t in ts)
         ok = mu_hat >= mu - 1e-9
         return CheckResult("pl_certificate", ok, f"sampled mu {mu_hat:.6g} vs declared {mu:.6g}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +49,12 @@ class OnlineProblem:
 
     Subclasses populate the attributes below in __init__ and implement
     value / grad / fstar / xstar (None where no minimizer is computed);
-    evaluate, the per-iterate oracle of run, defaults to value and grad.
-    The regularizer g_t defaults to g = 0, whose prox is the identity.
-    value and grad accept x of shape (n,) or (R, n); fstar and xstar take
-    the time index only.  grad and map_error write into `out` when it is
+    evaluate, the per-iterate oracle of run, defaults to value, grad and
+    map_error.  The regularizer g_t defaults to g = 0, whose prox is the
+    identity.  value and grad accept x of shape (n,) or (R, n); fstar and
+    xstar take the time index only.  grad writes into `out` when it is
     given (an array of the result's shape that does not overlap the input)
-    and return it.  Instances are immutable after construction by
+    and returns it.  Instances are immutable after construction by
     convention; all oracles are safe to call concurrently.
     """
 
@@ -85,23 +84,35 @@ class OnlineProblem:
         raise NotImplementedError
 
     def evaluate(
-        self, t: int, x: np.ndarray, grad_out: np.ndarray | None = None
-    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
-        """(f_t(x), f_{t-1}(x)) and, into grad_out when it is given, grad f_t(x).
+        self,
+        t: int,
+        x: np.ndarray,
+        grad_out: np.ndarray | None = None,
+        noise: np.ndarray | None = None,
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None, float | np.ndarray | None]:
+        """(f_t(x), f_{t-1}(x), ||e_t||), and the measured gradient
+        grad f_t(x) + e_t into grad_out when it is given.
 
-        Everything run needs at its iterate x_t: the value for the regret,
-        the previous cost's value for phi_tilde_t (None at t = 0) and the
-        gradient for the next step.  phi_tilde needs the smooth parts only:
-        the regularizers in scope are time-invariant, so they cancel in
-        F_t - F_{t-1}.  This default makes the separate value and grad calls;
-        a family that can share work between them overrides it with the
-        same bits.
+        What run needs at x_t: the value for the regret, the previous one
+        for phi_tilde_t (None at t = 0; the regularizers in scope are
+        time-invariant and cancel) and the next step's gradient.  noise is
+        step t's raw noise, one row per row of x, read with grad_out only:
+        e_t = map_error(noise), or 0 with a None norm without it.  A family
+        overrides this default to share work between its oracles.
         """
         f = self.value(t, x)
         f_prev = self.value(t - 1, x) if t else None
-        if grad_out is not None:
-            self.grad(t, x, out=grad_out)
-        return f, f_prev
+        if grad_out is None:
+            return f, f_prev, None
+        return f, f_prev, self._add_error(self.grad(t, x, out=grad_out), noise)
+
+    def _add_error(self, g: np.ndarray, noise: np.ndarray | None) -> np.ndarray | None:
+        """g += map_error(noise) in place; the error's norm per row."""
+        if noise is None:
+            return None
+        e = self.map_error(noise)
+        np.add(g, e, out=g)
+        return _row_norm(e)
 
     def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
@@ -123,9 +134,10 @@ class OnlineProblem:
     def error_dim(self) -> int:
         return self.n
 
-    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Gradient-space error for raw noise of shape (error_dim,) or (R, error_dim)."""
-        return np.positive(raw, out=out)  # identity: a copy, into out when given
+    def map_error(self, raw: np.ndarray) -> np.ndarray:
+        """Gradient-space error for raw noise of shape (error_dim,) or
+        (R, error_dim); the default identity returns raw itself."""
+        return np.asarray(raw)
 
     @property
     def error_gain(self) -> float:
@@ -157,6 +169,10 @@ def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndar
 def _matvec(a: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ x for each row of x, summed per row so batching cannot change bits."""
     return np.vecdot(a, x[..., None, :], out=out)
+
+
+def _row_norm(x: np.ndarray) -> float | np.ndarray:
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _half_square(r: np.ndarray) -> float | np.ndarray:
@@ -229,9 +245,9 @@ class QuadraticTracking(OnlineProblem):
 
         einsum sums into a zeroed output, so a zero product is +0.0 where
         multiply can give -0.0; every other bit is the same.  No output sees
-        it: ||e||^2 squares the sign away, and x - s * (+-0) = x unless x is
-        -0.0, which demand response (the one one-row family, always boxed)
-        reaches only from a -0.0 in x0 or in the box bounds."""
+        it: x - s * (+-0) = x unless x is -0.0, which demand response (the
+        one one-row family, always boxed) reaches only from a -0.0 in x0 or
+        in the box bounds."""
         if self.matrix.shape[0] == 1:
             return np.einsum("...,j->...j", r[..., 0], self.matrix[0], out=out)
         return _matvec(self._at, r, out=out)
@@ -248,16 +264,27 @@ class QuadraticTracking(OnlineProblem):
         return self._adjoint(self._residual(t, _matvec(self.matrix, x)), out=out)
 
     def evaluate(
-        self, t: int, x: np.ndarray, grad_out: np.ndarray | None = None
-    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
-        """The base class's evaluate from one product A x shared by its three results."""
+        self,
+        t: int,
+        x: np.ndarray,
+        grad_out: np.ndarray | None = None,
+        noise: np.ndarray | None = None,
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None, float | np.ndarray | None]:
+        """evaluate from one product A x.  A one-row A with measurement
+        noise adds it to the scalar residual, v = a (a^T x - b_t + eta), so
+        one adjoint forms the measured gradient and ||e_t|| = ||a|| |eta|
+        in closed form.  For a = ones the gradient has the bits of
+        grad f_t + a eta; another a rounds its last bits differently."""
         ax = _matvec(self.matrix, x)
         r = self._residual(t, ax)
         f = _half_square(r)
         f_prev = _half_square(self._residual(t - 1, ax)) if t else None
-        if grad_out is not None:
-            self._adjoint(r, out=grad_out)
-        return f, f_prev
+        if grad_out is None:
+            return f, f_prev, None
+        if noise is not None and self._gain is not None and self.matrix.shape[0] == 1:
+            self._adjoint(np.add(r, noise, out=r), out=grad_out)
+            return f, f_prev, self._gain * np.abs(noise[..., 0])
+        return f, f_prev, self._add_error(self._adjoint(r, out=grad_out), noise)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -273,10 +300,10 @@ class QuadraticTracking(OnlineProblem):
     def error_dim(self) -> int:
         return self.n if self._gain is None else self.matrix.shape[0]
 
-    def map_error(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def map_error(self, raw: np.ndarray) -> np.ndarray:
         if self._gain is None:
-            return super().map_error(raw, out=out)
-        return self._adjoint(raw, out=out)
+            return super().map_error(raw)
+        return self._adjoint(raw)
 
     @property
     def error_gain(self) -> float:
@@ -449,11 +476,10 @@ class DriftingLogistic(OnlineProblem):
         )
 
     def _sampled_mu(self, rng: np.random.Generator) -> float:
-        mu_hat = np.inf
-        for t in sampled_times(self.horizon):
-            report = verify_pl(self, t, n_samples=400, seed=int(rng.integers(2**31)))
-            mu_hat = min(mu_hat, report.mu_hat)
-        return float(mu_hat)
+        return min(
+            verify_pl(self, t, n_samples=400, seed=int(rng.integers(2**31)))
+            for t in sampled_times(self.horizon)
+        )
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         self._check_t(t)
@@ -616,17 +642,6 @@ def load_demand_response_traces(path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 1:-1], data[:, -1]
 
 
-@dataclass(frozen=True)
-class PLReport:
-    """Sampled certificate for the gradient-domination inequality."""
-
-    declared_mu: float
-    mu_hat: float          # largest slope certified by the samples
-    max_violation: float   # max over samples of 2 mu (f - f*) - ||grad||^2
-    n_used: int
-    n_skipped: int
-
-
 def sampled_times(horizon: int) -> list[int]:
     """The time indices the sampled certificates visit: 0, T // 2 and T."""
     return sorted({0, horizon // 2, horizon})
@@ -639,8 +654,10 @@ def _sample_ball(rng: np.random.Generator, n: int, radius: float, size: int) -> 
     return direction * radii
 
 
-def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> PLReport:
-    """Sample the gradient-domination inequality over the domain ball."""
+def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> float:
+    """Largest mu with 2 mu (f_t - f*_t) <= ||grad f_t||^2 at n_samples points
+    of the domain ball; points at the optimum are skipped, and pl_constant
+    is returned when all are."""
     if not problem.smooth_only():
         raise ValueError("gradient-domination check applies to unregularized costs")
     if n_samples < 1:
@@ -650,17 +667,12 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> PLRe
     )
     xs = _sample_ball(rng, problem.n, problem.domain_radius, n_samples)
     fstar = problem.fstar(t)
-    mu = problem.pl_constant
     gap = problem.value(t, xs) - fstar
     gsq = np.sum(problem.grad(t, xs) ** 2, axis=-1)
-    # at a (numerical) optimum both sides vanish: skip those samples
     keep = gap > 1e-12 * max(1.0, abs(fstar))
-    gap, gsq = gap[keep], gsq[keep]
-    used = int(keep.sum())
-    # degenerate when every sample sat at the optimum
-    mu_hat = float(np.min(gsq / (2.0 * gap))) if used else mu
-    max_violation = float(np.max(2.0 * mu * gap - gsq, initial=0.0))
-    return PLReport(mu, mu_hat, max_violation, used, n_samples - used)
+    if not keep.any():
+        return problem.pl_constant
+    return float(np.min(gsq[keep] / (2.0 * gap[keep])))
 
 
 def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.ndarray:

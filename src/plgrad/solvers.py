@@ -26,13 +26,9 @@ from typing import Iterable
 import numpy as np
 
 from . import noise as noise_mod
-from .problems import OnlineProblem
+from .problems import OnlineProblem, _row_norm
 
 SOLVERS = ("ogd", "opgm")
-
-
-def _row_norm(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.vecdot(x, x))
 
 
 def prox_gradient_step(
@@ -48,22 +44,22 @@ def prox_gradient_step(
     error holds the mapped gradient errors e_t, one row per row of x.  The
     new iterate is written into out when it is given (an array of x's shape
     overlapping neither x nor error) and returned.  This makes one grad
-    call; run takes the same step from the gradient that problem.evaluate
-    formed together with the values at x, so a step there calls no oracle.
+    call and adds the error to it; run takes the step from the measured
+    gradient grad f_t(x) + e_t that problem.evaluate formed together with
+    the values at x, so a step there calls no oracle and adds no error.
     """
-    return _descend(problem, x, problem.grad(t, x, out=out), step, error)
+    v = problem.grad(t, x, out=out)
+    np.add(v, error, out=v)
+    return _descend(problem, x, v, step)
 
 
-def _descend(
-    problem: OnlineProblem, x: np.ndarray, v: np.ndarray, step: float, error: np.ndarray
-) -> np.ndarray:
-    """prox_{step g}(x - step * (v + error)) for v = grad f_t(x), written into v.
+def _descend(problem: OnlineProblem, x: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
+    """prox_{step g}(x - step * v) for the measured gradient v, written into v.
 
     The expression's operations run in its order in v's memory, where the
-    expression allocates four; on batch-sized arrays the allocations cost
+    expression allocates three; on batch-sized arrays the allocations cost
     more than the arithmetic.
     """
-    np.add(v, error, out=v)
     v *= step
     np.subtract(x, v, out=v)
     return problem.regularizer.prox(step, v, out=v)
@@ -99,6 +95,9 @@ class RegretTrajectory:
 
     Column t holds r_t, ||e_{t-1}|| and phi_tilde_t (sigma_t, which depends
     on t only, is one row); column 0 has zero error and variability.
+    ||e_{t-1}|| is the norm problem.evaluate gives with the measured
+    gradient: ||a|| |eta| in closed form on a one-row A with measurement
+    noise, the norm of the mapped error everywhere else.
     Regret values in (-tol, 0) are clipped to 0, where tol is the
     problem's fstar_tol.
     domain_excursions, max_step_norm and min_raw_regret hold one entry per
@@ -165,9 +164,12 @@ def run(
 
     Each iterate x_t gets one problem.evaluate call on the (trials, n)
     matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
-    except at the last iterate, grad f_t(x_t) for the next step; the
-    quadratic core forms A x_t once for all three.  The optimal values
-    f*_0..f*_T depend on t only and are read once, before the loop.
+    except at the last iterate, the measured gradient grad f_t(x_t) + e_t
+    of the next step, fed step t's raw noise, with ||e_t||.  The quadratic
+    core forms A x_t once for all of them; a one-row A adds the noise to
+    its scalar residual and gives ||e_t|| in closed form, so e_t is never
+    formed.  The optimal values f*_0..f*_T depend on t only and are read
+    once, before the loop.
     g_t(x_t) is evaluated only for an l1 term: g = 0 on the feasible x0,
     and a box indicator is 0 on its own prox outputs, so the regret adds
     0.0 in the place of g there (a nan iterate is caught by the finiteness
@@ -211,9 +213,9 @@ def run(
         axis=1,
     )
 
-    # The loop writes F_t(x_t), f_t(x_t) - f_{t-1}(x_t) and ||e_{t-1}||^2
-    # into column t; the regret checks, minimum and clip, sigma, the
-    # absolute values and the square roots then run once on whole matrices.
+    # The loop writes F_t(x_t), f_t(x_t) - f_{t-1}(x_t) and ||e_{t-1}||
+    # into column t; the regret checks, minimum and clip, sigma and the
+    # absolute values then run once on whole matrices.
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
     error_norm = np.zeros(shape)
@@ -223,6 +225,15 @@ def run(
 
     def check_regret(t: int) -> None:
         _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
+
+    def evaluate(t: int, xt: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
+        # gradient of step t into v and ||e_t|| into column t + 1
+        if t == horizon:
+            f, f_prev, _ = problem.evaluate(t, xt)
+        else:
+            f, f_prev, error_norm[:, t + 1] = problem.evaluate(t, xt, grad_out=v, noise=raw[t])
+        return f, f_prev
 
     def record(t: int, xt: np.ndarray, f: np.ndarray) -> None:
         # f = f_t(x_t); F_t(x_t) in the operations of total_value
@@ -235,23 +246,20 @@ def run(
         np.add(excursions, _row_norm(xt) >= problem.domain_radius, out=excursions)
 
     x = np.tile(x, (len(trials), 1))
-    # Batch-sized work arrays, allocated once: the error, whose memory
-    # then takes the step difference once ||e||^2 is recorded, and the
-    # gradient at x, which the step overwrites with the next iterate; the
-    # old iterate's array then takes the next gradient.  Fresh temporaries
-    # of this size can sit above the allocator's mmap threshold, and then
-    # every step maps and unmaps them, page faults included.
-    e = np.empty_like(x)
+    # Batch-sized work arrays, allocated once: the step difference, and
+    # the measured gradient at x, which the step overwrites with the next
+    # iterate; the old iterate's array then takes the next gradient.  Fresh
+    # temporaries of this size can sit above the allocator's mmap threshold,
+    # and then every step maps and unmaps them, page faults included.
+    diff = np.empty_like(x)
     v = np.empty_like(x)
-    f, _ = problem.evaluate(0, x, grad_out=v if horizon else None)
+    f, _ = evaluate(0, x, v)
     record(0, x, f)
     for t in range(horizon):
-        problem.map_error(raw[t], out=e)
-        np.vecdot(e, e, out=error_norm[:, t + 1])
-        x_next = _descend(problem, x, v, step, e)
+        x_next = _descend(problem, x, v, step)
         # x is finite, so a row of x_next with a nan or inf entry has a
         # non-finite step norm; the full scan runs only when one does
-        step_norm = _row_norm(np.subtract(x_next, x, out=e))
+        step_norm = _row_norm(np.subtract(x_next, x, out=diff))
         if not np.isfinite(step_norm).all():
             bad = ~np.isfinite(x_next).all(axis=1)
             if bad.any():
@@ -261,7 +269,7 @@ def run(
                 )
         np.maximum(max_step_norm, step_norm, out=max_step_norm)
         x, v = x_next, x
-        f, f_prev = problem.evaluate(t + 1, x, grad_out=v if t + 1 < horizon else None)
+        f, f_prev = evaluate(t + 1, x, v)
         record(t + 1, x, f)
         np.subtract(f, f_prev, out=phi_tilde[:, t + 1])
 
@@ -272,7 +280,6 @@ def run(
     sigma = np.zeros(horizon + 1)
     np.abs(np.diff(fstar), out=sigma[1:])
     np.abs(phi_tilde, out=phi_tilde)
-    np.sqrt(error_norm, out=error_norm)
 
     exceptions = theory_exceptions(problem, step_override)
     if excursions.any():

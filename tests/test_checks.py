@@ -75,7 +75,7 @@ def reference_pl_mu(problem, seed, n_samples=1000):
     """Sampled (proximal) PL slope, every sample matrix evaluated at once."""
     ts = sampled_times(problem.horizon)
     if problem.smooth_only():
-        return min(verify_pl(problem, t, n_samples, seed).mu_hat for t in ts)
+        return min(verify_pl(problem, t, n_samples, seed) for t in ts)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))
     reg = problem.regularizer
     mu_hat = np.inf

@@ -34,9 +34,9 @@ GOLDEN = {
         "82cf02e8ea5fdfa877be5e06e9b2ec2c133fc4932e39a33b8da193913e2f2efd",
     ),
     ("fig3-demand-response", None): (
-        "4b36a81fcbe01232a1eccfe0ae87de746bbd4fdedff860c847572e5d5dfca41e",
-        "37565d7ef521cd72087ccfba1dff3b5db39a19fe26381ad4a8250fcf581b461b",
-        "8464ed51587a35689f34ffd6803cc64f4260644e4a9692212c46f30345b11f29",
+        "0c70be637e73b8ad14105f4217d5490dc241a18c370107c6d5a63ea728b36c0c",
+        "6a717430b2c48c98b4673c53d58e3095529becd33b31f31c621554eac47c3289",
+        "6a17364f230e5c420b9c8fe094c112b886f3034a30b5a9db64e3c1d34cd8413d",
     ),
     ("logistic", None): (
         "a98eddf43eadba0517eabe1f5080fe42120993f561c9f9eca405a609ddeecf12",
@@ -49,9 +49,9 @@ GOLDEN = {
         "7905954840ed8c8fcfee262f574305311b0d3dd46d69c9ee05b0f661c2e74d5b",
     ),
     ("fig3-demand-response", "n_der=500"): (
-        "ae2b837a0cd99cfa902a0a1f7a7715e0acdaa0697fa69cdb013e6b9dbba25f1d",
-        "4769aaf7c32a38b7424d59a67da0ce2ed78fb7b1c0e62bdea036dcdff71207e0",
-        "b9a54bae0f59781112e465f3c8cd5ff3a096adff633c3a98264a44c8e17fb98e",
+        "aeb09e1e96e1fcbf4f1ca910ef9c951848501399d81c9bedeed03b9805a48920",
+        "54b11936e559767dcf3012a67756a9a4b78bef28ab756bee9548828e04b0c302",
+        "309a61fb02a282de3b11c329de8ba1331850c396e3b429c6f920ca38a1e10b26",
     ),
 }
 # (preset, config sections) -> sha256 of the validate_bounds table and of the

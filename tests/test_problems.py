@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from plgrad import problems as problems_mod
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
@@ -35,8 +36,28 @@ def fd_gradient(problem, t, x, h=1e-6):
 def evaluated(problem, t, x):
     """problem.evaluate's results at x as one row: f_t, f_{t-1}, grad f_t."""
     g = np.empty_like(x)
-    f, f_prev = problem.evaluate(t, x, grad_out=g)
+    f, f_prev, _ = problem.evaluate(t, x, grad_out=g)
     return np.concatenate([np.stack([f, f_prev], axis=-1), g], axis=-1)
+
+
+def sampled_pl(problem, t, n_samples, seed):
+    """verify_pl's slope with the largest violation 2 mu (f - f*) - ||grad||^2
+    of the declared mu and the number of samples used, both computed here
+    on verify_pl's samples with its skip bound."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(seed, problems_mod._VERIFY_STREAM, t))
+    )
+    xs = problems_mod._sample_ball(rng, problem.n, problem.domain_radius, n_samples)
+    fstar = problem.fstar(t)
+    gap = problem.value(t, xs) - fstar
+    gsq = np.sum(problem.grad(t, xs) ** 2, axis=-1)
+    keep = gap > 1e-12 * max(1.0, abs(fstar))
+    gap, gsq = gap[keep], gsq[keep]
+    mu_hat = verify_pl(problem, t, n_samples, seed)
+    if keep.any():
+        assert mu_hat == float(np.min(gsq / (2.0 * gap)))  # the same samples
+    max_violation = float(np.max(2.0 * problem.pl_constant * gap - gsq, initial=0.0))
+    return mu_hat, max_violation, int(keep.sum())
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +161,9 @@ class TestLogistic:
             assert np.linalg.norm(g) <= 1e-10
 
     def test_declared_mu_is_conservative(self, logistic_problem):
-        rep = verify_pl(logistic_problem, 5, n_samples=500, seed=2)
-        assert rep.mu_hat >= logistic_problem.pl_constant - 1e-9
-        assert rep.max_violation <= 1e-9
+        mu_hat, max_violation, _ = sampled_pl(logistic_problem, 5, n_samples=500, seed=2)
+        assert mu_hat >= logistic_problem.pl_constant - 1e-9
+        assert max_violation <= 1e-9
 
     def test_requires_enough_rows(self):
         with pytest.raises(ValueError):
@@ -255,9 +276,6 @@ class TestDemandResponse:
                 assert np.array_equal(out, expected)
                 expected = r[..., :1] * a_x
                 assert np.array_equal(p.map_error(r), expected)
-                out = np.full(expected.shape, np.nan)
-                assert p.map_error(r, out=out) is out
-                assert np.array_equal(out, expected)
             assert p.xstar(t) is None
         for t in range(horizon + 1):
             target = -c[t]
@@ -384,16 +402,15 @@ class TestGradientsAndSmoothness:
 class TestSlopeCertificates:
     def test_ls_certificate_at_least_declared(self, ls_problem):
         for t in (0, 30):
-            rep = verify_pl(ls_problem, t, n_samples=1000, seed=6)
-            assert rep.mu_hat >= 0.1 - 1e-9
-            assert rep.max_violation <= 1e-9
+            mu_hat, max_violation, _ = sampled_pl(ls_problem, t, n_samples=1000, seed=6)
+            assert mu_hat >= 0.1 - 1e-9
+            assert max_violation <= 1e-9
 
     def test_pure_quadratic_certificate_is_exact(self):
         # slope mu quadratic: ||grad||^2 = 2 mu f at every point
         mu = 0.37
         p = TimeVaryingLeastSquares(3, 3, mu, mu, 0.0, 0.0, seed=2, horizon=1)
-        rep = verify_pl(p, 0, n_samples=200, seed=1)
-        assert rep.mu_hat == pytest.approx(mu, rel=1e-9)
+        assert verify_pl(p, 0, n_samples=200, seed=1) == pytest.approx(mu, rel=1e-9)
 
     def test_requires_smooth_problem(self, dr_problem):
         with pytest.raises(ValueError):
@@ -424,10 +441,10 @@ class TestSlopeCertificates:
             def fstar(self, t):
                 return 3.0
 
-        rep = verify_pl(Flat(), 0, n_samples=50, seed=0)
-        assert rep.n_used == 0 and rep.n_skipped == 50
-        assert rep.mu_hat == rep.declared_mu
-        assert rep.max_violation == 0.0
+        mu_hat, max_violation, n_used = sampled_pl(Flat(), 0, n_samples=50, seed=0)
+        assert n_used == 0
+        assert mu_hat == Flat.pl_constant
+        assert max_violation == 0.0
 
     def test_rejects_zero_samples(self, ls_problem):
         with pytest.raises(ValueError):
@@ -467,22 +484,37 @@ class TestVariability:
     def test_no_previous_value_at_t_zero(self, ls_problem):
         # there is no f_{-1}; run records zero variability in column 0
         x = np.full(10, 0.3)
-        f, f_prev = ls_problem.evaluate(0, x)
-        assert f == ls_problem.value(0, x) and f_prev is None
+        f, f_prev, error_norm = ls_problem.evaluate(0, x)
+        assert f == ls_problem.value(0, x) and f_prev is None and error_norm is None
 
     @pytest.mark.parametrize(
         "fixture", ["ls_problem", "l1_ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
     )
     def test_evaluate_matches_value_and_grad(self, fixture, request):
-        # the shared evaluation gives the separate oracles' bits
+        # the shared evaluation gives the separate oracles' bits, and with
+        # noise the measured gradient grad + map_error(noise) and its error
+        # norm; demand response (a_x = ones here) gives ||a_x|| |eta|
         problem = request.getfixturevalue(fixture)
-        xs = np.random.default_rng(8).normal(size=(7, problem.n))
+        rng = np.random.default_rng(8)
+        xs = rng.normal(size=(7, problem.n))
+        noise = rng.normal(size=(7, problem.error_dim))
+        e = problem.map_error(noise)
         for t in (1, problem.horizon):
             g = np.full_like(xs, np.nan)
-            f, f_prev = problem.evaluate(t, xs, grad_out=g)
+            f, f_prev, error_norm = problem.evaluate(t, xs, grad_out=g)
             assert np.array_equal(f, problem.value(t, xs))
             assert np.array_equal(f_prev, problem.value(t - 1, xs))
             assert np.array_equal(g, problem.grad(t, xs))
+            assert error_norm is None
+            f, f_prev, error_norm = problem.evaluate(t, xs, grad_out=g, noise=noise)
+            assert np.array_equal(f, problem.value(t, xs))
+            assert np.array_equal(f_prev, problem.value(t - 1, xs))
+            assert np.array_equal(g, problem.grad(t, xs) + e)
+            if fixture == "dr_problem":
+                assert np.array_equal(error_norm, problem.error_gain * np.abs(noise[:, 0]))
+                np.testing.assert_allclose(error_norm, np.linalg.norm(e, axis=1), rtol=1e-15)
+            else:
+                assert np.array_equal(error_norm, np.sqrt(np.vecdot(e, e)))
         with pytest.raises(IndexError):
             problem.evaluate(problem.horizon + 1, xs)
 
@@ -549,18 +581,12 @@ class TestRowInvariance:
     def test_out_forms_match_the_allocating_call(self, fixture, request):
         problem = request.getfixturevalue(fixture)
         xs = self._batch(problem)
-        raw = np.random.default_rng(6).normal(size=(11, problem.error_dim))
         t = problem.horizon // 2
-        calls = {
-            "grad": lambda x, out=None: problem.grad(t, x, out=out),
-            "map_error": lambda x, out=None: problem.map_error(x, out=out),
-        }
-        for name, arg in (("grad", xs), ("map_error", raw)):
-            for a in (arg, arg[0]):
-                expected = calls[name](a)
-                out = np.full(expected.shape, np.nan)
-                assert calls[name](a, out=out) is out, name
-                assert np.array_equal(out, expected), name
+        for x in (xs, xs[0]):
+            expected = problem.grad(t, x)
+            out = np.full(expected.shape, np.nan)
+            assert problem.grad(t, x, out=out) is out
+            assert np.array_equal(out, expected)
 
     @EACH_REGULARIZER
     def test_prox_out_forms_match_the_allocating_call(self, reg):

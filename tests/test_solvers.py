@@ -339,7 +339,9 @@ class TestRun:
 class TestMemory:
     def test_peak_on_500_devices_stays_within_budget(self):
         # The full-size demand-response run needs its (trials, T+1) outputs,
-        # the noise block and three batch-sized work arrays.  The slack holds
+        # the noise block and three batch-sized work arrays; the error a_x eta
+        # is never formed, since the gradient is read from the noisy scalar
+        # residual and ||e|| = ||a_x|| |eta|.  The slack holds
         # the 64 KiB iteration buffer of the box clamp's broadcast against
         # its (n,) bounds and 32 KiB of small objects, so one extra
         # (trials, T+1) or (trials, n) float array takes the peak over.
@@ -350,7 +352,7 @@ class TestMemory:
         budget = (
             3 * trials * (horizon + 1) * 8  # regret, error_norm, phi_tilde
             + horizon * trials * problem.error_dim * 8  # the noise block
-            + 3 * trials * n * 8  # the iterate, gradient / next iterate, error / step
+            + 3 * trials * n * 8  # the iterate, measured gradient / next iterate, step
             + 96 * 1024
         )
         tracemalloc.start()
@@ -438,6 +440,10 @@ def _families():
 
     w, p_ref = synth_demand_response_traces(40, seed=13)
     lo = np.concatenate([np.full(3, -50.0), np.zeros(3)])
+    # zero and non-unit entries, as in TestZeroSign: (r + eta) a_x then
+    # rounds differently from r a_x + eta a_x
+    devices = np.arange(6)
+    a_x = np.where(devices % 3 == 0, 0.0, np.linspace(-2.0, 2.0, 6))
     return {
         "ls": (
             TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=5, horizon=40),
@@ -459,10 +465,17 @@ def _families():
             "opgm",
             NoiseModel("gaussian_iid", scale=10.0),
         ),
+        "dr-general": (
+            DemandResponse(6, 13, 40, p_ref, w, lo, np.full(6, 50.0), a_x=a_x),
+            "opgm",
+            NoiseModel("gaussian_iid", scale=10.0),
+        ),
     }
 
 
-FAMILY_NAMES = ("dr", "logistic", "ls", "lti")
+FAMILY_NAMES = ("dr", "dr-general", "logistic", "ls", "lti")
+# the families whose measured gradient has the bits of grad f_t + map_error
+EXACT_FAMILY_NAMES = ("dr", "logistic", "ls", "lti")
 PER_TRIAL = ("regret", "error_norm", "psi_tilde", "x_final", "min_raw_regret")
 
 
@@ -511,12 +524,32 @@ class TestBatchedKernel:
             np.testing.assert_allclose(batch.error_norm[row], err, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(batch.x_final[row], x, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_error_norm_is_the_norm_of_the_mapped_noise(self, families, family):
+        problem, solver, model = families[family]
+        trials = range(5)
+        traj = run(problem, solver, model, seed=8, trials=trials)
+        raw = np.stack(
+            [sample(model, problem.error_dim, 8, k, problem.horizon) for k in trials], axis=1
+        )
+        recorded = traj.error_norm[:, 1:].T  # one row per step, as raw
+        materialized = _row_norm(problem.map_error(raw))
+        assert np.all(traj.error_norm[:, 0] == 0.0)
+        if isinstance(problem, DemandResponse):
+            # a one-row A: ||a eta|| = ||a|| |eta| in closed form
+            assert np.array_equal(recorded, problem.error_gain * np.abs(raw[..., 0]))
+            np.testing.assert_allclose(recorded, materialized, rtol=1e-15, atol=0.0)
+        else:
+            assert np.array_equal(recorded, materialized)
+
 
 def reference_run(problem, model, seed, trials):
     """The kernel loop before it shared f_{t+1}(x_{t+1}), read f* once and
     skipped g on prox outputs: per step, total_value (g included) and f*_t
     for the regret, and a variability that evaluates both f_{t+1} and f_t
-    and reads f*_{t+1} and f*_t."""
+    and reads f*_{t+1} and f*_t.  The error norm of demand response (a
+    one-row A, problem or spy) is the closed form ||a_x|| |eta|."""
+    one_row = isinstance(getattr(problem, "problem", problem), DemandResponse)
     trials = tuple(trials)
     horizon = problem.horizon
     step = 1.0 / problem.smoothness
@@ -548,7 +581,10 @@ def reference_run(problem, model, seed, trials):
         max_step_norm = np.maximum(max_step_norm, _row_norm(x_next - x))
         x = x_next
         record(t + 1, x)
-        error_norm[:, t + 1] = _row_norm(e)
+        if one_row:
+            error_norm[:, t + 1] = problem.error_gain * np.abs(raw[t, :, 0])
+        else:
+            error_norm[:, t + 1] = _row_norm(e)
         sigma[t + 1], phi_tilde[:, t + 1] = variability(t + 1, x)
     return {
         "regret": regret,
@@ -564,16 +600,17 @@ def reference_run(problem, model, seed, trials):
 
 class EvaluationSpy(OracleSpy):
     """OracleSpy that also records each evaluate call: its t and whether it
-    asked for the gradient.  It forwards to the problem's own evaluate, so
-    the value and grad calls a default evaluate makes are not recorded."""
+    asked for the gradient and passed noise.  It forwards to the problem's
+    own evaluate, so the value and grad calls a default evaluate makes are
+    not recorded."""
 
     def __init__(self, problem):
         super().__init__(problem)
         self.evaluations = []
 
-    def evaluate(self, t, x, grad_out=None):
-        self.evaluations.append((t, grad_out is not None))
-        return self.problem.evaluate(t, x, grad_out=grad_out)
+    def evaluate(self, t, x, grad_out=None, noise=None):
+        self.evaluations.append((t, grad_out is not None, noise is not None))
+        return self.problem.evaluate(t, x, grad_out=grad_out, noise=noise)
 
 
 class TestOneValuePerStep:
@@ -591,7 +628,7 @@ class TestOneValuePerStep:
         families["l1"] = (l1, "opgm", NoiseModel("gaussian_iid", scale=0.05))
         return families
 
-    @pytest.mark.parametrize("family", FAMILY_NAMES + ("l1",))
+    @pytest.mark.parametrize("family", EXACT_FAMILY_NAMES + ("l1",))
     def test_matches_the_two_evaluation_loop(self, families, family, monkeypatch):
         problem, solver, model = families[family]
         spy, ref_spy = EvaluationSpy(problem), OracleSpy(problem)
@@ -622,8 +659,8 @@ class TestOneValuePerStep:
             return sum(len(blocks) for (o, _), blocks in s.results.items() if o == oracle)
 
         horizon = problem.horizon
-        # one evaluation per iterate, the gradient at all but the last
-        assert spy.evaluations == [(t, t < horizon) for t in range(horizon + 1)]
+        # one evaluation per iterate, the measured gradient at all but the last
+        assert spy.evaluations == [(t, t < horizon, t < horizon) for t in range(horizon + 1)]
         assert calls(spy, "value") == calls(spy, "grad") == 0
         if isinstance(problem, QuadraticTracking):
             assert sum(a is problem.matrix for a in run_products) == horizon + 1
@@ -637,3 +674,21 @@ class TestOneValuePerStep:
         else:
             # g = 0 on x0 and on the box prox outputs
             assert run_g_calls <= 2
+
+    @pytest.mark.parametrize("family", ("dr", "dr-general"))
+    def test_one_row_adjoint_runs_once_per_step_on_the_residual(
+        self, families, family, monkeypatch
+    ):
+        # the noise rides the scalar residual: no second adjoint forms the
+        # (trials, n) error a_x eta
+        problem, solver, model = families[family]
+        shapes = []
+        adjoint = QuadraticTracking._adjoint
+
+        def counted_adjoint(self, r, out=None):
+            shapes.append(r.shape)
+            return adjoint(self, r, out=out)
+
+        monkeypatch.setattr(QuadraticTracking, "_adjoint", counted_adjoint)
+        run(problem, solver, model, seed=8, trials=range(5))
+        assert shapes == [(5, 1)] * problem.horizon
