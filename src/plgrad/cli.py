@@ -131,7 +131,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         f"final_mean_regret = {_fmt(float(report.mean_regret[-1]))}",
     ]
     for delta in cfg.deltas:
-        counts = report.violations[delta]
+        counts = report.exceedances[f"highprob_{delta:g}"]
         joined = ", ".join(f"t={cp}: {counts[cp]}" for cp in report.checkpoints)
         lines.append(f"violations_delta_{delta:g} = {joined}")
     summary_path = out_dir / "summary.txt"

@@ -88,8 +88,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"bound_inputs must be empirical or analytic, got {self.bound_inputs!r}"
             )
-        if self.psi_bar is not None and self.psi_bar < 0:
-            raise ConfigError("psi_bar must be nonnegative")
+        if self.psi_bar is not None and not 0 <= self.psi_bar < math.inf:
+            raise ConfigError("psi_bar must be finite and nonnegative")
         kind = self.problem.get("kind")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem kind must be one of {PROBLEM_KINDS}, got {kind!r}")

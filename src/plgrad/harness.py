@@ -57,8 +57,8 @@ class AggregateReport:
     psi_bar_used: float
     psi_bar_source: str
     recursion_max_violation: float
-    violations: dict             # delta -> {checkpoint t -> count}
-    checkpoints: tuple
+    exceedances: dict            # series name -> (T+1,) count of trials above it
+    checkpoints: tuple           # the t at which coverage_<delta> reads its counts
 
 
 def _bound_set(
@@ -96,19 +96,17 @@ def _fitted_envelope_ks(
 
 
 def _analytic_inputs(
-    problem: OnlineProblem, model: noise_mod.NoiseModel, horizon: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form per-step (second_moments, first_moments, envelope_ks).
+    problem: OnlineProblem, model: noise_mod.NoiseModel, horizon: int, power: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form per-step (E||e_t||^power, envelope_ks).
 
-    The base-scale statistics times c_t^2, c_t and c_t.  Raises
-    NotImplementedError where the problem has no closed form.
+    The base-scale E||e||^2 (power 2) or E||e|| (power 1) times c_t^power,
+    and the base K times c_t.  Raises NotImplementedError where the problem
+    has no closed form.
     """
     c = noise_mod.time_scales(model, horizon)
-    return (
-        c**2 * problem.error_second_moment(model),
-        c * problem.error_mean_norm(model),
-        c * problem.error_envelope(model).k,
-    )
+    moment = problem.error_second_moment(model) if power == 2 else problem.error_mean_norm(model)
+    return c**power * moment, c * problem.error_envelope(model).k
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
@@ -145,20 +143,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     psi_m = traj.psi_tilde  # a fresh array: formed after the fit's copies
     mean_psi = psi_m[:, 1:].mean(axis=0)
 
-    # per-step (second_moments, first_moments, envelope_ks) of each input mode
-    stats = {"empirical": (mean_err_sq, mean_err_norm, fitted_ks)}
+    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
+    # per-step (moments, envelope_ks) of each input mode; the cost's power
+    # picks the moment it takes: E||e||^2 or E||e||
+    measured = mean_err_sq if cost.power == 2 else mean_err_norm
+    inputs = {"empirical": (measured, fitted_ks)}
     try:
-        stats["analytic"] = _analytic_inputs(problem, model, horizon)
+        inputs["analytic"] = _analytic_inputs(problem, model, horizon, cost.power)
     except NotImplementedError:
         pass
-    if config.bound_inputs not in stats:
+    if config.bound_inputs not in inputs:
         raise ValueError("analytic bound inputs are unavailable for this noise model")
-    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
-    # the cost's power picks the moment it takes: E||e||^2 or E||e||
-    inputs = {
-        mode: ({2: second, 1: first}[cost.power], ks)
-        for mode, (second, first, ks) in stats.items()
-    }
     # variability is problem data with no a-priori form: both modes use its mean
     bound_sets = {
         mode: _bound_set(cost, config.deltas, r0, zeta, mean_psi, theta, *mode_inputs)
@@ -184,14 +179,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     resid -= np.multiply(coef, cost.weight, out=coef)
     resid -= psi_m[:, 1:]
     recursion_max = float(resid.max()) if resid.size else 0.0
+    del resid, coef  # freed first, so the counts below add nothing to this peak
 
+    # per series and per t, the trials whose regret exceeds it
+    exceedances = {name: (regret > bound).sum(axis=0) for name, bound in bounds_primary.items()}
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
-    violations: dict = {}
-    for delta in config.deltas:
-        series = bounds_primary[f"highprob_{delta:g}"]
-        violations[delta] = {
-            cp: int(np.sum(regret[:, cp] > series[cp])) for cp in checkpoints
-        }
 
     return AggregateReport(
         config=config,
@@ -213,7 +205,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         psi_bar_used=psi_bar,
         psi_bar_source=psi_src,
         recursion_max_violation=recursion_max,
-        violations=violations,
+        exceedances=exceedances,
         checkpoints=checkpoints,
     )
 
@@ -315,7 +307,8 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
     trials = report.config.trials
     for delta in report.config.deltas:
         limit = coverage_envelope(trials, delta)
-        counts = report.violations[delta]
+        exceeding = report.exceedances[f"highprob_{delta:g}"]
+        counts = {cp: int(exceeding[cp]) for cp in report.checkpoints}
         bad = {cp: c for cp, c in counts.items() if c > limit}
         summary.checks.append(
             CheckResult(
@@ -508,8 +501,8 @@ def longrun_asymptote_check(config: ExperimentConfig, burn_in: int) -> Asymptote
     Requires a static problem (measured variability identically zero) or an
     explicitly supplied psi_bar.
     """
-    if burn_in >= config.horizon:
-        raise ValueError(f"burn_in {burn_in} must be smaller than horizon {config.horizon}")
+    if not 0 <= burn_in < config.horizon:
+        raise ValueError(f"burn_in {burn_in} must lie in [0, horizon {config.horizon})")
     report = run_experiment(config)
     if config.psi_bar is None and float(np.max(report.mean_psi, initial=0.0)) > 1e-10:
         raise ValueError(

@@ -58,16 +58,18 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.scale < 0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
-        if self.weibull_shape <= 0:
-            raise ValueError(f"weibull_shape must be positive, got {self.weibull_shape}")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError(f"scale must be finite and nonnegative, got {self.scale}")
+        if not 0 < self.weibull_shape < math.inf:
+            raise ValueError(f"weibull_shape must be finite and positive, got {self.weibull_shape}")
+        if not -math.inf < self.bias < math.inf:
+            raise ValueError(f"bias must be finite, got {self.bias}")
         if self.per_time_scale is not None and any(
-            c < 0 for c in self.per_time_scale
+            not 0 <= c < math.inf for c in self.per_time_scale
         ):
-            raise ValueError("per_time_scale entries must be nonnegative")
-        if self.envelope_k_scale <= 0:
-            raise ValueError("envelope_k_scale must be positive")
+            raise ValueError("per_time_scale entries must be finite and nonnegative")
+        if not 0 < self.envelope_k_scale < math.inf:
+            raise ValueError("envelope_k_scale must be finite and positive")
 
     @property
     def theta(self) -> float:

@@ -201,8 +201,8 @@ def run(
         raise ValueError("x0 is infeasible for the problem's regularizer")
 
     step = (1.0 / problem.smoothness) if step_override is None else float(step_override)
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
 
     reg_tol = problem.fstar_tol
     fstar = np.array([problem.fstar(t) for t in range(horizon + 1)])

@@ -282,6 +282,21 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             make_config({}, {"preset": "static-ls", "deltas": (1.5,)})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_psi_bar_outside_range_rejected(self, value):
+        # a nan cap would print `asymptote = nan` in summary.txt
+        with pytest.raises(ConfigError, match="psi_bar must be finite"):
+            make_config({"experiment": {"psi_bar": value}}, {"preset": "static-ls"})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_step_override_outside_range_rejected(self, value):
+        # rejected before the first step, not later as a non-finite iterate
+        from plgrad.harness import run_experiment
+
+        cfg = make_config({"experiment": {"step_override": value}}, {"preset": "static-ls"})
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            run_experiment(cfg)
+
     def test_short_noise_schedule_rejected(self):
         sections = {"experiment": {"horizon": 5}, "noise": {"per_time_scale": (1.0, 0.5, 1.0)}}
         with pytest.raises(ConfigError, match="covers 3 steps, need 5"):

@@ -143,8 +143,15 @@ class TestMoments:
     def test_second_moment_time_varying(self):
         # the harness's analytic inputs scale E||e||^2 by c_t^2
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 3.0))
-        moments, _, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2)
+        moments, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=2)
         np.testing.assert_allclose(moments, [2.0, 18.0], rtol=1e-12)
+
+    def test_mean_norm_time_varying(self):
+        # power 1 takes c_t E||e||: the chi mean of 2 degrees of freedom, sqrt(pi / 2)
+        model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 3.0))
+        moments, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=1)
+        base = math.sqrt(math.pi / 2.0)
+        np.testing.assert_allclose(moments, [base, 3.0 * base], rtol=1e-12)
 
 
 class TestEnvelopes:
@@ -263,7 +270,7 @@ class TestEnvelopes:
         # the harness's analytic inputs scale K by c_t
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 4.0))
         base = envelope_norm(model, 10)
-        _, _, ks = _analytic_inputs(_identity_map_problem(10, 2), model, 2)
+        _, ks = _analytic_inputs(_identity_map_problem(10, 2), model, 2, power=2)
         np.testing.assert_allclose(ks, [base.k, 4.0 * base.k], rtol=1e-12)
 
 
@@ -320,6 +327,23 @@ class TestValidation:
     def test_negative_scale(self):
         with pytest.raises(ValueError):
             NoiseModel("gaussian_iid", scale=-1.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("scale", math.nan),
+            ("scale", math.inf),
+            ("weibull_shape", math.nan),
+            ("bias", math.nan),
+            ("envelope_k_scale", math.nan),
+            ("per_time_scale", (1.0, math.nan)),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        # an analytic envelope of nan would make each high-probability series
+        # nan, which no regret exceeds, so coverage would pass vacuously
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{"family": "gaussian_iid", "scale": 1.0, field: value})
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
