@@ -277,7 +277,7 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
         scope = "step 1/L: the certificates apply"
     summary.checks.append(CheckResult("theory_scope", not traj.outside_theory, scope))
 
-    # inner-solver optimal values widen the pathwise tolerance
+    # the pathwise tolerance is the accuracy of the optimal values
     tol = report.problem.fstar_tol
     viol = report.recursion_max_violation
     summary.checks.append(

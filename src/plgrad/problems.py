@@ -10,8 +10,8 @@ QuadraticTracking, the cost 0.5 ||A x - b_t||^2:
                                    through the output map A^T)
 * power setpoint tracking        — one-row A plus box constraints,
                                    scalar-measurement gradient
-* drifting logistic regression   — slope certificate sampled, optimum from
-                                   an inner high-accuracy solve
+* drifting logistic regression   — slope certificate sampled, optimum
+                                   x* = 0 in closed form
 
 Every instance draws all of its randomness at construction time from the
 seed, so oracle evaluation is read-only and trajectories are reproducible.
@@ -66,13 +66,9 @@ class OnlineProblem:
     domain_radius: float   # radius of the open ball the theory works on
     diameter: float        # 2r, or the constraint-box diameter
     regularizer: Regularizer = Regularizer.none()
-    fstar_exact: bool      # optimal values closed-form vs inner solve
+    fstar_exact = True     # every family's optimal values are closed-form
+    fstar_tol = 1e-9       # accuracy of fstar
     mu_exact: bool         # mu from structure vs sampled certificate
-
-    @property
-    def fstar_tol(self) -> float:
-        """Accuracy of fstar: 1e-9 in closed form, 1e-6 from an inner solve."""
-        return 1e-9 if self.fstar_exact else 1e-6
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
@@ -200,7 +196,6 @@ class QuadraticTracking(OnlineProblem):
     through A^T, and error_gain is the operator norm of that map.
     """
 
-    fstar_exact = True
     mu_exact = True
 
     def __init__(
@@ -392,14 +387,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class DriftingLogistic(OnlineProblem):
     """sum_i log(1 + exp(b_i a_{i,t}^T x)) with slowly drifting features.
 
-    Labels are balanced and the signed feature matrix is centered
-    (rows sum to zero) so the minimizer stays attained; construction fails
-    loudly if the inner solver cannot certify an optimum at some t.
-    The slope constant is a sampled certificate scaled by a safety factor
-    of 2, not a closed form.
+    Labels are balanced and the signed feature rows c_{t,i} are centered
+    to sum to zero at every t, so grad f_t(0) = 0.5 sum_i c_{t,i} = 0: the
+    convex cost is minimized at x*_t = 0 with f*_t = d log 2, and drift
+    never moves the optimum.  The slope constant is a sampled certificate
+    scaled by a safety factor of 2, not a closed form.
     """
-
-    _GRAD_TOL = 1e-11
 
     def __init__(self, n: int, d: int, seed: int, horizon: int, drift_std: float):
         if n < 1 or d < n + 1:
@@ -416,64 +409,30 @@ class DriftingLogistic(OnlineProblem):
         )
         feats = np.concatenate([a0[None], a0[None] + np.cumsum(drift, axis=0)])
         signed = labels[None, :, None] * feats
-        # recenter so the signed rows sum to zero at every t: keeps the loss
-        # coercive (the zero vector is a positive combination of the rows)
+        # recenter so the signed rows sum to zero at every t: the optimum
+        # is then x* = 0 (see the class docstring)
         signed = signed - signed.mean(axis=1, keepdims=True)
         self._c = signed
         self._ct = np.ascontiguousarray(signed.transpose(0, 2, 1))
-        self._labels = labels
 
         self.name = "logistic"
         self.n = n
         self.d = d
         self.horizon = horizon
-        self.fstar_exact = False
 
         lmax = max(
             float(np.linalg.eigvalsh(self._c[t].T @ self._c[t])[-1])
             for t in range(horizon + 1)
         )
         self.smoothness = 0.25 * lmax
+        # every term is log(1 + exp(0)), so f_t(0) has the same bits at every t
+        self._fstar = float(self.value(0, np.zeros(n)))
 
-        self._fstar = np.empty(horizon + 1)
-        self._xstar = np.empty((horizon + 1, n))
-        guess = np.zeros(n)
-        for t in range(horizon + 1):
-            guess = self._solve_inner(t, guess)
-            self._xstar[t] = guess
-            self._fstar[t] = self.value(t, guess)
-
-        self.domain_radius = 10.0 * max(float(np.linalg.norm(self._xstar[0])), 1.0)
+        self.domain_radius = 10.0  # 10 max(||x*||, 1) with x* = 0
         self.diameter = 2.0 * self.domain_radius
         self.pl_constant = 0.0  # placeholder while the certificate samples
         self.pl_constant = 0.5 * self._sampled_mu(rng)
         self.mu_exact = False
-
-    def _solve_inner(self, t: int, x0: np.ndarray) -> np.ndarray:
-        # imported here: logistic is the only family that needs scipy
-        from scipy.optimize import minimize
-
-        res = minimize(
-            lambda x: (self.value(t, x), self.grad(t, x)),
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-9},
-        )
-        x = res.x
-        for _ in range(60):
-            g = self.grad(t, x)
-            if np.linalg.norm(g) <= self._GRAD_TOL:
-                return x
-            z = self._c[t] @ x
-            s = _sigmoid(z)
-            w = s * (1.0 - s)
-            h = self._c[t].T @ (w[:, None] * self._c[t])
-            x = x - np.linalg.solve(h + 1e-14 * np.eye(self.n), g)
-        raise RuntimeError(
-            f"inner solve did not reach gradient norm {self._GRAD_TOL} at t={t}; "
-            "the instance may have an unattained optimum"
-        )
 
     def _sampled_mu(self, rng: np.random.Generator) -> float:
         return min(
@@ -491,11 +450,11 @@ class DriftingLogistic(OnlineProblem):
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
-        return float(self._fstar[t])
+        return self._fstar
 
     def xstar(self, t: int) -> np.ndarray:
         self._check_t(t)
-        return self._xstar[t].copy()
+        return np.zeros(self.n)
 
 
 class LtiTracking(QuadraticTracking):

@@ -41,7 +41,7 @@ CONFIGS = {
 }
 
 
-@cache  # the logistic build runs an inner solve per time index
+@cache  # one build per config, shared by the tests below
 def _configured(name):
     preset, sections = CONFIGS[name]
     cfg = make_config(sections, {"preset": preset})

@@ -379,32 +379,30 @@ class TestConfigFiles:
 
 IMPORT_GUARD = """\
 import json, sys
-import plgrad
-from plgrad import cli, config
+from plgrad import cli
 
-out_dir, cfg = sys.argv[1], sys.argv[2]
-codes = [
-    cli.main(["run", "--config", cfg, "--out", out_dir]),
-    cli.main(["validate", "--config", cfg, "--checks", "recursion,coverage"]),
-]
-before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-logistic = config.make_config({"experiment": {"horizon": 3}}, {"preset": "logistic"})
-config.build_problem(logistic)
-print(json.dumps({"codes": codes, "before": before, "after": "scipy.optimize" in sys.modules}))
+out_dir, cfgs = sys.argv[1], sys.argv[2:]
+codes = []
+for i, cfg in enumerate(cfgs):
+    codes.append(cli.main(["run", "--config", cfg, "--out", f"{out_dir}/{i}"]))
+    codes.append(cli.main(["validate", "--config", cfg, "--checks", "recursion,coverage"]))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
 class TestImportFootprint:
     def test_run_and_validate_load_no_scipy(self, tmp_path):
-        # scipy costs about a second to import; only the logistic family's
-        # inner solve needs it, so the other families never load it
-        cfg = tmp_path / "dr.cfg"
-        cfg.write_text(
-            "[experiment]\npreset = fig3-demand-response\ntrials = 4\nhorizon = 30\n"
-        )
+        # scipy costs about a second to import and no family needs it: the
+        # logistic optimum is closed-form like the others
+        cfgs = []
+        for preset in ("fig3-demand-response", "logistic"):
+            cfg = tmp_path / f"{preset}.cfg"
+            cfg.write_text(f"[experiment]\npreset = {preset}\ntrials = 4\nhorizon = 30\n")
+            cfgs.append(str(cfg))
         src = str(Path(plgrad.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out"), str(cfg)],
+            [sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "out"), *cfgs],
             capture_output=True,
             text=True,
             timeout=120,
@@ -412,6 +410,5 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["codes"] == [0, 0]
-        assert result["before"] == []
-        assert result["after"]
+        assert result["codes"] == [0, 0, 0, 0]
+        assert result["scipy"] == []

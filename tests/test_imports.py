@@ -1,4 +1,5 @@
-"""Every name a plgrad module imports is used in that module.
+"""Every name a plgrad module imports is used in that module, and no
+module imports scipy, which only the tests need.
 
 `__init__` imports to re-export, so there a name may instead be listed in
 `plgrad.__all__`.
@@ -32,3 +33,15 @@ def test_every_import_is_used(path):
     if path.name == "__init__.py":
         unused -= set(plgrad.__all__)
     assert not unused, f"{path.name} imports unused {sorted(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert not {m for m in modules if m.split(".")[0] == "scipy"}, path.name

@@ -155,10 +155,30 @@ class TestLogistic:
         for t in range(1, 7):
             assert abs(p.fstar(t) - p.fstar(t - 1)) == 0.0
 
-    def test_inner_solve_reaches_stationarity(self, logistic_problem):
-        for t in (0, 6, 12):
-            g = logistic_problem.grad(t, logistic_problem.xstar(t))
-            assert np.linalg.norm(g) <= 1e-10
+    def test_optimum_is_the_origin(self):
+        # centered signed rows make grad f_t(0) = 0.5 sum_i c_{t,i} vanish
+        p = DriftingLogistic(6, 200, seed=11, horizon=12, drift_std=0.05)
+        zeros = np.zeros(p.n)
+        for t in range(p.horizon + 1):
+            assert p.fstar(t) == float(p.value(t, zeros))
+            np.testing.assert_array_equal(p.xstar(t), zeros)
+            assert np.linalg.norm(p.grad(t, zeros)) <= 1e-12
+
+    def test_no_reference_solve_ends_below_fstar(self, logistic_problem):
+        # an independent L-BFGS-B solve from random starts never beats f*_t
+        p = logistic_problem
+        rng = np.random.default_rng(23)
+        for t in range(p.horizon + 1):
+            fstar = p.fstar(t)
+            for _ in range(5):
+                res = minimize(
+                    lambda x: (p.value(t, x), p.grad(t, x)),
+                    rng.normal(size=p.n) * 3.0,
+                    jac=True,
+                    method="L-BFGS-B",
+                    options={"maxiter": 500, "ftol": 1e-16, "gtol": 1e-9},
+                )
+                assert res.fun >= fstar - 1e-12 * abs(fstar)
 
     def test_declared_mu_is_conservative(self, logistic_problem):
         mu_hat, max_violation, _ = sampled_pl(logistic_problem, 5, n_samples=500, seed=2)
@@ -429,7 +449,6 @@ class TestSlopeCertificates:
             pl_constant = 0.5
             domain_radius = 1.0
             diameter = 2.0
-            fstar_exact = True
             mu_exact = True
 
             def value(self, t, x):
