@@ -8,7 +8,8 @@ with contraction zeta = 1 - mu/L.  They differ only in how the gradient
 error enters, and an ErrorCost record states that once per method:
 power 2, weight 1/(2L) for the gradient method (under PL) and power 1,
 weight 2D for the prox method (under proximal PL), D being the domain (or
-constraint-box) diameter.  error_cost maps a solver name to its record.
+constraint-box) diameter.  error_cost maps a solver name in SOLVERS to its
+record, which is all the name picks: one kernel steps both methods.
 
 Every certificate is the geometric recursion
 
@@ -36,6 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import subweibull
+
+SOLVERS = ("ogd", "opgm")
 
 
 @dataclass(frozen=True)

@@ -87,13 +87,9 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     _write_csv(regret_path, header, cols)
     written.append(regret_path)
 
-    primary = cfg.bound_inputs
-    alt = "analytic" if primary == "empirical" else "empirical"
     header = ["t"]
     cols = [t]
-    for mode, series_map in ((primary, report.bounds), (alt, report.bounds_alt)):
-        if not series_map:
-            continue
+    for mode, series_map in report.bound_sets.items():
         for key in sorted(series_map):
             header.append(f"bound_{key}_{mode}")
             cols.append(series_map[key])

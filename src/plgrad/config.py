@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bounds import SOLVERS
 from .noise import NoiseModel, time_scales
 from .problems import (
     DemandResponse,
@@ -29,7 +30,6 @@ from .problems import (
     synth_demand_response_traces,
 )
 from .prox import Regularizer
-from .solvers import SOLVERS
 
 
 class ConfigError(ValueError):
@@ -75,6 +75,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.solver not in SOLVERS:
             raise ConfigError(f"solver must be one of {SOLVERS}, got {self.solver!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.horizon < 1:

@@ -45,10 +45,8 @@ class AggregateReport:
     zeta: float                  # contraction 1 - mu / L
     mean_regret: np.ndarray
     std_regret: np.ndarray
-    bounds: dict                 # configured-input certificate series
-    bounds_alt: dict             # other input mode, where computable
-    mean_err_sq: np.ndarray      # E||e_t||^2 estimates, t = 0..T-1
-    mean_err_norm: np.ndarray
+    bound_sets: dict             # input mode -> its series, the configured mode first
+    mean_err_moment: np.ndarray  # E||e_t||^power estimates, t = 0..T-1
     mean_psi: np.ndarray         # variability means, entries for tau = 1..T
     envelope_theta: float
     envelope_k: np.ndarray       # per-step K_t used in the high-prob series
@@ -59,6 +57,11 @@ class AggregateReport:
     recursion_max_violation: float
     exceedances: dict            # series name -> (T+1,) count of trials above it
     checkpoints: tuple           # the t at which coverage_<delta> reads its counts
+
+    @property
+    def bounds(self) -> dict:
+        """The certificate series of the configured input mode."""
+        return self.bound_sets[self.config.bound_inputs]
 
 
 def _bound_set(
@@ -100,13 +103,11 @@ def _analytic_inputs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form per-step (E||e_t||^power, envelope_ks).
 
-    The base-scale E||e||^2 (power 2) or E||e|| (power 1) times c_t^power,
-    and the base K times c_t.  Raises NotImplementedError where the problem
-    has no closed form.
+    The base-scale E||e||^power times c_t^power, and the base K times c_t.
+    Raises NotImplementedError where the problem has no closed form.
     """
     c = noise_mod.time_scales(model, horizon)
-    moment = problem.error_second_moment(model) if power == 2 else problem.error_mean_norm(model)
-    return c**power * moment, c * problem.error_envelope(model).k
+    return c**power * problem.error_moment(model, power), c * problem.error_envelope(model).k
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
@@ -119,7 +120,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
 
     traj = run(
         problem,
-        config.solver,
         model,
         horizon=config.horizon,
         x0=x0,
@@ -135,32 +135,29 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     r0 = float(mean_regret[0])
     zeta = 1.0 - problem.pl_constant / problem.smoothness
 
+    # the solver name picks only the error cost; its power picks the moment
+    # E||e||^2 or E||e|| that every input mode takes
+    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
     # measured per-step inputs (trajectory-variability variant)
-    mean_err_sq = (err[:, 1:] ** 2).mean(axis=0)
-    mean_err_norm = err[:, 1:].mean(axis=0)
+    mean_err_moment = (err[:, 1:] ** cost.power).mean(axis=0)
     theta = model.theta
     fitted_ks = _fitted_envelope_ks(err, model, horizon)
     psi_m = traj.psi_tilde  # a fresh array: formed after the fit's copies
     mean_psi = psi_m[:, 1:].mean(axis=0)
 
-    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
-    # per-step (moments, envelope_ks) of each input mode; the cost's power
-    # picks the moment it takes: E||e||^2 or E||e||
-    measured = mean_err_sq if cost.power == 2 else mean_err_norm
-    inputs = {"empirical": (measured, fitted_ks)}
+    # per-step (moments, envelope_ks) of each input mode
+    inputs = {"empirical": (mean_err_moment, fitted_ks)}
     try:
         inputs["analytic"] = _analytic_inputs(problem, model, horizon, cost.power)
     except NotImplementedError:
         pass
     if config.bound_inputs not in inputs:
         raise ValueError("analytic bound inputs are unavailable for this noise model")
-    # variability is problem data with no a-priori form: both modes use its mean
+    # variability has no a-priori form: both modes use its mean; configured mode first
     bound_sets = {
-        mode: _bound_set(cost, config.deltas, r0, zeta, mean_psi, theta, *mode_inputs)
-        for mode, mode_inputs in inputs.items()
+        mode: _bound_set(cost, config.deltas, r0, zeta, mean_psi, theta, *inputs[mode])
+        for mode in sorted(inputs, key=lambda mode: mode != config.bound_inputs)
     }
-    bounds_primary = bound_sets.pop(config.bound_inputs)
-    bounds_alt = bound_sets.popitem()[1] if bound_sets else {}
     moments_used, envelope_k_used = inputs[config.bound_inputs]
 
     # long-run cap from the supremum statistics over the horizon
@@ -182,7 +179,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     del resid, coef  # freed first, so the counts below add nothing to this peak
 
     # per series and per t, the trials whose regret exceeds it
-    exceedances = {name: (regret > bound).sum(axis=0) for name, bound in bounds_primary.items()}
+    primary = bound_sets[config.bound_inputs]
+    exceedances = {name: (regret > bound).sum(axis=0) for name, bound in primary.items()}
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
 
     return AggregateReport(
@@ -193,10 +191,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         zeta=zeta,
         mean_regret=mean_regret,
         std_regret=std_regret,
-        bounds=bounds_primary,
-        bounds_alt=bounds_alt,
-        mean_err_sq=mean_err_sq,
-        mean_err_norm=mean_err_norm,
+        bound_sets=bound_sets,
+        mean_err_moment=mean_err_moment,
         mean_psi=mean_psi,
         envelope_theta=theta,
         envelope_k=envelope_k_used,

@@ -140,19 +140,22 @@ class OnlineProblem:
         """Operator norm of the raw-noise-to-gradient map."""
         return 1.0
 
-    # The three statistics below are at the noise model's base scale; a
-    # schedule multiplies them by c_t (the envelope and the mean norm) or
-    # c_t^2 (the second moment) at time t.
+    # The two statistics below are at the noise model's base scale; a
+    # schedule multiplies them by c_t (the envelope) or c_t^power (the
+    # moment) at time t.
 
     def error_envelope(self, model: NoiseModel) -> SubWeibullParams:
         """Sub-Weibull envelope of the mapped gradient-error norm."""
         return sw_scale(noise_mod.envelope_norm(model, self.error_dim), self.error_gain)
 
-    def error_second_moment(self, model: NoiseModel) -> float:
-        return noise_mod.second_moment(model, self.error_dim)
+    def error_moment(self, model: NoiseModel, power: int) -> float:
+        """E||e||^power of the mapped error: E||e||^2 for power 2, E||e|| for 1.
 
-    def error_mean_norm(self, model: NoiseModel) -> float:
-        return noise_mod.mean_norm(model, self.error_dim)
+        gain^power times the raw noise's moment, exact for the identity map
+        and for a rank-one map a eta, whose norm is ||a|| |eta|.
+        """
+        moment = noise_mod.second_moment if power == 2 else noise_mod.mean_norm
+        return self.error_gain**power * moment(model, self.error_dim)
 
 
 def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -304,25 +307,16 @@ class QuadraticTracking(OnlineProblem):
     def error_gain(self) -> float:
         return 1.0 if self._gain is None else self._gain
 
-    def error_second_moment(self, model: NoiseModel) -> float:
-        if self._gain is None:
-            return super().error_second_moment(model)
-        if self.matrix.shape[0] == 1:
-            # rank-1 map: E||a eta||^2 = ||a||^2 E eta^2 exactly
-            return self._gain**2 * noise_mod.second_moment(model, 1)
+    def error_moment(self, model: NoiseModel, power: int) -> float:
+        m = self.matrix.shape[0]
+        if self._gain is None or m == 1:
+            return super().error_moment(model, power)
         # E||A^T raw||^2 = (E||raw||^2 / m) ||A^T||_F^2 for isotropic raw noise
         if model.bias != 0.0:
             raise NotImplementedError("analytic moments with bias are not supported")
-        m = self.matrix.shape[0]
-        return noise_mod.second_moment(model, m) / m * float(np.sum(self.matrix**2))
-
-    def error_mean_norm(self, model: NoiseModel) -> float:
-        if self._gain is None:
-            return super().error_mean_norm(model)
-        if self.matrix.shape[0] == 1:
-            return self._gain * noise_mod.mean_norm(model, 1)  # E||a eta|| = ||a|| E|eta|
+        second = noise_mod.second_moment(model, m) / m * float(np.sum(self.matrix**2))
         # no closed form for the mapped norm mean; Jensen upper bound
-        return math.sqrt(self.error_second_moment(model))
+        return second if power == 2 else math.sqrt(second)
 
 
 class TimeVaryingLeastSquares(QuadraticTracking):

@@ -6,8 +6,9 @@ step size 1/L using the inexact gradient v_t = grad f_t(x_t) + e_t:
     x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t)
 
 The gradient method is the case g_t = 0, where the prox is the identity, so
-the solver name only picks the certificate and the recursion coefficient
-(ogd refuses a regularized problem).
+one kernel runs both: the method's name picks only the certificate, through
+bounds.error_cost, and config.build_problem refuses ogd on a regularized
+problem.
 
 `run` drives a full horizon for a batch of trials at once: the iterates of
 R trials are the rows of an (R, n) matrix, each trial's errors come from
@@ -27,8 +28,6 @@ import numpy as np
 
 from . import noise as noise_mod
 from .problems import OnlineProblem, _row_norm
-
-SOLVERS = ("ogd", "opgm")
 
 
 def prox_gradient_step(
@@ -104,7 +103,6 @@ class RegretTrajectory:
     trial; theory_exceptions lists what no certificate covers.
     """
 
-    solver: str
     seed: int
     trials: tuple[int, ...]
     regret: np.ndarray
@@ -149,7 +147,6 @@ def theory_exceptions(problem: OnlineProblem, step_override: float | None) -> li
 
 def run(
     problem: OnlineProblem,
-    solver: str,
     model: noise_mod.NoiseModel,
     horizon: int | None = None,
     x0: np.ndarray | None = None,
@@ -176,8 +173,6 @@ def run(
     check before it is recorded).  An abort names the earliest t that
     failed; at one t a non-finite iterate comes before a regret failure.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
     trials = tuple(int(k) for k in trials)
     if not trials:
         raise ValueError("need at least one trial")
@@ -187,8 +182,6 @@ def run(
         raise ValueError(
             f"horizon {horizon} outside the problem's built range [0, {problem.horizon}]"
         )
-    if solver == "ogd" and not problem.smooth_only():
-        raise ValueError("ogd requires an unregularized problem")
 
     x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -223,28 +216,6 @@ def run(
     excursions = np.zeros(len(trials), dtype=int)
     max_step_norm = np.zeros(len(trials))
 
-    def check_regret(t: int) -> None:
-        _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
-
-    def evaluate(t: int, xt: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
-        # gradient of step t into v and ||e_t|| into column t + 1
-        if t == horizon:
-            f, f_prev, _ = problem.evaluate(t, xt)
-        else:
-            f, f_prev, error_norm[:, t + 1] = problem.evaluate(t, xt, grad_out=v, noise=raw[t])
-        return f, f_prev
-
-    def record(t: int, xt: np.ndarray, f: np.ndarray) -> None:
-        # f = f_t(x_t); F_t(x_t) in the operations of total_value
-        g = problem.regularizer.value(xt) if g_varies else 0.0
-        col = np.add(f, g, out=regret[:, t])
-        # a non-finite value means the iterate overflowed the cost, and the
-        # steps after it would compute inf - inf: end the run here
-        if not np.isfinite(col).all():
-            check_regret(t)
-        np.add(excursions, _row_norm(xt) >= problem.domain_radius, out=excursions)
-
     x = np.tile(x, (len(trials), 1))
     # Batch-sized work arrays, allocated once: the step difference, and
     # the measured gradient at x, which the step overwrites with the next
@@ -253,9 +224,26 @@ def run(
     # and then every step maps and unmaps them, page faults included.
     diff = np.empty_like(x)
     v = np.empty_like(x)
-    f, _ = evaluate(0, x, v)
-    record(0, x, f)
-    for t in range(horizon):
+    for t in range(horizon + 1):
+        # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
+        # gradient of step t into v and ||e_t|| into column t + 1
+        if t < horizon:
+            f, f_prev, error_norm[:, t + 1] = problem.evaluate(t, x, grad_out=v, noise=raw[t])
+        else:
+            f, f_prev, _ = problem.evaluate(t, x)
+        # F_t(x_t) in the operations of total_value
+        g = problem.regularizer.value(x) if g_varies else 0.0
+        col = np.add(f, g, out=regret[:, t])
+        # a non-finite value means the iterate overflowed the cost, and the
+        # steps after it would compute inf - inf: end the run here
+        if not np.isfinite(col).all():
+            _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
+        np.add(excursions, _row_norm(x) >= problem.domain_radius, out=excursions)
+        if t:
+            np.subtract(f, f_prev, out=phi_tilde[:, t])
+        if t == horizon:
+            break
+
         x_next = _descend(problem, x, v, step)
         # x is finite, so a row of x_next with a nan or inf entry has a
         # non-finite step norm; the full scan runs only when one does
@@ -263,15 +251,12 @@ def run(
         if not np.isfinite(step_norm).all():
             bad = ~np.isfinite(x_next).all(axis=1)
             if bad.any():
-                check_regret(t)
+                _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
                 raise RuntimeError(
                     f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
                 )
         np.maximum(max_step_norm, step_norm, out=max_step_norm)
         x, v = x_next, x
-        f, f_prev = evaluate(t + 1, x, v)
-        record(t + 1, x, f)
-        np.subtract(f, f_prev, out=phi_tilde[:, t + 1])
 
     np.subtract(regret, fstar, out=regret)
     _check_regret(regret, reg_tol, seed, trials)
@@ -285,7 +270,6 @@ def run(
     if excursions.any():
         exceptions.append(f"iterates left the domain ball in {excursions.sum()} trial-steps")
     return RegretTrajectory(
-        solver=solver,
         seed=seed,
         trials=trials,
         regret=regret,

@@ -70,7 +70,7 @@ def demand_response_report():
 def test_criterion_01_noiseless_linear_convergence():
     start = time.perf_counter()
     problem = TimeVaryingLeastSquares(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=200)
-    traj = run(problem, "ogd", NoiseModel("zero"), seed=0, x0=np.zeros(10))
+    traj = run(problem, NoiseModel("zero"), seed=0, x0=np.zeros(10))
     r = traj.regret[0]
     mask = r[:-1] > 1e-12
     ratios = r[1:][mask] / r[:-1][mask]
@@ -85,7 +85,9 @@ def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
     bound = report.bounds["expectation"]
     problem = report.problem
     cost = error_cost("ogd", problem.smoothness, problem.diameter)
-    direct = expectation_bound(report.r0, report.zeta, cost, report.mean_err_sq, report.mean_psi)
+    direct = expectation_bound(
+        report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
+    )
     assert np.array_equal(bound, direct)
     slack = 1e-12 * (1.0 + bound)
     assert np.all(report.mean_regret <= bound + slack)
@@ -177,7 +179,9 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     bound = report.bounds["expectation"]
     problem = report.problem
     cost = error_cost("opgm", problem.smoothness, problem.diameter)
-    direct = expectation_bound(report.r0, report.zeta, cost, report.mean_err_norm, report.mean_psi)
+    direct = expectation_bound(
+        report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
+    )
     assert np.array_equal(bound, direct)
     assert np.all(report.mean_regret <= bound + 1e-12 * (1.0 + bound))
 

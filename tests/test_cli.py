@@ -79,6 +79,12 @@ class TestRunCommand:
         _, data = read_csv(out / "regret.csv")
         assert data.shape[0] == 501
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "static-ls", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_requires_config_or_preset(self, capsys):
         assert main(["run"]) == 2
 
@@ -301,6 +307,10 @@ class TestConfigFiles:
         sections = {"experiment": {"horizon": 5}, "noise": {"per_time_scale": (1.0, 0.5, 1.0)}}
         with pytest.raises(ConfigError, match="covers 3 steps, need 5"):
             make_config(sections, {"preset": "static-ls"})
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ConfigError, match="solver must be one of .*got 'sgd'"):
+            make_config({"experiment": {"solver": "sgd"}}, {"preset": "static-ls"})
 
     def test_solver_regularizer_consistency(self):
         cfg = make_config({}, {"preset": "fig3-demand-response", "trials": 2})

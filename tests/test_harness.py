@@ -62,7 +62,7 @@ class TestAggregation:
         T = static_report.config.horizon
         R = static_report.config.trials
         assert static_report.trajectory.regret.shape == (R, T + 1)
-        assert static_report.mean_err_sq.shape == (T,)
+        assert static_report.mean_err_moment.shape == (T,)
         assert static_report.mean_psi.shape == (T,)
         assert len(static_report.bounds["expectation"]) == T + 1
 
@@ -120,7 +120,7 @@ class TestDominanceAndCoverage:
         problem = report.problem
         cost = error_cost("opgm", problem.smoothness, problem.diameter)
         direct = expectation_bound(
-            report.r0, report.zeta, cost, report.mean_err_norm, report.mean_psi
+            report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
         )
         assert np.array_equal(report.bounds["expectation"], direct)
 
@@ -261,9 +261,10 @@ class TestLongRun:
         report = run_experiment(cfg)
         problem = report.problem
         if solver == "ogd":
-            weight, moments = 1.0 / (2.0 * problem.smoothness), report.mean_err_sq
+            weight, power = 1.0 / (2.0 * problem.smoothness), 2
         else:
-            weight, moments = 2.0 * problem.diameter, report.mean_err_norm
+            weight, power = 2.0 * problem.diameter, 1
+        moments = (report.trajectory.error_norm[:, 1:] ** power).mean(axis=0)
         assert report.psi_bar_used > 0
         expected = (problem.smoothness / problem.pl_constant) * (
             weight * float(moments.max()) + report.psi_bar_used

@@ -1,11 +1,13 @@
-"""Every name a plgrad module imports is used in that module, and no
-module imports scipy, which only the tests need.
+"""Every name a plgrad module imports is used in that module, no module
+imports scipy, which only the tests need, and every top-level function and
+class has a consumer outside the tests of its own behaviour.
 
 `__init__` imports to re-export, so there a name may instead be listed in
 `plgrad.__all__`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,60 @@ def test_no_scipy_import(path):
         elif isinstance(node, ast.ImportFrom) and node.module:
             modules.add(node.module)
     assert not {m for m in modules if m.split(".")[0] == "scipy"}, path.name
+
+
+ROOT = SRC.parents[1]
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def referenced_names(tree):
+    """The names a consumer's code reads: bare names, and attributes read off
+    a plgrad module alias (`harness.run`, `plgrad.run`, not `np.add`).
+
+    A module's own aliases come from `import plgrad`, `from plgrad import
+    harness` and, inside the package, `from . import noise as noise_mod`.
+    Import statements themselves are not references.
+    """
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name for a in node.names if a.name == "plgrad")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("plgrad", None):
+            aliases.update(a.asname or a.name for a in node.names if a.name in MODULES)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                names.add(node.attr)
+    return names
+
+
+def consumer_trees():
+    """Every consumer of the package: its modules, the README's fenced
+    Python blocks, the benchmark scripts and the acceptance suite."""
+    for path in sorted(SRC.glob("*.py")):
+        yield ast.parse(path.read_text(), filename=str(path))
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.DOTALL):
+        yield ast.parse(block)
+    scripts = sorted((ROOT / "perfbench").glob("*.py"))
+    for path in [*scripts, ROOT / "tests" / "test_acceptance.py"]:
+        yield ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_top_level_definition_has_a_consumer():
+    # a function or class that only its tests (or the __init__ export) reach
+    # is surface no run, check or README example needs
+    used = set().union(*(referenced_names(tree) for tree in consumer_trees()))
+    unused = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert not unused, f"no consumer references {unused}"

@@ -119,7 +119,7 @@ class TestLeastSquares:
 
     def test_static_variability_identically_zero(self, static_ls):
         model = NoiseModel("gaussian_iid", scale=0.5)
-        traj = run(static_ls, "ogd", model, seed=0, trials=range(4))
+        traj = run(static_ls, model, seed=0, trials=range(4))
         assert np.array_equal(traj.sigma, np.zeros(61))
         assert np.array_equal(traj.phi_tilde, np.zeros((4, 61)))
 
@@ -494,7 +494,7 @@ class TestVariability:
         model = NoiseModel("gaussian_iid", scale=0.1)
         for t in (1, 30, 60):
             # x_final of a run to t is x_t, the point of phi_tilde_t
-            traj = run(ls_problem, "ogd", model, seed=3, trials=range(3), horizon=t)
+            traj = run(ls_problem, model, seed=3, trials=range(3), horizon=t)
             x = traj.x_final
             direct_phi = np.abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
             assert np.array_equal(traj.phi_tilde[:, t], direct_phi)

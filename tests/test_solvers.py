@@ -9,6 +9,7 @@ import pytest
 
 from plgrad import problems as problems_mod
 from plgrad.config import build_noise, build_problem, initial_point, make_config
+from plgrad.harness import run_experiment
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
@@ -55,7 +56,7 @@ class TestSingleSteps:
         p = quadratic_problem(0.25, 1.0, n=2, horizon=30)
         eigvals, eigvecs = np.linalg.eigh(p.matrix.T @ p.matrix)
         x0 = p.xstar(0) + eigvecs[:, 0]
-        traj = run(p, "ogd", ZERO, horizon=30, x0=x0, seed=0)
+        traj = run(p, ZERO, horizon=30, x0=x0, seed=0)
         ratios = traj.regret[0, 1:25] / traj.regret[0, :24]
         np.testing.assert_allclose(ratios, (1 - 0.25) ** 2, rtol=1e-9)
 
@@ -64,7 +65,7 @@ class TestSingleSteps:
         p = quadratic_problem(0.5, 1.0, n=2, horizon=300)
         bias = 0.05
         model = NoiseModel("zero", bias=bias)
-        traj = run(p, "ogd", model, horizon=300, x0=np.zeros(2), seed=0)
+        traj = run(p, model, horizon=300, x0=np.zeros(2), seed=0)
         m = p.matrix.T @ p.matrix
         expected = p.xstar(0) - np.linalg.solve(m, np.full(2, bias))
         np.testing.assert_allclose(traj.x_final[0], expected, atol=1e-10)
@@ -131,37 +132,37 @@ class ScriptedValues(SpikedGradient):
 class TestRun:
     def test_horizon_zero_records_only_r0(self):
         p = quadratic_problem(0.5, 1.0)
-        traj = run(p, "ogd", ZERO, horizon=0, x0=np.array([0.2, -0.4]), seed=0)
+        traj = run(p, ZERO, horizon=0, x0=np.array([0.2, -0.4]), seed=0)
         assert len(traj) == 1
         assert traj.regret[0, 0] > 0
 
     def test_identical_keys_reproduce_bitwise(self):
         p = TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=5, horizon=40)
         model = NoiseModel("gaussian_iid", scale=0.05)
-        a = run(p, "ogd", model, seed=9, trials=[3])
-        b = run(p, "ogd", model, seed=9, trials=[3])
+        a = run(p, model, seed=9, trials=[3])
+        b = run(p, model, seed=9, trials=[3])
         assert np.array_equal(a.regret, b.regret)
         assert np.array_equal(a.x_final, b.x_final)
-        c = run(p, "ogd", model, seed=9, trials=[4])
+        c = run(p, model, seed=9, trials=[4])
         assert not np.array_equal(a.regret, c.regret)
 
     def test_static_noiseless_regret_nonincreasing(self):
         p = quadratic_problem(0.1, 1.0, n=5, horizon=100, seed=8)
-        traj = run(p, "ogd", ZERO, x0=np.zeros(5), seed=0)
+        traj = run(p, ZERO, x0=np.zeros(5), seed=0)
         diffs = np.diff(traj.regret[0])
         assert np.all(diffs <= 1e-15)
 
     def test_static_noiseless_contraction_factor(self):
         p = quadratic_problem(0.1, 1.0, n=5, horizon=100, seed=8)
         zeta = 1 - 0.1 / 1.0
-        traj = run(p, "ogd", ZERO, x0=np.zeros(5), seed=0)
+        traj = run(p, ZERO, x0=np.zeros(5), seed=0)
         r = traj.regret[0]
         mask = r[:-1] > 1e-12
         assert np.all(r[1:][mask] <= zeta * r[:-1][mask] + 1e-9)
 
     def test_trajectory_shape_and_t0_row(self):
         p = quadratic_problem(0.5, 1.0, horizon=20)
-        traj = run(p, "ogd", ZERO, seed=0)
+        traj = run(p, ZERO, seed=0)
         assert len(traj) == 21
         assert traj.regret.shape == (1, 21)
         assert traj.error_norm[0, 0] == 0.0
@@ -169,14 +170,27 @@ class TestRun:
         assert traj.sigma[0] == 0.0 and traj.phi_tilde[0, 0] == 0.0
 
     def test_opgm_with_none_regularizer_equals_ogd(self):
-        p1 = TimeVaryingLeastSquares(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
-        p2 = TimeVaryingLeastSquares(3, 6, 0.2, 1.0, 0.05, 0.01, seed=12, horizon=30)
-        p2.regularizer = Regularizer.none()
-        model = NoiseModel("gaussian_iid", scale=0.1)
-        a = run(p1, "ogd", model, seed=4, trials=[1])
-        b = run(p2, "opgm", model, seed=4, trials=[1])
-        assert np.array_equal(a.regret, b.regret)
-        assert np.array_equal(a.x_final, b.x_final)
+        # the solver name picks only the certificate: on a smooth family
+        # both names run one trajectory, and the error cost's power picks
+        # the measured moment, E||e||^2 or E||e||
+        reports = {
+            solver: run_experiment(
+                make_config(
+                    {"experiment": {"solver": solver, "horizon": 30, "trials": 3}},
+                    {"preset": "fig1-ls"},
+                )
+            )
+            for solver in ("ogd", "opgm")
+        }
+        ogd, opgm = reports["ogd"].trajectory, reports["opgm"].trajectory
+        for name in ("regret", "error_norm", "phi_tilde", "x_final", "max_step_norm"):
+            assert np.array_equal(getattr(ogd, name), getattr(opgm, name)), name
+        for solver, power in (("ogd", 2), ("opgm", 1)):
+            moment = (ogd.error_norm[:, 1:] ** power).mean(axis=0)
+            assert np.array_equal(reports[solver].mean_err_moment, moment)
+        assert not np.array_equal(
+            reports["ogd"].bounds["expectation"], reports["opgm"].bounds["expectation"]
+        )
 
     def test_l1_iterates_reach_grid_argmin_of_composite(self):
         # 1-D static quadratic + l1, no noise: the prox-gradient fixed point
@@ -184,7 +198,7 @@ class TestRun:
         p = TimeVaryingLeastSquares(1, 1, 0.5, 0.5, 0.0, 0.0, seed=6, horizon=400)
         lam = 0.2
         p.regularizer = Regularizer.l1(lam)
-        traj = run(p, "opgm", ZERO, x0=np.array([3.0]), seed=0)
+        traj = run(p, ZERO, x0=np.array([3.0]), seed=0)
         grid = np.linspace(-5.0, 5.0, 2000001)
         composite = p.value(0, grid[:, None]) + lam * np.abs(grid)
         x_grid = grid[np.argmin(composite)]
@@ -195,7 +209,7 @@ class TestRun:
         x0 = np.zeros(2)
         # huge constant bias drives the iterate far outside the ball
         model = NoiseModel("zero", bias=1e4)
-        traj = run(p, "ogd", model, seed=0, x0=x0)
+        traj = run(p, model, seed=0, x0=x0)
         assert traj.domain_excursions[0] > 0
         # the constants hold on the domain ball only
         assert traj.outside_theory
@@ -203,14 +217,14 @@ class TestRun:
 
     def test_max_step_norm_recorded(self):
         p = quadratic_problem(0.5, 1.0, horizon=10)
-        traj = run(p, "ogd", ZERO, x0=np.array([2.0, 2.0]), seed=0)
+        traj = run(p, ZERO, x0=np.array([2.0, 2.0]), seed=0)
         assert traj.max_step_norm[0] > 0
 
     def test_step_override_flags_outside_theory(self):
         p = quadratic_problem(0.5, 1.0, horizon=10)
-        traj = run(p, "ogd", ZERO, seed=0, x0=np.ones(2), step_override=0.5)
+        traj = run(p, ZERO, seed=0, x0=np.ones(2), step_override=0.5)
         assert traj.outside_theory and traj.step == 0.5
-        default = run(p, "ogd", ZERO, seed=0, x0=np.ones(2))
+        default = run(p, ZERO, seed=0, x0=np.ones(2))
         assert not default.outside_theory and default.step == 1.0 / p.smoothness
 
     def test_l1_term_flags_outside_theory(self):
@@ -218,7 +232,7 @@ class TestRun:
         for weight, flagged in ((0.3, True), (0.0, False)):
             p = quadratic_problem(0.5, 1.0, horizon=3)
             p.regularizer = Regularizer.l1(weight)
-            traj = run(p, "opgm", ZERO, seed=0, x0=np.ones(2))
+            traj = run(p, ZERO, seed=0, x0=np.ones(2))
             assert traj.outside_theory is flagged
 
     def test_inconsistent_fstar_oracle_rejected(self):
@@ -244,19 +258,19 @@ class TestRun:
                 return 1.0  # true optimum is 0
 
         with pytest.raises(RuntimeError, match="inconsistent"):
-            run(BadOracle(), "ogd", ZERO, x0=np.array([0.5]), seed=0)
+            run(BadOracle(), ZERO, x0=np.array([0.5]), seed=0)
 
     def test_nan_aborts_with_diagnostic(self):
         p = quadratic_problem(0.5, 1.0, horizon=10)
         model = NoiseModel("gaussian_iid", scale=1e200)
         with np.errstate(over="ignore"), pytest.raises(RuntimeError):
-            run(p, "ogd", model, seed=0, x0=np.zeros(2))
+            run(p, model, seed=0, x0=np.zeros(2))
 
     @pytest.mark.parametrize("spike", [np.inf, np.nan])
     def test_non_finite_row_names_its_trial_and_step(self, spike):
         # the values stay finite, so only the iterate check can see the row
         with pytest.raises(RuntimeError, match=r"non-finite iterate at t=3 \(seed=4, trial=5\)"):
-            run(SpikedGradient(spike, t=2, row=1), "ogd", ZERO, seed=4, trials=(3, 5, 7))
+            run(SpikedGradient(spike, t=2, row=1), ZERO, seed=4, trials=(3, 5, 7))
 
     def test_overflowing_value_names_its_trial_and_step(self):
         # 1e200 * 1e200 overflows on row 1 at t=3; every iterate stays finite
@@ -264,7 +278,7 @@ class TestRun:
         with np.errstate(over="ignore"), pytest.raises(
             RuntimeError, match=r"^non-finite regret at t=3 \(seed=4, trial=5\)$"
         ):
-            run(problem, "ogd", ZERO, seed=4, trials=(3, 5, 7))
+            run(problem, ZERO, seed=4, trials=(3, 5, 7))
 
     def test_inconsistent_fstar_names_its_value_trial_and_step(self):
         problem = ScriptedValues({(2, 2): -1.0})
@@ -272,7 +286,7 @@ class TestRun:
             "regret -1.000e+00 below -1e-09 at t=2 (trial=7): inconsistent optimal-value oracle"
         )
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
-            run(problem, "ogd", ZERO, seed=4, trials=(3, 5, 7))
+            run(problem, ZERO, seed=4, trials=(3, 5, 7))
 
     @pytest.mark.parametrize(
         "values, spike_t, message",
@@ -295,22 +309,22 @@ class TestRun:
         # the gradient spike on row 1 at spike_t makes x_{spike_t + 1} nan there
         problem = ScriptedValues(values, spike=np.nan, t=spike_t, row=1)
         with pytest.raises(RuntimeError, match=f"^{re.escape(message)}"):
-            run(problem, "ogd", ZERO, seed=4, trials=(3, 5, 7))
+            run(problem, ZERO, seed=4, trials=(3, 5, 7))
 
     def test_overflowing_step_norm_on_a_finite_row_passes(self):
         with np.errstate(over="ignore"):
-            traj = run(SpikedGradient(1e200, t=0, row=1), "ogd", ZERO, seed=0, trials=range(3))
+            traj = run(SpikedGradient(1e200, t=0, row=1), ZERO, seed=0, trials=range(3))
         assert np.array_equal(traj.max_step_norm, [0.0, np.inf, 0.0])
         assert np.isfinite(traj.x_final).all()
 
     def test_x0_validation(self):
         p = quadratic_problem(0.5, 1.0, horizon=5)
         with pytest.raises(ValueError):
-            run(p, "ogd", ZERO, x0=np.full(2, 1e6), seed=0)  # outside the ball
+            run(p, ZERO, x0=np.full(2, 1e6), seed=0)  # outside the ball
         with pytest.raises(ValueError):
-            run(p, "ogd", ZERO, x0=np.zeros(3), seed=0)  # wrong shape
+            run(p, ZERO, x0=np.zeros(3), seed=0)  # wrong shape
         with pytest.raises(ValueError, match="finite"):
-            run(p, "ogd", ZERO, x0=np.array([np.nan, 0.0]), seed=0)
+            run(p, ZERO, x0=np.array([np.nan, 0.0]), seed=0)
 
     def test_infeasible_x0_for_box(self):
         w, p_ref = synth_demand_response_traces(5, seed=2)
@@ -318,20 +332,12 @@ class TestRun:
             2, 2, 5, p_ref, w, np.array([0.5, 0.5]), np.array([1.0, 1.0])
         )
         with pytest.raises(ValueError):
-            run(p, "opgm", ZERO, x0=np.zeros(2), seed=0)
+            run(p, ZERO, x0=np.zeros(2), seed=0)
 
     def test_horizon_beyond_built_range(self):
         p = quadratic_problem(0.5, 1.0, horizon=5)
         with pytest.raises(ValueError):
-            run(p, "ogd", ZERO, horizon=6, seed=0)
-
-    def test_solver_dispatch_validation(self):
-        p = quadratic_problem(0.5, 1.0, horizon=5)
-        with pytest.raises(ValueError):
-            run(p, "sgd", ZERO, seed=0)
-        p.regularizer = Regularizer.l1(0.1)
-        with pytest.raises(ValueError):
-            run(p, "ogd", ZERO, seed=0)  # regularized
+            run(p, ZERO, horizon=6, seed=0)
 
 
 class TestMemory:
@@ -355,7 +361,7 @@ class TestMemory:
         )
         tracemalloc.start()
         try:
-            run(problem, cfg.solver, model, x0=x0, seed=cfg.seed, trials=range(trials))
+            run(problem, model, x0=x0, seed=cfg.seed, trials=range(trials))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -374,7 +380,7 @@ class TestZeroSign:
         lo = np.where(devices % 2 == 0, 0.0, -40.0)
         p = DemandResponse(n, 29, horizon, p_ref, w, lo, np.full(n, 40.0), a_x=a_x)
         model = NoiseModel("gaussian_iid", scale=10.0)
-        new = run(p, "opgm", model, seed=31, trials=range(6))
+        new = run(p, model, seed=31, trials=range(6))
 
         negative_zeros = []
 
@@ -384,7 +390,7 @@ class TestZeroSign:
             return out
 
         monkeypatch.setattr(QuadraticTracking, "_adjoint", multiply_adjoint)
-        old = run(p, "opgm", model, seed=31, trials=range(6))
+        old = run(p, model, seed=31, trials=range(6))
         assert sum(negative_zeros) > 0
         assert np.any(old.x_final[:, lo == 0.0] == 0.0)
         for field in ("regret", "error_norm", "phi_tilde", "x_final", "max_step_norm"):
@@ -400,7 +406,7 @@ class TestPathwiseRecursions:
         model = NoiseModel("gaussian_iid", scale=math.sqrt(1e-3))
         zeta = 0.9
         for trial in range(5):
-            traj = run(p, "ogd", model, seed=17, trials=[trial])
+            traj = run(p, model, seed=17, trials=[trial])
             r, e, psi = traj.regret[0], traj.error_norm[0], traj.psi_tilde[0]
             lhs = r[1:]
             rhs = zeta * r[:-1] + e[1:] ** 2 / (2 * p.smoothness) + psi[1:]
@@ -413,7 +419,7 @@ class TestPathwiseRecursions:
         p = DriftingLogistic(4, 20, seed=19, horizon=30, drift_std=0.01)
         model = NoiseModel("gaussian_iid", scale=0.05)
         zeta = 1 - p.pl_constant / p.smoothness
-        traj = run(p, "ogd", model, seed=31, trials=[0])
+        traj = run(p, model, seed=31, trials=[0])
         r, e, psi = traj.regret[0], traj.error_norm[0], traj.psi_tilde[0]
         assert np.all(r[1:] <= zeta * r[:-1] + e[1:] ** 2 / (2 * p.smoothness) + psi[1:] + 1e-9)
 
@@ -425,7 +431,7 @@ class TestPathwiseRecursions:
         model = NoiseModel("gaussian_iid", scale=10.0)
         zeta = 1 - p.pl_constant / p.smoothness
         for trial in range(5):
-            traj = run(p, "opgm", model, seed=23, trials=[trial])
+            traj = run(p, model, seed=23, trials=[trial])
             r, e, psi = traj.regret[0], traj.error_norm[0], traj.psi_tilde[0]
             lhs = r[1:]
             rhs = zeta * r[:-1] + 2 * p.diameter * e[1:] + psi[1:]
@@ -433,7 +439,7 @@ class TestPathwiseRecursions:
 
 
 def _families():
-    """One small instance of each problem family with the solver it runs."""
+    """One small instance of each problem family with its noise model."""
     from plgrad.problems import DriftingLogistic, LtiTracking
 
     w, p_ref = synth_demand_response_traces(40, seed=13)
@@ -445,27 +451,22 @@ def _families():
     return {
         "ls": (
             TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=5, horizon=40),
-            "ogd",
             NoiseModel("gaussian_iid", scale=0.05),
         ),
         "logistic": (
             DriftingLogistic(3, 12, seed=19, horizon=15, drift_std=0.01),
-            "ogd",
             NoiseModel("weibull_tail", scale=0.05, weibull_shape=1.5),
         ),
         "lti": (
             LtiTracking(3, 5, seed=2, horizon=40),
-            "ogd",
             NoiseModel("bounded_uniform", scale=0.1),
         ),
         "dr": (
             DemandResponse(6, 13, 40, p_ref, w, lo, np.full(6, 50.0)),
-            "opgm",
             NoiseModel("gaussian_iid", scale=10.0),
         ),
         "dr-general": (
             DemandResponse(6, 13, 40, p_ref, w, lo, np.full(6, 50.0), a_x=a_x),
-            "opgm",
             NoiseModel("gaussian_iid", scale=10.0),
         ),
     }
@@ -484,10 +485,10 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_chunks_reproduce_the_full_batch(self, families, family):
-        problem, solver, model = families[family]
-        full = run(problem, solver, model, seed=3, trials=range(25))
-        head = run(problem, solver, model, seed=3, trials=range(7))
-        tail = run(problem, solver, model, seed=3, trials=range(7, 25))
+        problem, model = families[family]
+        full = run(problem, model, seed=3, trials=range(25))
+        head = run(problem, model, seed=3, trials=range(7))
+        tail = run(problem, model, seed=3, trials=range(7, 25))
         for name in PER_TRIAL + ("domain_excursions", "max_step_norm"):
             joined = np.concatenate([getattr(head, name), getattr(tail, name)])
             assert np.array_equal(joined, getattr(full, name)), name
@@ -495,10 +496,10 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_matches_a_per_trial_reference_loop(self, families, family):
-        problem, solver, model = families[family]
+        problem, model = families[family]
         trials = (4, 0, 9)
         x0 = np.zeros(problem.n)
-        batch = run(problem, solver, model, seed=8, trials=trials)
+        batch = run(problem, model, seed=8, trials=trials)
         step = 1.0 / problem.smoothness
         for row, trial in enumerate(trials):
             raw = sample(model, problem.error_dim, 8, trial, problem.horizon)
@@ -507,9 +508,7 @@ class TestBatchedKernel:
             err, psi = [0.0], [0.0]
             for t in range(problem.horizon):
                 e = problem.map_error(raw[t])
-                x = x - step * (problem.grad(t, x) + e)
-                if solver == "opgm":
-                    x = problem.regularizer.prox(step, x)
+                x = problem.regularizer.prox(step, x - step * (problem.grad(t, x) + e))
                 regret.append(problem.total_value(t + 1, x) - problem.fstar(t + 1))
                 err.append(np.linalg.norm(e))
                 psi.append(
@@ -524,9 +523,9 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_error_norm_is_the_norm_of_the_mapped_noise(self, families, family):
-        problem, solver, model = families[family]
+        problem, model = families[family]
         trials = range(5)
-        traj = run(problem, solver, model, seed=8, trials=trials)
+        traj = run(problem, model, seed=8, trials=trials)
         raw = np.stack(
             [sample(model, problem.error_dim, 8, k, problem.horizon) for k in trials], axis=1
         )
@@ -623,12 +622,12 @@ class TestOneValuePerStep:
         # F != f here, so the regret and phi_tilde see different values
         l1 = TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=7, horizon=40)
         l1.regularizer = Regularizer.l1(0.3)
-        families["l1"] = (l1, "opgm", NoiseModel("gaussian_iid", scale=0.05))
+        families["l1"] = (l1, NoiseModel("gaussian_iid", scale=0.05))
         return families
 
     @pytest.mark.parametrize("family", EXACT_FAMILY_NAMES + ("l1",))
     def test_matches_the_two_evaluation_loop(self, families, family, monkeypatch):
-        problem, solver, model = families[family]
+        problem, model = families[family]
         spy, ref_spy = EvaluationSpy(problem), OracleSpy(problem)
         g_calls = []
         g_value = Regularizer.value
@@ -646,7 +645,7 @@ class TestOneValuePerStep:
 
         monkeypatch.setattr(Regularizer, "value", counted_g_value)
         monkeypatch.setattr(problems_mod, "_matvec", counted_matvec)
-        traj = run(spy, solver, model, seed=8, trials=range(5))
+        traj = run(spy, model, seed=8, trials=range(5))
         run_g_calls = len(g_calls)
         run_products = list(products)
         ref = reference_run(ref_spy, model, seed=8, trials=range(5))
@@ -679,7 +678,7 @@ class TestOneValuePerStep:
     ):
         # the noise rides the scalar residual: no second adjoint forms the
         # (trials, n) error a_x eta
-        problem, solver, model = families[family]
+        problem, model = families[family]
         shapes = []
         adjoint = QuadraticTracking._adjoint
 
@@ -688,5 +687,5 @@ class TestOneValuePerStep:
             return adjoint(self, r, out=out)
 
         monkeypatch.setattr(QuadraticTracking, "_adjoint", counted_adjoint)
-        run(problem, solver, model, seed=8, trials=range(5))
+        run(problem, model, seed=8, trials=range(5))
         assert shapes == [(5, 1)] * problem.horizon
