@@ -29,7 +29,6 @@ from .problems import (
     load_demand_response_traces,
     synth_demand_response_traces,
 )
-from .prox import Regularizer
 
 
 class ConfigError(ValueError):
@@ -37,8 +36,8 @@ class ConfigError(ValueError):
 
 
 # per problem kind: its class, and the [problem] keys it accepts besides
-# kind, regularizer and l1_weight, with their defaults.  None marks a key
-# with no default here: the constructor's own, or "not given".
+# kind, with their defaults.  None marks a key with no default here: the
+# constructor's own, or "not given".
 _PROBLEMS = {
     "timevarying_ls": (
         TimeVaryingLeastSquares,
@@ -163,8 +162,6 @@ _PROBLEM_PARSERS = {
     "obs_noise_std": float,
     "bounds_lo": _parse_float_list,
     "bounds_hi": _parse_float_list,
-    "regularizer": str,
-    "l1_weight": float,
     "traces": str,
 }
 
@@ -293,41 +290,33 @@ def _demand_response_bounds(n_der: int, lo_raw, hi_raw) -> tuple[np.ndarray, np.
 def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
     spec = dict(cfg.problem)
     kind = spec.pop("kind")
-    reg_override = spec.pop("regularizer", None)
-    if "l1_weight" in spec and reg_override != "l1":
-        raise ConfigError("l1_weight needs regularizer = l1")
-    l1_weight = spec.pop("l1_weight", 0.0)
     cls, defaults = _PROBLEMS[kind]
     unknown = sorted(spec.keys() - defaults.keys())
     if unknown:
         raise ConfigError(f"settings not applicable to {kind}: {unknown}")
     params = {**defaults, **spec}
 
-    if kind == "demand_response":
-        params["bounds_lo"], params["bounds_hi"] = _demand_response_bounds(
-            params["n_der"], params["bounds_lo"], params["bounds_hi"]
-        )
-        traces_path = params.pop("traces")
-        if traces_path is not None:
-            params["w_trace"], params["p_ref_trace"] = load_demand_response_traces(traces_path)
-        else:
-            params["w_trace"], params["p_ref_trace"] = synth_demand_response_traces(
-                cfg.horizon, cfg.seed
+    try:
+        if kind == "demand_response":
+            params["bounds_lo"], params["bounds_hi"] = _demand_response_bounds(
+                params["n_der"], params["bounds_lo"], params["bounds_hi"]
             )
-    problem = cls(
-        seed=cfg.seed,
-        horizon=cfg.horizon,
-        **{key: value for key, value in params.items() if value is not None},
-    )
-
-    # "none" on a smooth family restates its default g = 0
-    if reg_override is not None:
-        if not problem.smooth_only():
-            raise ConfigError(f"{kind} already defines its regularizer")
-        if reg_override == "l1":
-            problem.regularizer = Regularizer.l1(l1_weight)
-        elif reg_override != "none":
-            raise ConfigError(f"regularizer override must be none or l1, got {reg_override!r}")
+            traces_path = params.pop("traces")
+            if traces_path is not None:
+                params["w_trace"], params["p_ref_trace"] = load_demand_response_traces(
+                    traces_path
+                )
+            else:
+                params["w_trace"], params["p_ref_trace"] = synth_demand_response_traces(
+                    cfg.horizon, cfg.seed
+                )
+        problem = cls(
+            seed=cfg.seed,
+            horizon=cfg.horizon,
+            **{key: value for key, value in params.items() if value is not None},
+        )
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
 
     if cfg.solver == "ogd" and not problem.smooth_only():
         raise ConfigError("ogd forbids a regularizer; use solver = opgm")

@@ -104,7 +104,6 @@ def _analytic_inputs(
     """Closed-form per-step (E||e_t||^power, envelope_ks).
 
     The base-scale E||e||^power times c_t^power, and the base K times c_t.
-    Raises NotImplementedError where the problem has no closed form.
     """
     c = noise_mod.time_scales(model, horizon)
     return c**power * problem.error_moment(model, power), c * problem.error_envelope(model).k
@@ -146,13 +145,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     mean_psi = psi_m[:, 1:].mean(axis=0)
 
     # per-step (moments, envelope_ks) of each input mode
-    inputs = {"empirical": (mean_err_moment, fitted_ks)}
-    try:
-        inputs["analytic"] = _analytic_inputs(problem, model, horizon, cost.power)
-    except NotImplementedError:
-        pass
-    if config.bound_inputs not in inputs:
-        raise ValueError("analytic bound inputs are unavailable for this noise model")
+    inputs = {
+        "empirical": (mean_err_moment, fitted_ks),
+        "analytic": _analytic_inputs(problem, model, horizon, cost.power),
+    }
     # variability has no a-priori form: both modes use its mean; configured mode first
     bound_sets = {
         mode: _bound_set(cost, config.deltas, r0, zeta, mean_psi, theta, *inputs[mode])
@@ -161,11 +157,11 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     moments_used, envelope_k_used = inputs[config.bound_inputs]
 
     # long-run cap from the supremum statistics over the horizon
-    e_bar = float(np.max(moments_used)) if horizon else 0.0
+    e_bar = float(np.max(moments_used))
     if config.psi_bar is not None:
         psi_bar, psi_src = config.psi_bar, "configured"
     else:
-        psi_bar, psi_src = (float(np.max(mean_psi)) if horizon else 0.0), "empirical sup"
+        psi_bar, psi_src = float(np.max(mean_psi)), "empirical sup"
     asymptote_value = bounds_mod.asymptote(
         problem.pl_constant, problem.smoothness, cost, e_bar, psi_bar
     )
@@ -175,7 +171,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     coef = err[:, 1:] ** cost.power
     resid -= np.multiply(coef, cost.weight, out=coef)
     resid -= psi_m[:, 1:]
-    recursion_max = float(resid.max()) if resid.size else 0.0
+    recursion_max = float(resid.max())
     del resid, coef  # freed first, so the counts below add nothing to this peak
 
     # per series and per t, the trials whose regret exceeds it
@@ -263,9 +259,9 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
         raise ValueError("report carries no bound series")
     summary = ValidationSummary()
 
-    # every certificate below assumes the step 1/L and the regret against
-    # F*_t; a passing verdict on a run outside that would vouch for bounds
-    # that do not apply to it
+    # every certificate below assumes the step 1/L and iterates inside the
+    # domain ball, where the constants hold; a passing verdict on a run
+    # outside that would vouch for bounds that do not apply to it
     traj = report.trajectory
     if traj.outside_theory:
         scope = f"{'; '.join(traj.theory_exceptions)}: no certificate applies"
@@ -370,23 +366,18 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
         mu_hat = min(verify_pl(problem, t, n_samples, seed) for t in ts)
         ok = mu_hat >= mu - 1e-9
         return CheckResult("pl_certificate", ok, f"sampled mu {mu_hat:.6g} vs declared {mu:.6g}")
+    # a regularized family carries a box: sample the proximal form on it
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))
-    reg = problem.regularizer
+    box = problem.regularizer
     mu_hat = np.inf
     for t in ts:
         fstar = problem.fstar(t)
-        if reg.kind != "box":
-            xs = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, n_samples)
         # blocks of 100 rows keep the temporaries small; the oracles work row
         # by row and the min is exact, so the blocks change no bit.  uniform
-        # fills in C order, so box blocks hold the floats of one whole draw
-        # (_sample_ball draws all normals before its radii, so not its points)
+        # fills in C order, so the blocks hold the floats of one whole draw
         for start in range(0, n_samples, 100):
-            if reg.kind == "box":
-                u = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
-                block = reg.lo + u * (reg.hi - reg.lo)
-            else:
-                block = xs[start : start + 100]
+            u = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
+            block = box.lo + u * (box.hi - box.lo)
             gap = problem.total_value(t, block) - fstar
             keep = gap > 1e-9
             if np.any(keep):
@@ -446,7 +437,8 @@ def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationS
 
     checks: subset of BATTERY_CHECKS; None means all.  An empty selection is
     an error.  A selection that runs the experiment also reports
-    theory_scope, which fails for a run outside the theory's step size.
+    theory_scope, which fails for a step other than 1/L or for iterates
+    that leave the domain ball.
     """
     selected = tuple(checks) if checks is not None else BATTERY_CHECKS
     if not selected:
@@ -455,10 +447,13 @@ def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationS
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; available: {BATTERY_CHECKS}")
 
-    summary = ValidationSummary()
     needs_run = {"recursion", "dominance", "coverage", "moments"} & set(selected)
-    problem = build_problem(config)
+    # the experiment builds the problem the static checks then read, so a
+    # battery builds it once; its verdicts still follow those checks
+    report = run_experiment(config) if needs_run else None
+    problem = build_problem(config) if report is None else report.problem
 
+    summary = ValidationSummary()
     if "gradient" in selected:
         summary.checks.append(_check_gradient(problem, config.seed))
     if "pl" in selected:
@@ -467,7 +462,6 @@ def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationS
         summary.checks.append(_check_prox(problem, config.seed))
 
     if needs_run:
-        report = run_experiment(config)
         full = validate_bounds(report)
         keep = {
             "recursion": ("recursion_pathwise",),

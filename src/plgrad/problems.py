@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,12 +51,14 @@ class OnlineProblem:
     Subclasses populate the attributes below in __init__ and implement
     value / grad / fstar / xstar (None where no minimizer is computed);
     evaluate, the per-iterate oracle of run, defaults to value, grad and
-    map_error.  The regularizer g_t defaults to g = 0, whose prox is the
-    identity.  value and grad accept x of shape (n,) or (R, n); fstar and
-    xstar take the time index only.  grad writes into `out` when it is
-    given (an array of the result's shape that does not overlap the input)
-    and returns it.  Instances are immutable after construction by
-    convention; all oracles are safe to call concurrently.
+    map_error.  A family fixes its regularizer g_t at construction: g = 0,
+    whose prox is the identity, or the indicator of its box, so fstar is
+    the optimum of the composite cost F_t.  value and grad accept x of
+    shape (n,) or (R, n); fstar and xstar take the time index only.  grad
+    writes into `out` when it is given (an array of the result's shape
+    that does not overlap the input) and returns it.  Instances are
+    immutable after construction by convention; all oracles are safe to
+    call concurrently.
     """
 
     name: str
@@ -311,10 +314,12 @@ class QuadraticTracking(OnlineProblem):
         m = self.matrix.shape[0]
         if self._gain is None or m == 1:
             return super().error_moment(model, power)
-        # E||A^T raw||^2 = (E||raw||^2 / m) ||A^T||_F^2 for isotropic raw noise
-        if model.bias != 0.0:
-            raise NotImplementedError("analytic moments with bias are not supported")
-        second = noise_mod.second_moment(model, m) / m * float(np.sum(self.matrix**2))
+        # raw = z + b 1 with z zero-mean and isotropic, so the cross term
+        # vanishes: E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
+        z_second = noise_mod.second_moment(replace(model, bias=0.0), m)
+        frobenius = float(np.sum(self.matrix**2))
+        ones_image = float(np.sum(np.sum(self.matrix, axis=0) ** 2))  # ||A^T 1||^2
+        second = z_second / m * frobenius + model.bias**2 * ones_image
         # no closed form for the mapped norm mean; Jensen upper bound
         return second if power == 2 else math.sqrt(second)
 

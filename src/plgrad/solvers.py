@@ -128,23 +128,6 @@ class RegretTrajectory:
         return self.regret.shape[1]
 
 
-def theory_exceptions(problem: OnlineProblem, step_override: float | None) -> list[str]:
-    """The conditions known before a run that no certificate covers.
-
-    Every certificate assumes the step 1/L and the regret against the
-    composite optimum F*_t, but each family's fstar is the optimum of its
-    own cost, which an l1 term added to it does not enter.  run adds
-    iterates that leave the domain ball, where the constants are certified.
-    """
-    reasons = []
-    if step_override is not None:
-        reasons.append(f"step_override = {step_override:g}")
-    reg = problem.regularizer
-    if reg.kind == "l1" and reg.weight > 0:
-        reasons.append(f"l1 weight {reg.weight:g} (the regret is F_t - f*_t, not F_t - F*_t)")
-    return reasons
-
-
 def run(
     problem: OnlineProblem,
     model: noise_mod.NoiseModel,
@@ -167,12 +150,17 @@ def run(
     its scalar residual and gives ||e_t|| in closed form, so e_t is never
     formed.  The optimal values f*_0..f*_T depend on t only and are read
     once, before the loop.
-    g_t(x_t) is evaluated only for an l1 term: g = 0 on the feasible x0,
-    and a box indicator is 0 on its own prox outputs, so the regret adds
-    0.0 in the place of g there (a nan iterate is caught by the finiteness
-    check before it is recorded).  An abort names the earliest t that
-    failed; at one t a non-finite iterate comes before a regret failure.
+    The regularizer is none or a box: g = 0 on the feasible x0, and a box
+    indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
+    iterate (a nan iterate is caught by the finiteness check before it is
+    recorded) and F_t(x_t) = f_t(x_t).  An l1 regularizer is refused: fstar
+    is the optimum of the family's own cost, which an l1 term does not
+    enter, so F_t - fstar would not be the regret.  An abort names the
+    earliest t that failed; at one t a non-finite iterate comes before a
+    regret failure.
     """
+    if problem.regularizer.kind == "l1":
+        raise ValueError("run measures the regret against f*_t, which an l1 term does not enter")
     trials = tuple(int(k) for k in trials)
     if not trials:
         raise ValueError("need at least one trial")
@@ -199,7 +187,6 @@ def run(
 
     reg_tol = problem.fstar_tol
     fstar = np.array([problem.fstar(t) for t in range(horizon + 1)])
-    g_varies = problem.regularizer.kind == "l1"
     # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial
     raw = np.stack(
         [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials],
@@ -231,12 +218,11 @@ def run(
             f, f_prev, error_norm[:, t + 1] = problem.evaluate(t, x, grad_out=v, noise=raw[t])
         else:
             f, f_prev, _ = problem.evaluate(t, x)
-        # F_t(x_t) in the operations of total_value
-        g = problem.regularizer.value(x) if g_varies else 0.0
-        col = np.add(f, g, out=regret[:, t])
+        # F_t(x_t) = f_t(x_t), as g_t(x_t) = 0 on every iterate
+        regret[:, t] = f
         # a non-finite value means the iterate overflowed the cost, and the
         # steps after it would compute inf - inf: end the run here
-        if not np.isfinite(col).all():
+        if not np.isfinite(f).all():
             _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
         np.add(excursions, _row_norm(x) >= problem.domain_radius, out=excursions)
         if t:
@@ -266,7 +252,9 @@ def run(
     np.abs(np.diff(fstar), out=sigma[1:])
     np.abs(phi_tilde, out=phi_tilde)
 
-    exceptions = theory_exceptions(problem, step_override)
+    # every certificate assumes the step 1/L, and constants certified on
+    # the domain ball
+    exceptions = [] if step_override is None else [f"step_override = {step_override:g}"]
     if excursions.any():
         exceptions.append(f"iterates left the domain ball in {excursions.sum()} trial-steps")
     return RegretTrajectory(

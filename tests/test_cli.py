@@ -195,22 +195,18 @@ class TestValidateCommand:
         assert verdicts["theory_scope"] == "FAIL"
         assert "failed checks: theory_scope" in out
 
-    def test_l1_run_fails_validation(self, tmp_path, capsys):
-        # fstar is the smooth optimum, so an l1 run measures F_t - f*_t and
-        # no certificate covers it, however the other checks come out
-        cfg = tmp_path / "l1.cfg"
+    @pytest.mark.parametrize("solver", ["ogd", "opgm"])
+    def test_biased_output_noise_validates_on_analytic_inputs(self, tmp_path, capsys, solver):
+        # a multi-row measured map with a bias has closed-form moments too
+        cfg = tmp_path / "lti-bias.cfg"
         cfg.write_text(
-            "[experiment]\npreset = static-ls\nsolver = opgm\ntrials = 40\n"
-            "[problem]\nregularizer = l1\nl1_weight = 0.5\n"
+            f"[experiment]\npreset = lti\nsolver = {solver}\ntrials = 20\nhorizon = 100\n"
+            "bound_inputs = analytic\n[noise]\nbias = 0.05\n"
         )
-        checks = "recursion,dominance,coverage,moments,pl"
-        code = main(["validate", "--config", str(cfg), "--checks", checks])
+        code = main(["validate", "--config", str(cfg)])
         out = capsys.readouterr().out
-        assert code == 1
-        lines = {line.split()[0]: line for line in out.splitlines()[:-1]}
-        assert lines["theory_scope"].split()[1] == "FAIL"
-        assert "l1 weight 0.5" in lines["theory_scope"]
-        assert "step_override" not in lines["theory_scope"]
+        assert code == 0, out
+        assert "envelope_moments" in out and "FAIL" not in out
 
     def test_empty_check_selection(self, capsys):
         assert main(["validate", "--preset", "static-ls", "--checks", " , "]) == 2
@@ -320,21 +316,6 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="forbids a regularizer"):
             build_problem(cfg)
 
-    def test_opgm_needs_no_explicit_none(self):
-        # a smooth family carries g = 0, so "regularizer = none" is a no-op
-        from plgrad.harness import run_experiment
-
-        cfg = make_config({}, {"preset": "static-ls", "trials": 3})
-        cfg.solver, cfg.horizon = "opgm", 20
-        assert build_problem(cfg).regularizer.kind == "none"
-        implicit = run_experiment(cfg)
-        cfg.problem["regularizer"] = "none"
-        explicit = run_experiment(cfg)
-        assert np.array_equal(implicit.trajectory.regret, explicit.trajectory.regret)
-        assert np.array_equal(implicit.trajectory.error_norm, explicit.trajectory.error_norm)
-        for key, series in implicit.bounds.items():
-            assert np.array_equal(series, explicit.bounds[key])
-
     def test_demand_response_traces_from_csv(self, tmp_path):
         trace = tmp_path / "traces.csv"
         rows = ["t,w_1,p_ref"] + [f"{t},{50 + t},{-200.0}" for t in range(21)]
@@ -374,11 +355,36 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="box bounds must be finite"):
             build_problem(make_config(load_config_file(cfg)))
 
-    def test_l1_weight_needs_l1_regularizer(self):
-        cfg = make_config({}, {"preset": "static-ls", "trials": 2})
-        cfg.problem["l1_weight"] = 0.5
-        with pytest.raises(ConfigError, match="l1_weight"):
-            build_problem(cfg)
+    @pytest.mark.parametrize(
+        "preset, problem, message",
+        [
+            ("fig1-ls", "n = 30", "need d >= n >= 1, got n=30, d=20"),
+            ("fig3-demand-response", "bounds_lo = 1\nbounds_hi = 0", "lo < hi elementwise"),
+            ("fig3-demand-response", "traces = absent.csv", "No such file"),
+        ],
+        ids=["ls-n", "dr-bounds", "dr-traces"],
+    )
+    def test_bad_problem_value_is_a_config_error(self, tmp_path, capsys, preset, problem, message):
+        # the family constructor's own check, reported like a bad [noise] value
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[experiment]\npreset = {preset}\n[problem]\n{problem}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["regularizer = l1", "regularizer = none", "l1_weight = 0.5"])
+    def test_regularizer_keys_rejected(self, tmp_path, capsys, line):
+        # each family fixes its regularizer at construction
+        cfg = tmp_path / "reg.cfg"
+        cfg.write_text(f"[experiment]\npreset = static-ls\nsolver = opgm\n[problem]\n{line}\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown key {line.split()[0]!r} in [problem]" in capsys.readouterr().err
+
+    def test_problem_parsers_name_exactly_the_problem_keys(self):
+        from plgrad import config
+
+        keys = {"kind"}.union(*(defaults for _, defaults in config._PROBLEMS.values()))
+        assert set(config._PROBLEM_PARSERS) == keys
 
     def test_burn_in_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -280,6 +280,22 @@ class TestBattery:
         names = {c.name for c in summary.checks}
         assert {"gradient_fd", "pl_certificate", "prox_grid", "recursion_pathwise"} <= names
 
+    def test_full_battery_builds_its_problem_once(self, monkeypatch):
+        from plgrad import harness
+
+        built = []
+
+        def counted_build(config):
+            built.append(config)
+            return build_problem(config)
+
+        monkeypatch.setattr(harness, "build_problem", counted_build)
+        summary = run_validation_battery(small_config(trials=4, horizon=20))
+        assert len(built) == 1
+        assert [c.name for c in summary.checks][:4] == [
+            "gradient_fd", "pl_certificate", "prox_grid", "theory_scope"
+        ]
+
     def test_subset_selection(self):
         summary = run_validation_battery(
             small_config(trials=4, horizon=20), checks=("prox",)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,6 +232,30 @@ class TestLtiTracking:
         fitted = fit_from_samples(norms, theta=0.5)
         assert fitted.k <= env.k * 1.05
         assert env.k <= lti_problem.error_gain * s * math.sqrt(9) + 1e-12
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            NoiseModel("gaussian_iid", scale=0.1, bias=0.2),
+            NoiseModel("bounded_uniform", scale=0.3, bias=-0.15),
+            NoiseModel("weibull_tail", scale=0.3, weibull_shape=2.0, bias=0.1),
+        ],
+        ids=["gaussian", "uniform", "weibull"],
+    )
+    def test_error_moment_with_bias_matches_monte_carlo(self, lti_problem, model):
+        # raw = z + b 1: E||G^T raw||^2 = (E||z||^2 / m) ||G||_F^2 + b^2 ||G^T 1||^2
+        draws = 10**5
+        mapped = lti_problem.map_error(sample(model, 9, 5, 0, draws))
+        sq = np.vecdot(mapped, mapped)
+        sem = float(sq.std()) / math.sqrt(draws)
+        second = lti_problem.error_moment(model, 2)
+        assert abs(float(sq.mean()) - second) <= 4.0 * sem
+        # the bias term carries weight: dropping it misses by many errors
+        unbiased = lti_problem.error_moment(replace(model, bias=0.0), 2)
+        assert second - unbiased > 20.0 * sem
+        # power 1 keeps its Jensen bound
+        assert lti_problem.error_moment(model, 1) == math.sqrt(second)
+        assert float(np.sqrt(sq).mean()) <= math.sqrt(second)
 
 
 class TestDemandResponse:

@@ -192,18 +192,6 @@ class TestRun:
             reports["ogd"].bounds["expectation"], reports["opgm"].bounds["expectation"]
         )
 
-    def test_l1_iterates_reach_grid_argmin_of_composite(self):
-        # 1-D static quadratic + l1, no noise: the prox-gradient fixed point
-        # is the composite minimizer, cross-checked on a dense grid
-        p = TimeVaryingLeastSquares(1, 1, 0.5, 0.5, 0.0, 0.0, seed=6, horizon=400)
-        lam = 0.2
-        p.regularizer = Regularizer.l1(lam)
-        traj = run(p, ZERO, x0=np.array([3.0]), seed=0)
-        grid = np.linspace(-5.0, 5.0, 2000001)
-        composite = p.value(0, grid[:, None]) + lam * np.abs(grid)
-        x_grid = grid[np.argmin(composite)]
-        assert traj.x_final[0, 0] == pytest.approx(x_grid, abs=1e-5)
-
     def test_domain_monitor_flags_excursions(self):
         p = quadratic_problem(0.5, 1.0, horizon=5)
         x0 = np.zeros(2)
@@ -227,13 +215,13 @@ class TestRun:
         default = run(p, ZERO, seed=0, x0=np.ones(2))
         assert not default.outside_theory and default.step == 1.0 / p.smoothness
 
-    def test_l1_term_flags_outside_theory(self):
-        # fstar ignores the l1 term, so a positive weight leaves the theory
-        for weight, flagged in ((0.3, True), (0.0, False)):
-            p = quadratic_problem(0.5, 1.0, horizon=3)
-            p.regularizer = Regularizer.l1(weight)
-            traj = run(p, ZERO, seed=0, x0=np.ones(2))
-            assert traj.outside_theory is flagged
+    def test_l1_regularizer_rejected(self):
+        # fstar is the optimum of the family's own cost, so F_t - fstar
+        # would not be the regret of an l1 composite
+        p = quadratic_problem(0.5, 1.0, horizon=3)
+        p.regularizer = Regularizer.l1(0.3)
+        with pytest.raises(ValueError, match="l1 term"):
+            run(p, ZERO, seed=0, x0=np.ones(2))
 
     def test_inconsistent_fstar_oracle_rejected(self):
         # an optimal-value oracle above the true optimum drives the regret
@@ -614,18 +602,13 @@ class TestOneValuePerStep:
     """run evaluates each iterate once: one evaluate call, one A x on the
     quadratic core, gives f_t(x_t) for the regret, f_{t-1}(x_t) for
     phi_tilde and the gradient of the next step.  It reads each f*_t once
-    and evaluates g only where it can be nonzero."""
+    and evaluates g only in its check of x0: g = 0 on every iterate."""
 
     @pytest.fixture(scope="class")
     def families(self):
-        families = _families()
-        # F != f here, so the regret and phi_tilde see different values
-        l1 = TimeVaryingLeastSquares(4, 8, 0.1, 1.0, 0.1, 0.01, seed=7, horizon=40)
-        l1.regularizer = Regularizer.l1(0.3)
-        families["l1"] = (l1, NoiseModel("gaussian_iid", scale=0.05))
-        return families
+        return _families()
 
-    @pytest.mark.parametrize("family", EXACT_FAMILY_NAMES + ("l1",))
+    @pytest.mark.parametrize("family", EXACT_FAMILY_NAMES)
     def test_matches_the_two_evaluation_loop(self, families, family, monkeypatch):
         problem, model = families[family]
         spy, ref_spy = EvaluationSpy(problem), OracleSpy(problem)
@@ -665,12 +648,8 @@ class TestOneValuePerStep:
         assert calls(ref_spy, "grad") == horizon
         assert calls(spy, "fstar") == horizon + 1
         assert calls(ref_spy, "fstar") == 3 * horizon + 1
-        if problem.regularizer.kind == "l1":
-            # the x0 feasibility check and every recorded iterate
-            assert run_g_calls == horizon + 2
-        else:
-            # g = 0 on x0 and on the box prox outputs
-            assert run_g_calls <= 2
+        # g = 0 on x0 and on the box prox outputs: only the x0 check reads it
+        assert run_g_calls == 1
 
     @pytest.mark.parametrize("family", ("dr", "dr-general"))
     def test_one_row_adjoint_runs_once_per_step_on_the_residual(
