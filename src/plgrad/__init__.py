@@ -33,7 +33,7 @@ from .problems import (
     TimeVaryingLeastSquares,
     verify_pl,
 )
-from .prox import Regularizer, soft_threshold
+from .prox import Regularizer
 from .solvers import RegretTrajectory, prox_gradient_step, run
 from .subweibull import (
     SubWeibullParams,
@@ -85,7 +85,6 @@ __all__ = [
     "sample",
     "scale",
     "second_moment",
-    "soft_threshold",
     "validate_bounds",
     "verify_pl",
 ]

@@ -49,8 +49,8 @@ class ErrorCost:
     weight: float
 
     def __post_init__(self) -> None:
-        if not (self.power > 0 and self.weight > 0):
-            raise ValueError(f"power and weight must be positive, got {self}")
+        if not (self.power > 0 and 0 < self.weight < np.inf):
+            raise ValueError(f"power and weight must be positive and finite, got {self}")
 
 
 def error_cost(solver: str, smoothness: float, diameter: float) -> ErrorCost:
@@ -77,8 +77,8 @@ def _check_zeta(zeta: float) -> None:
 def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray:
     """B_0 = r0; B_{t+1} = zeta B_t + costs[t].  Length len(costs) + 1."""
     _check_zeta(zeta)
-    if r0 < 0:
-        raise ValueError(f"r0 must be nonnegative, got {r0}")
+    if not 0 <= r0 < np.inf:
+        raise ValueError(f"r0 must be finite and nonnegative, got {r0}")
     out = np.empty(len(costs) + 1)
     out[0] = r0
     acc = r0
@@ -158,8 +158,8 @@ def asymptote(
     """
     if mu <= 0 or smoothness <= 0:
         raise ValueError("mu and smoothness must be positive")
-    if e_bar < 0 or psi_bar < 0:
-        raise ValueError("e_bar and psi_bar must be nonnegative")
+    if not (0 <= e_bar < np.inf and 0 <= psi_bar < np.inf):
+        raise ValueError("e_bar and psi_bar must be finite and nonnegative")
     return (smoothness / mu) * (cost.weight * e_bar + psi_bar)
 
 

@@ -188,39 +188,35 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bounds(args: argparse.Namespace) -> int:
-    if not 0.0 < args.delta < 1.0:
-        raise ConfigError(f"delta must lie in (0, 1), got {args.delta}")
-    if args.theta <= 0:
-        raise ConfigError(f"theta must be positive, got {args.theta}")
-    if args.k < 0:
-        raise ConfigError(f"k must be nonnegative, got {args.k}")
-
+def _bound_lines(args: argparse.Namespace) -> list[str]:
+    """Every line `plgrad bounds` prints; an argument out of range raises ValueError."""
     env = SubWeibullParams(args.theta, args.k)
-    print(f"hp_bound = {_fmt(hp_bound(env, args.delta))}")
+    lines = [f"hp_bound = {_fmt(hp_bound(env, args.delta))}"]
     # the factor reads only the record's power, which no constant changes
     for name, solver in (("h", "ogd"), ("h_p", "opgm")):
         power = bounds_mod.error_cost(solver, 1.0, 1.0).power
-        print(f"{name} = {_fmt(bounds_mod.highprob_factor(power, args.theta, args.delta))}")
+        lines.append(f"{name} = {_fmt(bounds_mod.highprob_factor(power, args.theta, args.delta))}")
 
     zeta = None
     if args.mu is not None and args.l is not None:
-        if not 0 < args.mu <= args.l:
-            raise ConfigError("need 0 < mu <= l")
+        if not 0 < args.mu <= args.l < np.inf:
+            raise ConfigError("need 0 < mu <= l < inf")
         zeta = 1.0 - args.mu / args.l
-        print(f"zeta = {_fmt(zeta)}")
+        lines.append(f"zeta = {_fmt(zeta)}")
         if args.e_bar is not None:
             psi_bar = args.psi_bar if args.psi_bar is not None else 0.0
             # the gradient method's cap; --e-bar is sup E||e||^2
             ogd = bounds_mod.error_cost("ogd", args.l, args.diameter)
             value = bounds_mod.asymptote(args.mu, args.l, ogd, args.e_bar, psi_bar)
-            print(f"asymptote_ogd = {_fmt(value)}")
+            lines.append(f"asymptote_ogd = {_fmt(value)}")
 
     if args.horizon is not None:
         if zeta is None:
             raise ConfigError("a bound series needs --mu and --l")
         if args.r0 is None:
             raise ConfigError("a bound series needs --r0")
+        if args.horizon < 0:
+            raise ConfigError(f"horizon must be nonnegative, got {args.horizon}")
         ks = np.full(args.horizon, args.k)
         psi = np.zeros(args.horizon)
         solvers = ("ogd", "opgm") if args.diameter is not None else ("ogd",)
@@ -229,11 +225,22 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             cost = bounds_mod.error_cost(solver, args.l, args.diameter)
             bound = bounds_mod.highprob_bound(args.r0, zeta, cost, ks, psi, args.theta, args.delta)
             series.append((f"{solver}_highprob", bound))
-        print("t," + ",".join(name for name, _ in series))
+        lines.append("t," + ",".join(name for name, _ in series))
         for t in range(args.horizon + 1):
-            print(
-                f"{t}," + ",".join(_fmt(float(s[t])) for _, s in series)
-            )
+            lines.append(f"{t}," + ",".join(_fmt(float(s[t])) for _, s in series))
+    return lines
+
+
+def cmd_bounds(args: argparse.Namespace) -> int:
+    # every line is computed before the first is printed, so a bad argument
+    # leaves stdout empty
+    try:
+        lines = _bound_lines(args)
+    except OverflowError as exc:
+        raise ConfigError(f"a certificate overflows a float at these parameters: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    print("\n".join(lines))
     return 0
 
 

@@ -378,7 +378,7 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
         for start in range(0, n_samples, 100):
             u = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
             block = box.lo + u * (box.hi - box.lo)
-            gap = problem.total_value(t, block) - fstar
+            gap = problem.value(t, block) - fstar  # g = 0 inside the box
             keep = gap > 1e-9
             if np.any(keep):
                 ratios = prox_decrease(problem, t, block)[keep] / (2.0 * gap[keep])
@@ -405,8 +405,7 @@ def _check_prox(problem: OnlineProblem, seed: int, n_instances: int = 25) -> Che
             step = rng.uniform(0.1, 2.0)
             lo = rng.uniform(-2.0, 0.0, size=n)
             hi = lo + rng.uniform(0.5, 3.0, size=n)
-            l1 = Regularizer.l1(rng.uniform(0.0, 2.0))
-            for reg in (Regularizer.none(), l1, Regularizer.box(lo, hi)):
+            for reg in (Regularizer.none(), Regularizer.box(lo, hi)):
                 cases.append((reg, step, v, 0.0))
     reg = problem.regularizer
     l = problem.smoothness

@@ -52,13 +52,13 @@ class OnlineProblem:
     value / grad / fstar / xstar (None where no minimizer is computed);
     evaluate, the per-iterate oracle of run, defaults to value, grad and
     map_error.  A family fixes its regularizer g_t at construction: g = 0,
-    whose prox is the identity, or the indicator of its box, so fstar is
-    the optimum of the composite cost F_t.  value and grad accept x of
-    shape (n,) or (R, n); fstar and xstar take the time index only.  grad
-    writes into `out` when it is given (an array of the result's shape
-    that does not overlap the input) and returns it.  Instances are
-    immutable after construction by convention; all oracles are safe to
-    call concurrently.
+    whose prox is the identity, or the indicator of its box (the two kinds
+    Regularizer admits), so fstar is the optimum of the composite cost F_t.
+    value and grad accept x of shape (n,) or (R, n); fstar and xstar take
+    the time index only.  grad writes into `out` when it is given (an
+    array of the result's shape that does not overlap the input) and
+    returns it.  Instances are immutable after construction by convention;
+    all oracles are safe to call concurrently.
     """
 
     name: str
@@ -636,14 +636,13 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> floa
 def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.ndarray:
     """Exact surrogate decrease -2L min_y {<grad, y-x> + L/2 ||y-x||^2 + g(y) - g(x)}.
 
-    The minimizer is the prox-gradient point, so the quantity is exact for
-    every regularizer with a closed-form prox.  One value per row of x.
+    The minimizer is the prox-gradient point y.  x must lie in dom g: g is
+    0 or a box indicator, so g(x) = g(y) = 0 and the g terms drop out.  One
+    value per row of x.
     """
     l = problem.smoothness
     g = problem.grad(t, x)
-    reg = problem.regularizer
-    y = reg.prox(1.0 / l, x - g / l)
+    y = problem.regularizer.prox(1.0 / l, x - g / l)
     d = y - x
-    q = np.vecdot(g, d) + 0.5 * l * np.vecdot(d, d) + reg.value(y) - reg.value(x)
-    return -2.0 * l * q
+    return -2.0 * l * (np.vecdot(g, d) + 0.5 * l * np.vecdot(d, d))
 

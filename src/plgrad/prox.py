@@ -1,12 +1,11 @@
 """Proximal operators for the supported nonsmooth regularizers.
 
-Three kinds cover the composite costs in scope: no regularizer (prox is the
-identity), an l1 penalty (soft thresholding), and a box indicator (clamp).
-prox(step, v) = argmin_y { ||y - v||^2 / (2 step) + g(y) } in closed form
-for each.  value and prox accept one point of shape (n,) or a batch of
-points as the rows of an (R, n) matrix; prox writes into `out` when it is
-given (v itself, or an array of v's shape that does not overlap it) and
-returns it.
+Two kinds cover the composite costs in scope: no regularizer (prox is the
+identity) and a box indicator (clamp).  prox(step, v) = argmin_y
+{ ||y - v||^2 / (2 step) + g(y) } in closed form for each.  value and prox
+accept one point of shape (n,) or a batch of points as the rows of an
+(R, n) matrix; prox writes into `out` when it is given (v itself, or an
+array of v's shape that does not overlap it) and returns it.
 """
 
 from __future__ import annotations
@@ -15,33 +14,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KINDS = ("none", "l1", "box")
-
-
-def soft_threshold(v: np.ndarray, tau: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise sign(v) * max(|v| - tau, 0); exact threshold maps to 0."""
-    return np.multiply(np.sign(v), np.maximum(np.abs(v) - tau, 0.0), out=out)
+KINDS = ("none", "box")
 
 
 @dataclass(frozen=True, eq=False)
 class Regularizer:
     """Nonsmooth term g with evaluation and closed-form prox.
 
-    kind "none": g = 0.  kind "l1": g(x) = weight * sum |x_i|.  kind "box":
-    indicator of {lo <= x <= hi} (0 inside, +inf outside).
+    kind "none": g = 0.  kind "box": indicator of {lo <= x <= hi} (0
+    inside, +inf outside).
     """
 
     kind: str
-    weight: float = 0.0
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
-        # a non-finite parameter gives an infinite diameter or nan prox outputs
-        if self.kind == "l1" and not 0 <= self.weight < np.inf:
-            raise ValueError(f"l1 weight must be finite and nonnegative, got {self.weight}")
         if self.kind == "box":
             if self.lo is None or self.hi is None:
                 raise ValueError("box regularizer requires lo and hi bounds")
@@ -55,10 +45,6 @@ class Regularizer:
         return Regularizer("none")
 
     @staticmethod
-    def l1(weight: float) -> "Regularizer":
-        return Regularizer("l1", weight=weight)
-
-    @staticmethod
     def box(lo, hi) -> "Regularizer":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -68,8 +54,6 @@ class Regularizer:
         """g(x), one value per row of x (a scalar for a 1-D x)."""
         if self.kind == "none":
             return np.zeros(np.shape(x)[:-1])[()]
-        if self.kind == "l1":
-            return self.weight * np.sum(np.abs(x), axis=-1)
         inside = (x >= self.lo - 1e-12) & (x <= self.hi + 1e-12)
         return np.where(inside.all(axis=-1), 0.0, np.inf)[()]
 
@@ -79,8 +63,6 @@ class Regularizer:
         v = np.asarray(v, dtype=float)
         if self.kind == "none":
             return np.positive(v, out=out)  # identity: a copy, into out when given
-        if self.kind == "l1":
-            return soft_threshold(v, step * self.weight, out=out)
         # np.clip's bits, without its Python-level overhead
         y = np.maximum(v, self.lo, out=out)
         return np.minimum(y, self.hi, out=y)
@@ -103,7 +85,7 @@ def grid_argmin_prox(
     The reference for the closed form, so it never calls prox.  Every g in
     scope is separable, so a product mesh's argmin is found per coordinate:
     the n axes are searched at once as an (n, points) array.  The first
-    window is the box (axes clipped to it) or v +/- (|v| + step weight + 1).
+    window is the box (axes clipped to it) or v +/- (|v| + 1).
     Each coordinate's objective is convex, so its minimizer lies within one
     spacing of the grid argmin; the next window, 4 / (points - 1) as wide,
     keeps a two-cell margin.  The zoom ends at a spacing of GRID_SPACING.
@@ -118,7 +100,7 @@ def grid_argmin_prox(
         best, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     else:
         best = v
-        half = np.abs(v) + step * reg.weight + 1.0
+        half = np.abs(v) + 1.0
     if not (np.all(np.isfinite(best)) and np.all(np.isfinite(half))):
         raise ValueError("grid oracle needs a finite starting window")
     rows = np.arange(v.shape[0])
@@ -129,8 +111,6 @@ def grid_argmin_prox(
             np.maximum(axes, lo[:, None], out=axes)
             np.minimum(axes, hi[:, None], out=axes)
         obj = (axes - v[:, None]) ** 2 / (2.0 * step)
-        if reg.kind == "l1":
-            obj += reg.weight * np.abs(axes)
         best = axes[rows, np.argmin(obj, axis=1)]
         if 2.0 * np.max(half) / (points - 1) <= GRID_SPACING:
             return best

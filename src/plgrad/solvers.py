@@ -153,14 +153,9 @@ def run(
     The regularizer is none or a box: g = 0 on the feasible x0, and a box
     indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
     iterate (a nan iterate is caught by the finiteness check before it is
-    recorded) and F_t(x_t) = f_t(x_t).  An l1 regularizer is refused: fstar
-    is the optimum of the family's own cost, which an l1 term does not
-    enter, so F_t - fstar would not be the regret.  An abort names the
-    earliest t that failed; at one t a non-finite iterate comes before a
-    regret failure.
+    recorded) and F_t(x_t) = f_t(x_t).  An abort names the earliest t that
+    failed; at one t a non-finite iterate comes before a regret failure.
     """
-    if problem.regularizer.kind == "l1":
-        raise ValueError("run measures the regret against f*_t, which an l1 term does not enter")
     trials = tuple(int(k) for k in trials)
     if not trials:
         raise ValueError("need at least one trial")

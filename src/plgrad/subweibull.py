@@ -25,19 +25,19 @@ import numpy as np
 class SubWeibullParams:
     """Moment-scale description (theta, K) of a sub-Weibull variable.
 
-    theta: tail exponent, dimensionless, > 0.
-    k: moment scale in the units of the underlying quantity, >= 0.
-       k = 0 is the degenerate almost-surely-zero variable.
+    theta: tail exponent, dimensionless, finite and > 0.
+    k: moment scale in the units of the underlying quantity, finite and
+       >= 0.  k = 0 is the degenerate almost-surely-zero variable.
     """
 
     theta: float
     k: float
 
     def __post_init__(self) -> None:
-        if not self.theta > 0:
-            raise ValueError(f"tail exponent must be positive, got {self.theta}")
-        if self.k < 0:
-            raise ValueError(f"moment scale must be nonnegative, got {self.k}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"tail exponent must be finite and positive, got {self.theta}")
+        if not 0 <= self.k < math.inf:
+            raise ValueError(f"moment scale must be finite and nonnegative, got {self.k}")
 
 
 def scale(x: SubWeibullParams, a: float) -> SubWeibullParams:

@@ -244,6 +244,31 @@ class TestBoundsCommand:
     def test_invalid_delta(self, capsys):
         assert main(["bounds", "--theta", "1", "--k", "1", "--delta", "1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "--k nan",
+            "--k inf",
+            "--theta inf",
+            "--mu 1 --l inf --r0 1 --horizon 3",
+            "--mu nan --l 2",
+            "--mu 1 --l 2 --r0 -1 --horizon 3",
+            "--mu 1 --l 2 --e-bar -1",
+            "--mu 1 --l 2 --r0 1 --horizon -3",
+            "--mu 1 --l 2 --r0 1 --horizon 3 --diameter -2",
+            "--theta 1000",
+            "--mu 1 --l 2 --r0 nan --horizon 3",
+            "--mu 1 --l 2 --e-bar inf",
+            "--mu 1 --l 2 --r0 1 --horizon 3 --diameter inf",
+        ],
+    )
+    def test_bad_argument_prints_nothing(self, extra, capsys):
+        # a later flag overrides the valid base value
+        argv = ["bounds", "--theta", "0.5", "--k", "1", "--delta", "0.05", *extra.split()]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_asymptote_output(self, capsys):
         code = main(
             ["bounds", "--theta", "0.5", "--k", "1", "--delta", "0.1",

@@ -532,7 +532,7 @@ class TestVariability:
         assert f == ls_problem.value(0, x) and f_prev is None and error_norm is None
 
     @pytest.mark.parametrize(
-        "fixture", ["ls_problem", "l1_ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
+        "fixture", ["ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
     )
     def test_evaluate_matches_value_and_grad(self, fixture, request):
         # the shared evaluation gives the separate oracles' bits, and with
@@ -563,25 +563,17 @@ class TestVariability:
             problem.evaluate(problem.horizon + 1, xs)
 
 
-@pytest.fixture(scope="module")
-def l1_ls_problem():
-    p = TimeVaryingLeastSquares(4, 7, 0.2, 1.0, 0.1, 0.01, seed=8, horizon=6)
-    p.regularizer = Regularizer.l1(0.3)
-    return p
-
-
 class TestRowInvariance:
     """Batched oracles give each row exactly the bits of the 1-D call on it."""
 
-    FIXTURES = ["ls_problem", "l1_ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
+    FIXTURES = ["ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
     EACH_REGULARIZER = pytest.mark.parametrize(
         "reg",
         [
             Regularizer.none(),
-            Regularizer.l1(0.4),
             Regularizer.box(np.full(6, -0.5), np.full(6, 0.8)),
         ],
-        ids=["none", "l1", "box"],
+        ids=["none", "box"],
     )
 
     @staticmethod

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from plgrad import prox as prox_module
 from plgrad.config import build_problem, make_config
 from plgrad.prox import Regularizer, grid_argmin_prox, prox_objective
 
@@ -18,18 +17,6 @@ class TestClosedForms:
         v = np.array([1.0, -2.0, 0.3])
         assert np.array_equal(Regularizer.none().prox(0.7, v), v)
 
-    @pytest.mark.parametrize(
-        "v,expected",
-        [(1.5, 1.0), (0.3, 0.0), (-2.0, -1.5), (0.5, 0.0), (-0.5, 0.0)],
-    )
-    def test_soft_threshold_values(self, v, expected):
-        # threshold step * weight = 0.5; exact-threshold inputs map to 0
-        reg = Regularizer.l1(0.5)
-        out = reg.prox(1.0, np.array([v]))
-        assert out[0] == pytest.approx(expected, abs=1e-15)
-        oracle = grid_argmin_prox(reg, 1.0, np.array([v]))
-        assert out[0] == pytest.approx(oracle[0], abs=1e-6)
-
     @pytest.mark.parametrize("v,expected", [(73.0, 50.0), (-12.0, -12.0), (-61.0, -50.0)])
     def test_box_clamp_values(self, v, expected):
         reg = Regularizer.box([-50.0], [50.0])
@@ -38,7 +25,7 @@ class TestClosedForms:
         oracle = grid_argmin_prox(reg, 1.0, np.array([v, 0.0]))  # one bound for both
         assert out[0] == pytest.approx(oracle[0], abs=1e-6) and abs(oracle[1]) <= 1e-6
 
-    @pytest.mark.parametrize("kind", ["none", "l1", "box"])
+    @pytest.mark.parametrize("kind", ["none", "box"])
     @pytest.mark.parametrize("n", [1, 2])
     def test_grid_oracle_equivalence(self, kind, n):
         rng = np.random.default_rng(hash((kind, n)) % 2**32)
@@ -47,8 +34,6 @@ class TestClosedForms:
             step = rng.uniform(0.05, 2.0)
             if kind == "none":
                 reg = Regularizer.none()
-            elif kind == "l1":
-                reg = Regularizer.l1(rng.uniform(0.0, 2.0))
             else:
                 lo = rng.uniform(-2.0, 0.0, size=n)
                 reg = Regularizer.box(lo, lo + rng.uniform(0.2, 3.0, size=n))
@@ -70,15 +55,14 @@ class TestClosedForms:
 
     @pytest.mark.parametrize(
         "reg",
-        [Regularizer.none(), Regularizer.l1(0.8), Regularizer.box([-1.0, 0.0], [1.0, 0.5])],
-        ids=["none", "l1", "box"],
+        [Regularizer.none(), Regularizer.box([-1.0, 0.0], [1.0, 0.5])],
+        ids=["none", "box"],
     )
     def test_oracle_never_calls_the_closed_form(self, reg, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the grid oracle called the closed-form path")
 
         monkeypatch.setattr(Regularizer, "prox", refuse)
-        monkeypatch.setattr(prox_module, "soft_threshold", refuse)
         grid_argmin_prox(reg, 0.7, np.array([1.3, -0.4]))
 
 class TestProperties:
@@ -86,10 +70,9 @@ class TestProperties:
         "reg",
         [
             Regularizer.none(),
-            Regularizer.l1(0.8),
             Regularizer.box(np.array([-1.0, -2.0, 0.0]), np.array([1.0, 0.5, 3.0])),
         ],
-        ids=["none", "l1", "box"],
+        ids=["none", "box"],
     )
     def test_nonexpansive(self, reg):
         rng = np.random.default_rng(99)
@@ -110,7 +93,8 @@ class TestProperties:
             assert np.all(out >= lo) and np.all(out <= hi)
 
     def test_objective_gap_zero_at_prox(self):
-        reg = Regularizer.l1(1.2)
+        # v has one coordinate inside the box and one beyond each bound
+        reg = Regularizer.box([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
         v = np.array([0.4, -3.0, 1.7])
         y = reg.prox(0.5, v)
         assert objective_gap(reg, 0.5, v, y) == pytest.approx(0.0, abs=1e-14)
@@ -119,10 +103,9 @@ class TestProperties:
         "reg",
         [
             Regularizer.none(),
-            Regularizer.l1(0.8),
             Regularizer.box(np.array([-1.0, -1.0]), np.array([1.0, 1.0])),
         ],
-        ids=["none", "l1", "box"],
+        ids=["none", "box"],
     )
     def test_objective_gap_nonnegative_on_sweep(self, reg):
         rng = np.random.default_rng(17)
@@ -139,10 +122,6 @@ class TestProperties:
         expected = float(d @ d) / (2.0 * step)
         assert objective_gap(reg, step, v, v + d) == pytest.approx(expected, rel=1e-12)
 
-    def test_l1_value(self):
-        reg = Regularizer.l1(2.0)
-        assert reg.value(np.array([1.0, -3.0])) == pytest.approx(8.0)
-
     def test_box_value_indicator(self):
         reg = Regularizer.box([-1.0], [1.0])
         assert reg.value(np.array([0.5])) == 0.0
@@ -154,21 +133,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Regularizer.box([1.0], [0.0])
 
-    def test_negative_l1_weight(self):
-        with pytest.raises(ValueError):
-            Regularizer.l1(-0.5)
-
     @pytest.mark.parametrize(
         "lo, hi", [([np.nan], [1.0]), ([-np.inf], [1.0]), ([0.0], [np.inf]), ([0.0], [np.nan])]
     )
     def test_non_finite_box_bounds(self, lo, hi):
         with pytest.raises(ValueError, match="finite"):
             Regularizer.box(lo, hi)
-
-    @pytest.mark.parametrize("weight", [np.nan, np.inf])
-    def test_non_finite_l1_weight(self, weight):
-        with pytest.raises(ValueError, match="finite"):
-            Regularizer.l1(weight)
 
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):

@@ -112,6 +112,11 @@ class TestClosureRules:
         with pytest.raises(ValueError):
             SubWeibullParams(1.0, -0.1)
 
+    @pytest.mark.parametrize("theta, k", [(np.inf, 1.0), (np.nan, 1.0), (1.0, np.inf), (1.0, np.nan)])
+    def test_non_finite_params(self, theta, k):
+        with pytest.raises(ValueError, match="finite"):
+            SubWeibullParams(theta, k)
+
 
 class TestTailAndQuantile:
     def test_hp_bound_values(self):
