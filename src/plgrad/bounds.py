@@ -70,8 +70,9 @@ def error_cost(solver: str, smoothness: float, diameter: float) -> ErrorCost:
 
 
 def _check_zeta(zeta: float) -> None:
-    if not 0.0 < zeta < 1.0:
-        raise ValueError(f"contraction factor must lie in (0, 1), got {zeta}")
+    # zeta = 0 is mu = L, where B_{t+1} = c_{t+1}
+    if not 0.0 <= zeta < 1.0:
+        raise ValueError(f"contraction factor must lie in [0, 1), got {zeta}")
 
 
 def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray:

@@ -97,8 +97,7 @@ class RegretTrajectory:
     ||e_{t-1}|| is the norm problem.evaluate gives with the measured
     gradient: ||a|| |eta| in closed form on a one-row A with measurement
     noise, the norm of the mapped error everywhere else.
-    Regret values in (-tol, 0) are clipped to 0, where tol is the
-    problem's fstar_tol.
+    Regret values in (-problem.fstar_tol, 0) are clipped to 0.
     domain_excursions, max_step_norm and min_raw_regret hold one entry per
     trial; theory_exceptions lists what no certificate covers.
     """
@@ -145,16 +144,17 @@ def run(
     Each iterate x_t gets one problem.evaluate call on the (trials, n)
     matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
     except at the last iterate, the measured gradient grad f_t(x_t) + e_t
-    of the next step, fed step t's raw noise, with ||e_t||.  The quadratic
-    core forms A x_t once for all of them; a one-row A adds the noise to
-    its scalar residual and gives ||e_t|| in closed form, so e_t is never
-    formed.  The optimal values f*_0..f*_T depend on t only and are read
-    once, before the loop.
+    of the next step, fed step t's raw noise, with ||e_t||.  The optimal
+    values f*_0..f*_T depend on t only and are read once, before the loop.
     The regularizer is none or a box: g = 0 on the feasible x0, and a box
     indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
     iterate (a nan iterate is caught by the finiteness check before it is
-    recorded) and F_t(x_t) = f_t(x_t).  An abort names the earliest t that
-    failed; at one t a non-finite iterate comes before a regret failure.
+    recorded) and F_t(x_t) = f_t(x_t).  A box whose corner c = max(|lo|,
+    |hi|) lies strictly inside the domain ball keeps every iterate there:
+    x0 passed the ball check, and a later iterate is a clamp, |x_i| <= c_i,
+    whose norm, summed in c's order, cannot exceed ||c||; the per-step ball
+    count is skipped there.  An abort names the earliest t that failed; at
+    one t a non-finite iterate comes before a regret failure.
     """
     trials = tuple(int(k) for k in trials)
     if not trials:
@@ -162,9 +162,7 @@ def run(
     if horizon is None:
         horizon = problem.horizon
     if not 0 <= horizon <= problem.horizon:
-        raise ValueError(
-            f"horizon {horizon} outside the problem's built range [0, {problem.horizon}]"
-        )
+        raise ValueError(f"horizon {horizon} outside the problem's range [0, {problem.horizon}]")
 
     x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.n,):
@@ -173,8 +171,11 @@ def run(
         raise ValueError("x0 must be finite")
     if np.linalg.norm(x) >= problem.domain_radius:
         raise ValueError("x0 lies outside the domain ball")
-    if not np.isfinite(problem.regularizer.value(x)):
+    reg = problem.regularizer
+    if not np.isfinite(reg.value(x)):
         raise ValueError("x0 is infeasible for the problem's regularizer")
+    count_ball = reg.kind != "box" or problem.domain_radius <= _row_norm(
+        np.maximum(np.abs(reg.lo), np.abs(reg.hi)) + np.zeros(problem.n))
 
     step = (1.0 / problem.smoothness) if step_override is None else float(step_override)
     if not 0 < step < np.inf:
@@ -184,9 +185,7 @@ def run(
     fstar = np.array([problem.fstar(t) for t in range(horizon + 1)])
     # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial
     raw = np.stack(
-        [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials],
-        axis=1,
-    )
+        [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials], axis=1)
 
     # The loop writes F_t(x_t), f_t(x_t) - f_{t-1}(x_t) and ||e_{t-1}||
     # into column t; the regret checks, minimum and clip, sigma and the
@@ -199,12 +198,10 @@ def run(
     max_step_norm = np.zeros(len(trials))
 
     x = np.tile(x, (len(trials), 1))
-    # Batch-sized work arrays, allocated once: the step difference, and
-    # the measured gradient at x, which the step overwrites with the next
-    # iterate; the old iterate's array then takes the next gradient.  Fresh
-    # temporaries of this size can sit above the allocator's mmap threshold,
-    # and then every step maps and unmaps them, page faults included.
-    diff = np.empty_like(x)
+    # v, allocated once, takes the measured gradient and then the next
+    # iterate; the old iterate's memory takes the step difference and then
+    # the next gradient.  Batch-sized temporaries can sit above the
+    # allocator's mmap threshold, where every step would map and unmap them.
     v = np.empty_like(x)
     for t in range(horizon + 1):
         # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
@@ -219,7 +216,8 @@ def run(
         # steps after it would compute inf - inf: end the run here
         if not np.isfinite(f).all():
             _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
-        np.add(excursions, _row_norm(x) >= problem.domain_radius, out=excursions)
+        if count_ball:
+            np.add(excursions, _row_norm(x) >= problem.domain_radius, out=excursions)
         if t:
             np.subtract(f, f_prev, out=phi_tilde[:, t])
         if t == horizon:
@@ -227,8 +225,9 @@ def run(
 
         x_next = _descend(problem, x, v, step)
         # x is finite, so a row of x_next with a nan or inf entry has a
-        # non-finite step norm; the full scan runs only when one does
-        step_norm = _row_norm(np.subtract(x_next, x, out=diff))
+        # non-finite step norm ||x_t - x_{t+1}|| (negation is exact, so it
+        # has the bits of ||x_{t+1} - x_t||); the full scan runs only then
+        step_norm = _row_norm(np.subtract(x, x_next, out=x))
         if not np.isfinite(step_norm).all():
             bad = ~np.isfinite(x_next).all(axis=1)
             if bad.any():

@@ -60,8 +60,9 @@ class TestGeometricBackbone:
     def test_zeta_validation(self):
         with pytest.raises(ValueError):
             geometric_recursion(1.0, 1.0, np.zeros(3))
-        with pytest.raises(ValueError):
-            geometric_recursion(1.0, 0.0, np.zeros(3))
+        # zeta = 0 (mu = L) forgets the past: B_{t+1} = c_{t+1}
+        costs = np.array([0.5, 2.0, 0.25])
+        np.testing.assert_array_equal(geometric_recursion(1.0, 0.0, costs), [1.0, 0.5, 2.0, 0.25])
         with pytest.raises(ValueError):
             geometric_recursion(-1.0, 0.5, np.zeros(3))
 
@@ -233,7 +234,7 @@ class TestInputValidation:
             lambda: expectation_bound(1.0, 0.9, ogd(0.0), ks, ks),
             lambda: highprob_bound(1.0, 0.9, ogd(-1.0), ks, ks, 0.5, 0.1),
             lambda: highprob_bound(1.0, 0.9, opgm(0.0), ks, ks, 0.5, 0.1),
-            # zeta outside (0, 1), negative r0
+            # zeta outside [0, 1), negative r0
             lambda: expectation_bound(1.0, 1.0, opgm(2.0), ks, ks),
             lambda: highprob_bound(-1.0, 0.9, ogd(1.0), ks, ks, 0.5, 0.1),
             # delta outside (0, 1)

@@ -208,6 +208,22 @@ class TestValidateCommand:
         assert code == 0, out
         assert "envelope_moments" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "preset, problem", [("fig3-demand-response", "n_der = 1"), ("static-ls", "mu = 1\nl = 1")]
+    )
+    def test_mu_equal_to_l_runs_and_validates(self, tmp_path, capsys, preset, problem):
+        # zeta = 0: one device has L = mu = ||a||^2, and mu = L is a valid least-squares pair
+        cfg = tmp_path / "zeta0.cfg"
+        cfg.write_text(
+            f"[experiment]\npreset = {preset}\ntrials = 4\nhorizon = 60\n[problem]\n{problem}\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert "zeta = 0\n" in (tmp_path / "out" / "summary.txt").read_text()
+        code = main(["validate", "--config", str(cfg)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "FAIL" not in out
+
     def test_empty_check_selection(self, capsys):
         assert main(["validate", "--preset", "static-ls", "--checks", " , "]) == 2
         assert "no checks selected" in capsys.readouterr().err
@@ -240,6 +256,16 @@ class TestBoundsCommand:
         lines = out.strip().splitlines()
         assert "t,ogd_highprob,opgm_highprob" in lines
         assert len([l for l in lines if l[0].isdigit()]) == 6
+
+    def test_zeta_zero_series(self, capsys):
+        # mu = L: B_{t+1} = c_{t+1}, the same constant cost at every t >= 1
+        argv = "bounds --theta 0.5 --k 1 --delta 0.05 --mu 1 --l 1 --r0 1 --horizon 2"
+        assert main(argv.split()) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert "zeta = 0" in lines
+        rows = lines[lines.index("t,ogd_highprob") + 1 :]
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+        assert rows[1].split(",")[1] == rows[2].split(",")[1]
 
     def test_invalid_delta(self, capsys):
         assert main(["bounds", "--theta", "1", "--k", "1", "--delta", "1.5"]) == 2

@@ -1,6 +1,7 @@
 """Every name a plgrad module imports is used in that module, no module
-imports scipy, which only the tests need, and every top-level function and
-class has a consumer outside the tests of its own behaviour.
+imports scipy, which only the tests need, every top-level function and
+class has a consumer outside the tests of its own behaviour, and no random
+generator is seeded through the per-process salted builtin hash.
 
 `__init__` imports to re-export, so there a name may instead be listed in
 `plgrad.__all__`.
@@ -104,3 +105,36 @@ def test_every_top_level_definition_has_a_consumer():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert not unused, f"no consumer references {unused}"
+
+
+# constructors and seeding calls of numpy's and the stdlib's generators
+SEEDERS = {"default_rng", "seed", "RandomState", "SeedSequence", "PCG64", "Random"}
+
+
+def hashed_seeds(tree):
+    """Line numbers of hash(...) calls inside the arguments of a SEEDERS call."""
+    seeders = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in SEEDERS
+    ]
+    return [
+        sub.lineno
+        for call in seeders
+        for arg in [*call.args, *(k.value for k in call.keywords)]
+        for sub in ast.walk(arg)
+        if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "hash"
+    ]
+
+
+def test_no_generator_is_seeded_with_hash():
+    # str hashing is salted per process (PYTHONHASHSEED), so such a seed
+    # draws different numbers on every run and a failure cannot be replayed
+    paths = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in paths
+        for line in hashed_seeds(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"generator seeded with hash(...) at {found}"

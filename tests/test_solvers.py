@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from plgrad import problems as problems_mod
+from plgrad import solvers as solvers_mod
 from plgrad.config import build_noise, build_problem, initial_point, make_config
 from plgrad.harness import run_experiment
 from plgrad.noise import NoiseModel, sample
@@ -329,9 +330,10 @@ class TestRun:
 class TestMemory:
     def test_peak_on_500_devices_stays_within_budget(self):
         # The full-size demand-response run needs its (trials, T+1) outputs,
-        # the noise block and three batch-sized work arrays; the error a_x eta
+        # the noise block and two batch-sized work arrays; the error a_x eta
         # is never formed, since the gradient is read from the noisy scalar
-        # residual and ||e|| = ||a_x|| |eta|.  The slack holds
+        # residual and ||e|| = ||a_x|| |eta|, and the step difference is
+        # written into the retiring iterate's memory.  The slack holds
         # the 64 KiB iteration buffer of the box clamp's broadcast against
         # its (n,) bounds and 32 KiB of small objects, so one extra
         # (trials, T+1) or (trials, n) float array takes the peak over.
@@ -342,7 +344,7 @@ class TestMemory:
         budget = (
             3 * trials * (horizon + 1) * 8  # regret, error_norm, phi_tilde
             + horizon * trials * problem.error_dim * 8  # the noise block
-            + 3 * trials * n * 8  # the iterate, measured gradient / next iterate, step
+            + 2 * trials * n * 8  # iterate / step / next gradient, gradient / next iterate
             + 96 * 1024
         )
         tracemalloc.start()
@@ -666,3 +668,49 @@ class TestOneValuePerStep:
         monkeypatch.setattr(QuadraticTracking, "_adjoint", counted_adjoint)
         run(problem, model, seed=8, trials=range(5))
         assert shapes == [(5, 1)] * problem.horizon
+
+
+class TestBallCount:
+    """run counts domain-ball excursions per step unless the problem's box
+    lies strictly inside the ball, where no iterate can leave it."""
+
+    @staticmethod
+    def boxed(radius, lo, hi, horizon=12):
+        # one-row A = (1, 1) with the unreachable target 10: the step leaves
+        # the box toward its corner (hi, hi), where the clamp puts it
+        return QuadraticTracking(
+            "boxed", np.ones((1, 2)), np.full((horizon + 1, 1), 10.0), horizon,
+            smoothness=2.0, pl_constant=1.0, domain_radius=radius, box=(lo, hi),
+        )
+
+    # bounds of shape (n,) and (1,): the corner is taken over all n coordinates
+    @pytest.mark.parametrize("lo, hi", [([-1.0, -1.0], [1.0, 1.0]), ([-1.0], [1.0])])
+    def test_box_reaching_outside_the_ball_is_counted(self, lo, hi):
+        # the corner (1, 1) has norm sqrt(2) > 1.2, and every iterate after x0 sits on it
+        problem = self.boxed(1.2, np.array(lo), np.array(hi))
+        traj = run(problem, ZERO, seed=0, trials=range(3))
+        assert np.array_equal(traj.x_final, np.ones((3, 2)))
+        assert np.array_equal(traj.domain_excursions, [12, 12, 12])
+        assert traj.theory_exceptions == ["iterates left the domain ball in 36 trial-steps"]
+        ref = reference_run(problem, ZERO, seed=0, trials=range(3))
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(traj, name), expected), name
+
+    def test_box_inside_the_ball_skips_the_count(self, monkeypatch):
+        problem = self.boxed(1.5, np.array([-1.0, -0.5]), np.array([1.0, 1.0]))
+        model = NoiseModel("gaussian_iid", scale=3.0)
+        shapes = []
+        row_norm = solvers_mod._row_norm
+
+        def counted_row_norm(x):
+            shapes.append(x.shape)
+            return row_norm(x)
+
+        monkeypatch.setattr(solvers_mod, "_row_norm", counted_row_norm)
+        traj = run(problem, model, seed=4, trials=range(5))
+        # the corner once, then only the step norms: no per-iterate ball scan
+        assert shapes == [(2,)] + [(5, 2)] * problem.horizon
+        assert not traj.domain_excursions.any() and not traj.outside_theory
+        ref = reference_run(problem, model, seed=4, trials=range(5))
+        for name, expected in ref.items():
+            assert np.array_equal(getattr(traj, name), expected), name
