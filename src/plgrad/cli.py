@@ -180,6 +180,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         if not checks:
             raise ConfigError("no checks selected")
+        unknown = sorted(set(checks) - set(BATTERY_CHECKS))
+        if unknown:
+            raise ConfigError(
+                f"unknown checks: {', '.join(unknown)}; available: {', '.join(BATTERY_CHECKS)}"
+            )
     summary = run_validation_battery(config, checks)
     print(verdict_table(summary))
     if not summary.passed:

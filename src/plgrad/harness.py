@@ -14,13 +14,14 @@ how many other trials run with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from . import noise as noise_mod
-from .config import ExperimentConfig, build_noise, build_problem, initial_point
+from .config import ConfigError, ExperimentConfig, build_noise, build_problem, initial_point
 from .problems import OnlineProblem, _sample_ball, sampled_times, verify_pl
 from .prox import Regularizer, grid_argmin_prox, prox_objective
 from .solvers import RegretTrajectory, run
@@ -104,9 +105,19 @@ def _analytic_inputs(
     """Closed-form per-step (E||e_t||^power, envelope_ks).
 
     The base-scale E||e||^power times c_t^power, and the base K times c_t.
+    A noise model whose E||e||^2, E||e|| or K is not a finite float (a tiny
+    weibull_shape overflows Gamma) is a ConfigError.
     """
+    refused = "noise model has no finite closed form"
+    try:
+        moments = {p: problem.error_moment(model, p) for p in (2, 1)}
+        k = problem.error_envelope(model).k
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(f"{refused} (E||e||^2, E||e|| or K): {exc}") from exc
+    if not (math.isfinite(moments[2]) and math.isfinite(moments[1])):
+        raise ConfigError(f"{refused}: E||e||^2 = {moments[2]}, E||e|| = {moments[1]}")
     c = noise_mod.time_scales(model, horizon)
-    return c**power * problem.error_moment(model, power), c * problem.error_envelope(model).k
+    return c**power * moments[power], c * k
 
 
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
@@ -116,6 +127,12 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     model = build_noise(config)
     x0 = initial_point(config, problem)
     horizon = config.horizon
+    # the solver name picks only the error cost; its power picks the moment
+    # E||e||^2 or E||e|| that every input mode takes
+    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
+    # both input modes' series are always formed: a model without finite
+    # closed forms is refused here, before any trial runs
+    analytic = _analytic_inputs(problem, model, horizon, cost.power)
 
     traj = run(
         problem,
@@ -134,9 +151,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     r0 = float(mean_regret[0])
     zeta = 1.0 - problem.pl_constant / problem.smoothness
 
-    # the solver name picks only the error cost; its power picks the moment
-    # E||e||^2 or E||e|| that every input mode takes
-    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
     # measured per-step inputs (trajectory-variability variant)
     mean_err_moment = (err[:, 1:] ** cost.power).mean(axis=0)
     theta = model.theta
@@ -147,7 +161,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # per-step (moments, envelope_ks) of each input mode
     inputs = {
         "empirical": (mean_err_moment, fitted_ks),
-        "analytic": _analytic_inputs(problem, model, horizon, cost.power),
+        "analytic": analytic,
     }
     # variability has no a-priori form: both modes use its mean; configured mode first
     bound_sets = {
@@ -337,20 +351,27 @@ def _check_gradient(problem: OnlineProblem, seed: int, n_points: int = 100) -> C
     worst = 0.0
     h = 1e-6
     n = problem.n
-    fd = np.empty((n_points, n))
+    # all points step along one axis at a time: for axis i, row k of slab 0
+    # holds the floats of xs[k] + dx[k, i] e_i and row k of slab 1 those of
+    # xs[k] - dx[k, i] e_i, so one value call reads both (the oracles work
+    # row by row); column i of both slabs is restored to xs before the next
+    pair = np.empty((2, n_points, n))
+    xs = pair[0]
+    fd = np.empty((n_points, n))  # column i holds dx[:, i] until its quotient
     for t in sampled_times(problem.horizon):
-        xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
-        dx = h * np.maximum(1.0, np.abs(xs))
-        # all points step along one axis at a time: row k of `points` holds
-        # the floats of xs[k] +- dx[k, i] e_i, and the oracles work row by row
-        points = xs.copy()
+        xs[...] = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
+        pair[1] = xs
+        np.maximum(np.abs(xs, out=fd), 1.0, out=fd)
+        fd *= h
         for i in range(n):
-            points[:, i] = xs[:, i] + dx[:, i]
-            f_plus = problem.value(t, points)
-            points[:, i] = xs[:, i] - dx[:, i]
-            fd[:, i] = (f_plus - problem.value(t, points)) / (2.0 * dx[:, i])
-            points[:, i] = xs[:, i]
-        for fd_row, g in zip(fd, problem.grad(t, xs)):
+            x_i = xs[:, i].copy()
+            dx = fd[:, i]
+            np.add(x_i, dx, out=xs[:, i])
+            np.subtract(x_i, dx, out=pair[1, :, i])
+            f = problem.value(t, pair)
+            np.divide(f[0] - f[1], 2.0 * dx, out=dx)
+            pair[:, :, i] = x_i
+        for fd_row, g in zip(fd, problem.grad(t, xs, out=pair[1])):
             denom = max(np.linalg.norm(g), 1e-12)
             worst = max(worst, float(np.linalg.norm(fd_row - g) / denom))
     return CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
@@ -376,8 +397,9 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
         # by row and the min is exact, so the blocks change no bit.  uniform
         # fills in C order, so the blocks hold the floats of one whole draw
         for start in range(0, n_samples, 100):
-            u = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
-            block = box.lo + u * (box.hi - box.lo)
+            block = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
+            block *= box.hi - box.lo  # lo + u (hi - lo), formed in place
+            block += box.lo
             gap = problem.value(t, block) - fstar  # g = 0 inside the box
             keep = gap > 1e-9
             if np.any(keep):

@@ -642,7 +642,10 @@ def prox_decrease(problem: OnlineProblem, t: int, x: np.ndarray) -> float | np.n
     """
     l = problem.smoothness
     g = problem.grad(t, x)
-    y = problem.regularizer.prox(1.0 / l, x - g / l)
-    d = y - x
+    # one buffer takes g / L, then v = x - g / L, then y = prox(v), then y - x
+    d = np.divide(g, l)
+    np.subtract(x, d, out=d)
+    problem.regularizer.prox(1.0 / l, d, out=d)
+    np.subtract(d, x, out=d)
     return -2.0 * l * (np.vecdot(g, d) + 0.5 * l * np.vecdot(d, d))
 

@@ -105,12 +105,17 @@ def grid_argmin_prox(
         raise ValueError("grid oracle needs a finite starting window")
     rows = np.arange(v.shape[0])
     unit = np.linspace(-1.0, 1.0, points)
+    # every zoom rewrites the grid and its objective in these two buffers,
+    # in the operation order of best + half unit and (axes - v)^2 / (2 step)
+    axes = np.empty((v.shape[0], points))
+    obj = np.empty_like(axes)
     while True:
-        axes = best[:, None] + half[:, None] * unit
+        np.add(best[:, None], np.multiply(half[:, None], unit, out=axes), out=axes)
         if reg.kind == "box":
             np.maximum(axes, lo[:, None], out=axes)
             np.minimum(axes, hi[:, None], out=axes)
-        obj = (axes - v[:, None]) ** 2 / (2.0 * step)
+        np.square(np.subtract(axes, v[:, None], out=obj), out=obj)
+        obj /= 2.0 * step
         best = axes[rows, np.argmin(obj, axis=1)]
         if 2.0 * np.max(half) / (points - 1) <= GRID_SPACING:
             return best

@@ -186,18 +186,45 @@ def test_pl_check_matches_the_unblocked_loop(name):
     assert_same_oracle_outputs(ref_spy, new_spy)
 
 
-def test_pl_check_peak_stays_below_one_sample_matrix():
-    # the box points are drawn one 100-row block at a time, so the check
-    # never holds all n_samples points of the n = 500 problem at once
-    problem, seed = _configured("dr500")
-    n_samples = 1000
+def traced_peak(check, name, *args):
+    """tracemalloc's peak over one passing run of a check on a built problem."""
+    problem, seed = _configured(name)
     tracemalloc.start()
     try:
-        assert _check_pl(problem, seed, n_samples).passed
+        assert check(problem, seed, *args).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < n_samples * problem.n * 8, peak
+    return peak, problem.n
+
+
+def test_pl_check_peak_stays_below_one_sample_matrix():
+    # the box points are drawn one 100-row block at a time, so the check
+    # never holds all n_samples points of the n = 500 problem at once.  Per
+    # block it holds the points (scaled in place), the gradient and the one
+    # buffer of prox_decrease; a fourth (100, n) array exceeds the slack
+    n_samples = 1000
+    peak, n = traced_peak(_check_pl, "dr500", n_samples)
+    assert peak <= 3 * 100 * n * 8 + 128 * 1024 < n_samples * n * 8, peak
+
+
+def test_gradient_check_peak_holds_the_pair_and_one_draw():
+    # the (2, P, n) pair of stepped points, the (P, n) steps that become the
+    # quotients, and one _sample_ball draw (its direction matrix and the
+    # scaled copy copied into the pair); the slack covers ufunc buffers and
+    # P- or n-wide vectors, below the P n 8 bytes of one more (P, n) array
+    n_points = 100
+    peak, n = traced_peak(_check_gradient, "dr500", n_points)
+    assert peak <= 5 * n_points * n * 8 + 128 * 1024, peak
+
+
+def test_prox_check_peak_holds_two_grid_buffers():
+    # grid_argmin_prox keeps the (n, 201) grid and its objective, and a
+    # broadcast ufunc over them takes up to 128 KiB of buffers; the rest of
+    # the slack covers the cases and their n-wide vectors, below the
+    # n 201 8 bytes of one more (n, 201) array
+    peak, n = traced_peak(_check_prox, "dr500")
+    assert peak <= 2 * n * 201 * 8 + 256 * 1024, peak
 
 
 class TestProxPLVerification:

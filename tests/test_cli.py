@@ -228,6 +228,17 @@ class TestValidateCommand:
         assert main(["validate", "--preset", "static-ls", "--checks", " , "]) == 2
         assert "no checks selected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("checks", ["bogus", "pl,bogus", "gradient,Prox"])
+    def test_unknown_check_is_a_config_error(self, checks, capsys):
+        # exit 1 means a failing certificate; a bad name is a usage error
+        assert main(["validate", "--preset", "static-ls", "--checks", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown checks" in captured.err
+        assert "available: gradient, pl, prox, recursion, dominance, coverage, moments" in (
+            captured.err
+        )
+
 
 class TestBoundsCommand:
     def test_scalar_certificates(self, capsys):
@@ -422,6 +433,33 @@ class TestConfigFiles:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_noise_without_finite_closed_forms_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Weibull shape 0.01 makes E||e||^2 = scale^2 Gamma(201) overflow a float
+        from plgrad import harness
+
+        calls = []
+        real_run = harness.run
+
+        def counted_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", counted_run)
+        cfg = tmp_path / "weibull.cfg"
+        noise = "[noise]\nfamily = weibull_tail\nscale = 0.01\nweibull_shape = {}\n"
+        head = "[experiment]\npreset = static-ls\ntrials = 4\nhorizon = 20\n"
+        cfg.write_text(head + noise.format(0.01))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "no finite closed form" in captured.err and captured.out == ""
+        assert not out.exists() and calls == []
+        cfg.write_text(head + noise.format(0.05))
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "summary.txt").exists() and len(calls) == 1
 
     @pytest.mark.parametrize("line", ["regularizer = l1", "regularizer = none", "l1_weight = 0.5"])
     def test_regularizer_keys_rejected(self, tmp_path, capsys, line):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammaln
 
+from plgrad.config import ConfigError
 from plgrad.harness import _analytic_inputs
 from plgrad.noise import (
     NoiseModel,
@@ -145,6 +146,20 @@ class TestMoments:
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 3.0))
         moments, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=2)
         np.testing.assert_allclose(moments, [2.0, 18.0], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, reason",
+        [
+            (NoiseModel("gaussian_iid", scale=1e154), "E||e||^2 = inf"),  # 2 s^2 overflows
+            (NoiseModel("gaussian_iid", scale=1e200), "out of range"),  # s**2 raises
+            (NoiseModel("weibull_tail", scale=0.01, weibull_shape=0.01), "math range error"),
+        ],
+        ids=["inf", "overflow", "weibull-shape"],
+    )
+    def test_non_finite_closed_forms_are_a_config_error(self, model, reason):
+        with pytest.raises(ConfigError, match="no finite closed form") as info:
+            _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=1)
+        assert reason in str(info.value)
 
     def test_mean_norm_time_varying(self):
         # power 1 takes c_t E||e||: the chi mean of 2 degrees of freedom, sqrt(pi / 2)

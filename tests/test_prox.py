@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plgrad.config import build_problem, make_config
-from plgrad.prox import Regularizer, grid_argmin_prox, prox_objective
+from plgrad.prox import GRID_SPACING, Regularizer, grid_argmin_prox, prox_objective
 
 
 def objective_gap(reg, step, v, y):
@@ -64,6 +64,67 @@ class TestClosedForms:
 
         monkeypatch.setattr(Regularizer, "prox", refuse)
         grid_argmin_prox(reg, 0.7, np.array([1.3, -0.4]))
+
+def reference_grid_argmin(reg, step, v, points=201):
+    """grid_argmin_prox with a fresh grid and objective at every zoom.
+
+    The expression form the buffered oracle replaced: best + half unit,
+    clamp, then (axes - v)^2 / (2 step).  Also returns the largest number
+    of grid points that share a zoom's minimal objective, so a test can
+    show that it exercised a tie.
+    """
+    if reg.kind == "box":
+        lo, hi = np.broadcast_to(reg.lo, v.shape), np.broadcast_to(reg.hi, v.shape)
+        best, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    else:
+        best, half = v, np.abs(v) + 1.0
+    rows = np.arange(v.shape[0])
+    unit = np.linspace(-1.0, 1.0, points)
+    ties = 0
+    while True:
+        axes = best[:, None] + half[:, None] * unit
+        if reg.kind == "box":
+            axes = np.clip(axes, lo[:, None], hi[:, None])
+        obj = (axes - v[:, None]) ** 2 / (2.0 * step)
+        ties = max(ties, int(np.max(np.sum(obj == obj.min(axis=1, keepdims=True), axis=1))))
+        best = axes[rows, np.argmin(obj, axis=1)]
+        if 2.0 * np.max(half) / (points - 1) <= GRID_SPACING:
+            return best, ties
+        half = half * (4.0 / (points - 1))
+
+
+class TestGridBuffers:
+    """The oracle's in-place grid gives the bits of the expression form."""
+
+    @pytest.mark.parametrize("kind", ["none", "box"])
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_matches_the_expression_form(self, kind, n):
+        rng = np.random.default_rng({"none": 300, "box": 400}[kind] + n)
+        for _ in range(10):
+            v = rng.uniform(-3.0, 3.0, size=n)
+            step = rng.uniform(0.05, 2.0)
+            if kind == "none":
+                reg = Regularizer.none()
+            else:
+                lo = rng.uniform(-2.0, 0.0, size=n)
+                reg = Regularizer.box(lo, lo + rng.uniform(0.2, 3.0, size=n))
+            expected, _ = reference_grid_argmin(reg, step, v)
+            assert np.array_equal(grid_argmin_prox(reg, step, v), expected)
+
+    @pytest.mark.parametrize("points", [201, 6])
+    def test_ties_keep_the_first_grid_point(self, points):
+        # coordinate 0 starts halfway between the two middle grid points of
+        # its [-1, 1] window, which then share the smallest objective; in
+        # coordinate 1, v lies beyond the box, so every grid point past the
+        # bound clamps to it and those points tie.  argmin takes the first
+        unit = np.linspace(-1.0, 1.0, points)
+        mid = points // 2
+        reg = Regularizer.box([-1.0, 0.0], [1.0, 1.0])
+        v = np.array([0.5 * (unit[mid - 1] + unit[mid]), 5.0])
+        expected, ties = reference_grid_argmin(reg, 0.3, v, points)
+        assert ties > 1
+        assert np.array_equal(grid_argmin_prox(reg, 0.3, v, points), expected)
+
 
 class TestProperties:
     @pytest.mark.parametrize(
