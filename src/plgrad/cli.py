@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bounds_mod
-from .config import ConfigError, ExperimentConfig, load_config_file, make_config
+from .config import ConfigError, ExperimentConfig, _parse_float_list, load_config_file, make_config
 from .harness import (
     AggregateReport,
     BATTERY_CHECKS,
@@ -145,8 +145,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         "seed": args.seed,
         "out": args.out,
     }
-    if args.delta:
-        overrides["deltas"] = tuple(float(d) for d in args.delta.split(",") if d)
+    if args.delta is not None:
+        try:
+            overrides["deltas"] = _parse_float_list(args.delta)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for --delta: {args.delta!r}") from exc
     if not sections and args.preset is None:
         raise ConfigError("provide --config and/or --preset")
     return make_config(sections, overrides)
@@ -174,17 +177,7 @@ def verdict_table(summary: ValidationSummary) -> str:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    if args.checks is None:
-        checks = None
-    else:
-        checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-        if not checks:
-            raise ConfigError("no checks selected")
-        unknown = sorted(set(checks) - set(BATTERY_CHECKS))
-        if unknown:
-            raise ConfigError(
-                f"unknown checks: {', '.join(unknown)}; available: {', '.join(BATTERY_CHECKS)}"
-            )
+    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     summary = run_validation_battery(config, checks)
     print(verdict_table(summary))
     if not summary.passed:
@@ -273,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", parents=[common], help="run the invariant battery")
     p_val.add_argument(
         "--checks",
+        default=",".join(BATTERY_CHECKS),
         help=f"comma-separated subset of {','.join(BATTERY_CHECKS)} (default: all)",
     )
     p_val.set_defaults(func=cmd_validate)

@@ -85,6 +85,10 @@ class ExperimentConfig:
         for d in self.deltas:
             if not 0.0 < d < 1.0:
                 raise ConfigError(f"delta must lie in (0, 1), got {d}")
+        # each delta names its output columns and checks by its %g label
+        labels = [f"{d:g}" for d in self.deltas]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"deltas must differ in their %g labels, got {', '.join(labels)}")
         if self.bound_inputs not in ("empirical", "analytic"):
             raise ConfigError(
                 f"bound_inputs must be empirical or analytic, got {self.bound_inputs!r}"

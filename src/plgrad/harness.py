@@ -188,9 +188,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     recursion_max = float(resid.max())
     del resid, coef  # freed first, so the counts below add nothing to this peak
 
-    # per series and per t, the trials whose regret exceeds it
+    # per series and per t >= 1, the trials whose regret exceeds it.  t = 0
+    # stays 0: each series starts at r0, a mean of R equal floats that may
+    # round below them
     primary = bound_sets[config.bound_inputs]
-    exceedances = {name: (regret > bound).sum(axis=0) for name, bound in primary.items()}
+    exceedances = {
+        name: np.concatenate(([0], (regret[:, 1:] > bound[1:]).sum(axis=0)))
+        for name, bound in primary.items()
+    }
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
 
     return AggregateReport(
@@ -267,8 +272,16 @@ def coverage_envelope(trials: int, delta: float, confidence: float = 0.99) -> in
     return k
 
 
-def validate_bounds(report: AggregateReport) -> ValidationSummary:
-    """Executable checks of the certificates against the Monte Carlo run."""
+RUN_CHECKS = ("recursion", "dominance", "coverage", "moments")
+BATTERY_CHECKS = ("gradient", "pl", "prox", *RUN_CHECKS)
+
+
+def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSummary:
+    """Executable checks of the certificates against the Monte Carlo run.
+
+    Reports theory_scope, then each run check named in `checks` (a subset
+    of RUN_CHECKS) in RUN_CHECKS order; an unnamed check is not computed.
+    """
     if not report.bounds:
         raise ValueError("report carries no bound series")
     summary = ValidationSummary()
@@ -283,65 +296,53 @@ def validate_bounds(report: AggregateReport) -> ValidationSummary:
         scope = "step 1/L: the certificates apply"
     summary.checks.append(CheckResult("theory_scope", not traj.outside_theory, scope))
 
-    # the pathwise tolerance is the accuracy of the optimal values
-    tol = report.problem.fstar_tol
-    viol = report.recursion_max_violation
-    summary.checks.append(
-        CheckResult(
-            "recursion_pathwise",
-            viol <= tol,
-            f"max step residual {viol:.3e} (tol {tol:g})",
-        )
-    )
+    if "recursion" in checks:
+        # the pathwise tolerance is the accuracy of the optimal values
+        tol = report.problem.fstar_tol
+        viol = report.recursion_max_violation
+        detail = f"max step residual {viol:.3e} (tol {tol:g})"
+        summary.checks.append(CheckResult("recursion_pathwise", viol <= tol, detail))
 
-    expectation = report.bounds["expectation"]
-    slack = 1e-12 * (1.0 + np.abs(expectation))
-    gap = report.mean_regret - expectation
-    worst = float(gap.max())
-    summary.checks.append(
-        CheckResult(
-            "expectation_dominance",
-            bool(np.all(gap <= slack)),
-            f"max (mean - bound) = {worst:.3e} at t={int(gap.argmax())}",
-        )
-    )
+    if "dominance" in checks:
+        expectation = report.bounds["expectation"]
+        gap = report.mean_regret - expectation
+        ok = bool(np.all(gap <= 1e-12 * (1.0 + np.abs(expectation))))
+        detail = f"max (mean - bound) = {float(gap.max()):.3e} at t={int(gap.argmax())}"
+        summary.checks.append(CheckResult("expectation_dominance", ok, detail))
 
-    # at most 3 checkpoints x |deltas| tests at 99% each: by the union bound an
-    # honest run fails the gate with probability at most 3 |deltas| 1%, 6%
-    # for two deltas (the tests share trials, so 1 - 0.99^(3 |deltas|) does
-    # not apply)
-    trials = report.config.trials
-    for delta in report.config.deltas:
-        limit = coverage_envelope(trials, delta)
-        exceeding = report.exceedances[f"highprob_{delta:g}"]
-        counts = {cp: int(exceeding[cp]) for cp in report.checkpoints}
-        bad = {cp: c for cp, c in counts.items() if c > limit}
-        summary.checks.append(
-            CheckResult(
-                f"coverage_{delta:g}",
-                not bad,
-                f"violations {counts} vs envelope {limit} of {trials}",
-            )
-        )
+    if "coverage" in checks:
+        # at most 3 checkpoints x |deltas| tests at 99% each: by the union
+        # bound an honest run fails the gate with probability at most
+        # 3 |deltas| 1%, 6% for two deltas (the tests share trials, so
+        # 1 - 0.99^(3 |deltas|) does not apply)
+        trials = report.config.trials
+        for delta in report.config.deltas:
+            limit = coverage_envelope(trials, delta)
+            exceeding = report.exceedances[f"highprob_{delta:g}"]
+            counts = {cp: int(exceeding[cp]) for cp in report.checkpoints}
+            bad = {cp: c for cp, c in counts.items() if c > limit}
+            detail = f"violations {counts} vs envelope {limit} of {trials}"
+            summary.checks.append(CheckResult(f"coverage_{delta:g}", not bad, detail))
 
-    # the coverage claims are only as good as the envelope: re-test the
-    # moment inequality of the K actually used against the measured norms
-    # (normalized per step so time-varying scales pool into one inequality);
-    # a step with K_t = 0 admits only zero errors
-    theta = report.envelope_theta
-    ks = report.envelope_k
-    active = ks > 0
-    samples = traj.error_norm[:, 1:]
-    if np.any(samples[:, ~active]):
-        moments_ok, detail = False, "nonzero errors under zero envelope"
-    elif not np.any(active):
-        moments_ok, detail = True, "degenerate envelope; all samples zero"
-    else:
-        # the fitted scale of the normalized norms is max_k ||e||_k / (K k^theta)
-        ratio = fit_from_samples(samples[:, active] / ks[active], theta).k
-        moments_ok = ratio <= 1.1
-        detail = f"max ||e||_k / (K k^theta) = {ratio:.3f} (limit 1.1)"
-    summary.checks.append(CheckResult("envelope_moments", moments_ok, detail))
+    if "moments" in checks:
+        # the coverage claims are only as good as the envelope: re-test the
+        # moment inequality of the K actually used against the measured norms
+        # (normalized per step so time-varying scales pool into one inequality);
+        # a step with K_t = 0 admits only zero errors
+        theta = report.envelope_theta
+        ks = report.envelope_k
+        active = ks > 0
+        samples = traj.error_norm[:, 1:]
+        if np.any(samples[:, ~active]):
+            moments_ok, detail = False, "nonzero errors under zero envelope"
+        elif not np.any(active):
+            moments_ok, detail = True, "degenerate envelope; all samples zero"
+        else:
+            # the fitted scale of the normalized norms is max_k ||e||_k / (K k^theta)
+            ratio = fit_from_samples(samples[:, active] / ks[active], theta).k
+            moments_ok = ratio <= 1.1
+            detail = f"max ||e||_k / (K k^theta) = {ratio:.3f} (limit 1.1)"
+        summary.checks.append(CheckResult("envelope_moments", moments_ok, detail))
 
     return summary
 
@@ -450,28 +451,29 @@ def _check_prox(problem: OnlineProblem, seed: int, n_instances: int = 25) -> Che
     return CheckResult("prox_grid", worst <= 1e-6, f"max |closed - grid| = {worst:.2e}")
 
 
-BATTERY_CHECKS = ("gradient", "pl", "prox", "recursion", "dominance", "coverage", "moments")
-
-
-def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationSummary:
+def run_validation_battery(
+    config: ExperimentConfig, checks=BATTERY_CHECKS
+) -> ValidationSummary:
     """Run the named invariant checks against one configured experiment.
 
-    checks: subset of BATTERY_CHECKS; None means all.  An empty selection is
-    an error.  A selection that runs the experiment also reports
-    theory_scope, which fails for a step other than 1/L or for iterates
-    that leave the domain ball.
+    checks: names from BATTERY_CHECKS, in any order and with repeats; the
+    verdicts come in BATTERY_CHECKS order.  An empty selection or an unknown
+    name is a ConfigError, raised before any work runs.  A selection with a
+    run check also reports theory_scope, which fails for a step other than
+    1/L or for iterates that leave the domain ball; only the selected run
+    checks are computed.
     """
-    selected = tuple(checks) if checks is not None else BATTERY_CHECKS
+    selected = set(checks)
     if not selected:
-        raise ValueError("no checks selected")
-    unknown = set(selected) - set(BATTERY_CHECKS)
+        raise ConfigError("no checks selected")
+    unknown = ", ".join(sorted(selected.difference(BATTERY_CHECKS)))
     if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}; available: {BATTERY_CHECKS}")
+        raise ConfigError(f"unknown checks: {unknown}; available: {', '.join(BATTERY_CHECKS)}")
 
-    needs_run = {"recursion", "dominance", "coverage", "moments"} & set(selected)
+    run_checks = selected.intersection(RUN_CHECKS)
     # the experiment builds the problem the static checks then read, so a
     # battery builds it once; its verdicts still follow those checks
-    report = run_experiment(config) if needs_run else None
+    report = run_experiment(config) if run_checks else None
     problem = build_problem(config) if report is None else report.problem
 
     summary = ValidationSummary()
@@ -481,19 +483,8 @@ def run_validation_battery(config: ExperimentConfig, checks=None) -> ValidationS
         summary.checks.append(_check_pl(problem, config.seed))
     if "prox" in selected:
         summary.checks.append(_check_prox(problem, config.seed))
-
-    if needs_run:
-        full = validate_bounds(report)
-        keep = {
-            "recursion": ("recursion_pathwise",),
-            "dominance": ("expectation_dominance",),
-            "coverage": tuple(f"coverage_{d:g}" for d in config.deltas),
-            "moments": ("envelope_moments",),
-        }
-        wanted = {"theory_scope"}  # reported whenever the experiment runs
-        for sel in needs_run:
-            wanted.update(keep[sel])
-        summary.checks.extend(c for c in full.checks if c.name in wanted)
+    if run_checks:
+        summary.checks.extend(validate_bounds(report, run_checks).checks)
     return summary
 
 

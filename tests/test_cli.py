@@ -88,6 +88,34 @@ class TestRunCommand:
     def test_requires_config_or_preset(self, capsys):
         assert main(["run"]) == 2
 
+    @pytest.mark.parametrize(
+        "delta, message",
+        [
+            ("0.1,abc", "bad value for --delta: '0.1,abc'"),
+            ("", "at least one delta is required"),
+            (" , ", "at least one delta is required"),
+            ("0.1,0.1000001", "deltas must differ in their %g labels, got 0.1, 0.1"),
+        ],
+    )
+    def test_bad_delta_is_a_config_error(self, tmp_path, capsys, delta, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(MINI_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--delta", delta, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not out.exists()
+
+    def test_delta_list_parses_as_in_a_config_file(self, tmp_path):
+        # "0.1, " is accepted as the config file's "deltas = 0.1, " is
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(MINI_CONFIG.replace("deltas = 0.1", "deltas = 0.05"))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--delta", "0.1, ", "--out", str(out)]) == 0
+        header, _ = read_csv(out / "regret.csv")
+        assert [h for h in header if h.startswith("bound_highprob")] == ["bound_highprob_0.1"]
+
     def test_demand_response_preset_run(self, tmp_path):
         out = tmp_path / "dr"
         cfg = tmp_path / "dr.cfg"
@@ -345,6 +373,15 @@ class TestConfigFiles:
     def test_delta_validation(self):
         with pytest.raises(ConfigError):
             make_config({}, {"preset": "static-ls", "deltas": (1.5,)})
+
+    @pytest.mark.parametrize("deltas", ["0.1, 0.1000001", "0.05, 0.05"])
+    def test_deltas_sharing_a_label_rejected(self, tmp_path, deltas):
+        # each delta names its columns and checks by its %g label, so two
+        # deltas with one label would write one name twice
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(MINI_CONFIG.replace("deltas = 0.1", f"deltas = {deltas}"))
+        with pytest.raises(ConfigError, match="deltas must differ in their %g labels"):
+            make_config(load_config_file(cfg))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_psi_bar_outside_range_rejected(self, value):

@@ -7,8 +7,9 @@ import pytest
 
 from plgrad.bounds import error_cost, expectation_bound
 from plgrad.cli import write_report
-from plgrad.config import build_problem, make_config
+from plgrad.config import PRESETS, ConfigError, build_problem, make_config
 from plgrad.harness import (
+    RUN_CHECKS,
     _check_prox,
     coverage_envelope,
     longrun_asymptote_check,
@@ -107,9 +108,20 @@ class TestDominanceAndCoverage:
         for name, series in report.bounds.items():
             counts = report.exceedances[name]
             assert counts.shape == series.shape
-            for t in range(len(series)):
+            assert counts[0] == 0, name
+            for t in range(1, len(series)):
                 manual = sum(1 for row in regret if row[t] > series[t])
                 assert counts[t] == manual, (name, t)
+
+    def test_no_exceedance_is_counted_at_t_zero(self):
+        # every series starts at r0, the mean of R equal regrets, which here
+        # rounds below them: counting t = 0 would report all 7 trials
+        report = run_experiment(small_config(trials=7, horizon=20))
+        regret0 = report.trajectory.regret[:, 0]
+        assert np.all(regret0 == regret0[0])
+        assert np.all(regret0 > report.bounds["expectation"][0])
+        for name, counts in report.exceedances.items():
+            assert counts[0] == 0, name
 
     def test_opgm_experiment(self):
         report = run_experiment(
@@ -309,6 +321,78 @@ class TestBattery:
     def test_unknown_selection_rejected(self):
         with pytest.raises(ValueError, match="unknown checks"):
             run_validation_battery(small_config(trials=2, horizon=10), checks=("spectral",))
+
+    @pytest.mark.parametrize(
+        "checks, message",
+        [
+            ((), "no checks selected"),
+            (
+                ("spectral", "pl", "Prox", "spectral"),
+                "unknown checks: Prox, spectral; available: "
+                "gradient, pl, prox, recursion, dominance, coverage, moments",
+            ),
+        ],
+    )
+    def test_bad_selection_is_a_config_error_before_any_work(self, monkeypatch, checks, message):
+        from plgrad import harness
+
+        def forbidden(config):
+            raise AssertionError("a refused selection must not build or run anything")
+
+        monkeypatch.setattr(harness, "build_problem", forbidden)
+        monkeypatch.setattr(harness, "run_experiment", forbidden)
+        with pytest.raises(ConfigError) as info:
+            run_validation_battery(small_config(trials=2, horizon=10), checks)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_subset_equals_the_full_battery_filtered(self, preset):
+        # a verdict belongs to the selection name that produces it, and
+        # theory_scope to any run check; the battery reports in its fixed
+        # order whatever the selection order
+        owners = {
+            "gradient_fd": "gradient",
+            "pl_certificate": "pl",
+            "prox_grid": "prox",
+            "theory_scope": "any run check",
+            "recursion_pathwise": "recursion",
+            "expectation_dominance": "dominance",
+            "envelope_moments": "moments",
+        }
+
+        def owner(name):
+            return "coverage" if name.startswith("coverage_") else owners[name]
+
+        cfg = small_config(preset=preset, trials=6, horizon=20)
+        full = run_validation_battery(cfg).checks
+        for subset in (
+            ("coverage", "prox", "recursion"),
+            ("recursion",),
+            ("moments", "gradient"),
+            ("dominance", "coverage", "dominance"),
+            ("pl",),
+        ):
+            wanted = set(subset)
+            if wanted & set(RUN_CHECKS):
+                wanted.add("any run check")
+            kept = [c for c in full if owner(c.name) in wanted]
+            assert run_validation_battery(cfg, subset).checks == kept, subset
+
+    def test_unselected_run_checks_are_not_computed(self, monkeypatch, static_report):
+        from plgrad import harness
+
+        calls = []
+
+        def counted_envelope(trials, delta):
+            calls.append(delta)
+            return coverage_envelope(trials, delta)
+
+        monkeypatch.setattr(harness, "coverage_envelope", counted_envelope)
+        summary = validate_bounds(static_report, ("recursion",))
+        assert [c.name for c in summary.checks] == ["theory_scope", "recursion_pathwise"]
+        assert calls == []
+        validate_bounds(static_report)
+        assert calls == list(static_report.config.deltas)
 
     def test_prox_check_fails_on_a_wrong_box_prox(self):
         # negative control: a prox that clamps to a shifted box must fail
