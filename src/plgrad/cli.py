@@ -150,7 +150,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             overrides["deltas"] = _parse_float_list(args.delta)
         except ValueError as exc:
             raise ConfigError(f"bad value for --delta: {args.delta!r}") from exc
-    if not sections and args.preset is None:
+    if args.config is None and args.preset is None:
         raise ConfigError("provide --config and/or --preset")
     return make_config(sections, overrides)
 

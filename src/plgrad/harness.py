@@ -7,7 +7,7 @@ dominance of the Monte Carlo mean, and per-delta coverage of the
 high-probability bounds.
 
 Each trial draws its errors from its own noise stream keyed by
-(seed, trial), and all trials run as one batch through the solver kernel,
+(seed, tag, trial), and all trials run as one batch through the solver kernel,
 whose oracles work row by row, so a trial's trajectory does not depend on
 how many other trials run with it.
 """
@@ -348,7 +348,7 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
 
 
 def _check_gradient(problem: OnlineProblem, seed: int, n_points: int = 100) -> CheckResult:
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 4)))
+    rng = noise_mod.stream(seed, "gradient")
     worst = 0.0
     h = 1e-6
     n = problem.n
@@ -389,7 +389,7 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
         ok = mu_hat >= mu - 1e-9
         return CheckResult("pl_certificate", ok, f"sampled mu {mu_hat:.6g} vs declared {mu:.6g}")
     # a regularized family carries a box: sample the proximal form on it
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))
+    rng = noise_mod.stream(seed, "pl")
     box = problem.regularizer
     mu_hat = np.inf
     for t in ts:
@@ -420,7 +420,7 @@ def _check_prox(problem: OnlineProblem, seed: int, n_instances: int = 25) -> Che
     the prox objective can be large (about 1e6 for the 500-device box), so
     the slack there is relative, as in expectation_dominance.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 6)))
+    rng = noise_mod.stream(seed, "prox")
     cases = []  # (regularizer, step, v, objective-relative slack)
     for _ in range(n_instances):
         for n in (1, 2):

@@ -7,8 +7,8 @@ admits them (Gaussian and radial-Weibull norms) or from an almost-sure bound
 (bounded support).
 
 Sampling is stateless: each trial's whole horizon of errors is one block
-drawn from a stream keyed by (seed, trial), so trials can be drawn in any
-order or grouping and reproduce bit-exactly.
+drawn from a stream keyed by (seed, tag, trial), so trials can be drawn in
+any order or grouping and reproduce bit-exactly.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from .subweibull import SubWeibullParams, add_scalar, scale
 
 FAMILIES = ("gaussian_iid", "bounded_uniform", "weibull_tail", "zero")
 
-# stream tag separating noise draws from other consumers of the same seed
-_NOISE_STREAM = 2
+# one tag per consumer of a seed, so no two draw the same numbers
+STREAMS = {"build": 1, "noise": 2, "verify": 3, "gradient": 4, "pl": 5, "prox": 6}
 
 # log-gamma over an array, for the moment grids of the envelopes
 _lgamma = np.vectorize(math.lgamma, otypes=[float])
@@ -92,10 +92,15 @@ def time_scales(model: NoiseModel, horizon: int) -> np.ndarray:
     return np.asarray(model.per_time_scale[:horizon], dtype=float)
 
 
+def stream(seed: int, name: str, *key: int) -> np.random.Generator:
+    """The named consumer's generator, keyed by (seed, tag, *key)."""
+    return np.random.default_rng((int(seed), STREAMS[name], *map(int, key)))
+
+
 def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np.ndarray:
     """Draw e_0..e_{horizon-1} as rows of a (horizon, n) block.
 
-    Bit-reproducible for a fixed (seed, trial) key; row t, bias included, is
+    Bit-reproducible for a fixed (seed, trial); row t, bias included, is
     scaled by c_t = per_time_scale[t] when the model has one.
     """
     if n < 1:
@@ -107,9 +112,7 @@ def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np
     if model.family == "zero" or model.scale == 0.0:
         e = np.zeros((horizon, n))
     else:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(int(seed), _NOISE_STREAM, int(trial)))
-        )
+        rng = stream(seed, "noise", trial)
         if model.family == "gaussian_iid":
             e = rng.standard_normal((horizon, n)) * scales[:, None]
         elif model.family == "bounded_uniform":

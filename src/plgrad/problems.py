@@ -40,10 +40,6 @@ from .noise import NoiseModel
 from .prox import Regularizer
 from .subweibull import SubWeibullParams, scale as sw_scale
 
-# rng stream tags (disjoint from the noise module's sampler streams)
-_BUILD_STREAM = 1
-_VERIFY_STREAM = 3
-
 
 class OnlineProblem:
     """Time-indexed cost oracle F_t = f_t + g_t with constants and optima.
@@ -180,10 +176,6 @@ def _row_norm(x: np.ndarray) -> float | np.ndarray:
 def _half_square(r: np.ndarray) -> float | np.ndarray:
     """0.5 ||r||^2 on each row of r."""
     return 0.5 * np.vecdot(r, r)
-
-
-def _build_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), _BUILD_STREAM)))
 
 
 class QuadraticTracking(OnlineProblem):
@@ -354,7 +346,7 @@ class TimeVaryingLeastSquares(QuadraticTracking):
             raise ValueError("noise scales must be nonnegative")
         eigs = np.linspace(mu, l, n)
 
-        rng = _build_rng(seed)
+        rng = noise_mod.stream(seed, "build")
         u = _haar_orthonormal(rng, d, n)
         v = _haar_orthonormal(rng, n, n)
         a = u @ np.diag(np.sqrt(eigs)) @ v.T
@@ -398,7 +390,7 @@ class DriftingLogistic(OnlineProblem):
             raise ValueError(f"need d >= n + 1 >= 2, got n={n}, d={d}")
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
-        rng = _build_rng(seed)
+        rng = noise_mod.stream(seed, "build")
         labels = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
         a0 = rng.normal(size=(d, n))
         drift = (
@@ -471,7 +463,7 @@ class LtiTracking(QuadraticTracking):
             raise ValueError(f"need m >= n >= 1, got n={n}, m={m}")
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
-        rng = _build_rng(seed)
+        rng = noise_mod.stream(seed, "build")
         svals = np.sort(rng.uniform(0.5, 1.5, size=n))
         u = _haar_orthonormal(rng, m, n)
         v = _haar_orthonormal(rng, n, n)
@@ -565,7 +557,7 @@ class DemandResponse(QuadraticTracking):
 def synth_demand_response_traces(horizon: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Sinusoidal traces for desk-scale runs: four uncontrollable loads of
     amplitude up to 50 kW, and a reference of -300 +/- 150 kW."""
-    rng = _build_rng(seed)
+    rng = noise_mod.stream(seed, "build")
     t = np.arange(horizon + 1)[:, None]
     periods = rng.uniform(80.0, 400.0, size=4)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=4)
@@ -620,9 +612,7 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> floa
         raise ValueError("gradient-domination check applies to unregularized costs")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(int(seed), _VERIFY_STREAM, int(t)))
-    )
+    rng = noise_mod.stream(seed, "verify", t)
     xs = _sample_ball(rng, problem.n, problem.domain_radius, n_samples)
     fstar = problem.fstar(t)
     gap = problem.value(t, xs) - fstar

@@ -12,7 +12,7 @@ problem.
 
 `run` drives a full horizon for a batch of trials at once: the iterates of
 R trials are the rows of an (R, n) matrix, each trial's errors come from
-its own noise block keyed by (seed, trial), and every oracle works row by
+its own noise block keyed by (seed, tag, trial), and every oracle works row by
 row, so a trial's trajectory is bit-identical whatever batch it runs in.
 It records the instantaneous regret r_t = F_t(x_t) - F_t*, the realized
 error norms, and the per-step variability terms needed by the certificate

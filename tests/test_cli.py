@@ -88,6 +88,16 @@ class TestRunCommand:
     def test_requires_config_or_preset(self, capsys):
         assert main(["run"]) == 2
 
+    def test_comment_only_config_names_the_missing_problem_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text("# only a comment\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "problem kind must be one of" in err
+        assert "provide --config" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "delta, message",
         [

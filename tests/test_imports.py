@@ -1,7 +1,8 @@
 """Every name a plgrad module imports is used in that module, no module
 imports scipy, which only the tests need, every top-level function and
-class has a consumer outside the tests of its own behaviour, and no random
-generator is seeded through the per-process salted builtin hash.
+class has a consumer outside the tests of its own behaviour, no random
+generator is seeded through the per-process salted builtin hash, and
+only noise.stream builds one.
 
 `__init__` imports to re-export, so there a name may instead be listed in
 `plgrad.__all__`.
@@ -111,17 +112,21 @@ def test_every_top_level_definition_has_a_consumer():
 SEEDERS = {"default_rng", "seed", "RandomState", "SeedSequence", "PCG64", "Random"}
 
 
-def hashed_seeds(tree):
-    """Line numbers of hash(...) calls inside the arguments of a SEEDERS call."""
-    seeders = [
+def seeder_calls(tree):
+    """Every call of a SEEDERS name in tree."""
+    return [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in SEEDERS
     ]
+
+
+def hashed_seeds(tree):
+    """Line numbers of hash(...) calls inside the arguments of a SEEDERS call."""
     return [
         sub.lineno
-        for call in seeders
+        for call in seeder_calls(tree)
         for arg in [*call.args, *(k.value for k in call.keywords)]
         for sub in ast.walk(arg)
         if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "hash"
@@ -138,3 +143,21 @@ def test_no_generator_is_seeded_with_hash():
         for line in hashed_seeds(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, f"generator seeded with hash(...) at {found}"
+
+
+def test_only_noise_stream_builds_a_generator():
+    # every seeded draw takes its generator from noise.stream, so the tags
+    # in noise.STREAMS are the one place two consumers of a seed could meet
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owned = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and (path.stem, node.name) == ("noise", "stream")
+            for sub in ast.walk(node)
+        }
+        for call in seeder_calls(tree):
+            (inside if id(call) in owned else outside).append(f"{path.stem}:{call.lineno}")
+    assert inside, "noise.stream builds no generator"
+    assert not outside, f"generator built outside noise.stream at {outside}"

@@ -9,6 +9,7 @@ from scipy.special import gamma, gammaln
 from plgrad.config import ConfigError
 from plgrad.harness import _analytic_inputs
 from plgrad.noise import (
+    STREAMS,
     NoiseModel,
     _gaussian_norm_k,
     _max_moment_ratio,
@@ -50,6 +51,11 @@ def _identity_map_problem(n, horizon):
     return TimeVaryingLeastSquares(
         n=n, d=n, mu=0.1, l=1.0, drift_std=0.0, obs_noise_std=0.0, seed=0, horizon=horizon
     )
+
+
+def test_stream_tags_are_distinct():
+    # two consumers sharing a tag would draw the same numbers from one seed
+    assert len(set(STREAMS.values())) == len(STREAMS)
 
 
 class TestSampling:

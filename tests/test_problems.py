@@ -45,9 +45,7 @@ def sampled_pl(problem, t, n_samples, seed):
     """verify_pl's slope with the largest violation 2 mu (f - f*) - ||grad||^2
     of the declared mu and the number of samples used, both computed here
     on verify_pl's samples with its skip bound."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(seed, problems_mod._VERIFY_STREAM, t))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3, t)))  # the verify tag
     xs = problems_mod._sample_ball(rng, problem.n, problem.domain_radius, n_samples)
     fstar = problem.fstar(t)
     gap = problem.value(t, xs) - fstar
