@@ -138,7 +138,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    sections = load_config_file(args.config) if args.config else {}
+    sections = load_config_file(args.config) if args.config is not None else {}
     overrides = {
         "preset": args.preset,
         "trials": args.trials,

@@ -95,6 +95,8 @@ class ExperimentConfig:
             )
         if self.psi_bar is not None and not 0 <= self.psi_bar < math.inf:
             raise ConfigError("psi_bar must be finite and nonnegative")
+        if self.step_override is not None and not 0 < self.step_override < math.inf:
+            raise ConfigError(f"step_override must lie in (0, inf), got {self.step_override}")
         kind = self.problem.get("kind")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem kind must be one of {PROBLEM_KINDS}, got {kind!r}")
@@ -241,6 +243,9 @@ def make_config(
 
     exp = layered["experiment"]
     exp.pop("preset", None)
+    unknown = sorted(exp.keys() - _EXPERIMENT_PARSERS.keys())
+    if unknown:
+        raise ConfigError(f"unknown experiment settings: {unknown}")
     if "out" in exp:
         exp["out_dir"] = exp.pop("out")
     if "deltas" in exp:

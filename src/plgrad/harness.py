@@ -111,11 +111,11 @@ def _analytic_inputs(
     refused = "noise model has no finite closed form"
     try:
         moments = {p: problem.error_moment(model, p) for p in (2, 1)}
-        k = problem.error_envelope(model).k
+        k = problem.error_gain * noise_mod.envelope_norm(model, problem.error_dim).k
     except (OverflowError, ValueError) as exc:
         raise ConfigError(f"{refused} (E||e||^2, E||e|| or K): {exc}") from exc
-    if not (math.isfinite(moments[2]) and math.isfinite(moments[1])):
-        raise ConfigError(f"{refused}: E||e||^2 = {moments[2]}, E||e|| = {moments[1]}")
+    if not (math.isfinite(moments[2]) and math.isfinite(moments[1]) and math.isfinite(k)):
+        raise ConfigError(f"{refused}: E||e||^2 = {moments[2]}, E||e|| = {moments[1]}, K = {k}")
     c = noise_mod.time_scales(model, horizon)
     return c**power * moments[power], c * k
 
@@ -127,6 +127,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     model = build_noise(config)
     x0 = initial_point(config, problem)
     horizon = config.horizon
+    zeta = 1.0 - problem.pl_constant / problem.smoothness
+    if not 0.0 <= zeta < 1.0:
+        raise ConfigError(f"contraction 1 - mu/L must lie in [0, 1), got {zeta}")
     # the solver name picks only the error cost; its power picks the moment
     # E||e||^2 or E||e|| that every input mode takes
     cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
@@ -149,7 +152,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     mean_regret = regret.mean(axis=0)
     std_regret = regret.std(axis=0, ddof=0)
     r0 = float(mean_regret[0])
-    zeta = 1.0 - problem.pl_constant / problem.smoothness
 
     # measured per-step inputs (trajectory-variability variant)
     mean_err_moment = (err[:, 1:] ** cost.power).mean(axis=0)
@@ -347,11 +349,12 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
     return summary
 
 
-def _check_gradient(problem: OnlineProblem, seed: int, n_points: int = 100) -> CheckResult:
+def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
     rng = noise_mod.stream(seed, "gradient")
     worst = 0.0
     h = 1e-6
     n = problem.n
+    n_points = 100
     # all points step along one axis at a time: for axis i, row k of slab 0
     # holds the floats of xs[k] + dx[k, i] e_i and row k of slab 1 those of
     # xs[k] - dx[k, i] e_i, so one value call reads both (the oracles work
@@ -378,14 +381,14 @@ def _check_gradient(problem: OnlineProblem, seed: int, n_points: int = 100) -> C
     return CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
 
 
-def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> CheckResult:
+def _check_pl(problem: OnlineProblem, seed: int) -> CheckResult:
     # looked up at call time, so a wrapper installed on the module sees it
     from .problems import prox_decrease
 
     ts = sampled_times(problem.horizon)
     mu = problem.pl_constant
     if problem.smooth_only():
-        mu_hat = min(verify_pl(problem, t, n_samples, seed) for t in ts)
+        mu_hat = min(verify_pl(problem, t, 1000, seed) for t in ts)
         ok = mu_hat >= mu - 1e-9
         return CheckResult("pl_certificate", ok, f"sampled mu {mu_hat:.6g} vs declared {mu:.6g}")
     # a regularized family carries a box: sample the proximal form on it
@@ -394,11 +397,11 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
     mu_hat = np.inf
     for t in ts:
         fstar = problem.fstar(t)
-        # blocks of 100 rows keep the temporaries small; the oracles work row
-        # by row and the min is exact, so the blocks change no bit.  uniform
+        # 1,000 points in blocks of 100 rows keep temporaries small and change
+        # no bit: the oracles work row by row, the min is exact, and uniform
         # fills in C order, so the blocks hold the floats of one whole draw
-        for start in range(0, n_samples, 100):
-            block = rng.uniform(0.0, 1.0, size=(min(100, n_samples - start), problem.n))
+        for _ in range(10):
+            block = rng.uniform(0.0, 1.0, size=(100, problem.n))
             block *= box.hi - box.lo  # lo + u (hi - lo), formed in place
             block += box.lo
             gap = problem.value(t, block) - fstar  # g = 0 inside the box
@@ -410,7 +413,7 @@ def _check_pl(problem: OnlineProblem, seed: int, n_samples: int = 1000) -> Check
     return CheckResult("pl_certificate", ok, f"sampled proximal mu {mu_hat:.6g} vs declared {mu:.6g}")
 
 
-def _check_prox(problem: OnlineProblem, seed: int, n_instances: int = 25) -> CheckResult:
+def _check_prox(problem: OnlineProblem, seed: int) -> CheckResult:
     """Closed-form prox against the grid oracle, on random instances and the problem's own.
 
     The problem's regularizer is checked at the step 1/L on the
@@ -422,7 +425,7 @@ def _check_prox(problem: OnlineProblem, seed: int, n_instances: int = 25) -> Che
     """
     rng = noise_mod.stream(seed, "prox")
     cases = []  # (regularizer, step, v, objective-relative slack)
-    for _ in range(n_instances):
+    for _ in range(25):
         for n in (1, 2):
             v = rng.uniform(-3.0, 3.0, size=n)
             step = rng.uniform(0.1, 2.0)

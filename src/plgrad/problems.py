@@ -38,7 +38,6 @@ import numpy as np
 from . import noise as noise_mod
 from .noise import NoiseModel
 from .prox import Regularizer
-from .subweibull import SubWeibullParams, scale as sw_scale
 
 
 class OnlineProblem:
@@ -139,13 +138,8 @@ class OnlineProblem:
         """Operator norm of the raw-noise-to-gradient map."""
         return 1.0
 
-    # The two statistics below are at the noise model's base scale; a
-    # schedule multiplies them by c_t (the envelope) or c_t^power (the
-    # moment) at time t.
-
-    def error_envelope(self, model: NoiseModel) -> SubWeibullParams:
-        """Sub-Weibull envelope of the mapped gradient-error norm."""
-        return sw_scale(noise_mod.envelope_norm(model, self.error_dim), self.error_gain)
+    # The moment below is at the noise model's base scale; a schedule
+    # multiplies it by c_t^power at time t.
 
     def error_moment(self, model: NoiseModel, power: int) -> float:
         """E||e||^power of the mapped error: E||e||^2 for power 2, E||e|| for 1.
@@ -338,12 +332,12 @@ class TimeVaryingLeastSquares(QuadraticTracking):
     ):
         if not (d >= n >= 1):
             raise ValueError(f"need d >= n >= 1, got n={n}, d={d}")
-        if not (0 < mu <= l):
-            raise ValueError(f"need 0 < mu <= l, got mu={mu}, l={l}")
+        if not (0 < mu <= l < math.inf):
+            raise ValueError(f"need 0 < mu <= l < inf, got mu={mu}, l={l}")
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
-        if drift_std < 0 or obs_noise_std < 0:
-            raise ValueError("noise scales must be nonnegative")
+        if not (0 <= drift_std < math.inf and 0 <= obs_noise_std < math.inf):
+            raise ValueError("noise scales must be finite and nonnegative")
         eigs = np.linspace(mu, l, n)
 
         rng = noise_mod.stream(seed, "build")
@@ -390,6 +384,8 @@ class DriftingLogistic(OnlineProblem):
             raise ValueError(f"need d >= n + 1 >= 2, got n={n}, d={d}")
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        if not 0 <= drift_std < math.inf:
+            raise ValueError(f"drift_std must be finite and nonnegative, got {drift_std}")
         rng = noise_mod.stream(seed, "build")
         labels = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
         a0 = rng.normal(size=(d, n))
@@ -495,15 +491,18 @@ class LtiTracking(QuadraticTracking):
 class DemandResponse(QuadraticTracking):
     """Track a power reference with box-constrained device setpoints.
 
-    F_t(x) = 0.5 (a_x^T x + a_w^T w_t - p_ref_t)^2 + box indicator: the
-    quadratic core with the one-row A = a_x^T and b_t = p_ref_t - a_w^T w_t.
-    The gradient estimate uses a scalar power measurement, so raw noise is
-    one-dimensional and enters as a_x * noise.
+    F_t(x) = 0.5 (1^T x + 1^T w_t - p_ref_t)^2 + box indicator: every
+    device and every load has unit weight, so this is the quadratic core
+    with the one-row A = 1^T and b_t = p_ref_t - 1^T w_t.  The gradient
+    estimate uses a scalar power measurement, so raw noise is
+    one-dimensional and enters as 1 * noise, with gain ||1|| = sqrt(n_der).
 
-    The proximal slope constant for this rank-1-plus-box structure is
-    min over nonzero entries of a_x of a_i^2 (the worst case is a point
-    where a single coordinate carries all remaining feasible movement);
-    `plgrad validate --checks pl` samples it.
+    L = ||1||^2 = n_der, and the proximal slope constant of this
+    rank-1-plus-box structure is the smallest squared weight, 1 (the worst
+    case is a point where a single coordinate carries all remaining
+    feasible movement); `plgrad validate --checks pl` samples it.  Rows
+    of other weights are QuadraticTracking with a one-row A over a box.
+    Non-finite trace entries for t = 0..horizon are refused.
     """
 
     def __init__(
@@ -515,8 +514,6 @@ class DemandResponse(QuadraticTracking):
         w_trace: np.ndarray,
         bounds_lo: np.ndarray,
         bounds_hi: np.ndarray,
-        a_x: np.ndarray | None = None,
-        a_w: np.ndarray | None = None,
     ):
         if n_der < 1:
             raise ValueError(f"need at least one device, got {n_der}")
@@ -535,22 +532,17 @@ class DemandResponse(QuadraticTracking):
                 f"traces must cover t = 0..{horizon} ({horizon + 1} rows), got "
                 f"w:{w.shape[0]} p_ref:{p_ref.shape[0]}"
             )
-        ax = np.ones(n_der) if a_x is None else np.asarray(a_x, dtype=float)
-        aw = np.ones(w.shape[1]) if a_w is None else np.asarray(a_w, dtype=float)
-        if ax.shape != (n_der,):
-            raise ValueError("a_x must have one entry per device")
-        if aw.shape != (w.shape[1],):
-            raise ValueError("a_w must match the disturbance trace width")
-        if not np.any(ax != 0.0):
-            raise ValueError("a_x must have at least one nonzero entry")
+        p_ref, w = p_ref[: horizon + 1], w[: horizon + 1]
+        if not (np.isfinite(p_ref).all() and np.isfinite(w).all()):
+            raise ValueError(f"traces must be finite for t = 0..{horizon}")
 
         # b_t collects everything the setpoints cannot influence
-        b = p_ref[: horizon + 1] - w[: horizon + 1] @ aw
+        b = p_ref - w @ np.ones(w.shape[1])
         super().__init__(
-            "demand_response", ax[None, :], b[:, None], horizon,
-            smoothness=float(ax @ ax), pl_constant=float(np.min(ax[ax != 0.0] ** 2)),
+            "demand_response", np.ones((1, n_der)), b[:, None], horizon,
+            smoothness=float(n_der), pl_constant=1.0,
             domain_radius=1.05 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))),
-            error_gain=float(np.linalg.norm(ax)), box=(lo, hi),
+            error_gain=float(np.linalg.norm(np.ones(n_der))), box=(lo, hi),
         )
 
 

@@ -36,18 +36,16 @@ def prox_gradient_step(
     x: np.ndarray,
     step: float,
     error: np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """prox_{step g_t}(x - step * (grad f_t(x) + e)) on each row of x.
 
-    error holds the mapped gradient errors e_t, one row per row of x.  The
-    new iterate is written into out when it is given (an array of x's shape
-    overlapping neither x nor error) and returned.  This makes one grad
-    call and adds the error to it; run takes the step from the measured
-    gradient grad f_t(x) + e_t that problem.evaluate formed together with
-    the values at x, so a step there calls no oracle and adds no error.
+    error holds the mapped gradient errors e_t, one row per row of x; the
+    new iterate is a fresh array.  This makes one grad call and adds the
+    error to it; run takes the step from the measured gradient
+    grad f_t(x) + e_t that problem.evaluate formed together with the values
+    at x, so a step there calls no oracle and adds no error.
     """
-    v = problem.grad(t, x, out=out)
+    v = problem.grad(t, x)
     np.add(v, error, out=v)
     return _descend(problem, x, v, step)
 

@@ -186,12 +186,12 @@ def test_pl_check_matches_the_unblocked_loop(name):
     assert_same_oracle_outputs(ref_spy, new_spy)
 
 
-def traced_peak(check, name, *args):
+def traced_peak(check, name):
     """tracemalloc's peak over one passing run of a check on a built problem."""
     problem, seed = _configured(name)
     tracemalloc.start()
     try:
-        assert check(problem, seed, *args).passed
+        assert check(problem, seed).passed
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -203,8 +203,8 @@ def test_pl_check_peak_stays_below_one_sample_matrix():
     # never holds all n_samples points of the n = 500 problem at once.  Per
     # block it holds the points (scaled in place), the gradient and the one
     # buffer of prox_decrease; a fourth (100, n) array exceeds the slack
-    n_samples = 1000
-    peak, n = traced_peak(_check_pl, "dr500", n_samples)
+    n_samples = 1000  # the check's fixed sample size
+    peak, n = traced_peak(_check_pl, "dr500")
     assert peak <= 3 * 100 * n * 8 + 128 * 1024 < n_samples * n * 8, peak
 
 
@@ -213,8 +213,8 @@ def test_gradient_check_peak_holds_the_pair_and_one_draw():
     # quotients, and one _sample_ball draw (its direction matrix and the
     # scaled copy copied into the pair); the slack covers ufunc buffers and
     # P- or n-wide vectors, below the P n 8 bytes of one more (P, n) array
-    n_points = 100
-    peak, n = traced_peak(_check_gradient, "dr500", n_points)
+    n_points = 100  # the check's fixed point count
+    peak, n = traced_peak(_check_gradient, "dr500")
     assert peak <= 5 * n_points * n * 8 + 128 * 1024, peak
 
 

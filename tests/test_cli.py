@@ -88,6 +88,13 @@ class TestRunCommand:
     def test_requires_config_or_preset(self, capsys):
         assert main(["run"]) == 2
 
+    def test_empty_config_path_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["run", "--preset", "static-ls", "--trials", "2", "--config", "", "--out", str(out)]
+        assert main(args) == 2
+        assert "config file not found" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_comment_only_config_names_the_missing_problem_kind(self, tmp_path, capsys):
         cfg = tmp_path / "empty.ini"
         cfg.write_text("# only a comment\n")
@@ -399,14 +406,23 @@ class TestConfigFiles:
         with pytest.raises(ConfigError, match="psi_bar must be finite"):
             make_config({"experiment": {"psi_bar": value}}, {"preset": "static-ls"})
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
-    def test_step_override_outside_range_rejected(self, value):
-        # rejected before the first step, not later as a non-finite iterate
-        from plgrad.harness import run_experiment
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_step_override_outside_range_rejected(self, tmp_path, capsys, monkeypatch, value):
+        # refused with the config, before the problem is built
+        from plgrad import harness
 
-        cfg = make_config({"experiment": {"step_override": value}}, {"preset": "static-ls"})
-        with pytest.raises(ValueError, match="step must be finite and positive"):
-            run_experiment(cfg)
+        builds = []
+        monkeypatch.setattr(harness, "build_problem", builds.append)
+        cfg = tmp_path / "step.cfg"
+        cfg.write_text(f"[experiment]\npreset = static-ls\nstep_override = {value}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "step_override must lie in (0, inf)" in capsys.readouterr().err
+        assert not out.exists() and builds == []
+
+    def test_unknown_experiment_key_in_sections_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown experiment settings: \['bogus'\]"):
+            make_config({"experiment": {"bogus": 1}}, {"preset": "static-ls"})
 
     def test_short_noise_schedule_rejected(self):
         sections = {"experiment": {"horizon": 5}, "noise": {"per_time_scale": (1.0, 0.5, 1.0)}}
@@ -436,7 +452,7 @@ class TestConfigFiles:
         from plgrad.config import build_problem
 
         problem = build_problem(cfg)
-        # the target -(a_w^T w_t - p_ref) = -(250 + t) lies below the
+        # the target -(1^T w_t - p_ref) = -(250 + t) lies below the
         # reachable [-100, 200] of the default 4-device box
         assert problem.value(0, np.zeros(4)) == pytest.approx(0.5 * 250.0**2)
         assert problem.fstar(0) == pytest.approx(0.5 * 150.0**2)
@@ -470,16 +486,37 @@ class TestConfigFiles:
             ("fig1-ls", "n = 30", "need d >= n >= 1, got n=30, d=20"),
             ("fig3-demand-response", "bounds_lo = 1\nbounds_hi = 0", "lo < hi elementwise"),
             ("fig3-demand-response", "traces = absent.csv", "No such file"),
+            ("fig3-demand-response", "traces = {tmp}/nan.csv", "traces must be finite"),
+            ("fig1-ls", "drift_std = nan", "noise scales must be finite"),
+            ("fig1-ls", "drift_std = inf", "noise scales must be finite"),
+            ("fig1-ls", "obs_noise_std = nan", "noise scales must be finite"),
+            ("logistic", "drift_std = nan", "drift_std must be finite and nonnegative"),
+            ("fig1-ls", "l = inf", "need 0 < mu <= l < inf"),
+            ("fig1-ls", "mu = 1e-300", "contraction 1 - mu/L must lie in [0, 1), got 1.0"),
         ],
-        ids=["ls-n", "dr-bounds", "dr-traces"],
+        ids=[
+            "ls-n", "dr-bounds", "dr-traces", "dr-nan-trace", "ls-drift-nan", "ls-drift-inf",
+            "ls-obs-noise-nan", "logistic-drift-nan", "ls-l-inf", "ls-zeta-one",
+        ],
     )
-    def test_bad_problem_value_is_a_config_error(self, tmp_path, capsys, preset, problem, message):
-        # the family constructor's own check, reported like a bad [noise] value
+    def test_bad_problem_value_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, preset, problem, message
+    ):
+        # the family constructor's own check, or the contraction 1 - mu/L,
+        # reported like a bad [noise] value before any trial runs
+        from plgrad import harness
+
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: runs.append(args))
+        # one trace entry is nan; the run is 4 steps long, so it is read
+        rows = ["t,w_1,p_ref"] + [f"{t},10,{'nan' if t == 3 else -200}" for t in range(5)]
+        (tmp_path / "nan.csv").write_text("\n".join(rows) + "\n")
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"[experiment]\npreset = {preset}\n[problem]\n{problem}\n")
+        head = f"[experiment]\npreset = {preset}\ntrials = 2\nhorizon = 4\n"
+        cfg.write_text(f"{head}[problem]\n{problem.format(tmp=tmp_path)}\n")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "out").exists() and runs == []
 
     def test_noise_without_finite_closed_forms_is_refused_before_the_run(
         self, tmp_path, capsys, monkeypatch

@@ -1,14 +1,16 @@
 """Every name a plgrad module imports is used in that module, no module
 imports scipy, which only the tests need, every top-level function and
-class has a consumer outside the tests of its own behaviour, no random
-generator is seeded through the per-process salted builtin hash, and
-only noise.stream builds one.
+class has a consumer outside the tests of its own behaviour, so has every
+parameter default (some consumer's call sets it), no random generator is
+seeded through the per-process salted builtin hash, and only noise.stream
+builds one.
 
 `__init__` imports to re-export, so there a name may instead be listed in
 `plgrad.__all__`.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -106,6 +108,85 @@ def test_every_top_level_definition_has_a_consumer():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert not unused, f"no consumer references {unused}"
+
+
+# defaults kept although only tests set them, each with its reason
+UNSET_DEFAULTS_KEPT = {
+    # the Bonferroni-corrected coverage gate will pass a per-test level
+    "coverage_envelope(confidence)",
+    # the reference oracle: tests run it from 101 to 4,001 points
+    "grid_argmin_prox(points)",
+}
+
+
+def defaulted_parameters(tree):
+    """(key, name, position) of each parameter with a default of each def in
+    tree.  A function or method is keyed by its name, an __init__ by its
+    class's name; position is None for a keyword-only parameter, and counts
+    self or cls as 0, as a call through the instance does not."""
+    for cls in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            key = cls.name if node.name == "__init__" else node.name
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(a.defaults)
+            for i in range(first, len(positional)):
+                yield key, positional[i].arg, i - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield key, arg.arg, None
+
+
+def call_arguments(tree):
+    """(key, positions, keywords) of each call in tree, keyed by the name it
+    calls: `f(...)` and `x.f(...)` call f, a class called by its name calls
+    its __init__, and super().__init__(...) in a class calls its base's.  A
+    *args passes every position and a **kwargs every keyword."""
+    bases = {
+        id(sub): [b.id for b in cls.bases if isinstance(b, ast.Name)]
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for sub in ast.walk(cls)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        keys = [getattr(func, "attr", getattr(func, "id", None))]
+        if (
+            isinstance(func, ast.Attribute) and func.attr == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"
+        ):
+            keys = bases.get(id(node), [])
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        positions = math.inf if starred else len(node.args)
+        keywords = {k.arg for k in node.keywords}
+        for key in keys:
+            yield key, positions, keywords
+
+
+def test_every_default_parameter_is_set_by_a_consumer():
+    # a default that no run, check or README example overrides is a
+    # constant with a parameter's cost: every caller gets the same value
+    calls = {}
+    for tree in consumer_trees():
+        for key, positions, keywords in call_arguments(tree):
+            calls.setdefault(key, []).append((positions, keywords))
+    unset = [
+        f"{path.stem}.{key}({name})"
+        for path in sorted(SRC.glob("*.py"))
+        for key, name, position in defaulted_parameters(ast.parse(path.read_text()))
+        if f"{key}({name})" not in UNSET_DEFAULTS_KEPT
+        and not any(
+            name in keywords or None in keywords or (position is not None and position < n)
+            for n, keywords in calls.get(key, ())
+        )
+    ]
+    assert not unset, f"no consumer sets {unset}"
 
 
 # constructors and seeding calls of numpy's and the stdlib's generators

@@ -9,11 +9,13 @@ import pytest
 from scipy.optimize import minimize
 
 from plgrad import problems as problems_mod
+from plgrad.harness import _analytic_inputs
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
     DriftingLogistic,
     LtiTracking,
+    QuadraticTracking,
     TimeVaryingLeastSquares,
     load_demand_response_traces,
     prox_decrease,
@@ -39,6 +41,22 @@ def evaluated(problem, t, x):
     g = np.empty_like(x)
     f, f_prev, _ = problem.evaluate(t, x, grad_out=g)
     return np.concatenate([np.stack([f, f_prev], axis=-1), g], axis=-1)
+
+
+def weighted_demand_response(horizon, p_ref, w, lo, hi, a_x, a_w=None):
+    """Demand response with device weights a_x and load weights a_w (ones
+    by default): the one-row QuadraticTracking over the box, with the
+    constants of that structure, L = ||a_x||^2, the smallest nonzero a_i^2
+    as the proximal slope and the error gain ||a_x||.  DemandResponse
+    builds the case a_x = ones."""
+    a_w = np.ones(w.shape[1]) if a_w is None else a_w
+    b = p_ref[: horizon + 1] - w[: horizon + 1] @ a_w
+    return QuadraticTracking(
+        "demand_response", a_x[None, :], b[:, None], horizon,
+        smoothness=float(a_x @ a_x), pl_constant=float(np.min(a_x[a_x != 0.0] ** 2)),
+        domain_radius=1.05 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))),
+        error_gain=float(np.linalg.norm(a_x)), box=(lo, hi),
+    )
 
 
 def sampled_pl(problem, t, n_samples, seed):
@@ -225,11 +243,11 @@ class TestLtiTracking:
         # fitted one, and stays below the crude smax * s * sqrt(m) cap
         s = 0.3
         model = NoiseModel("gaussian_iid", scale=s)
-        env = lti_problem.error_envelope(model)
+        k = _analytic_inputs(lti_problem, model, 1, 2)[1][0]  # the K a run certifies
         norms = np.linalg.norm(lti_problem.map_error(sample(model, 9, 0, 0, 20000)), axis=1)
         fitted = fit_from_samples(norms, theta=0.5)
-        assert fitted.k <= env.k * 1.05
-        assert env.k <= lti_problem.error_gain * s * math.sqrt(9) + 1e-12
+        assert fitted.k <= k * 1.05
+        assert k <= lti_problem.error_gain * s * math.sqrt(9) + 1e-12
 
     @pytest.mark.parametrize(
         "model",
@@ -289,7 +307,7 @@ class TestDemandResponse:
 
     def test_one_row_oracles_keep_the_scalar_forms(self):
         # the one-row path must give the bits of the scalar cost
-        # 0.5 s^2 with s = a^T x + c_t, c_t = a_w^T w_t - p_ref_t
+        # 0.5 s^2 with s = a_x^T x + c_t, c_t = a_w^T w_t - p_ref_t
         rng = np.random.default_rng(12)
         # a long horizon: squaring by multiplication instead of pow changes
         # the last bit of about one clamp distance in a thousand
@@ -302,7 +320,7 @@ class TestDemandResponse:
             np.arange(horizon + 1) % 2 == 0, 400.0, -400.0
         )
         lo, hi = np.full(n, -3.0), np.full(n, 4.0)
-        p = DemandResponse(n, 0, horizon, p_ref, w, lo, hi, a_x=a_x, a_w=a_w)
+        p = weighted_demand_response(horizon, p_ref, w, lo, hi, a_x, a_w)
         c = w @ a_w - p_ref
         s_min = float(np.sum(np.minimum(a_x * lo, a_x * hi)))
         s_max = float(np.sum(np.maximum(a_x * lo, a_x * hi)))
@@ -331,8 +349,8 @@ class TestDemandResponse:
         # that a zero product is +0.0 where multiply can give -0.0
         a_x = np.array([1.5, -2.0, 0.0, 5e-324, -1e150, 1e-310, 7.0])
         n = a_x.size
-        p = DemandResponse(
-            n, 0, 1, np.zeros(2), np.zeros((2, 1)), np.full(n, -1.0), np.ones(n), a_x=a_x
+        p = weighted_demand_response(
+            1, np.zeros(2), np.zeros((2, 1)), np.full(n, -1.0), np.ones(n), a_x
         )
         vals = np.array(
             [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -4.5, 1e300]
@@ -358,8 +376,8 @@ class TestDemandResponse:
         rng = np.random.default_rng(5)
         n = 500
         w, p_ref = synth_demand_response_traces(1, seed=5)
-        p = DemandResponse(
-            n, 5, 1, p_ref, w, np.zeros(n), np.ones(n), a_x=rng.uniform(0.5, 1.5, size=n)
+        p = weighted_demand_response(
+            1, p_ref, w, np.zeros(n), np.ones(n), rng.uniform(0.5, 1.5, size=n)
         )
         r = rng.normal(size=(50, 1))
         out = np.empty((50, n))

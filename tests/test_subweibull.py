@@ -217,12 +217,6 @@ class TestFitFromSamples:
             bound = hp_bound(fitted, delta)
             assert np.mean(samples > bound) <= delta
 
-    def test_k_max_cap(self):
-        samples = np.array([1.0, 2.0, 3.0])
-        full = fit_from_samples(samples, theta=0.25, k_max=10)
-        capped = fit_from_samples(samples, theta=0.25, k_max=3)
-        assert capped.k <= full.k
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_from_samples(np.array([]), theta=0.5)
