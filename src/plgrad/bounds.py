@@ -156,12 +156,16 @@ def asymptote(
 
     The fixed point of expectation_bound when every step has the inputs
     (e_bar, psi_bar): zeta = 1 - mu/L, so B = c / (1 - zeta) = (L/mu) c.
+    A cap that overflows a float raises.
     """
     if mu <= 0 or smoothness <= 0:
         raise ValueError("mu and smoothness must be positive")
     if not (0 <= e_bar < np.inf and 0 <= psi_bar < np.inf):
         raise ValueError("e_bar and psi_bar must be finite and nonnegative")
-    return (smoothness / mu) * (cost.weight * e_bar + psi_bar)
+    cap = (smoothness / mu) * (cost.weight * e_bar + psi_bar)
+    if not cap < np.inf:
+        raise ValueError(f"the long-run cap is {cap}, not finite")
+    return cap
 
 
 def markov_highprob_bound(expectation, delta: float) -> np.ndarray:

@@ -189,9 +189,10 @@ _PARSERS = {
 
 def load_config_file(path) -> dict[str, dict]:
     """Parse and type-check a config file; unknown keys are errors."""
+    # the value given: Path("") is "."
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {str(path)!r}")
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#",)
     )

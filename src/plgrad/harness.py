@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -85,18 +86,16 @@ def _bound_set(
     return out
 
 
-def _fitted_envelope_ks(
-    error_matrix: np.ndarray, model: noise_mod.NoiseModel, horizon: int
-) -> np.ndarray:
-    """Per-step envelope scales c_t K, K fitted from the norms divided by c_t."""
-    c = noise_mod.time_scales(model, horizon)
-    active = c > 0
-    # column t+1 holds ||e_t||; compress gives a C-ordered copy, so ravel
-    # below copies nothing (a boolean index would give another order)
-    normalized = error_matrix[:, 1:].compress(active, axis=1)
-    normalized /= c[active]
-    k = fit_from_samples(normalized.ravel(), model.theta).k if np.any(active) else 0.0
-    return k * c
+def _normalized_fit(norms: np.ndarray, scales: np.ndarray, theta: float) -> float:
+    """K fitted from norms[:, t] / scales[t] over the steps with scales[t] > 0,
+    0 if there is none.  compress gives a C-ordered copy, divided in place,
+    so ravel copies nothing (a boolean index would give another order)."""
+    active = scales > 0
+    if not np.any(active):
+        return 0.0
+    normalized = norms.compress(active, axis=1)
+    normalized /= scales[active]
+    return fit_from_samples(normalized.ravel(), theta).k
 
 
 def _analytic_inputs(
@@ -133,19 +132,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # the solver name picks only the error cost; its power picks the moment
     # E||e||^2 or E||e|| that every input mode takes
     cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
+    cap = partial(bounds_mod.asymptote, problem.pl_constant, problem.smoothness, cost)
+    if config.psi_bar is not None:  # a cap that overflows at e_bar = 0 always does
+        try:
+            cap(0.0, config.psi_bar)
+        except ValueError as exc:
+            raise ConfigError(f"psi_bar = {config.psi_bar:g}: {exc}") from exc
     # both input modes' series are always formed: a model without finite
     # closed forms is refused here, before any trial runs
     analytic = _analytic_inputs(problem, model, horizon, cost.power)
 
-    traj = run(
-        problem,
-        model,
-        horizon=config.horizon,
-        x0=x0,
-        seed=config.seed,
-        trials=range(config.trials),
-        step_override=config.step_override,
-    )
+    traj = run(problem, model, horizon, x0, config.seed, range(config.trials), config.step_override)
     regret = traj.regret
     err = traj.error_norm
 
@@ -156,9 +153,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # measured per-step inputs (trajectory-variability variant)
     mean_err_moment = (err[:, 1:] ** cost.power).mean(axis=0)
     theta = model.theta
-    fitted_ks = _fitted_envelope_ks(err, model, horizon)
-    psi_m = traj.psi_tilde  # a fresh array: formed after the fit's copies
-    mean_psi = psi_m[:, 1:].mean(axis=0)
+    # column t+1 holds ||e_t||, which the envelope c_t K scales
+    c = noise_mod.time_scales(model, horizon)
+    fitted_ks = _normalized_fit(err[:, 1:], c, theta) * c
+    mean_psi = traj.psi_tilde[:, 1:].mean(axis=0)
 
     # per-step (moments, envelope_ks) of each input mode
     inputs = {
@@ -178,15 +176,13 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         psi_bar, psi_src = config.psi_bar, "configured"
     else:
         psi_bar, psi_src = float(np.max(mean_psi)), "empirical sup"
-    asymptote_value = bounds_mod.asymptote(
-        problem.pl_constant, problem.smoothness, cost, e_bar, psi_bar
-    )
+    asymptote_value = cap(e_bar, psi_bar)
 
     # pathwise recursion residuals (positive = violation), two arrays at a time
     resid = regret[:, 1:] - zeta * regret[:, :-1]
     coef = err[:, 1:] ** cost.power
     resid -= np.multiply(coef, cost.weight, out=coef)
-    resid -= psi_m[:, 1:]
+    resid -= traj.psi_tilde[:, 1:]
     recursion_max = float(resid.max())
     del resid, coef  # freed first, so the counts below add nothing to this peak
 
@@ -331,17 +327,15 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
         # moment inequality of the K actually used against the measured norms
         # (normalized per step so time-varying scales pool into one inequality);
         # a step with K_t = 0 admits only zero errors
-        theta = report.envelope_theta
         ks = report.envelope_k
-        active = ks > 0
         samples = traj.error_norm[:, 1:]
-        if np.any(samples[:, ~active]):
+        if np.any(samples[:, ks <= 0]):
             moments_ok, detail = False, "nonzero errors under zero envelope"
-        elif not np.any(active):
+        elif not np.any(ks > 0):
             moments_ok, detail = True, "degenerate envelope; all samples zero"
         else:
             # the fitted scale of the normalized norms is max_k ||e||_k / (K k^theta)
-            ratio = fit_from_samples(samples[:, active] / ks[active], theta).k
+            ratio = _normalized_fit(samples, ks, report.envelope_theta)
             moments_ok = ratio <= 1.1
             detail = f"max ||e||_k / (K k^theta) = {ratio:.3f} (limit 1.1)"
         summary.checks.append(CheckResult("envelope_moments", moments_ok, detail))
@@ -497,7 +491,6 @@ class AsymptoteReport:
     burn_in: int
     tail_max: np.ndarray        # per-trial max regret beyond the burn-in
     median_tail_max: float
-    frac_exceeding: float
 
 
 def longrun_asymptote_check(config: ExperimentConfig, burn_in: int) -> AsymptoteReport:
@@ -520,5 +513,4 @@ def longrun_asymptote_check(config: ExperimentConfig, burn_in: int) -> Asymptote
         burn_in=burn_in,
         tail_max=tail_max,
         median_tail_max=float(np.median(tail_max)),
-        frac_exceeding=float(np.mean(tail_max > report.asymptote_value)),
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .subweibull import SubWeibullParams, add_scalar, scale
 
-FAMILIES = ("gaussian_iid", "bounded_uniform", "weibull_tail", "zero")
+FAMILIES = ("gaussian_iid", "bounded_uniform", "weibull_tail")
 
 # one tag per consumer of a seed, so no two draw the same numbers
 STREAMS = {"build": 1, "noise": 2, "verify": 3, "gradient": 4, "pl": 5, "prox": 6}
@@ -33,9 +33,10 @@ _lgamma = np.vectorize(math.lgamma, otypes=[float])
 class NoiseModel:
     """Distribution family and parameters for the gradient error e_t.
 
-    family: one of FAMILIES; the default "zero" draws no error.
+    family: one of FAMILIES.
     scale: std (gaussian_iid), half-width (bounded_uniform) or Weibull scale
-        (weibull_tail), in gradient units.
+        (weibull_tail), in gradient units.  No noise is scale = 0, the
+        default: every family then draws zeros, with K = 0.
     weibull_shape: Weibull shape parameter; the norm envelope then has tail
         exponent theta = 1/shape.  Ignored by the other families.
     bias: constant offset added to every coordinate (the theory does not
@@ -48,7 +49,7 @@ class NoiseModel:
         exist only so validation runs can demonstrate a failing verdict.
     """
 
-    family: str = "zero"
+    family: str = "gaussian_iid"
     scale: float = 0.0
     weibull_shape: float = 1.0
     bias: float = 0.0
@@ -76,8 +77,7 @@ class NoiseModel:
         """Tail exponent of the norm envelope."""
         if self.family == "weibull_tail":
             return 1.0 / self.weibull_shape
-        # Gaussian and bounded-support coordinates are sub-Gaussian; the
-        # degenerate family is tagged sub-Gaussian too so envelopes compose.
+        # Gaussian and bounded-support coordinates are sub-Gaussian
         return 0.5
 
 
@@ -109,7 +109,7 @@ def sample(model: NoiseModel, n: int, seed: int, trial: int, horizon: int) -> np
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     c = time_scales(model, horizon)
     scales = model.scale * c
-    if model.family == "zero" or model.scale == 0.0:
+    if model.scale == 0.0:
         e = np.zeros((horizon, n))
     else:
         rng = stream(seed, "noise", trial)
@@ -187,7 +187,7 @@ def envelope_norm(model: NoiseModel, n: int) -> SubWeibullParams:
         raise ValueError(f"dimension must be >= 1, got {n}")
     theta = model.theta
     s = model.scale
-    if model.family == "zero" or s == 0.0:
+    if s == 0.0:
         base = SubWeibullParams(theta, 0.0)
     elif model.family == "gaussian_iid":
         base = SubWeibullParams(theta, _gaussian_norm_k(s, n))
@@ -210,9 +210,7 @@ def second_moment(model: NoiseModel, n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     s = model.scale
-    if model.family == "zero":
-        raw = 0.0
-    elif model.family == "gaussian_iid":
+    if model.family == "gaussian_iid":
         raw = n * s**2
     elif model.family == "bounded_uniform":
         raw = n * s**2 / 3.0
@@ -234,9 +232,7 @@ def mean_norm(model: NoiseModel, n: int) -> float:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     s = model.scale
-    if model.family == "zero":
-        raw = 0.0
-    elif model.family == "gaussian_iid":
+    if model.family == "gaussian_iid":
         raw = s * np.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
     elif model.family == "bounded_uniform":
         raw = s * np.sqrt(n / 3.0)

@@ -417,7 +417,6 @@ class DriftingLogistic(OnlineProblem):
 
         self.domain_radius = 10.0  # 10 max(||x*||, 1) with x* = 0
         self.diameter = 2.0 * self.domain_radius
-        self.pl_constant = 0.0  # placeholder while the certificate samples
         self.pl_constant = 0.5 * self._sampled_mu(rng)
         self.mu_exact = False
 
@@ -598,8 +597,8 @@ def _sample_ball(rng: np.random.Generator, n: int, radius: float, size: int) -> 
 
 def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> float:
     """Largest mu with 2 mu (f_t - f*_t) <= ||grad f_t||^2 at n_samples points
-    of the domain ball; points at the optimum are skipped, and pl_constant
-    is returned when all are."""
+    of the domain ball; points at the optimum are skipped, and inf, which
+    every mu satisfies, is returned when all are."""
     if not problem.smooth_only():
         raise ValueError("gradient-domination check applies to unregularized costs")
     if n_samples < 1:
@@ -611,7 +610,7 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> floa
     gsq = np.sum(problem.grad(t, xs) ** 2, axis=-1)
     keep = gap > 1e-12 * max(1.0, abs(fstar))
     if not keep.any():
-        return problem.pl_constant
+        return math.inf
     return float(np.min(gsq[keep] / (2.0 * gap[keep])))
 
 

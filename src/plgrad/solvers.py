@@ -15,8 +15,8 @@ R trials are the rows of an (R, n) matrix, each trial's errors come from
 its own noise block keyed by (seed, tag, trial), and every oracle works row by
 row, so a trial's trajectory is bit-identical whatever batch it runs in.
 It records the instantaneous regret r_t = F_t(x_t) - F_t*, the realized
-error norms, and the per-step variability terms needed by the certificate
-recursions.
+error norms, and the per-step variability psi_tilde_t that the certificate
+recursions read.
 """
 
 from __future__ import annotations
@@ -90,32 +90,25 @@ def _check_regret(r: np.ndarray, tol: float, seed: int, trials: tuple[int, ...])
 class RegretTrajectory:
     """Per-step record of a batch of trials: one row per trial, horizon + 1 columns.
 
-    Column t holds r_t, ||e_{t-1}|| and phi_tilde_t (sigma_t, which depends
-    on t only, is one row); column 0 has zero error and variability.
-    ||e_{t-1}|| is the norm problem.evaluate gives with the measured
-    gradient: ||a|| |eta| in closed form on a one-row A with measurement
-    noise, the norm of the mapped error everywhere else.
+    Column t holds r_t, ||e_{t-1}|| and the variability
+    psi_tilde_t = sigma_t + phi_tilde_t, with sigma_t = |f*_t - f*_{t-1}| and
+    phi_tilde_t = |f_t(x_t) - f_{t-1}(x_t)|; column 0 has zero error and
+    variability.  ||e_{t-1}|| is the norm problem.evaluate gives with the
+    measured gradient: ||a|| |eta| in closed form on a one-row A with
+    measurement noise, the norm of the mapped error everywhere else.
     Regret values in (-problem.fstar_tol, 0) are clipped to 0.
     domain_excursions, max_step_norm and min_raw_regret hold one entry per
     trial; theory_exceptions lists what no certificate covers.
     """
 
-    seed: int
-    trials: tuple[int, ...]
     regret: np.ndarray
     error_norm: np.ndarray
-    sigma: np.ndarray
-    phi_tilde: np.ndarray
+    psi_tilde: np.ndarray
     x_final: np.ndarray
-    step: float
     theory_exceptions: list[str]
     domain_excursions: np.ndarray
     max_step_norm: np.ndarray
     min_raw_regret: np.ndarray
-
-    @property
-    def psi_tilde(self) -> np.ndarray:
-        return self.sigma + self.phi_tilde
 
     @property
     def outside_theory(self) -> bool:
@@ -134,7 +127,7 @@ def run(
     trials: Iterable[int] = range(1),
     step_override: float | None = None,
 ) -> RegretTrajectory:
-    """Run the seeded trials together and record regret and variability.
+    """Run the seeded trials together; record regret, ||e|| and psi_tilde.
 
     Deterministic: row k reproduces trial trials[k] bit-exactly, whichever
     other trials run in the same call.
@@ -186,12 +179,12 @@ def run(
         [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials], axis=1)
 
     # The loop writes F_t(x_t), f_t(x_t) - f_{t-1}(x_t) and ||e_{t-1}||
-    # into column t; the regret checks, minimum and clip, sigma and the
-    # absolute values then run once on whole matrices.
+    # into column t; the regret checks, minimum and clip, the absolute
+    # values and sigma_t then run once on whole matrices.
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
     error_norm = np.zeros(shape)
-    phi_tilde = np.zeros(shape)
+    psi_tilde = np.zeros(shape)
     excursions = np.zeros(len(trials), dtype=int)
     max_step_norm = np.zeros(len(trials))
 
@@ -217,7 +210,7 @@ def run(
         if count_ball:
             np.add(excursions, _row_norm(x) >= problem.domain_radius, out=excursions)
         if t:
-            np.subtract(f, f_prev, out=phi_tilde[:, t])
+            np.subtract(f, f_prev, out=psi_tilde[:, t])
         if t == horizon:
             break
 
@@ -236,13 +229,15 @@ def run(
         np.maximum(max_step_norm, step_norm, out=max_step_norm)
         x, v = x_next, x
 
+    del raw  # spent: freed, it makes room for the buffers of the sums below
     np.subtract(regret, fstar, out=regret)
     _check_regret(regret, reg_tol, seed, trials)
     min_raw = regret.min(axis=1)
     np.maximum(regret, 0.0, out=regret)
-    sigma = np.zeros(horizon + 1)
-    np.abs(np.diff(fstar), out=sigma[1:])
-    np.abs(phi_tilde, out=phi_tilde)
+    # phi_tilde_t, then sigma_t = |f*_t - f*_{t-1}| (sigma_0 = 0) added in
+    # place: the sum has the bits of sigma_t + phi_tilde_t, as addition commutes
+    np.abs(psi_tilde, out=psi_tilde)
+    psi_tilde += np.abs(np.diff(fstar, prepend=fstar[0]))
 
     # every certificate assumes the step 1/L, and constants certified on
     # the domain ball
@@ -250,14 +245,10 @@ def run(
     if excursions.any():
         exceptions.append(f"iterates left the domain ball in {excursions.sum()} trial-steps")
     return RegretTrajectory(
-        seed=seed,
-        trials=trials,
         regret=regret,
         error_norm=error_norm,
-        sigma=sigma,
-        phi_tilde=phi_tilde,
+        psi_tilde=psi_tilde,
         x_final=x,
-        step=step,
         theory_exceptions=exceptions,
         domain_excursions=excursions,
         max_step_norm=max_step_norm,

@@ -70,7 +70,7 @@ def demand_response_report():
 def test_criterion_01_noiseless_linear_convergence():
     start = time.perf_counter()
     problem = TimeVaryingLeastSquares(10, 20, 0.1, 1.0, 0.0, 0.0, seed=42, horizon=200)
-    traj = run(problem, NoiseModel("zero"), seed=0, x0=np.zeros(10))
+    traj = run(problem, NoiseModel(), seed=0, x0=np.zeros(10))
     r = traj.regret[0]
     mask = r[:-1] > 1e-12
     ratios = r[1:][mask] / r[:-1][mask]

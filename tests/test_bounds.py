@@ -164,6 +164,11 @@ class TestAsymptote:
         with pytest.raises(ValueError):
             asymptote(0.1, 1.0, ogd(1.0), -0.1, 0.0)
 
+    def test_cap_that_overflows_a_float_raises(self):
+        # finite inputs, but (L/mu) psi_bar = 10 * 1e308 is inf
+        with pytest.raises(ValueError, match="not finite"):
+            asymptote(0.1, 1.0, ogd(1.0), 0.0, 1e308)
+
 
 class TestErrorCost:
     def test_each_solver_has_its_stated_record(self):

@@ -92,7 +92,8 @@ class TestRunCommand:
         out = tmp_path / "out"
         args = ["run", "--preset", "static-ls", "--trials", "2", "--config", "", "--out", str(out)]
         assert main(args) == 2
-        assert "config file not found" in capsys.readouterr().err
+        # the value given, not ".", which Path("") names
+        assert "config file not found: ''" in capsys.readouterr().err
         assert not out.exists()
 
     def test_comment_only_config_names_the_missing_problem_kind(self, tmp_path, capsys):
@@ -342,6 +343,7 @@ class TestBoundsCommand:
             "--mu 1 --l 2 --r0 nan --horizon 3",
             "--mu 1 --l 2 --e-bar inf",
             "--mu 1 --l 2 --r0 1 --horizon 3 --diameter inf",
+            "--mu 0.1 --l 1 --e-bar 1 --psi-bar 1e308",
         ],
     )
     def test_bad_argument_prints_nothing(self, extra, capsys):
@@ -419,6 +421,23 @@ class TestConfigFiles:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "step_override must lie in (0, inf)" in capsys.readouterr().err
         assert not out.exists() and builds == []
+
+    def test_psi_bar_whose_cap_overflows_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # psi_bar = 1e308 is finite, but the cap (L/mu) psi_bar is not
+        from plgrad import harness
+
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: runs.append(args))
+        cfg = tmp_path / "cap.cfg"
+        cfg.write_text("[experiment]\npsi_bar = 1e308\n")
+        out = tmp_path / "out"
+        args = ["run", "--preset", "static-ls", "--trials", "2", "--config", str(cfg)]
+        assert main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "psi_bar = 1e+308" in captured.err and "not finite" in captured.err
+        assert captured.out == "" and not out.exists() and runs == []
 
     def test_unknown_experiment_key_in_sections_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown experiment settings: \['bogus'\]"):

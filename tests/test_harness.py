@@ -144,7 +144,7 @@ class TestDominanceAndCoverage:
 
     def test_noiseless_static_run_passes_with_zero_slack(self):
         cfg = small_config(trials=5, horizon=50)
-        cfg.noise = {"family": "zero"}
+        cfg.noise = {"scale": 0.0}
         report = run_experiment(cfg)
         summary = validate_bounds(report)
         assert summary.passed, summary.failed_names()
@@ -243,7 +243,7 @@ class TestCoverageEnvelope:
 class TestLongRun:
     def test_noiseless_static_tail_below_geometric_envelope(self):
         cfg = small_config(trials=3, horizon=200)
-        cfg.noise = {"family": "zero"}
+        cfg.noise = {"scale": 0.0}
         out = longrun_asymptote_check(cfg, burn_in=50)
         r0 = run_experiment(cfg).mean_regret[0]
         zeta = 0.9
@@ -409,7 +409,7 @@ class TestBattery:
 
     def test_iterates_leaving_the_ball_fail_theory_scope(self):
         cfg = small_config(trials=2, horizon=5)
-        cfg.noise = {"family": "zero", "bias": 1e4}  # drives the iterates far out
+        cfg.noise = {"scale": 0.0, "bias": 1e4}  # drives the iterates far out
         summary = run_validation_battery(cfg, checks=("recursion",))
         scope = next(c for c in summary.checks if c.name == "theory_scope")
         assert not scope.passed and "left the domain ball" in scope.detail

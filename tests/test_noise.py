@@ -9,6 +9,7 @@ from scipy.special import gamma, gammaln
 from plgrad.config import ConfigError
 from plgrad.harness import _analytic_inputs
 from plgrad.noise import (
+    FAMILIES,
     STREAMS,
     NoiseModel,
     _gaussian_norm_k,
@@ -59,11 +60,19 @@ def test_stream_tags_are_distinct():
 
 
 class TestSampling:
-    def test_zero_family(self):
-        model = NoiseModel("zero")
+    def test_zero_scale_draws_zeros(self):
+        model = NoiseModel()
         block = sample(model, 7, 1, 2, 3)
         assert block.shape == (3, 7)
         assert np.all(block == 0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_zero_scale_is_no_noise_in_every_family(self, family):
+        # no noise is written scale = 0: zero draws, K = 0 and zero moments
+        model = NoiseModel(family, scale=0.0, weibull_shape=0.5)
+        assert np.all(sample(model, 4, 1, 2, 5) == 0.0)
+        assert envelope_norm(model, 4).k == 0.0
+        assert second_moment(model, 4) == 0.0 and mean_norm(model, 4) == 0.0
 
     def test_keyed_reproducibility(self):
         model = NoiseModel("gaussian_iid", scale=0.3)
@@ -97,7 +106,7 @@ class TestSampling:
         assert norms.mean() == pytest.approx(expected, rel=0.05)
 
     def test_bias_offsets_every_coordinate(self):
-        model = NoiseModel("zero", bias=0.7)
+        model = NoiseModel(bias=0.7)
         assert np.allclose(sample(model, 5, 0, 0, 1), 0.7)
 
     def test_per_time_scale(self):
@@ -117,7 +126,7 @@ class TestMoments:
         "model,n,expected",
         [
             (NoiseModel("gaussian_iid", scale=np.sqrt(1e-3)), 10, 0.01),
-            (NoiseModel("zero"), 4, 0.0),
+            (NoiseModel(), 4, 0.0),
             (NoiseModel("bounded_uniform", scale=3.0), 2, 6.0),
             (
                 NoiseModel("weibull_tail", scale=1.5, weibull_shape=0.5),
@@ -209,12 +218,13 @@ class TestEnvelopes:
             assert np.mean(norms > hp_bound(env, delta)) <= delta
 
     def test_zero_envelope(self):
-        env = envelope_norm(NoiseModel("zero"), 6)
+        env = envelope_norm(NoiseModel(), 6)
         assert env.k == 0.0
 
-    def test_degenerate_iff_zero_family_or_scale(self):
+    def test_degenerate_iff_zero_scale(self):
         assert envelope_norm(NoiseModel("gaussian_iid", scale=0.0), 4).k == 0.0
         assert envelope_norm(NoiseModel("bounded_uniform", scale=0.0), 4).k == 0.0
+        assert envelope_norm(NoiseModel("weibull_tail", scale=0.0), 4).k == 0.0
         for model in (
             NoiseModel("gaussian_iid", scale=1e-9),
             NoiseModel("bounded_uniform", scale=1e-9),
@@ -237,7 +247,7 @@ class TestEnvelopes:
         base = sample(NoiseModel("gaussian_iid", scale=0.5, bias=0.05), 4, 7, 3, len(c))
         assert np.all(block[c == 0.0] == 0.0)
         np.testing.assert_allclose(block[c > 0], c[c > 0, None] * base[c > 0], rtol=1e-12)
-        assert np.array_equal(time_scales(NoiseModel("zero"), 3), np.ones(3))
+        assert np.array_equal(time_scales(NoiseModel(), 3), np.ones(3))
 
     def test_generic_composition_dominates(self):
         for model in (
@@ -368,4 +378,4 @@ class TestValidation:
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
-            sample(NoiseModel("zero"), 0, 0, 0, 1)
+            sample(NoiseModel(), 0, 0, 0, 1)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize
 
 from plgrad import problems as problems_mod
-from plgrad.harness import _analytic_inputs
+from plgrad.harness import _analytic_inputs, _check_pl
 from plgrad.noise import NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
@@ -137,8 +137,7 @@ class TestLeastSquares:
     def test_static_variability_identically_zero(self, static_ls):
         model = NoiseModel("gaussian_iid", scale=0.5)
         traj = run(static_ls, model, seed=0, trials=range(4))
-        assert np.array_equal(traj.sigma, np.zeros(61))
-        assert np.array_equal(traj.phi_tilde, np.zeros((4, 61)))
+        assert np.array_equal(traj.psi_tilde, np.zeros((4, 61)))
 
     def test_quadratic_lower_bound_near_minimizer(self, ls_problem):
         # gradient domination implies f(x) - f* >= mu/2 ||x - x*||^2
@@ -503,8 +502,9 @@ class TestSlopeCertificates:
 
         mu_hat, max_violation, n_used = sampled_pl(Flat(), 0, n_samples=50, seed=0)
         assert n_used == 0
-        assert mu_hat == Flat.pl_constant
+        assert mu_hat == math.inf  # every mu holds on no sample
         assert max_violation == 0.0
+        assert _check_pl(Flat(), 0).passed
 
     def test_rejects_zero_samples(self, ls_problem):
         with pytest.raises(ValueError):
@@ -528,8 +528,8 @@ class TestProxPLVerification:
 
 
 class TestVariability:
-    """run's sigma_t and phi_tilde_t against the two-evaluation formulas,
-    and the evaluate oracle it reads f_{t-1}(x_t) from."""
+    """run's psi_tilde_t = sigma_t + phi_tilde_t against the two-evaluation
+    formulas, and the evaluate oracle it reads f_{t-1}(x_t) from."""
 
     def test_two_evaluation_oracle(self, ls_problem):
         model = NoiseModel("gaussian_iid", scale=0.1)
@@ -538,8 +538,8 @@ class TestVariability:
             traj = run(ls_problem, model, seed=3, trials=range(3), horizon=t)
             x = traj.x_final
             direct_phi = np.abs(ls_problem.value(t, x) - ls_problem.value(t - 1, x))
-            assert np.array_equal(traj.phi_tilde[:, t], direct_phi)
-            assert traj.sigma[t] == abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
+            sigma = abs(ls_problem.fstar(t) - ls_problem.fstar(t - 1))
+            assert np.array_equal(traj.psi_tilde[:, t], sigma + direct_phi)
 
     def test_no_previous_value_at_t_zero(self, ls_problem):
         # there is no f_{-1}; run records zero variability in column 0
