@@ -23,7 +23,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .config import ConfigError, ExperimentConfig, build_noise, build_problem, initial_point
-from .problems import OnlineProblem, _sample_ball, sampled_times, verify_pl
+from .problems import OnlineProblem, _row_norm, _sample_ball, sampled_times, verify_pl
 from .prox import Regularizer, grid_argmin_prox, prox_objective
 from .solvers import RegretTrajectory, run
 from .subweibull import fit_from_samples
@@ -344,11 +344,22 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
 
 
 def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
+    """Central differences against grad f_t at 100 points of the half ball.
+
+    Point k passes at a relative error within 1e-6 + 4 eps sqrt(n) |f_t| /
+    (h_k ||g_k||), h_k its smallest step.  A central difference is exact on
+    a quadratic, and each stepped value is within 4 eps |f| (the residual's
+    rounding, doubled by the square, then the square's and the sum's), so
+    the n quotients move by at most sqrt(n) 4 eps |f| / h_k.  |f_t| is read
+    at the last axis's stepped points, one step from x_k.
+    """
     rng = noise_mod.stream(seed, "gradient")
     worst = 0.0
+    passed = True
     h = 1e-6
     n = problem.n
     n_points = 100
+    rounding = 4.0 * np.finfo(float).eps * math.sqrt(n)
     # all points step along one axis at a time: for axis i, row k of slab 0
     # holds the floats of xs[k] + dx[k, i] e_i and row k of slab 1 those of
     # xs[k] - dx[k, i] e_i, so one value call reads both (the oracles work
@@ -361,6 +372,7 @@ def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
         pair[1] = xs
         np.maximum(np.abs(xs, out=fd), 1.0, out=fd)
         fd *= h
+        h_min = fd.min(axis=1)
         for i in range(n):
             x_i = xs[:, i].copy()
             dx = fd[:, i]
@@ -369,10 +381,13 @@ def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
             f = problem.value(t, pair)
             np.divide(f[0] - f[1], 2.0 * dx, out=dx)
             pair[:, :, i] = x_i
-        for fd_row, g in zip(fd, problem.grad(t, xs, out=pair[1])):
-            denom = max(np.linalg.norm(g), 1e-12)
-            worst = max(worst, float(np.linalg.norm(fd_row - g) / denom))
-    return CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
+        g = problem.grad(t, xs, out=pair[1])
+        g_norm = np.maximum(_row_norm(g), 1e-12)
+        error = _row_norm(np.subtract(fd, g, out=fd)) / g_norm
+        limit = 1e-6 + rounding * np.maximum(np.abs(f[0]), np.abs(f[1])) / (h_min * g_norm)
+        worst = max(worst, float(error.max()))
+        passed = passed and bool(np.all(error <= limit))
+    return CheckResult("gradient_fd", passed, f"max relative error {worst:.2e}")
 
 
 def _check_pl(problem: OnlineProblem, seed: int) -> CheckResult:

@@ -54,6 +54,11 @@ class OnlineProblem:
     array of the result's shape that does not overlap the input) and
     returns it.  Instances are immutable after construction by convention;
     all oracles are safe to call concurrently.
+
+    error_map is None when raw noise of dimension n lands on the gradient,
+    or the family's A when the noise eta is on the measured outputs A x and
+    the error is A^T eta, with error_gain the declared ||A||_2; error_dim
+    and error_moment follow from the two.
     """
 
     name: str
@@ -67,6 +72,8 @@ class OnlineProblem:
     fstar_exact = True     # every family's optimal values are closed-form
     fstar_tol = 1e-9       # accuracy of fstar
     mu_exact: bool         # mu from structure vs sampled certificate
+    error_map: np.ndarray | None = None  # A when the errors are A^T eta
+    error_gain = 1.0       # ||A||_2 of the error map
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         raise NotImplementedError
@@ -119,36 +126,35 @@ class OnlineProblem:
         if not 0 <= t <= self.horizon:
             raise IndexError(f"time index {t} outside [0, {self.horizon}]")
 
-    # -- gradient-error geometry -------------------------------------------
-    # Raw noise of dimension error_dim is mapped into gradient space; the
-    # default is the identity.  Families whose errors come from measured
-    # outputs override these.
-
     @property
     def error_dim(self) -> int:
-        return self.n
+        return self.n if self.error_map is None else len(self.error_map)
 
     def map_error(self, raw: np.ndarray) -> np.ndarray:
         """Gradient-space error for raw noise of shape (error_dim,) or
-        (R, error_dim); the default identity returns raw itself."""
+        (R, error_dim); without an error_map it is raw itself."""
         return np.asarray(raw)
 
-    @property
-    def error_gain(self) -> float:
-        """Operator norm of the raw-noise-to-gradient map."""
-        return 1.0
-
-    # The moment below is at the noise model's base scale; a schedule
-    # multiplies it by c_t^power at time t.
-
     def error_moment(self, model: NoiseModel, power: int) -> float:
-        """E||e||^power of the mapped error: E||e||^2 for power 2, E||e|| for 1.
+        """E||e||^power at the noise model's base scale (a schedule
+        multiplies it by c_t^power): E||e||^2 for power 2, E||e|| for 1.
 
         gain^power times the raw noise's moment, exact for the identity map
-        and for a rank-one map a eta, whose norm is ||a|| |eta|.
+        and for a one-row map a eta, whose norm is ||a|| |eta|.  A map of m
+        > 1 rows has E||A^T eta||^2 in closed form, and E||A^T eta|| only as
+        its Jensen upper bound.
         """
+        a, m = self.error_map, self.error_dim
         moment = noise_mod.second_moment if power == 2 else noise_mod.mean_norm
-        return self.error_gain**power * moment(model, self.error_dim)
+        if a is None or m == 1:
+            return self.error_gain**power * moment(model, m)
+        # raw = z + b 1 with z zero-mean and isotropic, so the cross term
+        # vanishes: E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
+        z_second = noise_mod.second_moment(replace(model, bias=0.0), m)
+        frobenius = float(np.sum(a**2))
+        ones_image = float(np.sum(np.sum(a, axis=0) ** 2))  # ||A^T 1||^2
+        second = z_second / m * frobenius + model.bias**2 * ones_image
+        return second if power == 2 else math.sqrt(second)
 
 
 def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -183,9 +189,9 @@ class QuadraticTracking(OnlineProblem):
     a^T x: the cost then sees x only through the scalar a^T x, so the
     optimal value is the clamp distance of b_t onto the reachable interval.
 
-    error_gain is None when the gradient errors land on the gradient
-    directly.  Otherwise the errors are measurement noise on A x, mapped
-    through A^T, and error_gain is the operator norm of that map.
+    Without error_gain the gradient errors land on the gradient directly.
+    With it, A is the error_map: the errors are measurement noise on A x,
+    mapped through A^T, and error_gain is the declared ||A||_2.
     """
 
     mu_exact = True
@@ -204,7 +210,8 @@ class QuadraticTracking(OnlineProblem):
         self.matrix = a
         self._at = np.ascontiguousarray(a.T)
         self._b = b
-        self._gain = error_gain
+        if error_gain is not None:
+            self.error_map, self.error_gain = a, error_gain
         if box is None:
             self.diameter = 2.0 * domain_radius
             basis = np.linalg.qr(a)[0]
@@ -268,9 +275,9 @@ class QuadraticTracking(OnlineProblem):
         f_prev = _half_square(self._residual(t - 1, ax)) if t else None
         if grad_out is None:
             return f, f_prev, None
-        if noise is not None and self._gain is not None and self.matrix.shape[0] == 1:
+        if noise is not None and self.error_map is not None and len(self.error_map) == 1:
             self._adjoint(np.add(r, noise, out=r), out=grad_out)
-            return f, f_prev, self._gain * np.abs(noise[..., 0])
+            return f, f_prev, self.error_gain * np.abs(noise[..., 0])
         return f, f_prev, self._add_error(self._adjoint(r, out=grad_out), noise)
 
     def fstar(self, t: int) -> float:
@@ -283,31 +290,8 @@ class QuadraticTracking(OnlineProblem):
             return None  # the minimum-norm point below ignores the box
         return np.linalg.pinv(self.matrix) @ self._b[t]
 
-    @property
-    def error_dim(self) -> int:
-        return self.n if self._gain is None else self.matrix.shape[0]
-
     def map_error(self, raw: np.ndarray) -> np.ndarray:
-        if self._gain is None:
-            return super().map_error(raw)
-        return self._adjoint(raw)
-
-    @property
-    def error_gain(self) -> float:
-        return 1.0 if self._gain is None else self._gain
-
-    def error_moment(self, model: NoiseModel, power: int) -> float:
-        m = self.matrix.shape[0]
-        if self._gain is None or m == 1:
-            return super().error_moment(model, power)
-        # raw = z + b 1 with z zero-mean and isotropic, so the cross term
-        # vanishes: E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
-        z_second = noise_mod.second_moment(replace(model, bias=0.0), m)
-        frobenius = float(np.sum(self.matrix**2))
-        ones_image = float(np.sum(np.sum(self.matrix, axis=0) ** 2))  # ||A^T 1||^2
-        second = z_second / m * frobenius + model.bias**2 * ones_image
-        # no closed form for the mapped norm mean; Jensen upper bound
-        return second if power == 2 else math.sqrt(second)
+        return np.asarray(raw) if self.error_map is None else self._adjoint(raw)
 
 
 class TimeVaryingLeastSquares(QuadraticTracking):

@@ -300,6 +300,48 @@ class TestNegativeControls:
         assert not result.passed and result.detail.startswith("sampled proximal mu")
 
 
+def static_ls(obs_noise_std):
+    """static-ls with the given observation noise in b_t, and its seed."""
+    cfg = make_config({"problem": {"obs_noise_std": obs_noise_std}}, {"preset": "static-ls"})
+    return build_problem(cfg), cfg.seed
+
+
+class ScaledGrad(OracleSpy):
+    """A gradient oracle off by a constant factor."""
+
+    def __init__(self, problem, factor):
+        super().__init__(problem)
+        self.factor = factor
+
+    def grad(self, t, x, out=None):
+        g = self.problem.grad(t, x, out=out)
+        g *= self.factor
+        return g
+
+
+class TestRoundingLimit:
+    """gradient_fd's limit grows with the rounding in f, and no further.
+
+    Observation noise of standard deviation s in b_t leaves the gradient's
+    form as it is but makes f about s^2 large; at s = 1e3 and 1e4 the
+    rounding in f alone puts a correct gradient past the fixed 1e-6.
+    """
+
+    @pytest.mark.parametrize("obs_noise_std", [1e3, 1e4])
+    def test_correct_gradient_passes_when_f_is_large(self, obs_noise_std):
+        result = _check_gradient(*static_ls(obs_noise_std))
+        assert result.passed
+        assert float(result.detail.split()[-1]) > 1e-6, result.detail
+
+    @pytest.mark.parametrize(
+        "obs_noise_std, factor",
+        [(0.0, 1 + 1e-5), (1.0, 1 + 1e-5), (100.0, 1 + 1e-5), (1e3, 1 + 1e-5), (1e4, 1 + 1e-3)],
+    )
+    def test_scaled_gradient_fails(self, obs_noise_std, factor):
+        problem, seed = static_ls(obs_noise_std)
+        assert not _check_gradient(ScaledGrad(problem, factor), seed).passed
+
+
 @pytest.mark.parametrize("check", [_check_gradient, _check_pl, _check_prox])
 @pytest.mark.parametrize("preset", ["static-ls", "fig3-demand-response"])
 def test_checks_visit_the_sampled_grid(check, preset):
