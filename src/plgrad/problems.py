@@ -29,6 +29,7 @@ error bound.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 from dataclasses import replace
@@ -126,6 +127,13 @@ class OnlineProblem:
         if not 0 <= t <= self.horizon:
             raise IndexError(f"time index {t} outside [0, {self.horizon}]")
 
+    def compacted(self, x0: np.ndarray) -> tuple[OnlineProblem, np.ndarray] | None:
+        """A view that iterates one column per run of coordinates whose
+        iterates stay bit-identical from x0, with the run lengths; None
+        where no such run has two columns.  Only QuadraticTracking finds
+        runs."""
+        return None
+
     @property
     def error_dim(self) -> int:
         return self.n if self.error_map is None else len(self.error_map)
@@ -192,9 +200,21 @@ class QuadraticTracking(OnlineProblem):
     Without error_gain the gradient errors land on the gradient directly.
     With it, A is the error_map: the errors are measurement noise on A x,
     mapped through A^T, and error_gain is the declared ||A||_2.
+
+    A one-row A over a box with measurement noise updates coordinate j
+    from a_j, lo_j, hi_j and its own iterate only: the step is x_j -
+    s a_j (a^T x - b_t + eta) clamped to [lo_j, hi_j], with one scalar
+    a^T x - b_t + eta per trial.  Coordinates that share the bits of
+    (a_j, lo_j, hi_j, x0_j) therefore stay bit-identical at every step,
+    and compacted gives a view that iterates one column per run of equal
+    neighbours.  Its products widen x back to n columns, so a^T x keeps
+    its summation order; the widening is np.repeat, whose output is
+    C-ordered like the full iterate (a fancy index gives an F-ordered
+    array, which np.vecdot sums in another order).
     """
 
     mu_exact = True
+    _runs: np.ndarray | None = None  # a compacted view's run lengths
 
     def __init__(
         self, name: str, a: np.ndarray, b: np.ndarray, horizon: int, *,
@@ -251,11 +271,18 @@ class QuadraticTracking(OnlineProblem):
         self._check_t(t)
         return ax - self._b[t]
 
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """A x; a compacted view widens x through its runs first and
+        multiplies by its error_map, the full A."""
+        if self._runs is None:
+            return _matvec(self.matrix, x)
+        return _matvec(self.error_map, np.repeat(x, self._runs, axis=-1))
+
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
-        return _half_square(self._residual(t, _matvec(self.matrix, x)))
+        return _half_square(self._residual(t, self._product(x)))
 
     def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._adjoint(self._residual(t, _matvec(self.matrix, x)), out=out)
+        return self._adjoint(self._residual(t, self._product(x)), out=out)
 
     def evaluate(
         self,
@@ -269,7 +296,7 @@ class QuadraticTracking(OnlineProblem):
         one adjoint forms the measured gradient and ||e_t|| = ||a|| |eta|
         in closed form.  For a = ones the gradient has the bits of
         grad f_t + a eta; another a rounds its last bits differently."""
-        ax = _matvec(self.matrix, x)
+        ax = self._product(x)
         r = self._residual(t, ax)
         f = _half_square(r)
         f_prev = _half_square(self._residual(t - 1, ax)) if t else None
@@ -292,6 +319,29 @@ class QuadraticTracking(OnlineProblem):
 
     def map_error(self, raw: np.ndarray) -> np.ndarray:
         return np.asarray(raw) if self.error_map is None else self._adjoint(raw)
+
+    def compacted(self, x0: np.ndarray) -> tuple[OnlineProblem, np.ndarray] | None:
+        """The view of the class docstring on a one-row A over a box with
+        measurement noise, and its run lengths.  Without an error_map the
+        noise has n entries and classmates part.  Runs are found on bit
+        patterns: lo = -0.0 and lo = 0.0 compare equal, yet a clamp keeps
+        each one's sign.  The view shares b, fstar and the constants;
+        its matrix, regularizer and n hold one column per run."""
+        if self.regularizer.kind != "box" or self.error_map is None:
+            return None
+        reg = self.regularizer
+        keys = np.stack(np.broadcast_arrays(self.matrix[0], reg.lo, reg.hi, x0)).view(np.int64)
+        first = np.ones(self.n, dtype=bool)  # the first column of each run
+        first[1:] = np.any(keys[:, 1:] != keys[:, :-1], axis=0)
+        starts = np.flatnonzero(first)
+        if len(starts) == self.n:
+            return None
+        lo, hi = (np.broadcast_to(bound, (self.n,))[starts] for bound in (reg.lo, reg.hi))
+        view = copy.copy(self)
+        view.n, view.matrix = len(starts), self.matrix[:, starts]
+        view.regularizer = Regularizer.box(lo, hi)
+        view._runs = np.diff(starts, append=self.n)
+        return view, view._runs
 
 
 class TimeVaryingLeastSquares(QuadraticTracking):

@@ -62,6 +62,13 @@ def _descend(problem: OnlineProblem, x: np.ndarray, v: np.ndarray, step: float) 
     return problem.regularizer.prox(step, v, out=v)
 
 
+def _widen(a: np.ndarray, runs: np.ndarray | None) -> np.ndarray:
+    """The n-column form of an array with one column per run; a itself
+    without runs.  np.repeat's copy is C-ordered like the full iterate, so
+    np.vecdot sums its rows in the same order."""
+    return a if runs is None else np.repeat(a, runs, axis=-1)
+
+
 def _check_regret(r: np.ndarray, tol: float, seed: int, trials: tuple[int, ...]) -> None:
     """Raise for the earliest column t of r = F_t(x_t) - f*_t, one row per
     trial, that holds a non-finite entry or one below -tol.
@@ -98,17 +105,27 @@ class RegretTrajectory:
     measurement noise, the norm of the mapped error everywhere else.
     Regret values in (-problem.fstar_tol, 0) are clipped to 0.
     domain_excursions, max_step_norm and min_raw_regret hold one entry per
-    trial; theory_exceptions lists what no certificate covers.
+    trial; theory_exceptions lists what no certificate covers.  x_last holds
+    the final iterates as run's loop left them, one column per entry of
+    runs where it compacted the problem, and x_final widens them to n
+    columns when it is read: a caller that never reads it never holds a
+    (trials, n) array.
     """
 
     regret: np.ndarray
     error_norm: np.ndarray
     psi_tilde: np.ndarray
-    x_final: np.ndarray
+    x_last: np.ndarray
     theory_exceptions: list[str]
     domain_excursions: np.ndarray
     max_step_norm: np.ndarray
     min_raw_regret: np.ndarray
+    runs: np.ndarray | None = None
+
+    @property
+    def x_final(self) -> np.ndarray:
+        """The final iterate of each trial, one row per trial."""
+        return _widen(self.x_last, self.runs)
 
     @property
     def outside_theory(self) -> bool:
@@ -146,6 +163,16 @@ def run(
     whose norm, summed in c's order, cannot exceed ||c||; the per-step ball
     count is skipped there.  An abort names the earliest t that failed; at
     one t a non-finite iterate comes before a regret failure.
+
+    Where problem.compacted(x0) finds runs of coordinates that stay
+    bit-identical (demand response: one per device class), the loop
+    iterates its view, one column per run, and widens the iterate to n
+    columns with np.repeat only for the reductions: A x inside the view,
+    the step norm and the ball count.  Each widened array is C-ordered like
+    the full iterate and is dropped after its reduction, so every output
+    keeps its bits; the record widens x_final only when it is read.
+    Elsewhere the loop runs on the problem it was given, whose every oracle
+    call a proxy then sees.
     """
     trials = tuple(int(k) for k in trials)
     if not trials:
@@ -167,6 +194,11 @@ def run(
         raise ValueError("x0 is infeasible for the problem's regularizer")
     count_ball = reg.kind != "box" or problem.domain_radius <= _row_norm(
         np.maximum(np.abs(reg.lo), np.abs(reg.hi)) + np.zeros(problem.n))
+    runs = None
+    compacted = problem.compacted(x)
+    if compacted is not None:
+        problem, runs = compacted
+        x = x[np.cumsum(runs) - runs]
 
     step = (1.0 / problem.smoothness) if step_override is None else float(step_override)
     if not 0 < step < np.inf:
@@ -208,7 +240,7 @@ def run(
         if not np.isfinite(f).all():
             _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
         if count_ball:
-            np.add(excursions, _row_norm(x) >= problem.domain_radius, out=excursions)
+            np.add(excursions, _row_norm(_widen(x, runs)) >= problem.domain_radius, out=excursions)
         if t:
             np.subtract(f, f_prev, out=psi_tilde[:, t])
         if t == horizon:
@@ -218,7 +250,7 @@ def run(
         # x is finite, so a row of x_next with a nan or inf entry has a
         # non-finite step norm ||x_t - x_{t+1}|| (negation is exact, so it
         # has the bits of ||x_{t+1} - x_t||); the full scan runs only then
-        step_norm = _row_norm(np.subtract(x, x_next, out=x))
+        step_norm = _row_norm(_widen(np.subtract(x, x_next, out=x), runs))
         if not np.isfinite(step_norm).all():
             bad = ~np.isfinite(x_next).all(axis=1)
             if bad.any():
@@ -248,9 +280,10 @@ def run(
         regret=regret,
         error_norm=error_norm,
         psi_tilde=psi_tilde,
-        x_final=x,
+        x_last=x,
         theory_exceptions=exceptions,
         domain_excursions=excursions,
         max_step_norm=max_step_norm,
         min_raw_regret=min_raw,
+        runs=runs,
     )

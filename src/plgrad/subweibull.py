@@ -87,7 +87,11 @@ def fit_from_samples(samples: np.ndarray, theta: float) -> SubWeibullParams:
     """
     if theta <= 0:
         raise ValueError(f"tail exponent must be positive, got {theta}")
-    s = np.abs(np.asarray(samples, dtype=float).ravel())
+    s = np.asarray(samples, dtype=float).ravel()
+    # |x| is a copy; norms, the usual samples, already have its bits and are
+    # read in place (any set sign bit, -0.0 included, takes the copy)
+    if np.signbit(s).any():
+        s = np.abs(s)
     if s.size == 0:
         raise ValueError("cannot fit a moment scale from an empty sample set")
     orders = np.arange(1, 11, dtype=float)

@@ -7,6 +7,12 @@ so a run is deterministic and writes nothing.
 
 * Chunk invariance: however 1-12 trials are split into batches, every
   per-trial row of `run` has the bits of the one-batch run.
+* Compaction cannot be seen: on one-row measured box problems of any
+  device layout, `run`, which iterates one column per run of equal
+  devices, gives every output with the bits of the n-column reference loop.
+* Scope soundness: wherever `theory_scope` passes, `recursion_pathwise`
+  passes, over every family, both solvers where they apply and every noise
+  family, with demand response on default, scalar and per-device bounds.
 * Envelope soundness: `envelope_norm`'s K is at least ||e||_p / p^theta at
   any p in [1, 400], the moment taken at 50 digits with mpmath.
 * gradient_fd passes a correct least-squares gradient at any observation
@@ -17,14 +23,18 @@ import math
 
 import mpmath
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from plgrad.harness import _check_gradient
+from plgrad.bounds import SOLVERS
+from plgrad.config import make_config
+from plgrad.harness import _check_gradient, run_experiment, validate_bounds
 from plgrad.noise import FAMILIES, NoiseModel, envelope_norm
+from plgrad.problems import synth_demand_response_traces
 from plgrad.solvers import run
 from test_checks import static_ls
-from test_solvers import FAMILY_NAMES, PER_TRIAL, _families
+from test_problems import weighted_demand_response
+from test_solvers import FAMILY_NAMES, PER_TRIAL, _families, bits, reference_run
 
 FAMILY_CASES = _families()
 
@@ -47,6 +57,117 @@ def test_any_split_of_the_trials_gives_the_same_rows(family, split, seed):
     for name in PER_TRIAL + ("domain_excursions", "max_step_norm"):
         joined = np.concatenate([getattr(part, name) for part in parts])
         assert np.array_equal(joined, getattr(whole, name)), name
+
+
+# powers of two and 0, so a (r + eta) has the bits of the reference loop's
+# a r + a eta; both signs of zero among the bounds
+WEIGHTS = (1.0, 0.5, -2.0, 0.0)
+LOWER = (-50.0, -1.5, -0.0, 0.0)
+UPPER = (-0.0, 0.0, 2.0, 50.0)
+
+
+@st.composite
+def device_class(draw):
+    """A device's (weight, lo, hi, x0), x0 feasible; every lo <= every hi."""
+    lo, hi = draw(st.sampled_from(LOWER)), draw(st.sampled_from(UPPER))
+    return draw(st.sampled_from(WEIGHTS)), lo, hi, draw(st.sampled_from((lo, hi, 0.5 * (lo + hi))))
+
+
+@st.composite
+def device_layout(draw):
+    """Devices as contiguous classes, interleaved classes, one class or
+    each its own draw: 1 to 24 of them."""
+    layout = draw(st.sampled_from(("contiguous", "interleaved", "one class", "all distinct")))
+    if layout == "all distinct":
+        return draw(st.lists(device_class(), min_size=1, max_size=12))
+    if layout == "one class":
+        return [draw(device_class())] * draw(st.integers(1, 12))
+    classes = draw(st.lists(device_class(), min_size=2, max_size=4))
+    if layout == "interleaved":
+        return classes * draw(st.integers(1, 4))
+    return [c for c in classes for _ in range(draw(st.integers(1, 6)))]
+
+
+# the loads of the first four devices clamp at lo = -0.0, the rest at lo = 0.0
+SIGNED_ZEROS = [(1.0, -0.0, 50.0, 0.0)] * 4 + [(1.0, 0.0, 50.0, 0.0)] * 4
+
+
+@settings(derandomize=True, max_examples=60, deadline=1000, database=None)
+@given(
+    devices=device_layout(),
+    split=split_trials(),
+    horizon=st.integers(1, 25),
+    shift=st.sampled_from((-1000.0, 0.0, 1000.0)),
+    seed=st.integers(0, 2**16),
+)
+@example(devices=SIGNED_ZEROS, split=([0, 1, 2, 3], [0, 2, 4]), horizon=20, shift=-1000.0, seed=3)
+def test_compaction_cannot_be_seen_in_the_outputs(devices, split, horizon, shift, seed):
+    a, lo, hi, x0 = (np.array(column) for column in zip(*devices))
+    assume(np.any(a != 0.0) and np.any(np.maximum(np.abs(lo), np.abs(hi)) > 0.0))
+    w, p_ref = synth_demand_response_traces(horizon, seed)
+    problem = weighted_demand_response(horizon, p_ref + shift, w, lo, hi, a)
+    model = NoiseModel("gaussian_iid", scale=10.0)
+    trials, cuts = split
+    parts = [
+        run(problem, model, x0=x0, seed=seed, trials=trials[i:j]) for i, j in zip(cuts, cuts[1:])
+    ]
+    ref = reference_run(problem, model, seed, trials, x0=x0)
+    for name, expected in ref.items():
+        joined = np.concatenate([getattr(part, name) for part in parts])
+        assert np.array_equal(bits(joined), bits(expected)), name
+
+
+@st.composite
+def experiment(draw):
+    """A small config of any problem kind, solver and noise family."""
+    horizon = draw(st.integers(1, 50))
+    kind = draw(st.sampled_from(("timevarying_ls", "logistic", "lti_tracking", "demand_response")))
+    n = draw(st.integers(1, 6))
+    if kind == "timevarying_ls":
+        mu = draw(st.floats(0.01, 1.0))
+        problem = dict(
+            n=n, d=n + draw(st.integers(0, 6)), mu=mu, l=mu * draw(st.floats(1.0, 100.0)),
+            drift_std=draw(st.floats(0.0, 1.0)), obs_noise_std=draw(st.floats(0.0, 10.0)),
+        )
+    elif kind == "logistic":
+        problem = dict(n=n, d=n + draw(st.integers(1, 10)), drift_std=draw(st.floats(0.0, 0.1)))
+    elif kind == "lti_tracking":
+        problem = dict(n=n, m=n + draw(st.integers(0, 6)))
+    else:
+        # default bounds compact to two columns, scalar ones to one, and
+        # per-device ones only where neighbours are equal
+        n = draw(st.integers(1, 20))
+        problem = dict(n_der=n)
+        bounds = draw(st.sampled_from(("default", "scalar", "per-device")))
+        if bounds != "default":
+            size = 1 if bounds == "scalar" else n
+            # the origin, where every run starts, lies in the box
+            lo = draw(st.lists(st.sampled_from((-50.0, -10.0, 0.0)), min_size=size, max_size=size))
+            problem["bounds_lo"] = tuple(lo)
+            problem["bounds_hi"] = tuple(b + draw(st.sampled_from((50.0, 100.0))) for b in lo)
+    solver = "opgm" if kind == "demand_response" else draw(st.sampled_from(SOLVERS))
+    noise = dict(
+        family=draw(st.sampled_from(FAMILIES)),
+        scale=draw(st.floats(0.0, 20.0)),
+        weibull_shape=draw(st.floats(0.5, 4.0)),
+        bias=draw(st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+    )
+    if draw(st.booleans()):
+        noise["per_time_scale"] = tuple(
+            draw(st.lists(st.floats(0.0, 2.0), min_size=horizon, max_size=horizon)))
+    run_settings = dict(
+        solver=solver, horizon=horizon, trials=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return make_config(
+        {"experiment": run_settings, "problem": {"kind": kind, **problem}, "noise": noise})
+
+
+@settings(derandomize=True, max_examples=80, deadline=2000, database=None)
+@given(cfg=experiment())
+def test_recursion_holds_wherever_the_theory_applies(cfg):
+    scope, recursion = validate_bounds(run_experiment(cfg), checks=("recursion",)).checks
+    assert recursion.passed or not scope.passed, recursion.detail
 
 
 def _moment_ratio(model, n, p):

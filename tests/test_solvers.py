@@ -326,12 +326,13 @@ class TestRun:
 class TestMemory:
     def test_peak_on_500_devices_stays_within_budget(self):
         # The full-size demand-response run needs its (trials, T+1) outputs,
-        # the noise block and two batch-sized work arrays; the error a_x eta
-        # is never formed, since the gradient is read from the noisy scalar
-        # residual and ||e|| = ||a_x|| |eta|, and the step difference is
-        # written into the retiring iterate's memory.  The slack holds
-        # the 64 KiB iteration buffer of the box clamp's broadcast against
-        # its (n,) bounds and 32 KiB of small objects, so one extra
+        # the noise block and one batch-sized work array: the loop iterates
+        # one column per device class, each (trials, n) widening of the
+        # iterate (for A x and the step norm) is dropped after its
+        # reduction, and the record widens x_final only when it is read.
+        # The error a_x eta is never formed, since the gradient is read from
+        # the noisy scalar residual and ||e|| = ||a_x|| |eta|.  The 96 KiB
+        # slack holds ufunc buffers and small objects, so one extra
         # (trials, T+1) or (trials, n) float array takes the peak over.
         cfg = make_config({"problem": {"n_der": 500}}, {"preset": "fig3-demand-response"})
         problem, model = build_problem(cfg), build_noise(cfg)
@@ -340,7 +341,7 @@ class TestMemory:
         budget = (
             3 * trials * (horizon + 1) * 8  # regret, error_norm, psi_tilde
             + horizon * trials * problem.error_dim * 8  # the noise block
-            + 2 * trials * n * 8  # iterate / step / next gradient, gradient / next iterate
+            + trials * n * 8  # a widened iterate or step difference
             + 96 * 1024
         )
         tracemalloc.start()
@@ -352,21 +353,22 @@ class TestMemory:
         assert peak <= budget, (peak, budget)
 
     def test_aggregation_peak_on_500_devices_stays_within_budget(self):
-        # run_experiment's peak sits in the empirical envelope fit, while the
-        # record's three (trials, T+1) arrays and x_final are live: the fit
-        # holds the normalized copy of the norms, fit_from_samples' abs copy
-        # and its power buffer.  psi_tilde is read from the record, not
-        # formed again.  The slack holds the problem's data, the per-step
-        # means and small objects, so one extra (trials, T+1) array takes
-        # the peak over.  The second call is traced, so the first one's
-        # caches and imports stay out of the count.
+        # run_experiment's peak sits where two (trials, T) arrays join the
+        # record's three (trials, T+1) arrays: the empirical envelope fit's
+        # normalized copy of the norms and its power buffer (fit_from_samples
+        # takes no abs copy of norms), then the recursion residual and its
+        # error term.  The record holds x_final compact, and psi_tilde is
+        # read from it, not formed again.  The slack holds the problem's
+        # data, the bound series, the per-step means and small objects, so
+        # one extra (trials, T+1) or (trials, n) array takes the peak over.
+        # The second call is traced, so the first one's caches and imports
+        # stay out of the count.
         cfg = make_config({"problem": {"n_der": 500}}, {"preset": "fig3-demand-response"})
-        trials, horizon, n = cfg.trials, cfg.horizon, cfg.problem["n_der"]
+        trials, horizon = cfg.trials, cfg.horizon
         budget = (
             3 * trials * (horizon + 1) * 8  # regret, error_norm, psi_tilde
-            + trials * n * 8  # x_final
-            + 3 * trials * horizon * 8  # the fit's normalized norms, abs copy, power buffer
-            + 128 * 1024
+            + 2 * trials * horizon * 8  # two (trials, T) work arrays
+            + 256 * 1024
         )
         run_experiment(cfg)
         tracemalloc.start()
@@ -550,12 +552,14 @@ class TestBatchedKernel:
             assert np.array_equal(recorded, materialized)
 
 
-def reference_run(problem, model, seed, trials):
-    """The kernel loop before it shared f_{t+1}(x_{t+1}), read f* once and
-    skipped g on prox outputs: per step, total_value (g included) and f*_t
-    for the regret, and a variability that evaluates both f_{t+1} and f_t
-    and reads f*_{t+1} and f*_t.  The error norm of demand response (a
-    one-row A, problem or spy) is the closed form ||a_x|| |eta|."""
+def reference_run(problem, model, seed, trials, x0=None):
+    """The kernel loop before it shared f_{t+1}(x_{t+1}), read f* once,
+    skipped g on prox outputs and iterated one column per device class:
+    per step, total_value (g included) and f*_t for the regret, and a
+    variability that evaluates both f_{t+1} and f_t and reads f*_{t+1}
+    and f*_t, all on n columns.  The error norm of demand response (a
+    one-row A, problem or spy) is the closed form ||a_x|| |eta|.  Every
+    trial starts at x0, the origin by default."""
     one_row = problem.name == "demand_response"
     trials = tuple(trials)
     horizon = problem.horizon
@@ -580,7 +584,7 @@ def reference_run(problem, model, seed, trials):
         sigma = abs(problem.fstar(t) - problem.fstar(t - 1))
         return sigma, abs(problem.value(t, xt) - problem.value(t - 1, xt))
 
-    x = np.zeros((len(trials), problem.n))
+    x = np.zeros((len(trials), problem.n)) if x0 is None else np.tile(x0, (len(trials), 1))
     record(0, x)
     for t in range(horizon):
         e = problem.map_error(raw[t])
@@ -617,6 +621,17 @@ class EvaluationSpy(OracleSpy):
     def evaluate(self, t, x, grad_out=None, noise=None):
         self.evaluations.append((t, grad_out is not None, noise is not None))
         return self.problem.evaluate(t, x, grad_out=grad_out, noise=noise)
+
+    def compacted(self, x0):
+        """The problem's compacted view under a spy that records into
+        this spy's lists, so run's calls on the view are seen here."""
+        found = self.problem.compacted(x0)
+        if found is None:
+            return None
+        view, runs = found
+        spy = EvaluationSpy(view)
+        spy.results, spy.evaluations = self.results, self.evaluations
+        return spy, runs
 
 
 class TestOneValuePerStep:
@@ -735,3 +750,93 @@ class TestBallCount:
         ref = reference_run(problem, model, seed=4, trials=range(5))
         for name, expected in ref.items():
             assert np.array_equal(getattr(traj, name), expected), name
+
+
+def bits(a):
+    """a's bit patterns: equal bits, not equal values (-0.0 differs from 0.0)."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+class TestCompaction:
+    """run iterates one column per run of equal devices only on a one-row
+    box problem with measurement noise, and runs any other problem as it
+    was given."""
+
+    @staticmethod
+    def demand_response(bounds=None, n_der=500):
+        problem = {"n_der": n_der}
+        if bounds is not None:
+            problem["bounds_lo"], problem["bounds_hi"] = bounds
+        cfg = make_config({"problem": problem}, {"preset": "fig3-demand-response"})
+        return build_problem(cfg), build_noise(cfg)
+
+    def test_default_bounds_give_one_run_per_device_class(self):
+        problem, _ = self.demand_response()
+        view, runs = problem.compacted(np.zeros(problem.n))
+        assert runs.tolist() == [250, 250] and view.n == 2
+        assert view.regularizer.lo.tolist() == [-50.0, 0.0]
+        assert view.regularizer.hi.tolist() == [50.0, 50.0]
+        assert view.matrix.shape == (1, 2) and view.error_map is problem.matrix
+
+    def test_scalar_bounds_give_one_run(self):
+        problem, _ = self.demand_response(((-10.0,), (10.0,)))
+        view, runs = problem.compacted(np.zeros(problem.n))
+        assert runs.tolist() == [500] and view.n == 1
+
+    def test_a_differing_start_splits_a_run(self):
+        problem, _ = self.demand_response(((-10.0,), (10.0,)), n_der=6)
+        x0 = np.array([0.0, 0.0, 1.0, 1.0, 1.0, -0.0])
+        assert problem.compacted(x0)[1].tolist() == [2, 3, 1]
+
+    @pytest.mark.parametrize("case", ["default", "alternating", "unmeasured"])
+    def test_only_equal_neighbours_are_compacted(self, case, monkeypatch):
+        if case == "unmeasured":
+            # TestBallCount's box: one row, but n-dimensional noise
+            problem = TestBallCount.boxed(1.5, np.array([-1.0]), np.array([1.0]))
+            model = NoiseModel("gaussian_iid", scale=3.0)
+        else:
+            bounds = None if case == "default" else ((-50.0, 0.0) * 10, (50.0,))
+            problem, model = self.demand_response(bounds, n_der=20)
+        evaluated, repeats = set(), []
+        evaluate, repeat = QuadraticTracking.evaluate, np.repeat
+
+        def spied_evaluate(self, *args, **kwargs):
+            evaluated.add(id(self))
+            return evaluate(self, *args, **kwargs)
+
+        def counted_repeat(a, *args, **kwargs):
+            repeats.append(np.shape(a))
+            return repeat(a, *args, **kwargs)
+
+        monkeypatch.setattr(QuadraticTracking, "evaluate", spied_evaluate)
+        monkeypatch.setattr(np, "repeat", counted_repeat)
+        traj = run(problem, model, seed=5, trials=range(3))
+        if case == "default":
+            assert evaluated and id(problem) not in evaluated
+            assert repeats and all(shape[-1] == 2 for shape in repeats)
+        else:
+            assert problem.compacted(np.zeros(problem.n)) is None
+            assert evaluated == {id(problem)} and repeats == []
+        ref = reference_run(problem, model, seed=5, trials=range(3))
+        for name, expected in ref.items():
+            assert np.array_equal(bits(getattr(traj, name)), bits(expected)), name
+
+    def test_signed_zero_bounds_stay_apart(self):
+        # lo = -0.0 and lo = 0.0 compare equal; merged into one run, the
+        # loads clamped at lo would all take one sign in x_final.  The
+        # reference sits below the reachable sum, so every device ends at lo
+        horizon = 40
+        w, p_ref = synth_demand_response_traces(horizon, seed=13)
+        lo = np.repeat([-50.0, -0.0, 0.0], 4)
+        problem = weighted_demand_response(
+            horizon, p_ref - 1000.0, w, lo, np.full(12, 50.0), np.ones(12))
+        model = NoiseModel("gaussian_iid", scale=10.0)
+        assert problem.compacted(np.zeros(12))[1].tolist() == [4, 4, 4]
+        traj = run(problem, model, seed=3, trials=range(4))
+        negative, positive = traj.x_final[:, 4:8], traj.x_final[:, 8:]
+        assert (negative == 0.0).any() and (positive == 0.0).any()
+        assert np.signbit(negative[negative == 0.0]).all()
+        assert not np.signbit(positive[positive == 0.0]).any()
+        ref = reference_run(problem, model, seed=3, trials=range(4))
+        for name, expected in ref.items():
+            assert np.array_equal(bits(getattr(traj, name)), bits(expected)), name

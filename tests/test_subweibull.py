@@ -7,6 +7,7 @@ here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestFitFromSamples:
     def test_all_zero_samples(self):
         out = fit_from_samples(np.zeros(100), theta=1.0)
         assert (out.theta, out.k) == (1.0, 0.0)
+
+    def test_signed_samples_fit_as_their_magnitudes(self):
+        # negative entries and -0.0 take the |x| copy; the all-zero case
+        # keeps K = +0.0 whatever the signs of its zeros
+        x = np.random.default_rng(3).normal(size=(20, 30))
+        x[0, :5] = -0.0
+        assert fit_from_samples(x, 0.5).k == fit_from_samples(np.abs(x), 0.5).k
+        zeros = fit_from_samples(np.array([-0.0, 0.0, -0.0]), 1.0).k
+        assert zeros == 0.0 and not math.copysign(1.0, zeros) < 0
+
+    def test_norms_are_not_copied(self):
+        # nonnegative samples are read in place: the traced peak holds the
+        # power buffer and small objects, not a second copy of the samples
+        norms = np.abs(np.random.default_rng(4).normal(size=30_000))
+        tracemalloc.start()
+        try:
+            fit_from_samples(norms, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * norms.nbytes, (peak, norms.nbytes)
 
     def test_constant_samples(self):
         # for constant c the ratio c / k^theta is maximized at k = 1
