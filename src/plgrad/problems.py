@@ -91,30 +91,30 @@ class OnlineProblem:
         x: np.ndarray,
         grad_out: np.ndarray | None = None,
         noise: np.ndarray | None = None,
-    ) -> tuple[float | np.ndarray, float | np.ndarray | None, float | np.ndarray | None]:
-        """(f_t(x), f_{t-1}(x), ||e_t||), and the measured gradient
-        grad f_t(x) + e_t into grad_out when it is given.
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+        """(f_t(x), f_{t-1}(x)), and the measured gradient grad f_t(x) + e_t
+        into grad_out when it is given.
 
         What run needs at x_t: the value for the regret, the previous one
         for phi_tilde_t (None at t = 0; the regularizers in scope are
         time-invariant and cancel) and the next step's gradient.  noise is
         step t's raw noise, one row per row of x, read with grad_out only:
-        e_t = map_error(noise), or 0 with a None norm without it.  A family
-        overrides this default to share work between its oracles.
+        e_t = map_error(noise), or 0 without it.  A family overrides this
+        default to share work between its oracles.
         """
         f = self.value(t, x)
         f_prev = self.value(t - 1, x) if t else None
-        if grad_out is None:
-            return f, f_prev, None
-        return f, f_prev, self._add_error(self.grad(t, x, out=grad_out), noise)
+        if grad_out is not None:
+            g = self.grad(t, x, out=grad_out)
+            if noise is not None:
+                np.add(g, self.map_error(noise), out=g)
+        return f, f_prev
 
-    def _add_error(self, g: np.ndarray, noise: np.ndarray | None) -> np.ndarray | None:
-        """g += map_error(noise) in place; the error's norm per row."""
-        if noise is None:
-            return None
-        e = self.map_error(noise)
-        np.add(g, e, out=g)
-        return _row_norm(e)
+    def error_norms(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """||map_error(raw)|| on each row of raw, written into out: the
+        bits of each row's norm taken alone."""
+        e = self.map_error(raw)
+        return np.sqrt(np.vecdot(e, e, out=out), out=out)
 
     def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
@@ -181,11 +181,6 @@ def _row_norm(x: np.ndarray) -> float | np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _half_square(r: np.ndarray) -> float | np.ndarray:
-    """0.5 ||r||^2 on each row of r."""
-    return 0.5 * np.vecdot(r, r)
-
-
 class QuadraticTracking(OnlineProblem):
     """0.5 ||A x - b_t||^2, over R^n or over a box.
 
@@ -197,20 +192,17 @@ class QuadraticTracking(OnlineProblem):
     a^T x: the cost then sees x only through the scalar a^T x, so the
     optimal value is the clamp distance of b_t onto the reachable interval.
 
-    Without error_gain the gradient errors land on the gradient directly.
-    With it, A is the error_map: the errors are measurement noise on A x,
-    mapped through A^T, and error_gain is the declared ||A||_2.
+    Without error_gain the errors land on the gradient directly.  With
+    it, A is the error_map: the errors are measurement noise on A x, mapped
+    through A^T, and error_gain is the declared ||A||_2.
 
-    A one-row A over a box with measurement noise updates coordinate j
-    from a_j, lo_j, hi_j and its own iterate only: the step is x_j -
-    s a_j (a^T x - b_t + eta) clamped to [lo_j, hi_j], with one scalar
-    a^T x - b_t + eta per trial.  Coordinates that share the bits of
-    (a_j, lo_j, hi_j, x0_j) therefore stay bit-identical at every step,
-    and compacted gives a view that iterates one column per run of equal
-    neighbours.  Its products widen x back to n columns, so a^T x keeps
-    its summation order; the widening is np.repeat, whose output is
-    C-ordered like the full iterate (a fancy index gives an F-ordered
-    array, which np.vecdot sums in another order).
+    A one-row A over a box with measurement noise steps coordinate j to
+    x_j - s a_j (a^T x - b_t + eta) clamped to [lo_j, hi_j], so coordinates
+    that share the bits of (a_j, lo_j, hi_j, x0_j) stay bit-identical, and
+    compacted gives a view with one column per run of equal neighbours.
+    Its products widen x back to n columns with np.repeat, whose output is
+    C-ordered like the full iterate, so a^T x keeps its summation order (a
+    fancy index gives an F-ordered array, which np.vecdot sums otherwise).
     """
 
     mu_exact = True
@@ -230,6 +222,10 @@ class QuadraticTracking(OnlineProblem):
         self.matrix = a
         self._at = np.ascontiguousarray(a.T)
         self._b = b
+        # [b_t, b_{t-1}] at each t, b_0 twice at t = 0
+        self._b_pairs = np.stack([b, np.concatenate([b[:1], b[:-1]])], axis=1)
+        # the noise is one measurement of a one-row A's output
+        self._scalar_noise = error_gain is not None and a.shape[0] == 1
         if error_gain is not None:
             self.error_map, self.error_gain = a, error_gain
         if box is None:
@@ -279,7 +275,8 @@ class QuadraticTracking(OnlineProblem):
         return _matvec(self.error_map, np.repeat(x, self._runs, axis=-1))
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
-        return _half_square(self._residual(t, self._product(x)))
+        r = self._residual(t, self._product(x))
+        return 0.5 * np.vecdot(r, r)
 
     def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return self._adjoint(self._residual(t, self._product(x)), out=out)
@@ -290,22 +287,30 @@ class QuadraticTracking(OnlineProblem):
         x: np.ndarray,
         grad_out: np.ndarray | None = None,
         noise: np.ndarray | None = None,
-    ) -> tuple[float | np.ndarray, float | np.ndarray | None, float | np.ndarray | None]:
-        """evaluate from one product A x.  A one-row A with measurement
-        noise adds it to the scalar residual, v = a (a^T x - b_t + eta), so
-        one adjoint forms the measured gradient and ||e_t|| = ||a|| |eta|
-        in closed form.  For a = ones the gradient has the bits of
-        grad f_t + a eta; another a rounds its last bits differently."""
-        ax = self._product(x)
-        r = self._residual(t, ax)
-        f = _half_square(r)
-        f_prev = _half_square(self._residual(t - 1, ax)) if t else None
-        if grad_out is None:
-            return f, f_prev, None
-        if noise is not None and self.error_map is not None and len(self.error_map) == 1:
-            self._adjoint(np.add(r, noise, out=r), out=grad_out)
-            return f, f_prev, self.error_gain * np.abs(noise[..., 0])
-        return f, f_prev, self._add_error(self._adjoint(r, out=grad_out), noise)
+    ) -> tuple[float | np.ndarray, float | np.ndarray | None]:
+        """evaluate from one product A x, less [b_t, b_{t-1}] in one block.
+        A one-row A with measurement noise adds it to the scalar residual,
+        v = a (a^T x - b_t + eta), so one adjoint forms the measured
+        gradient.  For a = ones this has the bits of grad f_t + a eta;
+        another a rounds its last bits differently."""
+        self._check_t(t)
+        r = self._product(x)[..., None, :] - self._b_pairs[t]
+        f = 0.5 * np.vecdot(r, r)
+        if grad_out is not None:
+            r = r[..., 0, :]
+            if noise is None:
+                self._adjoint(r, out=grad_out)
+            elif self._scalar_noise:
+                self._adjoint(np.add(r, noise, out=r), out=grad_out)
+            else:
+                np.add(self._adjoint(r, out=grad_out), self.map_error(noise), out=grad_out)
+        return f[..., 0], (f[..., 1] if t else None)
+
+    def error_norms(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """error_norms; with scalar noise ||a eta|| = ||a|| |eta|."""
+        if not self._scalar_noise:
+            return super().error_norms(raw, out)
+        return np.multiply(np.abs(raw[..., 0], out=out), self.error_gain, out=out)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)

@@ -1,22 +1,16 @@
 """Online gradient descent and online proximal-gradient steps.
 
-Both methods take one prox-gradient step per time index with the fixed
-step size 1/L using the inexact gradient v_t = grad f_t(x_t) + e_t:
+Both methods step x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t) with the
+inexact gradient v_t = grad f_t(x_t) + e_t.  The gradient method is the
+case g_t = 0, so one kernel runs both: the method's name picks only the
+certificate (bounds.error_cost), and config.build_problem refuses ogd on a
+regularized problem.
 
-    x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t)
-
-The gradient method is the case g_t = 0, where the prox is the identity, so
-one kernel runs both: the method's name picks only the certificate, through
-bounds.error_cost, and config.build_problem refuses ogd on a regularized
-problem.
-
-`run` drives a full horizon for a batch of trials at once: the iterates of
-R trials are the rows of an (R, n) matrix, each trial's errors come from
-its own noise block keyed by (seed, tag, trial), and every oracle works row by
-row, so a trial's trajectory is bit-identical whatever batch it runs in.
-It records the instantaneous regret r_t = F_t(x_t) - F_t*, the realized
-error norms, and the per-step variability psi_tilde_t that the certificate
-recursions read.
+`run` steps a batch of trials as the rows of an (R, n) matrix.  Each
+trial's errors come from its own noise block keyed by (seed, tag, trial)
+and every oracle works row by row, so a trial's trajectory is
+bit-identical whatever batch it runs in.  It records the regret
+r_t = F_t(x_t) - F_t*, the error norms and the variability psi_tilde_t.
 """
 
 from __future__ import annotations
@@ -37,14 +31,9 @@ def prox_gradient_step(
     step: float,
     error: np.ndarray,
 ) -> np.ndarray:
-    """prox_{step g_t}(x - step * (grad f_t(x) + e)) on each row of x.
-
-    error holds the mapped gradient errors e_t, one row per row of x; the
-    new iterate is a fresh array.  This makes one grad call and adds the
-    error to it; run takes the step from the measured gradient
-    grad f_t(x) + e_t that problem.evaluate formed together with the values
-    at x, so a step there calls no oracle and adds no error.
-    """
+    """prox_{step g_t}(x - step * (grad f_t(x) + e)) on each row of x, in a
+    fresh array; error holds the mapped errors e_t, one row per row of x.
+    run steps from the measured gradient that problem.evaluate forms."""
     v = problem.grad(t, x)
     np.add(v, error, out=v)
     return _descend(problem, x, v, step)
@@ -53,13 +42,16 @@ def prox_gradient_step(
 def _descend(problem: OnlineProblem, x: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
     """prox_{step g}(x - step * v) for the measured gradient v, written into v.
 
-    The expression's operations run in its order in v's memory, where the
-    expression allocates three; on batch-sized arrays the allocations cost
-    more than the arithmetic.
+    The operations run in the expression's order in v's memory, where the
+    expression allocates three; the prox is Regularizer.prox written out.
     """
     v *= step
     np.subtract(x, v, out=v)
-    return problem.regularizer.prox(step, v, out=v)
+    reg = problem.regularizer
+    if reg.kind == "box":
+        np.maximum(v, reg.lo, out=v)
+        np.minimum(v, reg.hi, out=v)
+    return v
 
 
 def _widen(a: np.ndarray, runs: np.ndarray | None) -> np.ndarray:
@@ -67,6 +59,29 @@ def _widen(a: np.ndarray, runs: np.ndarray | None) -> np.ndarray:
     without runs.  np.repeat's copy is C-ordered like the full iterate, so
     np.vecdot sums its rows in the same order."""
     return a if runs is None else np.repeat(a, runs, axis=-1)
+
+
+def _step_bracket(runs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Weights W and slack A with s <= fl(q + A), q = vecdot(d * d, W).
+
+    s = vecdot(w, w) on the widened difference w (n entries, r_c copies of
+    compact column d_c) and S = sum r_c d_c^2.  With u = 2^-53,
+    eta = 2^-1074 and gamma_j = j u / (1 - j u), a float sum of j
+    products, in any order, with or without FMA, lies within gamma_j of the
+    exact sum plus j eta / 2 for underflow, so s <= (1 + gamma_n) S + n eta.
+    In q, fl(d_c^2) >= d_c^2 (1 - u) - eta / 2 and W_c = fl(r_c C) >=
+    r_c C (1 - u), so q >= (1 - gamma_{k+2}) C S - (n + k + 1) C eta / 2
+    and s <= rho q / C + rho (n + k + 1) eta / 2 + n eta, with
+    rho = (1 + gamma_n) / (1 - gamma_{k+2}).  Take N = n + k + 2,
+    C = 1 + 2 N u and A = 2 N eta (both exact): rho <= 1 + N u (1 + 2^-17)
+    while N u <= 2^-20, so rho / C <= 1 - u once N >= 3 (a compacted run
+    has N >= 5), and s <= (1 - u)(q + A) <= fl(q + A), rounding to
+    nearest.  A nan or inf q gives a bound that no comparison passes.
+    """
+    big = int(runs.sum()) + len(runs) + 2
+    if big > 2**33:  # N u <= 2^-20
+        raise ValueError(f"{big} columns are too many for the step-norm bracket")
+    return runs * (1.0 + big * 2.0**-52), big * 2.0**-1073
 
 
 def _check_regret(r: np.ndarray, tol: float, seed: int, trials: tuple[int, ...]) -> None:
@@ -100,16 +115,13 @@ class RegretTrajectory:
     Column t holds r_t, ||e_{t-1}|| and the variability
     psi_tilde_t = sigma_t + phi_tilde_t, with sigma_t = |f*_t - f*_{t-1}| and
     phi_tilde_t = |f_t(x_t) - f_{t-1}(x_t)|; column 0 has zero error and
-    variability.  ||e_{t-1}|| is the norm problem.evaluate gives with the
-    measured gradient: ||a|| |eta| in closed form on a one-row A with
-    measurement noise, the norm of the mapped error everywhere else.
-    Regret values in (-problem.fstar_tol, 0) are clipped to 0.
-    domain_excursions, max_step_norm and min_raw_regret hold one entry per
-    trial; theory_exceptions lists what no certificate covers.  x_last holds
-    the final iterates as run's loop left them, one column per entry of
-    runs where it compacted the problem, and x_final widens them to n
-    columns when it is read: a caller that never reads it never holds a
-    (trials, n) array.
+    variability.  ||e_{t-1}|| is problem.error_norms of step t - 1's raw
+    noise.  Regret values in (-problem.fstar_tol, 0) are clipped to 0.
+    domain_excursions, max_step_norm (the largest ||x_{t+1} - x_t||) and
+    min_raw_regret hold one entry per trial; theory_exceptions lists what no
+    certificate covers.  x_last holds the final iterates as run's loop left
+    them, one column per entry of runs where it compacted the problem;
+    x_final widens them to n columns when it is read.
     """
 
     regret: np.ndarray
@@ -151,28 +163,30 @@ def run(
 
     Each iterate x_t gets one problem.evaluate call on the (trials, n)
     matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
-    except at the last iterate, the measured gradient grad f_t(x_t) + e_t
-    of the next step, fed step t's raw noise, with ||e_t||.  The optimal
-    values f*_0..f*_T depend on t only and are read once, before the loop.
-    The regularizer is none or a box: g = 0 on the feasible x0, and a box
-    indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
-    iterate (a nan iterate is caught by the finiteness check before it is
-    recorded) and F_t(x_t) = f_t(x_t).  A box whose corner c = max(|lo|,
-    |hi|) lies strictly inside the domain ball keeps every iterate there:
-    x0 passed the ball check, and a later iterate is a clamp, |x_i| <= c_i,
-    whose norm, summed in c's order, cannot exceed ||c||; the per-step ball
-    count is skipped there.  An abort names the earliest t that failed; at
-    one t a non-finite iterate comes before a regret failure.
+    except at the last iterate, the measured gradient of the next step, fed
+    step t's raw noise.  f*_0..f*_T, and ||e_t|| through
+    problem.error_norms, depend on t only and are formed before the loop.
+    g = 0 on the feasible x0 and a box indicator is 0 on its own prox
+    outputs, so F_t(x_t) = f_t(x_t) (a nan iterate is caught by the
+    finiteness check before it is recorded).  A box whose corner
+    c = max(|lo|, |hi|) lies strictly inside the domain ball keeps every
+    iterate there: x0 passed the ball check, and a later iterate is a clamp,
+    |x_i| <= c_i, summed in c's order; the ball count is skipped there.  An
+    abort names the earliest t that failed; at one t a non-finite iterate
+    comes before a regret failure.  The loop keeps each trial's largest
+    squared step norm, whose square root, taken once, is the largest norm
+    (sqrt is monotone and correctly rounded); a non-finite sum, which any
+    nan or inf in x_{t+1} makes, starts the full finiteness scan.
 
     Where problem.compacted(x0) finds runs of coordinates that stay
     bit-identical (demand response: one per device class), the loop
-    iterates its view, one column per run, and widens the iterate to n
-    columns with np.repeat only for the reductions: A x inside the view,
-    the step norm and the ball count.  Each widened array is C-ordered like
-    the full iterate and is dropped after its reduction, so every output
-    keeps its bits; the record widens x_final only when it is read.
-    Elsewhere the loop runs on the problem it was given, whose every oracle
-    call a proxy then sees.
+    iterates its view, one column per run, and widens to n columns with
+    np.repeat, C-ordered like the full iterate, only for A x, the ball
+    count and the step norms that can raise a maximum, so every output
+    keeps its bits.  A step norm is first bounded on the compact columns
+    (_step_bracket); a row whose bound lies strictly below its running
+    maximum is skipped.  Elsewhere the loop runs on the problem it was
+    given, whose every oracle call a proxy then sees.
     """
     trials = tuple(int(k) for k in trials)
     if not trials:
@@ -210,29 +224,36 @@ def run(
     raw = np.stack(
         [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials], axis=1)
 
-    # The loop writes F_t(x_t), f_t(x_t) - f_{t-1}(x_t) and ||e_{t-1}||
-    # into column t; the regret checks, minimum and clip, the absolute
-    # values and sigma_t then run once on whole matrices.
+    # The loop writes F_t(x_t) and f_t(x_t) - f_{t-1}(x_t) into column t;
+    # the regret checks, minimum and clip, the absolute values and sigma_t
+    # then run once on whole matrices.
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
     error_norm = np.zeros(shape)
+    # ||e_t|| into column t + 1 by trial: on a strided 2-D view an
+    # elementwise ufunc would allocate 128 KiB of iteration buffers
+    for k, row in enumerate(error_norm[:, 1:]):
+        problem.error_norms(raw[:, k], out=row)
     psi_tilde = np.zeros(shape)
     excursions = np.zeros(len(trials), dtype=int)
-    max_step_norm = np.zeros(len(trials))
 
     x = np.tile(x, (len(trials), 1))
-    # v, allocated once, takes the measured gradient and then the next
-    # iterate; the old iterate's memory takes the step difference and then
-    # the next gradient.  Batch-sized temporaries can sit above the
-    # allocator's mmap threshold, where every step would map and unmap them.
+    # v takes the measured gradient, then the next iterate; the old
+    # iterate's memory takes the step difference, then the next gradient.
+    # A batch-sized temporary per step could cost a map and an unmap.
     v = np.empty_like(x)
+    max_sq = np.zeros(len(trials))
+    if runs is not None:
+        weights, slack = _step_bracket(runs)
+        squares, bound = np.empty_like(x), np.empty(len(trials))
+        below = np.empty(len(trials), dtype=bool)
     for t in range(horizon + 1):
         # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
-        # gradient of step t into v and ||e_t|| into column t + 1
+        # gradient of step t into v
         if t < horizon:
-            f, f_prev, error_norm[:, t + 1] = problem.evaluate(t, x, grad_out=v, noise=raw[t])
+            f, f_prev = problem.evaluate(t, x, grad_out=v, noise=raw[t])
         else:
-            f, f_prev, _ = problem.evaluate(t, x)
+            f, f_prev = problem.evaluate(t, x)
         # F_t(x_t) = f_t(x_t), as g_t(x_t) = 0 on every iterate
         regret[:, t] = f
         # a non-finite value means the iterate overflowed the cost, and the
@@ -247,18 +268,28 @@ def run(
             break
 
         x_next = _descend(problem, x, v, step)
-        # x is finite, so a row of x_next with a nan or inf entry has a
-        # non-finite step norm ||x_t - x_{t+1}|| (negation is exact, so it
-        # has the bits of ||x_{t+1} - x_t||); the full scan runs only then
-        step_norm = _row_norm(_widen(np.subtract(x, x_next, out=x), runs))
-        if not np.isfinite(step_norm).all():
-            bad = ~np.isfinite(x_next).all(axis=1)
-            if bad.any():
-                _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
-                raise RuntimeError(
-                    f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
-                )
-        np.maximum(max_step_norm, step_norm, out=max_step_norm)
+        # x_t - x_{t+1}: negation is exact, so its norm is ||x_{t+1} - x_t||
+        d = np.subtract(x, x_next, out=x)
+        rows = slice(None)
+        if runs is not None:
+            # ties, nan and inf fail the test and take the exact sum
+            np.vecdot(np.square(d, out=squares), weights, out=bound)
+            bound += slack
+            rows = None if np.less(bound, max_sq, out=below).all() else np.flatnonzero(~below)
+        if rows is not None:
+            wide = _widen(d[rows], runs)
+            sq = np.vecdot(wide, wide)
+            del wide  # not held through the next step's A x widening
+            # x is finite, so a nan or inf in x_next makes its row's sum
+            # non-finite, and such a row is summed here; the scan runs only then
+            if not np.isfinite(sq).all():
+                bad = ~np.isfinite(x_next).all(axis=1)
+                if bad.any():
+                    _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
+                    raise RuntimeError(
+                        f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
+                    )
+            max_sq[rows] = np.maximum(max_sq[rows], sq)
         x, v = x_next, x
 
     del raw  # spent: freed, it makes room for the buffers of the sums below
@@ -283,7 +314,7 @@ def run(
         x_last=x,
         theory_exceptions=exceptions,
         domain_excursions=excursions,
-        max_step_norm=max_step_norm,
+        max_step_norm=np.sqrt(max_sq),
         min_raw_regret=min_raw,
         runs=runs,
     )

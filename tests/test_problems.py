@@ -39,7 +39,7 @@ def fd_gradient(problem, t, x, h=1e-6):
 def evaluated(problem, t, x):
     """problem.evaluate's results at x as one row: f_t, f_{t-1}, grad f_t."""
     g = np.empty_like(x)
-    f, f_prev, _ = problem.evaluate(t, x, grad_out=g)
+    f, f_prev = problem.evaluate(t, x, grad_out=g)
     return np.concatenate([np.stack([f, f_prev], axis=-1), g], axis=-1)
 
 
@@ -544,16 +544,17 @@ class TestVariability:
     def test_no_previous_value_at_t_zero(self, ls_problem):
         # there is no f_{-1}; run records zero variability in column 0
         x = np.full(10, 0.3)
-        f, f_prev, error_norm = ls_problem.evaluate(0, x)
-        assert f == ls_problem.value(0, x) and f_prev is None and error_norm is None
+        f, f_prev = ls_problem.evaluate(0, x)
+        assert f == ls_problem.value(0, x) and f_prev is None
 
     @pytest.mark.parametrize(
         "fixture", ["ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
     )
     def test_evaluate_matches_value_and_grad(self, fixture, request):
         # the shared evaluation gives the separate oracles' bits, and with
-        # noise the measured gradient grad + map_error(noise) and its error
-        # norm; demand response (a_x = ones here) gives ||a_x|| |eta|
+        # noise the measured gradient grad + map_error(noise); error_norms
+        # gives the mapped error's norm, which demand response (a_x = ones
+        # here) forms as ||a_x|| |eta|
         problem = request.getfixturevalue(fixture)
         rng = np.random.default_rng(8)
         xs = rng.normal(size=(7, problem.n))
@@ -561,20 +562,22 @@ class TestVariability:
         e = problem.map_error(noise)
         for t in (1, problem.horizon):
             g = np.full_like(xs, np.nan)
-            f, f_prev, error_norm = problem.evaluate(t, xs, grad_out=g)
+            f, f_prev = problem.evaluate(t, xs, grad_out=g)
             assert np.array_equal(f, problem.value(t, xs))
             assert np.array_equal(f_prev, problem.value(t - 1, xs))
             assert np.array_equal(g, problem.grad(t, xs))
-            assert error_norm is None
-            f, f_prev, error_norm = problem.evaluate(t, xs, grad_out=g, noise=noise)
+            f, f_prev = problem.evaluate(t, xs, grad_out=g, noise=noise)
             assert np.array_equal(f, problem.value(t, xs))
             assert np.array_equal(f_prev, problem.value(t - 1, xs))
             assert np.array_equal(g, problem.grad(t, xs) + e)
-            if fixture == "dr_problem":
-                assert np.array_equal(error_norm, problem.error_gain * np.abs(noise[:, 0]))
-                np.testing.assert_allclose(error_norm, np.linalg.norm(e, axis=1), rtol=1e-15)
-            else:
-                assert np.array_equal(error_norm, np.sqrt(np.vecdot(e, e)))
+        out = np.full(7, np.nan)
+        error_norm = problem.error_norms(noise, out=out)
+        assert error_norm is out
+        if fixture == "dr_problem":
+            assert np.array_equal(error_norm, problem.error_gain * np.abs(noise[:, 0]))
+            np.testing.assert_allclose(error_norm, np.linalg.norm(e, axis=1), rtol=1e-15)
+        else:
+            assert np.array_equal(error_norm, np.sqrt(np.vecdot(e, e)))
         with pytest.raises(IndexError):
             problem.evaluate(problem.horizon + 1, xs)
 

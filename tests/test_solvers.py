@@ -744,12 +744,36 @@ class TestBallCount:
 
         monkeypatch.setattr(solvers_mod, "_row_norm", counted_row_norm)
         traj = run(problem, model, seed=4, trials=range(5))
-        # the corner once, then only the step norms: no per-iterate ball scan
-        assert shapes == [(2,)] + [(5, 2)] * problem.horizon
+        # the corner once and nothing per step: no per-iterate ball scan,
+        # and the step norms are summed squares, rooted once after the loop
+        assert shapes == [(2,)]
         assert not traj.domain_excursions.any() and not traj.outside_theory
         ref = reference_run(problem, model, seed=4, trials=range(5))
         for name, expected in ref.items():
             assert np.array_equal(getattr(traj, name), expected), name
+
+
+class TestStepBracket:
+    """_step_bracket's bound covers the widened sum of squares that the
+    kernel would form, on rows of every magnitude, subnormal included."""
+
+    @pytest.mark.parametrize("runs", [[250, 250], [3, 7], [1, 499], [64, 1, 100], [2]])
+    def test_bound_covers_the_widened_sum(self, runs):
+        runs = np.array(runs)
+        rng = np.random.default_rng(len(runs) * 1000 + runs[0])
+        d = rng.normal(size=(20000, len(runs))) * 10.0 ** rng.integers(-170, 150, size=(20000, 1))
+        d[rng.random(d.shape) < 0.2] = 0.0
+        wide = np.repeat(d, runs, axis=-1)
+        s = np.vecdot(wide, wide)
+        weights, slack = solvers_mod._step_bracket(runs)
+        assert np.all(s <= np.vecdot(d * d, weights) + slack)
+        if len(wide[0]) > 2:
+            # the run-weighted sum alone rounds below s: the margin is needed
+            assert np.any(s > np.vecdot(d * d, runs.astype(float)))
+
+    def test_refuses_columns_beyond_its_derivation(self):
+        with pytest.raises(ValueError, match="too many"):
+            solvers_mod._step_bracket(np.array([2**33]))
 
 
 def bits(a):
