@@ -192,17 +192,20 @@ class QuadraticTracking(OnlineProblem):
     a^T x: the cost then sees x only through the scalar a^T x, so the
     optimal value is the clamp distance of b_t onto the reachable interval.
 
-    Without error_gain the errors land on the gradient directly.  With
-    it, A is the error_map: the errors are measurement noise on A x, mapped
-    through A^T, and error_gain is the declared ||A||_2.
+    Without error_gain the gradient errors land on the gradient directly.
+    With it, A is the error_map: the errors are measurement noise on A x,
+    mapped through A^T, and error_gain is the declared ||A||_2.
 
-    A one-row A over a box with measurement noise steps coordinate j to
-    x_j - s a_j (a^T x - b_t + eta) clamped to [lo_j, hi_j], so coordinates
-    that share the bits of (a_j, lo_j, hi_j, x0_j) stay bit-identical, and
-    compacted gives a view with one column per run of equal neighbours.
-    Its products widen x back to n columns with np.repeat, whose output is
-    C-ordered like the full iterate, so a^T x keeps its summation order (a
-    fancy index gives an F-ordered array, which np.vecdot sums otherwise).
+    A one-row A over a box with measurement noise updates coordinate j
+    from a_j, lo_j, hi_j and its own iterate only: the step is x_j -
+    s a_j (a^T x - b_t + eta) clamped to [lo_j, hi_j], with one scalar
+    a^T x - b_t + eta per trial.  Coordinates that share the bits of
+    (a_j, lo_j, hi_j, x0_j) therefore stay bit-identical at every step,
+    and compacted gives a view that iterates one column per run of equal
+    neighbours.  Its products widen x back to n columns, so a^T x keeps
+    its summation order; the widening is np.repeat, whose output is
+    C-ordered like the full iterate (a fancy index gives an F-ordered
+    array, which np.vecdot sums in another order).
     """
 
     mu_exact = True

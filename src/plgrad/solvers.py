@@ -1,16 +1,22 @@
 """Online gradient descent and online proximal-gradient steps.
 
-Both methods step x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t) with the
-inexact gradient v_t = grad f_t(x_t) + e_t.  The gradient method is the
-case g_t = 0, so one kernel runs both: the method's name picks only the
-certificate (bounds.error_cost), and config.build_problem refuses ogd on a
-regularized problem.
+Both methods take one prox-gradient step per time index with the fixed
+step size 1/L using the inexact gradient v_t = grad f_t(x_t) + e_t:
 
-`run` steps a batch of trials as the rows of an (R, n) matrix.  Each
-trial's errors come from its own noise block keyed by (seed, tag, trial)
-and every oracle works row by row, so a trial's trajectory is
-bit-identical whatever batch it runs in.  It records the regret
-r_t = F_t(x_t) - F_t*, the error norms and the variability psi_tilde_t.
+    x_{t+1} = prox_{(1/L) g_t}(x_t - (1/L) v_t)
+
+The gradient method is the case g_t = 0, where the prox is the identity, so
+one kernel runs both: the method's name picks only the certificate, through
+bounds.error_cost, and config.build_problem refuses ogd on a regularized
+problem.
+
+`run` drives a full horizon for a batch of trials at once: the iterates of
+R trials are the rows of an (R, n) matrix, each trial's errors come from
+its own noise block keyed by (seed, tag, trial), and every oracle works row by
+row, so a trial's trajectory is bit-identical whatever batch it runs in.
+It records the instantaneous regret r_t = F_t(x_t) - F_t*, the realized
+error norms, and the per-step variability psi_tilde_t that the certificate
+recursions read.
 """
 
 from __future__ import annotations
@@ -31,9 +37,14 @@ def prox_gradient_step(
     step: float,
     error: np.ndarray,
 ) -> np.ndarray:
-    """prox_{step g_t}(x - step * (grad f_t(x) + e)) on each row of x, in a
-    fresh array; error holds the mapped errors e_t, one row per row of x.
-    run steps from the measured gradient that problem.evaluate forms."""
+    """prox_{step g_t}(x - step * (grad f_t(x) + e)) on each row of x.
+
+    error holds the mapped gradient errors e_t, one row per row of x; the
+    new iterate is a fresh array.  This makes one grad call and adds the
+    error to it; run takes the step from the measured gradient
+    grad f_t(x) + e_t that problem.evaluate formed together with the values
+    at x, so a step there calls no oracle and adds no error.
+    """
     v = problem.grad(t, x)
     np.add(v, error, out=v)
     return _descend(problem, x, v, step)
@@ -42,16 +53,13 @@ def prox_gradient_step(
 def _descend(problem: OnlineProblem, x: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
     """prox_{step g}(x - step * v) for the measured gradient v, written into v.
 
-    The operations run in the expression's order in v's memory, where the
-    expression allocates three; the prox is Regularizer.prox written out.
+    The expression's operations run in its order in v's memory, where the
+    expression allocates three; on batch-sized arrays the allocations cost
+    more than the arithmetic.
     """
     v *= step
     np.subtract(x, v, out=v)
-    reg = problem.regularizer
-    if reg.kind == "box":
-        np.maximum(v, reg.lo, out=v)
-        np.minimum(v, reg.hi, out=v)
-    return v
+    return problem.regularizer.prox(step, v, out=v)
 
 
 def _widen(a: np.ndarray, runs: np.ndarray | None) -> np.ndarray:
@@ -115,13 +123,16 @@ class RegretTrajectory:
     Column t holds r_t, ||e_{t-1}|| and the variability
     psi_tilde_t = sigma_t + phi_tilde_t, with sigma_t = |f*_t - f*_{t-1}| and
     phi_tilde_t = |f_t(x_t) - f_{t-1}(x_t)|; column 0 has zero error and
-    variability.  ||e_{t-1}|| is problem.error_norms of step t - 1's raw
-    noise.  Regret values in (-problem.fstar_tol, 0) are clipped to 0.
-    domain_excursions, max_step_norm (the largest ||x_{t+1} - x_t||) and
-    min_raw_regret hold one entry per trial; theory_exceptions lists what no
-    certificate covers.  x_last holds the final iterates as run's loop left
-    them, one column per entry of runs where it compacted the problem;
-    x_final widens them to n columns when it is read.
+    variability.  ||e_{t-1}|| is the norm problem.error_norms gives for
+    step t - 1's raw noise: ||a|| |eta| in closed form on a one-row A with
+    measurement noise, the norm of the mapped error everywhere else.
+    Regret values in (-problem.fstar_tol, 0) are clipped to 0.
+    domain_excursions, max_step_norm and min_raw_regret hold one entry per
+    trial; theory_exceptions lists what no certificate covers.  x_last holds
+    the final iterates as run's loop left them, one column per entry of
+    runs where it compacted the problem, and x_final widens them to n
+    columns when it is read: a caller that never reads it never holds a
+    (trials, n) array.
     """
 
     regret: np.ndarray
@@ -163,30 +174,36 @@ def run(
 
     Each iterate x_t gets one problem.evaluate call on the (trials, n)
     matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
-    except at the last iterate, the measured gradient of the next step, fed
-    step t's raw noise.  f*_0..f*_T, and ||e_t|| through
-    problem.error_norms, depend on t only and are formed before the loop.
-    g = 0 on the feasible x0 and a box indicator is 0 on its own prox
-    outputs, so F_t(x_t) = f_t(x_t) (a nan iterate is caught by the
-    finiteness check before it is recorded).  A box whose corner
-    c = max(|lo|, |hi|) lies strictly inside the domain ball keeps every
-    iterate there: x0 passed the ball check, and a later iterate is a clamp,
-    |x_i| <= c_i, summed in c's order; the ball count is skipped there.  An
-    abort names the earliest t that failed; at one t a non-finite iterate
-    comes before a regret failure.  The loop keeps each trial's largest
-    squared step norm, whose square root, taken once, is the largest norm
-    (sqrt is monotone and correctly rounded); a non-finite sum, which any
-    nan or inf in x_{t+1} makes, starts the full finiteness scan.
+    except at the last iterate, the measured gradient grad f_t(x_t) + e_t
+    of the next step, fed step t's raw noise.  The optimal values
+    f*_0..f*_T and the error norms ||e_t|| (problem.error_norms of the raw
+    noise block) depend on t only and are formed once, before the loop.
+    The regularizer is none or a box: g = 0 on the feasible x0, and a box
+    indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
+    iterate (a nan iterate is caught by the finiteness check before it is
+    recorded) and F_t(x_t) = f_t(x_t).  A box whose corner c = max(|lo|,
+    |hi|) lies strictly inside the domain ball keeps every iterate there:
+    x0 passed the ball check, and a later iterate is a clamp, |x_i| <= c_i,
+    whose norm, summed in c's order, cannot exceed ||c||; the per-step ball
+    count is skipped there.  An abort names the earliest t that failed; at
+    one t a non-finite iterate comes before a regret failure.  The loop
+    keeps each trial's largest squared step norm and takes its square root
+    once, after the loop: sqrt is monotone and correctly rounded, so that
+    is the largest step norm.  A non-finite squared norm, which any nan or
+    inf in x_{t+1} makes, starts the full finiteness scan.
 
     Where problem.compacted(x0) finds runs of coordinates that stay
     bit-identical (demand response: one per device class), the loop
-    iterates its view, one column per run, and widens to n columns with
-    np.repeat, C-ordered like the full iterate, only for A x, the ball
-    count and the step norms that can raise a maximum, so every output
-    keeps its bits.  A step norm is first bounded on the compact columns
-    (_step_bracket); a row whose bound lies strictly below its running
-    maximum is skipped.  Elsewhere the loop runs on the problem it was
-    given, whose every oracle call a proxy then sees.
+    iterates its view, one column per run, and widens the iterate to n
+    columns with np.repeat only for the reductions: A x inside the view,
+    the ball count and the step norms that can raise a maximum.  Each
+    widened array is C-ordered like the full iterate and is dropped after
+    its reduction, so every output keeps its bits; the record widens
+    x_final only when it is read.  A step's squared norm is first bounded
+    from the compact columns (_step_bracket), and a row whose bound lies
+    strictly below its running maximum is not widened.  Elsewhere the loop
+    runs on the problem it was given, whose every oracle call a proxy then
+    sees.
     """
     trials = tuple(int(k) for k in trials)
     if not trials:
@@ -238,9 +255,10 @@ def run(
     excursions = np.zeros(len(trials), dtype=int)
 
     x = np.tile(x, (len(trials), 1))
-    # v takes the measured gradient, then the next iterate; the old
-    # iterate's memory takes the step difference, then the next gradient.
-    # A batch-sized temporary per step could cost a map and an unmap.
+    # v, allocated once, takes the measured gradient and then the next
+    # iterate; the old iterate's memory takes the step difference and then
+    # the next gradient.  Batch-sized temporaries can sit above the
+    # allocator's mmap threshold, where every step would map and unmap them.
     v = np.empty_like(x)
     max_sq = np.zeros(len(trials))
     if runs is not None:
