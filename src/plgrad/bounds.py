@@ -80,13 +80,14 @@ def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray
     _check_zeta(zeta)
     if not 0 <= r0 < np.inf:
         raise ValueError(f"r0 must be finite and nonnegative, got {r0}")
-    out = np.empty(len(costs) + 1)
-    out[0] = r0
-    acc = r0
-    for t, c in enumerate(costs):
+    # Python floats take the same IEEE operations in the same order as
+    # float64 scalars, without numpy's per-element dispatch
+    acc = float(r0)
+    values = [acc]
+    for c in costs.tolist():
         acc = zeta * acc + c
-        out[t + 1] = acc
-    return out
+        values.append(acc)
+    return np.array(values)
 
 
 def _cost_inputs(stat, stat_name: str, psi) -> tuple[np.ndarray, np.ndarray]:

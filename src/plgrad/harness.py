@@ -178,13 +178,18 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         psi_bar, psi_src = float(np.max(mean_psi)), "empirical sup"
     asymptote_value = cap(e_bar, psi_bar)
 
-    # pathwise recursion residuals (positive = violation), two arrays at a time
-    resid = regret[:, 1:] - zeta * regret[:, :-1]
-    coef = err[:, 1:] ** cost.power
-    resid -= np.multiply(coef, cost.weight, out=coef)
-    resid -= traj.psi_tilde[:, 1:]
-    recursion_max = float(resid.max())
-    del resid, coef  # freed first, so the counts below add nothing to this peak
+    # pathwise recursion residuals (positive = violation), a block of rows
+    # at a time: every entry keeps its bits, and no (trials, horizon)
+    # temporary is held
+    block_max = []
+    for lo in range(0, len(regret), 8):
+        rows = slice(lo, lo + 8)
+        resid = regret[rows, 1:] - zeta * regret[rows, :-1]
+        coef = err[rows, 1:] ** cost.power
+        resid -= np.multiply(coef, cost.weight, out=coef)
+        resid -= traj.psi_tilde[rows, 1:]
+        block_max.append(resid.max())
+    recursion_max = float(np.max(block_max))
 
     # per series and per t >= 1, the trials whose regret exceeds it.  t = 0
     # stays 0: each series starts at r0, a mean of R equal floats that may

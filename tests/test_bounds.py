@@ -48,6 +48,19 @@ class TestGeometricBackbone:
             rec = geometric_recursion(r0, zeta, costs)
             np.testing.assert_allclose(rec, direct_sum(r0, zeta, costs), rtol=1e-12)
 
+    def test_bits_of_the_float64_loop(self):
+        # the recursion stepped on float64 scalars into a preallocated array
+        rng = np.random.default_rng(11)
+        for zeta in (0.0, 0.3, 0.9, 1.0 - 2.0**-20):
+            costs = rng.uniform(0.0, 2.0, size=400) * 10.0 ** rng.integers(-300, 280, size=400)
+            costs[::7] = 0.0
+            expected = np.empty(len(costs) + 1)
+            expected[0] = acc = 3.7
+            for t, c in enumerate(costs):
+                acc = zeta * acc + c
+                expected[t + 1] = acc
+            assert geometric_recursion(3.7, zeta, costs).tobytes() == expected.tobytes()
+
     def test_zero_costs_decay_geometrically(self):
         values = geometric_recursion(2.0, 0.9, np.zeros(100))
         np.testing.assert_allclose(values, 2.0 * 0.9 ** np.arange(101), rtol=1e-12)
