@@ -25,8 +25,12 @@ FAMILIES = ("gaussian_iid", "bounded_uniform", "weibull_tail")
 # one tag per consumer of a seed, so no two draw the same numbers
 STREAMS = {"build": 1, "noise": 2, "verify": 3, "gradient": 4, "pl": 5, "prox": 6}
 
-# log-gamma over an array, for the moment grids of the envelopes
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """math.lgamma on each entry of a 1-D array, for the moment grids of
+    the envelopes.  np.vectorize gives the same bits but holds the grid as
+    Python floats in an object array, a transient of about 0.5 MB."""
+    return np.fromiter(map(math.lgamma, x), float, count=len(x))
 
 
 @dataclass(frozen=True)
