@@ -24,7 +24,7 @@ from .harness import (
     run_validation_battery,
     validate_bounds,
 )
-from .noise import NoiseModel, envelope_norm, mean_norm, sample, second_moment
+from .noise import GradientErrors, NoiseModel
 from .problems import (
     DemandResponse,
     DriftingLogistic,
@@ -53,6 +53,7 @@ __all__ = [
     "DriftingLogistic",
     "ErrorCost",
     "ExperimentConfig",
+    "GradientErrors",
     "LtiTracking",
     "NoiseModel",
     "OnlineProblem",
@@ -66,7 +67,6 @@ __all__ = [
     "asymptote",
     "build_noise",
     "build_problem",
-    "envelope_norm",
     "error_cost",
     "expectation_bound",
     "fit_from_samples",
@@ -76,15 +76,12 @@ __all__ = [
     "longrun_asymptote_check",
     "make_config",
     "markov_highprob_bound",
-    "mean_norm",
     "power",
     "prox_gradient_step",
     "run",
     "run_experiment",
     "run_validation_battery",
-    "sample",
     "scale",
-    "second_moment",
     "validate_bounds",
     "verify_pl",
 ]

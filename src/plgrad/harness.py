@@ -98,27 +98,6 @@ def _normalized_fit(norms: np.ndarray, scales: np.ndarray, theta: float) -> floa
     return fit_from_samples(normalized.ravel(), theta).k
 
 
-def _analytic_inputs(
-    problem: OnlineProblem, model: noise_mod.NoiseModel, horizon: int, power: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form per-step (E||e_t||^power, envelope_ks).
-
-    The base-scale E||e||^power times c_t^power, and the base K times c_t.
-    A noise model whose E||e||^2, E||e|| or K is not a finite float (a tiny
-    weibull_shape overflows Gamma) is a ConfigError.
-    """
-    refused = "noise model has no finite closed form"
-    try:
-        moments = {p: problem.error_moment(model, p) for p in (2, 1)}
-        k = problem.error_gain * noise_mod.envelope_norm(model, problem.error_dim).k
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError(f"{refused} (E||e||^2, E||e|| or K): {exc}") from exc
-    if not (math.isfinite(moments[2]) and math.isfinite(moments[1]) and math.isfinite(k)):
-        raise ConfigError(f"{refused}: E||e||^2 = {moments[2]}, E||e|| = {moments[1]}, K = {k}")
-    c = noise_mod.time_scales(model, horizon)
-    return c**power * moments[power], c * k
-
-
 def run_experiment(config: ExperimentConfig) -> AggregateReport:
     """Run R trials, aggregate, and attach every applicable certificate."""
     config.validate()
@@ -140,7 +119,10 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             raise ConfigError(f"psi_bar = {config.psi_bar:g}: {exc}") from exc
     # both input modes' series are always formed: a model without finite
     # closed forms is refused here, before any trial runs
-    analytic = _analytic_inputs(problem, model, horizon, cost.power)
+    try:
+        analytic = noise_mod.GradientErrors(problem, model).analytic(horizon, cost.power)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     traj = run(problem, model, horizon, x0, config.seed, range(config.trials), config.step_override)
     regret = traj.regret

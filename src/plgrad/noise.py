@@ -8,13 +8,16 @@ admits them (Gaussian and radial-Weibull norms) or from an almost-sure bound
 
 Sampling is stateless: each trial's whole horizon of errors is one block
 drawn from a stream keyed by (seed, tag, trial), so trials can be drawn in
-any order or grouping and reproduce bit-exactly.
+any order or grouping and reproduce bit-exactly.  GradientErrors draws,
+maps, measures and bounds the errors of one problem; nothing else does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -245,3 +248,76 @@ def mean_norm(model: NoiseModel, n: int) -> float:
     if model.bias == 0.0:
         return float(raw)
     return float(raw + abs(model.bias) * np.sqrt(n))
+
+
+class GradientErrors:
+    """The gradient errors e_t of one problem under one noise model: the one
+    place that draws them, measures ||e_t|| and bounds them.  The raw noise
+    eta_t has dim entries: without an error_map, n on the gradient and
+    e_t = eta_t; with one, one per row of A on the measured outputs A x,
+    and e_t = A^T eta_t, so ||e_t|| <= error_gain ||eta_t||.  problem is
+    an OnlineProblem, whose module imports this one."""
+
+    def __init__(self, problem, model: NoiseModel):
+        self.problem, self.model = problem, model
+        a = problem.error_map
+        self.dim = problem.n if a is None else len(a)
+        self._measured = a is not None and len(a) > 1  # ||A^T eta|| has no closed form
+
+    def map(self, raw: np.ndarray) -> np.ndarray:
+        """e for raw noise of shape (dim,) or (R, dim): raw, or A^T raw by the problem."""
+        return np.asarray(raw) if self.problem.error_map is None else self.problem._adjoint(raw)
+
+    def draw(self, seed: int, trials: Sequence[int], horizon: int) -> tuple[np.ndarray, Iterator]:
+        """The (trials, horizon + 1) norms, ||e_t|| in column t + 1, and an
+        iterator over step t's noise as problem.evaluate takes it: None
+        without noise (scale and bias 0), where nothing is drawn; else row t
+        of the (horizon, trials, dim) stack of noise.sample's blocks, whose
+        norms, ||eta|| or ||a|| |eta| on a one-row map, are written here; or,
+        on a map of more rows, A^T eta_t, its norm written as it is read."""
+        if self.model.scale == 0.0 and self.model.bias == 0.0:
+            return np.zeros((len(trials), horizon + 1)), itertools.repeat(None)
+        raw = np.stack([sample(self.model, self.dim, seed, k, horizon) for k in trials], axis=1)
+        norms = np.zeros((len(trials), horizon + 1))
+        if self._measured:
+            return norms, self._mapped_steps(raw, norms)
+        # by trial: on a strided 2-D view a ufunc allocates 128 KiB of buffers
+        for k, row in enumerate(norms[:, 1:]):
+            if self.problem.error_map is None:
+                np.sqrt(np.vecdot(raw[:, k], raw[:, k], out=row), out=row)
+            else:
+                np.multiply(np.abs(raw[:, k, 0], out=row), self.problem.error_gain, out=row)
+        return norms, iter(raw)
+
+    def _mapped_steps(self, raw: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]:
+        for t, eta in enumerate(raw, 1):
+            e = self.map(eta)
+            np.sqrt(np.vecdot(e, e, out=norms[:, t]), out=norms[:, t])
+            yield e
+
+    def analytic(self, horizon: int, power: int) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form per-step (E||e_t||^power, K_t): the base-scale values
+        times c_t^power and c_t.  The moments are exact for the identity
+        map and for a one-row map a eta, whose norm is ||a|| |eta|; a map
+        of more rows has E||A^T eta||^2 in closed form, and E||A^T eta||
+        only as its Jensen bound.  A non-finite moment or K (a tiny
+        weibull_shape overflows Gamma) is a ValueError."""
+        model, m, a, gain = self.model, self.dim, self.problem.error_map, self.problem.error_gain
+        try:
+            if self._measured:
+                # raw = z + b 1 with z zero-mean and isotropic, so the cross term
+                # vanishes: E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
+                z_second = second_moment(replace(model, bias=0.0), m)
+                ones_image = float(np.sum(np.sum(a, axis=0) ** 2))  # ||A^T 1||^2
+                second = z_second / m * float(np.sum(a**2)) + model.bias**2 * ones_image
+                mean = math.sqrt(second)
+            else:
+                second = gain**2 * second_moment(model, m)
+                mean = gain * mean_norm(model, m)
+            k = gain * envelope_norm(model, m).k
+            if not (math.isfinite(second) and math.isfinite(mean) and math.isfinite(k)):
+                raise ValueError(f"E||e||^2 = {second}, E||e|| = {mean}, K = {k}")
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"noise model has no finite closed form: {exc}") from exc
+        c = time_scales(model, horizon)
+        return c**power * (second if power == 2 else mean), c * k

@@ -32,12 +32,10 @@ from __future__ import annotations
 import copy
 import csv
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from . import noise as noise_mod
-from .noise import NoiseModel
 from .prox import Regularizer
 
 
@@ -46,8 +44,8 @@ class OnlineProblem:
 
     Subclasses populate the attributes below in __init__ and implement
     value / grad / fstar / xstar (None where no minimizer is computed);
-    evaluate, the per-iterate oracle of run, defaults to value, grad and
-    map_error.  A family fixes its regularizer g_t at construction: g = 0,
+    evaluate, the per-iterate oracle of run, defaults to value and grad.
+    A family fixes its regularizer g_t at construction: g = 0,
     whose prox is the identity, or the indicator of its box (the two kinds
     Regularizer admits), so fstar is the optimum of the composite cost F_t.
     value and grad accept x of shape (n,) or (R, n); fstar and xstar take
@@ -56,10 +54,8 @@ class OnlineProblem:
     returns it.  Instances are immutable after construction by convention;
     all oracles are safe to call concurrently.
 
-    error_map is None when raw noise of dimension n lands on the gradient,
-    or the family's A when the noise eta is on the measured outputs A x and
-    the error is A^T eta, with error_gain the declared ||A||_2; error_dim
-    and error_moment follow from the two.
+    error_map and error_gain say how the gradient errors enter; see
+    noise.GradientErrors, which draws, measures and bounds them.
     """
 
     name: str
@@ -98,23 +94,17 @@ class OnlineProblem:
         What run needs at x_t: the value for the regret, the previous one
         for phi_tilde_t (None at t = 0; the regularizers in scope are
         time-invariant and cancel) and the next step's gradient.  noise is
-        step t's raw noise, one row per row of x, read with grad_out only:
-        e_t = map_error(noise), or 0 without it.  A family overrides this
-        default to share work between its oracles.
+        step t's noise as noise.GradientErrors.draw gives it, one row per
+        row of x, read with grad_out only: the error e_t, or 0 without it.
+        A family overrides this default to share work between its oracles.
         """
         f = self.value(t, x)
         f_prev = self.value(t - 1, x) if t else None
         if grad_out is not None:
             g = self.grad(t, x, out=grad_out)
             if noise is not None:
-                np.add(g, self.map_error(noise), out=g)
+                np.add(g, noise, out=g)
         return f, f_prev
-
-    def error_norms(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """||map_error(raw)|| on each row of raw, written into out: the
-        bits of each row's norm taken alone."""
-        e = self.map_error(raw)
-        return np.sqrt(np.vecdot(e, e, out=out), out=out)
 
     def total_value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
@@ -133,36 +123,6 @@ class OnlineProblem:
         where no such run has two columns.  Only QuadraticTracking finds
         runs."""
         return None
-
-    @property
-    def error_dim(self) -> int:
-        return self.n if self.error_map is None else len(self.error_map)
-
-    def map_error(self, raw: np.ndarray) -> np.ndarray:
-        """Gradient-space error for raw noise of shape (error_dim,) or
-        (R, error_dim); without an error_map it is raw itself."""
-        return np.asarray(raw)
-
-    def error_moment(self, model: NoiseModel, power: int) -> float:
-        """E||e||^power at the noise model's base scale (a schedule
-        multiplies it by c_t^power): E||e||^2 for power 2, E||e|| for 1.
-
-        gain^power times the raw noise's moment, exact for the identity map
-        and for a one-row map a eta, whose norm is ||a|| |eta|.  A map of m
-        > 1 rows has E||A^T eta||^2 in closed form, and E||A^T eta|| only as
-        its Jensen upper bound.
-        """
-        a, m = self.error_map, self.error_dim
-        moment = noise_mod.second_moment if power == 2 else noise_mod.mean_norm
-        if a is None or m == 1:
-            return self.error_gain**power * moment(model, m)
-        # raw = z + b 1 with z zero-mean and isotropic, so the cross term
-        # vanishes: E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
-        z_second = noise_mod.second_moment(replace(model, bias=0.0), m)
-        frobenius = float(np.sum(a**2))
-        ones_image = float(np.sum(np.sum(a, axis=0) ** 2))  # ||A^T 1||^2
-        second = z_second / m * frobenius + model.bias**2 * ones_image
-        return second if power == 2 else math.sqrt(second)
 
 
 def _haar_orthonormal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -306,14 +266,8 @@ class QuadraticTracking(OnlineProblem):
             elif self._scalar_noise:
                 self._adjoint(np.add(r, noise, out=r), out=grad_out)
             else:
-                np.add(self._adjoint(r, out=grad_out), self.map_error(noise), out=grad_out)
+                np.add(self._adjoint(r, out=grad_out), noise, out=grad_out)
         return f[..., 0], (f[..., 1] if t else None)
-
-    def error_norms(self, raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """error_norms; with scalar noise ||a eta|| = ||a|| |eta|."""
-        if not self._scalar_noise:
-            return super().error_norms(raw, out)
-        return np.multiply(np.abs(raw[..., 0], out=out), self.error_gain, out=out)
 
     def fstar(self, t: int) -> float:
         self._check_t(t)
@@ -324,9 +278,6 @@ class QuadraticTracking(OnlineProblem):
         if self.regularizer.kind == "box":
             return None  # the minimum-norm point below ignores the box
         return np.linalg.pinv(self.matrix) @ self._b[t]
-
-    def map_error(self, raw: np.ndarray) -> np.ndarray:
-        return np.asarray(raw) if self.error_map is None else self._adjoint(raw)
 
     def compacted(self, x0: np.ndarray) -> tuple[OnlineProblem, np.ndarray] | None:
         """The view of the class docstring on a one-row A over a box with

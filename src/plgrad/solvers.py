@@ -123,9 +123,7 @@ class RegretTrajectory:
     Column t holds r_t, ||e_{t-1}|| and the variability
     psi_tilde_t = sigma_t + phi_tilde_t, with sigma_t = |f*_t - f*_{t-1}| and
     phi_tilde_t = |f_t(x_t) - f_{t-1}(x_t)|; column 0 has zero error and
-    variability.  ||e_{t-1}|| is the norm problem.error_norms gives for
-    step t - 1's raw noise: ||a|| |eta| in closed form on a one-row A with
-    measurement noise, the norm of the mapped error everywhere else.
+    variability.  ||e_{t-1}|| is the norm GradientErrors.draw gives.
     Regret values in (-problem.fstar_tol, 0) are clipped to 0.
     domain_excursions, max_step_norm and min_raw_regret hold one entry per
     trial; theory_exceptions lists what no certificate covers.  x_last holds
@@ -175,9 +173,9 @@ def run(
     Each iterate x_t gets one problem.evaluate call on the (trials, n)
     matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
     except at the last iterate, the measured gradient grad f_t(x_t) + e_t
-    of the next step, fed step t's raw noise.  The optimal values
-    f*_0..f*_T and the error norms ||e_t|| (problem.error_norms of the raw
-    noise block) depend on t only and are formed once, before the loop.
+    of the next step, fed step t's noise from GradientErrors.draw, which
+    also writes the error norms ||e_t||.  The optimal values f*_0..f*_T
+    depend on t only and are formed once, before the loop.
     The regularizer is none or a box: g = 0 on the feasible x0, and a box
     indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
     iterate (a nan iterate is caught by the finiteness check before it is
@@ -237,20 +235,13 @@ def run(
 
     reg_tol = problem.fstar_tol
     fstar = np.array([problem.fstar(t) for t in range(horizon + 1)])
-    # raw errors as (horizon, trials, error_dim): row t feeds step t of every trial
-    raw = np.stack(
-        [noise_mod.sample(model, problem.error_dim, seed, k, horizon) for k in trials], axis=1)
+    error_norm, noise = noise_mod.GradientErrors(problem, model).draw(seed, trials, horizon)
 
     # The loop writes F_t(x_t) and f_t(x_t) - f_{t-1}(x_t) into column t;
     # the regret checks, minimum and clip, the absolute values and sigma_t
     # then run once on whole matrices.
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
-    error_norm = np.zeros(shape)
-    # ||e_t|| into column t + 1 by trial: on a strided 2-D view an
-    # elementwise ufunc would allocate 128 KiB of iteration buffers
-    for k, row in enumerate(error_norm[:, 1:]):
-        problem.error_norms(raw[:, k], out=row)
     psi_tilde = np.zeros(shape)
     excursions = np.zeros(len(trials), dtype=int)
 
@@ -269,7 +260,7 @@ def run(
         # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
         # gradient of step t into v
         if t < horizon:
-            f, f_prev = problem.evaluate(t, x, grad_out=v, noise=raw[t])
+            f, f_prev = problem.evaluate(t, x, grad_out=v, noise=next(noise))
         else:
             f, f_prev = problem.evaluate(t, x)
         # F_t(x_t) = f_t(x_t), as g_t(x_t) = 0 on every iterate
@@ -310,7 +301,7 @@ def run(
             max_sq[rows] = np.maximum(max_sq[rows], sq)
         x, v = x_next, x
 
-    del raw  # spent: freed, it makes room for the buffers of the sums below
+    del noise  # spent: freed, it makes room for the buffers of the sums below
     np.subtract(regret, fstar, out=regret)
     _check_regret(regret, reg_tol, seed, trials)
     min_raw = regret.min(axis=1)

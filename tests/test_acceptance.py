@@ -16,7 +16,7 @@ from plgrad.bounds import error_cost, expectation_bound
 from plgrad.cli import main as cli_main
 from plgrad.config import make_config
 from plgrad.harness import coverage_envelope, longrun_asymptote_check, run_experiment
-from plgrad.noise import NoiseModel, sample
+from plgrad.noise import GradientErrors, NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
     DriftingLogistic,
@@ -197,10 +197,11 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     hi = np.full(20, 50.0)
     problem = DemandResponse(20, cfg.seed, cfg.horizon, p_ref, w, lo, hi)
     model = NoiseModel("gaussian_iid", scale=10.0)
-    raw = sample(model, problem.error_dim, cfg.seed, 0, cfg.horizon)
+    errors = GradientErrors(problem, model)
+    raw = sample(model, errors.dim, cfg.seed, 0, cfg.horizon)
     x, step = np.zeros((1, 20)), 1.0 / problem.smoothness
     for t in range(cfg.horizon):
-        x = prox_gradient_step(problem, t, x, step, problem.map_error(raw[t : t + 1]))
+        x = prox_gradient_step(problem, t, x, step, errors.map(raw[t : t + 1]))
         assert np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12)
 
     assert report.elapsed < 60.0

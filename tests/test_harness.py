@@ -1,5 +1,6 @@
 """Monte Carlo harness: determinism, aggregation, validation verdicts."""
 
+import math
 import time
 
 import numpy as np
@@ -283,6 +284,33 @@ class TestLongRun:
         )
         assert report.e_bar_used == float(moments.max())
         assert report.asymptote_value == pytest.approx(expected, rel=1e-12)
+
+
+class TestScaleEquivariance:
+    """Scaling A and b by sqrt(c) scales mu, L, f_t and the gradient by c
+    and leaves the iterates of the step 1/L where they were, so gradient
+    noise scaled by c leaves the run the same up to rounding: no verdict of
+    the battery may move with c."""
+
+    @pytest.mark.parametrize("preset", ["fig1-ls", "static-ls"])
+    def test_battery_verdicts_do_not_move_with_the_scale(self, preset):
+        base = PRESETS[preset]
+        verdicts = {}
+        for c in (1e-9, 1e-3, 1.0, 1e3, 1e6, 1e9):
+            problem = {  # the presets' mu = 0.1 and l = 1
+                "mu": 0.1 * c,
+                "l": 1.0 * c,
+                "obs_noise_std": base["problem"].get("obs_noise_std", 0.0) * math.sqrt(c),
+            }
+            noise = {"scale": base["noise"]["scale"] * c}
+            cfg = make_config(
+                {"problem": problem, "noise": noise},
+                {"preset": preset, "trials": 50, "bound_inputs": "analytic"},
+            )
+            summary = run_validation_battery(cfg)
+            verdicts[c] = [(check.name, check.passed) for check in summary.checks]
+        assert all(v == verdicts[1.0] for v in verdicts.values()), verdicts
+        assert all(passed for _, passed in verdicts[1.0]), verdicts[1.0]
 
 
 class TestBattery:

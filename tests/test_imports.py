@@ -242,3 +242,35 @@ def test_only_noise_stream_builds_a_generator():
             (inside if id(call) in owned else outside).append(f"{path.stem}:{call.lineno}")
     assert inside, "noise.stream builds no generator"
     assert not outside, f"generator built outside noise.stream at {outside}"
+
+
+# the noise functions that draw raw noise or give its moments and envelope
+ERROR_SOURCES = {"sample", "second_moment", "mean_norm", "envelope_norm"}
+
+
+def test_only_gradient_errors_draws_and_bounds_the_noise():
+    # the errors a run draws, the norms it records and the moments and K its
+    # certificates take all come from noise.GradientErrors, so an error
+    # kind added there reaches all three
+    inside, outside = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owned = {
+            id(sub)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and (path.stem, node.name) == ("noise", "GradientErrors")
+            for sub in ast.walk(node)
+        }
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name not in ERROR_SOURCES:
+                continue
+            if id(call) in owned:
+                inside.add(name)
+            else:
+                outside.append(f"{path.stem}:{call.lineno} {name}")
+    assert inside == ERROR_SOURCES, f"GradientErrors calls only {sorted(inside)}"
+    assert not outside, f"noise drawn or bounded outside GradientErrors at {outside}"

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.special import gamma, gammaln
 
-from plgrad.config import ConfigError
-from plgrad.harness import _analytic_inputs
+from plgrad.config import ConfigError, make_config
+from plgrad.harness import run_experiment
 from plgrad.noise import (
     FAMILIES,
     STREAMS,
+    GradientErrors,
     NoiseModel,
     _gaussian_norm_k,
     _max_moment_ratio,
@@ -47,11 +48,12 @@ def generic_envelope(model, n):
     return power(scale(power(coord, 2.0), float(n)), 0.5)
 
 
-def _identity_map_problem(n, horizon):
-    """A problem whose gradient errors are the raw noise (error_dim n, gain 1)."""
-    return TimeVaryingLeastSquares(
+def _identity_map_errors(model, n, horizon):
+    """The errors of a problem whose gradient errors are the raw noise (dim n, gain 1)."""
+    problem = TimeVaryingLeastSquares(
         n=n, d=n, mu=0.1, l=1.0, drift_std=0.0, obs_noise_std=0.0, seed=0, horizon=horizon
     )
+    return GradientErrors(problem, model)
 
 
 def test_stream_tags_are_distinct():
@@ -159,7 +161,7 @@ class TestMoments:
     def test_second_moment_time_varying(self):
         # the harness's analytic inputs scale E||e||^2 by c_t^2
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 3.0))
-        moments, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=2)
+        moments, _ = _identity_map_errors(model, 2, 2).analytic(2, power=2)
         np.testing.assert_allclose(moments, [2.0, 18.0], rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -172,14 +174,17 @@ class TestMoments:
         ids=["inf", "overflow", "weibull-shape"],
     )
     def test_non_finite_closed_forms_are_a_config_error(self, model, reason):
+        # the experiment refuses it before any trial runs
+        noise = {"family": model.family, "scale": model.scale, "weibull_shape": model.weibull_shape}
+        cfg = make_config({"noise": noise}, {"preset": "static-ls", "horizon": 2, "trials": 1})
         with pytest.raises(ConfigError, match="no finite closed form") as info:
-            _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=1)
+            run_experiment(cfg)
         assert reason in str(info.value)
 
     def test_mean_norm_time_varying(self):
         # power 1 takes c_t E||e||: the chi mean of 2 degrees of freedom, sqrt(pi / 2)
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 3.0))
-        moments, _ = _analytic_inputs(_identity_map_problem(2, 2), model, 2, power=1)
+        moments, _ = _identity_map_errors(model, 2, 2).analytic(2, power=1)
         base = math.sqrt(math.pi / 2.0)
         np.testing.assert_allclose(moments, [base, 3.0 * base], rtol=1e-12)
 
@@ -301,7 +306,7 @@ class TestEnvelopes:
         # the harness's analytic inputs scale K by c_t
         model = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(1.0, 4.0))
         base = envelope_norm(model, 10)
-        _, ks = _analytic_inputs(_identity_map_problem(10, 2), model, 2, power=2)
+        _, ks = _identity_map_errors(model, 10, 2).analytic(2, power=2)
         np.testing.assert_allclose(ks, [base.k, 4.0 * base.k], rtol=1e-12)
 
 

@@ -9,8 +9,8 @@ import pytest
 from scipy.optimize import minimize
 
 from plgrad import problems as problems_mod
-from plgrad.harness import _analytic_inputs, _check_pl
-from plgrad.noise import NoiseModel, sample
+from plgrad.harness import _check_pl
+from plgrad.noise import GradientErrors, NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
     DriftingLogistic,
@@ -227,23 +227,23 @@ class TestLtiTracking:
             np.testing.assert_allclose(v, lti_problem.grad(t, x), atol=1e-12)
 
     def test_measurement_noise_maps_through_output_matrix(self, lti_problem):
-        # the run path's error model: measured = grad + map_error(eta)
+        # the run path's error model: measured = grad + G^T eta
         rng = np.random.default_rng(9)
+        errors = GradientErrors(lti_problem, NoiseModel())
         for t in (0, 5, 40):
             x = rng.normal(size=6)
             eta = rng.normal(size=9)
             v = self.measured_grad(lti_problem, t, x, eta)
-            np.testing.assert_allclose(
-                v, lti_problem.grad(t, x) + lti_problem.map_error(eta), atol=1e-12
-            )
+            np.testing.assert_allclose(v, lti_problem.grad(t, x) + errors.map(eta), atol=1e-12)
 
     def test_error_envelope_dominates_fit(self, lti_problem):
         # ||G^T eta|| <= smax(G) ||eta||: the scaled envelope must cover a
         # fitted one, and stays below the crude smax * s * sqrt(m) cap
         s = 0.3
         model = NoiseModel("gaussian_iid", scale=s)
-        k = _analytic_inputs(lti_problem, model, 1, 2)[1][0]  # the K a run certifies
-        norms = np.linalg.norm(lti_problem.map_error(sample(model, 9, 0, 0, 20000)), axis=1)
+        errors = GradientErrors(lti_problem, model)
+        k = errors.analytic(1, 2)[1][0]  # the K a run certifies
+        norms = np.linalg.norm(errors.map(sample(model, 9, 0, 0, 20000)), axis=1)
         fitted = fit_from_samples(norms, theta=0.5)
         assert fitted.k <= k * 1.05
         assert k <= lti_problem.error_gain * s * math.sqrt(9) + 1e-12
@@ -260,16 +260,17 @@ class TestLtiTracking:
     def test_error_moment_with_bias_matches_monte_carlo(self, lti_problem, model):
         # raw = z + b 1: E||G^T raw||^2 = (E||z||^2 / m) ||G||_F^2 + b^2 ||G^T 1||^2
         draws = 10**5
-        mapped = lti_problem.map_error(sample(model, 9, 5, 0, draws))
+        errors = GradientErrors(lti_problem, model)
+        mapped = errors.map(sample(model, 9, 5, 0, draws))
         sq = np.vecdot(mapped, mapped)
         sem = float(sq.std()) / math.sqrt(draws)
-        second = lti_problem.error_moment(model, 2)
+        second = errors.analytic(1, 2)[0][0]
         assert abs(float(sq.mean()) - second) <= 4.0 * sem
         # the bias term carries weight: dropping it misses by many errors
-        unbiased = lti_problem.error_moment(replace(model, bias=0.0), 2)
+        unbiased = GradientErrors(lti_problem, replace(model, bias=0.0)).analytic(1, 2)[0][0]
         assert second - unbiased > 20.0 * sem
         # power 1 keeps its Jensen bound
-        assert lti_problem.error_moment(model, 1) == math.sqrt(second)
+        assert errors.analytic(1, 1)[0][0] == math.sqrt(second)
         assert float(np.sqrt(sq).mean()) <= math.sqrt(second)
 
 
@@ -335,7 +336,7 @@ class TestDemandResponse:
                 assert p.grad(t, x, out=out) is out
                 assert np.array_equal(out, expected)
                 expected = r[..., :1] * a_x
-                assert np.array_equal(p.map_error(r), expected)
+                assert np.array_equal(GradientErrors(p, NoiseModel()).map(r), expected)
             assert p.xstar(t) is None
         for t in range(horizon + 1):
             target = -c[t]
@@ -398,8 +399,9 @@ class TestDemandResponse:
 
     def test_scalar_error_map(self, dr_problem):
         raw = np.array([2.5])
-        np.testing.assert_allclose(dr_problem.map_error(raw), np.full(10, 2.5))
-        assert dr_problem.error_dim == 1
+        errors = GradientErrors(dr_problem, NoiseModel())
+        np.testing.assert_allclose(errors.map(raw), np.full(10, 2.5))
+        assert errors.dim == 1
         assert dr_problem.error_gain == pytest.approx(math.sqrt(10.0))
 
     def test_trace_length_validation(self):
@@ -551,16 +553,20 @@ class TestVariability:
         "fixture", ["ls_problem", "logistic_problem", "lti_problem", "dr_problem"]
     )
     def test_evaluate_matches_value_and_grad(self, fixture, request):
-        # the shared evaluation gives the separate oracles' bits, and with
-        # noise the measured gradient grad + map_error(noise); error_norms
-        # gives the mapped error's norm, which demand response (a_x = ones
-        # here) forms as ||a_x|| |eta|
+        # the shared evaluation gives the separate oracles' bits, and with a
+        # step's noise from GradientErrors.draw the measured gradient
+        # grad + e, e the mapped raw noise; the norm draw records is the
+        # error's, which demand response (a_x = ones here) forms as
+        # ||a_x|| |eta|
         problem = request.getfixturevalue(fixture)
         rng = np.random.default_rng(8)
         xs = rng.normal(size=(7, problem.n))
-        noise = rng.normal(size=(7, problem.error_dim))
-        e = problem.map_error(noise)
-        for t in (1, problem.horizon):
+        errors = GradientErrors(problem, NoiseModel("gaussian_iid", scale=1.0))
+        raw = np.stack([sample(errors.model, errors.dim, 8, k, 2) for k in range(7)], axis=1)
+        error_norm, steps = errors.draw(8, range(7), 2)
+        assert error_norm.shape == (7, 3) and np.all(error_norm[:, 0] == 0.0)
+        for step, (t, noise) in enumerate(zip((1, problem.horizon), steps)):
+            e = errors.map(raw[step])
             g = np.full_like(xs, np.nan)
             f, f_prev = problem.evaluate(t, xs, grad_out=g)
             assert np.array_equal(f, problem.value(t, xs))
@@ -570,14 +576,12 @@ class TestVariability:
             assert np.array_equal(f, problem.value(t, xs))
             assert np.array_equal(f_prev, problem.value(t - 1, xs))
             assert np.array_equal(g, problem.grad(t, xs) + e)
-        out = np.full(7, np.nan)
-        error_norm = problem.error_norms(noise, out=out)
-        assert error_norm is out
-        if fixture == "dr_problem":
-            assert np.array_equal(error_norm, problem.error_gain * np.abs(noise[:, 0]))
-            np.testing.assert_allclose(error_norm, np.linalg.norm(e, axis=1), rtol=1e-15)
-        else:
-            assert np.array_equal(error_norm, np.sqrt(np.vecdot(e, e)))
+            norm = error_norm[:, step + 1]
+            if fixture == "dr_problem":
+                assert np.array_equal(norm, problem.error_gain * np.abs(raw[step, :, 0]))
+                np.testing.assert_allclose(norm, np.linalg.norm(e, axis=1), rtol=1e-15)
+            else:
+                assert np.array_equal(norm, np.sqrt(np.vecdot(e, e)))
         with pytest.raises(IndexError):
             problem.evaluate(problem.horizon + 1, xs)
 
@@ -625,12 +629,12 @@ class TestRowInvariance:
 
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_error_map_matches_the_1d_call(self, fixture, request):
-        problem = request.getfixturevalue(fixture)
-        raw = np.random.default_rng(6).normal(size=(11, problem.error_dim))
-        batch = problem.map_error(raw)
-        assert batch.shape == (11, problem.n)
+        errors = GradientErrors(request.getfixturevalue(fixture), NoiseModel())
+        raw = np.random.default_rng(6).normal(size=(11, errors.dim))
+        batch = errors.map(raw)
+        assert batch.shape == (11, errors.problem.n)
         for k in range(11):
-            assert np.array_equal(batch[k], problem.map_error(raw[k]))
+            assert np.array_equal(batch[k], errors.map(raw[k]))
 
     @pytest.mark.parametrize("fixture", FIXTURES)
     def test_out_forms_match_the_allocating_call(self, fixture, request):

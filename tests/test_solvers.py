@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from plgrad import noise as noise_mod
 from plgrad import problems as problems_mod
 from plgrad import solvers as solvers_mod
 from plgrad.config import build_noise, build_problem, initial_point, make_config
 from plgrad.harness import run_experiment
-from plgrad.noise import NoiseModel, sample
+from plgrad.noise import GradientErrors, NoiseModel, sample
 from plgrad.problems import (
     DemandResponse,
     OnlineProblem,
@@ -324,6 +325,53 @@ class TestRun:
 
 
 class TestMemory:
+    def test_no_noise_draws_no_block(self, monkeypatch):
+        # scale = bias = 0 draws nothing, so the run peaks at least one
+        # (T, trials, n) block below noise whose every c_t is 0, which draws
+        # a block of zeros; both records hold the same bytes
+        cfg = make_config(
+            {"noise": {"scale": 0.0}}, {"preset": "static-ls", "trials": 200, "horizon": 100}
+        )
+        problem, silent = build_problem(cfg), build_noise(cfg)
+        zeros = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(0.0,) * cfg.horizon)
+        x0 = initial_point(cfg, problem)
+        draws = []
+        draw = noise_mod.sample
+
+        def counted_sample(*args):
+            draws.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(noise_mod, "sample", counted_sample)
+        peaks, records = [], []
+        for model in (silent, zeros):
+            tracemalloc.start()
+            try:
+                records.append(run(problem, model, x0=x0, seed=cfg.seed, trials=range(cfg.trials)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(draws) == cfg.trials  # all from the zero block's run
+        assert peaks[0] + cfg.horizon * cfg.trials * problem.n * 8 <= peaks[1], peaks
+        assert not records[0].error_norm.any()
+        for name in PER_TRIAL + ("domain_excursions", "max_step_norm"):
+            assert getattr(records[0], name).tobytes() == getattr(records[1], name).tobytes(), name
+
+    @pytest.mark.parametrize(
+        "preset", ["fig1-ls", "static-ls", "fig3-demand-response", "logistic", "lti"]
+    )
+    def test_no_noise_keeps_the_zero_block_bytes(self, preset):
+        cfg = make_config({}, {"preset": preset, "trials": 5})
+        problem = build_problem(cfg)
+        x0 = initial_point(cfg, problem)
+        zeros = NoiseModel("gaussian_iid", scale=1.0, per_time_scale=(0.0,) * cfg.horizon)
+        silent, fed = (
+            run(problem, model, x0=x0, seed=cfg.seed, trials=range(5))
+            for model in (NoiseModel(), zeros)
+        )
+        for name in PER_TRIAL + ("domain_excursions", "max_step_norm"):
+            assert getattr(silent, name).tobytes() == getattr(fed, name).tobytes(), name
+
     def test_peak_on_500_devices_stays_within_budget(self):
         # The full-size demand-response run needs its (trials, T+1) outputs,
         # the noise block and one batch-sized work array: the loop iterates
@@ -340,7 +388,7 @@ class TestMemory:
         trials, horizon, n = cfg.trials, cfg.horizon, problem.n
         budget = (
             3 * trials * (horizon + 1) * 8  # regret, error_norm, psi_tilde
-            + horizon * trials * problem.error_dim * 8  # the noise block
+            + horizon * trials * GradientErrors(problem, model).dim * 8  # the noise block
             + trials * n * 8  # a widened iterate or step difference
             + 96 * 1024
         )
@@ -485,7 +533,7 @@ def _families():
 
 
 FAMILY_NAMES = ("dr", "dr-general", "logistic", "ls", "lti")
-# the families whose measured gradient has the bits of grad f_t + map_error
+# the families whose measured gradient has the bits of grad f_t + e_t
 EXACT_FAMILY_NAMES = ("dr", "logistic", "ls", "lti")
 PER_TRIAL = ("regret", "error_norm", "psi_tilde", "x_final", "min_raw_regret")
 
@@ -513,13 +561,14 @@ class TestBatchedKernel:
         x0 = np.zeros(problem.n)
         batch = run(problem, model, seed=8, trials=trials)
         step = 1.0 / problem.smoothness
+        errors = GradientErrors(problem, model)
         for row, trial in enumerate(trials):
-            raw = sample(model, problem.error_dim, 8, trial, problem.horizon)
+            raw = sample(model, errors.dim, 8, trial, problem.horizon)
             x = x0.copy()
             regret = [problem.total_value(0, x) - problem.fstar(0)]
             err, psi = [0.0], [0.0]
             for t in range(problem.horizon):
-                e = problem.map_error(raw[t])
+                e = errors.map(raw[t])
                 x = problem.regularizer.prox(step, x - step * (problem.grad(t, x) + e))
                 regret.append(problem.total_value(t + 1, x) - problem.fstar(t + 1))
                 err.append(np.linalg.norm(e))
@@ -538,11 +587,12 @@ class TestBatchedKernel:
         problem, model = families[family]
         trials = range(5)
         traj = run(problem, model, seed=8, trials=trials)
+        errors = GradientErrors(problem, model)
         raw = np.stack(
-            [sample(model, problem.error_dim, 8, k, problem.horizon) for k in trials], axis=1
+            [sample(model, errors.dim, 8, k, problem.horizon) for k in trials], axis=1
         )
         recorded = traj.error_norm[:, 1:].T  # one row per step, as raw
-        materialized = _row_norm(problem.map_error(raw))
+        materialized = _row_norm(errors.map(raw))
         assert np.all(traj.error_norm[:, 0] == 0.0)
         if problem.name == "demand_response":
             # a one-row A: ||a eta|| = ||a|| |eta| in closed form
@@ -564,7 +614,8 @@ def reference_run(problem, model, seed, trials, x0=None):
     trials = tuple(trials)
     horizon = problem.horizon
     step = 1.0 / problem.smoothness
-    raw = np.stack([sample(model, problem.error_dim, seed, k, horizon) for k in trials], axis=1)
+    errors = GradientErrors(problem, model)
+    raw = np.stack([sample(model, errors.dim, seed, k, horizon) for k in trials], axis=1)
     shape = (len(trials), horizon + 1)
     regret = np.empty(shape)
     error_norm = np.zeros(shape)
@@ -587,7 +638,7 @@ def reference_run(problem, model, seed, trials, x0=None):
     x = np.zeros((len(trials), problem.n)) if x0 is None else np.tile(x0, (len(trials), 1))
     record(0, x)
     for t in range(horizon):
-        e = problem.map_error(raw[t])
+        e = errors.map(raw[t])
         x_next = prox_gradient_step(problem, t, x, step, e)
         max_step_norm = np.maximum(max_step_norm, _row_norm(x_next - x))
         x = x_next
@@ -704,6 +755,32 @@ class TestOneValuePerStep:
         monkeypatch.setattr(QuadraticTracking, "_adjoint", counted_adjoint)
         run(problem, model, seed=8, trials=range(5))
         assert shapes == [(5, 1)] * problem.horizon
+
+    def test_lti_maps_each_step_once(self, monkeypatch):
+        # a many-row map's norm ||A^T eta_t|| is taken from the error the
+        # step adds to its gradient: per step one adjoint of the residual
+        # and one of the noise, and the norms keep the bits of mapping each
+        # trial's whole block
+        cfg = make_config({}, {"preset": "lti"})
+        problem, model = build_problem(cfg), build_noise(cfg)
+        calls = []
+        adjoint = QuadraticTracking._adjoint
+
+        def counted_adjoint(self, r, out=None):
+            calls.append(r.shape)
+            return adjoint(self, r, out=out)
+
+        monkeypatch.setattr(QuadraticTracking, "_adjoint", counted_adjoint)
+        x0 = initial_point(cfg, problem)
+        traj = run(problem, model, x0=x0, seed=cfg.seed, trials=range(cfg.trials))
+        assert len(calls) == 600 == 2 * cfg.horizon
+        assert set(calls) == {(cfg.trials, problem.matrix.shape[0])}
+        monkeypatch.undo()
+        expected = np.zeros_like(traj.error_norm)
+        for k in range(cfg.trials):
+            e = problem._adjoint(sample(model, len(problem.error_map), cfg.seed, k, cfg.horizon))
+            expected[k, 1:] = np.sqrt(np.vecdot(e, e))
+        assert traj.error_norm.tobytes() == expected.tobytes()
 
 
 class TestBallCount:
