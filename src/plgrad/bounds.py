@@ -27,7 +27,8 @@ the whole series is scaled by the unit-scale quantile bound at tail exponent
 power * theta.  A Markov-inequality alternative (expectation series divided
 by delta) is provided for comparison, and the long-run asymptote, the fixed
 point (L/mu)(weight e_bar + psi_bar) of the expectation recursion at
-constant inputs, caps the plateau.  Every series is a plain array B_0..B_T.
+constant inputs, caps the plateau.  Every series is a plain array B_0..B_T,
+held with its kind, input mode and level in a Certificate record.
 """
 
 from __future__ import annotations
@@ -178,3 +179,36 @@ def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     return np.asarray(expectation, dtype=float) / delta
+
+
+@dataclass
+class Certificate:
+    """One certificate series B_0..B_T of one input mode at level delta (None
+    for the mean bound).  counts[t] is how many trials exceed it at t >= 1,
+    and 0 at t = 0; a run counts only its configured mode's records, so the
+    other mode's keep None."""
+
+    kind: str                    # expectation, highprob or markov
+    mode: str                    # input mode: empirical or analytic
+    level: float | None
+    series: np.ndarray
+    counts: np.ndarray | None = None
+
+    @property
+    def name(self) -> str:  # the column name
+        return self.kind if self.level is None else f"{self.kind}_{self.level:g}"
+
+
+def certificates(r0, zeta, cost: ErrorCost, psi, theta, deltas, inputs: dict) -> list:
+    """Every certificate series, uncounted, of each input mode in the order
+    of `inputs`, which maps a mode to its per-step (moments, envelope_ks)."""
+    out = []
+    for mode, (moments, envelope_ks) in inputs.items():
+        expectation = expectation_bound(r0, zeta, cost, moments, psi)
+        out.append(Certificate("expectation", mode, None, expectation))
+        for delta in deltas:
+            hp = highprob_bound(r0, zeta, cost, envelope_ks, psi, theta, delta)
+            out.append(Certificate("highprob", mode, delta, hp))
+            markov = markov_highprob_bound(expectation, delta)
+            out.append(Certificate("markov", mode, delta, markov))
+    return out

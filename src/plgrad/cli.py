@@ -68,7 +68,6 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         "band_hi",
         "band_lo_sem",
         "band_hi_sem",
-        "bound_expectation",
     ]
     cols = [
         t,
@@ -78,23 +77,19 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         mean + spread,
         np.maximum(mean - sem, 0.0),
         mean + sem,
-        report.bounds["expectation"],
     ]
-    for delta in cfg.deltas:
-        header.append(f"bound_highprob_{delta:g}")
-        cols.append(report.bounds[f"highprob_{delta:g}"])
+    certified = report.configured("expectation", "highprob")
+    header += [f"bound_{c.name}" for c in certified]
+    cols += [c.series for c in certified]
     regret_path = out_dir / "regret.csv"
     _write_csv(regret_path, header, cols)
     written.append(regret_path)
 
-    header = ["t"]
-    cols = [t]
-    for mode, series_map in report.bound_sets.items():
-        for key in sorted(series_map):
-            header.append(f"bound_{key}_{mode}")
-            cols.append(series_map[key])
+    # every record, the configured mode first and sorted by name within a mode
+    table = sorted(report.certificates, key=lambda c: (c.mode != cfg.bound_inputs, c.name))
     bounds_path = out_dir / "bounds.csv"
-    _write_csv(bounds_path, header, cols)
+    header = ["t"] + [f"bound_{c.name}_{c.mode}" for c in table]
+    _write_csv(bounds_path, header, [t] + [c.series for c in table])
     written.append(bounds_path)
 
     lines = [
@@ -126,10 +121,9 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         f"min_raw_regret = {_fmt(float(traj.min_raw_regret.min()))}",
         f"final_mean_regret = {_fmt(float(report.mean_regret[-1]))}",
     ]
-    for delta in cfg.deltas:
-        counts = report.exceedances[f"highprob_{delta:g}"]
-        joined = ", ".join(f"t={cp}: {counts[cp]}" for cp in report.checkpoints)
-        lines.append(f"violations_delta_{delta:g} = {joined}")
+    for cert in report.configured("highprob"):
+        joined = ", ".join(f"t={cp}: {cert.counts[cp]}" for cp in report.checkpoints)
+        lines.append(f"violations_delta_{cert.level:g} = {joined}")
     summary_path = out_dir / "summary.txt"
     with open(summary_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

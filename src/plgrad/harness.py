@@ -47,7 +47,7 @@ class AggregateReport:
     zeta: float                  # contraction 1 - mu / L
     mean_regret: np.ndarray
     std_regret: np.ndarray
-    bound_sets: dict             # input mode -> its series, the configured mode first
+    certificates: list           # every bounds.Certificate, the configured mode first
     mean_err_moment: np.ndarray  # E||e_t||^power estimates, t = 0..T-1
     mean_psi: np.ndarray         # variability means, entries for tau = 1..T
     envelope_theta: float
@@ -57,33 +57,12 @@ class AggregateReport:
     psi_bar_used: float
     psi_bar_source: str
     recursion_max_violation: float
-    exceedances: dict            # series name -> (T+1,) count of trials above it
     checkpoints: tuple           # the t at which coverage_<delta> reads its counts
 
-    @property
-    def bounds(self) -> dict:
-        """The certificate series of the configured input mode."""
-        return self.bound_sets[self.config.bound_inputs]
-
-
-def _bound_set(
-    cost: bounds_mod.ErrorCost,
-    deltas: tuple,
-    r0: float,
-    zeta: float,
-    psi: np.ndarray,
-    theta: float,
-    moments: np.ndarray,
-    envelope_ks: np.ndarray,
-) -> dict:
-    """Every certificate series of one input mode, keyed by its column name."""
-    out = {"expectation": bounds_mod.expectation_bound(r0, zeta, cost, moments, psi)}
-    for delta in deltas:
-        out[f"highprob_{delta:g}"] = bounds_mod.highprob_bound(
-            r0, zeta, cost, envelope_ks, psi, theta, delta
-        )
-        out[f"markov_{delta:g}"] = bounds_mod.markov_highprob_bound(out["expectation"], delta)
-    return out
+    def configured(self, *kinds: str) -> list:
+        """The configured input mode's records of the given kinds, in table order."""
+        mode = self.config.bound_inputs
+        return [c for c in self.certificates if c.mode == mode and c.kind in kinds]
 
 
 def _normalized_fit(norms: np.ndarray, scales: np.ndarray, theta: float) -> float:
@@ -140,16 +119,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     fitted_ks = _normalized_fit(err[:, 1:], c, theta) * c
     mean_psi = traj.psi_tilde[:, 1:].mean(axis=0)
 
-    # per-step (moments, envelope_ks) of each input mode
+    # per-step (moments, envelope_ks) of each input mode, the configured mode first
     inputs = {
         "empirical": (mean_err_moment, fitted_ks),
         "analytic": analytic,
     }
-    # variability has no a-priori form: both modes use its mean; configured mode first
-    bound_sets = {
-        mode: _bound_set(cost, config.deltas, r0, zeta, mean_psi, theta, *inputs[mode])
-        for mode in sorted(inputs, key=lambda mode: mode != config.bound_inputs)
-    }
+    inputs = dict(sorted(inputs.items(), key=lambda item: item[0] != config.bound_inputs))
+    # variability has no a-priori form: both modes use its mean
+    certificates = bounds_mod.certificates(r0, zeta, cost, mean_psi, theta, config.deltas, inputs)
     moments_used, envelope_k_used = inputs[config.bound_inputs]
 
     # long-run cap from the supremum statistics over the horizon
@@ -173,14 +150,12 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         block_max.append(resid.max())
     recursion_max = float(np.max(block_max))
 
-    # per series and per t >= 1, the trials whose regret exceeds it.  t = 0
-    # stays 0: each series starts at r0, a mean of R equal floats that may
-    # round below them
-    primary = bound_sets[config.bound_inputs]
-    exceedances = {
-        name: np.concatenate(([0], (regret[:, 1:] > bound[1:]).sum(axis=0)))
-        for name, bound in primary.items()
-    }
+    # per configured series and per t >= 1, the trials whose regret exceeds
+    # it.  t = 0 stays 0: each series starts at r0, a mean of R equal floats
+    # that may round below them
+    for cert in certificates:
+        if cert.mode == config.bound_inputs:
+            cert.counts = np.concatenate(([0], (regret[:, 1:] > cert.series[1:]).sum(axis=0)))
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
 
     return AggregateReport(
@@ -191,7 +166,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         zeta=zeta,
         mean_regret=mean_regret,
         std_regret=std_regret,
-        bound_sets=bound_sets,
+        certificates=certificates,
         mean_err_moment=mean_err_moment,
         mean_psi=mean_psi,
         envelope_theta=theta,
@@ -201,7 +176,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         psi_bar_used=psi_bar,
         psi_bar_source=psi_src,
         recursion_max_violation=recursion_max,
-        exceedances=exceedances,
         checkpoints=checkpoints,
     )
 
@@ -267,8 +241,6 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
     Reports theory_scope, then each run check named in `checks` (a subset
     of RUN_CHECKS) in RUN_CHECKS order; an unnamed check is not computed.
     """
-    if not report.bounds:
-        raise ValueError("report carries no bound series")
     summary = ValidationSummary()
 
     # every certificate below assumes the step 1/L and iterates inside the
@@ -289,7 +261,7 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
         summary.checks.append(CheckResult("recursion_pathwise", viol <= tol, detail))
 
     if "dominance" in checks:
-        expectation = report.bounds["expectation"]
+        expectation = report.configured("expectation")[0].series
         gap = report.mean_regret - expectation
         ok = bool(np.all(gap <= 1e-12 * (1.0 + np.abs(expectation))))
         detail = f"max (mean - bound) = {float(gap.max()):.3e} at t={int(gap.argmax())}"
@@ -301,13 +273,12 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
         # 3 |deltas| 1%, 6% for two deltas (the tests share trials, so
         # 1 - 0.99^(3 |deltas|) does not apply)
         trials = report.config.trials
-        for delta in report.config.deltas:
-            limit = coverage_envelope(trials, delta)
-            exceeding = report.exceedances[f"highprob_{delta:g}"]
-            counts = {cp: int(exceeding[cp]) for cp in report.checkpoints}
+        for cert in report.configured("highprob"):
+            limit = coverage_envelope(trials, cert.level)
+            counts = {cp: int(cert.counts[cp]) for cp in report.checkpoints}
             bad = {cp: c for cp, c in counts.items() if c > limit}
             detail = f"violations {counts} vs envelope {limit} of {trials}"
-            summary.checks.append(CheckResult(f"coverage_{delta:g}", not bad, detail))
+            summary.checks.append(CheckResult(f"coverage_{cert.level:g}", not bad, detail))
 
     if "moments" in checks:
         # the coverage claims are only as good as the envelope: re-test the

@@ -82,7 +82,7 @@ def test_criterion_01_noiseless_linear_convergence():
 
 def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
     report = fig1_report
-    bound = report.bounds["expectation"]
+    bound = report.configured("expectation")[0].series
     problem = report.problem
     cost = error_cost("ogd", problem.smoothness, problem.diameter)
     direct = expectation_bound(
@@ -104,8 +104,9 @@ def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
 def test_criterion_03_highprob_coverage(coverage_report):
     report = coverage_report
     trials = report.config.trials
+    highprob = {c.level: c.series for c in report.configured("highprob")}
     for delta in (0.1, 0.05):
-        series = report.bounds[f"highprob_{delta:g}"]
+        series = highprob[delta]
         limit = coverage_envelope(trials, delta)
         for t in (50, 100):
             count = int(np.sum(report.trajectory.regret[:, t] > series[t]))
@@ -176,7 +177,7 @@ def test_criterion_05_subweibull_property_suite():
 
 def test_criterion_06_demand_response_dominance(demand_response_report):
     report = demand_response_report
-    bound = report.bounds["expectation"]
+    bound = report.configured("expectation")[0].series
     problem = report.problem
     cost = error_cost("opgm", problem.smoothness, problem.diameter)
     direct = expectation_bound(

@@ -286,6 +286,109 @@ class TestValidateCommand:
         )
 
 
+ANALYTIC_CONFIG = """\
+[experiment]
+preset = fig1-ls
+trials = 6
+horizon = 30
+seed = 7
+bound_inputs = analytic
+"""
+
+
+def run_outputs(tmp_path, capsys, delta):
+    """bounds.csv and regret.csv headers, the violations_delta_* keys of
+    summary.txt, and the coverage verdict names of one run and battery."""
+    cfg = tmp_path / "analytic.cfg"
+    cfg.write_text(ANALYTIC_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--delta", delta, "--out", str(out)]) == 0
+    capsys.readouterr()
+    main(["validate", "--config", str(cfg), "--delta", delta, "--checks", "coverage"])
+    verdicts = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    summary = (out / "summary.txt").read_text().splitlines()
+    return (
+        read_csv(out / "bounds.csv")[0],
+        read_csv(out / "regret.csv")[0],
+        [line.split(" = ")[0] for line in summary if line.startswith("violations_delta_")],
+        [name for name in verdicts if name.startswith("coverage_")],
+    )
+
+
+class TestCertificateColumns:
+    def test_analytic_mode_and_unsorted_deltas_pin_every_column(self, tmp_path, capsys):
+        # the goldens run in empirical mode with deltas (0.1, 0.05): here
+        # the configured mode is analytic, and the %g labels of the deltas
+        # sort "0.001" < "0.05" < "0.2" against their config order
+        bounds_header, regret_header, violations, coverage = run_outputs(
+            tmp_path, capsys, "0.2,0.001,0.05"
+        )
+        names = [
+            "expectation",
+            "highprob_0.001",
+            "highprob_0.05",
+            "highprob_0.2",
+            "markov_0.001",
+            "markov_0.05",
+            "markov_0.2",
+        ]
+        assert bounds_header == ["t"] + [
+            f"bound_{name}_{mode}" for mode in ("analytic", "empirical") for name in names
+        ]
+        assert regret_header == [
+            "t",
+            "mean_regret",
+            "std_regret",
+            "band_lo",
+            "band_hi",
+            "band_lo_sem",
+            "band_hi_sem",
+            "bound_expectation",
+            "bound_highprob_0.2",
+            "bound_highprob_0.001",
+            "bound_highprob_0.05",
+        ]
+        assert violations == [
+            "violations_delta_0.2",
+            "violations_delta_0.001",
+            "violations_delta_0.05",
+        ]
+        assert coverage == ["coverage_0.2", "coverage_0.001", "coverage_0.05"]
+
+    def test_one_table_entry_reaches_every_reader(self, tmp_path, capsys, monkeypatch):
+        # a configured-mode record added in the builder alone is written to
+        # both CSVs, counted into the summary and gated by coverage.  Its
+        # series is 0, so every trial with positive regret exceeds it
+        from plgrad import bounds
+
+        build = bounds.certificates
+
+        def with_extra(r0, zeta, cost, psi, theta, deltas, inputs):
+            records = build(r0, zeta, cost, psi, theta, deltas, inputs)
+            records.append(bounds.Certificate("highprob", "analytic", 0.3, np.zeros(len(psi) + 1)))
+            return records
+
+        monkeypatch.setattr(bounds, "certificates", with_extra)
+        bounds_header, regret_header, violations, coverage = run_outputs(
+            tmp_path, capsys, "0.2,0.001,0.05"
+        )
+        analytic = [h for h in bounds_header if h.endswith("_analytic")]
+        assert analytic[3:5] == ["bound_highprob_0.2_analytic", "bound_highprob_0.3_analytic"]
+        assert "bound_highprob_0.3_empirical" not in bounds_header
+        assert regret_header[-2:] == ["bound_highprob_0.05", "bound_highprob_0.3"]
+        assert violations[-2:] == ["violations_delta_0.05", "violations_delta_0.3"]
+        assert coverage[-2:] == ["coverage_0.05", "coverage_0.3"]
+        out = tmp_path / "out"
+        stated = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+        assert stated["violations_delta_0.3"] == "t=7: 6, t=15: 6, t=30: 6"
+        _, data = read_csv(out / "regret.csv")
+        assert np.all(data[:, -1] == 0.0)
+        main(["validate", "--config", str(tmp_path / "analytic.cfg"), "--delta", "0.2,0.001,0.05"])
+        verdicts = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
+        assert verdicts["coverage_0.3"] == "FAIL"
+        assert verdicts["coverage_0.2"] == "PASS"
+
+
 class TestBoundsCommand:
     def test_scalar_certificates(self, capsys):
         delta = 2.0 / math.e

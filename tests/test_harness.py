@@ -66,7 +66,7 @@ class TestAggregation:
         assert static_report.trajectory.regret.shape == (R, T + 1)
         assert static_report.mean_err_moment.shape == (T,)
         assert static_report.mean_psi.shape == (T,)
-        assert len(static_report.bounds["expectation"]) == T + 1
+        assert len(static_report.configured("expectation")[0].series) == T + 1
 
     def test_band_is_three_sigma(self, drifting_report, tmp_path):
         write_report(drifting_report, tmp_path)
@@ -87,7 +87,7 @@ class TestAggregation:
 class TestDominanceAndCoverage:
     def test_mean_below_expectation_bound(self, static_report, drifting_report):
         for report in (static_report, drifting_report):
-            bound = report.bounds["expectation"]
+            bound = report.configured("expectation")[0].series
             assert np.all(report.mean_regret <= bound + 1e-12 * (1 + bound))
 
     def test_validation_passes_on_honest_runs(self, static_report, drifting_report):
@@ -103,16 +103,21 @@ class TestDominanceAndCoverage:
         cfg.noise["scale"] = 0.1
         report = run_experiment(cfg)
         regret = report.trajectory.regret
-        partial = report.exceedances["expectation"]
+        (expectation,) = report.configured("expectation")
+        partial = expectation.counts
         assert np.any((partial > 0) & (partial < cfg.trials))
-        assert report.exceedances.keys() == report.bounds.keys()
-        for name, series in report.bounds.items():
-            counts = report.exceedances[name]
+        counted = {c.mode for c in report.certificates if c.counts is not None}
+        assert counted == {cfg.bound_inputs}
+        for cert in report.certificates:
+            if cert.mode != cfg.bound_inputs:
+                assert cert.counts is None, cert.name
+                continue
+            counts, series = cert.counts, cert.series
             assert counts.shape == series.shape
-            assert counts[0] == 0, name
+            assert counts[0] == 0, cert.name
             for t in range(1, len(series)):
                 manual = sum(1 for row in regret if row[t] > series[t])
-                assert counts[t] == manual, (name, t)
+                assert counts[t] == manual, (cert.name, t)
 
     def test_no_exceedance_is_counted_at_t_zero(self):
         # every series starts at r0, the mean of R equal regrets, which here
@@ -120,9 +125,9 @@ class TestDominanceAndCoverage:
         report = run_experiment(small_config(trials=7, horizon=20))
         regret0 = report.trajectory.regret[:, 0]
         assert np.all(regret0 == regret0[0])
-        assert np.all(regret0 > report.bounds["expectation"][0])
-        for name, counts in report.exceedances.items():
-            assert counts[0] == 0, name
+        assert np.all(regret0 > report.configured("expectation")[0].series[0])
+        for cert in report.configured("expectation", "highprob", "markov"):
+            assert cert.counts[0] == 0, cert.name
 
     def test_opgm_experiment(self):
         report = run_experiment(
@@ -135,7 +140,7 @@ class TestDominanceAndCoverage:
         direct = expectation_bound(
             report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
         )
-        assert np.array_equal(report.bounds["expectation"], direct)
+        assert np.array_equal(report.configured("expectation")[0].series, direct)
 
     @pytest.mark.parametrize("preset", ["lti", "logistic"])
     def test_other_presets_validate(self, preset):
@@ -149,8 +154,9 @@ class TestDominanceAndCoverage:
         report = run_experiment(cfg)
         summary = validate_bounds(report)
         assert summary.passed, summary.failed_names()
-        assert report.exceedances.keys() == report.bounds.keys()
-        assert all(np.all(counts == 0) for counts in report.exceedances.values())
+        counted = [c for c in report.certificates if c.counts is not None]
+        assert {c.mode for c in counted} == {cfg.bound_inputs}
+        assert all(np.all(c.counts == 0) for c in counted)
         assert report.recursion_max_violation <= 0.0
 
 

@@ -274,3 +274,34 @@ def test_only_gradient_errors_draws_and_bounds_the_noise():
                 outside.append(f"{path.stem}:{call.lineno} {name}")
     assert inside == ERROR_SOURCES, f"GradientErrors calls only {sorted(inside)}"
     assert not outside, f"noise drawn or bounded outside GradientErrors at {outside}"
+
+
+# the prefixes of the quantile-bound series names, which Certificate.name forms
+SERIES_PREFIXES = ("highprob_", "markov_")
+
+
+def test_only_the_certificate_table_names_a_series():
+    # a reader that rebuilt "highprob_<delta>" would miss a record that
+    # bounds.certificates adds; every reader selects bounds.Certificate
+    # records by field.  Docstrings and the names plgrad exports are not
+    # series names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "bounds":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        }
+        found += [
+            f"{path.stem}:{node.lineno} {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in docstrings
+            and node.value not in plgrad.__all__
+            and any(prefix in node.value for prefix in SERIES_PREFIXES)
+        ]
+    assert not found, f"a series name spelled outside the certificate table at {found}"

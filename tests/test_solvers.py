@@ -183,9 +183,8 @@ class TestRun:
         for solver, power in (("ogd", 2), ("opgm", 1)):
             moment = (ogd.error_norm[:, 1:] ** power).mean(axis=0)
             assert np.array_equal(reports[solver].mean_err_moment, moment)
-        assert not np.array_equal(
-            reports["ogd"].bounds["expectation"], reports["opgm"].bounds["expectation"]
-        )
+        ogd_bound, opgm_bound = (reports[solver].configured("expectation")[0].series for solver in ("ogd", "opgm"))
+        assert not np.array_equal(ogd_bound, opgm_bound)
 
     def test_domain_monitor_flags_excursions(self):
         p = quadratic_problem(0.5, 1.0, horizon=5)
