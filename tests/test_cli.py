@@ -379,12 +379,14 @@ class TestCertificateColumns:
         assert violations[-2:] == ["violations_delta_0.05", "violations_delta_0.3"]
         assert coverage[-2:] == ["coverage_0.05", "coverage_0.3"]
         out = tmp_path / "out"
-        stated = dict(line.split(" = ", 1) for line in (out / "summary.txt").read_text().splitlines())
+        summary = (out / "summary.txt").read_text().splitlines()
+        stated = dict(line.split(" = ", 1) for line in summary)
         assert stated["violations_delta_0.3"] == "t=7: 6, t=15: 6, t=30: 6"
         _, data = read_csv(out / "regret.csv")
         assert np.all(data[:, -1] == 0.0)
         main(["validate", "--config", str(tmp_path / "analytic.cfg"), "--delta", "0.2,0.001,0.05"])
-        verdicts = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
+        table = capsys.readouterr().out.splitlines()
+        verdicts = {line.split()[0]: line.split()[1] for line in table}
         assert verdicts["coverage_0.3"] == "FAIL"
         assert verdicts["coverage_0.2"] == "PASS"
 
