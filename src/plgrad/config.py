@@ -4,9 +4,9 @@ Config files are flat key = value text with bracketed section headers
 ([experiment], [problem], [noise]); only documented keys are accepted, and
 unknown keys are hard errors so that runs stay reproducible.  Defaults live
 in two places: ExperimentConfig's fields and each problem kind's keyword
-defaults in _PROBLEMS.  A named preset states only where it differs from
-them; a config file and command-line flags override the preset, in that
-order.
+defaults in _PROBLEMS, where None means the family's own default.  A named
+preset states only where it differs from them; a config file and
+command-line flags override the preset, in that order.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .problems import (
     OnlineProblem,
     TimeVaryingLeastSquares,
     load_demand_response_traces,
-    synth_demand_response_traces,
 )
 
 
@@ -36,8 +35,9 @@ class ConfigError(ValueError):
 
 
 # per problem kind: its class, and the [problem] keys it accepts besides
-# kind, with their defaults.  None marks a key with no default here: the
-# constructor's own, or "not given".
+# kind, with their defaults.  None means the family's own default: the key
+# is not passed, and the constructor builds it (DemandResponse's bounds and
+# traces).
 _PROBLEMS = {
     "timevarying_ls": (
         TimeVaryingLeastSquares,
@@ -276,27 +276,6 @@ def build_noise(cfg: ExperimentConfig) -> NoiseModel:
     return model
 
 
-def _demand_response_bounds(n_der: int, lo_raw, hi_raw) -> tuple[np.ndarray, np.ndarray]:
-    if lo_raw is None and hi_raw is None:
-        # half storage in [-50, 50] kW, half solar in [0, 50] kW
-        n_storage = (n_der + 1) // 2
-        lo = np.concatenate([np.full(n_storage, -50.0), np.zeros(n_der - n_storage)])
-        hi = np.full(n_der, 50.0)
-        return lo, hi
-    if lo_raw is None or hi_raw is None:
-        raise ConfigError("bounds_lo and bounds_hi must be given together")
-
-    def expand(raw, name):
-        arr = np.asarray(raw, dtype=float)
-        if arr.size == 1:
-            return np.full(n_der, arr.item())
-        if arr.size != n_der:
-            raise ConfigError(f"{name} must have 1 or {n_der} entries, got {arr.size}")
-        return arr
-
-    return expand(lo_raw, "bounds_lo"), expand(hi_raw, "bounds_hi")
-
-
 def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
     spec = dict(cfg.problem)
     kind = spec.pop("kind")
@@ -307,19 +286,10 @@ def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
     params = {**defaults, **spec}
 
     try:
-        if kind == "demand_response":
-            params["bounds_lo"], params["bounds_hi"] = _demand_response_bounds(
-                params["n_der"], params["bounds_lo"], params["bounds_hi"]
-            )
-            traces_path = params.pop("traces")
-            if traces_path is not None:
-                params["w_trace"], params["p_ref_trace"] = load_demand_response_traces(
-                    traces_path
-                )
-            else:
-                params["w_trace"], params["p_ref_trace"] = synth_demand_response_traces(
-                    cfg.horizon, cfg.seed
-                )
+        # config reads the user's files; the family builds everything else
+        traces = params.pop("traces", None)
+        if traces is not None:
+            params["w_trace"], params["p_ref_trace"] = load_demand_response_traces(traces)
         problem = cls(
             seed=cfg.seed,
             horizon=cfg.horizon,

@@ -1,20 +1,10 @@
 """Time-varying problem suite with exact constants and optimal values.
 
 Four instance families cover the smooth (gradient-only) and composite
-(prox) settings.  Three of them build data for one quadratic core,
-QuadraticTracking, the cost 0.5 ||A x - b_t||^2:
-
-* drifting least squares         — slope certificate from the spectrum of
-                                   A^T A, closed-form optimum
-* linear system output tracking  — measurement-based gradient (errors enter
-                                   through the output map A^T)
-* power setpoint tracking        — one-row A plus box constraints,
-                                   scalar-measurement gradient
-* drifting logistic regression   — slope certificate sampled, optimum
-                                   x* = 0 in closed form
-
-Every instance draws all of its randomness at construction time from the
-seed, so oracle evaluation is read-only and trajectories are reproducible.
+(prox) settings; three of them build data for one quadratic core,
+QuadraticTracking, the cost 0.5 ||A x - b_t||^2.  Every family draws all
+of its randomness at construction time from its seed, so oracle
+evaluation is read-only and trajectories are reproducible.
 The oracles take one point x of shape (n,) or a batch of points as the rows
 of an (R, n) matrix and return one result per row.  Every reduction runs
 along the last axis of one row (np.vecdot, never a matrix product), so a
@@ -495,6 +485,14 @@ class DemandResponse(QuadraticTracking):
     feasible movement); `plgrad validate --checks pl` samples it.  Rows
     of other weights are QuadraticTracking with a one-row A over a box.
     Non-finite trace entries for t = 0..horizon are refused.
+
+    Without traces it draws synth_demand_response_traces(horizon, seed).
+    Without bounds the first ceil(n_der / 2) devices are storage on
+    [-50, 50] kW and the rest solar on [0, 50] kW: two device classes,
+    which is what lets solvers.run compact this default to k = 2 columns.
+    One bound value fills every device; otherwise there is one per device.
+    Bounds come as a pair or not at all, and so do traces.  p_ref_trace
+    holds one value per step: a 1-D array or a single column.
     """
 
     def __init__(
@@ -502,29 +500,38 @@ class DemandResponse(QuadraticTracking):
         n_der: int,
         seed: int,
         horizon: int,
-        p_ref_trace: np.ndarray,
-        w_trace: np.ndarray,
-        bounds_lo: np.ndarray,
-        bounds_hi: np.ndarray,
+        p_ref_trace: np.ndarray | None = None,
+        w_trace: np.ndarray | None = None,
+        bounds_lo: np.ndarray | float | None = None,
+        bounds_hi: np.ndarray | float | None = None,
     ):
         if n_der < 1:
             raise ValueError(f"need at least one device, got {n_der}")
         if horizon < 0:
             raise ValueError(f"horizon must be nonnegative, got {horizon}")
-        lo = np.asarray(bounds_lo, dtype=float)
-        hi = np.asarray(bounds_hi, dtype=float)
-        if lo.shape != (n_der,) or hi.shape != (n_der,):
-            raise ValueError("bounds must have one entry per device")
+        if (bounds_lo is None) != (bounds_hi is None):
+            raise ValueError("bounds_lo and bounds_hi must be given together")
+        if (p_ref_trace is None) != (w_trace is None):
+            raise ValueError("p_ref_trace and w_trace must be given together")
+        if bounds_lo is None:
+            # half storage in [-50, 50] kW, half solar in [0, 50] kW
+            bounds_lo, bounds_hi = np.where(np.arange(n_der) < n_der / 2, -50.0, 0.0), 50.0
+        for name, bound in ("bounds_lo", bounds_lo), ("bounds_hi", bounds_hi):
+            if np.size(bound) not in (1, n_der):
+                raise ValueError(f"{name} must have 1 or {n_der} entries, got {np.size(bound)}")
+        # one value fills every device
+        lo, hi = (np.full(n_der, bound, dtype=float) for bound in (bounds_lo, bounds_hi))
         if np.any(lo >= hi):
             raise ValueError("bounds must satisfy lo < hi elementwise")
-        p_ref = np.asarray(p_ref_trace, dtype=float).ravel()
-        w = np.atleast_2d(np.asarray(w_trace, dtype=float))
-        if w.shape[0] < horizon + 1 or p_ref.shape[0] < horizon + 1:
+        if p_ref_trace is None:
+            w_trace, p_ref_trace = synth_demand_response_traces(horizon, seed)
+        # one value per step: a (T, 2) reference does not reshape to (T,)
+        p_ref = np.asarray(p_ref_trace, dtype=float).reshape(len(p_ref_trace))[: horizon + 1]
+        w = np.atleast_2d(np.asarray(w_trace, dtype=float))[: horizon + 1]
+        if len(w) <= horizon or len(p_ref) <= horizon:
             raise ValueError(
-                f"traces must cover t = 0..{horizon} ({horizon + 1} rows), got "
-                f"w:{w.shape[0]} p_ref:{p_ref.shape[0]}"
+                f"traces must cover t = 0..{horizon}, got w:{len(w)} p_ref:{len(p_ref)}"
             )
-        p_ref, w = p_ref[: horizon + 1], w[: horizon + 1]
         if not (np.isfinite(p_ref).all() and np.isfinite(w).all()):
             raise ValueError(f"traces must be finite for t = 0..{horizon}")
 
@@ -534,7 +541,7 @@ class DemandResponse(QuadraticTracking):
             "demand_response", np.ones((1, n_der)), b[:, None], horizon,
             smoothness=float(n_der), pl_constant=1.0,
             domain_radius=1.05 * float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))),
-            error_gain=float(np.linalg.norm(np.ones(n_der))), box=(lo, hi),
+            error_gain=math.sqrt(n_der), box=(lo, hi),
         )
 
 
@@ -556,22 +563,25 @@ def synth_demand_response_traces(horizon: int, seed: int) -> tuple[np.ndarray, n
 def load_demand_response_traces(path) -> tuple[np.ndarray, np.ndarray]:
     """Read disturbance/reference traces from CSV.
 
-    Expected header: t, w_1, ..., w_m, p_ref; one row per time step.
-    Returns (w_trace of shape (T, m), p_ref of shape (T,)).
+    Expected header: t, w_1, ..., w_m, p_ref; one row per time step, and
+    t must read 0, 1, 2, ... in order (the first data row that does not
+    is named).  Returns (w_trace of shape (T, m), p_ref of shape (T,)).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty trace file")
-        cols = [c.strip() for c in header]
-        if cols[0] != "t" or cols[-1] != "p_ref" or len(cols) < 3:
+        cols = [c.strip() for c in next(reader, [])]
+        if len(cols) < 3 or cols[0] != "t" or cols[-1] != "p_ref":
             raise ValueError(
                 f"{path}: expected header 't, w_1..w_m, p_ref', got {cols}"
             )
         rows = [[float(v) for v in row] for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
+    for i, row in enumerate(rows):
+        if row[0] != i:
+            raise ValueError(
+                f"{path}: t must read 0, 1, 2, ... in order; data row {i + 1} does not"
+            )
     data = np.asarray(rows)
     return data[:, 1:-1], data[:, -1]
 

@@ -609,6 +609,16 @@ class TestConfigFiles:
         [
             ("fig1-ls", "n = 30", "need d >= n >= 1, got n=30, d=20"),
             ("fig3-demand-response", "bounds_lo = 1\nbounds_hi = 0", "lo < hi elementwise"),
+            (
+                "fig3-demand-response",
+                "bounds_lo = -10",
+                "bounds_lo and bounds_hi must be given together",
+            ),
+            (
+                "fig3-demand-response",
+                "n_der = 4\nbounds_lo = 1, 2, 3\nbounds_hi = 10",
+                "bounds_lo must have 1 or 4 entries, got 3",
+            ),
             ("fig3-demand-response", "traces = absent.csv", "No such file"),
             ("fig3-demand-response", "traces = {tmp}/nan.csv", "traces must be finite"),
             ("fig1-ls", "drift_std = nan", "noise scales must be finite"),
@@ -619,8 +629,9 @@ class TestConfigFiles:
             ("fig1-ls", "mu = 1e-300", "contraction 1 - mu/L must lie in [0, 1), got 1.0"),
         ],
         ids=[
-            "ls-n", "dr-bounds", "dr-traces", "dr-nan-trace", "ls-drift-nan", "ls-drift-inf",
-            "ls-obs-noise-nan", "logistic-drift-nan", "ls-l-inf", "ls-zeta-one",
+            "ls-n", "dr-bounds", "dr-lone-bound", "dr-bound-length", "dr-traces",
+            "dr-nan-trace", "ls-drift-nan", "ls-drift-inf", "ls-obs-noise-nan",
+            "logistic-drift-nan", "ls-l-inf", "ls-zeta-one",
         ],
     )
     def test_bad_problem_value_is_a_config_error(

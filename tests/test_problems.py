@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize
 
 from plgrad import problems as problems_mod
+from plgrad.config import PROBLEM_KINDS, build_problem, make_config
 from plgrad.harness import _check_pl
 from plgrad.noise import GradientErrors, NoiseModel, sample
 from plgrad.problems import (
@@ -428,6 +429,92 @@ class TestDemandResponse:
         path.write_text("time,w,p\n0,1,2\n")
         with pytest.raises(ValueError):
             load_demand_response_traces(path)
+
+    @pytest.mark.parametrize(
+        "t_column, bad_row", [((5, 2, 2), 1), ((0, 1, 1), 3), ((1, 2, 3), 1), ((0, 2, 1), 2)]
+    )
+    def test_trace_csv_t_must_count_from_zero(self, tmp_path, t_column, bad_row):
+        path = tmp_path / "shuffled.csv"
+        path.write_text("t,w_1,p_ref\n" + "".join(f"{t},1.0,2.0\n" for t in t_column))
+        with pytest.raises(ValueError, match=f"in order; data row {bad_row} does not"):
+            load_demand_response_traces(path)
+
+    def test_reference_must_hold_one_value_per_step(self):
+        w = np.zeros((3, 1))
+        lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+        # raveled, a (3, 2) reference would pass the length check and read b_t = [1, 2, 3]
+        with pytest.raises(ValueError, match="reshape"):
+            DemandResponse(2, 0, 2, np.arange(1.0, 7.0).reshape(3, 2), w, lo, hi)
+        column = DemandResponse(2, 0, 2, np.arange(1.0, 4.0)[:, None], w, lo, hi)
+        flat = DemandResponse(2, 0, 2, np.arange(1.0, 4.0), w, lo, hi)
+        assert np.array_equal(column._b, flat._b)
+
+    @pytest.mark.parametrize("given", ["bounds_lo", "bounds_hi"])
+    def test_a_bound_given_alone_is_refused(self, given):
+        with pytest.raises(ValueError, match="bounds_lo and bounds_hi must be given together"):
+            DemandResponse(4, 0, 5, **{given: 1.0})
+
+    @pytest.mark.parametrize("given", ["p_ref_trace", "w_trace"])
+    def test_a_trace_given_alone_is_refused(self, given):
+        with pytest.raises(ValueError, match="p_ref_trace and w_trace must be given together"):
+            DemandResponse(4, 0, 5, **{given: np.zeros((6, 1))})
+
+    def test_per_device_bounds_of_the_wrong_length_are_refused(self):
+        with pytest.raises(ValueError, match="bounds_lo must have 1 or 4 entries, got 3"):
+            DemandResponse(4, 0, 5, None, None, [-1.0, -2.0, -3.0], 10.0)
+        with pytest.raises(ValueError, match="bounds_hi must have 1 or 4 entries, got 0"):
+            DemandResponse(4, 0, 5, None, None, -1.0, [])
+
+    @pytest.mark.parametrize("lo, hi", [(-10.0, 10.0), ([-10.0], (10,)), (np.array(-10.0), 10)])
+    def test_one_value_fills_the_box(self, lo, hi):
+        box = DemandResponse(4, 0, 5, None, None, lo, hi).regularizer
+        assert np.array_equal(box.lo, np.full(4, -10.0))
+        assert np.array_equal(box.hi, np.full(4, 10.0))
+        assert box.lo.dtype == box.hi.dtype == np.float64
+
+    def test_default_build_is_the_configs_bit_for_bit(self):
+        # the constructor draws its traces and lays out its box as config
+        # did for it: b_t, the box, f*_t and the constants keep every bit
+        n_der, seed, horizon = 7, 12, 30
+        own = DemandResponse(n_der, seed, horizon)
+        cfg = make_config(
+            {"problem": {"n_der": n_der}},
+            {"preset": "fig3-demand-response", "seed": seed, "horizon": horizon},
+        )
+        built = build_problem(cfg)
+        assert np.array_equal(own._b, built._b)
+        assert np.array_equal(own.regularizer.lo, built.regularizer.lo)
+        assert np.array_equal(own.regularizer.hi, built.regularizer.hi)
+        assert np.array_equal(own._fstar, built._fstar)
+        constants = ("smoothness", "pl_constant", "diameter")
+        assert [getattr(own, c) for c in constants] == [getattr(built, c) for c in constants]
+        # the first ceil(n / 2) devices are storage, the rest solar
+        assert own.regularizer.lo.tolist() == [-50.0] * 4 + [0.0] * 3
+        assert own.regularizer.hi.tolist() == [50.0] * 7
+        w, p_ref = synth_demand_response_traces(horizon, seed)
+        assert np.array_equal(own._b[:, 0], p_ref - w @ np.ones(4))
+        other = DemandResponse(n_der, seed + 1, horizon)
+        assert not np.any(other._b == own._b)
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_every_family_draws_its_data_from_its_seed(kind):
+    """Two builds from one (seed, horizon) agree bit for bit, and another
+    seed moves the cost, at t = 0, T/2 and T."""
+    horizon = 20
+
+    def values(seed):
+        cfg = make_config(
+            {"problem": {"kind": kind}},
+            {"solver": "opgm", "seed": seed, "horizon": horizon, "trials": 1},
+        )
+        problem = build_problem(cfg)
+        x = np.linspace(-0.5, 0.75, problem.n)
+        return np.array([problem.value(t, x) for t in (0, horizon // 2, horizon)])
+
+    first = values(3)
+    assert np.array_equal(first, values(3))
+    assert np.all(values(4) != first)
 
 
 class TestGradientsAndSmoothness:
