@@ -55,7 +55,6 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     traj = report.trajectory
     mean = report.mean_regret
     t = np.arange(cfg.horizon + 1, dtype=float)
-    written = []
 
     # both band flavors: trajectory spread and mean-estimator spread
     spread = 3.0 * report.std_regret
@@ -83,14 +82,12 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     cols += [c.series for c in certified]
     regret_path = out_dir / "regret.csv"
     _write_csv(regret_path, header, cols)
-    written.append(regret_path)
 
     # every record, the configured mode first and sorted by name within a mode
     table = sorted(report.certificates, key=lambda c: (c.mode != cfg.bound_inputs, c.name))
     bounds_path = out_dir / "bounds.csv"
     header = ["t"] + [f"bound_{c.name}_{c.mode}" for c in table]
     _write_csv(bounds_path, header, [t] + [c.series for c in table])
-    written.append(bounds_path)
 
     lines = [
         f"preset = {cfg.preset or 'custom'}",
@@ -127,8 +124,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
     summary_path = out_dir / "summary.txt"
     with open(summary_path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    written.append(summary_path)
-    return written
+    return [regret_path, bounds_path, summary_path]
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -153,10 +149,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .harness import run_experiment
 
     config = _config_from_args(args)
-    report = run_experiment(config)
     out_dir = Path(config.out_dir or "plgrad-out")
-    written = write_report(report, out_dir)
-    for path in written:
+    # made before the run, so a path that cannot be one is refused before
+    # any trial; a run that is refused leaves nothing behind
+    made = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}") from exc
+    try:
+        report = run_experiment(config)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
+    for path in write_report(report, out_dir):
         print(f"wrote {path}")
     return 0
 
@@ -180,8 +187,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+# each optional `bounds` argument and one it is read with: given without
+# it, no printed line would read it, so it is refused rather than ignored
+_READ_WITH = {
+    "mu": "l", "l": "mu", "e_bar": "mu", "psi_bar": "e_bar", "r0": "horizon", "diameter": "horizon"
+}
+
+
 def _bound_lines(args: argparse.Namespace) -> list[str]:
     """Every line `plgrad bounds` prints; an argument out of range raises ValueError."""
+    for name, needed in _READ_WITH.items():
+        if getattr(args, name) is not None and getattr(args, needed) is None:
+            raise ConfigError(f"--{name} needs --{needed}".replace("_", "-"))
     env = SubWeibullParams(args.theta, args.k)
     lines = [f"hp_bound = {_fmt(hp_bound(env, args.delta))}"]
     # the factor reads only the record's power, which no constant changes
@@ -190,7 +207,7 @@ def _bound_lines(args: argparse.Namespace) -> list[str]:
         lines.append(f"{name} = {_fmt(bounds_mod.highprob_factor(power, args.theta, args.delta))}")
 
     zeta = None
-    if args.mu is not None and args.l is not None:
+    if args.mu is not None:  # and so --l, by _READ_WITH
         if not 0 < args.mu <= args.l < np.inf:
             raise ConfigError("need 0 < mu <= l < inf")
         zeta = 1.0 - args.mu / args.l
@@ -254,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--delta", help="comma-separated coverage levels")
     common.add_argument("--out", help="output directory")
 
-    p_run = sub.add_parser("run", parents=[common], help="run an experiment, write CSVs")
-    p_run.set_defaults(func=cmd_run)
+    sub.add_parser(
+        "run", parents=[common], help="run an experiment, write CSVs"
+    ).set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", parents=[common], help="run the invariant battery")
     p_val.add_argument(
@@ -268,16 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser(
         "bounds", help="print certificates for given parameters (no simulation)"
     )
-    p_bounds.add_argument("--theta", type=float, required=True)
-    p_bounds.add_argument("--k", type=float, required=True)
-    p_bounds.add_argument("--delta", type=float, required=True)
-    p_bounds.add_argument("--mu", type=float)
-    p_bounds.add_argument("--l", type=float)
-    p_bounds.add_argument("--diameter", type=float)
-    p_bounds.add_argument("--r0", type=float)
+    for name in ("theta", "k", "delta"):
+        p_bounds.add_argument(f"--{name}", type=float, required=True)
+    for name in ("mu", "l", "diameter", "r0", "e-bar", "psi-bar"):
+        p_bounds.add_argument(f"--{name}", type=float)
     p_bounds.add_argument("--horizon", type=int)
-    p_bounds.add_argument("--e-bar", dest="e_bar", type=float)
-    p_bounds.add_argument("--psi-bar", dest="psi_bar", type=float)
     p_bounds.set_defaults(func=cmd_bounds)
     return parser
 
@@ -290,7 +303,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

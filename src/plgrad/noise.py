@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -209,45 +209,22 @@ def envelope_norm(model: NoiseModel, n: int) -> SubWeibullParams:
     return scale(base, model.envelope_k_scale)
 
 
-def second_moment(model: NoiseModel, n: int) -> float:
-    """Exact E ||e||^2 at the base scale for the supported families.
-
-    A schedule multiplies it by c_t^2 at time t.
-    """
+def norm_moments(model: NoiseModel, n: int) -> tuple[float, float]:
+    """(E||z||^2, E||z||) at the base scale for the bias-free noise z, which
+    GradientErrors.analytic maps and offsets by the bias.  Exact, except
+    bounded_uniform's E||z||, which has no closed form: it is sqrt(E||z||^2),
+    an upper bound by Jensen.  A schedule multiplies them by c_t^2 and c_t."""
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     s = model.scale
-    if model.family == "gaussian_iid":
-        raw = n * s**2
-    elif model.family == "bounded_uniform":
-        raw = n * s**2 / 3.0
-    else:
-        # radius moment: E R^2 = lam^2 Gamma(1 + 2/shape)
-        raw = s**2 * math.exp(math.lgamma(1.0 + 2.0 / model.weibull_shape))
-    # all raw families are zero-mean, so the offset adds in quadrature
-    return float(raw + n * model.bias**2)
-
-
-def mean_norm(model: NoiseModel, n: int) -> float:
-    """E ||e|| at the base scale: exact where a closed form exists, else a
-    valid upper bound.  A schedule multiplies it by c_t at time t.
-
-    bounded_uniform has no closed-form norm mean; sqrt(E||e||^2) is returned
-    instead (an upper bound by Jensen, safe for certificates).  A nonzero
-    bias likewise upper-bounds via the triangle inequality.
-    """
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    s = model.scale
-    if model.family == "gaussian_iid":
-        raw = s * np.sqrt(2.0) * math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
-    elif model.family == "bounded_uniform":
-        raw = s * np.sqrt(n / 3.0)
-    else:
-        raw = s * math.exp(math.lgamma(1.0 + 1.0 / model.weibull_shape))
-    if model.bias == 0.0:
-        return float(raw)
-    return float(raw + abs(model.bias) * np.sqrt(n))
+    if model.family == "gaussian_iid":  # the chi moments
+        gamma_ratio = math.exp(math.lgamma((n + 1) / 2.0) - math.lgamma(n / 2.0))
+        return n * s**2, s * math.sqrt(2.0) * gamma_ratio
+    if model.family == "bounded_uniform":
+        return n * s**2 / 3.0, s * math.sqrt(n / 3.0)
+    # the Weibull radius: E R^p = lam^p Gamma(1 + p/shape)
+    second = s**2 * math.exp(math.lgamma(1.0 + 2.0 / model.weibull_shape))
+    return second, s * math.exp(math.lgamma(1.0 + 1.0 / model.weibull_shape))
 
 
 class GradientErrors:
@@ -297,23 +274,27 @@ class GradientErrors:
 
     def analytic(self, horizon: int, power: int) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form per-step (E||e_t||^power, K_t): the base-scale values
-        times c_t^power and c_t.  The moments are exact for the identity
-        map and for a one-row map a eta, whose norm is ||a|| |eta|; a map
-        of more rows has E||A^T eta||^2 in closed form, and E||A^T eta||
-        only as its Jensen bound.  A non-finite moment or K (a tiny
+        times c_t^power and c_t.  The raw noise is z + b 1, z from
+        norm_moments, and the bias b enters here, at the map: on the
+        identity or a one-row map a eta, whose norm is ||a|| |eta|, it adds
+        m b^2 to E||z||^2 and at most |b| sqrt(m) to E||z|| before the gain;
+        a map of more rows has E||A^T (z + b 1)||^2 in closed form, and
+        E||e|| only as its Jensen bound.  A non-finite moment or K (a tiny
         weibull_shape overflows Gamma) is a ValueError."""
         model, m, a, gain = self.model, self.dim, self.problem.error_map, self.problem.error_gain
+        b = model.bias
         try:
+            z_second, z_mean = norm_moments(model, m)
             if self._measured:
-                # raw = z + b 1 with z zero-mean and isotropic, so the cross term
-                # vanishes: E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
-                z_second = second_moment(replace(model, bias=0.0), m)
+                # z is zero-mean and isotropic, so the cross term vanishes:
+                # E||A^T raw||^2 = (E||z||^2 / m) ||A||_F^2 + b^2 ||A^T 1||^2
                 ones_image = float(np.sum(np.sum(a, axis=0) ** 2))  # ||A^T 1||^2
-                second = z_second / m * float(np.sum(a**2)) + model.bias**2 * ones_image
+                second = z_second / m * float(np.sum(a**2)) + b**2 * ones_image
                 mean = math.sqrt(second)
             else:
-                second = gain**2 * second_moment(model, m)
-                mean = gain * mean_norm(model, m)
+                # zero-mean z: b 1 adds in quadrature, and by the triangle inequality
+                second = gain**2 * (z_second + m * b**2)
+                mean = gain * (z_mean + abs(b) * math.sqrt(m))
             k = gain * envelope_norm(model, m).k
             if not (math.isfinite(second) and math.isfinite(mean) and math.isfinite(k)):
                 raise ValueError(f"E||e||^2 = {second}, E||e|| = {mean}, K = {k}")

@@ -400,14 +400,11 @@ class DriftingLogistic(OnlineProblem):
 
         self.domain_radius = 10.0  # 10 max(||x*||, 1) with x* = 0
         self.diameter = 2.0 * self.domain_radius
-        self.pl_constant = 0.5 * self._sampled_mu(rng)
-        self.mu_exact = False
-
-    def _sampled_mu(self, rng: np.random.Generator) -> float:
-        return min(
+        self.pl_constant = 0.5 * min(
             verify_pl(self, t, n_samples=400, seed=int(rng.integers(2**31)))
-            for t in sampled_times(self.horizon)
+            for t in sampled_times(horizon)
         )
+        self.mu_exact = False
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
         self._check_t(t)
@@ -563,9 +560,10 @@ def synth_demand_response_traces(horizon: int, seed: int) -> tuple[np.ndarray, n
 def load_demand_response_traces(path) -> tuple[np.ndarray, np.ndarray]:
     """Read disturbance/reference traces from CSV.
 
-    Expected header: t, w_1, ..., w_m, p_ref; one row per time step, and
-    t must read 0, 1, 2, ... in order (the first data row that does not
-    is named).  Returns (w_trace of shape (T, m), p_ref of shape (T,)).
+    Expected header: t, w_1, ..., w_m, p_ref; one row per time step, as
+    wide as the header, and t must read 0, 1, 2, ... in order.  The first
+    data row that breaks a rule or holds a cell that is not a number is
+    named.  Returns (w_trace of shape (T, m), p_ref of shape (T,)).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -574,13 +572,18 @@ def load_demand_response_traces(path) -> tuple[np.ndarray, np.ndarray]:
             raise ValueError(
                 f"{path}: expected header 't, w_1..w_m, p_ref', got {cols}"
             )
-        rows = [[float(v) for v in row] for row in reader if row]
+        rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     for i, row in enumerate(rows):
-        if row[0] != i:
+        try:
+            row = rows[i] = [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {i + 1}: {exc}") from exc
+        if len(row) != len(cols) or row[0] != i:
             raise ValueError(
-                f"{path}: t must read 0, 1, 2, ... in order; data row {i + 1} does not"
+                f"{path}: each row must be as wide as the header and t must read"
+                f" 0, 1, 2, ... in order; data row {i + 1} does not"
             )
     data = np.asarray(rows)
     return data[:, 1:-1], data[:, -1]

@@ -70,6 +70,55 @@ class TestRunCommand:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", ["", "deeper"], ids=["a-file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory_runs_no_trial(
+        self, tmp_path, capsys, monkeypatch, below
+    ):
+        # refused before the run, not by write_report after every trial
+        from plgrad import harness
+
+        def no_run(config):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        args = ["run", "--preset", "static-ls", "--trials", "2", "--out", str(taken / below)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot make the output directory: ")
+        assert taken.read_text() == "kept"
+
+    def test_refused_run_removes_only_the_directories_it_made(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from plgrad import harness
+
+        def refuse(config):
+            raise ConfigError("refused")
+
+        monkeypatch.setattr(harness, "run_experiment", refuse)
+        (tmp_path / "kept").mkdir()
+        for out in (tmp_path / "kept", tmp_path / "kept" / "made" / "deeper"):
+            assert main(["run", "--preset", "static-ls", "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: refused\n"
+            assert (tmp_path / "kept").is_dir() and not (tmp_path / "kept" / "made").exists()
+
+    def test_write_failure_after_the_run_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        from plgrad import cli, harness
+
+        def unwritable(report, out_dir):
+            raise PermissionError(13, "Permission denied", str(out_dir / "regret.csv"))
+
+        monkeypatch.setattr(harness, "run_experiment", lambda config: None)
+        monkeypatch.setattr(cli, "write_report", unwritable)
+        assert main(["run", "--preset", "static-ls", "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        regret = tmp_path / "out" / "regret.csv"
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 13] Permission denied: '{regret}'\n"
+
     def test_preset_only(self, tmp_path):
         out = tmp_path / "o"
         code = main(
@@ -449,6 +498,14 @@ class TestBoundsCommand:
             "--mu 1 --l 2 --e-bar inf",
             "--mu 1 --l 2 --r0 1 --horizon 3 --diameter inf",
             "--mu 0.1 --l 1 --e-bar 1 --psi-bar 1e308",
+            # an option that no printed line would read
+            "--r0 nan",
+            "--e-bar 1",
+            "--mu 0.1",
+            "--l 1",
+            "--mu 0.1 --l 1 --psi-bar 1",
+            "--diameter nan",
+            "--mu 0.1 --l 1 --r0 1 --diameter 2",
         ],
     )
     def test_bad_argument_prints_nothing(self, extra, capsys):

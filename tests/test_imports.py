@@ -245,7 +245,7 @@ def test_only_noise_stream_builds_a_generator():
 
 
 # the noise functions that draw raw noise or give its moments and envelope
-ERROR_SOURCES = {"sample", "second_moment", "mean_norm", "envelope_norm"}
+ERROR_SOURCES = {"sample", "norm_moments", "envelope_norm"}
 
 
 def test_only_gradient_errors_draws_and_bounds_the_noise():

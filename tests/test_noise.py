@@ -17,12 +17,11 @@ from plgrad.noise import (
     _max_moment_ratio,
     _weibull_k,
     envelope_norm,
-    mean_norm,
+    norm_moments,
     sample,
-    second_moment,
     time_scales,
 )
-from plgrad.problems import TimeVaryingLeastSquares
+from plgrad.problems import DemandResponse, LtiTracking, TimeVaryingLeastSquares
 from plgrad.subweibull import SubWeibullParams, hp_bound, power, scale
 
 N_MC = 10**5
@@ -74,7 +73,7 @@ class TestSampling:
         model = NoiseModel(family, scale=0.0, weibull_shape=0.5)
         assert np.all(sample(model, 4, 1, 2, 5) == 0.0)
         assert envelope_norm(model, 4).k == 0.0
-        assert second_moment(model, 4) == 0.0 and mean_norm(model, 4) == 0.0
+        assert norm_moments(model, 4) == (0.0, 0.0)
 
     def test_keyed_reproducibility(self):
         model = NoiseModel("gaussian_iid", scale=0.3)
@@ -138,25 +137,26 @@ class TestMoments:
         ],
     )
     def test_second_moment_closed_forms(self, model, n, expected):
-        assert second_moment(model, n) == pytest.approx(expected, rel=1e-12)
+        assert norm_moments(model, n)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_second_moment_with_bias(self):
         model = NoiseModel("gaussian_iid", scale=1.0, bias=2.0)
         # zero-mean raw part plus n b^2
-        assert second_moment(model, 5) == pytest.approx(5.0 + 5 * 4.0, rel=1e-12)
+        moments, _ = _identity_map_errors(model, 5, 1).analytic(1, power=2)
+        assert moments[0] == pytest.approx(5.0 + 5 * 4.0, rel=1e-12)
 
     def test_mean_norm_gaussian_exact(self):
         model = NoiseModel("gaussian_iid", scale=1.0)
         # chi mean with n = 10 degrees of freedom
         expected = np.sqrt(2.0) * gamma(11 / 2) / gamma(5.0)
-        assert mean_norm(model, 10) == pytest.approx(expected, rel=1e-12)
+        assert norm_moments(model, 10)[1] == pytest.approx(expected, rel=1e-12)
         mc = _norm_samples(model, 10, 4000).mean()
         assert mc == pytest.approx(expected, rel=0.02)
 
     def test_mean_norm_uniform_is_upper_bound(self):
         model = NoiseModel("bounded_uniform", scale=1.0)
         mc = _norm_samples(model, 5, 4000).mean()
-        assert mc <= mean_norm(model, 5)
+        assert mc <= norm_moments(model, 5)[1]
 
     def test_second_moment_time_varying(self):
         # the harness's analytic inputs scale E||e||^2 by c_t^2
@@ -187,6 +187,46 @@ class TestMoments:
         moments, _ = _identity_map_errors(model, 2, 2).analytic(2, power=1)
         base = math.sqrt(math.pi / 2.0)
         np.testing.assert_allclose(moments, [base, 3.0 * base], rtol=1e-12)
+
+    # (E||e||, E||e||^2, K) at t = 0, hex-pinned, for the error maps and the
+    # families that the golden analytic columns (gaussian_iid, no bias, no
+    # schedule) never reach; the schedule multiplies by powers of two, so
+    # every later step is exact too
+    PINNED = {
+        ("identity", "bounded_uniform"):
+            ("0x1.e4fceeb3cf468p-1", "0x1.cb6f46508dfeap-2", "0x1.4c02e95c4bfa4p+0"),
+        ("identity", "weibull_tail"):
+            ("0x1.9da38b9a32903p+2", "0x1.6d51bb38aaaebp+4", "0x1.9da38b9a32904p+2"),
+        ("one_row", "bounded_uniform"):
+            ("0x1.1eec3b56825aep+0", "0x1.419ab13863658p-1", "0x1.88d755e989161p+0"),
+        ("one_row", "weibull_tail"):
+            ("0x1.714971eb80510p+3", "0x1.3ba0f328496a2p+6", "0x1.714971eb80512p+3"),
+        ("multi_row", "bounded_uniform"):
+            ("0x1.844d8fff266c7p-1", "0x1.267d99feae7a7p-1", "0x1.3943d63c6639bp+1"),
+        ("multi_row", "weibull_tail"):
+            ("0x1.41f37f1455ea4p+2", "0x1.94e48c4b7f25cp+4", "0x1.5d5a6415c02b4p+3"),
+    }
+
+    @pytest.mark.parametrize("case", PINNED, ids="-".join)
+    def test_analytic_is_pinned_off_the_golden_grid(self, case):
+        error_map, family = case
+        c = np.array([1.0, 0.5, 2.0, 0.0])
+        problem = {
+            "identity": _identity_map_errors(NoiseModel(), 5, 4).problem,
+            "one_row": DemandResponse(n_der=7, seed=0, horizon=4),
+            "multi_row": LtiTracking(6, 9, seed=3, horizon=4),
+        }[error_map]
+        model = {
+            "bounded_uniform": NoiseModel(family, scale=0.37, bias=-0.21, per_time_scale=tuple(c)),
+            "weibull_tail": NoiseModel(
+                family, scale=3.0, weibull_shape=2.5, bias=1.7, per_time_scale=tuple(c)
+            ),
+        }[family]
+        mean, second, k = map(float.fromhex, self.PINNED[case])
+        for power, moment in ((1, mean), (2, second)):
+            moments, ks = GradientErrors(problem, model).analytic(4, power)
+            assert np.array_equal(moments, c**power * moment)
+            assert np.array_equal(ks, c * k)
 
 
 class TestEnvelopes:
@@ -331,7 +371,7 @@ class TestGammalnAgreement:
             + (gammaln((n + p) / 2.0) - gammaln(n / 2.0)) / p,
             0.5,
         )
-        assert mean_norm(model, n) == pytest.approx(mean, rel=self._rtol(n), abs=0.0)
+        assert norm_moments(model, n)[1] == pytest.approx(mean, rel=self._rtol(n), abs=0.0)
         assert envelope_norm(model, n).k == pytest.approx(k, rel=self._rtol(n), abs=0.0)
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.0])
@@ -346,9 +386,10 @@ class TestGammalnAgreement:
             "second": lam**2 * np.exp(gammaln(1.0 + 2.0 / shape)),
             "k": k,
         }
+        second, mean = norm_moments(model, n)
         got = {
-            "mean": mean_norm(model, n),
-            "second": second_moment(model, n),
+            "mean": mean,
+            "second": second,
             "k": envelope_norm(model, n).k,
         }
         for name, value in expected.items():

@@ -431,6 +431,24 @@ class TestDemandResponse:
             load_demand_response_traces(path)
 
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # once read as two loads, w = [[1, 2], [4, 5]] and p_ref = [3, 6]
+            ("0,1,2,3\n1,4,5,6\n", "as wide as the header {} data row 1 does not"),
+            ("0,1,2\n1,4\n", "as wide as the header {} data row 2 does not"),
+            ("0,1,2\n1,x,3\n", "data row 2: could not convert string to float: 'x'"),
+        ],
+        ids=["wide", "short", "bad-cell"],
+    )
+    def test_trace_csv_rows_must_match_the_header(self, tmp_path, rows, message):
+        path = tmp_path / "rows.csv"
+        path.write_text("t,w_1,p_ref\n" + rows)
+        with pytest.raises(ValueError) as info:
+            load_demand_response_traces(path)
+        rule = "and t must read 0, 1, 2, ... in order;"
+        assert str(info.value).startswith(f"{path}: ") and message.format(rule) in str(info.value)
+
+    @pytest.mark.parametrize(
         "t_column, bad_row", [((5, 2, 2), 1), ((0, 1, 1), 3), ((1, 2, 3), 1), ((0, 2, 1), 2)]
     )
     def test_trace_csv_t_must_count_from_zero(self, tmp_path, t_column, bad_row):
