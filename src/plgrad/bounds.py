@@ -28,7 +28,8 @@ power * theta.  A Markov-inequality alternative (expectation series divided
 by delta) is provided for comparison, and the long-run asymptote, the fixed
 point (L/mu)(weight e_bar + psi_bar) of the expectation recursion at
 constant inputs, caps the plateau.  Every series is a plain array B_0..B_T,
-held with its kind, input mode and level in a Certificate record.
+held with its kind, input mode and level in a Certificate record; a
+series with an entry that overflows a float raises instead.
 """
 
 from __future__ import annotations
@@ -107,6 +108,14 @@ def _cost_inputs(stat, stat_name: str, psi) -> tuple[np.ndarray, np.ndarray]:
     return stat, psi
 
 
+def _finite(series: np.ndarray) -> np.ndarray:
+    """series, or a ValueError if an entry is not finite.  Its callers form
+    it with numpy's overflow warning off, since the error takes its place."""
+    if not np.isfinite(series).all():
+        raise ValueError("a certificate series overflows a float")
+    return series
+
+
 def highprob_factor(power: int, theta: float, delta: float) -> float:
     """Scale of a high-probability series: the quantile bound of (power * theta, 1).
 
@@ -117,6 +126,7 @@ def highprob_factor(power: int, theta: float, delta: float) -> float:
     return subweibull.hp_bound(subweibull.SubWeibullParams(power * theta, 1.0), delta)
 
 
+@np.errstate(over="ignore")
 def expectation_bound(r0: float, zeta: float, cost: ErrorCost, moments, psi) -> np.ndarray:
     """Expected-regret certificate, t = 0..T.
 
@@ -124,9 +134,10 @@ def expectation_bound(r0: float, zeta: float, cost: ErrorCost, moments, psi) -> 
     entering between times i and i+1.
     """
     moments, psi = _cost_inputs(moments, "moments", psi)
-    return geometric_recursion(r0, zeta, cost.weight * moments + psi)
+    return _finite(geometric_recursion(r0, zeta, cost.weight * moments + psi))
 
 
+@np.errstate(over="ignore")
 def highprob_bound(
     r0: float,
     zeta: float,
@@ -148,7 +159,7 @@ def highprob_bound(
     unit = subweibull.SubWeibullParams(theta, 1.0)
     scale = cost.weight * subweibull.power(unit, cost.power).k
     costs = scale * ks**cost.power + psi
-    return highprob_factor(cost.power, theta, delta) * geometric_recursion(r0, zeta, costs)
+    return _finite(highprob_factor(cost.power, theta, delta) * geometric_recursion(r0, zeta, costs))
 
 
 def asymptote(
@@ -170,6 +181,7 @@ def asymptote(
     return cap
 
 
+@np.errstate(over="ignore")
 def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
     """Markov-inequality alternative: an expectation series divided by delta.
 
@@ -178,7 +190,7 @@ def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    return np.asarray(expectation, dtype=float) / delta
+    return _finite(np.asarray(expectation, dtype=float) / delta)
 
 
 @dataclass

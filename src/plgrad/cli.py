@@ -129,12 +129,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     sections = load_config_file(args.config) if args.config is not None else {}
-    overrides = {
-        "preset": args.preset,
-        "trials": args.trials,
-        "seed": args.seed,
-        "out": args.out,
-    }
+    overrides = {key: getattr(args, key, None) for key in ("preset", "trials", "seed", "out")}
     if args.delta is not None:
         try:
             overrides["deltas"] = _parse_float_list(args.delta)
@@ -269,11 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--trials", type=int, help="override trial count")
     common.add_argument("--seed", type=int, help="override master seed")
     common.add_argument("--delta", help="comma-separated coverage levels")
-    common.add_argument("--out", help="output directory")
 
-    sub.add_parser(
-        "run", parents=[common], help="run an experiment, write CSVs"
-    ).set_defaults(func=cmd_run)
+    p_run = sub.add_parser("run", parents=[common], help="run an experiment, write CSVs")
+    p_run.add_argument("--out", help="output directory")
+    p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", parents=[common], help="run the invariant battery")
     p_val.add_argument(

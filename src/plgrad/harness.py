@@ -97,10 +97,13 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         except ValueError as exc:
             raise ConfigError(f"psi_bar = {config.psi_bar:g}: {exc}") from exc
     # both input modes' series are always formed: a model without finite
-    # closed forms is refused here, before any trial runs
+    # closed forms, or a level delta without a finite high-probability
+    # factor (2/delta overflows), is refused here, before any trial runs
     try:
         analytic = noise_mod.GradientErrors(problem, model).analytic(horizon, cost.power)
-    except ValueError as exc:
+        for delta in config.deltas:
+            bounds_mod.highprob_factor(cost.power, model.theta, delta)
+    except (OverflowError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     traj = run(problem, model, horizon, x0, config.seed, range(config.trials), config.step_override)
@@ -126,7 +129,12 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     }
     inputs = dict(sorted(inputs.items(), key=lambda item: item[0] != config.bound_inputs))
     # variability has no a-priori form: both modes use its mean
-    certificates = bounds_mod.certificates(r0, zeta, cost, mean_psi, theta, config.deltas, inputs)
+    try:  # a series that overflows a float is refused, and nothing is written
+        certificates = bounds_mod.certificates(
+            r0, zeta, cost, mean_psi, theta, config.deltas, inputs
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     moments_used, envelope_k_used = inputs[config.bound_inputs]
 
     # long-run cap from the supremum statistics over the horizon

@@ -246,31 +246,25 @@ class GradientErrors:
         return np.asarray(raw) if self.problem.error_map is None else self.problem._adjoint(raw)
 
     def draw(self, seed: int, trials: Sequence[int], horizon: int) -> tuple[np.ndarray, Iterator]:
-        """The (trials, horizon + 1) norms, ||e_t|| in column t + 1, and an
-        iterator over step t's noise as problem.evaluate takes it: None
-        without noise (scale and bias 0), where nothing is drawn; else row t
-        of the (horizon, trials, dim) stack of noise.sample's blocks, whose
-        norms, ||eta|| or ||a|| |eta| on a one-row map, are written here; or,
-        on a map of more rows, A^T eta_t, its norm written as it is read."""
+        """The (trials, horizon + 1) norms, ||e_t|| in column t + 1, written
+        before it returns, and an iterator over step t's noise as
+        problem.evaluate takes it: None without noise (scale and bias 0),
+        where nothing is drawn; else row t of the (horizon, trials, dim)
+        stack of noise.sample's blocks, or, on a map of more rows, of the
+        stack mapped once, A^T eta.  A one-row map's norm is ||a|| |eta|."""
         if self.model.scale == 0.0 and self.model.bias == 0.0:
             return np.zeros((len(trials), horizon + 1)), itertools.repeat(None)
         raw = np.stack([sample(self.model, self.dim, seed, k, horizon) for k in trials], axis=1)
-        norms = np.zeros((len(trials), horizon + 1))
         if self._measured:
-            return norms, self._mapped_steps(raw, norms)
+            raw = self.map(raw)
+        norms = np.zeros((len(trials), horizon + 1))
         # by trial: on a strided 2-D view a ufunc allocates 128 KiB of buffers
         for k, row in enumerate(norms[:, 1:]):
-            if self.problem.error_map is None:
+            if self.problem.error_map is None or self._measured:
                 np.sqrt(np.vecdot(raw[:, k], raw[:, k], out=row), out=row)
             else:
                 np.multiply(np.abs(raw[:, k, 0], out=row), self.problem.error_gain, out=row)
         return norms, iter(raw)
-
-    def _mapped_steps(self, raw: np.ndarray, norms: np.ndarray) -> Iterator[np.ndarray]:
-        for t, eta in enumerate(raw, 1):
-            e = self.map(eta)
-            np.sqrt(np.vecdot(e, e, out=norms[:, t]), out=norms[:, t])
-            yield e
 
     def analytic(self, horizon: int, power: int) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form per-step (E||e_t||^power, K_t): the base-scale values

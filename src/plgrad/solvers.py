@@ -174,8 +174,8 @@ def run(
     matrix: f_t(x_t) for the regret, f_{t-1}(x_t) for phi_tilde_t and,
     except at the last iterate, the measured gradient grad f_t(x_t) + e_t
     of the next step, fed step t's noise from GradientErrors.draw, which
-    also writes the error norms ||e_t||.  The optimal values f*_0..f*_T
-    depend on t only and are formed once, before the loop.
+    has written every error norm ||e_t|| when it returns.  The optimal
+    values f*_0..f*_T depend on t only and are formed once, before the loop.
     The regularizer is none or a box: g = 0 on the feasible x0, and a box
     indicator is 0 on its own prox outputs, so g_t(x_t) = 0 on every
     iterate (a nan iterate is caught by the finiteness check before it is

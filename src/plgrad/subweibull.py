@@ -70,12 +70,17 @@ def hp_bound(x: SubWeibullParams, delta: float) -> float:
     """Quantile bound: P(|X| > hp_bound(x, delta)) <= delta.
 
     Evaluates K * log(2/delta)**theta * (2e/theta)**theta for delta in (0, 1).
+    A bound that overflows a float raises, as does a delta whose 2/delta
+    does (below about 1.1e-308).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if x.k == 0.0:
         return 0.0
-    return x.k * math.log(2.0 / delta) ** x.theta * (2.0 * math.e / x.theta) ** x.theta
+    bound = x.k * math.log(2.0 / delta) ** x.theta * (2.0 * math.e / x.theta) ** x.theta
+    if not bound < math.inf:
+        raise ValueError(f"the quantile bound at delta = {delta:g} is {bound}, not finite")
+    return bound
 
 
 def fit_from_samples(samples: np.ndarray, theta: float) -> SubWeibullParams:

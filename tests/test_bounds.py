@@ -183,6 +183,26 @@ class TestAsymptote:
             asymptote(0.1, 1.0, ogd(1.0), 0.0, 1e308)
 
 
+class TestOverflow:
+    """A series with an entry that overflows a float raises, and numpy's
+    overflow warning (an error under this suite) is not raised on the way."""
+
+    def test_highprob_whose_squared_scale_overflows(self):
+        ks = np.array([1.0, 1e200])
+        with pytest.raises(ValueError, match="overflows a float"):
+            highprob_bound(1.0, 0.9, ogd(1.0), ks, np.zeros(2), 0.5, 0.05)
+
+    def test_expectation_whose_costs_overflow(self):
+        with pytest.raises(ValueError, match="overflows a float"):
+            expectation_bound(1.0, 0.9, opgm(10.0), np.full(3, 1e308), np.zeros(3))
+
+    def test_markov_whose_quotient_overflows(self):
+        # 1.5 / delta is finite at delta = 1e-308, but 10 / delta is not
+        with pytest.raises(ValueError, match="overflows a float"):
+            markov_highprob_bound(np.array([1.0, 10.0]), 1e-308)
+        assert np.isfinite(markov_highprob_bound(np.array([1.0, 1.5]), 1e-308)).all()
+
+
 class TestErrorCost:
     def test_each_solver_has_its_stated_record(self):
         assert error_cost("ogd", 4.0, None) == ErrorCost(power=2, weight=1.0 / 8.0)

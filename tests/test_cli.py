@@ -162,6 +162,8 @@ class TestRunCommand:
             ("", "at least one delta is required"),
             (" , ", "at least one delta is required"),
             ("0.1,0.1000001", "deltas must differ in their %g labels, got 0.1, 0.1"),
+            # 2/delta overflows a float, so no high-probability factor is finite
+            ("1e-320", "is inf, not finite"),
         ],
     )
     def test_bad_delta_is_a_config_error(self, tmp_path, capsys, delta, message):
@@ -333,6 +335,20 @@ class TestValidateCommand:
         assert "available: gradient, pl, prox, recursion, dominance, coverage, moments" in (
             captured.err
         )
+
+    def test_out_is_refused_before_any_check(self, tmp_path, capsys, monkeypatch):
+        # --out belongs to run: validate writes no file, so argparse refuses it
+        from plgrad import cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_validation_battery", lambda *args: calls.append(args))
+        argv = ["validate", "--preset", "static-ls", "--trials", "2", "--checks", "gradient"]
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--out", str(tmp_path / "x")])
+        assert exit_info.value.code == 2 and calls == []
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --out" in captured.err
+        assert not (tmp_path / "x").exists()
 
 
 ANALYTIC_CONFIG = """\
@@ -506,6 +522,9 @@ class TestBoundsCommand:
             "--mu 0.1 --l 1 --psi-bar 1",
             "--diameter nan",
             "--mu 0.1 --l 1 --r0 1 --diameter 2",
+            # a certificate that overflows a float: hp_bound, then a series
+            "--k 1e308",
+            "--k 1e200 --mu 0.1 --l 1 --r0 1 --horizon 1",
         ],
     )
     def test_bad_argument_prints_nothing(self, extra, capsys):
@@ -600,6 +619,34 @@ class TestConfigFiles:
         captured = capsys.readouterr()
         assert "psi_bar = 1e+308" in captured.err and "not finite" in captured.err
         assert captured.out == "" and not out.exists() and runs == []
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_delta_without_a_finite_factor_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        from plgrad import harness
+
+        runs = []
+        monkeypatch.setattr(harness, "run", lambda *args, **kwargs: runs.append(args))
+        args = [command, "--preset", "static-ls", "--trials", "3", "--delta", "1e-320"]
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else ["--checks", "coverage"]
+        assert main([*args, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not finite" in captured.err
+        assert captured.out == "" and not out.exists() and runs == []
+
+    def test_certificate_that_overflows_after_the_run_writes_nothing(self, tmp_path, capsys):
+        # 2/delta is finite at delta = 1.2e-308, but the Markov series
+        # E[regret] / delta is not once the mean bound, 2.28 at t = 0 here,
+        # exceeds 2.16
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(MINI_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--delta", "1.2e-308", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: a certificate series overflows a float\n"
+        assert captured.out == "" and not out.exists()
 
     def test_unknown_experiment_key_in_sections_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown experiment settings: \['bogus'\]"):

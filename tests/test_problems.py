@@ -670,6 +670,8 @@ class TestVariability:
         raw = np.stack([sample(errors.model, errors.dim, 8, k, 2) for k in range(7)], axis=1)
         error_norm, steps = errors.draw(8, range(7), 2)
         assert error_norm.shape == (7, 3) and np.all(error_norm[:, 0] == 0.0)
+        # the norms are finished when draw returns: reading steps writes none
+        drawn = error_norm.copy()
         for step, (t, noise) in enumerate(zip((1, problem.horizon), steps)):
             e = errors.map(raw[step])
             g = np.full_like(xs, np.nan)
@@ -687,6 +689,7 @@ class TestVariability:
                 np.testing.assert_allclose(norm, np.linalg.norm(e, axis=1), rtol=1e-15)
             else:
                 assert np.array_equal(norm, np.sqrt(np.vecdot(e, e)))
+        assert error_norm.tobytes() == drawn.tobytes()
         with pytest.raises(IndexError):
             problem.evaluate(problem.horizon + 1, xs)
 

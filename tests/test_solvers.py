@@ -758,10 +758,9 @@ class TestOneValuePerStep:
         assert shapes == [(5, 1)] * problem.horizon
 
     def test_lti_maps_each_step_once(self, monkeypatch):
-        # a many-row map's norm ||A^T eta_t|| is taken from the error the
-        # step adds to its gradient: per step one adjoint of the residual
-        # and one of the noise, and the norms keep the bits of mapping each
-        # trial's whole block
+        # a many-row map's noise is mapped once, as one (T, trials, m)
+        # block, before the loop: then one adjoint of the residual per step,
+        # and the norms keep the bits of mapping each trial's whole block
         cfg = make_config({}, {"preset": "lti"})
         problem, model = build_problem(cfg), build_noise(cfg)
         calls = []
@@ -774,8 +773,9 @@ class TestOneValuePerStep:
         monkeypatch.setattr(QuadraticTracking, "_adjoint", counted_adjoint)
         x0 = initial_point(cfg, problem)
         traj = run(problem, model, x0=x0, seed=cfg.seed, trials=range(cfg.trials))
-        assert len(calls) == 600 == 2 * cfg.horizon
-        assert set(calls) == {(cfg.trials, problem.matrix.shape[0])}
+        m = problem.matrix.shape[0]
+        assert calls == [(cfg.horizon, cfg.trials, m)] + [(cfg.trials, m)] * cfg.horizon
+        assert len(calls) == 301 == cfg.horizon + 1
         monkeypatch.undo()
         expected = np.zeros_like(traj.error_norm)
         for k in range(cfg.trials):

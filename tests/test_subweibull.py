@@ -141,6 +141,12 @@ class TestTailAndQuantile:
             with pytest.raises(ValueError):
                 hp_bound(SubWeibullParams(1.0, 1.0), delta)
 
+    @pytest.mark.parametrize("k, delta", [(1e308, 0.05), (1.0, 1e-320), (1.0, 5e-324)])
+    def test_hp_bound_that_overflows_a_float_raises(self, k, delta):
+        # a finite K can overflow the product; 2/delta is inf below about 1.1e-308
+        with pytest.raises(ValueError, match="not finite"):
+            hp_bound(SubWeibullParams(0.5, k), delta)
+
 
 def _sampled_moment_norms(samples: np.ndarray, k_max: int = 10) -> np.ndarray:
     s = np.abs(samples)
