@@ -119,17 +119,17 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     theta = model.theta
     # column t+1 holds ||e_t||, which the envelope c_t K scales
     c = noise_mod.time_scales(model, horizon)
-    fitted_ks = _normalized_fit(err[:, 1:], c, theta) * c
-    mean_psi = traj.psi_tilde[:, 1:].mean(axis=0)
 
-    # per-step (moments, envelope_ks) of each input mode, the configured mode first
-    inputs = {
-        "empirical": (mean_err_moment, fitted_ks),
-        "analytic": analytic,
-    }
-    inputs = dict(sorted(inputs.items(), key=lambda item: item[0] != config.bound_inputs))
-    # variability has no a-priori form: both modes use its mean
-    try:  # a series that overflows a float is refused, and nothing is written
+    try:  # a fit or a series that overflows a float is refused, and nothing is written
+        fitted_ks = _normalized_fit(err[:, 1:], c, theta) * c
+        mean_psi = traj.psi_tilde[:, 1:].mean(axis=0)
+        # per-step (moments, envelope_ks) of each input mode, the configured mode first
+        inputs = {
+            "empirical": (mean_err_moment, fitted_ks),
+            "analytic": analytic,
+        }
+        inputs = dict(sorted(inputs.items(), key=lambda item: item[0] != config.bound_inputs))
+        # variability has no a-priori form: both modes use its mean
         certificates = bounds_mod.certificates(
             r0, zeta, cost, mean_psi, theta, config.deltas, inputs
         )

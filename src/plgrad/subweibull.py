@@ -88,7 +88,7 @@ def fit_from_samples(samples: np.ndarray, theta: float) -> SubWeibullParams:
 
     K_hat = max over k = 1..10 of (mean |x|^k)^(1/k) / k**theta.  Moment
     orders above ~10 are statistically unstable at desk-scale sample sizes,
-    hence the fixed cap.
+    hence the fixed cap.  A fit that overflows a float raises.
     """
     if theta <= 0:
         raise ValueError(f"tail exponent must be positive, got {theta}")
@@ -101,6 +101,9 @@ def fit_from_samples(samples: np.ndarray, theta: float) -> SubWeibullParams:
         raise ValueError("cannot fit a moment scale from an empty sample set")
     orders = np.arange(1, 11, dtype=float)
     power = np.empty_like(s)  # one buffer for every s**k
-    moment_norms = np.array([np.mean(np.power(s, k, out=power)) ** (1.0 / k) for k in orders])
-    k_hat = float(np.max(moment_norms / orders**theta))
+    with np.errstate(over="ignore"):
+        moment_norms = np.array([np.mean(np.power(s, k, out=power)) ** (1.0 / k) for k in orders])
+        k_hat = float(np.max(moment_norms / orders**theta))
+    if not k_hat < math.inf:
+        raise ValueError("the empirical moment fit overflows a float")
     return SubWeibullParams(theta, k_hat)

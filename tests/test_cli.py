@@ -648,6 +648,25 @@ class TestConfigFiles:
         assert captured.err == "error: a certificate series overflows a float\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_moment_fit_that_overflows_after_the_run_writes_nothing(
+        self, tmp_path, capsys, command
+    ):
+        # norms near 1e31 make the fit's 10th moment overflow a float; at
+        # scale 1e29 it is finite.  numpy's overflow warning is an error here
+        cfg = tmp_path / "exp.cfg"
+        head = "[experiment]\npreset = static-ls\nhorizon = 20\ntrials = 3\n"
+        cfg.write_text(head + "[noise]\nscale = 1e31\n")
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else ["--checks", "recursion"]
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the empirical moment fit overflows a float\n"
+        assert captured.out == "" and not out.exists()
+        if command == "run":
+            cfg.write_text(head + "[noise]\nscale = 1e29\n")
+            assert main([command, "--config", str(cfg), *extra]) == 0
+
     def test_unknown_experiment_key_in_sections_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown experiment settings: \['bogus'\]"):
             make_config({"experiment": {"bogus": 1}}, {"preset": "static-ls"})

@@ -1,6 +1,7 @@
 """Every name a plgrad module imports is used in that module, no module
 imports scipy, which only the tests need, every top-level function and
 class has a consumer outside the tests of its own behaviour, so has every
+name the package exports (some consumer reads it through `plgrad`) and every
 parameter default (some consumer's call sets it), no random generator is
 seeded through the per-process salted builtin hash, and only noise.stream
 builds one.
@@ -108,6 +109,34 @@ def test_every_top_level_definition_has_a_consumer():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert not unused, f"no consumer references {unused}"
+
+
+def package_reads(tree):
+    """The names tree reads through the package namespace: `from plgrad
+    import name` and `plgrad.name`.  A bare name is not one, since
+    perfbench and the tests define a `run` of their own."""
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "plgrad"
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "plgrad" and not node.level:
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_consumer():
+    # a name that every consumer imports from its module gains nothing from
+    # a second path through the package namespace
+    read = set().union(*(package_reads(tree) for tree in consumer_trees()))
+    unread = sorted(set(plgrad.__all__) - read)
+    assert not unread, f"no consumer reads {unread} through plgrad"
 
 
 # defaults kept although only tests set them, each with its reason
@@ -283,8 +312,7 @@ SERIES_PREFIXES = ("highprob_", "markov_")
 def test_only_the_certificate_table_names_a_series():
     # a reader that rebuilt "highprob_<delta>" would miss a record that
     # bounds.certificates adds; every reader selects bounds.Certificate
-    # records by field.  Docstrings and the names plgrad exports are not
-    # series names
+    # records by field.  Docstrings are not series names
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "bounds":
@@ -301,7 +329,6 @@ def test_only_the_certificate_table_names_a_series():
             if isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in docstrings
-            and node.value not in plgrad.__all__
             and any(prefix in node.value for prefix in SERIES_PREFIXES)
         ]
     assert not found, f"a series name spelled outside the certificate table at {found}"

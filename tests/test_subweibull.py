@@ -248,3 +248,10 @@ class TestFitFromSamples:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_from_samples(np.array([]), theta=0.5)
+
+    def test_overflowing_fit_raises_without_a_warning(self):
+        # the 10th moment of 1e31 is 1e310, past the largest float; numpy's
+        # overflow warning is an error here (pyproject's filterwarnings)
+        assert fit_from_samples(np.full(3, 1e30), theta=0.5).k < math.inf
+        with pytest.raises(ValueError, match="the empirical moment fit overflows a float"):
+            fit_from_samples(np.full(3, 1e31), theta=0.5)
