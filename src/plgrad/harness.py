@@ -24,7 +24,7 @@ from . import bounds as bounds_mod
 from . import noise as noise_mod
 from .config import ConfigError, ExperimentConfig, build_noise, build_problem, initial_point
 from .problems import OnlineProblem, _row_norm, _sample_ball, sampled_times, verify_pl
-from .prox import Regularizer, grid_argmin_prox, prox_objective
+from .prox import grid_argmin_prox, prox_objective
 from .solvers import RegretTrajectory, run
 from .subweibull import fit_from_samples
 
@@ -111,7 +111,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     err = traj.error_norm
 
     mean_regret = regret.mean(axis=0)
-    std_regret = regret.std(axis=0, ddof=0)
     r0 = float(mean_regret[0])
 
     # measured per-step inputs (trajectory-variability variant)
@@ -136,6 +135,8 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     moments_used, envelope_k_used = inputs[config.bound_inputs]
+    # formed after the refusals: the regret of a refused run can square past a float
+    std_regret = regret.std(axis=0, ddof=0)
 
     # long-run cap from the supremum statistics over the horizon
     e_bar = float(np.max(moments_used))
@@ -247,8 +248,12 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
     """Executable checks of the certificates against the Monte Carlo run.
 
     Reports theory_scope, then each run check named in `checks` (a subset
-    of RUN_CHECKS) in RUN_CHECKS order; an unnamed check is not computed.
+    of RUN_CHECKS) in RUN_CHECKS order; an unnamed check is not computed,
+    and a name outside RUN_CHECKS is a ConfigError.
     """
+    unknown = ", ".join(sorted(set(checks).difference(RUN_CHECKS)))
+    if unknown:
+        raise ConfigError(f"unknown checks: {unknown}; available: {', '.join(RUN_CHECKS)}")
     summary = ValidationSummary()
 
     # every certificate below assumes the step 1/L and iterates inside the
@@ -301,7 +306,10 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
             moments_ok, detail = True, "degenerate envelope; all samples zero"
         else:
             # the fitted scale of the normalized norms is max_k ||e||_k / (K k^theta)
-            ratio = _normalized_fit(samples, ks, report.envelope_theta)
+            try:  # its only reachable ValueError is an overflow: a ratio past any limit
+                ratio = _normalized_fit(samples, ks, report.envelope_theta)
+            except ValueError:
+                ratio = math.inf
             moments_ok = ratio <= 1.1
             detail = f"max ||e||_k / (K k^theta) = {ratio:.3f} (limit 1.1)"
         summary.checks.append(CheckResult("envelope_moments", moments_ok, detail))
@@ -389,42 +397,32 @@ def _check_pl(problem: OnlineProblem, seed: int) -> CheckResult:
 
 
 def _check_prox(problem: OnlineProblem, seed: int) -> CheckResult:
-    """Closed-form prox against the grid oracle, on random instances and the problem's own.
+    """Closed-form prox against the grid oracle, on the problem's own regularizer.
 
-    The problem's regularizer is checked at the step 1/L on the
-    prox-gradient input v = x - grad f_t(x) / L, for one seeded x per time
-    index (0, T/2, T) drawn from the box or the domain ball.  A grid point
-    that beats the closed form fails the check; on the problem's own case
-    the prox objective can be large (about 1e6 for the 500-device box), so
-    the slack there is relative, as in expectation_dominance.
+    The regularizer is checked at the step 1/L on the prox-gradient input
+    v = x - grad f_t(x) / L, for one seeded x per time index (0, T/2, T)
+    drawn from the box or the domain ball.  A grid point that beats the
+    closed form fails the check; the prox objective can be large (about 1e6
+    for the 500-device box), so the slack is relative, as in
+    expectation_dominance.  Tier-1 tests the closed forms on random instances.
     """
     rng = noise_mod.stream(seed, "prox")
-    cases = []  # (regularizer, step, v, objective-relative slack)
-    for _ in range(25):
-        for n in (1, 2):
-            v = rng.uniform(-3.0, 3.0, size=n)
-            step = rng.uniform(0.1, 2.0)
-            lo = rng.uniform(-2.0, 0.0, size=n)
-            hi = lo + rng.uniform(0.5, 3.0, size=n)
-            for reg in (Regularizer.none(), Regularizer.box(lo, hi)):
-                cases.append((reg, step, v, 0.0))
     reg = problem.regularizer
     l = problem.smoothness
+    step = 1.0 / l
+    worst = 0.0
     for t in sampled_times(problem.horizon):
         if reg.kind == "box":
             x = reg.lo + rng.uniform(0.0, 1.0, size=problem.n) * (reg.hi - reg.lo)
         else:
             x = _sample_ball(rng, problem.n, 0.5 * problem.domain_radius, 1)[0]
-        cases.append((reg, 1.0 / l, x - problem.grad(t, x) / l, 1.0))
-
-    worst = 0.0
-    for reg, step, v, rel in cases:
+        v = x - problem.grad(t, x) / l
         closed = reg.prox(step, v)
         grid = grid_argmin_prox(reg, step, v)
         worst = max(worst, float(np.max(np.abs(closed - grid))))
         # the grid point is feasible, so its objective is finite
         at_grid = prox_objective(reg, step, v, grid)
-        if at_grid - prox_objective(reg, step, v, closed) < -1e-12 * (1.0 + rel * abs(at_grid)):
+        if at_grid - prox_objective(reg, step, v, closed) < -1e-12 * (1.0 + abs(at_grid)):
             return CheckResult("prox_grid", False, "grid point beat the closed-form prox")
     return CheckResult("prox_grid", worst <= 1e-6, f"max |closed - grid| = {worst:.2e}")
 

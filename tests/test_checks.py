@@ -29,7 +29,7 @@ from plgrad.problems import (
     synth_demand_response_traces,
     verify_pl,
 )
-from plgrad.prox import grid_argmin_prox
+from plgrad.prox import Regularizer, grid_argmin_prox
 
 CONFIGS = {
     "fig1-ls": ("fig1-ls", {}),
@@ -350,3 +350,30 @@ def test_checks_visit_the_sampled_grid(check, preset):
     spy = OracleSpy(build_problem(cfg))
     check(spy, cfg.seed)
     assert spy.visited() == {0, 15, 30} == set(sampled_times(30))
+
+
+@pytest.mark.parametrize("preset", ["static-ls", "fig3-demand-response"])
+def test_prox_check_solves_one_prox_per_sampled_time(monkeypatch, preset):
+    # the check covers the regularizer the run steps with and nothing else:
+    # one closed-form prox and one grid search per time index
+    from plgrad import harness
+
+    calls = []
+
+    class CountedProx(Regularizer):
+        def prox(self, step, v, out=None):
+            calls.append("prox")
+            return super().prox(step, v, out=out)
+
+    def counted_grid(reg, step, v):
+        calls.append("grid")
+        return grid_argmin_prox(reg, step, v)
+
+    monkeypatch.setattr(harness, "grid_argmin_prox", counted_grid)
+    cfg = make_config({}, {"preset": preset})
+    problem = build_problem(cfg)
+    reg = problem.regularizer
+    problem.regularizer = CountedProx(reg.kind, lo=reg.lo, hi=reg.hi)
+    assert _check_prox(problem, cfg.seed).passed
+    n_times = len(sampled_times(problem.horizon))
+    assert calls.count("grid") == calls.count("prox") == n_times

@@ -280,6 +280,22 @@ class TestValidateCommand:
         assert code == 1
         assert "envelope_moments" in out and "FAIL" in out
 
+    def test_envelope_whose_fit_overflows_fails_named_check(self, tmp_path, capsys):
+        # K scaled by 1e-40 puts the normalized norms near 1e38, whose 10th
+        # moment overflows a float: a ratio past any limit, so the check fails
+        cfg = tmp_path / "tiny-k.cfg"
+        cfg.write_text(
+            "[experiment]\npreset = static-ls\nhorizon = 20\ntrials = 3\n"
+            "bound_inputs = analytic\n[noise]\nscale = 0.03\nenvelope_k_scale = 1e-40\n"
+        )
+        code = main(["validate", "--config", str(cfg), "--checks", "moments"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out.splitlines()[1:] == [
+            "envelope_moments  FAIL  max ||e||_k / (K k^theta) = inf (limit 1.1)",
+            "failed checks: envelope_moments",
+        ]
+
     def test_outside_theory_fails_validation(self, tmp_path, capsys):
         # checks that pass on their own must not vouch for certificates
         # that assume the step 1/L when the run used another step
@@ -666,6 +682,22 @@ class TestConfigFiles:
         if command == "run":
             cfg.write_text(head + "[noise]\nscale = 1e29\n")
             assert main([command, "--config", str(cfg), *extra]) == 0
+
+    @pytest.mark.parametrize("scale", ["1e77", "1e120", "1e153"])
+    def test_run_whose_regret_squares_past_a_float_is_refused_without_a_warning(
+        self, tmp_path, capsys, scale
+    ):
+        # regrets near 1e154 and above overflow the square in their spread;
+        # the moment fit refuses the run first, so no numpy warning comes
+        # before the error (a RuntimeWarning is an error here)
+        cfg = tmp_path / "exp.cfg"
+        head = "[experiment]\npreset = static-ls\nhorizon = 20\ntrials = 3\n"
+        cfg.write_text(head + f"[noise]\nscale = {scale}\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the empirical moment fit overflows a float\n"
+        assert captured.out == "" and not out.exists()
 
     def test_unknown_experiment_key_in_sections_rejected(self):
         with pytest.raises(ConfigError, match=r"unknown experiment settings: \['bogus'\]"):

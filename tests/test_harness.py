@@ -427,6 +427,10 @@ class TestBattery:
         validate_bounds(static_report)
         assert calls == list(static_report.config.deltas)
 
+    def test_unknown_run_check_is_refused(self, static_report):
+        with pytest.raises(ConfigError, match=r"unknown checks: recurson; available: recursion,"):
+            validate_bounds(static_report, ("recurson",))
+
     def test_prox_check_fails_on_a_wrong_box_prox(self):
         # negative control: a prox that clamps to a shifted box must fail
         # the check of the configured regularizer
@@ -438,6 +442,18 @@ class TestBattery:
         assert _check_prox(problem, 42).passed
         reg = problem.regularizer
         problem.regularizer = ShiftedBox("box", lo=reg.lo, hi=reg.hi)
+        assert not _check_prox(problem, 42).passed
+
+    def test_prox_check_fails_on_a_none_prox_that_moves_v(self):
+        # negative control: g = 0 has the identity as its prox, so a prox
+        # that moves v by 1e-5 must fail the check of a smooth problem
+        class MovedIdentity(Regularizer):
+            def prox(self, step, v, out=None):
+                return np.asarray(v) + 1e-5
+
+        problem = build_problem(small_config())
+        assert _check_prox(problem, 42).passed
+        problem.regularizer = MovedIdentity("none")
         assert not _check_prox(problem, 42).passed
 
     def test_iterates_leaving_the_ball_fail_theory_scope(self):

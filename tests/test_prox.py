@@ -40,6 +40,8 @@ class TestClosedForms:
             closed = reg.prox(step, v)
             oracle = grid_argmin_prox(reg, step, v)
             assert np.max(np.abs(closed - oracle)) <= 1e-6
+            # no grid point beats the closed form's objective
+            assert objective_gap(reg, step, v, oracle) >= -1e-12
 
     def test_oracle_resolves_the_full_size_box(self):
         # the 500-device box is 100 wide: four fixed zoom levels resolve it
