@@ -326,6 +326,10 @@ def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
     rounding, doubled by the square, then the square's and the sum's), so
     the n quotients move by at most sqrt(n) 4 eps |f| / h_k.  |f_t| is read
     at the last axis's stepped points, one step from x_k.
+
+    The working set is three (100, n) arrays: the two slabs of stepped
+    points, into the first of which the points are drawn, and the steps
+    that become the quotients, which first lend the draw its squares.
     """
     rng = noise_mod.stream(seed, "gradient")
     worst = 0.0
@@ -342,7 +346,7 @@ def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
     xs = pair[0]
     fd = np.empty((n_points, n))  # column i holds dx[:, i] until its quotient
     for t in sampled_times(problem.horizon):
-        xs[...] = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
+        _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points, out=xs, scratch=fd)
         pair[1] = xs
         np.maximum(np.abs(xs, out=fd), 1.0, out=fd)
         fd *= h

@@ -594,11 +594,28 @@ def sampled_times(horizon: int) -> list[int]:
     return sorted({0, horizon // 2, horizon})
 
 
-def _sample_ball(rng: np.random.Generator, n: int, radius: float, size: int) -> np.ndarray:
-    direction = rng.normal(size=(size, n))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+def _sample_ball(
+    rng: np.random.Generator,
+    n: int,
+    radius: float,
+    size: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """`size` points drawn uniformly from the radius ball of R^n, as rows.
+
+    The points are drawn into `out` when it is given, and `scratch` lends
+    the buffer for the squares behind the row norms; both are (size, n)
+    float arrays, and scratch is overwritten.  Each step has the bits of
+    rng.normal, np.linalg.norm(axis=1) and direction * radii on the same
+    stream, formed in place.
+    """
+    direction = rng.standard_normal((size, n), out=out)
+    squares = np.square(direction, out=scratch)
+    direction /= np.sqrt(np.add.reduce(squares, axis=1, keepdims=True))
     radii = radius * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
-    return direction * radii
+    direction *= radii
+    return direction
 
 
 def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> float:

@@ -75,6 +75,9 @@ def prox_objective(reg: Regularizer, step: float, v: np.ndarray, y: np.ndarray) 
 
 # the grid oracle's final spacing: a hundredth of the 1e-6 its callers check
 GRID_SPACING = 1e-8
+# rows of the grid zoomed at a time, so its two buffers hold GRID_BLOCK rows
+# of points whatever n is
+GRID_BLOCK = 64
 
 
 def grid_argmin_prox(
@@ -84,11 +87,14 @@ def grid_argmin_prox(
 
     The reference for the closed form, so it never calls prox.  Every g in
     scope is separable, so a product mesh's argmin is found per coordinate:
-    the n axes are searched at once as an (n, points) array.  The first
-    window is the box (axes clipped to it) or v +/- (|v| + 1).
+    the coordinates are searched GRID_BLOCK at a time, each block as a
+    (GRID_BLOCK, points) array.  The first window is the box (axes clipped
+    to it) or v +/- (|v| + 1).
     Each coordinate's objective is convex, so its minimizer lies within one
     spacing of the grid argmin; the next window, 4 / (points - 1) as wide,
-    keeps a two-cell margin.  The zoom ends at a spacing of GRID_SPACING.
+    keeps a two-cell margin.  The zoom ends when the widest window's spacing
+    reaches GRID_SPACING, so every block zooms as often as the widest
+    coordinate needs, and the result does not depend on GRID_BLOCK.
     """
     if step <= 0:
         raise ValueError(f"prox step must be positive, got {step}")
@@ -99,24 +105,34 @@ def grid_argmin_prox(
         lo, hi = np.broadcast_to(reg.lo, v.shape), np.broadcast_to(reg.hi, v.shape)
         best, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     else:
-        best = v
+        best = v.copy()
         half = np.abs(v) + 1.0
     if not (np.all(np.isfinite(best)) and np.all(np.isfinite(half))):
         raise ValueError("grid oracle needs a finite starting window")
-    rows = np.arange(v.shape[0])
+    shrink = 4.0 / (points - 1)
+    # the widest window, scaled as each row's is: rounding is monotone, so
+    # the widest scaled window is the scaled widest one
+    zooms, widest = 1, np.max(half)
+    while 2.0 * widest / (points - 1) > GRID_SPACING:
+        zooms, widest = zooms + 1, widest * shrink
     unit = np.linspace(-1.0, 1.0, points)
-    # every zoom rewrites the grid and its objective in these two buffers,
-    # in the operation order of best + half unit and (axes - v)^2 / (2 step)
-    axes = np.empty((v.shape[0], points))
+    # every zoom rewrites a block's grid and its objective in these two
+    # buffers, in the operation order of best + half unit and
+    # (axes - v)^2 / (2 step); best and half are updated in place
+    axes = np.empty((min(v.shape[0], GRID_BLOCK), points))
     obj = np.empty_like(axes)
-    while True:
-        np.add(best[:, None], np.multiply(half[:, None], unit, out=axes), out=axes)
-        if reg.kind == "box":
-            np.maximum(axes, lo[:, None], out=axes)
-            np.minimum(axes, hi[:, None], out=axes)
-        np.square(np.subtract(axes, v[:, None], out=obj), out=obj)
-        obj /= 2.0 * step
-        best = axes[rows, np.argmin(obj, axis=1)]
-        if 2.0 * np.max(half) / (points - 1) <= GRID_SPACING:
-            return best
-        half = half * (4.0 / (points - 1))
+    for start in range(0, v.shape[0], GRID_BLOCK):
+        block = slice(start, start + GRID_BLOCK)
+        b, h, vb = best[block], half[block], v[block, None]
+        ax, ob = axes[: b.shape[0]], obj[: b.shape[0]]
+        rows = np.arange(b.shape[0])
+        for _ in range(zooms):
+            np.add(b[:, None], np.multiply(h[:, None], unit, out=ax), out=ax)
+            if reg.kind == "box":
+                np.maximum(ax, lo[block, None], out=ax)
+                np.minimum(ax, hi[block, None], out=ax)
+            np.square(np.subtract(ax, vb, out=ob), out=ob)
+            ob /= 2.0 * step
+            b[...] = ax[rows, np.argmin(ob, axis=1)]
+            h *= shrink
+    return best

@@ -18,7 +18,13 @@ import numpy as np
 import pytest
 
 from plgrad.config import build_problem, make_config
-from plgrad.harness import CheckResult, _check_gradient, _check_pl, _check_prox
+from plgrad.harness import (
+    CheckResult,
+    _check_gradient,
+    _check_pl,
+    _check_prox,
+    run_validation_battery,
+)
 from plgrad.problems import (
     DemandResponse,
     OnlineProblem,
@@ -29,7 +35,7 @@ from plgrad.problems import (
     synth_demand_response_traces,
     verify_pl,
 )
-from plgrad.prox import Regularizer, grid_argmin_prox
+from plgrad.prox import GRID_BLOCK, Regularizer, grid_argmin_prox
 
 CONFIGS = {
     "fig1-ls": ("fig1-ls", {}),
@@ -186,15 +192,22 @@ def test_pl_check_matches_the_unblocked_loop(name):
     assert_same_oracle_outputs(ref_spy, new_spy)
 
 
-def traced_peak(check, name):
-    """tracemalloc's peak over one passing run of a check on a built problem."""
-    problem, seed = _configured(name)
+def peak_of(call):
+    """tracemalloc's peak over one call, and the call's result."""
     tracemalloc.start()
     try:
-        assert check(problem, seed).passed
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, result
+
+
+def traced_peak(check, name):
+    """tracemalloc's peak over one passing run of a check on a built problem."""
+    problem, seed = _configured(name)
+    peak, result = peak_of(lambda: check(problem, seed))
+    assert result.passed
     return peak, problem.n
 
 
@@ -208,23 +221,49 @@ def test_pl_check_peak_stays_below_one_sample_matrix():
     assert peak <= 3 * 100 * n * 8 + 128 * 1024 < n_samples * n * 8, peak
 
 
-def test_gradient_check_peak_holds_the_pair_and_one_draw():
-    # the (2, P, n) pair of stepped points, the (P, n) steps that become the
-    # quotients, and one _sample_ball draw (its direction matrix and the
-    # scaled copy copied into the pair); the slack covers ufunc buffers and
-    # P- or n-wide vectors, below the P n 8 bytes of one more (P, n) array
+def test_gradient_check_peak_holds_the_pair_and_the_quotients():
+    # the (2, P, n) pair of stepped points, into whose first slab the points
+    # are drawn, and the (P, n) steps that become the quotients, which lend
+    # the draw its squares; the slack covers ufunc buffers and P- or n-wide
+    # vectors, below the P n 8 bytes of one more (P, n) array
     n_points = 100  # the check's fixed point count
     peak, n = traced_peak(_check_gradient, "dr500")
-    assert peak <= 5 * n_points * n * 8 + 128 * 1024, peak
+    assert peak <= 3 * n_points * n * 8 + 128 * 1024, peak
+
+
+# the grid's two (GRID_BLOCK, 201) buffers, and up to 128 KiB of buffers for
+# a broadcast ufunc over them; the rest covers the n-wide vectors, below the
+# GRID_BLOCK 201 8 bytes of a third block buffer
+GRID_BUDGET = 2 * GRID_BLOCK * 201 * 8 + 256 * 1024
 
 
 def test_prox_check_peak_holds_two_grid_buffers():
-    # grid_argmin_prox keeps the (n, 201) grid and its objective, and a
-    # broadcast ufunc over them takes up to 128 KiB of buffers; the rest of
-    # the slack covers the cases and their n-wide vectors, below the
-    # n 201 8 bytes of one more (n, 201) array
-    peak, n = traced_peak(_check_prox, "dr500")
-    assert peak <= 2 * n * 201 * 8 + 256 * 1024, peak
+    peak, _ = traced_peak(_check_prox, "dr500")
+    assert peak <= GRID_BUDGET, peak
+
+
+@pytest.mark.parametrize("kind", ["none", "box"])
+@pytest.mark.parametrize("n", [500, 5000])
+def test_grid_peak_does_not_grow_with_n(kind, n):
+    rng = np.random.default_rng(n)
+    v = rng.uniform(-3.0, 3.0, size=n)
+    lo = rng.uniform(-2.0, 0.0, size=n)
+    reg = Regularizer.none() if kind == "none" else Regularizer.box(lo, lo + 1.0)
+    peak, _ = peak_of(lambda: grid_argmin_prox(reg, 0.5, v))
+    assert peak <= GRID_BUDGET, peak
+
+
+def test_battery_peak_holds_three_point_blocks():
+    # the gradient and PL checks each hold three (100, n) arrays and the
+    # prox check far less, so the battery, problem build included, stays
+    # below a fourth (100, n) array.  The cached build has run first, so the
+    # modules a first build imports are not counted
+    n = _configured("dr500")[0].n
+    preset, sections = CONFIGS["dr500"]
+    cfg = make_config(sections, {"preset": preset})
+    peak, summary = peak_of(lambda: run_validation_battery(cfg, ("gradient", "pl", "prox")))
+    assert summary.passed
+    assert peak <= 3 * 100 * n * 8 + 256 * 1024, peak
 
 
 class TestProxPLVerification:

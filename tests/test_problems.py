@@ -535,6 +535,29 @@ def test_every_family_draws_its_data_from_its_seed(kind):
     assert np.all(values(4) != first)
 
 
+def reference_sample_ball(rng, n, radius, size):
+    """_sample_ball's expression form, with a fresh array at every step."""
+    direction = rng.normal(size=(size, n))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    radii = radius * rng.uniform(0.0, 1.0, size=(size, 1)) ** (1.0 / n)
+    return direction * radii
+
+
+@pytest.mark.parametrize("lent", [(), ("out",), ("out", "scratch")])
+@pytest.mark.parametrize("size,n", [(1, 2), (100, 500), (1000, 10)])
+def test_sample_ball_in_place_has_the_bits_of_the_expression_form(size, n, lent):
+    # the points verify_pl, _check_gradient and _check_prox draw, so every
+    # sampled certificate, and DriftingLogistic's mu, keeps its bits
+    expected_rng, rng = np.random.default_rng(size + n), np.random.default_rng(size + n)
+    expected = reference_sample_ball(expected_rng, n, 2.5, size)
+    buffers = {name: np.full((size, n), np.nan) for name in lent}
+    xs = problems_mod._sample_ball(rng, n, 2.5, size, **buffers)
+    assert xs.tobytes() == expected.tobytes()
+    if "out" in buffers:
+        assert xs is buffers["out"]
+    assert rng.random() == expected_rng.random()  # both streams end at one place
+
+
 class TestGradientsAndSmoothness:
     @pytest.mark.parametrize(
         "fixture",

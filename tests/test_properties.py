@@ -22,6 +22,10 @@ so a run is deterministic and writes nothing.
   any p in [1, 400], the moment taken at 50 digits with mpmath.
 * gradient_fd passes a correct least-squares gradient at any observation
   noise in [0, 1e4], where f grows to about 1e9.
+* The prox grid's row blocks cannot be seen: for 1 to 3 blocks of
+  coordinates whose windows span up to nine orders of magnitude, the
+  widest at any row, `grid_argmin_prox` has the bits of the unblocked
+  expression form.
 """
 
 import math
@@ -40,9 +44,11 @@ from plgrad.config import make_config
 from plgrad.harness import _check_gradient, run_experiment, validate_bounds
 from plgrad.noise import FAMILIES, NoiseModel, envelope_norm
 from plgrad.problems import synth_demand_response_traces
+from plgrad.prox import GRID_BLOCK, Regularizer, grid_argmin_prox
 from plgrad.solvers import run
 from test_checks import static_ls
 from test_problems import weighted_demand_response
+from test_prox import reference_grid_argmin
 from test_solvers import FAMILY_NAMES, PER_TRIAL, _families, bits, reference_run
 
 FAMILY_CASES = _families()
@@ -285,3 +291,31 @@ def test_envelope_k_bounds_every_moment_ratio(family, n, scale, shape, bias, p):
 def test_correct_gradient_passes_at_any_observation_noise(obs_noise_std):
     result = _check_gradient(*static_ls(obs_noise_std))
     assert result.passed, (obs_noise_std, result.detail)
+
+
+@settings(derandomize=True, max_examples=100, deadline=1000, database=None)
+@given(
+    kind=st.sampled_from(["none", "box"]),
+    n=st.integers(1, 3 * GRID_BLOCK),
+    points=st.sampled_from([6, 200, 201]),
+    spread=st.floats(-3.0, 6.0),
+    widest=st.tuples(st.integers(0, 3 * GRID_BLOCK - 1), st.floats(0.0, 6.0)),
+    seed=st.integers(0, 2**16),
+)
+def test_grid_blocks_cannot_be_seen(kind, n, points, spread, widest, seed):
+    # window widths 10^-3 to 10^spread, and one of 10^top at a drawn row,
+    # so the widest window falls in any block, alone or not
+    rng = np.random.default_rng(seed)
+    width = 10.0 ** rng.uniform(-3.0, spread, size=n)
+    row, top = widest
+    width[row % n] = 10.0**top
+    if kind == "none":
+        reg = Regularizer.none()
+        v = rng.uniform(-1.0, 1.0, size=n) * width
+    else:
+        lo = -rng.uniform(0.0, 1.0, size=n) * width
+        reg = Regularizer.box(lo, lo + width)
+        v = rng.uniform(-2.0, 2.0, size=n) * width
+    step = rng.uniform(0.05, 2.0)
+    expected, _ = reference_grid_argmin(reg, step, v, points)
+    assert np.array_equal(bits(grid_argmin_prox(reg, step, v, points)), bits(expected))

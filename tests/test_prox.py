@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from plgrad.config import build_problem, make_config
-from plgrad.prox import GRID_SPACING, Regularizer, grid_argmin_prox, prox_objective
+from plgrad.prox import (
+    GRID_BLOCK,
+    GRID_SPACING,
+    Regularizer,
+    grid_argmin_prox,
+    prox_objective,
+)
 
 
 def objective_gap(reg, step, v, y):
@@ -70,10 +76,11 @@ class TestClosedForms:
 def reference_grid_argmin(reg, step, v, points=201):
     """grid_argmin_prox with a fresh grid and objective at every zoom.
 
-    The expression form the buffered oracle replaced: best + half unit,
-    clamp, then (axes - v)^2 / (2 step).  Also returns the largest number
-    of grid points that share a zoom's minimal objective, so a test can
-    show that it exercised a tie.
+    The expression form the buffered, blocked oracle replaced: all rows at
+    once, best + half unit, clamp, then (axes - v)^2 / (2 step), until the
+    widest window's spacing reaches GRID_SPACING.  Also returns the largest
+    number of grid points that share a zoom's minimal objective, so a test
+    can show that it exercised a tie.
     """
     if reg.kind == "box":
         lo, hi = np.broadcast_to(reg.lo, v.shape), np.broadcast_to(reg.hi, v.shape)
@@ -96,10 +103,13 @@ def reference_grid_argmin(reg, step, v, points=201):
 
 
 class TestGridBuffers:
-    """The oracle's in-place grid gives the bits of the expression form."""
+    """The oracle's in-place grid, zoomed in row blocks, gives the bits of
+    the expression form, which zooms every row at once."""
 
     @pytest.mark.parametrize("kind", ["none", "box"])
-    @pytest.mark.parametrize("n", [1, 2, 500])
+    @pytest.mark.parametrize(
+        "n", [1, 2, 500, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
+    )
     def test_matches_the_expression_form(self, kind, n):
         rng = np.random.default_rng({"none": 300, "box": 400}[kind] + n)
         for _ in range(10):
@@ -112,6 +122,20 @@ class TestGridBuffers:
                 reg = Regularizer.box(lo, lo + rng.uniform(0.2, 3.0, size=n))
             expected, _ = reference_grid_argmin(reg, step, v)
             assert np.array_equal(grid_argmin_prox(reg, step, v), expected)
+
+    def test_every_block_zooms_as_often_as_the_widest_window(self):
+        # the widest starting window sits alone in the last block, so a
+        # block that stopped at its own spacing would zoom fewer times; the
+        # grid has an even point count, since an odd one holds v itself at
+        # its centre and a none grid then returns v at any zoom count
+        n, points = 2 * GRID_BLOCK + 1, 200
+        v = np.random.default_rng(600).uniform(-3.0, 3.0, size=n)
+        v[-1] = 1e3
+        reg = Regularizer.none()
+        expected, _ = reference_grid_argmin(reg, 0.4, v, points)
+        assert np.array_equal(grid_argmin_prox(reg, 0.4, v, points), expected)
+        alone, _ = reference_grid_argmin(reg, 0.4, v[:GRID_BLOCK], points)
+        assert not np.array_equal(alone, expected[:GRID_BLOCK])
 
     @pytest.mark.parametrize("points", [201, 6])
     def test_ties_keep_the_first_grid_point(self, points):
