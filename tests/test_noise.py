@@ -13,9 +13,6 @@ from plgrad.noise import (
     STREAMS,
     GradientErrors,
     NoiseModel,
-    _gaussian_norm_k,
-    _max_moment_ratio,
-    _weibull_k,
     envelope_norm,
     norm_moments,
     sample,
@@ -31,18 +28,37 @@ def _norm_samples(model, n, count, seed=0):
     return np.linalg.norm(sample(model, n, seed, 0, count), axis=1)
 
 
+def reference_moment_ratios(model, n):
+    """||X||_p / p**theta for the norm X of bias-free Gaussian or Weibull
+    noise, with scipy's gammaln, at 6,000 values of p in [1, 400]: a dense
+    grid on which to look for the sup that envelope_norm states at p = 1."""
+    p = np.concatenate([np.linspace(1.0, 20.0, 4000), np.linspace(20.0, 400.0, 2000)])
+    s = model.scale
+    if model.family == "gaussian_iid":  # E||z||^p = s^p 2^(p/2) Gamma((n+p)/2) / Gamma(n/2)
+        log_norm = np.log(s) + 0.5 * np.log(2.0) + (gammaln((n + p) / 2.0) - gammaln(n / 2.0)) / p
+    else:  # E R^p = s^p Gamma(1 + p/shape)
+        log_norm = np.log(s) + gammaln(1.0 + p / model.weibull_shape) / p
+    return np.exp(log_norm - model.theta * np.log(p))
+
+
+def gammaln_rtol(n):
+    """How closely the math.lgamma forms can agree with scipy's gammaln."""
+    # the Gaussian forms subtract two log-gamma values of size about
+    # |lgamma(n/2)|, each good to a few ulp, so two implementations can
+    # agree no better than a few ulp of that size (2.3e-13 at n = 500)
+    return max(1e-14, 16 * np.finfo(float).eps * abs(math.lgamma(n / 2.0)))
+
+
 def generic_envelope(model, n):
     """Looser ||e|| envelope from the closure algebra alone, for zero-bias models.
 
     Route: per-coordinate envelope -> square -> sum over n possibly dependent
     coordinates -> square root, with no distributional structure.
     """
-    if model.family == "gaussian_iid":
-        k = _gaussian_norm_k(model.scale, 1)  # |N(0, s^2)|
-    elif model.family == "bounded_uniform":
+    if model.family == "bounded_uniform":
         k = model.scale
-    else:  # radial family: |e_i| <= R pointwise
-        k = _weibull_k(model.scale, model.weibull_shape)
+    else:  # |N(0, s^2)|, or the radial family's R, which bounds every |e_i|
+        k = envelope_norm(model, 1).k
     coord = SubWeibullParams(model.theta, k)
     return power(scale(power(coord, 2.0), float(n)), 0.5)
 
@@ -328,19 +344,40 @@ class TestEnvelopes:
             (NoiseModel("weibull_tail", scale=0.8, weibull_shape=k), 10)
             for k in (0.3, 0.5, 1.0, 2.0, 5.0)
         ]
-        + [(NoiseModel("gaussian_iid", scale=0.8), n) for n in (1, 10, 500)],
+        + [(NoiseModel("gaussian_iid", scale=0.8), n) for n in (1, 10, 500)]
+        + [
+            (NoiseModel("gaussian_iid", scale=s), n)
+            for n in (*range(1, 201), 500, 10**3, 10**5, 10**6)
+            for s in (1e-3, 0.05, 10.0, 1e3)
+        ]
+        + [
+            (NoiseModel("weibull_tail", scale=1.3, weibull_shape=k), 10)
+            for k in np.geomspace(0.05, 100.0, 200)
+        ],
     )
     def test_family_ratios_peak_inside_the_grid(self, model, n):
-        # the edge guard in _max_moment_ratio does not fire on the families
-        assert envelope_norm(model, n).k > 0.0
+        # envelope_norm states K at p = 1, where its docstring proves the sup
+        # is; the reference grid peaks there too, at K
+        ratios = reference_moment_ratios(model, n)
+        assert ratios[1:].max() < ratios[0]
+        assert envelope_norm(model, n).k == pytest.approx(ratios[0], rel=gammaln_rtol(n), abs=0.0)
 
-    def test_ratio_largest_at_grid_edge_raises(self):
-        # negative control: log-moment 0.6 log p grows faster than 0.5 log p,
-        # so the ratio p**0.1 is unbounded and its grid sup understates K
-        with pytest.raises(ValueError, match="grid edge"):
-            _max_moment_ratio(lambda p: 0.6 * np.log(p), 0.5)
-        # at exactly theta log p the ratio is flat; the sup is attained at p = 1
-        assert _max_moment_ratio(lambda p: 0.5 * np.log(p), 0.5) == pytest.approx(1.0)
+    # K as float.hex, as a grid search over p formed it before K was stated
+    # at p = 1: fig3's scalar noise, fig1's, lti's and three Weibull radii
+    PINNED_K = {
+        ("gaussian_iid", 10.0, 1.0, 1): "0x1.fea5680c943e4p+2",
+        ("gaussian_iid", math.sqrt(1e-3), 1.0, 10): "0x1.8f80de4595706p-4",
+        ("gaussian_iid", 0.05, 1.0, 12): "0x1.5b6b2e89bbc95p-3",
+        ("weibull_tail", 1.3, 0.5, 10): "0x1.4cccccccccccbp+1",
+        ("weibull_tail", 1.3, 1.0, 10): "0x1.4cccccccccccdp+0",
+        ("weibull_tail", 1.3, 2.5, 10): "0x1.274809bad46bcp+0",
+    }
+
+    @pytest.mark.parametrize("case", PINNED_K, ids=lambda case: f"{case[0]}-{case[2]}-{case[3]}")
+    def test_k_is_pinned(self, case):
+        family, s, shape, n = case
+        k = envelope_norm(NoiseModel(family, scale=s, weibull_shape=shape), n).k
+        assert k.hex() == self.PINNED_K[case]
 
     def test_envelope_at_time(self):
         # the harness's analytic inputs scale K by c_t
@@ -353,26 +390,14 @@ class TestEnvelopes:
 class TestGammalnAgreement:
     """The math.lgamma forms agree with the scipy.special.gammaln formulas."""
 
-    @staticmethod
-    def _rtol(n):
-        # the Gaussian forms subtract two log-gamma values of size about
-        # |lgamma(n/2)|, each good to a few ulp, so two implementations can
-        # agree no better than a few ulp of that size (2.3e-13 at n = 500)
-        return max(1e-14, 16 * np.finfo(float).eps * abs(math.lgamma(n / 2.0)))
-
     @pytest.mark.parametrize("n", [1, 2, 10, 500])
     def test_gaussian(self, n):
         sigma = 0.7
         model = NoiseModel("gaussian_iid", scale=sigma)
         mean = sigma * np.sqrt(2.0) * np.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
-        k = _max_moment_ratio(
-            lambda p: np.log(sigma)
-            + 0.5 * np.log(2.0)
-            + (gammaln((n + p) / 2.0) - gammaln(n / 2.0)) / p,
-            0.5,
-        )
-        assert norm_moments(model, n)[1] == pytest.approx(mean, rel=self._rtol(n), abs=0.0)
-        assert envelope_norm(model, n).k == pytest.approx(k, rel=self._rtol(n), abs=0.0)
+        k = reference_moment_ratios(model, n).max()
+        assert norm_moments(model, n)[1] == pytest.approx(mean, rel=gammaln_rtol(n), abs=0.0)
+        assert envelope_norm(model, n).k == pytest.approx(k, rel=gammaln_rtol(n), abs=0.0)
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_weibull(self, shape):
@@ -380,11 +405,10 @@ class TestGammalnAgreement:
         n = 10
         lam = 1.3
         model = NoiseModel("weibull_tail", scale=lam, weibull_shape=shape)
-        k = _max_moment_ratio(lambda p: np.log(lam) + gammaln(1.0 + p / shape) / p, 1.0 / shape)
         expected = {
             "mean": lam * np.exp(gammaln(1.0 + 1.0 / shape)),
             "second": lam**2 * np.exp(gammaln(1.0 + 2.0 / shape)),
-            "k": k,
+            "k": reference_moment_ratios(model, n).max(),
         }
         second, mean = norm_moments(model, n)
         got = {

@@ -282,7 +282,7 @@ def test_envelope_k_bounds_every_moment_ratio(family, n, scale, shape, bias, p):
     k = envelope_norm(model, n).k
     # K comes from float lgamma, whose difference at n = 500 loses about
     # 2e-13 of the exact value (lgamma(250.5) is about 1,131); the sup
-    # itself sits at p = 1, which the grid holds
+    # itself sits at p = 1, where envelope_norm takes K
     assert k >= float(_moment_ratio(model, n, p)) * (1.0 - 1e-12)
 
 
