@@ -71,15 +71,11 @@ def error_cost(solver: str, smoothness: float, diameter: float) -> ErrorCost:
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def _check_zeta(zeta: float) -> None:
+def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray:
+    """B_0 = r0; B_{t+1} = zeta B_t + costs[t].  Length len(costs) + 1."""
     # zeta = 0 is mu = L, where B_{t+1} = c_{t+1}
     if not 0.0 <= zeta < 1.0:
         raise ValueError(f"contraction factor must lie in [0, 1), got {zeta}")
-
-
-def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray:
-    """B_0 = r0; B_{t+1} = zeta B_t + costs[t].  Length len(costs) + 1."""
-    _check_zeta(zeta)
     if not 0 <= r0 < np.inf:
         raise ValueError(f"r0 must be finite and nonnegative, got {r0}")
     # Python floats take the same IEEE operations in the same order as

@@ -298,7 +298,7 @@ def build_problem(cfg: ExperimentConfig) -> OnlineProblem:
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    if cfg.solver == "ogd" and not problem.smooth_only():
+    if cfg.solver == "ogd" and problem.regularizer.kind != "none":
         raise ConfigError("ogd forbids a regularizer; use solver = opgm")
     return problem
 

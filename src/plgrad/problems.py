@@ -100,9 +100,6 @@ class OnlineProblem:
         """F_t(x) = f_t(x) + g_t(x), one value per row of x."""
         return self.value(t, x) + self.regularizer.value(x)
 
-    def smooth_only(self) -> bool:
-        return self.regularizer.kind == "none"
-
     def _check_t(self, t: int) -> None:
         if not 0 <= t <= self.horizon:
             raise IndexError(f"time index {t} outside [0, {self.horizon}]")
@@ -136,8 +133,9 @@ class QuadraticTracking(OnlineProblem):
 
     The one quadratic core behind drifting least squares, output tracking
     and demand response; the families differ only in the data they build.
-    Without a box the optimal value is the residual of b_t against an
-    orthonormal basis of range(A), which stays nonnegative under
+    value, grad and evaluate read b_t from the one [b_t, b_{t-1}] block (b_0
+    twice at t = 0).  Without a box the optimal value is the residual of b_t
+    against an orthonormal basis of range(A), which stays nonnegative under
     cancellation (no squared-norm differences).  A box needs a one-row A,
     a^T x: the cost then sees x only through the scalar a^T x, so the
     optimal value is the clamp distance of b_t onto the reachable interval.
@@ -174,8 +172,6 @@ class QuadraticTracking(OnlineProblem):
         self.domain_radius = domain_radius
         self.matrix = a
         self._at = np.ascontiguousarray(a.T)
-        self._b = b
-        # [b_t, b_{t-1}] at each t, b_0 twice at t = 0
         self._b_pairs = np.stack([b, np.concatenate([b[:1], b[:-1]])], axis=1)
         # the noise is one measurement of a one-row A's output
         self._scalar_noise = error_gain is not None and a.shape[0] == 1
@@ -215,11 +211,6 @@ class QuadraticTracking(OnlineProblem):
             return np.einsum("...,j->...j", r[..., 0], self.matrix[0], out=out)
         return _matvec(self._at, r, out=out)
 
-    def _residual(self, t: int, ax: np.ndarray) -> np.ndarray:
-        """A x - b_t from the product ax = A x."""
-        self._check_t(t)
-        return ax - self._b[t]
-
     def _product(self, x: np.ndarray) -> np.ndarray:
         """A x; a compacted view widens x through its runs first and
         multiplies by its error_map, the full A."""
@@ -228,11 +219,13 @@ class QuadraticTracking(OnlineProblem):
         return _matvec(self.error_map, np.repeat(x, self._runs, axis=-1))
 
     def value(self, t: int, x: np.ndarray) -> float | np.ndarray:
-        r = self._residual(t, self._product(x))
+        self._check_t(t)
+        r = self._product(x) - self._b_pairs[t, 0]
         return 0.5 * np.vecdot(r, r)
 
     def grad(self, t: int, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return self._adjoint(self._residual(t, self._product(x)), out=out)
+        self._check_t(t)
+        return self._adjoint(self._product(x) - self._b_pairs[t, 0], out=out)
 
     def evaluate(
         self,
@@ -267,7 +260,7 @@ class QuadraticTracking(OnlineProblem):
         self._check_t(t)
         if self.regularizer.kind == "box":
             return None  # the minimum-norm point below ignores the box
-        return np.linalg.pinv(self.matrix) @ self._b[t]
+        return np.linalg.pinv(self.matrix) @ self._b_pairs[t, 0]
 
     def compacted(self, x0: np.ndarray) -> tuple[OnlineProblem, np.ndarray] | None:
         """The view of the class docstring on a one-row A over a box with
@@ -622,7 +615,7 @@ def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> floa
     """Largest mu with 2 mu (f_t - f*_t) <= ||grad f_t||^2 at n_samples points
     of the domain ball; points at the optimum are skipped, and inf, which
     every mu satisfies, is returned when all are."""
-    if not problem.smooth_only():
+    if problem.regularizer.kind != "none":
         raise ValueError("gradient-domination check applies to unregularized costs")
     if n_samples < 1:
         raise ValueError("need at least one sample")

@@ -80,7 +80,7 @@ def reference_gradient_fd(problem, seed, n_points=100):
 def reference_pl_mu(problem, seed, n_samples=1000):
     """Sampled (proximal) PL slope, every sample matrix evaluated at once."""
     ts = sampled_times(problem.horizon)
-    if problem.smooth_only():
+    if problem.regularizer.kind == "none":
         return min(verify_pl(problem, t, n_samples, seed) for t in ts)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 5)))
     reg = problem.regularizer
@@ -183,13 +183,29 @@ def test_pl_check_matches_the_unblocked_loop(name):
     ref_spy, new_spy = OracleSpy(problem), OracleSpy(problem)
     mu_hat = reference_pl_mu(ref_spy, seed)
     mu = problem.pl_constant
-    label = "sampled mu" if problem.smooth_only() else "sampled proximal mu"
+    label = "sampled mu" if problem.regularizer.kind == "none" else "sampled proximal mu"
     expected = CheckResult(
         "pl_certificate", mu_hat >= mu - 1e-9, f"{label} {mu_hat:.6g} vs declared {mu:.6g}"
     )
     assert _check_pl(new_spy, seed) == expected
     assert expected.passed
     assert_same_oracle_outputs(ref_spy, new_spy)
+
+
+@pytest.mark.parametrize("shape", [(100, 500), (500,)])
+def test_random_draws_the_floats_and_stream_position_of_uniform(shape):
+    # the PL check fills its (100, n) block with Generator.random and the
+    # prox check draws its (n,) point with it: uniform(0, 1) returns 0 + 1 u,
+    # so both read the bits and leave the stream where uniform(0, 1) does
+    for seed in range(200):
+        drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        if len(shape) == 2:
+            u = np.empty(shape)
+            drawn.random(out=u)
+        else:
+            u = drawn.random(shape[0])
+        assert u.tobytes() == reference.uniform(0.0, 1.0, size=shape).tobytes()
+        assert drawn.bit_generator.state == reference.bit_generator.state
 
 
 def peak_of(call):

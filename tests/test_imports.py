@@ -1,6 +1,7 @@
 """Every name a plgrad module imports is used in that module, no module
 imports scipy, which only the tests need, every top-level function and
 class has a consumer outside the tests of its own behaviour, so has every
+method and property (some consumer reads an attribute of its name), every
 name the package exports (some consumer reads it through `plgrad`) and every
 parameter default (some consumer's call sets it), no random generator is
 seeded through the per-process salted builtin hash, and only noise.stream
@@ -109,6 +110,41 @@ def test_every_top_level_definition_has_a_consumer():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in used
     ]
     assert not unused, f"no consumer references {unused}"
+
+
+# methods and properties kept although only tests read them, each with its reason
+UNREAD_METHODS_KEPT = {
+    # the reference minimizers the tests hold fstar and the solvers' fixed
+    # points against
+    "problems.QuadraticTracking.xstar",
+    "problems.DriftingLogistic.xstar",
+    # the trials' final iterates, which README documents as part of the record
+    "solvers.RegretTrajectory.x_final",
+}
+
+
+def test_every_method_has_a_consumer():
+    # the rule above, one level down: a method or property whose name no
+    # consumer reads as an attribute is surface only its tests reach.
+    # Dunders are read by the language, not by name
+    read = {
+        node.attr
+        for tree in consumer_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unread = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text()).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read
+        and f"{path.stem}.{cls.name}.{node.name}" not in UNREAD_METHODS_KEPT
+    ]
+    assert not unread, f"no consumer reads {unread}"
 
 
 def package_reads(tree):

@@ -465,7 +465,7 @@ class TestDemandResponse:
             DemandResponse(2, 0, 2, np.arange(1.0, 7.0).reshape(3, 2), w, lo, hi)
         column = DemandResponse(2, 0, 2, np.arange(1.0, 4.0)[:, None], w, lo, hi)
         flat = DemandResponse(2, 0, 2, np.arange(1.0, 4.0), w, lo, hi)
-        assert np.array_equal(column._b, flat._b)
+        assert np.array_equal(column._b_pairs[:, 0], flat._b_pairs[:, 0])
 
     @pytest.mark.parametrize("given", ["bounds_lo", "bounds_hi"])
     def test_a_bound_given_alone_is_refused(self, given):
@@ -500,7 +500,7 @@ class TestDemandResponse:
             {"preset": "fig3-demand-response", "seed": seed, "horizon": horizon},
         )
         built = build_problem(cfg)
-        assert np.array_equal(own._b, built._b)
+        assert np.array_equal(own._b_pairs[:, 0], built._b_pairs[:, 0])
         assert np.array_equal(own.regularizer.lo, built.regularizer.lo)
         assert np.array_equal(own.regularizer.hi, built.regularizer.hi)
         assert np.array_equal(own._fstar, built._fstar)
@@ -510,9 +510,9 @@ class TestDemandResponse:
         assert own.regularizer.lo.tolist() == [-50.0] * 4 + [0.0] * 3
         assert own.regularizer.hi.tolist() == [50.0] * 7
         w, p_ref = synth_demand_response_traces(horizon, seed)
-        assert np.array_equal(own._b[:, 0], p_ref - w @ np.ones(4))
+        assert np.array_equal(own._b_pairs[:, 0, 0], p_ref - w @ np.ones(4))
         other = DemandResponse(n_der, seed + 1, horizon)
-        assert not np.any(other._b == own._b)
+        assert not np.any(other._b_pairs[:, 0] == own._b_pairs[:, 0])
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
@@ -713,6 +713,24 @@ class TestVariability:
             else:
                 assert np.array_equal(norm, np.sqrt(np.vecdot(e, e)))
         assert error_norm.tobytes() == drawn.tobytes()
+        # value and grad give evaluate's bits at t = 0, where there is no
+        # f_{-1}, on one 1-D point, and on demand response's compacted view
+        cases = [(problem, 0, xs), (problem, 0, xs[0]), (problem, problem.horizon, xs[0])]
+        found = problem.compacted(np.zeros(problem.n))
+        assert (found is not None) == (fixture == "dr_problem")
+        if found is not None:
+            view = found[0]
+            xv = rng.normal(size=(7, view.n))
+            cases += [(view, t, x) for t in (0, 1, view.horizon) for x in (xv, xv[0])]
+        for oracle, t, x in cases:
+            g = np.full_like(x, np.nan)
+            f, f_prev = oracle.evaluate(t, x, grad_out=g)
+            assert np.array_equal(f, oracle.value(t, x))
+            assert np.array_equal(g, oracle.grad(t, x))
+            if t:
+                assert np.array_equal(f_prev, oracle.value(t - 1, x))
+            else:
+                assert f_prev is None
         with pytest.raises(IndexError):
             problem.evaluate(problem.horizon + 1, xs)
 
