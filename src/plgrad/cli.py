@@ -113,7 +113,6 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         f"asymptote = {_fmt(report.asymptote_value)}",
         f"recursion_max_violation = {_fmt(report.recursion_max_violation)}",
         f"domain_excursions = {int(traj.domain_excursions.sum())}",
-        f"max_step_norm = {_fmt(float(traj.max_step_norm.max()))}",
         f"outside_theory = {traj.outside_theory}",
         f"min_raw_regret = {_fmt(float(traj.min_raw_regret.min()))}",
         f"final_mean_regret = {_fmt(float(report.mean_regret[-1]))}",

@@ -69,29 +69,6 @@ def _widen(a: np.ndarray, runs: np.ndarray | None) -> np.ndarray:
     return a if runs is None else np.repeat(a, runs, axis=-1)
 
 
-def _step_bracket(runs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Weights W and slack A with s <= fl(q + A), q = vecdot(d * d, W).
-
-    s = vecdot(w, w) on the widened difference w (n entries, r_c copies of
-    compact column d_c) and S = sum r_c d_c^2.  With u = 2^-53,
-    eta = 2^-1074 and gamma_j = j u / (1 - j u), a float sum of j
-    products, in any order, with or without FMA, lies within gamma_j of the
-    exact sum plus j eta / 2 for underflow, so s <= (1 + gamma_n) S + n eta.
-    In q, fl(d_c^2) >= d_c^2 (1 - u) - eta / 2 and W_c = fl(r_c C) >=
-    r_c C (1 - u), so q >= (1 - gamma_{k+2}) C S - (n + k + 1) C eta / 2
-    and s <= rho q / C + rho (n + k + 1) eta / 2 + n eta, with
-    rho = (1 + gamma_n) / (1 - gamma_{k+2}).  Take N = n + k + 2,
-    C = 1 + 2 N u and A = 2 N eta (both exact): rho <= 1 + N u (1 + 2^-17)
-    while N u <= 2^-20, so rho / C <= 1 - u once N >= 3 (a compacted run
-    has N >= 5), and s <= (1 - u)(q + A) <= fl(q + A), rounding to
-    nearest.  A nan or inf q gives a bound that no comparison passes.
-    """
-    big = int(runs.sum()) + len(runs) + 2
-    if big > 2**33:  # N u <= 2^-20
-        raise ValueError(f"{big} columns are too many for the step-norm bracket")
-    return runs * (1.0 + big * 2.0**-52), big * 2.0**-1073
-
-
 def _check_regret(r: np.ndarray, tol: float, seed: int, trials: tuple[int, ...]) -> None:
     """Raise for the earliest column t of r = F_t(x_t) - f*_t, one row per
     trial, that holds a non-finite entry or one below -tol.
@@ -125,12 +102,12 @@ class RegretTrajectory:
     phi_tilde_t = |f_t(x_t) - f_{t-1}(x_t)|; column 0 has zero error and
     variability.  ||e_{t-1}|| is the norm GradientErrors.draw gives.
     Regret values in (-problem.fstar_tol, 0) are clipped to 0.
-    domain_excursions, max_step_norm and min_raw_regret hold one entry per
-    trial; theory_exceptions lists what no certificate covers.  x_last holds
-    the final iterates as run's loop left them, one column per entry of
-    runs where it compacted the problem, and x_final widens them to n
-    columns when it is read: a caller that never reads it never holds a
-    (trials, n) array.
+    domain_excursions and min_raw_regret hold one entry per trial;
+    theory_exceptions lists what no certificate covers.  x_last holds the
+    final iterates as run's loop left them, one column per entry of runs
+    where it compacted the problem, and x_final widens them to n columns
+    when it is read: a caller that never reads it never holds a (trials, n)
+    array.
     """
 
     regret: np.ndarray
@@ -139,7 +116,6 @@ class RegretTrajectory:
     x_last: np.ndarray
     theory_exceptions: list[str]
     domain_excursions: np.ndarray
-    max_step_norm: np.ndarray
     min_raw_regret: np.ndarray
     runs: np.ndarray | None = None
 
@@ -184,24 +160,19 @@ def run(
     x0 passed the ball check, and a later iterate is a clamp, |x_i| <= c_i,
     whose norm, summed in c's order, cannot exceed ||c||; the per-step ball
     count is skipped there.  An abort names the earliest t that failed; at
-    one t a non-finite iterate comes before a regret failure.  The loop
-    keeps each trial's largest squared step norm and takes its square root
-    once, after the loop: sqrt is monotone and correctly rounded, so that
-    is the largest step norm.  A non-finite squared norm, which any nan or
-    inf in x_{t+1} makes, starts the full finiteness scan.
+    one t a non-finite iterate comes before a regret failure.  The entries
+    of x_{t+1} are summed, and a non-finite sum, which any nan or inf among
+    them makes, starts the full finiteness scan.
 
     Where problem.compacted(x0) finds runs of coordinates that stay
     bit-identical (demand response: one per device class), the loop
     iterates its view, one column per run, and widens the iterate to n
-    columns with np.repeat only for the reductions: A x inside the view,
-    the ball count and the step norms that can raise a maximum.  Each
-    widened array is C-ordered like the full iterate and is dropped after
-    its reduction, so every output keeps its bits; the record widens
-    x_final only when it is read.  A step's squared norm is first bounded
-    from the compact columns (_step_bracket), and a row whose bound lies
-    strictly below its running maximum is not widened.  Elsewhere the loop
-    runs on the problem it was given, whose every oracle call a proxy then
-    sees.
+    columns with np.repeat only for the reductions: A x inside the view
+    and the ball count.  Each widened array is C-ordered like the full
+    iterate and is dropped after its reduction, so every output keeps its
+    bits; the record widens x_final only when it is read.  Elsewhere the
+    loop runs on the problem it was given, whose every oracle call a proxy
+    then sees.
     """
     trials = tuple(int(k) for k in trials)
     if not trials:
@@ -247,15 +218,10 @@ def run(
 
     x = np.tile(x, (len(trials), 1))
     # v, allocated once, takes the measured gradient and then the next
-    # iterate; the old iterate's memory takes the step difference and then
-    # the next gradient.  Batch-sized temporaries can sit above the
-    # allocator's mmap threshold, where every step would map and unmap them.
+    # iterate; the old iterate's memory takes the next gradient.
+    # Batch-sized temporaries can sit above the allocator's mmap threshold,
+    # where every step would map and unmap them.
     v = np.empty_like(x)
-    max_sq = np.zeros(len(trials))
-    if runs is not None:
-        weights, slack = _step_bracket(runs)
-        squares, bound = np.empty_like(x), np.empty(len(trials))
-        below = np.empty(len(trials), dtype=bool)
     for t in range(horizon + 1):
         # f_t(x_t), f_{t-1}(x_t) and, before the last iterate, the measured
         # gradient of step t into v
@@ -277,28 +243,18 @@ def run(
             break
 
         x_next = _descend(problem, x, v, step)
-        # x_t - x_{t+1}: negation is exact, so its norm is ||x_{t+1} - x_t||
-        d = np.subtract(x, x_next, out=x)
-        rows = slice(None)
-        if runs is not None:
-            # ties, nan and inf fail the test and take the exact sum
-            np.vecdot(np.square(d, out=squares), weights, out=bound)
-            bound += slack
-            rows = None if np.less(bound, max_sq, out=below).all() else np.flatnonzero(~below)
-        if rows is not None:
-            wide = _widen(d[rows], runs)
-            sq = np.vecdot(wide, wide)
-            del wide  # not held through the next step's A x widening
-            # x is finite, so a nan or inf in x_next makes its row's sum
-            # non-finite, and such a row is summed here; the scan runs only then
-            if not np.isfinite(sq).all():
-                bad = ~np.isfinite(x_next).all(axis=1)
-                if bad.any():
-                    _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
-                    raise RuntimeError(
-                        f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
-                    )
-            max_sq[rows] = np.maximum(max_sq[rows], sq)
+        # a nan or inf entry makes the sum non-finite, and so does a finite
+        # iterate whose sum overflows; the scan runs only then.  The compact
+        # columns are finite exactly when the widened ones are.  One scalar,
+        # not a sum per row: a fresh array at every step grows the process's
+        # peak resident memory.
+        if not np.isfinite(np.add.reduce(x_next, axis=None)):
+            bad = ~np.isfinite(x_next).all(axis=1)
+            if bad.any():
+                _check_regret(regret[:, : t + 1] - fstar[: t + 1], reg_tol, seed, trials)
+                raise RuntimeError(
+                    f"non-finite iterate at t={t + 1} (seed={seed}, trial={trials[np.argmax(bad)]})"
+                )
         x, v = x_next, x
 
     del noise  # spent: freed, it makes room for the buffers of the sums below
@@ -323,7 +279,6 @@ def run(
         x_last=x,
         theory_exceptions=exceptions,
         domain_excursions=excursions,
-        max_step_norm=np.sqrt(max_sq),
         min_raw_regret=min_raw,
         runs=runs,
     )

@@ -215,7 +215,7 @@ class TestRunCommand:
 
     def test_summary_diagnostics_reduce_the_trajectory(self, tmp_path):
         # a step of 2.1/L diverges in the ball's units but stays finite over
-        # 200 steps, so the excursion count and step norms are nonzero
+        # 200 steps, so the excursion count is nonzero
         from plgrad.cli import write_report
         from plgrad.harness import run_experiment
 
@@ -227,7 +227,6 @@ class TestRunCommand:
         stated = dict(line.split(" = ", 1) for line in text)
         traj = report.trajectory
         assert stated["domain_excursions"] == str(int(traj.domain_excursions.sum()))
-        assert stated["max_step_norm"] == "%.17g" % traj.max_step_norm.max()
         assert stated["min_raw_regret"] == "%.17g" % traj.min_raw_regret.min()
         assert stated["outside_theory"] == "True"
         assert int(stated["domain_excursions"]) > 0

@@ -444,17 +444,17 @@ class TestBattery:
         problem.regularizer = ShiftedBox("box", lo=reg.lo, hi=reg.hi)
         assert not _check_prox(problem, 42).passed
 
-    def test_prox_check_fails_on_a_none_prox_that_moves_v(self):
-        # negative control: g = 0 has the identity as its prox, so a prox
-        # that moves v by 1e-5 must fail the check of a smooth problem
-        class MovedIdentity(Regularizer):
+    def test_prox_check_without_a_regularizer_checks_nothing(self):
+        # g = 0 has the identity as its prox, and a grid centred on v finds
+        # v, so the check calls no prox and says that it checked nothing
+        class RefusedProx(Regularizer):
             def prox(self, step, v, out=None):
-                return np.asarray(v) + 1e-5
+                raise AssertionError("the prox check called the prox")
 
         problem = build_problem(small_config())
-        assert _check_prox(problem, 42).passed
-        problem.regularizer = MovedIdentity("none")
-        assert not _check_prox(problem, 42).passed
+        problem.regularizer = RefusedProx("none")
+        result = _check_prox(problem, 42)
+        assert result.passed and result.detail == "no regularizer: nothing checked"
 
     def test_iterates_leaving_the_ball_fail_theory_scope(self):
         cfg = small_config(trials=2, horizon=5)

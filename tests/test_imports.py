@@ -1,11 +1,11 @@
 """Every name a plgrad module imports is used in that module, no module
 imports scipy, which only the tests need, every top-level function and
 class has a consumer outside the tests of its own behaviour, so has every
-method and property (some consumer reads an attribute of its name), every
-name the package exports (some consumer reads it through `plgrad`) and every
-parameter default (some consumer's call sets it), no random generator is
-seeded through the per-process salted builtin hash, and only noise.stream
-builds one.
+method, property and record field (some consumer reads an attribute of its
+name), every name the package exports (some consumer reads it through
+`plgrad`) and every parameter default (some consumer's call sets it), no
+random generator is seeded through the per-process salted builtin hash,
+and only noise.stream builds one.
 
 `__init__` imports to re-export, so there a name may instead be listed in
 `plgrad.__all__`.
@@ -112,6 +112,28 @@ def test_every_top_level_definition_has_a_consumer():
     assert not unused, f"no consumer references {unused}"
 
 
+def attributes_read():
+    """Every attribute name some consumer reads, off any object."""
+    return {
+        node.attr
+        for tree in consumer_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+
+
+def class_members(kind):
+    """(key, name) of each member of kind in each top-level class of the
+    package, keyed "module.Class.name"."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, kind):
+                        name = node.name if kind is ast.FunctionDef else node.target.id
+                        yield f"{path.stem}.{cls.name}.{name}", name
+
+
 # methods and properties kept although only tests read them, each with its reason
 UNREAD_METHODS_KEPT = {
     # the reference minimizers the tests hold fstar and the solvers' fixed
@@ -127,22 +149,33 @@ def test_every_method_has_a_consumer():
     # the rule above, one level down: a method or property whose name no
     # consumer reads as an attribute is surface only its tests reach.
     # Dunders are read by the language, not by name
-    read = {
-        node.attr
-        for tree in consumer_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
+    read = attributes_read()
     unread = [
-        f"{path.stem}.{cls.name}.{node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for cls in ast.parse(path.read_text()).body
-        if isinstance(cls, ast.ClassDef)
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef)
-        and not (node.name.startswith("__") and node.name.endswith("__"))
-        and node.name not in read
-        and f"{path.stem}.{cls.name}.{node.name}" not in UNREAD_METHODS_KEPT
+        key
+        for key, name in class_members(ast.FunctionDef)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in read
+        and key not in UNREAD_METHODS_KEPT
+    ]
+    assert not unread, f"no consumer reads {unread}"
+
+
+# record fields kept although only tests read them, each with its reason
+UNREAD_FIELDS_KEPT = {
+    # the per-trial tail maxima whose median the report gives; the tests
+    # hold each one to zeta^50 r0
+    "harness.AsymptoteReport.tail_max",
+}
+
+
+def test_every_record_field_has_a_consumer():
+    # an annotated class field that no consumer reads is state a caller
+    # fills and nothing uses, or an echo of the caller's own argument
+    read = attributes_read()
+    unread = [
+        key
+        for key, name in class_members(ast.AnnAssign)
+        if name not in read and key not in UNREAD_FIELDS_KEPT
     ]
     assert not unread, f"no consumer reads {unread}"
 

@@ -10,11 +10,11 @@ so a run is deterministic and writes nothing.
 * Compaction cannot be seen: on one-row measured box problems of any
   device layout, `run`, which iterates one column per run of equal
   devices, gives every output with the bits of the n-column reference loop.
-* The certified step-norm maximum cannot be seen: with scripted noise
-  that makes zero steps, steps whose squares underflow, steps tied with
-  the running maximum and a row that turns nan at a drawn t, `run` gives
-  every output, or the abort message, of the loop that sums every widened
-  step.
+* A nan iterate on the compact columns is caught where it appears: with
+  scripted noise of zero, tiny and subnormal values, a nan at a drawn
+  (t, trial) aborts the compacted run naming that trial and t + 1, and a
+  run without one gives every output with the bits of the n-column
+  reference loop.
 * Scope soundness: wherever `theory_scope` passes, `recursion_pathwise`
   passes, over every family, both solvers where they apply and every noise
   family, with demand response on default, scalar and per-device bounds.
@@ -29,16 +29,17 @@ so a run is deterministic and writes nothing.
 """
 
 import math
+import re
 from unittest import mock
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import test_solvers
 from plgrad import noise as noise_mod
-from plgrad import solvers as solvers_mod
 from plgrad.bounds import SOLVERS
 from plgrad.config import make_config
 from plgrad.harness import _check_gradient, run_experiment, validate_bounds
@@ -69,7 +70,7 @@ def test_any_split_of_the_trials_gives_the_same_rows(family, split, seed):
     trials, bounds = split
     whole = run(problem, model, seed=seed, trials=trials)
     parts = [run(problem, model, seed=seed, trials=trials[a:b]) for a, b in zip(bounds, bounds[1:])]
-    for name in PER_TRIAL + ("domain_excursions", "max_step_norm"):
+    for name in PER_TRIAL + ("domain_excursions",):
         joined = np.concatenate([getattr(part, name) for part in parts])
         assert np.array_equal(joined, getattr(whole, name)), name
 
@@ -132,40 +133,31 @@ def test_compaction_cannot_be_seen_in_the_outputs(devices, split, horizon, shift
         assert np.array_equal(bits(joined), bits(expected)), name
 
 
-# scripted measurement noise: zero and repeated values give zero and tied
-# steps, 1e-160 and below give steps whose squares underflow
+# scripted measurement noise: zero, tiny and subnormal values
 ETAS = (0.0, 0.0, 1.0, -1.0, 3.0, 1e-160, -1e-160, 1e-170, 5e-324, 1e-300)
 
 
 @st.composite
 def scripted_run(draw):
-    """Two device classes, a box half-width, and a scripted noise block of
-    shape (horizon, trials) with at most one nan at a drawn (t, trial)."""
+    """Two device classes, a box half-width, a scripted noise block of
+    shape (horizon, trials) and, drawn or None, the (t, trial) of its one nan."""
     sizes = draw(st.tuples(st.integers(1, 5), st.integers(2, 5)))
     width = draw(st.sampled_from((1e-150, 1.0, 50.0)))
     horizon, trials = draw(st.integers(1, 20)), draw(st.integers(1, 4))
     etas = draw(st.lists(st.sampled_from(ETAS), min_size=horizon * trials,
                          max_size=horizon * trials))
     noise = np.array(etas).reshape(horizon, trials)
+    nan_at = None
     if draw(st.booleans()):
-        noise[draw(st.integers(0, horizon - 1)), draw(st.integers(0, trials - 1))] = np.nan
-    return sizes, width, noise
-
-
-def _outcome(problem, model, trials):
-    """Every output of run as bit patterns, or its abort message."""
-    try:
-        traj = run(problem, model, seed=0, trials=trials)
-    except RuntimeError as exc:
-        return str(exc)
-    names = PER_TRIAL + ("domain_excursions", "max_step_norm")
-    return {name: bits(getattr(traj, name)).tolist() for name in names}
+        nan_at = draw(st.integers(0, horizon - 1)), draw(st.integers(0, trials - 1))
+        noise[nan_at] = np.nan
+    return sizes, width, noise, nan_at
 
 
 @settings(derandomize=True, max_examples=80, deadline=1000, database=None)
 @given(case=scripted_run())
-def test_certified_step_maximum_cannot_be_seen(case):
-    (left, right), width, noise = case
+def test_a_nan_iterate_on_the_compact_columns_names_its_trial_and_step(case):
+    (left, right), width, noise, nan_at = case
     horizon, trials = noise.shape
     # b_t = 0; the classes differ in lo, so they compact to two columns
     lo = np.repeat([-width, -0.5 * width], [left, right])
@@ -180,17 +172,16 @@ def test_certified_step_maximum_cannot_be_seen(case):
     model = NoiseModel("gaussian_iid", scale=1.0)
     with mock.patch.object(noise_mod, "sample", scripted), \
             mock.patch.object(test_solvers, "sample", scripted):
-        got = _outcome(problem, model, range(trials))
-        # no row passes a bound of inf: every step takes the widened sum
-        with mock.patch.object(
-                solvers_mod, "_step_bracket", lambda runs: (runs * 0.0, np.inf)):
-            assert _outcome(problem, model, range(trials)) == got
-        if isinstance(got, str):
-            assert got.startswith("non-finite iterate at t=") and np.isnan(noise).any()
+        if nan_at is not None:
+            t, k = nan_at
+            message = f"non-finite iterate at t={t + 1} (seed=0, trial={k})"
+            with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+                run(problem, model, seed=0, trials=range(trials))
             return
+        traj = run(problem, model, seed=0, trials=range(trials))
         ref = reference_run(problem, model, 0, range(trials))
     for name, expected in ref.items():
-        assert got[name] == bits(expected).tolist(), name
+        assert np.array_equal(bits(getattr(traj, name)), bits(expected)), name
 
 
 @st.composite
