@@ -10,7 +10,7 @@ Every name not in `__all__` is imported from its module, as in
 `from plgrad.harness import AggregateReport`.
 """
 
-from .bounds import error_cost, expectation_bound
+from .bounds import expectation_bound, recursion
 from .config import build_noise, build_problem, make_config
 from .harness import run_experiment, validate_bounds
 from .noise import NoiseModel
@@ -24,10 +24,10 @@ __all__ = [
     "TimeVaryingLeastSquares",
     "build_noise",
     "build_problem",
-    "error_cost",
     "expectation_bound",
     "make_config",
     "prox_gradient_step",
+    "recursion",
     "run",
     "run_experiment",
     "validate_bounds",

@@ -4,12 +4,12 @@ Both methods obey one linear recursion in the regret,
 
     r_{t+1} <= zeta r_t + weight ||e_t||^power + psi_{t+1},
 
-with contraction zeta = 1 - mu/L.  They differ only in how the gradient
-error enters, and an ErrorCost record states that once per method:
-power 2, weight 1/(2L) for the gradient method (under PL) and power 1,
-weight 2D for the prox method (under proximal PL), D being the domain (or
-constraint-box) diameter.  error_cost maps a solver name in SOLVERS to its
-record, which is all the name picks: one kernel steps both methods.
+with contraction zeta = 1 - mu/L in [0, 1).  A Recursion record states it
+once per method, and gives a run's largest pathwise residual: power 2,
+weight 1/(2L) for the gradient method (under PL) and power 1, weight 2D for
+the prox method (under proximal PL), D being the domain (or constraint-box)
+diameter.  recursion maps a solver name in SOLVERS to its record, which is
+all the name picks: one kernel steps both methods.
 
 Every certificate is the geometric recursion
 
@@ -44,40 +44,55 @@ SOLVERS = ("ogd", "opgm")
 
 
 @dataclass(frozen=True)
-class ErrorCost:
-    """Per-step random cost weight * ||e||^power of one method's recursion."""
+class Recursion:
+    """r_{t+1} <= zeta r_t + weight ||e_t||^power + psi_{t+1} of one method."""
 
+    zeta: float
     power: int
     weight: float
 
     def __post_init__(self) -> None:
+        # zeta = 0 is mu = L, where B_{t+1} = c_{t+1}
+        if not 0.0 <= self.zeta < 1.0:
+            raise ValueError(f"contraction 1 - mu/L must lie in [0, 1), got {self.zeta}")
         if not (self.power > 0 and 0 < self.weight < np.inf):
             raise ValueError(f"power and weight must be positive and finite, got {self}")
 
+    def max_residual(self, regret, err, psi) -> float:
+        """Largest r_{t+1} - zeta r_t - weight ||e_t||^power - psi_{t+1} over
+        the trials (rows) and t, formed 8 rows at a time: every entry keeps
+        its bits, and no (trials, horizon) temporary is held."""
+        block_max = []
+        for lo in range(0, len(regret), 8):
+            rows = slice(lo, lo + 8)
+            resid = regret[rows, 1:] - self.zeta * regret[rows, :-1]
+            coef = err[rows, 1:] ** self.power
+            resid -= np.multiply(coef, self.weight, out=coef)
+            resid -= psi[rows, 1:]
+            block_max.append(resid.max())
+        return float(np.max(block_max))
 
-def error_cost(solver: str, smoothness: float, diameter: float) -> ErrorCost:
-    """The error cost of a solver: ogd -> (2, 1/(2L)), opgm -> (1, 2D).
 
-    Only the constant the solver uses is read, and it must be positive.
-    """
+def recursion(solver: str, smoothness: float, mu: float, diameter: float) -> Recursion:
+    """zeta = 1 - mu/L with a solver's error cost: ogd -> (2, 1/(2L)),
+    opgm -> (1, 2D).  L must be positive, and so must D for opgm."""
+    if not smoothness > 0:
+        raise ValueError(f"smoothness must be positive, got {smoothness}")
+    zeta = 1.0 - mu / smoothness
     if solver == "ogd":
-        if smoothness <= 0:
-            raise ValueError(f"smoothness must be positive, got {smoothness}")
-        return ErrorCost(2, 1.0 / (2.0 * smoothness))
+        return Recursion(zeta, 2, 1.0 / (2.0 * smoothness))
     if solver == "opgm":
         if diameter <= 0:
             raise ValueError(f"diameter must be positive, got {diameter}")
-        return ErrorCost(1, 2.0 * diameter)
+        return Recursion(zeta, 1, 2.0 * diameter)
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def geometric_recursion(r0: float, zeta: float, costs: np.ndarray) -> np.ndarray:
+def geometric_recursion(r0: float, rec: Recursion, costs: np.ndarray) -> np.ndarray:
     """B_0 = r0; B_{t+1} = zeta B_t + costs[t].  Length len(costs) + 1."""
-    # zeta = 0 is mu = L, where B_{t+1} = c_{t+1}
-    if not 0.0 <= zeta < 1.0:
-        raise ValueError(f"contraction factor must lie in [0, 1), got {zeta}")
     if not 0 <= r0 < np.inf:
         raise ValueError(f"r0 must be finite and nonnegative, got {r0}")
+    zeta = rec.zeta
     # Python floats take the same IEEE operations in the same order as
     # float64 scalars, without numpy's per-element dispatch
     acc = float(r0)
@@ -123,21 +138,20 @@ def highprob_factor(power: int, theta: float, delta: float) -> float:
 
 
 @np.errstate(over="ignore")
-def expectation_bound(r0: float, zeta: float, cost: ErrorCost, moments, psi) -> np.ndarray:
+def expectation_bound(r0: float, rec: Recursion, moments, psi) -> np.ndarray:
     """Expected-regret certificate, t = 0..T.
 
     moments[i] = E||e_i||^power for i = 0..T-1; psi[i] is the variability
     entering between times i and i+1.
     """
     moments, psi = _cost_inputs(moments, "moments", psi)
-    return _finite(geometric_recursion(r0, zeta, cost.weight * moments + psi))
+    return _finite(geometric_recursion(r0, rec, rec.weight * moments + psi))
 
 
 @np.errstate(over="ignore")
 def highprob_bound(
     r0: float,
-    zeta: float,
-    cost: ErrorCost,
+    rec: Recursion,
     envelope_ks,
     psi,
     theta: float,
@@ -153,13 +167,13 @@ def highprob_bound(
     """
     ks, psi = _cost_inputs(envelope_ks, "envelope_ks", psi)
     unit = subweibull.SubWeibullParams(theta, 1.0)
-    scale = cost.weight * subweibull.power(unit, cost.power).k
-    costs = scale * ks**cost.power + psi
-    return _finite(highprob_factor(cost.power, theta, delta) * geometric_recursion(r0, zeta, costs))
+    scale = rec.weight * subweibull.power(unit, rec.power).k
+    costs = scale * ks**rec.power + psi
+    return _finite(highprob_factor(rec.power, theta, delta) * geometric_recursion(r0, rec, costs))
 
 
 def asymptote(
-    mu: float, smoothness: float, cost: ErrorCost, e_bar: float, psi_bar: float
+    mu: float, smoothness: float, rec: Recursion, e_bar: float, psi_bar: float
 ) -> float:
     """Long-run cap (L/mu)(weight e_bar + psi_bar), e_bar = sup E||e||^power.
 
@@ -171,7 +185,7 @@ def asymptote(
         raise ValueError("mu and smoothness must be positive")
     if not (0 <= e_bar < np.inf and 0 <= psi_bar < np.inf):
         raise ValueError("e_bar and psi_bar must be finite and nonnegative")
-    cap = (smoothness / mu) * (cost.weight * e_bar + psi_bar)
+    cap = (smoothness / mu) * (rec.weight * e_bar + psi_bar)
     if not cap < np.inf:
         raise ValueError(f"the long-run cap is {cap}, not finite")
     return cap
@@ -207,15 +221,15 @@ class Certificate:
         return self.kind if self.level is None else f"{self.kind}_{self.level:g}"
 
 
-def certificates(r0, zeta, cost: ErrorCost, psi, theta, deltas, inputs: dict) -> list:
+def certificates(r0, rec: Recursion, psi, theta, deltas, inputs: dict) -> list:
     """Every certificate series, uncounted, of each input mode in the order
     of `inputs`, which maps a mode to its per-step (moments, envelope_ks)."""
     out = []
     for mode, (moments, envelope_ks) in inputs.items():
-        expectation = expectation_bound(r0, zeta, cost, moments, psi)
+        expectation = expectation_bound(r0, rec, moments, psi)
         out.append(Certificate("expectation", mode, None, expectation))
         for delta in deltas:
-            hp = highprob_bound(r0, zeta, cost, envelope_ks, psi, theta, delta)
+            hp = highprob_bound(r0, rec, envelope_ks, psi, theta, delta)
             out.append(Certificate("highprob", mode, delta, hp))
             markov = markov_highprob_bound(expectation, delta)
             out.append(Certificate("markov", mode, delta, markov))

@@ -100,7 +100,7 @@ def write_report(report: AggregateReport, out_dir: Path) -> list[Path]:
         f"bound_inputs = {cfg.bound_inputs}",
         f"smoothness = {_fmt(problem.smoothness)}",
         f"pl_constant = {_fmt(problem.pl_constant)}",
-        f"zeta = {_fmt(report.zeta)}",
+        f"zeta = {_fmt(report.recursion.zeta)}",
         f"diameter = {_fmt(problem.diameter)}",
         f"r0 = {_fmt(report.r0)}",
         f"fstar_exact = {problem.fstar_exact}",
@@ -197,24 +197,23 @@ def _bound_lines(args: argparse.Namespace) -> list[str]:
     lines = [f"hp_bound = {_fmt(hp_bound(env, args.delta))}"]
     # the factor reads only the record's power, which no constant changes
     for name, solver in (("h", "ogd"), ("h_p", "opgm")):
-        power = bounds_mod.error_cost(solver, 1.0, 1.0).power
+        power = bounds_mod.recursion(solver, 1.0, 1.0, 1.0).power
         lines.append(f"{name} = {_fmt(bounds_mod.highprob_factor(power, args.theta, args.delta))}")
 
-    zeta = None
+    ogd = None
     if args.mu is not None:  # and so --l, by _READ_WITH
         if not 0 < args.mu <= args.l < np.inf:
             raise ConfigError("need 0 < mu <= l < inf")
-        zeta = 1.0 - args.mu / args.l
-        lines.append(f"zeta = {_fmt(zeta)}")
+        ogd = bounds_mod.recursion("ogd", args.l, args.mu, args.diameter)
+        lines.append(f"zeta = {_fmt(ogd.zeta)}")
         if args.e_bar is not None:
             psi_bar = args.psi_bar if args.psi_bar is not None else 0.0
             # the gradient method's cap; --e-bar is sup E||e||^2
-            ogd = bounds_mod.error_cost("ogd", args.l, args.diameter)
             value = bounds_mod.asymptote(args.mu, args.l, ogd, args.e_bar, psi_bar)
             lines.append(f"asymptote_ogd = {_fmt(value)}")
 
     if args.horizon is not None:
-        if zeta is None:
+        if ogd is None:
             raise ConfigError("a bound series needs --mu and --l")
         if args.r0 is None:
             raise ConfigError("a bound series needs --r0")
@@ -225,8 +224,8 @@ def _bound_lines(args: argparse.Namespace) -> list[str]:
         solvers = ("ogd", "opgm") if args.diameter is not None else ("ogd",)
         series = []
         for solver in solvers:
-            cost = bounds_mod.error_cost(solver, args.l, args.diameter)
-            bound = bounds_mod.highprob_bound(args.r0, zeta, cost, ks, psi, args.theta, args.delta)
+            rec = bounds_mod.recursion(solver, args.l, args.mu, args.diameter)
+            bound = bounds_mod.highprob_bound(args.r0, rec, ks, psi, args.theta, args.delta)
             series.append((f"{solver}_highprob", bound))
         lines.append("t," + ",".join(name for name, _ in series))
         for t in range(args.horizon + 1):

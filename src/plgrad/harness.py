@@ -44,7 +44,7 @@ class AggregateReport:
     problem: OnlineProblem
     trajectory: RegretTrajectory
     r0: float                    # mean regret at t = 0
-    zeta: float                  # contraction 1 - mu / L
+    recursion: bounds_mod.Recursion  # contraction and error cost of the solver
     mean_regret: np.ndarray
     std_regret: np.ndarray
     certificates: list           # every bounds.Certificate, the configured mode first
@@ -84,27 +84,24 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     model = build_noise(config)
     x0 = initial_point(config, problem)
     horizon = config.horizon
-    zeta = 1.0 - problem.pl_constant / problem.smoothness
-    if not 0.0 <= zeta < 1.0:
-        raise ConfigError(f"contraction 1 - mu/L must lie in [0, 1), got {zeta}")
-    # the solver name picks only the error cost; its power picks the moment
-    # E||e||^2 or E||e|| that every input mode takes
-    cost = bounds_mod.error_cost(config.solver, problem.smoothness, problem.diameter)
-    cap = partial(bounds_mod.asymptote, problem.pl_constant, problem.smoothness, cost)
+    # refused before any trial runs: a contraction outside [0, 1), a model
+    # without finite closed forms of the moment E||e||^power the solver's
+    # cost takes, or a level delta whose high-probability factor overflows
+    try:
+        rec = bounds_mod.recursion(
+            config.solver, problem.smoothness, problem.pl_constant, problem.diameter
+        )
+        analytic = noise_mod.GradientErrors(problem, model).analytic(horizon, rec.power)
+        for delta in config.deltas:
+            bounds_mod.highprob_factor(rec.power, model.theta, delta)
+    except (OverflowError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+    cap = partial(bounds_mod.asymptote, problem.pl_constant, problem.smoothness, rec)
     if config.psi_bar is not None:  # a cap that overflows at e_bar = 0 always does
         try:
             cap(0.0, config.psi_bar)
         except ValueError as exc:
             raise ConfigError(f"psi_bar = {config.psi_bar:g}: {exc}") from exc
-    # both input modes' series are always formed: a model without finite
-    # closed forms, or a level delta without a finite high-probability
-    # factor (2/delta overflows), is refused here, before any trial runs
-    try:
-        analytic = noise_mod.GradientErrors(problem, model).analytic(horizon, cost.power)
-        for delta in config.deltas:
-            bounds_mod.highprob_factor(cost.power, model.theta, delta)
-    except (OverflowError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
     traj = run(problem, model, horizon, x0, config.seed, range(config.trials), config.step_override)
     regret = traj.regret
@@ -114,7 +111,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     r0 = float(mean_regret[0])
 
     # measured per-step inputs (trajectory-variability variant)
-    mean_err_moment = (err[:, 1:] ** cost.power).mean(axis=0)
+    mean_err_moment = (err[:, 1:] ** rec.power).mean(axis=0)
     theta = model.theta
     # column t+1 holds ||e_t||, which the envelope c_t K scales
     c = noise_mod.time_scales(model, horizon)
@@ -129,9 +126,7 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         }
         inputs = dict(sorted(inputs.items(), key=lambda item: item[0] != config.bound_inputs))
         # variability has no a-priori form: both modes use its mean
-        certificates = bounds_mod.certificates(
-            r0, zeta, cost, mean_psi, theta, config.deltas, inputs
-        )
+        certificates = bounds_mod.certificates(r0, rec, mean_psi, theta, config.deltas, inputs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     moments_used, envelope_k_used = inputs[config.bound_inputs]
@@ -146,19 +141,6 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         psi_bar, psi_src = float(np.max(mean_psi)), "empirical sup"
     asymptote_value = cap(e_bar, psi_bar)
 
-    # pathwise recursion residuals (positive = violation), a block of rows
-    # at a time: every entry keeps its bits, and no (trials, horizon)
-    # temporary is held
-    block_max = []
-    for lo in range(0, len(regret), 8):
-        rows = slice(lo, lo + 8)
-        resid = regret[rows, 1:] - zeta * regret[rows, :-1]
-        coef = err[rows, 1:] ** cost.power
-        resid -= np.multiply(coef, cost.weight, out=coef)
-        resid -= traj.psi_tilde[rows, 1:]
-        block_max.append(resid.max())
-    recursion_max = float(np.max(block_max))
-
     # per configured series and per t >= 1, the trials whose regret exceeds
     # it.  t = 0 stays 0: each series starts at r0, a mean of R equal floats
     # that may round below them
@@ -166,13 +148,14 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
         if cert.mode == config.bound_inputs:
             cert.counts = np.concatenate(([0], (regret[:, 1:] > cert.series[1:]).sum(axis=0)))
     checkpoints = tuple(sorted({max(1, horizon // 4), max(1, horizon // 2), horizon}))
+    recursion_max = rec.max_residual(regret, err, traj.psi_tilde)
 
     return AggregateReport(
         config=config,
         problem=problem,
         trajectory=traj,
         r0=r0,
-        zeta=zeta,
+        recursion=rec,
         mean_regret=mean_regret,
         std_regret=std_regret,
         certificates=certificates,

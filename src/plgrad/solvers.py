@@ -7,7 +7,7 @@ step size 1/L using the inexact gradient v_t = grad f_t(x_t) + e_t:
 
 The gradient method is the case g_t = 0, where the prox is the identity, so
 one kernel runs both: the method's name picks only the certificate, through
-bounds.error_cost, and config.build_problem refuses ogd on a regularized
+bounds.recursion, and config.build_problem refuses ogd on a regularized
 problem.
 
 `run` drives a full horizon for a batch of trials at once: the iterates of

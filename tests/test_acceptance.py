@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from plgrad.bounds import error_cost, expectation_bound
+from plgrad.bounds import expectation_bound, recursion
 from plgrad.cli import main as cli_main
 from plgrad.config import make_config
 from plgrad.harness import coverage_envelope, longrun_asymptote_check, run_experiment
@@ -84,9 +84,10 @@ def test_criterion_02_expectation_dominance_and_plateau(fig1_report):
     report = fig1_report
     bound = report.configured("expectation")[0].series
     problem = report.problem
-    cost = error_cost("ogd", problem.smoothness, problem.diameter)
+    rec = recursion("ogd", problem.smoothness, problem.pl_constant, problem.diameter)
+    assert report.recursion == rec
     direct = expectation_bound(
-        report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
+        report.r0, report.recursion, report.mean_err_moment, report.mean_psi
     )
     assert np.array_equal(bound, direct)
     slack = 1e-12 * (1.0 + bound)
@@ -179,9 +180,10 @@ def test_criterion_06_demand_response_dominance(demand_response_report):
     report = demand_response_report
     bound = report.configured("expectation")[0].series
     problem = report.problem
-    cost = error_cost("opgm", problem.smoothness, problem.diameter)
+    rec = recursion("opgm", problem.smoothness, problem.pl_constant, problem.diameter)
+    assert report.recursion == rec
     direct = expectation_bound(
-        report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
+        report.r0, report.recursion, report.mean_err_moment, report.mean_psi
     )
     assert np.array_equal(bound, direct)
     assert np.all(report.mean_regret <= bound + 1e-12 * (1.0 + bound))

@@ -6,24 +6,29 @@ import numpy as np
 import pytest
 
 from plgrad.bounds import (
-    ErrorCost,
+    Recursion,
     asymptote,
-    error_cost,
     expectation_bound,
     geometric_recursion,
     highprob_bound,
     highprob_factor,
     markov_highprob_bound,
+    recursion,
 )
 from plgrad.subweibull import SubWeibullParams, hp_bound
 
 
-def ogd(smoothness):
-    return error_cost("ogd", smoothness, None)
+def ogd(zeta, smoothness):
+    return Recursion(zeta, 2, 1.0 / (2.0 * smoothness))
 
 
-def opgm(diameter):
-    return error_cost("opgm", None, diameter)
+def opgm(zeta, diameter):
+    return Recursion(zeta, 1, 2.0 * diameter)
+
+
+def contraction(zeta):
+    """A record that only geometric_recursion reads: its zeta alone."""
+    return Recursion(zeta, 1, 1.0)
 
 
 def direct_sum(r0, zeta, costs):
@@ -45,7 +50,7 @@ class TestGeometricBackbone:
             zeta = rng.uniform(0.05, 0.99)
             r0 = rng.uniform(0.0, 10.0)
             costs = rng.uniform(0.0, 2.0, size=1000)
-            rec = geometric_recursion(r0, zeta, costs)
+            rec = geometric_recursion(r0, contraction(zeta), costs)
             np.testing.assert_allclose(rec, direct_sum(r0, zeta, costs), rtol=1e-12)
 
     def test_bits_of_the_float64_loop(self):
@@ -59,25 +64,43 @@ class TestGeometricBackbone:
             for t, c in enumerate(costs):
                 acc = zeta * acc + c
                 expected[t + 1] = acc
-            assert geometric_recursion(3.7, zeta, costs).tobytes() == expected.tobytes()
+            series = geometric_recursion(3.7, contraction(zeta), costs)
+            assert series.tobytes() == expected.tobytes()
 
     def test_zero_costs_decay_geometrically(self):
-        values = geometric_recursion(2.0, 0.9, np.zeros(100))
+        values = geometric_recursion(2.0, contraction(0.9), np.zeros(100))
         np.testing.assert_allclose(values, 2.0 * 0.9 ** np.arange(101), rtol=1e-12)
 
     def test_constant_costs_reach_geometric_limit(self):
         # m/(2L) + p over 1 - zeta; frozen at 0.05 for the worked numbers
-        series = expectation_bound(1.0, 0.9, ogd(1.0), np.full(2000, 0.01), np.zeros(2000))
+        series = expectation_bound(1.0, ogd(0.9, 1.0), np.full(2000, 0.01), np.zeros(2000))
         assert series[-1] == pytest.approx(0.05, rel=1e-9)
 
     def test_zeta_validation(self):
-        with pytest.raises(ValueError):
-            geometric_recursion(1.0, 1.0, np.zeros(3))
+        # the record holds zeta to [0, 1) (TestContraction), and its end
         # zeta = 0 (mu = L) forgets the past: B_{t+1} = c_{t+1}
         costs = np.array([0.5, 2.0, 0.25])
-        np.testing.assert_array_equal(geometric_recursion(1.0, 0.0, costs), [1.0, 0.5, 2.0, 0.25])
+        series = geometric_recursion(1.0, contraction(0.0), costs)
+        np.testing.assert_array_equal(series, [1.0, 0.5, 2.0, 0.25])
         with pytest.raises(ValueError):
-            geometric_recursion(-1.0, 0.5, np.zeros(3))
+            geometric_recursion(-1.0, contraction(0.5), np.zeros(3))
+
+
+class TestContraction:
+    """The record is the one place that holds zeta to [0, 1)."""
+
+    @pytest.mark.parametrize("zeta", [1.0, 1.5, -0.1, math.nan])
+    def test_record_rejects_zeta_outside_range(self, zeta):
+        # with the message `plgrad run` gives
+        with pytest.raises(ValueError, match=r"contraction 1 - mu/L must lie in \[0, 1\)"):
+            Recursion(zeta, 2, 1.0)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, 2.0, 1e-300, math.nan])
+    def test_constructor_rejects_mu_outside_range(self, mu):
+        # 1 - 1e-300 rounds to 1
+        for solver in ("ogd", "opgm"):
+            with pytest.raises(ValueError, match="contraction 1 - mu/L must lie in"):
+                recursion(solver, 1.0, mu, 1.0)
 
 
 class TestFactors:
@@ -101,7 +124,7 @@ class TestFactors:
 class TestGradientMethodBounds:
     def test_noiseless_highprob_is_scaled_geometric(self):
         series = highprob_bound(
-            1.0, 0.9, ogd(1.0), np.zeros(50), np.zeros(50), theta=0.5, delta=0.1
+            1.0, ogd(0.9, 1.0), np.zeros(50), np.zeros(50), theta=0.5, delta=0.1
         )
         h = highprob_factor(2, 0.5, 0.1)
         np.testing.assert_allclose(series, h * 0.9 ** np.arange(51), rtol=1e-12)
@@ -111,7 +134,7 @@ class TestGradientMethodBounds:
         ks = rng.uniform(0.0, 1.0, size=200)
         psi = rng.uniform(0.0, 0.5, size=200)
         theta, delta, l = 0.75, 0.05, 2.0
-        series = highprob_bound(0.3, 0.8, ogd(l), ks, psi, theta, delta)
+        series = highprob_bound(0.3, ogd(0.8, l), ks, psi, theta, delta)
         costs = (4.0**theta / (2 * l)) * ks**2 + psi
         oracle = highprob_factor(2, theta, delta) * direct_sum(0.3, 0.8, costs)
         np.testing.assert_allclose(series, oracle, rtol=1e-12)
@@ -121,7 +144,7 @@ class TestGradientMethodBounds:
         psi = np.zeros(20)
         prev = None
         for delta in (0.01, 0.05, 0.1, 0.5, 0.9):
-            series = highprob_bound(1.0, 0.9, ogd(1.0), ks, psi, 0.5, delta)
+            series = highprob_bound(1.0, ogd(0.9, 1.0), ks, psi, 0.5, delta)
             if prev is not None:
                 assert np.all(prev >= series)
             prev = series
@@ -129,58 +152,58 @@ class TestGradientMethodBounds:
 
 class TestProxMethodBounds:
     def test_noiseless_is_geometric(self):
-        series = expectation_bound(2.0, 0.95, opgm(5.0), np.zeros(40), np.zeros(40))
+        series = expectation_bound(2.0, opgm(0.95, 5.0), np.zeros(40), np.zeros(40))
         np.testing.assert_allclose(series, 2.0 * 0.95 ** np.arange(41), rtol=1e-12)
 
     def test_constant_error_limit(self):
         # 2 D m_bar / (1 - zeta)
-        series = expectation_bound(0.0, 0.9, opgm(3.0), np.full(3000, 0.2), np.zeros(3000))
+        series = expectation_bound(0.0, opgm(0.9, 3.0), np.full(3000, 0.2), np.zeros(3000))
         assert series[-1] == pytest.approx(2 * 3.0 * 0.2 / 0.1, rel=1e-9)
 
     def test_highprob_matches_direct_sum(self):
         rng = np.random.default_rng(11)
         ks = rng.uniform(0.0, 1.0, size=150)
         psi = rng.uniform(0.0, 0.3, size=150)
-        series = highprob_bound(1.0, 0.85, opgm(4.0), ks, psi, 1.0, 0.1)
+        series = highprob_bound(1.0, opgm(0.85, 4.0), ks, psi, 1.0, 0.1)
         costs = 2 * 4.0 * ks + psi
         oracle = highprob_factor(1, 1.0, 0.1) * direct_sum(1.0, 0.85, costs)
         np.testing.assert_allclose(series, oracle, rtol=1e-12)
 
     def test_diameter_validation(self):
         with pytest.raises(ValueError):
-            expectation_bound(1.0, 0.9, opgm(0.0), np.zeros(5), np.zeros(5))
+            expectation_bound(1.0, opgm(0.9, 0.0), np.zeros(5), np.zeros(5))
 
 
 class TestAsymptote:
     def test_exact_convergence_case(self):
-        assert asymptote(0.5, 1.0, ogd(1.0), 0.0, 0.0) == 0.0
+        assert asymptote(0.5, 1.0, ogd(0.5, 1.0), 0.0, 0.0) == 0.0
 
     def test_worked_value(self):
-        assert asymptote(0.1, 1.0, ogd(1.0), 0.01, 0.0) == pytest.approx(0.05, rel=1e-12)
+        assert asymptote(0.1, 1.0, ogd(0.9, 1.0), 0.01, 0.0) == pytest.approx(0.05, rel=1e-12)
 
     def test_linear_in_error_level(self):
-        base = asymptote(0.2, 1.0, ogd(1.0), 0.04, 0.0)
-        assert asymptote(0.2, 1.0, ogd(1.0), 0.08, 0.0) == pytest.approx(2 * base, rel=1e-12)
+        base = asymptote(0.2, 1.0, ogd(0.8, 1.0), 0.04, 0.0)
+        assert asymptote(0.2, 1.0, ogd(0.8, 1.0), 0.08, 0.0) == pytest.approx(2 * base, rel=1e-12)
 
     def test_variability_term(self):
-        assert asymptote(0.1, 1.0, ogd(1.0), 0.0, 0.3) == pytest.approx(3.0, rel=1e-12)
+        assert asymptote(0.1, 1.0, ogd(0.9, 1.0), 0.0, 0.3) == pytest.approx(3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("cost", [ogd(2.0), opgm(3.0)], ids=["ogd", "opgm"])
-    def test_fixed_point_of_the_expectation_recursion(self, cost):
+    @pytest.mark.parametrize("rec", [ogd(0.75, 2.0), opgm(0.75, 3.0)], ids=["ogd", "opgm"])
+    def test_fixed_point_of_the_expectation_recursion(self, rec):
         # mu = 0.5, L = 2: zeta = 0.75, and 400 steps leave 0.75^400 of r0
-        series = expectation_bound(1.0, 0.75, cost, np.full(400, 0.2), np.full(400, 0.1))
-        assert asymptote(0.5, 2.0, cost, 0.2, 0.1) == pytest.approx(series[-1], rel=1e-12)
+        series = expectation_bound(1.0, rec, np.full(400, 0.2), np.full(400, 0.1))
+        assert asymptote(0.5, 2.0, rec, 0.2, 0.1) == pytest.approx(series[-1], rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            asymptote(0.0, 1.0, ogd(1.0), 0.1, 0.0)
+            asymptote(0.0, 1.0, ogd(0.9, 1.0), 0.1, 0.0)
         with pytest.raises(ValueError):
-            asymptote(0.1, 1.0, ogd(1.0), -0.1, 0.0)
+            asymptote(0.1, 1.0, ogd(0.9, 1.0), -0.1, 0.0)
 
     def test_cap_that_overflows_a_float_raises(self):
         # finite inputs, but (L/mu) psi_bar = 10 * 1e308 is inf
         with pytest.raises(ValueError, match="not finite"):
-            asymptote(0.1, 1.0, ogd(1.0), 0.0, 1e308)
+            asymptote(0.1, 1.0, ogd(0.9, 1.0), 0.0, 1e308)
 
 
 class TestOverflow:
@@ -190,11 +213,11 @@ class TestOverflow:
     def test_highprob_whose_squared_scale_overflows(self):
         ks = np.array([1.0, 1e200])
         with pytest.raises(ValueError, match="overflows a float"):
-            highprob_bound(1.0, 0.9, ogd(1.0), ks, np.zeros(2), 0.5, 0.05)
+            highprob_bound(1.0, ogd(0.9, 1.0), ks, np.zeros(2), 0.5, 0.05)
 
     def test_expectation_whose_costs_overflow(self):
         with pytest.raises(ValueError, match="overflows a float"):
-            expectation_bound(1.0, 0.9, opgm(10.0), np.full(3, 1e308), np.zeros(3))
+            expectation_bound(1.0, opgm(0.9, 10.0), np.full(3, 1e308), np.zeros(3))
 
     def test_markov_whose_quotient_overflows(self):
         # 1.5 / delta is finite at delta = 1e-308, but 10 / delta is not
@@ -204,39 +227,42 @@ class TestOverflow:
 
 
 class TestErrorCost:
+    """The error cost (power, weight) each solver's Recursion carries, and
+    the constants it is formed from; zeta's range is TestContraction's."""
+
     def test_each_solver_has_its_stated_record(self):
-        assert error_cost("ogd", 4.0, None) == ErrorCost(power=2, weight=1.0 / 8.0)
-        assert error_cost("opgm", None, 3.0) == ErrorCost(power=1, weight=6.0)
-        # only the constant the solver uses is read
-        assert error_cost("ogd", 4.0, 0.0) == error_cost("ogd", 4.0, 7.0)
-        assert error_cost("opgm", 0.0, 3.0) == error_cost("opgm", -1.0, 3.0)
+        assert recursion("ogd", 4.0, 1.0, None) == Recursion(zeta=0.75, power=2, weight=1.0 / 8.0)
+        assert recursion("opgm", 4.0, 1.0, 3.0) == Recursion(zeta=0.75, power=1, weight=6.0)
+        # the gradient method reads no diameter
+        assert recursion("ogd", 4.0, 1.0, 0.0) == recursion("ogd", 4.0, 1.0, 7.0)
 
     @pytest.mark.parametrize(
         "solver,smoothness,diameter",
-        [("ogd", 0.0, 1.0), ("ogd", -1.0, 1.0), ("opgm", 1.0, 0.0), ("opgm", 1.0, -2.0)],
+        [("ogd", 0.0, 1.0), ("ogd", -1.0, 1.0), ("opgm", 1.0, 0.0), ("opgm", 1.0, -2.0),
+         ("opgm", 0.0, 1.0)],
     )
     def test_non_positive_constant_rejected(self, solver, smoothness, diameter):
         with pytest.raises(ValueError, match="must be positive"):
-            error_cost(solver, smoothness, diameter)
+            recursion(solver, smoothness, 0.5, diameter)
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
-            error_cost("sgd", 1.0, 1.0)
+            recursion("sgd", 1.0, 0.5, 1.0)
 
     def test_record_rejects_non_positive_fields(self):
-        for power, weight in [(0, 1.0), (2, 0.0), (1, -1.0)]:
-            with pytest.raises(ValueError):
-                ErrorCost(power, weight)
+        for power, weight in [(0, 1.0), (2, 0.0), (1, -1.0), (1, math.inf)]:
+            with pytest.raises(ValueError, match="power and weight"):
+                Recursion(0.5, power, weight)
 
 
 class TestMarkovComparison:
     def test_half_delta_doubles(self):
-        exp = expectation_bound(1.0, 0.9, ogd(1.0), np.full(10, 0.1), np.zeros(10))
+        exp = expectation_bound(1.0, ogd(0.9, 1.0), np.full(10, 0.1), np.zeros(10))
         markov = markov_highprob_bound(exp, 0.5)
         np.testing.assert_allclose(markov, 2 * exp, rtol=1e-15)
 
     def test_delta_near_one_changes_nothing(self):
-        exp = expectation_bound(1.0, 0.9, ogd(1.0), np.full(10, 0.1), np.zeros(10))
+        exp = expectation_bound(1.0, ogd(0.9, 1.0), np.full(10, 0.1), np.zeros(10))
         markov = markov_highprob_bound(exp, 1.0 - 1e-12)
         np.testing.assert_allclose(markov, exp, rtol=1e-9)
 
@@ -250,17 +276,17 @@ class TestMarkovComparison:
 class TestInputValidation:
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            expectation_bound(1.0, 0.9, ogd(1.0), np.array([-0.1]), np.zeros(1))
+            expectation_bound(1.0, ogd(0.9, 1.0), np.array([-0.1]), np.zeros(1))
         with pytest.raises(ValueError):
-            highprob_bound(1.0, 0.9, ogd(1.0), np.zeros(5), np.zeros(5), 0.5, 1.5)
+            highprob_bound(1.0, ogd(0.9, 1.0), np.zeros(5), np.zeros(5), 0.5, 1.5)
 
     def test_series_are_plain_arrays_of_length_t_plus_one(self):
         ks, psi = np.full(7, 0.2), np.zeros(7)
         for series in (
-            expectation_bound(1.0, 0.9, ogd(1.0), ks, psi),
-            highprob_bound(1.0, 0.9, ogd(1.0), ks, psi, 0.5, 0.1),
-            expectation_bound(1.0, 0.9, opgm(2.0), ks, psi),
-            highprob_bound(1.0, 0.9, opgm(2.0), ks, psi, 0.5, 0.1),
+            expectation_bound(1.0, ogd(0.9, 1.0), ks, psi),
+            highprob_bound(1.0, ogd(0.9, 1.0), ks, psi, 0.5, 0.1),
+            expectation_bound(1.0, opgm(0.9, 2.0), ks, psi),
+            highprob_bound(1.0, opgm(0.9, 2.0), ks, psi, 0.5, 0.1),
             markov_highprob_bound(np.ones(8), 0.1),
         ):
             assert type(series) is np.ndarray and series.shape == (8,)
@@ -268,21 +294,16 @@ class TestInputValidation:
     def test_each_series_keeps_its_checks(self):
         ks = np.zeros(4)
         bad_calls = [
-            # non-positive smoothness or diameter
-            lambda: expectation_bound(1.0, 0.9, ogd(0.0), ks, ks),
-            lambda: highprob_bound(1.0, 0.9, ogd(-1.0), ks, ks, 0.5, 0.1),
-            lambda: highprob_bound(1.0, 0.9, opgm(0.0), ks, ks, 0.5, 0.1),
-            # zeta outside [0, 1), negative r0
-            lambda: expectation_bound(1.0, 1.0, opgm(2.0), ks, ks),
-            lambda: highprob_bound(-1.0, 0.9, ogd(1.0), ks, ks, 0.5, 0.1),
+            # negative r0; the record's own checks are TestRecursion's
+            lambda: highprob_bound(-1.0, ogd(0.9, 1.0), ks, ks, 0.5, 0.1),
             # delta outside (0, 1)
-            lambda: highprob_bound(1.0, 0.9, opgm(2.0), ks, ks, 0.5, 0.0),
+            lambda: highprob_bound(1.0, opgm(0.9, 2.0), ks, ks, 0.5, 0.0),
             lambda: markov_highprob_bound(np.ones(5), 1.0),
             # negative costs, psi of another length, a scalar statistic
-            lambda: highprob_bound(1.0, 0.9, opgm(2.0), -np.ones(4), ks, 0.5, 0.1),
-            lambda: expectation_bound(1.0, 0.9, ogd(1.0), ks, -np.ones(4)),
-            lambda: expectation_bound(1.0, 0.9, opgm(2.0), ks, np.zeros(5)),
-            lambda: expectation_bound(1.0, 0.9, ogd(1.0), 0.1, 0.0),
+            lambda: highprob_bound(1.0, opgm(0.9, 2.0), -np.ones(4), ks, 0.5, 0.1),
+            lambda: expectation_bound(1.0, ogd(0.9, 1.0), ks, -np.ones(4)),
+            lambda: expectation_bound(1.0, opgm(0.9, 2.0), ks, np.zeros(5)),
+            lambda: expectation_bound(1.0, ogd(0.9, 1.0), 0.1, 0.0),
         ]
         for call in bad_calls:
             with pytest.raises(ValueError):

@@ -443,8 +443,8 @@ class TestCertificateColumns:
 
         build = bounds.certificates
 
-        def with_extra(r0, zeta, cost, psi, theta, deltas, inputs):
-            records = build(r0, zeta, cost, psi, theta, deltas, inputs)
+        def with_extra(r0, rec, psi, theta, deltas, inputs):
+            records = build(r0, rec, psi, theta, deltas, inputs)
             records.append(bounds.Certificate("highprob", "analytic", 0.3, np.zeros(len(psi) + 1)))
             return records
 
@@ -548,6 +548,17 @@ class TestBoundsCommand:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "extra", ["", "--e-bar 0.1", "--horizon 2 --r0 1"], ids=["zeta", "asymptote", "series"]
+    )
+    def test_contraction_that_rounds_to_one_is_refused_as_run_refuses_it(self, extra, capsys):
+        # 1 - 1e-300 rounds to 1: no zeta, cap or series line is printed
+        argv = "bounds --theta 0.5 --k 1 --delta 0.1 --mu 1e-300 --l 1 " + extra
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: contraction 1 - mu/L must lie in [0, 1), got 1.0\n"
 
     def test_asymptote_output(self, capsys):
         code = main(

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from plgrad.bounds import error_cost, expectation_bound
+from plgrad.bounds import expectation_bound, recursion
 from plgrad.cli import write_report
 from plgrad.config import PRESETS, ConfigError, build_problem, make_config
 from plgrad.harness import (
@@ -135,9 +135,10 @@ class TestDominanceAndCoverage:
         summary = validate_bounds(report)
         assert summary.passed, summary.failed_names()
         problem = report.problem
-        cost = error_cost("opgm", problem.smoothness, problem.diameter)
+        rec = recursion("opgm", problem.smoothness, problem.pl_constant, problem.diameter)
+        assert report.recursion == rec
         direct = expectation_bound(
-            report.r0, report.zeta, cost, report.mean_err_moment, report.mean_psi
+            report.r0, report.recursion, report.mean_err_moment, report.mean_psi
         )
         assert np.array_equal(report.configured("expectation")[0].series, direct)
 

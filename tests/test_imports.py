@@ -401,3 +401,36 @@ def test_only_the_certificate_table_names_a_series():
             and any(prefix in node.value for prefix in SERIES_PREFIXES)
         ]
     assert not found, f"a series name spelled outside the certificate table at {found}"
+
+
+def contraction_sites(tree):
+    """Line numbers of each `1 - <a> / <b>` expression (zeta = 1 - mu/L) and
+    of each `0 <= <x> < 1` comparison (zeta's range test) in tree."""
+    formed, ranged = [], []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and getattr(node.left, "value", None) == 1
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div)
+        ):
+            formed.append(node.lineno)
+        elif (
+            isinstance(node, ast.Compare)
+            and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+            and getattr(node.left, "value", None) == 0
+            and getattr(node.comparators[-1], "value", None) == 1
+        ):
+            ranged.append(node.lineno)
+    return formed, ranged
+
+
+def test_the_contraction_is_formed_and_checked_once():
+    # bounds.recursion forms zeta and the Recursion record checks its range;
+    # a second site could form or admit a zeta the certificates do not use
+    formed, ranged = [], []
+    for path in sorted(SRC.glob("*.py")):
+        f, r = contraction_sites(ast.parse(path.read_text(), filename=str(path)))
+        formed += [f"{path.stem}:{line}" for line in f]
+        ranged += [f"{path.stem}:{line}" for line in r]
+    assert len(formed) == 1 and formed[0].startswith("bounds:"), formed
+    assert len(ranged) == 1 and ranged[0].startswith("bounds:"), ranged

@@ -26,6 +26,9 @@ so a run is deterministic and writes nothing.
   coordinates whose windows span up to nine orders of magnitude, the
   widest at any row, `grid_argmin_prox` has the bits of the unblocked
   expression form.
+* The residual's row blocks cannot be seen: for 1 to 20 trials, so on both
+  sides of the 8-row block edge, at both powers, `Recursion.max_residual`
+  has the bits of the whole-matrix residual's max.
 """
 
 import math
@@ -40,7 +43,7 @@ from hypothesis import strategies as st
 
 import test_solvers
 from plgrad import noise as noise_mod
-from plgrad.bounds import SOLVERS
+from plgrad.bounds import SOLVERS, Recursion
 from plgrad.config import make_config
 from plgrad.harness import _check_gradient, run_experiment, validate_bounds
 from plgrad.noise import FAMILIES, NoiseModel, envelope_norm
@@ -310,3 +313,26 @@ def test_grid_blocks_cannot_be_seen(kind, n, points, spread, widest, seed):
     step = rng.uniform(0.05, 2.0)
     expected, _ = reference_grid_argmin(reg, step, v, points)
     assert np.array_equal(bits(grid_argmin_prox(reg, step, v, points)), bits(expected))
+
+
+@settings(derandomize=True, max_examples=100, deadline=1000, database=None)
+@given(
+    trials=st.integers(1, 20),
+    horizon=st.integers(1, 12),
+    power=st.sampled_from([1, 2]),
+    zeta=st.floats(0.0, 1.0, exclude_max=True),
+    weight=st.floats(1e-6, 1e6),
+    peak=st.tuples(st.integers(0, 19), st.integers(0, 11)),
+    seed=st.integers(0, 2**16),
+)
+def test_residual_blocks_cannot_be_seen(trials, horizon, power, zeta, weight, peak, seed):
+    # entries over nine orders of magnitude, and a regret 10^4 times larger
+    # at a drawn (trial, t), so the largest residual falls in any block
+    rng = np.random.default_rng(seed)
+    regret, err, psi = 10.0 ** rng.uniform(-6.0, 3.0, size=(3, trials, horizon + 1))
+    row, t = peak
+    regret[row % trials, t % horizon + 1] *= 1e4
+    whole = regret[:, 1:] - zeta * regret[:, :-1] - weight * err[:, 1:] ** power - psi[:, 1:]
+    got = Recursion(zeta, power, weight).max_residual(regret, err, psi)
+    assert type(got) is float
+    assert bits(got) == bits(whole.max())
