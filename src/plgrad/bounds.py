@@ -25,11 +25,12 @@ moment scale of ||e_i||^power, which the sub-Weibull power rule gives as
 k(power, theta) K_i^power (4^theta K_i^2 for power 2, K_i for power 1), and
 the whole series is scaled by the unit-scale quantile bound at tail exponent
 power * theta.  A Markov-inequality alternative (expectation series divided
-by delta) is provided for comparison, and the long-run asymptote, the fixed
-point (L/mu)(weight e_bar + psi_bar) of the expectation recursion at
-constant inputs, caps the plateau.  Every series is a plain array B_0..B_T,
-held with its kind, input mode and level in a Certificate record; a
-series with an entry that overflows a float raises instead.
+by delta) is provided for comparison, and the record's long-run cap, the
+fixed point (weight e_bar + psi_bar) / (1 - zeta) of the expectation
+recursion at constant inputs, caps the plateau.  recursion is the only
+place that reads mu and L.  Every series is a plain array B_0..B_T, held
+with its kind, input mode and level in a Certificate record; a series with
+an entry that overflows a float raises instead.
 """
 
 from __future__ import annotations
@@ -71,6 +72,18 @@ class Recursion:
             resid -= psi[rows, 1:]
             block_max.append(resid.max())
         return float(np.max(block_max))
+
+    @np.errstate(over="ignore")
+    def cap(self, e_bar: float, psi_bar: float) -> float:
+        """Long-run cap (weight e_bar + psi_bar) / (1 - zeta), e_bar = sup
+        E||e||^power: the fixed point of expectation_bound when every step
+        has the inputs (e_bar, psi_bar).  A cap that overflows a float raises."""
+        if not (0 <= e_bar < np.inf and 0 <= psi_bar < np.inf):
+            raise ValueError("e_bar and psi_bar must be finite and nonnegative")
+        cap = (self.weight * e_bar + psi_bar) / (1.0 - self.zeta)
+        if not cap < np.inf:
+            raise ValueError(f"the long-run cap is {cap}, not finite")
+        return cap
 
 
 def recursion(solver: str, smoothness: float, mu: float, diameter: float) -> Recursion:
@@ -172,25 +185,6 @@ def highprob_bound(
     return _finite(highprob_factor(rec.power, theta, delta) * geometric_recursion(r0, rec, costs))
 
 
-def asymptote(
-    mu: float, smoothness: float, rec: Recursion, e_bar: float, psi_bar: float
-) -> float:
-    """Long-run cap (L/mu)(weight e_bar + psi_bar), e_bar = sup E||e||^power.
-
-    The fixed point of expectation_bound when every step has the inputs
-    (e_bar, psi_bar): zeta = 1 - mu/L, so B = c / (1 - zeta) = (L/mu) c.
-    A cap that overflows a float raises.
-    """
-    if mu <= 0 or smoothness <= 0:
-        raise ValueError("mu and smoothness must be positive")
-    if not (0 <= e_bar < np.inf and 0 <= psi_bar < np.inf):
-        raise ValueError("e_bar and psi_bar must be finite and nonnegative")
-    cap = (smoothness / mu) * (rec.weight * e_bar + psi_bar)
-    if not cap < np.inf:
-        raise ValueError(f"the long-run cap is {cap}, not finite")
-    return cap
-
-
 @np.errstate(over="ignore")
 def markov_highprob_bound(expectation, delta: float) -> np.ndarray:
     """Markov-inequality alternative: an expectation series divided by delta.
@@ -222,8 +216,8 @@ class Certificate:
 
 
 def certificates(r0, rec: Recursion, psi, theta, deltas, inputs: dict) -> list:
-    """Every certificate series, uncounted, of each input mode in the order
-    of `inputs`, which maps a mode to its per-step (moments, envelope_ks)."""
+    """Every certificate series, uncounted, of each input mode in `inputs`,
+    which maps a mode to its per-step (moments, envelope_ks)."""
     out = []
     for mode, (moments, envelope_ks) in inputs.items():
         expectation = expectation_bound(r0, rec, moments, psi)

@@ -202,15 +202,12 @@ def _bound_lines(args: argparse.Namespace) -> list[str]:
 
     ogd = None
     if args.mu is not None:  # and so --l, by _READ_WITH
-        if not 0 < args.mu <= args.l < np.inf:
-            raise ConfigError("need 0 < mu <= l < inf")
         ogd = bounds_mod.recursion("ogd", args.l, args.mu, args.diameter)
         lines.append(f"zeta = {_fmt(ogd.zeta)}")
         if args.e_bar is not None:
             psi_bar = args.psi_bar if args.psi_bar is not None else 0.0
             # the gradient method's cap; --e-bar is sup E||e||^2
-            value = bounds_mod.asymptote(args.mu, args.l, ogd, args.e_bar, psi_bar)
-            lines.append(f"asymptote_ogd = {_fmt(value)}")
+            lines.append(f"asymptote_ogd = {_fmt(ogd.cap(args.e_bar, psi_bar))}")
 
     if args.horizon is not None:
         if ogd is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class AggregateReport:
     recursion: bounds_mod.Recursion  # contraction and error cost of the solver
     mean_regret: np.ndarray
     std_regret: np.ndarray
-    certificates: list           # every bounds.Certificate, the configured mode first
+    certificates: list           # every bounds.Certificate of both input modes
     mean_err_moment: np.ndarray  # E||e_t||^power estimates, t = 0..T-1
     mean_psi: np.ndarray         # variability means, entries for tau = 1..T
     envelope_theta: float
@@ -96,10 +95,9 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
             bounds_mod.highprob_factor(rec.power, model.theta, delta)
     except (OverflowError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    cap = partial(bounds_mod.asymptote, problem.pl_constant, problem.smoothness, rec)
     if config.psi_bar is not None:  # a cap that overflows at e_bar = 0 always does
         try:
-            cap(0.0, config.psi_bar)
+            rec.cap(0.0, config.psi_bar)
         except ValueError as exc:
             raise ConfigError(f"psi_bar = {config.psi_bar:g}: {exc}") from exc
 
@@ -116,30 +114,28 @@ def run_experiment(config: ExperimentConfig) -> AggregateReport:
     # column t+1 holds ||e_t||, which the envelope c_t K scales
     c = noise_mod.time_scales(model, horizon)
 
-    try:  # a fit or a series that overflows a float is refused, and nothing is written
+    try:  # a fit, series or cap that overflows a float is refused; nothing is written
         fitted_ks = _normalized_fit(err[:, 1:], c, theta) * c
         mean_psi = traj.psi_tilde[:, 1:].mean(axis=0)
-        # per-step (moments, envelope_ks) of each input mode, the configured mode first
+        # per-step (moments, envelope_ks) of each input mode
         inputs = {
             "empirical": (mean_err_moment, fitted_ks),
             "analytic": analytic,
         }
-        inputs = dict(sorted(inputs.items(), key=lambda item: item[0] != config.bound_inputs))
         # variability has no a-priori form: both modes use its mean
         certificates = bounds_mod.certificates(r0, rec, mean_psi, theta, config.deltas, inputs)
+        moments_used, envelope_k_used = inputs[config.bound_inputs]
+        # long-run cap from the supremum statistics over the horizon
+        e_bar = float(np.max(moments_used))
+        if config.psi_bar is not None:
+            psi_bar, psi_src = config.psi_bar, "configured"
+        else:
+            psi_bar, psi_src = float(np.max(mean_psi)), "empirical sup"
+        asymptote_value = rec.cap(e_bar, psi_bar)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    moments_used, envelope_k_used = inputs[config.bound_inputs]
     # formed after the refusals: the regret of a refused run can square past a float
     std_regret = regret.std(axis=0, ddof=0)
-
-    # long-run cap from the supremum statistics over the horizon
-    e_bar = float(np.max(moments_used))
-    if config.psi_bar is not None:
-        psi_bar, psi_src = config.psi_bar, "configured"
-    else:
-        psi_bar, psi_src = float(np.max(mean_psi)), "empirical sup"
-    asymptote_value = cap(e_bar, psi_bar)
 
     # per configured series and per t >= 1, the trials whose regret exceeds
     # it.  t = 0 stays 0: each series starts at r0, a mean of R equal floats
@@ -452,30 +448,18 @@ def run_validation_battery(
     return summary
 
 
-@dataclass(frozen=True)
-class AsymptoteReport:
-    asymptote: float
-    tail_max: np.ndarray        # per-trial max regret beyond the burn-in
-    median_tail_max: float
-
-
-def longrun_asymptote_check(config: ExperimentConfig, burn_in: int) -> AsymptoteReport:
-    """Compare per-trial tail maxima against the long-run cap.
+def longrun_asymptote_check(report: AggregateReport, burn_in: int) -> np.ndarray:
+    """Each trial's largest regret beyond burn_in, to hold against the
+    long-run cap report.asymptote_value.
 
     Requires a static problem (measured variability identically zero) or an
     explicitly supplied psi_bar.
     """
-    if not 0 <= burn_in < config.horizon:
-        raise ValueError(f"burn_in {burn_in} must lie in [0, horizon {config.horizon})")
-    report = run_experiment(config)
-    if config.psi_bar is None and float(np.max(report.mean_psi, initial=0.0)) > 1e-10:
+    horizon = report.config.horizon
+    if not 0 <= burn_in < horizon:
+        raise ValueError(f"burn_in {burn_in} must lie in [0, horizon {horizon})")
+    if report.config.psi_bar is None and float(np.max(report.mean_psi, initial=0.0)) > 1e-10:
         raise ValueError(
             "problem is not static; supply psi_bar to check the long-run cap"
         )
-    tail = report.trajectory.regret[:, burn_in + 1 :]
-    tail_max = tail.max(axis=1)
-    return AsymptoteReport(
-        asymptote=report.asymptote_value,
-        tail_max=tail_max,
-        median_tail_max=float(np.median(tail_max)),
-    )
+    return report.trajectory.regret[:, burn_in + 1 :].max(axis=1)

@@ -7,7 +7,6 @@ import pytest
 
 from plgrad.bounds import (
     Recursion,
-    asymptote,
     expectation_bound,
     geometric_recursion,
     highprob_bound,
@@ -175,35 +174,46 @@ class TestProxMethodBounds:
 
 
 class TestAsymptote:
+    """The long-run cap (weight e_bar + psi_bar) / (1 - zeta), read off the
+    record alone."""
+
     def test_exact_convergence_case(self):
-        assert asymptote(0.5, 1.0, ogd(0.5, 1.0), 0.0, 0.0) == 0.0
+        assert ogd(0.5, 1.0).cap(0.0, 0.0) == 0.0
 
     def test_worked_value(self):
-        assert asymptote(0.1, 1.0, ogd(0.9, 1.0), 0.01, 0.0) == pytest.approx(0.05, rel=1e-12)
+        # (0.01 / 2) / (1 - 0.9)
+        assert ogd(0.9, 1.0).cap(0.01, 0.0) == pytest.approx(0.05, rel=1e-12)
 
     def test_linear_in_error_level(self):
-        base = asymptote(0.2, 1.0, ogd(0.8, 1.0), 0.04, 0.0)
-        assert asymptote(0.2, 1.0, ogd(0.8, 1.0), 0.08, 0.0) == pytest.approx(2 * base, rel=1e-12)
+        rec = ogd(0.8, 1.0)
+        assert rec.cap(0.08, 0.0) == pytest.approx(2 * rec.cap(0.04, 0.0), rel=1e-12)
 
     def test_variability_term(self):
-        assert asymptote(0.1, 1.0, ogd(0.9, 1.0), 0.0, 0.3) == pytest.approx(3.0, rel=1e-12)
+        assert ogd(0.9, 1.0).cap(0.0, 0.3) == pytest.approx(3.0, rel=1e-12)
+
+    def test_zeta_zero_cap_is_one_step_cost(self):
+        # zeta = 0 (mu = L) forgets the past: the cap is the cost itself
+        assert opgm(0.0, 3.0).cap(0.2, 0.1) == 2 * 3.0 * 0.2 + 0.1
 
     @pytest.mark.parametrize("rec", [ogd(0.75, 2.0), opgm(0.75, 3.0)], ids=["ogd", "opgm"])
     def test_fixed_point_of_the_expectation_recursion(self, rec):
-        # mu = 0.5, L = 2: zeta = 0.75, and 400 steps leave 0.75^400 of r0
+        # 400 steps leave 0.75^400 of r0
         series = expectation_bound(1.0, rec, np.full(400, 0.2), np.full(400, 0.1))
-        assert asymptote(0.5, 2.0, rec, 0.2, 0.1) == pytest.approx(series[-1], rel=1e-12)
+        assert rec.cap(0.2, 0.1) == pytest.approx(series[-1], rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            asymptote(0.0, 1.0, ogd(0.9, 1.0), 0.1, 0.0)
-        with pytest.raises(ValueError):
-            asymptote(0.1, 1.0, ogd(0.9, 1.0), -0.1, 0.0)
+        bad = [(-0.1, 0.0), (0.0, -0.1), (math.inf, 0.0), (math.nan, 0.0), (0.0, math.inf)]
+        for e_bar, psi_bar in bad:
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ogd(0.9, 1.0).cap(e_bar, psi_bar)
 
     def test_cap_that_overflows_a_float_raises(self):
-        # finite inputs, but (L/mu) psi_bar = 10 * 1e308 is inf
-        with pytest.raises(ValueError, match="not finite"):
-            asymptote(0.1, 1.0, ogd(0.9, 1.0), 0.0, 1e308)
+        # finite inputs, but psi_bar / (1 - 0.9) = 10 * 1e308 is inf; a run's
+        # constants may be float64 scalars, whose overflow warning is an
+        # error under this suite
+        for real in (float, np.float64):
+            with pytest.raises(ValueError, match="not finite"):
+                Recursion(real(0.9), 2, real(0.5)).cap(0.0, 1e308)
 
 
 class TestOverflow:

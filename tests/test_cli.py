@@ -693,6 +693,22 @@ class TestConfigFiles:
             cfg.write_text(head + "[noise]\nscale = 1e29\n")
             assert main([command, "--config", str(cfg), *extra]) == 0
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_cap_that_overflows_after_the_run_writes_nothing(self, tmp_path, capsys, command):
+        # psi_bar is the run's sup variability, near 1e296 at this drift, and
+        # the cap divides it by 1 - zeta = 1e-12
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "[experiment]\npreset = fig1-ls\nhorizon = 3\ntrials = 2\n"
+            "[problem]\nmu = 1e-12\ndrift_std = 1e148\n"
+        )
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else ["--checks", "recursion"]
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the long-run cap is inf, not finite\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("scale", ["1e77", "1e120", "1e153"])
     def test_run_whose_regret_squares_past_a_float_is_refused_without_a_warning(
         self, tmp_path, capsys, scale

@@ -35,32 +35,32 @@ GOLDEN = {
     ("fig1-ls", None): (
         "7861f34a0a6b220f28247ff91c776e0311e1986014651ee3944e2695ba4839b0",
         "4e43e9a17171877ea990f6fa7c5cc2677f5a67ed8093ddf9fdc71faae7a2b0a9",
-        "92568c52d43c687e3dc25ba8d655101c5ee5c01500719395773f5b54311e8c3e",
+        "296ad110e4a326ce50fa7ac1e656607605a1139f8f53eb5a469ec3ae34a362c7",
     ),
     ("static-ls", None): (
         "bf1a413bf29fa763e396c7f74beacc13af71b302a379f562253e2ce09cf38e16",
         "50ca523fd63db1f8676b7424e1244f25d5021498397b56a169bef9266f8b1496",
-        "594964e21aaded1fbe93198d7d694bafe3597f66c40026d08993bfb93ebf5f50",
+        "3162a7e53723ae046652b7eba502ebd6bbf86432a067005edb2f8b66c001b082",
     ),
     ("fig3-demand-response", None): (
         "0c70be637e73b8ad14105f4217d5490dc241a18c370107c6d5a63ea728b36c0c",
         "6a717430b2c48c98b4673c53d58e3095529becd33b31f31c621554eac47c3289",
-        "62ae1f0b090edb474ce97c1728620499118d689298ad342948f05ceb9cad1ca0",
+        "fa656a307ec0d3526e408fe6c2b0b519b4f3b3b8f336a12e5f95b9ae7f9fb532",
     ),
     ("logistic", None): (
         "a98eddf43eadba0517eabe1f5080fe42120993f561c9f9eca405a609ddeecf12",
         "22700da6720facf8f65838218537d8f7c6c469f98e91d263d832ecf3a77330fa",
-        "c9494b2ca0671707f26866126c3362a206ac04a5954f263ce3eda2dfe83d1fb4",
+        "5779ebe6c1718f9ced45b7dc37495f8a3adb57bcb4dd4eaa852e80345b01cad0",
     ),
     ("lti", None): (
         "07ac3ce09cc9ebeceedb8a1f0e169688dad142eb9f5d2f8131d61316d077facf",
         "23501348f69075782048a3b98d972312cb6f0011bf83e478366641792ddfb783",
-        "4dc0e391d9cffeb65b30dc95b415b032b8604b49715497312eaa30085309fb6b",
+        "7f8b4a1b5d61e9066ae2c3bba1bcbf5f860bf8541e1782eb7242053d57c33753",
     ),
     ("fig3-demand-response", "n_der=500"): (
         "aeb09e1e96e1fcbf4f1ca910ef9c951848501399d81c9bedeed03b9805a48920",
         "54b11936e559767dcf3012a67756a9a4b78bef28ab756bee9548828e04b0c302",
-        "84828a1a4a820f92170b906ad8b605150fe2d6cb128ed75b155541bec2c7358b",
+        "22c335c56c011113588d5fb114687c9c44e523c361bcd415222b02dc5cce7747",
     ),
 }
 # (preset, config sections) -> the validate_bounds table
@@ -195,7 +195,7 @@ PINS = {
         "e_bar": "c233f3c3e4120718a4b83b0935f95524b0ec124e26c2597e621648c11ed52c75",
         "psi_bar": "2cb526ae9d62fdefdc7865f35a27c2c0dd9923a49156bacca0795fa62d4736ef",
         "psi_bar_source": "4802ed757e5dc59819792a6fd7c8914f31dc46af90664ce20d9cbef4755e14b0",
-        "asymptote": "e1643d6f0aa1fb0db9e2a6267d7c0da73012d4411e666326025cbdd1797a2a05",
+        "asymptote": "867d83c3900ca24fda0b0ee78e1c2c411467271218bc379f88a9f54490bb1757",
         "recursion_max_violation": "4d5f4f0cc278d24df1900a6a0e7e76ff80157d3561c4855008e5b4c08d5f7443",
         "domain_excursions": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "outside_theory": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
@@ -250,7 +250,7 @@ PINS = {
         "e_bar": "c233f3c3e4120718a4b83b0935f95524b0ec124e26c2597e621648c11ed52c75",
         "psi_bar": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "psi_bar_source": "4802ed757e5dc59819792a6fd7c8914f31dc46af90664ce20d9cbef4755e14b0",
-        "asymptote": "1576e25fdd7a9b9c40eff418d499d8a6e23ed79d90751a3a288167e1d2cea6b7",
+        "asymptote": "6a3df382c995b865d0930c9b7dfed854ebecf1de0afada166e6992369d250b86",
         "recursion_max_violation": "436c97c2de4307892bdb9717a0e0df40e7d73b9cef8fb997825cc34e2d2ac7c7",
         "domain_excursions": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "outside_theory": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
@@ -305,7 +305,7 @@ PINS = {
         "e_bar": "57a56a0b760e9276de3d4f474080f61e5c999817bbe3ab3311278e7dae7e9cca",
         "psi_bar": "1a578b99b4a1a5cf64ec8f739020bfc775f2c3ed86db0c0333e66c311186878c",
         "psi_bar_source": "4802ed757e5dc59819792a6fd7c8914f31dc46af90664ce20d9cbef4755e14b0",
-        "asymptote": "f271f2b1cba9b2dfe7d965d03b56cee6a33cd858f748815c6c0b8f4ae82b271d",
+        "asymptote": "b902766ac081c21b6b1e9f2220e0e00efba6274b576f148e7bb78156789febf0",
         "recursion_max_violation": "13a79f2666a643f11b6b922d07ec5debdbd6df9941cb2609f0a44254f04fe1f2",
         "domain_excursions": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "outside_theory": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
@@ -355,7 +355,7 @@ PINS = {
         "e_bar": "a7cd7fe3423af111c0977c8e1bd1f2ee2325e1ae0c9dfeed805acbcec53fb1f3",
         "psi_bar": "5d871d5f093c02d40379dce12664263a85369ea59cf3ebfa7605f38daae5990c",
         "psi_bar_source": "4802ed757e5dc59819792a6fd7c8914f31dc46af90664ce20d9cbef4755e14b0",
-        "asymptote": "0cf499811bfcf52964bc519a20d8f499ddbfb928f9394c58f8ca782bc232d78b",
+        "asymptote": "16ff04575a74eb79c1b37653681eac1c80e512e303886f0ee272f3c22c1e190f",
         "recursion_max_violation": "0cfd262356821a39d7415cd920382a3ed57e9146be4843918e2f6de71b8ebe2a",
         "domain_excursions": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "outside_theory": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
@@ -409,7 +409,7 @@ PINS = {
         "e_bar": "1ed0f2b7513ce2b07e0fb11059a922cc0317519a5e86ff4f9db5f8249cc0b916",
         "psi_bar": "5725a2e8d5a6ec1b276b29aee16d4d609bd15c9a4b5e6e071889021e34672672",
         "psi_bar_source": "4802ed757e5dc59819792a6fd7c8914f31dc46af90664ce20d9cbef4755e14b0",
-        "asymptote": "9cd31bbe19c4382109088731363c0ec615a97b798955df6ff82bfa85554d3a4d",
+        "asymptote": "a901259f4e598a9edc5492f3b89eb857c3ed397a64f87864e24ded185a040e58",
         "recursion_max_violation": "502b325c8b4e794ae1855af9cd0db7a70eddcbbea50a540ab04ef465e4d7a5d3",
         "domain_excursions": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "outside_theory": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",
@@ -464,7 +464,7 @@ PINS = {
         "e_bar": "fb4b8278ea960a37afc4bd993491bf206b0778b75497fa17d16ec2ddd6ed0f96",
         "psi_bar": "1a578b99b4a1a5cf64ec8f739020bfc775f2c3ed86db0c0333e66c311186878c",
         "psi_bar_source": "4802ed757e5dc59819792a6fd7c8914f31dc46af90664ce20d9cbef4755e14b0",
-        "asymptote": "895d3d1cc7305eef9a9dfab3b13711516e2daab0380de4ba4cc0753f93b05667",
+        "asymptote": "d8a971f02eae3a3e2e428ebad523d0947577586b2ac005116102dbc0c8ce2e5b",
         "recursion_max_violation": "2a0dbe98ad9207cd960bb031191e6319ca3ab4cb6675825a6b11e95869e002e3",
         "domain_excursions": "5feceb66ffc86f38d952786c6d696c79c2dbc239dd4e91b46729d73a27fb57e9",
         "outside_theory": "60a33e6cf5151f2d52eddae9685cfa270426aa89d8dbc7dfb854606f1d1a40fe",

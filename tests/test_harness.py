@@ -251,26 +251,27 @@ class TestLongRun:
     def test_noiseless_static_tail_below_geometric_envelope(self):
         cfg = small_config(trials=3, horizon=200)
         cfg.noise = {"scale": 0.0}
-        out = longrun_asymptote_check(cfg, burn_in=50)
-        r0 = run_experiment(cfg).mean_regret[0]
+        report = run_experiment(cfg)
+        tail_max = longrun_asymptote_check(report, burn_in=50)
         zeta = 0.9
         # the cap itself is 0 here; finite-time decay is the sharp statement
-        assert out.asymptote == 0.0
-        assert np.all(out.tail_max <= zeta**50 * r0 * (1 + 1e-9))
+        assert report.asymptote_value == 0.0
+        assert np.all(tail_max <= zeta**50 * report.mean_regret[0] * (1 + 1e-9))
 
     def test_burn_in_validation(self):
-        cfg = small_config(trials=2, horizon=50)
+        report = run_experiment(small_config(trials=2, horizon=50))
         for burn_in in (50, -1):
             with pytest.raises(ValueError, match="burn_in"):
-                longrun_asymptote_check(cfg, burn_in=burn_in)
+                longrun_asymptote_check(report, burn_in=burn_in)
 
     def test_drifting_problem_requires_psi_bar(self):
         cfg = small_config(preset="fig1-ls", trials=3, horizon=40)
-        with pytest.raises(ValueError):
-            longrun_asymptote_check(cfg, burn_in=10)
+        with pytest.raises(ValueError, match="not static"):
+            longrun_asymptote_check(run_experiment(cfg), burn_in=10)
         cfg.psi_bar = 5.0
-        out = longrun_asymptote_check(cfg, burn_in=10)
-        assert out.asymptote > 0
+        report = run_experiment(cfg)
+        assert longrun_asymptote_check(report, burn_in=10).shape == (3,)
+        assert report.asymptote_value > 0
 
     @pytest.mark.parametrize("solver", ["ogd", "opgm"])
     def test_asymptote_is_the_method_recursion_fixed_point(self, solver):

@@ -160,23 +160,11 @@ def test_every_method_has_a_consumer():
     assert not unread, f"no consumer reads {unread}"
 
 
-# record fields kept although only tests read them, each with its reason
-UNREAD_FIELDS_KEPT = {
-    # the per-trial tail maxima whose median the report gives; the tests
-    # hold each one to zeta^50 r0
-    "harness.AsymptoteReport.tail_max",
-}
-
-
 def test_every_record_field_has_a_consumer():
     # an annotated class field that no consumer reads is state a caller
     # fills and nothing uses, or an echo of the caller's own argument
     read = attributes_read()
-    unread = [
-        key
-        for key, name in class_members(ast.AnnAssign)
-        if name not in read and key not in UNREAD_FIELDS_KEPT
-    ]
+    unread = [key for key, name in class_members(ast.AnnAssign) if name not in read]
     assert not unread, f"no consumer reads {unread}"
 
 
@@ -434,3 +422,17 @@ def test_the_contraction_is_formed_and_checked_once():
         ranged += [f"{path.stem}:{line}" for line in r]
     assert len(formed) == 1 and formed[0].startswith("bounds:"), formed
     assert len(ranged) == 1 and ranged[0].startswith("bounds:"), ranged
+
+
+def test_only_recursion_takes_mu_and_the_smoothness():
+    # every certificate reads mu and L through the Recursion record that
+    # bounds.recursion builds, so none can pair a record's zeta with
+    # constants that do not give it
+    takers = [
+        node.name
+        for node in ast.walk(ast.parse((SRC / "bounds.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+        for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+        if arg.arg in ("mu", "smoothness")
+    ]
+    assert takers == ["recursion", "recursion"], takers

@@ -29,6 +29,9 @@ so a run is deterministic and writes nothing.
 * The residual's row blocks cannot be seen: for 1 to 20 trials, so on both
   sides of the 8-row block edge, at both powers, `Recursion.max_residual`
   has the bits of the whole-matrix residual's max.
+* The cap is the expectation series' fixed point: from r0 = 0 at constant
+  inputs, `expectation_bound` never passes `Recursion.cap`, and it reaches
+  the cap once zeta^T < 1e-17, both within 1e-12 relative.
 """
 
 import math
@@ -43,7 +46,7 @@ from hypothesis import strategies as st
 
 import test_solvers
 from plgrad import noise as noise_mod
-from plgrad.bounds import SOLVERS, Recursion
+from plgrad.bounds import SOLVERS, Recursion, expectation_bound
 from plgrad.config import make_config
 from plgrad.harness import _check_gradient, run_experiment, validate_bounds
 from plgrad.noise import FAMILIES, NoiseModel, envelope_norm
@@ -336,3 +339,24 @@ def test_residual_blocks_cannot_be_seen(trials, horizon, power, zeta, weight, pe
     got = Recursion(zeta, power, weight).max_residual(regret, err, psi)
     assert type(got) is float
     assert bits(got) == bits(whole.max())
+
+
+@settings(derandomize=True, max_examples=100, deadline=1000, database=None)
+@given(
+    zeta=st.floats(0.0, 0.99),
+    power=st.sampled_from([1, 2]),
+    weight=st.floats(1e-100, 1e100),
+    e_bar=st.floats(1e-100, 1e100),
+    psi_bar=st.floats(1e-100, 1e100),
+    horizon=st.integers(1, 4000),
+)
+@example(zeta=0.99, power=2, weight=1.0, e_bar=1.0, psi_bar=1.0, horizon=4000)
+def test_expectation_series_rises_to_the_cap(zeta, power, weight, e_bar, psi_bar, horizon):
+    # B_t = (1 - zeta^t) cap in exact arithmetic; the inputs keep every cost
+    # and cap normal, so the float series may differ only by rounding
+    rec = Recursion(zeta, power, weight)
+    cap = rec.cap(e_bar, psi_bar)
+    series = expectation_bound(0.0, rec, np.full(horizon, e_bar), np.full(horizon, psi_bar))
+    assert series.max() <= cap * (1.0 + 1e-12)
+    if zeta**horizon < 1e-17:
+        assert series[-1] == pytest.approx(cap, rel=1e-12)
