@@ -297,51 +297,49 @@ def validate_bounds(report: AggregateReport, checks=RUN_CHECKS) -> ValidationSum
 
 
 def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
-    """Central differences against grad f_t at 100 points of the half ball.
+    """A central difference along one random direction against grad f_t, at
+    100 points of the half ball, in three (100, n) arrays: the stepped pair,
+    whose slabs first hold the points and the gradient, and the direction.
 
-    Point k passes at a relative error within 1e-6 + 4 eps sqrt(n) |f_t| /
-    (h_k ||g_k||), h_k its smallest step.  A central difference is exact on
-    a quadratic, and each stepped value is within 4 eps |f| (the residual's
-    rounding, doubled by the square, then the square's and the sum's), so
-    the n quotients move by at most sqrt(n) 4 eps |f| / h_k.  |f_t| is read
-    at the last axis's stepped points, one step from x_k.
+    The points x_k are drawn, then one Gaussian unit direction u_k each from
+    the same stream; h_k = 1e-6 max(1, ||x_k||_inf).  One grad and one value
+    call per time index, whatever n is.  For u uniform on the sphere,
+    E[n (d.u)^2] = ||d||^2, so sqrt(n) |f+ - f- - 2 h_k g_k.u_k| /
+    (2 h_k ||g_k||) estimates ||fd - g|| / ||g|| of differences on every axis.
 
-    The working set is three (100, n) arrays: the two slabs of stepped
-    points, into the first of which the points are drawn, and the steps
-    that become the quotients, which first lend the draw its squares.
+    Point k passes within 1e-6 + sqrt(n) eps (4 |f| + (||x_k|| + 2 h_k)
+    (||g_k|| + L h_k) / 2) / (h_k ||g_k||), |f| the larger stepped value.  A
+    central difference is exact on a quadratic; each stepped value is within
+    4 eps |f| (the residual's rounding, doubled by the square, then the
+    square's and the sum's); each stepped coordinate is within eps/2 (|x_i|
+    + 2 h_k |u_i|) of x_i +- h_k u_i, so the steps p and q taken either side
+    sum to 2 h_k u_k within r = eps (||x_k|| + 2 h_k) and differ by at most r,
+    which moves g.(p + q) by ||g_k|| r and (p - q).H (p + q) / 2 by L h_k r.
     """
     rng = noise_mod.stream(seed, "gradient")
+    n = problem.n
+    root_n = math.sqrt(n)
     worst = 0.0
     passed = True
-    h = 1e-6
-    n = problem.n
-    n_points = 100
-    rounding = 4.0 * np.finfo(float).eps * math.sqrt(n)
-    # all points step along one axis at a time: for axis i, row k of slab 0
-    # holds the floats of xs[k] + dx[k, i] e_i and row k of slab 1 those of
-    # xs[k] - dx[k, i] e_i, so one value call reads both (the oracles work
-    # row by row); column i of both slabs is restored to xs before the next
-    pair = np.empty((2, n_points, n))
+    pair = np.empty((2, 100, n))
     xs = pair[0]
-    fd = np.empty((n_points, n))  # column i holds dx[:, i] until its quotient
+    u = np.empty((100, n))
     for t in sampled_times(problem.horizon):
-        _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points, out=xs, scratch=fd)
-        pair[1] = xs
-        np.maximum(np.abs(xs, out=fd), 1.0, out=fd)
-        fd *= h
-        h_min = fd.min(axis=1)
-        for i in range(n):
-            x_i = xs[:, i].copy()
-            dx = fd[:, i]
-            np.add(x_i, dx, out=xs[:, i])
-            np.subtract(x_i, dx, out=pair[1, :, i])
-            f = problem.value(t, pair)
-            np.divide(f[0] - f[1], 2.0 * dx, out=dx)
-            pair[:, :, i] = x_i
+        _sample_ball(rng, n, 0.5 * problem.domain_radius, 100, out=xs, scratch=u)
+        rng.standard_normal(u.shape, out=u)
+        u /= np.sqrt(np.add.reduce(np.square(u, out=pair[1]), axis=1, keepdims=True))
         g = problem.grad(t, xs, out=pair[1])
+        g_u = np.vecdot(g, u)
         g_norm = np.maximum(_row_norm(g), 1e-12)
-        error = _row_norm(np.subtract(fd, g, out=fd)) / g_norm
-        limit = 1e-6 + rounding * np.maximum(np.abs(f[0]), np.abs(f[1])) / (h_min * g_norm)
+        h = 1e-6 * np.maximum(np.maximum(xs.max(axis=1), -xs.min(axis=1)), 1.0)
+        step_rounding = 0.5 * (_row_norm(xs) + 2.0 * h) * (g_norm + problem.smoothness * h)
+        u *= h[:, None]
+        np.subtract(xs, u, out=pair[1])
+        xs += u
+        f = problem.value(t, pair)
+        error = root_n * np.abs(f[0] - f[1] - 2.0 * h * g_u) / (2.0 * h * g_norm)
+        rounding = 4.0 * np.abs(f).max(axis=0) + step_rounding
+        limit = 1e-6 + root_n * np.finfo(float).eps * rounding / (h * g_norm)
         worst = max(worst, float(error.max()))
         passed = passed and bool(np.all(error <= limit))
     return CheckResult("gradient_fd", passed, f"max relative error {worst:.2e}")

@@ -1,16 +1,20 @@
 """The sampled validation checks: gradient_fd, pl_certificate and prox_grid.
 
 The gradient and PL checks evaluate their oracles in row blocks.  The
-reference loops below are the per-point and unblocked forms those checks
-replaced; since every oracle works row by row, the checks must return the
-same results and see the same oracle outputs, bit for bit.  Negative
-controls show that both checks fail on a wrong gradient or an overstated
-slope, and a spy pins the time indices every check visits.  The proximal PL
-check's exact decrease is held against a grid-oracle reference that never
-calls the closed-form prox.
+reference loops below are the per-point and unblocked forms of those
+checks; since every oracle works row by row, the checks must return the
+same results and see the same oracle outputs, bit for bit.  gradient_fd
+differences one random direction per point; the difference along every
+axis it replaced is kept here, and every config's gradient still passes it.
+Negative controls show that both checks fail on a wrong gradient or an
+overstated slope, and a spy pins the time indices every check visits and
+the oracle calls the gradient check makes.  The proximal PL check's exact
+decrease is held against a grid-oracle reference that never calls the
+closed-form prox.
 """
 
 import copy
+import math
 import tracemalloc
 from functools import cache
 
@@ -29,6 +33,7 @@ from plgrad.problems import (
     DemandResponse,
     OnlineProblem,
     TimeVaryingLeastSquares,
+    _row_norm,
     _sample_ball,
     prox_decrease,
     sampled_times,
@@ -54,10 +59,19 @@ def _configured(name):
     return build_problem(cfg), cfg.seed
 
 
+EPS = np.finfo(float).eps
+
+
 def reference_gradient_fd(problem, seed, n_points=100):
-    """Largest relative finite-difference error: one (2n, n) matrix per point."""
+    """Central differences along every axis: one (2n, n) matrix per point.
+
+    The largest relative error ||fd - g|| / ||g||, and whether every point
+    is within 1e-6 + 4 eps sqrt(n) |f| / (h_k ||g_k||), h_k the point's
+    smallest step and |f| read at the last axis's stepped points.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 4)))
     worst = 0.0
+    passed = True
     h = 1e-6
     n = problem.n
     axis = np.arange(n)
@@ -73,8 +87,38 @@ def reference_gradient_fd(problem, seed, n_points=100):
             f = problem.value(t, points)
             fd = (f[:n] - f[n:]) / (2.0 * dx)
             denom = max(np.linalg.norm(g), 1e-12)
-            worst = max(worst, float(np.linalg.norm(fd - g) / denom))
-    return worst
+            error = float(np.linalg.norm(fd - g) / denom)
+            f_last = max(abs(f[n - 1]), abs(f[-1]))
+            passed = passed and error <= 1e-6 + 4 * EPS * math.sqrt(n) * f_last / (dx.min() * denom)
+            worst = max(worst, error)
+    return worst, passed
+
+
+def reference_directional_fd(problem, seed, n_points=100):
+    """gradient_fd one point at a time: one grad call and one value call on
+    the pair x + h u, x - h u per point, after the block draws of the
+    points and the directions.  Returns the check's CheckResult."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 4)))
+    worst = 0.0
+    passed = True
+    n = problem.n
+    for t in sampled_times(problem.horizon):
+        xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
+        us = rng.standard_normal((n_points, n))
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        for x, u in zip(xs, us):
+            g = problem.grad(t, x)
+            h = 1e-6 * max(1.0, float(np.abs(x).max()))
+            hu = h * u
+            f = problem.value(t, np.stack([x + hu, x - hu]))
+            g_norm = max(_row_norm(g), 1e-12)
+            error = math.sqrt(n) * abs(f[0] - f[1] - 2.0 * h * np.vecdot(g, u)) / (2.0 * h * g_norm)
+            rounding = 4.0 * max(abs(f[0]), abs(f[1])) + 0.5 * (_row_norm(x) + 2.0 * h) * (
+                g_norm + problem.smoothness * h
+            )
+            passed = passed and error <= 1e-6 + math.sqrt(n) * EPS * rounding / (h * g_norm)
+            worst = max(worst, float(error))
+    return CheckResult("gradient_fd", bool(passed), f"max relative error {worst:.2e}")
 
 
 def reference_pl_mu(problem, seed, n_samples=1000):
@@ -170,11 +214,31 @@ def assert_same_oracle_outputs(a, b):
 def test_gradient_check_matches_the_per_point_loop(name):
     problem, seed = _configured(name)
     ref_spy, new_spy = OracleSpy(problem), OracleSpy(problem)
-    worst = reference_gradient_fd(ref_spy, seed)
-    expected = CheckResult("gradient_fd", worst <= 1e-6, f"max relative error {worst:.2e}")
+    expected = reference_directional_fd(ref_spy, seed)
     assert _check_gradient(new_spy, seed) == expected
     assert expected.passed
     assert_same_oracle_outputs(ref_spy, new_spy)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_every_config_passes_the_differences_along_every_axis(name):
+    # the per-coordinate coverage the directional check estimates
+    problem, seed = _configured(name)
+    worst, passed = reference_gradient_fd(problem, seed)
+    assert passed, worst
+
+
+@pytest.mark.parametrize("name", ["static-ls", "dr500"])
+def test_gradient_check_cost_does_not_grow_with_n(name):
+    # per sampled t, one grad call on the 100 points and one value call on
+    # their 200 stepped points, at n = 10 as at n = 500
+    problem, seed = _configured(name)
+    spy = OracleSpy(problem)
+    _check_gradient(spy, seed)
+    calls = {key: [len(rows) for rows in blocks] for key, blocks in spy.results.items()}
+    times = sampled_times(problem.horizon)
+    expected = {("grad", t): [100] for t in times} | {("value", t): [200] for t in times}
+    assert calls == expected
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -239,7 +303,7 @@ def test_pl_check_peak_stays_below_one_sample_matrix():
 
 def test_gradient_check_peak_holds_the_pair_and_the_quotients():
     # the (2, P, n) pair of stepped points, into whose first slab the points
-    # are drawn, and the (P, n) steps that become the quotients, which lend
+    # are drawn, and the (P, n) directions that become the steps, which lend
     # the draw its squares; the slack covers ufunc buffers and P- or n-wide
     # vectors, below the P n 8 bytes of one more (P, n) array
     n_points = 100  # the check's fixed point count
@@ -324,6 +388,28 @@ class TestProxPLVerification:
             assert rhs_grid >= pl_lhs(p, t, x)
 
 
+class ScaledGrad(OracleSpy):
+    """A gradient oracle off by a constant factor."""
+
+    def __init__(self, problem, factor):
+        super().__init__(problem)
+        self.factor = factor
+
+    def grad(self, t, x, out=None):
+        g = self.problem.grad(t, x, out=out)
+        g *= self.factor
+        return g
+
+
+class CoordinateZeroOff(ScaledGrad):
+    """A gradient oracle whose coordinate 0 is off by a constant factor."""
+
+    def grad(self, t, x, out=None):
+        g = self.problem.grad(t, x, out=out)
+        g[..., 0] *= self.factor
+        return g
+
+
 class TestNegativeControls:
     @pytest.mark.parametrize("name", ["fig1-ls", "static-ls", "logistic", "lti", "dr20"])
     def test_gradient_off_by_one_percent_in_one_coordinate_fails(self, name):
@@ -336,6 +422,17 @@ class TestNegativeControls:
         problem, seed = _configured(name)
         assert _check_gradient(problem, seed).passed
         assert not _check_gradient(SkewedGrad(problem), seed).passed
+
+    @pytest.mark.parametrize(
+        "wrong", [(CoordinateZeroOff, 1 + 1e-4), (ScaledGrad, 1 + 1e-5)], ids=["skewed", "scaled"]
+    )
+    def test_slightly_wrong_gradient_fails_at_500_devices(self, wrong):
+        # where the directional check drops the most work, it still catches
+        # what the differences along every axis caught
+        oracle, factor = wrong
+        problem, seed = _configured("dr500")
+        assert _check_gradient(problem, seed).passed
+        assert not _check_gradient(oracle(problem, factor), seed).passed
 
     def test_slope_above_smoothness_fails_smooth_branch(self):
         problem, seed = _configured("static-ls")
@@ -361,28 +458,15 @@ def static_ls(obs_noise_std):
     return build_problem(cfg), cfg.seed
 
 
-class ScaledGrad(OracleSpy):
-    """A gradient oracle off by a constant factor."""
-
-    def __init__(self, problem, factor):
-        super().__init__(problem)
-        self.factor = factor
-
-    def grad(self, t, x, out=None):
-        g = self.problem.grad(t, x, out=out)
-        g *= self.factor
-        return g
-
-
 class TestRoundingLimit:
     """gradient_fd's limit grows with the rounding in f, and no further.
 
     Observation noise of standard deviation s in b_t leaves the gradient's
-    form as it is but makes f about s^2 large; at s = 1e3 and 1e4 the
+    form as it is but makes f about s^2 large; at s = 3e3 and 1e4 the
     rounding in f alone puts a correct gradient past the fixed 1e-6.
     """
 
-    @pytest.mark.parametrize("obs_noise_std", [1e3, 1e4])
+    @pytest.mark.parametrize("obs_noise_std", [3e3, 1e4])
     def test_correct_gradient_passes_when_f_is_large(self, obs_noise_std):
         result = _check_gradient(*static_ls(obs_noise_std))
         assert result.passed
