@@ -309,12 +309,17 @@ def _check_gradient(problem: OnlineProblem, seed: int) -> CheckResult:
 
     Point k passes within 1e-6 + sqrt(n) eps (4 |f| + (||x_k|| + 2 h_k)
     (||g_k|| + L h_k) / 2) / (h_k ||g_k||), |f| the larger stepped value.  A
-    central difference is exact on a quadratic; each stepped value is within
-    4 eps |f| (the residual's rounding, doubled by the square, then the
-    square's and the sum's); each stepped coordinate is within eps/2 (|x_i|
-    + 2 h_k |u_i|) of x_i +- h_k u_i, so the steps p and q taken either side
-    sum to 2 h_k u_k within r = eps (||x_k|| + 2 h_k) and differ by at most r,
-    which moves g.(p + q) by ||g_k|| r and (p - q).H (p + q) / 2 by L h_k r.
+    central difference is exact on a quadratic; each stepped value is taken
+    as within 4 eps |f| (the residual's rounding, doubled by the square, then
+    the square's and the sum's); each stepped coordinate is within eps/2
+    (|x_i| + 2 h_k |u_i|) of x_i +- h_k u_i, so the steps p and q taken either
+    side sum to 2 h_k u_k within r = eps (||x_k|| + 2 h_k) and differ by at
+    most r, which moves g.(p + q) by ||g_k|| r and (p - q).H (p + q) / 2 by
+    L h_k r.  The 4 eps |f| term is an estimate, not a bound: it leaves out
+    the rounding of the residual's n-term sum and the cancellation in b_t.
+    Over 300 seeds of fig3-demand-response and 20 at n_der = 500, a correct
+    gradient's error read up to 1.14 times the rounding term, never above
+    5.72e-09; the fixed 1e-6 covers that excess.
     """
     rng = noise_mod.stream(seed, "gradient")
     n = problem.n

@@ -75,26 +75,29 @@ def prox_objective(reg: Regularizer, step: float, v: np.ndarray, y: np.ndarray) 
 
 # the grid oracle's final spacing: a hundredth of the 1e-6 its callers check
 GRID_SPACING = 1e-8
-# rows of the grid zoomed at a time, so its two buffers hold GRID_BLOCK rows
-# of points whatever n is
-GRID_BLOCK = 64
+# grid points per block: GRID_CELLS // points coordinates are zoomed at a
+# time, so its two buffers hold GRID_CELLS points whatever n and points are
+GRID_CELLS = 64 * 201
 
 
 def grid_argmin_prox(
-    reg: Regularizer, step: float, v: np.ndarray, points: int = 201
+    reg: Regularizer, step: float, v: np.ndarray, points: int = 21
 ) -> np.ndarray:
     """Brute-force argmin of ||y - v||^2 / (2 step) + g(y) for v of shape (n,).
 
     The reference for the closed form, so it never calls prox.  Every g in
     scope is separable, so a product mesh's argmin is found per coordinate:
-    the coordinates are searched GRID_BLOCK at a time, each block as a
-    (GRID_BLOCK, points) array.  The first window is the box (axes clipped
+    the coordinates are searched GRID_CELLS // points at a time, each block
+    as a (rows, points) array.  The first window is the box (axes clipped
     to it) or v +/- (|v| + 1).
     Each coordinate's objective is convex, so its minimizer lies within one
     spacing of the grid argmin; the next window, 4 / (points - 1) as wide,
     keeps a two-cell margin.  The zoom ends when the widest window's spacing
     reaches GRID_SPACING, so every block zooms as often as the widest
-    coordinate needs, and the result does not depend on GRID_BLOCK.
+    coordinate needs, and the result does not depend on the block size.
+    21 points reach the 1e-8 spacing in fewer evaluations than 201: on a
+    100-wide box, 14 zooms of 21 (294 per coordinate) against 6 of 201
+    (1,206).
     """
     if step <= 0:
         raise ValueError(f"prox step must be positive, got {step}")
@@ -119,13 +122,14 @@ def grid_argmin_prox(
     # every zoom rewrites a block's grid and its objective in these two
     # buffers, in the operation order of best + half unit and
     # (axes - v)^2 / (2 step); best and half are updated in place
-    axes = np.empty((min(v.shape[0], GRID_BLOCK), points))
+    rows = max(GRID_CELLS // points, 1)
+    axes = np.empty((min(v.shape[0], rows), points))
     obj = np.empty_like(axes)
-    for start in range(0, v.shape[0], GRID_BLOCK):
-        block = slice(start, start + GRID_BLOCK)
+    for start in range(0, v.shape[0], rows):
+        block = slice(start, start + rows)
         b, h, vb = best[block], half[block], v[block, None]
         ax, ob = axes[: b.shape[0]], obj[: b.shape[0]]
-        rows = np.arange(b.shape[0])
+        index = np.arange(b.shape[0])
         for _ in range(zooms):
             np.add(b[:, None], np.multiply(h[:, None], unit, out=ax), out=ax)
             if reg.kind == "box":
@@ -133,6 +137,6 @@ def grid_argmin_prox(
                 np.minimum(ax, hi[block, None], out=ax)
             np.square(np.subtract(ax, vb, out=ob), out=ob)
             ob /= 2.0 * step
-            b[...] = ax[rows, np.argmin(ob, axis=1)]
+            b[...] = ax[index, np.argmin(ob, axis=1)]
             h *= shrink
     return best

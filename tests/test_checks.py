@@ -40,7 +40,7 @@ from plgrad.problems import (
     synth_demand_response_traces,
     verify_pl,
 )
-from plgrad.prox import GRID_BLOCK, Regularizer, grid_argmin_prox
+from plgrad.prox import GRID_CELLS, Regularizer, grid_argmin_prox
 
 CONFIGS = {
     "fig1-ls": ("fig1-ls", {}),
@@ -311,10 +311,10 @@ def test_gradient_check_peak_holds_the_pair_and_the_quotients():
     assert peak <= 3 * n_points * n * 8 + 128 * 1024, peak
 
 
-# the grid's two (GRID_BLOCK, 201) buffers, and up to 128 KiB of buffers for
-# a broadcast ufunc over them; the rest covers the n-wide vectors, below the
-# GRID_BLOCK 201 8 bytes of a third block buffer
-GRID_BUDGET = 2 * GRID_BLOCK * 201 * 8 + 256 * 1024
+# the grid's two buffers of GRID_CELLS points, and up to 128 KiB of buffers
+# for a broadcast ufunc over them; the rest covers the n-wide vectors, below
+# the GRID_CELLS 8 bytes of a third block buffer
+GRID_BUDGET = 2 * GRID_CELLS * 8 + 256 * 1024
 
 
 def test_prox_check_peak_holds_two_grid_buffers():

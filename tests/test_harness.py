@@ -446,6 +446,24 @@ class TestBattery:
         problem.regularizer = ShiftedBox("box", lo=reg.lo, hi=reg.hi)
         assert not _check_prox(problem, 42).passed
 
+    @pytest.mark.parametrize("n_der", [20, 500])
+    def test_prox_check_resolves_a_box_shifted_by_half_its_tolerance(self, n_der):
+        # resolution control: a box shifted by 5e-7, and one whose lower
+        # bound alone is raised by 5e-7 so that every point it returns stays
+        # feasible, both lose to a grid point
+        cfg = make_config({"problem": {"n_der": n_der}}, {"preset": "fig3-demand-response"})
+        problem = build_problem(cfg)
+        reg = problem.regularizer
+        for hi_shift in (5e-7, 0.0):
+
+            class ShiftedBox(Regularizer):
+                def prox(self, step, v, out=None):
+                    return np.clip(v, self.lo + 5e-7, self.hi + hi_shift)
+
+            problem.regularizer = ShiftedBox("box", lo=reg.lo, hi=reg.hi)
+            result = _check_prox(problem, cfg.seed)
+            assert not result.passed and result.detail == "grid point beat the closed-form prox"
+
     def test_prox_check_without_a_regularizer_checks_nothing(self):
         # g = 0 has the identity as its prox, and a grid centred on v finds
         # v, so the check calls no prox and says that it checked nothing

@@ -200,7 +200,7 @@ def test_every_export_has_a_consumer():
 UNSET_DEFAULTS_KEPT = {
     # the Bonferroni-corrected coverage gate will pass a per-test level
     "coverage_envelope(confidence)",
-    # the reference oracle: tests run it from 101 to 4,001 points
+    # the reference oracle: tests run it from 6 to 4,001 points
     "grid_argmin_prox(points)",
 }
 

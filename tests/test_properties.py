@@ -51,7 +51,7 @@ from plgrad.config import make_config
 from plgrad.harness import _check_gradient, run_experiment, validate_bounds
 from plgrad.noise import FAMILIES, NoiseModel, envelope_norm
 from plgrad.problems import synth_demand_response_traces
-from plgrad.prox import GRID_BLOCK, Regularizer, grid_argmin_prox
+from plgrad.prox import GRID_CELLS, Regularizer, grid_argmin_prox
 from plgrad.solvers import run
 from test_checks import static_ls
 from test_problems import weighted_demand_response
@@ -293,15 +293,18 @@ def test_correct_gradient_passes_at_any_observation_noise(obs_noise_std):
 @settings(derandomize=True, max_examples=100, deadline=1000, database=None)
 @given(
     kind=st.sampled_from(["none", "box"]),
-    n=st.integers(1, 3 * GRID_BLOCK),
-    points=st.sampled_from([6, 200, 201]),
+    shape=st.sampled_from([6, 21, 200, 201]).flatmap(
+        lambda points: st.tuples(st.integers(1, 3 * (GRID_CELLS // points)), st.just(points))
+    ),
     spread=st.floats(-3.0, 6.0),
-    widest=st.tuples(st.integers(0, 3 * GRID_BLOCK - 1), st.floats(0.0, 6.0)),
+    widest=st.tuples(st.integers(0, 3 * GRID_CELLS), st.floats(0.0, 6.0)),
     seed=st.integers(0, 2**16),
 )
-def test_grid_blocks_cannot_be_seen(kind, n, points, spread, widest, seed):
-    # window widths 10^-3 to 10^spread, and one of 10^top at a drawn row,
-    # so the widest window falls in any block, alone or not
+def test_grid_blocks_cannot_be_seen(kind, shape, spread, widest, seed):
+    # up to 3 blocks of GRID_CELLS // points rows; window widths 10^-3 to
+    # 10^spread, and one of 10^top at a drawn row, so the widest window
+    # falls in any block, alone or not
+    n, points = shape
     rng = np.random.default_rng(seed)
     width = 10.0 ** rng.uniform(-3.0, spread, size=n)
     row, top = widest

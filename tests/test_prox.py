@@ -5,7 +5,7 @@ import pytest
 
 from plgrad.config import build_problem, make_config
 from plgrad.prox import (
-    GRID_BLOCK,
+    GRID_CELLS,
     GRID_SPACING,
     Regularizer,
     grid_argmin_prox,
@@ -73,7 +73,7 @@ class TestClosedForms:
         monkeypatch.setattr(Regularizer, "prox", refuse)
         grid_argmin_prox(reg, 0.7, np.array([1.3, -0.4]))
 
-def reference_grid_argmin(reg, step, v, points=201):
+def reference_grid_argmin(reg, step, v, points=21):
     """grid_argmin_prox with a fresh grid and objective at every zoom.
 
     The expression form the buffered, blocked oracle replaced: all rows at
@@ -102,14 +102,23 @@ def reference_grid_argmin(reg, step, v, points=201):
         half = half * (4.0 / (points - 1))
 
 
+def block_edges(points):
+    """n on each side of the oracle's block edge at points, checked there."""
+    rows = GRID_CELLS // points
+    return dict.fromkeys((rows - 1, rows, rows + 1, 2 * rows + 1), (points,))
+
+
+# n -> the point counts it is checked at: 1, 2 and 500 at the default 21
+# points and at 201, and each block edge at its own count
+GRID_CASES = {1: (21, 201), 2: (21, 201), 500: (21, 201), **block_edges(21), **block_edges(201)}
+
+
 class TestGridBuffers:
     """The oracle's in-place grid, zoomed in row blocks, gives the bits of
     the expression form, which zooms every row at once."""
 
     @pytest.mark.parametrize("kind", ["none", "box"])
-    @pytest.mark.parametrize(
-        "n", [1, 2, 500, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
-    )
+    @pytest.mark.parametrize("n", list(GRID_CASES))
     def test_matches_the_expression_form(self, kind, n):
         rng = np.random.default_rng({"none": 300, "box": 400}[kind] + n)
         for _ in range(10):
@@ -120,22 +129,25 @@ class TestGridBuffers:
             else:
                 lo = rng.uniform(-2.0, 0.0, size=n)
                 reg = Regularizer.box(lo, lo + rng.uniform(0.2, 3.0, size=n))
-            expected, _ = reference_grid_argmin(reg, step, v)
-            assert np.array_equal(grid_argmin_prox(reg, step, v), expected)
+            for points in GRID_CASES[n]:
+                expected, _ = reference_grid_argmin(reg, step, v, points)
+                assert np.array_equal(grid_argmin_prox(reg, step, v, points), expected)
 
     def test_every_block_zooms_as_often_as_the_widest_window(self):
         # the widest starting window sits alone in the last block, so a
         # block that stopped at its own spacing would zoom fewer times; the
         # grid has an even point count, since an odd one holds v itself at
         # its centre and a none grid then returns v at any zoom count
-        n, points = 2 * GRID_BLOCK + 1, 200
+        points = 200
+        rows = GRID_CELLS // points
+        n = 2 * rows + 1
         v = np.random.default_rng(600).uniform(-3.0, 3.0, size=n)
         v[-1] = 1e3
         reg = Regularizer.none()
         expected, _ = reference_grid_argmin(reg, 0.4, v, points)
         assert np.array_equal(grid_argmin_prox(reg, 0.4, v, points), expected)
-        alone, _ = reference_grid_argmin(reg, 0.4, v[:GRID_BLOCK], points)
-        assert not np.array_equal(alone, expected[:GRID_BLOCK])
+        alone, _ = reference_grid_argmin(reg, 0.4, v[:rows], points)
+        assert not np.array_equal(alone, expected[:rows])
 
     @pytest.mark.parametrize("points", [201, 6])
     def test_ties_keep_the_first_grid_point(self, points):
