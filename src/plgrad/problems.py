@@ -611,6 +611,16 @@ def _sample_ball(
     return direction
 
 
+def _sample_box(rng: np.random.Generator, box, out: np.ndarray) -> np.ndarray:
+    """Points drawn uniformly from the box regularizer's {lo <= x <= hi} into
+    `out`, one per row (or one 1-D point), formed in place: the bits of
+    lo + rng.random(out.shape) * (hi - lo), since the sum commutes."""
+    rng.random(out=out)
+    out *= box.hi - box.lo
+    out += box.lo
+    return out
+
+
 def verify_pl(problem: OnlineProblem, t: int, n_samples: int, seed: int) -> float:
     """Largest mu with 2 mu (f_t - f*_t) <= ||grad f_t||^2 at n_samples points
     of the domain ball; points at the optimum are skipped, and inf, which

@@ -7,10 +7,11 @@ same results and see the same oracle outputs, bit for bit.  gradient_fd
 differences one random direction per point; the difference along every
 axis it replaced is kept here, and every config's gradient still passes it.
 Negative controls show that both checks fail on a wrong gradient or an
-overstated slope, and a spy pins the time indices every check visits and
-the oracle calls the gradient check makes.  The proximal PL check's exact
-decrease is held against a grid-oracle reference that never calls the
-closed-form prox.
+overstated slope, and a fault in one coordinate reads its axis-by-axis
+error.  A spy pins the time indices every check visits, the oracle calls
+the gradient check makes and the box its points lie in.  The proximal PL
+check's exact decrease is held against a grid-oracle reference that never
+calls the closed-form prox.
 """
 
 import copy
@@ -97,15 +98,21 @@ def reference_gradient_fd(problem, seed, n_points=100):
 def reference_directional_fd(problem, seed, n_points=100):
     """gradient_fd one point at a time: one grad call and one value call on
     the pair x + h u, x - h u per point, after the block draws of the
-    points and the directions.  Returns the check's CheckResult."""
+    points (uniform on the box of a box problem, else in the half ball)
+    and of the sign directions (-1 where a uniform draw falls below 1/2,
+    over sqrt(n)).  Returns the check's CheckResult."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 4)))
     worst = 0.0
     passed = True
     n = problem.n
+    reg = problem.regularizer
     for t in sampled_times(problem.horizon):
-        xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
-        us = rng.standard_normal((n_points, n))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        if reg.kind == "box":
+            xs = reg.lo + rng.uniform(0.0, 1.0, size=(n_points, n)) * (reg.hi - reg.lo)
+        else:
+            xs = _sample_ball(rng, n, 0.5 * problem.domain_radius, n_points)
+        signs = np.where(rng.uniform(0.0, 1.0, size=(n_points, n)) < 0.5, -1.0, 1.0)
+        us = signs / math.sqrt(n)
         for x, u in zip(xs, us):
             g = problem.grad(t, x)
             h = 1e-6 * max(1.0, float(np.abs(x).max()))
@@ -228,6 +235,30 @@ def test_every_config_passes_the_differences_along_every_axis(name):
     assert passed, worst
 
 
+class PointSpy(OracleSpy):
+    """Records a copy of every point block the gradient oracle receives."""
+
+    def __init__(self, problem):
+        super().__init__(problem)
+        self.points = []
+
+    def grad(self, t, x, out=None):
+        self.points.append(np.array(x))
+        return super().grad(t, x, out=out)
+
+
+@pytest.mark.parametrize("name", ["dr20", "dr500"])
+def test_gradient_check_draws_its_points_from_the_box(name):
+    # the run's iterates stay in the box, so the check differences there
+    problem, seed = _configured(name)
+    spy = PointSpy(problem)
+    assert _check_gradient(spy, seed).passed
+    reg = problem.regularizer
+    assert len(spy.points) == len(sampled_times(problem.horizon))
+    for xs in spy.points:
+        assert np.all((reg.lo <= xs) & (xs <= reg.hi))
+
+
 @pytest.mark.parametrize("name", ["static-ls", "dr500"])
 def test_gradient_check_cost_does_not_grow_with_n(name):
     # per sampled t, one grad call on the 100 points and one value call on
@@ -258,16 +289,14 @@ def test_pl_check_matches_the_unblocked_loop(name):
 
 @pytest.mark.parametrize("shape", [(100, 500), (500,)])
 def test_random_draws_the_floats_and_stream_position_of_uniform(shape):
-    # the PL check fills its (100, n) block with Generator.random and the
-    # prox check draws its (n,) point with it: uniform(0, 1) returns 0 + 1 u,
-    # so both read the bits and leave the stream where uniform(0, 1) does
+    # _sample_box fills the PL check's (100, n) block, the gradient check's
+    # points and the prox check's (n,) point with Generator.random, and the
+    # gradient check its signs: uniform(0, 1) returns 0 + 1 u, so each reads
+    # the bits and leaves the stream where uniform(0, 1) does
     for seed in range(200):
         drawn, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        if len(shape) == 2:
-            u = np.empty(shape)
-            drawn.random(out=u)
-        else:
-            u = drawn.random(shape[0])
+        u = np.empty(shape)
+        drawn.random(out=u)
         assert u.tobytes() == reference.uniform(0.0, 1.0, size=shape).tobytes()
         assert drawn.bit_generator.state == reference.bit_generator.state
 
@@ -304,7 +333,7 @@ def test_pl_check_peak_stays_below_one_sample_matrix():
 def test_gradient_check_peak_holds_the_pair_and_the_quotients():
     # the (2, P, n) pair of stepped points, into whose first slab the points
     # are drawn, and the (P, n) directions that become the steps, which lend
-    # the draw its squares; the slack covers ufunc buffers and P- or n-wide
+    # a ball draw its squares; the slack covers ufunc buffers and P- or n-wide
     # vectors, below the P n 8 bytes of one more (P, n) array
     n_points = 100  # the check's fixed point count
     peak, n = traced_peak(_check_gradient, "dr500")
@@ -450,6 +479,19 @@ class TestNegativeControls:
         problem.pl_constant = 10.0 * reference_pl_mu(problem, seed)
         result = _check_pl(problem, seed)
         assert not result.passed and result.detail.startswith("sampled proximal mu")
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-2, 1 + 1e-4])
+@pytest.mark.parametrize("name", ["dr20", "dr500"])
+def test_one_coordinate_fault_reads_its_axis_by_axis_error(name, factor):
+    # demand response has g = r 1, so a fault k r in coordinate 0 is off by
+    # ||d|| / ||g|| = k / sqrt(n); a sign direction has u_0^2 = 1/n exactly,
+    # so every point reads that error, up to the difference's rounding
+    problem, seed = _configured(name)
+    result = _check_gradient(CoordinateZeroOff(problem, factor), seed)
+    assert not result.passed
+    expected = (factor - 1.0) / math.sqrt(problem.n)
+    assert float(result.detail.split()[-1]) == pytest.approx(expected, rel=1e-2)
 
 
 def static_ls(obs_noise_std):

@@ -116,32 +116,32 @@ VERDICTS = {
 # (preset, config sections) -> the gradient, pl and prox battery table
 BATTERIES = {
     ("fig1-ls", None): (
-        "gradient_fd     PASS  max relative error 1.74e-09\n"
+        "gradient_fd     PASS  max relative error 1.52e-09\n"
         "pl_certificate  PASS  sampled mu 0.306711 vs declared 0.1\n"
         "prox_grid       PASS  no regularizer: nothing checked"
     ),
     ("static-ls", None): (
-        "gradient_fd     PASS  max relative error 6.49e-10\n"
+        "gradient_fd     PASS  max relative error 8.46e-10\n"
         "pl_certificate  PASS  sampled mu 0.293584 vs declared 0.1\n"
         "prox_grid       PASS  no regularizer: nothing checked"
     ),
     ("fig3-demand-response", None): (
-        "gradient_fd     PASS  max relative error 1.87e-09\n"
+        "gradient_fd     PASS  max relative error 2.00e-09\n"
         "pl_certificate  PASS  sampled proximal mu 13.6926 vs declared 1\n"
         "prox_grid       PASS  max |closed - grid| = 1.83e-09"
     ),
     ("logistic", None): (
-        "gradient_fd     PASS  max relative error 1.16e-09\n"
+        "gradient_fd     PASS  max relative error 1.24e-09\n"
         "pl_certificate  PASS  sampled mu 0.763529 vs declared 0.429305\n"
         "prox_grid       PASS  no regularizer: nothing checked"
     ),
     ("lti", None): (
-        "gradient_fd     PASS  max relative error 5.14e-10\n"
+        "gradient_fd     PASS  max relative error 8.47e-10\n"
         "pl_certificate  PASS  sampled mu 0.74082 vs declared 0.556454\n"
         "prox_grid       PASS  no regularizer: nothing checked"
     ),
     ("fig3-demand-response", "n_der=500"): (
-        "gradient_fd     PASS  max relative error 4.28e-09\n"
+        "gradient_fd     PASS  max relative error 2.86e-08\n"
         "pl_certificate  PASS  sampled proximal mu 453.208 vs declared 1\n"
         "prox_grid       PASS  max |closed - grid| = 2.05e-09"
     ),
